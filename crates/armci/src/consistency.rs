@@ -13,7 +13,7 @@
 //! fences writes to the *same* region of the same target. Accumulates are
 //! associative, so ordering among them is never enforced.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use desim::Completion;
 
@@ -37,8 +37,11 @@ pub type RegionKey = Option<usize>;
 /// before a read may be issued.
 pub struct ConsistencyTracker {
     mode: ConsistencyMode,
-    /// Outstanding write completions per (target, region-key).
-    writes: HashMap<(usize, RegionKey), Vec<Completion<()>>>,
+    /// Outstanding write completions per (target, region-key). Ordered, so
+    /// fences and read gates hand completions back in `(target, region)`
+    /// order (issue order within a key) — a function of the content alone,
+    /// never of a per-process hash seed or of the insertion history.
+    writes: BTreeMap<(usize, RegionKey), Vec<Completion<()>>>,
     induced_fences: u64,
     checks: u64,
 }
@@ -48,7 +51,7 @@ impl ConsistencyTracker {
     pub fn new(mode: ConsistencyMode) -> ConsistencyTracker {
         ConsistencyTracker {
             mode,
-            writes: HashMap::new(),
+            writes: BTreeMap::new(),
             induced_fences: 0,
             checks: 0,
         }
@@ -134,7 +137,10 @@ impl ConsistencyTracker {
     /// All outstanding writes (explicit `fence_all` / barrier).
     pub fn drain_all(&mut self) -> Vec<Completion<()>> {
         self.prune();
-        self.writes.drain().flat_map(|(_, v)| v).collect()
+        std::mem::take(&mut self.writes)
+            .into_values()
+            .flatten()
+            .collect()
     }
 
     /// Number of reads that were forced to fence.
@@ -223,6 +229,77 @@ mod tests {
         assert_eq!(t.outstanding(), 1);
         assert_eq!(t.drain_all().len(), 1);
         assert_eq!(t.outstanding(), 0);
+    }
+
+    /// Build a tracker holding writes `0..keys.len()` (write `i` under
+    /// `keys[i]`), inserted in `order`; returns it with the labelled handles.
+    fn tracker_with(
+        keys: &[(usize, RegionKey)],
+        order: &[usize],
+    ) -> (ConsistencyTracker, Vec<Completion<()>>) {
+        let labelled: Vec<Completion<()>> = keys.iter().map(|_| pending()).collect();
+        let mut t = ConsistencyTracker::new(ConsistencyMode::PerRegion);
+        // A different insertion history: extra keys come and go first.
+        for &i in order {
+            t.record_write(900 + i, Some(i), pending());
+        }
+        assert_eq!(t.drain_target(900 + order[0]).len(), 1);
+        for &i in order {
+            t.record_write(keys[i].0, keys[i].1, labelled[i].clone());
+        }
+        for &i in order {
+            t.drain_target(900 + i);
+        }
+        (t, labelled)
+    }
+
+    /// Labels of `drained`, in order: completing a drained handle marks
+    /// exactly one labelled handle complete.
+    fn labels(drained: Vec<Completion<()>>, labelled: &[Completion<()>]) -> Vec<usize> {
+        let mut seen = vec![false; labelled.len()];
+        drained
+            .into_iter()
+            .map(|c| {
+                c.complete(());
+                let i = (0..labelled.len())
+                    .find(|&i| !seen[i] && labelled[i].is_complete())
+                    .expect("drained handle is one of the labelled ones");
+                seen[i] = true;
+                i
+            })
+            .collect()
+    }
+
+    #[test]
+    fn drain_order_depends_on_content_not_history() {
+        // Same content, two insertion histories (what two processes with
+        // different hash seeds used to turn into two drain orders).
+        let keys = [
+            (7, Some(64)),
+            (2, None),
+            (7, Some(8)),
+            (2, Some(4096)),
+            (5, Some(0)),
+            (7, None),
+            (0, Some(16)),
+            (5, Some(0)),
+        ];
+        let fwd: Vec<usize> = (0..keys.len()).collect();
+        // Keeps 4 before 7: issue order within one key is part of the content.
+        let shuffled = [6, 4, 2, 0, 3, 7, 5, 1];
+        type Drain = fn(&mut ConsistencyTracker) -> Vec<Completion<()>>;
+        let drains: [(Drain, Vec<usize>); 4] = [
+            (|t| t.drain_all(), vec![6, 1, 3, 4, 7, 5, 2, 0]),
+            (|t| t.drain_target(7), vec![5, 2, 0]),
+            (|t| t.conflicts_for_read(7, None), vec![5, 2, 0]),
+            (|t| t.conflicts_for_read(7, Some(64)), vec![5, 0]),
+        ];
+        for (drain, want) in drains {
+            for order in [&fwd[..], &shuffled[..]] {
+                let (mut t, labelled) = tracker_with(&keys, order);
+                assert_eq!(labels(drain(&mut t), &labelled), want);
+            }
+        }
     }
 
     #[test]

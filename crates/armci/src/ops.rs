@@ -10,6 +10,7 @@
 //! (Eq. 9) unless the contiguous chunk is below the pack threshold
 //! (tall-skinny), in which case the packed typed-datatype path is used.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
@@ -36,6 +37,9 @@ pub struct ArmciRank {
     pub(crate) a: Armci,
     pub(crate) r: usize,
     pub(crate) pami: PamiRank,
+    /// This rank's runtime state, remembered after the first touch so that
+    /// per-operation accesses do not re-hash the runtime's rank table.
+    pub(crate) rt: OnceCell<Rc<RankRt>>,
 }
 
 impl ArmciRank {
@@ -54,8 +58,8 @@ impl ArmciRank {
         &self.pami
     }
 
-    fn rt(&self) -> Rc<RankRt> {
-        self.a.rank_rt(self.r)
+    fn rt(&self) -> &RankRt {
+        self.rt.get_or_init(|| self.a.rank_rt(self.r))
     }
 
     fn stats(&self) -> desim::Stats {
@@ -226,13 +230,14 @@ impl ArmciRank {
         }
         // Miss: query the owner.
         self.stats().incr("armci.region_query");
-        let reply_id = self.rt().next_reply.get();
-        self.rt().next_reply.set(reply_id + 1);
         let reply: Completion<Option<RemoteRegion>> = Completion::new();
-        self.rt()
-            .pending_replies
-            .borrow_mut()
-            .insert(reply_id, reply.clone());
+        let reply_id = {
+            let mut rare = self.rt().rare();
+            let id = rare.next_reply;
+            rare.next_reply += 1;
+            rare.pending_replies.insert(id, reply.clone());
+            id
+        };
         let mut header = Vec::with_capacity(24);
         header.extend_from_slice(&reply_id.to_le_bytes());
         header.extend_from_slice(&(off as u64).to_le_bytes());
@@ -1084,16 +1089,19 @@ impl ArmciRank {
     // Pairwise notify/wait
     // ------------------------------------------------------------------
 
+    /// The next notification sequence number for `target` (1-based; shared
+    /// by the software-put and the AM notify paths).
+    fn next_notify_seq(&self, target: usize) -> i64 {
+        let mut rare = self.rt().rare();
+        let seq = rare.notify_seq.entry(target).or_insert(0);
+        *seq += 1;
+        *seq
+    }
+
     /// Post a notification to `target`; returns this notification's sequence
     /// number (1-based, monotonically increasing per target).
     pub async fn notify(&self, target: usize) -> i64 {
-        let seq = {
-            let rt = self.rt();
-            let mut m = rt.notify_seq.borrow_mut();
-            let e = m.entry(target).or_insert(0);
-            *e += 1;
-            *e
-        };
+        let seq = self.next_notify_seq(target);
         // Stage the sequence number in a scratch cell and software-put it
         // into the target's notify slot for this rank.
         let scratch = self.pami.alloc(8);
@@ -1136,13 +1144,7 @@ impl ArmciRank {
     pub async fn notify_am(&self, target: usize) -> i64 {
         let op = self.begin_op("armci.notify_am");
         self.stats().incr("armci.notify_am");
-        let seq = {
-            let rt = self.rt();
-            let mut m = rt.notify_seq.borrow_mut();
-            let e = m.entry(target).or_insert(0);
-            *e += 1;
-            *e
-        };
+        let seq = self.next_notify_seq(target);
         // Materialize the target's notify cells before the AM can land.
         self.a.rank_rt(target);
         self.pami
@@ -1202,10 +1204,10 @@ impl ArmciRank {
         let done = Completion::new();
         let reply_id = {
             let _mem = memprof::scope(&HANDLES_TAG);
-            let rt = self.rt();
-            let id = rt.next_ping.get();
-            rt.next_ping.set(id + 1);
-            rt.pending_pings.borrow_mut().insert(id, done.clone());
+            let mut rare = self.rt().rare();
+            let id = rare.next_ping;
+            rare.next_ping += 1;
+            rare.pending_pings.insert(id, done.clone());
             id
         };
         self.pami

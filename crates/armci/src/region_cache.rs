@@ -7,7 +7,7 @@
 //! (which requires the owner's progress engine — misses are *expensive*), and
 //! the replacement policy is **least frequently used** (paper §III-B).
 
-use std::collections::HashMap;
+use desim::FxHashMap;
 
 /// Metadata of a remote rank's registered memory region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ struct Entry {
 pub struct RegionCache {
     capacity: usize,
     entries: Vec<Entry>,
-    by_target: HashMap<usize, Vec<usize>>,
+    by_target: FxHashMap<usize, Vec<usize>>,
     seq: u64,
     hits: u64,
     misses: u64,
@@ -52,7 +52,7 @@ impl RegionCache {
         RegionCache {
             capacity,
             entries: Vec::new(),
-            by_target: HashMap::new(),
+            by_target: FxHashMap::default(),
             seq: 0,
             hits: 0,
             misses: 0,

@@ -1,6 +1,6 @@
 //! The ARMCI runtime: configuration, initialization, and shared state.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
@@ -98,18 +98,26 @@ pub(crate) struct RankRt {
     pub consistency: RefCell<ConsistencyTracker>,
     /// Implicit-handle set: local completions of outstanding non-blocking ops.
     pub implicit: RefCell<Vec<Completion<()>>>,
-    pub pending_replies: RefCell<HashMap<u64, Completion<Option<RemoteRegion>>>>,
-    pub next_reply: Cell<u64>,
     /// Offset of this rank's mutex array (usize::MAX = not created).
     pub mutex_off: Cell<usize>,
     /// Offset of this rank's notify cells (one i64 per peer).
     pub notify_off: Cell<usize>,
+    /// Request/reply bookkeeping, created on first use: most ranks never
+    /// miss the region cache, notify or AM-fence.
+    rare: RefCell<Option<Box<RareRt>>>,
+}
+
+/// The rarely used part of [`RankRt`] (see [`RankRt::rare`]).
+#[derive(Default)]
+pub(crate) struct RareRt {
+    /// Region queries awaiting the owner's reply, by reply id.
+    pub pending_replies: FxHashMap<u64, Completion<Option<RemoteRegion>>>,
+    pub next_reply: u64,
     /// Notification sequence numbers sent, per target.
-    pub notify_seq: RefCell<HashMap<usize, i64>>,
-    /// Outstanding AM-fence pings awaiting their pong.
-    pub pending_pings: RefCell<HashMap<u64, Completion<()>>>,
-    /// Next AM-fence ping id.
-    pub next_ping: Cell<u64>,
+    pub notify_seq: FxHashMap<usize, i64>,
+    /// Outstanding AM-fence pings awaiting their pong, by ping id.
+    pub pending_pings: FxHashMap<u64, Completion<()>>,
+    pub next_ping: u64,
 }
 
 impl RankRt {
@@ -118,14 +126,18 @@ impl RankRt {
             region_cache: RefCell::new(RegionCache::new(cfg.region_cache_capacity)),
             consistency: RefCell::new(ConsistencyTracker::new(cfg.consistency)),
             implicit: RefCell::new(Vec::new()),
-            pending_replies: RefCell::new(HashMap::new()),
-            next_reply: Cell::new(0),
             mutex_off: Cell::new(usize::MAX),
             notify_off: Cell::new(usize::MAX),
-            notify_seq: RefCell::new(HashMap::new()),
-            pending_pings: RefCell::new(HashMap::new()),
-            next_ping: Cell::new(0),
+            rare: RefCell::new(None),
         }
+    }
+
+    /// The request/reply bookkeeping, created on first use.
+    pub fn rare(&self) -> RefMut<'_, RareRt> {
+        let _mem = memprof::scope(&HANDLES_TAG);
+        RefMut::map(self.rare.borrow_mut(), |r| {
+            &mut **r.get_or_insert_with(Box::default)
+        })
     }
 }
 
@@ -232,6 +244,7 @@ impl Armci {
             a: self.clone(),
             r,
             pami: self.inner.machine.rank(r),
+            rt: OnceCell::new(),
         }
     }
 
@@ -335,7 +348,7 @@ impl Armci {
 }
 
 /// Bring up one rank's ARMCI state: runtime struct, notification cells,
-/// region-query dispatch, async-progress arming. Runs as the machine's
+/// async-progress arming. Runs as the machine's
 /// rank-init hook the moment the rank's PAMI state materializes — the rank's
 /// notification cells are its very first allocation, exactly as they were
 /// when initialization looped over every rank eagerly.
@@ -350,18 +363,66 @@ fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
     // Notification cells: one i64 per peer (offsets only — the backing
     // memory grows on first write).
     rt.notify_off.set(pr.alloc(inner.machine.nprocs() * 8));
-    let target_ctx = inner.machine.target_ctx();
-    install_dispatch(&pr, target_ctx, weak);
     if inner.cfg.progress == ProgressMode::AsyncThread {
-        pr.enable_async_progress(target_ctx);
+        pr.enable_async_progress(inner.machine.target_ctx());
     }
 }
 
-/// Install the runtime's machine-global AM handlers (the `send_am` /
-/// aggregation surface). Unlike the per-rank region-query dispatch these
-/// carry no per-rank state beyond what `ArmciInner` already tracks, so one
-/// machine-wide table entry serves every destination.
+/// Install the runtime's AM handlers — region query/reply and the `send_am`
+/// / aggregation surface — in the machine-wide table. Every rank runs the
+/// same code and the handlers carry no per-rank state beyond what
+/// `ArmciInner` already tracks (the destination comes in through
+/// [`pami_sim::AmEnv`]), so one table entry serves every destination and a
+/// materializing rank pays for no table or closure of its own.
 fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
+    // REGION_QUERY: header = [reply_id u64][off u64][len u64]; the owner looks
+    // up its registered regions and replies with REGION_REPLY.
+    machine.register_am(
+        DISPATCH_REGION_QUERY,
+        Rc::new(move |env, msg| {
+            let word =
+                |i: usize| u64::from_le_bytes(msg.header[8 * i..8 * i + 8].try_into().expect("8"));
+            let (reply_id, off, len) = (word(0), word(1) as usize, word(2) as usize);
+            let owner = env.machine.rank(env.rank);
+            let found = owner
+                .find_region(off, len)
+                .map(|id| owner.region_bounds(id));
+            let mut reply = Vec::with_capacity(25);
+            reply.extend_from_slice(&reply_id.to_le_bytes());
+            reply.push(u8::from(found.is_some()));
+            let (roff, rlen) = found.unwrap_or((0, 0));
+            reply.extend_from_slice(&(roff as u64).to_le_bytes());
+            reply.extend_from_slice(&(rlen as u64).to_le_bytes());
+            let src = msg.src;
+            env.machine.sim().spawn(async move {
+                owner
+                    .am_send(src, DISPATCH_REGION_REPLY, reply, Vec::new())
+                    .await;
+            });
+        }),
+    );
+    // REGION_REPLY: complete the pending query at the requester.
+    {
+        let weak = weak.clone();
+        machine.register_am(
+            DISPATCH_REGION_REPLY,
+            Rc::new(move |env, msg| {
+                let Some(inner) = weak.upgrade() else { return };
+                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
+                let found = msg.header[8] != 0;
+                let off = u64::from_le_bytes(msg.header[9..17].try_into().expect("8")) as usize;
+                let len = u64::from_le_bytes(msg.header[17..25].try_into().expect("8")) as usize;
+                let pending = inner
+                    .ranks
+                    .borrow()
+                    .get(&env.rank)
+                    .and_then(|rt| rt.rare().pending_replies.remove(&reply_id));
+                if let Some(c) = pending {
+                    c.complete(found.then_some(RemoteRegion { off, len }));
+                }
+            }),
+        );
+    }
     // NOTIFY_AM: write the sender's notify cell at the destination. The
     // write is monotone-max so a retransmit-delayed older notify can never
     // roll the cell back below a newer one.
@@ -428,66 +489,9 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
                     .ranks
                     .borrow()
                     .get(&env.rank)
-                    .and_then(|rt| rt.pending_pings.borrow_mut().remove(&reply_id));
+                    .and_then(|rt| rt.rare().pending_pings.remove(&reply_id));
                 if let Some(c) = pending {
                     c.complete(());
-                }
-            }),
-        );
-    }
-}
-
-/// Install the runtime's active-message handlers on one rank.
-fn install_dispatch(pr: &PamiRank, ctx: usize, weak: &Weak<ArmciInner>) {
-    // REGION_QUERY: header = [reply_id u64][off u64][len u64]; the owner looks
-    // up its registered regions and replies with REGION_REPLY.
-    {
-        let pr_capture = pr.clone();
-        pr.register_dispatch(
-            ctx,
-            DISPATCH_REGION_QUERY,
-            Rc::new(move |env, msg| {
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let off = u64::from_le_bytes(msg.header[8..16].try_into().expect("8")) as usize;
-                let len = u64::from_le_bytes(msg.header[16..24].try_into().expect("8")) as usize;
-                let found = pr_capture
-                    .find_region(off, len)
-                    .map(|id| pr_capture.region_bounds(id));
-                let mut reply = Vec::with_capacity(25);
-                reply.extend_from_slice(&reply_id.to_le_bytes());
-                reply.push(u8::from(found.is_some()));
-                let (roff, rlen) = found.unwrap_or((0, 0));
-                reply.extend_from_slice(&(roff as u64).to_le_bytes());
-                reply.extend_from_slice(&(rlen as u64).to_le_bytes());
-                let responder = env.machine.rank(env.rank);
-                let src = msg.src;
-                env.machine.sim().spawn(async move {
-                    responder
-                        .am_send(src, DISPATCH_REGION_REPLY, reply, Vec::new())
-                        .await;
-                });
-            }),
-        );
-    }
-    // REGION_REPLY: complete the pending query at the requester.
-    {
-        let weak = weak.clone();
-        pr.register_dispatch(
-            ctx,
-            DISPATCH_REGION_REPLY,
-            Rc::new(move |env, msg| {
-                let Some(inner) = weak.upgrade() else { return };
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let found = msg.header[8] != 0;
-                let off = u64::from_le_bytes(msg.header[9..17].try_into().expect("8")) as usize;
-                let len = u64::from_le_bytes(msg.header[17..25].try_into().expect("8")) as usize;
-                let pending = inner
-                    .ranks
-                    .borrow()
-                    .get(&env.rank)
-                    .and_then(|rt| rt.pending_replies.borrow_mut().remove(&reply_id));
-                if let Some(c) = pending {
-                    c.complete(found.then_some(RemoteRegion { off, len }));
                 }
             }),
         );

@@ -53,6 +53,31 @@ pub struct TaskId(pub(crate) usize);
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
+/// What a task slot boxes: the spawned future plus the completion its
+/// [`JoinHandle`] waits on — the future stored **once**. (An `async move {
+/// let out = future.await; done.complete(out) }` wrapper stores it twice:
+/// once as the captured variable of the unresumed state, once as the
+/// awaitee of the suspended state, and the compiler does not overlap them.)
+struct TaskFut<F: Future> {
+    /// Structurally pinned: polled in place, never moved out of the box.
+    fut: F,
+    done: Completion<F::Output>,
+}
+
+impl<F: Future> Future for TaskFut<F> {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned — it is only ever reached
+        // through this `Pin<&mut Self>`, is never moved after the first
+        // poll, and is dropped in place with the box; `TaskFut` has no
+        // `Drop` impl and is not `repr(packed)`. `done` is never pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: as above — `this.fut` stays where the pinned box put it.
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        fut.poll(cx).map(|out| this.done.complete(out))
+    }
+}
+
 enum TimerKind {
     Waker(Waker),
     Callback(Box<dyn FnOnce()>),
@@ -463,6 +488,15 @@ impl Sim {
         self.k.tasks.borrow().len()
     }
 
+    /// Heap bytes of `task`'s boxed future (the spawned future plus its
+    /// completion handle), or `None` once the task has finished. What a
+    /// parked task costs the host; see `tests/task_size.rs`.
+    pub fn task_bytes(&self, task: TaskId) -> Option<usize> {
+        let tasks = self.k.tasks.borrow();
+        let fut = tasks.get(task.0)?.future.as_ref()?;
+        Some(std::mem::size_of_val(&**fut))
+    }
+
     /// Spawn a task. It is scheduled to run at the current virtual time.
     pub fn spawn<F>(&self, future: F) -> JoinHandle<F::Output>
     where
@@ -470,11 +504,10 @@ impl Sim {
         F::Output: 'static,
     {
         let done = Completion::new();
-        let done2 = done.clone();
         let _mem = memprof::scope_default(&KERNEL_TAG);
-        let id = self.k.alloc_task(Box::pin(async move {
-            let out = future.await;
-            done2.complete(out);
+        let id = self.k.alloc_task(Box::pin(TaskFut {
+            fut: future,
+            done: done.clone(),
         }));
         self.k.enqueue_task(id);
         JoinHandle {

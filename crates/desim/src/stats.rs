@@ -63,6 +63,16 @@ struct StatsInner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Update the entry for `key`, creating (touching) it on first use. The key
+/// is looked up by `&str` first: the hot path — a key seen before — does one
+/// lookup and allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_string()).or_default()),
+    }
+}
+
 /// A shared, clonable statistics registry.
 #[derive(Clone, Default)]
 pub struct Stats {
@@ -82,12 +92,7 @@ impl Stats {
 
     /// Increment counter `key` by `n`.
     pub fn add(&self, key: &str, n: u64) {
-        *self
-            .inner
-            .borrow_mut()
-            .counters
-            .entry(key.to_string())
-            .or_insert(0) += n;
+        update(&mut self.inner.borrow_mut().counters, key, |c| *c += n);
     }
 
     /// Current value of counter `key` (zero if never touched).
@@ -97,12 +102,7 @@ impl Stats {
 
     /// Record one duration sample under `key`.
     pub fn record_time(&self, key: &str, d: SimDuration) {
-        self.inner
-            .borrow_mut()
-            .durations
-            .entry(key.to_string())
-            .or_default()
-            .record(d);
+        update(&mut self.inner.borrow_mut().durations, key, |s| s.record(d));
     }
 
     /// Duration statistics for `key`.
@@ -117,12 +117,9 @@ impl Stats {
 
     /// Record a sample into the log₂ histogram under `key`.
     pub fn record_hist(&self, key: &str, value: u64) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(key.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.inner.borrow_mut().histograms, key, |h| {
+            h.record(value)
+        });
     }
 
     /// A copy of the histogram under `key` (empty if never touched).

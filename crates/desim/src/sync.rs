@@ -26,70 +26,55 @@ use crate::waker_set::WakerSet;
 struct MutexState {
     next_ticket: u64,
     serving: u64,
-    wakers: Vec<(u64, Waker)>,
-    /// Tickets whose waiters were cancelled while queued; the release path
-    /// skips them so the handoff chain cannot wedge.
-    cancelled: std::collections::HashSet<u64>,
+    /// Queued tickets: the waiter's waker, or `None` once the waiter was
+    /// cancelled while queued — the release path skips those so the handoff
+    /// chain cannot wedge.
+    waiters: Vec<(u64, Option<Waker>)>,
 }
 
-/// A fair (FIFO, direct-handoff) mutex for simulated tasks.
-///
-/// Fairness matters for fidelity: the paper's §III-D discusses starvation
-/// between the main thread and the asynchronous progress thread competing for
-/// the progress-engine lock; a barging lock would hide that effect.
-pub struct SimMutex {
-    state: Rc<RefCell<MutexState>>,
+/// The state of a fair (FIFO, direct-handoff) mutex, embeddable in a larger
+/// object: it owns no allocation of its own until a waiter queues. Lock
+/// futures and guards reach it through a handle `H: AsRef<MutexCell>` that
+/// keeps the enclosing object alive — [`SimMutex`] is the stand-alone form
+/// (`H = Rc<MutexCell>`); an object that embeds the cell hands out a
+/// handle that projects to its field (see `pami_sim`'s per-rank block).
+pub struct MutexCell {
+    state: RefCell<MutexState>,
 }
 
-impl Clone for SimMutex {
-    fn clone(&self) -> Self {
-        SimMutex {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Default for SimMutex {
+impl Default for MutexCell {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl SimMutex {
-    /// Create an unlocked mutex.
-    pub fn new() -> SimMutex {
-        SimMutex {
-            state: Rc::new(RefCell::new(MutexState {
+impl MutexCell {
+    /// Create an unlocked cell.
+    pub const fn new() -> MutexCell {
+        MutexCell {
+            state: RefCell::new(MutexState {
                 next_ticket: 0,
                 serving: 0,
-                wakers: Vec::new(),
-                cancelled: std::collections::HashSet::new(),
-            })),
+                waiters: Vec::new(),
+            }),
         }
     }
 
-    /// Acquire the lock, waiting FIFO behind earlier requesters.
-    pub fn lock(&self) -> MutexLock {
-        MutexLock {
-            state: Rc::clone(&self.state),
-            ticket: None,
-        }
+    /// Acquire the lock behind `h`, waiting FIFO behind earlier requesters.
+    pub fn lock<H: AsRef<MutexCell> + Clone + Unpin>(h: H) -> MutexLock<H> {
+        MutexLock { h, ticket: None }
     }
 
-    /// Attempt to acquire without waiting.
-    pub fn try_lock(&self) -> Option<MutexGuard> {
-        let mut st = self.state.borrow_mut();
-        if st.serving == st.next_ticket {
-            let ticket = st.next_ticket;
+    /// Attempt to acquire the lock behind `h` without waiting.
+    pub fn try_lock<H: AsRef<MutexCell>>(h: H) -> Option<MutexGuard<H>> {
+        {
+            let mut st = h.as_ref().state.borrow_mut();
+            if st.serving != st.next_ticket {
+                return None;
+            }
             st.next_ticket += 1;
-            drop(st);
-            Some(MutexGuard {
-                state: Rc::clone(&self.state),
-                _ticket: ticket,
-            })
-        } else {
-            None
         }
+        Some(MutexGuard { h })
     }
 
     /// True when some task currently holds the lock.
@@ -99,77 +84,101 @@ impl SimMutex {
     }
 }
 
-/// Future returned by [`SimMutex::lock`].
-pub struct MutexLock {
-    state: Rc<RefCell<MutexState>>,
+/// A fair (FIFO, direct-handoff) mutex for simulated tasks.
+///
+/// Fairness matters for fidelity: the paper's §III-D discusses starvation
+/// between the main thread and the asynchronous progress thread competing for
+/// the progress-engine lock; a barging lock would hide that effect.
+#[derive(Clone, Default)]
+pub struct SimMutex {
+    cell: Rc<MutexCell>,
+}
+
+impl SimMutex {
+    /// Create an unlocked mutex.
+    pub fn new() -> SimMutex {
+        SimMutex::default()
+    }
+
+    /// Acquire the lock, waiting FIFO behind earlier requesters.
+    pub fn lock(&self) -> MutexLock {
+        MutexCell::lock(Rc::clone(&self.cell))
+    }
+
+    /// Attempt to acquire without waiting.
+    pub fn try_lock(&self) -> Option<MutexGuard> {
+        MutexCell::try_lock(Rc::clone(&self.cell))
+    }
+
+    /// True when some task currently holds the lock.
+    pub fn is_locked(&self) -> bool {
+        self.cell.is_locked()
+    }
+}
+
+/// Future returned by [`SimMutex::lock`] / [`MutexCell::lock`].
+pub struct MutexLock<H: AsRef<MutexCell> = Rc<MutexCell>> {
+    h: H,
     ticket: Option<u64>,
 }
 
-impl Future for MutexLock {
-    type Output = MutexGuard;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<MutexGuard> {
+impl<H: AsRef<MutexCell> + Clone + Unpin> Future for MutexLock<H> {
+    type Output = MutexGuard<H>;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<MutexGuard<H>> {
         let this = self.get_mut();
+        let mut st = this.h.as_ref().state.borrow_mut();
         let ticket = match this.ticket {
             Some(t) => t,
             None => {
-                let t = {
-                    let mut st = this.state.borrow_mut();
-                    let t = st.next_ticket;
-                    st.next_ticket += 1;
-                    t
-                };
+                let t = st.next_ticket;
+                st.next_ticket += 1;
                 this.ticket = Some(t);
                 t
             }
         };
-        let mut st = this.state.borrow_mut();
         if st.serving == ticket {
             drop(st);
             // Hand responsibility for the release to the guard; the future's
             // Drop must no longer treat this ticket as a cancelled waiter.
             this.ticket = None;
-            Poll::Ready(MutexGuard {
-                state: Rc::clone(&this.state),
-                _ticket: ticket,
-            })
+            Poll::Ready(MutexGuard { h: this.h.clone() })
         } else {
-            match st.wakers.iter_mut().find(|(t, _)| *t == ticket) {
-                Some(slot) => slot.1 = cx.waker().clone(),
-                None => st.wakers.push((ticket, cx.waker().clone())),
+            let waker = Some(cx.waker().clone());
+            match st.waiters.iter_mut().find(|(t, _)| *t == ticket) {
+                Some(slot) => slot.1 = waker,
+                None => st.waiters.push((ticket, waker)),
             }
             Poll::Pending
         }
     }
 }
 
-impl Drop for MutexLock {
+impl<H: AsRef<MutexCell>> Drop for MutexLock<H> {
     fn drop(&mut self) {
         // A cancelled waiter must give its turn away or the queue deadlocks.
         if let Some(ticket) = self.ticket {
-            let mut st = self.state.borrow_mut();
-            st.wakers.retain(|(t, _)| *t != ticket);
+            let mut st = self.h.as_ref().state.borrow_mut();
+            st.waiters.retain(|(t, _)| *t != ticket);
             if st.serving == ticket {
                 // We were just granted the lock but never produced a guard.
                 advance_serving(&mut st);
             } else {
                 // Still queued: mark the ticket dead so the release path
                 // skips it when its turn comes.
-                st.cancelled.insert(ticket);
+                st.waiters.push((ticket, None));
             }
         }
     }
 }
 
 /// RAII guard; releasing hands the lock to the next waiter in FIFO order.
-pub struct MutexGuard {
-    state: Rc<RefCell<MutexState>>,
-    _ticket: u64,
+pub struct MutexGuard<H: AsRef<MutexCell> = Rc<MutexCell>> {
+    h: H,
 }
 
-impl Drop for MutexGuard {
+impl<H: AsRef<MutexCell>> Drop for MutexGuard<H> {
     fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        advance_serving(&mut st);
+        advance_serving(&mut self.h.as_ref().state.borrow_mut());
     }
 }
 
@@ -180,12 +189,12 @@ fn advance_serving(st: &mut MutexState) {
         if serving >= st.next_ticket {
             break; // lock is free; the next lock() call acquires directly
         }
-        if st.cancelled.remove(&serving) {
-            continue; // dead ticket: skip to the next waiter
-        }
-        if let Some(pos) = st.wakers.iter().position(|(t, _)| *t == serving) {
-            let (_, w) = st.wakers.swap_remove(pos);
-            w.wake();
+        // No entry at all: granted before its first poll, nobody to wake.
+        if let Some(pos) = st.waiters.iter().position(|(t, _)| *t == serving) {
+            match st.waiters.swap_remove(pos).1 {
+                Some(w) => w.wake(),
+                None => continue, // dead ticket: skip to the next waiter
+            }
         }
         break;
     }
@@ -306,36 +315,27 @@ struct NotifyState {
     wakers: WakerSet,
 }
 
-/// Edge-triggered notification: [`Notify::wait`] resolves after the *next*
-/// [`Notify::notify_all`] (notifications issued after the future is created,
-/// even before its first poll, count — so the check-then-wait pattern has no
-/// lost-wakeup window in the single-threaded executor).
-pub struct Notify {
-    state: Rc<RefCell<NotifyState>>,
+/// The state of an edge-triggered notifier, embeddable in a larger object
+/// (the [`MutexCell`] of notifications): wait futures reach it through a
+/// handle `H: AsRef<NotifyCell>`; [`Notify`] is the stand-alone form.
+pub struct NotifyCell {
+    state: RefCell<NotifyState>,
 }
 
-impl Clone for Notify {
-    fn clone(&self) -> Self {
-        Notify {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Default for Notify {
+impl Default for NotifyCell {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Notify {
-    /// Create a notifier.
-    pub fn new() -> Notify {
-        Notify {
-            state: Rc::new(RefCell::new(NotifyState {
+impl NotifyCell {
+    /// Create a notifier cell.
+    pub const fn new() -> NotifyCell {
+        NotifyCell {
+            state: RefCell::new(NotifyState {
                 epoch: 0,
                 wakers: WakerSet::new(),
-            })),
+            }),
         }
     }
 
@@ -351,28 +351,55 @@ impl Notify {
         }
     }
 
-    /// Future resolving at the next notification.
-    pub fn wait(&self) -> NotifyWait {
+    /// Future resolving at the next notification of the cell behind `h`.
+    pub fn wait<H: AsRef<NotifyCell> + Unpin>(h: H) -> NotifyWait<H> {
+        let epoch = h.as_ref().state.borrow().epoch;
         NotifyWait {
-            state: Rc::clone(&self.state),
-            epoch: self.state.borrow().epoch,
+            h,
+            epoch,
             slot: None,
         }
     }
 }
 
-/// Future returned by [`Notify::wait`].
-pub struct NotifyWait {
-    state: Rc<RefCell<NotifyState>>,
+/// Edge-triggered notification: [`Notify::wait`] resolves after the *next*
+/// [`Notify::notify_all`] (notifications issued after the future is created,
+/// even before its first poll, count — so the check-then-wait pattern has no
+/// lost-wakeup window in the single-threaded executor).
+#[derive(Clone, Default)]
+pub struct Notify {
+    cell: Rc<NotifyCell>,
+}
+
+impl Notify {
+    /// Create a notifier.
+    pub fn new() -> Notify {
+        Notify::default()
+    }
+
+    /// Wake every current waiter (and satisfy `wait` futures already created).
+    pub fn notify_all(&self) {
+        self.cell.notify_all();
+    }
+
+    /// Future resolving at the next notification.
+    pub fn wait(&self) -> NotifyWait {
+        NotifyCell::wait(Rc::clone(&self.cell))
+    }
+}
+
+/// Future returned by [`Notify::wait`] / [`NotifyCell::wait`].
+pub struct NotifyWait<H: AsRef<NotifyCell> = Rc<NotifyCell>> {
+    h: H,
     epoch: u64,
     slot: Option<u64>,
 }
 
-impl Future for NotifyWait {
+impl<H: AsRef<NotifyCell> + Unpin> Future for NotifyWait<H> {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        let mut st = this.state.borrow_mut();
+        let mut st = this.h.as_ref().state.borrow_mut();
         if st.epoch != this.epoch {
             st.wakers.remove(&this.slot);
             Poll::Ready(())
@@ -383,9 +410,9 @@ impl Future for NotifyWait {
     }
 }
 
-impl Drop for NotifyWait {
+impl<H: AsRef<NotifyCell>> Drop for NotifyWait<H> {
     fn drop(&mut self) {
-        self.state.borrow_mut().wakers.remove(&self.slot);
+        self.h.as_ref().state.borrow_mut().wakers.remove(&self.slot);
     }
 }
 
@@ -679,6 +706,58 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_result(), Some(true));
+    }
+
+    #[test]
+    fn cells_embedded_in_one_block_lock_and_notify_through_a_handle() {
+        // An object embedding both cells: one allocation, reached through a
+        // handle that projects to the fields and keeps the block alive.
+        struct Block {
+            lock: MutexCell,
+            arrived: NotifyCell,
+            log: RefCell<Vec<(u32, u64)>>,
+        }
+        #[derive(Clone)]
+        struct Handle(Rc<Block>);
+        impl AsRef<MutexCell> for Handle {
+            fn as_ref(&self) -> &MutexCell {
+                &self.0.lock
+            }
+        }
+        impl AsRef<NotifyCell> for Handle {
+            fn as_ref(&self) -> &NotifyCell {
+                &self.0.arrived
+            }
+        }
+        let sim = Sim::new();
+        let h = Handle(Rc::new(Block {
+            lock: MutexCell::new(),
+            arrived: NotifyCell::new(),
+            log: RefCell::new(Vec::new()),
+        }));
+        for id in 0..3u32 {
+            let (s, h) = (sim.clone(), h.clone());
+            sim.spawn(async move {
+                NotifyCell::wait(h.clone()).await;
+                let _g = MutexCell::lock(h.clone()).await;
+                s.sleep(SimDuration::from_us(1)).await;
+                h.0.log.borrow_mut().push((id, s.now().as_ps()));
+            });
+        }
+        let (s, h2) = (sim.clone(), h.clone());
+        sim.spawn(async move {
+            s.sleep(SimDuration::from_us(5)).await;
+            assert!(MutexCell::try_lock(h2.clone()).is_some());
+            h2.0.arrived.notify_all();
+        });
+        sim.run();
+        // FIFO handoff, one holder at a time, exactly like `SimMutex`.
+        assert_eq!(
+            &*h.0.log.borrow(),
+            &[(0, 6_000_000), (1, 7_000_000), (2, 8_000_000)]
+        );
+        assert!(!h.0.lock.is_locked());
+        assert_eq!(Rc::strong_count(&h.0), 1, "futures released the block");
     }
 
     #[test]

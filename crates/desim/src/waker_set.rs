@@ -19,8 +19,11 @@ pub struct WakerSet {
 
 impl WakerSet {
     /// Create an empty set.
-    pub fn new() -> WakerSet {
-        WakerSet::default()
+    pub const fn new() -> WakerSet {
+        WakerSet {
+            next_id: 0,
+            entries: Vec::new(),
+        }
     }
 
     /// Register (or refresh) the waker for the future identified by `slot`.
@@ -41,6 +44,12 @@ impl WakerSet {
                 let id = self.next_id;
                 self.next_id += 1;
                 *slot = Some(id);
+                if self.entries.capacity() == 0 {
+                    // Most sets only ever hold one waiter (a completion and
+                    // the task blocked on it): size the first allocation for
+                    // that, not for `Vec`'s minimum of four.
+                    self.entries.reserve_exact(1);
+                }
                 self.entries.push((id, waker.clone()));
             }
         }

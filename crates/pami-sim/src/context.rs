@@ -8,14 +8,14 @@
 //! the asynchronous progress thread when they share one context (ρ = 1).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
-use desim::sync::{Notify, SimMutex};
+use desim::sync::{MutexCell, NotifyCell};
 use desim::{Completion, OpId, SimTime};
 
-/// Context work queues and dispatch tables.
+/// Context work queues.
 static QUEUES_TAG: MemTag = MemTag::new("pami.queues");
 
 /// Atomic read-modify-write operations (paper §III-D).
@@ -229,16 +229,20 @@ pub struct Queued {
     pub enqueued: SimTime,
 }
 
-/// State of one communication context.
+/// State of one communication context. Lives inside its rank's single
+/// state block (`machine::RankState`): every field is stored inline, and an
+/// idle context owns no allocation of its own — the notifier and the lock
+/// are embedded cells, reached through the rank block's `CtxRef` handle.
 pub struct CtxState {
     /// Arrived-but-unserviced work.
     pub queue: RefCell<VecDeque<Queued>>,
     /// Signalled whenever work arrives (wakes the async progress thread).
-    pub arrived: Notify,
+    pub arrived: NotifyCell,
     /// The progress-engine lock guarding `advance`.
-    pub lock: SimMutex,
-    /// Registered active-message handlers.
-    pub dispatch: RefCell<HashMap<u16, AmHandler>>,
+    pub lock: MutexCell,
+    /// Active-message handlers registered on this context (a handful at
+    /// most: a linear scan, and no table until the first registration).
+    pub dispatch: RefCell<Vec<(u16, AmHandler)>>,
     /// Items serviced over the context's lifetime.
     pub serviced: Cell<u64>,
     /// High-water mark of the queue depth.
@@ -254,12 +258,11 @@ pub struct CtxState {
 impl CtxState {
     /// Create an idle context.
     pub fn new() -> CtxState {
-        let _mem = memprof::scope(&QUEUES_TAG);
         CtxState {
             queue: RefCell::new(VecDeque::new()),
-            arrived: Notify::new(),
-            lock: SimMutex::new(),
-            dispatch: RefCell::new(HashMap::new()),
+            arrived: NotifyCell::new(),
+            lock: MutexCell::new(),
+            dispatch: RefCell::new(Vec::new()),
             serviced: Cell::new(0),
             max_depth: Cell::new(0),
             progress_since: Cell::new(None),

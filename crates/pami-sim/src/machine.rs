@@ -1,14 +1,17 @@
 //! The simulated machine: ranks, memories, contexts and the interconnect.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashSet;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
+use desim::sync::{MutexCell, NotifyCell};
 use desim::timeline::{SeriesKind, Timeline};
-use desim::{FaultPlan, FlightRecorder, OpId, Sim, SimTime, Stats};
+use desim::{FaultPlan, FlightRecorder, FxBuildHasher, OpId, Sim, SimTime, Stats};
 
-/// Per-rank backing memory, region tables and endpoint sets.
+/// Per-rank state blocks (contexts included), backing memory, region tables
+/// and endpoint sets.
 static RANKMEM_TAG: MemTag = MemTag::new("pami.rankmem");
 use torus5d::{BgqParams, Mapping, NetState, Topology};
 
@@ -16,6 +19,10 @@ use crate::batcher::AmBatchConfig;
 use crate::context::{AmHandler, CtxState};
 use crate::retry::RetryPolicy;
 use crate::space::{SpaceAccount, SpaceSnapshot};
+
+/// Most contexts a rank can have (the paper uses ρ = 1 or 2; only the main
+/// context and the progress context ever carry work).
+pub const MAX_CONTEXTS: usize = 4;
 
 /// Configuration of a simulated partition.
 #[derive(Debug, Clone)]
@@ -104,9 +111,12 @@ impl MachineConfig {
         self
     }
 
-    /// Set the context count (ρ).
+    /// Set the context count (ρ, 1 to [`MAX_CONTEXTS`]).
     pub fn contexts(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one context");
+        assert!(
+            (1..=MAX_CONTEXTS).contains(&n),
+            "need 1 to {MAX_CONTEXTS} contexts per rank"
+        );
         self.contexts_per_rank = n;
         self
     }
@@ -184,18 +194,20 @@ pub(crate) struct Region {
     pub active: bool,
 }
 
-/// Per-rank simulation state.
+/// Per-rank simulation state: **one heap block** per materialized rank. The
+/// ρ contexts — queues, notifier and progress lock each — sit inline as the
+/// block's unsized tail, so a rank that has materialized but holds no
+/// memory, region, endpoint or queued work owns exactly this allocation.
 ///
 /// Materialized lazily: a rank that is never touched (no allocation, no
 /// memory access, no incoming work) has no `RankState` at all — see
 /// [`Machine::rank_state`].
-pub(crate) struct RankState {
+pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     pub memory: RefCell<Vec<u8>>,
     pub next_alloc: Cell<usize>,
     pub regions: RefCell<Vec<Region>>,
     pub active_regions: Cell<usize>,
-    pub contexts: Vec<Rc<CtxState>>,
-    pub endpoints: RefCell<HashSet<(u32, u8)>>,
+    pub endpoints: RefCell<HashSet<(u32, u8), FxBuildHasher>>,
     pub space: SpaceAccount,
     /// The operation this rank is currently issuing/completing, threaded
     /// down into every message the rank injects while set. `None` when no
@@ -209,22 +221,33 @@ pub(crate) struct RankState {
     /// the first work item targets this armed rank until the machine stops
     /// its progress threads.
     pub at: RefCell<Option<crate::AsyncThread>>,
+    /// The rank's contexts. Last field: the unsized tail of the block.
+    pub contexts: C,
 }
 
 impl RankState {
-    fn new(contexts: usize) -> RankState {
+    fn new(contexts: usize) -> Rc<RankState> {
+        fn block<const N: usize>() -> Rc<RankState> {
+            Rc::new(RankState {
+                memory: RefCell::new(Vec::new()),
+                next_alloc: Cell::new(0),
+                regions: RefCell::new(Vec::new()),
+                active_regions: Cell::new(0),
+                endpoints: RefCell::new(HashSet::default()),
+                space: SpaceAccount::default(),
+                cur_op: Cell::new(None),
+                at_ctx: Cell::new(None),
+                at: RefCell::new(None),
+                contexts: std::array::from_fn::<_, N, _>(|_| CtxState::new()),
+            })
+        }
         let _mem = memprof::scope(&RANKMEM_TAG);
-        RankState {
-            memory: RefCell::new(Vec::new()),
-            next_alloc: Cell::new(0),
-            regions: RefCell::new(Vec::new()),
-            active_regions: Cell::new(0),
-            contexts: (0..contexts).map(|_| Rc::new(CtxState::new())).collect(),
-            endpoints: RefCell::new(HashSet::new()),
-            space: SpaceAccount::default(),
-            cur_op: Cell::new(None),
-            at_ctx: Cell::new(None),
-            at: RefCell::new(None),
+        match contexts {
+            1 => block::<1>(),
+            2 => block::<2>(),
+            3 => block::<3>(),
+            4 => block::<4>(),
+            n => unreachable!("{n} contexts per rank (checked by Machine::new)"),
         }
     }
 
@@ -255,6 +278,34 @@ impl RankState {
 
     pub fn write_i64(&self, off: usize, v: i64) {
         self.write(off, &v.to_le_bytes());
+    }
+}
+
+/// Handle to one context of a materialized rank: keeps the rank's block
+/// alive and projects to the context inside it. This is what the embedded
+/// notifier and lock futures hold instead of an `Rc` of their own.
+#[derive(Clone)]
+pub(crate) struct CtxRef {
+    pub st: Rc<RankState>,
+    pub idx: usize,
+}
+
+impl Deref for CtxRef {
+    type Target = CtxState;
+    fn deref(&self) -> &CtxState {
+        &self.st.contexts[self.idx]
+    }
+}
+
+impl AsRef<NotifyCell> for CtxRef {
+    fn as_ref(&self) -> &NotifyCell {
+        &self.arrived
+    }
+}
+
+impl AsRef<MutexCell> for CtxRef {
+    fn as_ref(&self) -> &MutexCell {
+        &self.lock
     }
 }
 
@@ -356,6 +407,10 @@ impl Machine {
     /// Build a machine on `sim` with the given configuration.
     pub fn new(sim: Sim, cfg: MachineConfig) -> Machine {
         assert!(cfg.nprocs >= 1);
+        assert!(
+            (1..=MAX_CONTEXTS).contains(&cfg.contexts_per_rank),
+            "need 1 to {MAX_CONTEXTS} contexts per rank"
+        );
         let nodes = cfg.nprocs.div_ceil(cfg.procs_per_node);
         let shape = match cfg.shape {
             Some(shape) => {
@@ -595,7 +650,11 @@ impl Machine {
     /// handle is actually used.
     pub fn rank(&self, r: usize) -> crate::PamiRank {
         assert!(r < self.nprocs(), "rank {r} out of range");
-        crate::PamiRank { m: self.clone(), r }
+        crate::PamiRank {
+            m: self.clone(),
+            r,
+            st: OnceCell::new(),
+        }
     }
 
     /// This rank's state, materializing it on first touch. Materialization
@@ -609,7 +668,7 @@ impl Machine {
         }
         let st = {
             let _mem = memprof::scope(&RANKMEM_TAG);
-            let st = Rc::new(RankState::new(self.inner.cfg.contexts_per_rank));
+            let st = RankState::new(self.inner.cfg.contexts_per_rank);
             self.inner.ranks.borrow_mut().insert(r, Rc::clone(&st));
             st
         };

@@ -1,18 +1,20 @@
 //! Per-rank PAMI operations: memory, regions, endpoints, RMA, AMOs, AM and
 //! the progress engine.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use desim::futures::{race, Either};
 use desim::memprof::{self, MemTag};
+use desim::sync::{MutexCell, NotifyCell};
 use desim::{Completion, OpId, SegCategory, SimDuration, SimTime};
 
 /// Scheduled-but-unsent retransmit state (boxed retry continuations).
 static RETRY_TAG: MemTag = MemTag::new("pami.retry");
 use torus5d::{Delivery, MsgClass};
 
-use crate::context::{AmEnv, AmHandler, AmMsg, CtxState, RmwOp, WorkItem};
-use crate::machine::{Machine, Region, RegionError, RegionId};
+use crate::context::{AmEntry, AmEnv, AmHandler, AmMsg, RmwOp, WorkItem};
+use crate::machine::{CtxRef, Machine, RankState, Region, RegionError, RegionId};
 use crate::retry::FailureMode;
 
 /// Completions returned by a put-style operation.
@@ -180,6 +182,9 @@ pub(crate) fn enqueue_at_target(
 pub struct PamiRank {
     pub(crate) m: Machine,
     pub(crate) r: usize,
+    /// The rank's state block, remembered after the first touch so that
+    /// per-operation accesses do not re-hash the machine's rank table.
+    pub(crate) st: OnceCell<Rc<RankState>>,
 }
 
 impl PamiRank {
@@ -193,12 +198,14 @@ impl PamiRank {
         &self.m
     }
 
-    fn state(&self) -> Rc<crate::machine::RankState> {
-        self.m.rank_state(self.r)
+    fn state(&self) -> &Rc<RankState> {
+        self.st.get_or_init(|| self.m.rank_state(self.r))
     }
 
-    fn ctx(&self, idx: usize) -> Rc<CtxState> {
-        Rc::clone(&self.state().contexts[idx])
+    fn ctx(&self, idx: usize) -> CtxRef {
+        let st = Rc::clone(self.state());
+        assert!(idx < st.contexts.len(), "context {idx} out of range");
+        CtxRef { st, idx }
     }
 
     /// Arm asynchronous progress for this rank: the progress thread that
@@ -312,56 +319,42 @@ impl PamiRank {
     /// Register `[off, off+len)` as an RDMA memory region. Costs δ and γ
     /// bytes of metadata; fails once the per-rank limit is reached.
     pub async fn register_region(&self, off: usize, len: usize) -> Result<RegionId, RegionError> {
-        let limit = self.m.config().memregion_limit;
-        let st = self.state();
-        if let Some(limit) = limit {
-            if st.active_regions.get() >= limit {
-                self.m.stats().incr("pami.region_register_failed");
-                return Err(RegionError::LimitReached);
-            }
-        }
-        let p = self.m.params();
-        let (delta, gamma) = (p.memregion_create, p.memregion_bytes);
-        self.m.sim().sleep(delta).await;
-        let id = {
-            let mut regions = st.regions.borrow_mut();
-            regions.push(Region {
-                off,
-                len,
-                active: true,
-            });
-            RegionId(regions.len() - 1)
-        };
-        st.active_regions.set(st.active_regions.get() + 1);
-        st.space.add_region(gamma);
-        self.m.stats().incr("pami.regions_created");
-        Ok(id)
+        self.region_slot_free()?;
+        self.m.sim().sleep(self.m.params().memregion_create).await;
+        Ok(self.add_region(off, len))
     }
 
     /// Register a region without charging δ — for setup-phase allocations
     /// (e.g. collective array creation) excluded from measurement windows.
     /// Still respects the region limit and accounts γ bytes.
     pub fn register_region_untimed(&self, off: usize, len: usize) -> Result<RegionId, RegionError> {
-        let st = self.state();
-        if let Some(limit) = self.m.config().memregion_limit {
-            if st.active_regions.get() >= limit {
+        self.region_slot_free()?;
+        Ok(self.add_region(off, len))
+    }
+
+    /// Fails (and counts the failure) when the per-rank region limit is hit.
+    fn region_slot_free(&self) -> Result<(), RegionError> {
+        match self.m.config().memregion_limit {
+            Some(limit) if self.state().active_regions.get() >= limit => {
                 self.m.stats().incr("pami.region_register_failed");
-                return Err(RegionError::LimitReached);
+                Err(RegionError::LimitReached)
             }
+            _ => Ok(()),
         }
-        let id = {
-            let mut regions = st.regions.borrow_mut();
-            regions.push(Region {
-                off,
-                len,
-                active: true,
-            });
-            RegionId(regions.len() - 1)
-        };
+    }
+
+    fn add_region(&self, off: usize, len: usize) -> RegionId {
+        let st = self.state();
+        let mut regions = st.regions.borrow_mut();
+        regions.push(Region {
+            off,
+            len,
+            active: true,
+        });
         st.active_regions.set(st.active_regions.get() + 1);
         st.space.add_region(self.m.params().memregion_bytes);
         self.m.stats().incr("pami.regions_created");
-        Ok(id)
+        RegionId(regions.len() - 1)
     }
 
     /// Deregister a region, freeing a limit slot and its metadata bytes.
@@ -402,10 +395,12 @@ impl PamiRank {
 
     /// Register an active-message handler under `dispatch` on context `ctx`.
     pub fn register_dispatch(&self, ctx: usize, dispatch: u16, handler: AmHandler) {
-        self.ctx(ctx)
-            .dispatch
-            .borrow_mut()
-            .insert(dispatch, handler);
+        let ctx = self.ctx(ctx);
+        let mut table = ctx.dispatch.borrow_mut();
+        match table.iter_mut().find(|(id, _)| *id == dispatch) {
+            Some(slot) => slot.1 = handler,
+            None => table.push((dispatch, handler)),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -611,6 +606,54 @@ impl PamiRank {
         });
     }
 
+    /// Tail of every software-path request whose leg was sent: returns the
+    /// completion the target fires when it services `item(completion)`. A
+    /// request that was not `delivered` (best-effort give-up) never reaches
+    /// the target; its completion fires with `lost` at the give-up time.
+    fn post_request<T: Clone + 'static>(
+        &self,
+        target: usize,
+        (arrival, delivered): (SimTime, bool),
+        op: Option<OpId>,
+        lost: T,
+        item: impl FnOnce(Completion<T>) -> WorkItem,
+    ) -> Completion<T> {
+        let done = Completion::new();
+        if delivered {
+            self.push_to_target(target, arrival, item(done.clone()), op);
+        } else {
+            let done = done.clone();
+            self.m.sim().schedule(arrival, move || done.complete(lost));
+        }
+        done
+    }
+
+    /// [`PamiRank::post_request`] for put-style operations: the payload was
+    /// buffered at send, so the local completion has already fired.
+    fn post_put(
+        &self,
+        target: usize,
+        leg: (SimTime, bool),
+        op: Option<OpId>,
+        item: impl FnOnce(Completion<()>) -> WorkItem,
+    ) -> PutHandles {
+        let local = Completion::new();
+        local.complete(());
+        PutHandles {
+            local,
+            remote: self.post_request(target, leg, op, (), item),
+        }
+    }
+
+    /// Concatenate this rank's memory over `chunks` (the CPU pack step).
+    fn gather(&self, chunks: &[(usize, usize)], total: usize) -> Vec<u8> {
+        let mut data = Vec::with_capacity(total);
+        for &(off, len) in chunks {
+            data.extend_from_slice(&self.read_bytes(off, len));
+        }
+        data
+    }
+
     /// Software put (PAMI default RMA): the payload travels as an active
     /// message and is written by the *target CPU* during progress.
     pub async fn sw_put(
@@ -626,37 +669,16 @@ impl PamiRank {
         self.m.stats().incr("pami.sw_put");
         sim.sleep(p.o_send).await;
         let data = self.read_bytes(local_off, len);
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                len + p.am_header_bytes,
-                MsgClass::Ordered,
-                op,
-            )
+        let wire = len + p.am_header_bytes;
+        let leg = self
+            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
             .await;
-        let handles = PutHandles {
-            local: Completion::new(),
-            remote: Completion::new(),
-        };
-        handles.local.complete(()); // buffered at send
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::SwPut {
-                    src: self.r,
-                    offset: remote_off,
-                    data,
-                    remote_done: handles.remote.clone(),
-                },
-                op,
-            );
-        } else {
-            let remote_done = handles.remote.clone();
-            sim.schedule(arrival, move || remote_done.complete(()));
-        }
-        handles
+        self.post_put(target, leg, op, |remote_done| WorkItem::SwPut {
+            src: self.r,
+            offset: remote_off,
+            data,
+            remote_done,
+        })
     }
 
     /// Software get (the fall-back protocol, paper Eq. 8): an active message
@@ -673,28 +695,16 @@ impl PamiRank {
         let op = self.current_op();
         self.m.stats().incr("pami.sw_get");
         sim.sleep(p.o_send).await;
-        let (arrival, delivered) = self
+        let leg = self
             .deliver_reliable(sim.now(), target, p.am_header_bytes, MsgClass::Control, op)
             .await;
-        let done = Completion::new();
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::SwGet {
-                    src: self.r,
-                    offset: remote_off,
-                    len,
-                    local_off,
-                    done: done.clone(),
-                },
-                op,
-            );
-        } else {
-            let done2 = done.clone();
-            sim.schedule(arrival, move || done2.complete(()));
-        }
-        done
+        self.post_request(target, leg, op, (), |done| WorkItem::SwGet {
+            src: self.r,
+            offset: remote_off,
+            len,
+            local_off,
+            done,
+        })
     }
 
     /// Accumulate `dst[i] += scale·src[i]` over f64s at the target (applied
@@ -714,38 +724,17 @@ impl PamiRank {
         self.m.stats().incr("pami.acc");
         sim.sleep(p.o_send).await;
         let data = self.read_bytes(local_off, elems * 8);
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                elems * 8 + p.am_header_bytes,
-                MsgClass::Ordered,
-                op,
-            )
+        let wire = elems * 8 + p.am_header_bytes;
+        let leg = self
+            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
             .await;
-        let handles = PutHandles {
-            local: Completion::new(),
-            remote: Completion::new(),
-        };
-        handles.local.complete(());
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::AccF64 {
-                    src: self.r,
-                    offset: remote_off,
-                    scale,
-                    data,
-                    remote_done: handles.remote.clone(),
-                },
-                op,
-            );
-        } else {
-            let remote_done = handles.remote.clone();
-            sim.schedule(arrival, move || remote_done.complete(()));
-        }
-        handles
+        self.post_put(target, leg, op, |remote_done| WorkItem::AccF64 {
+            src: self.r,
+            offset: remote_off,
+            scale,
+            data,
+            remote_done,
+        })
     }
 
     /// Atomic read-modify-write on an i64 in the target's memory. AMOs are
@@ -757,29 +746,17 @@ impl PamiRank {
         let flight_op = self.current_op();
         self.m.stats().incr("pami.rmw");
         sim.sleep(p.o_send).await;
-        let (arrival, delivered) = self
+        let leg = self
             .deliver_reliable(sim.now(), target, 16, MsgClass::Unordered, flight_op)
             .await;
-        let done = Completion::new();
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::Rmw {
-                    src: self.r,
-                    offset: remote_off,
-                    op,
-                    done: done.clone(),
-                },
-                flight_op,
-            );
-        } else {
-            // Best-effort give-up: the AMO never reached the target; its
-            // fetch result is reported as 0.
-            let done2 = done.clone();
-            sim.schedule(arrival, move || done2.complete(0));
-        }
-        done
+        // Best-effort give-up: the AMO never reached the target; its fetch
+        // result is reported as 0.
+        self.post_request(target, leg, flight_op, 0, |done| WorkItem::Rmw {
+            src: self.r,
+            offset: remote_off,
+            op,
+            done,
+        })
     }
 
     /// Packed (typed-datatype) strided get: ship a chunk descriptor to the
@@ -798,27 +775,15 @@ impl PamiRank {
         self.m.stats().incr("pami.packed_get");
         sim.sleep(p.o_send).await;
         let desc_bytes = p.am_header_bytes + chunks.len() * 16;
-        let (arrival, delivered) = self
+        let leg = self
             .deliver_reliable(sim.now(), target, desc_bytes, MsgClass::Control, op)
             .await;
-        let done = Completion::new();
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::PackedGet {
-                    src: self.r,
-                    chunks,
-                    local_chunks,
-                    done: done.clone(),
-                },
-                op,
-            );
-        } else {
-            let done2 = done.clone();
-            sim.schedule(arrival, move || done2.complete(()));
-        }
-        done
+        self.post_request(target, leg, op, (), |done| WorkItem::PackedGet {
+            src: self.r,
+            chunks,
+            local_chunks,
+            done,
+        })
     }
 
     /// Packed (typed-datatype) strided put: gather the local chunks (CPU
@@ -829,49 +794,17 @@ impl PamiRank {
         local_chunks: Vec<(usize, usize)>,
         remote_chunks: Vec<(usize, usize)>,
     ) -> PutHandles {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
         self.m.stats().incr("pami.packed_put");
-        sim.sleep(p.o_send).await;
-        let total: usize = local_chunks.iter().map(|&(_, l)| l).sum();
-        sim.sleep(SimDuration::from_ps(total as u64 * p.pack_byte_time_ps))
+        let (data, leg, op) = self
+            .send_packed(target, &local_chunks, &remote_chunks)
             .await;
-        let mut data = Vec::with_capacity(total);
-        for &(off, len) in &local_chunks {
-            data.extend_from_slice(&self.read_bytes(off, len));
-        }
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                total + p.am_header_bytes + remote_chunks.len() * 16,
-                MsgClass::Ordered,
-                op,
-            )
-            .await;
-        let handles = PutHandles {
-            local: Completion::new(),
-            remote: Completion::new(),
-        };
-        handles.local.complete(()); // packed copy: buffer immediately reusable
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::PackedPut {
-                    src: self.r,
-                    data,
-                    chunks: remote_chunks,
-                    remote_done: handles.remote.clone(),
-                },
-                op,
-            );
-        } else {
-            let remote_done = handles.remote.clone();
-            sim.schedule(arrival, move || remote_done.complete(()));
-        }
-        handles
+        // Packed copy: the source buffer is immediately reusable.
+        self.post_put(target, leg, op, |remote_done| WorkItem::PackedPut {
+            src: self.r,
+            data,
+            chunks: remote_chunks,
+            remote_done,
+        })
     }
 
     /// Packed strided accumulate: gather local chunks, ship one message, and
@@ -884,50 +817,42 @@ impl PamiRank {
         remote_chunks: Vec<(usize, usize)>,
         scale: f64,
     ) -> PutHandles {
+        self.m.stats().incr("pami.acc_strided");
+        let (data, leg, op) = self
+            .send_packed(target, &local_chunks, &remote_chunks)
+            .await;
+        self.post_put(target, leg, op, |remote_done| WorkItem::AccStrided {
+            src: self.r,
+            data,
+            chunks: remote_chunks,
+            scale,
+            remote_done,
+        })
+    }
+
+    /// The send half shared by the packed put and accumulate: NIC post, CPU
+    /// pack of `local_chunks`, one bulk `Ordered` message carrying the data
+    /// and the `remote_chunks` descriptor. Returns the packed data, the
+    /// request leg's outcome and the operation it was attributed to.
+    async fn send_packed(
+        &self,
+        target: usize,
+        local_chunks: &[(usize, usize)],
+        remote_chunks: &[(usize, usize)],
+    ) -> (Vec<u8>, (SimTime, bool), Option<OpId>) {
         let sim = self.m.sim();
         let p = self.m.params();
         let op = self.current_op();
-        self.m.stats().incr("pami.acc_strided");
         sim.sleep(p.o_send).await;
         let total: usize = local_chunks.iter().map(|&(_, l)| l).sum();
         sim.sleep(SimDuration::from_ps(total as u64 * p.pack_byte_time_ps))
             .await;
-        let mut data = Vec::with_capacity(total);
-        for &(off, len) in &local_chunks {
-            data.extend_from_slice(&self.read_bytes(off, len));
-        }
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                total + p.am_header_bytes + remote_chunks.len() * 16,
-                MsgClass::Ordered,
-                op,
-            )
+        let data = self.gather(local_chunks, total);
+        let wire = total + p.am_header_bytes + remote_chunks.len() * 16;
+        let leg = self
+            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
             .await;
-        let handles = PutHandles {
-            local: Completion::new(),
-            remote: Completion::new(),
-        };
-        handles.local.complete(());
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::AccStrided {
-                    src: self.r,
-                    data,
-                    chunks: remote_chunks,
-                    scale,
-                    remote_done: handles.remote.clone(),
-                },
-                op,
-            );
-        } else {
-            let remote_done = handles.remote.clone();
-            sim.schedule(arrival, move || remote_done.complete(()));
-        }
-        handles
+        (data, leg, op)
     }
 
     /// Send an active message to a registered handler at the target.
@@ -1038,7 +963,7 @@ impl PamiRank {
         // The op the *driver* of this advance is working on: lock-wait time
         // is charged to it as contention. The AT drives on its own behalf.
         let driver_op = if from_at { None } else { self.current_op() };
-        let _guard = ctx.lock.lock().await;
+        let _guard = MutexCell::lock(ctx.clone()).await;
         let lock_wait = sim.now().since(t_req);
         if !lock_wait.is_zero() {
             // Someone else held the progress lock: the ρ=1 contention.
@@ -1066,10 +991,11 @@ impl PamiRank {
         };
         let mut n = 0;
         while n < max_items {
-            let queued = ctx.queue.borrow_mut().pop_front();
-            let Some(queued) = queued else { break };
-            let item = queued.item;
-            let item_op = queued.op;
+            // Scoped: only the item itself is kept across the service await.
+            let (item, item_op, enqueued) = match ctx.queue.borrow_mut().pop_front() {
+                Some(q) => (q.item, q.op, q.enqueued),
+                None => break,
+            };
             let svc_start = sim.now();
             if let Some(op) = item_op {
                 // Split the item's queue time at the instant the servicing
@@ -1077,28 +1003,39 @@ impl PamiRank {
                 // nobody was listening (§III-D progress starvation); after
                 // it, the item merely waited its turn behind the batch.
                 let since = ctx.progress_since.get().unwrap_or(t_req);
-                let boundary = since.max(queued.enqueued).min(svc_start);
+                let boundary = since.max(enqueued).min(svc_start);
                 fl.segment(
                     op,
                     SegCategory::Starvation,
                     "pami.starved",
-                    queued.enqueued,
+                    enqueued,
                     boundary,
                 );
                 fl.segment(op, SegCategory::Queueing, "pami.queue", boundary, svc_start);
             }
+            let name = item.kind_name();
             if let Some(track) = track {
-                let name = item.kind_name();
                 tracer.span_begin(
                     track,
                     name,
-                    sim.now(),
+                    svc_start,
                     &[("src", desim::TraceValue::U64(item.src() as u64))],
                 );
-                self.service_item(item, item_op).await;
+            }
+            // Service = one busy period, then the effect — the paper's cost
+            // composition (Tables I/II). Only a coalesced batch keeps a loop.
+            sim.sleep(self.service_cost(&item)).await;
+            match item {
+                // Boxed: one allocation per coalesced wire message keeps the
+                // batch loop's state out of every `advance` future (and so
+                // out of every blocking ARMCI call that embeds one).
+                WorkItem::AmBatch { src, entries } => {
+                    Box::pin(self.service_batch(src, entries)).await
+                }
+                item => self.apply_item(item, item_op),
+            }
+            if let Some(track) = track {
                 tracer.span_end(track, name, sim.now(), &[]);
-            } else {
-                self.service_item(item, item_op).await;
             }
             if let Some(op) = item_op {
                 fl.segment(
@@ -1136,11 +1073,50 @@ impl PamiRank {
         }
     }
 
-    /// Execute one work item (context lock held by the caller). Reply
-    /// messages it injects are attributed to `flight_op`, the operation the
-    /// item belongs to.
-    async fn service_item(&self, item: WorkItem, flight_op: Option<OpId>) {
-        let sim = self.m.sim();
+    /// Dispatch a coalesced batch entry by entry. The protocol dispatch was
+    /// paid once for the whole wire message; each coalesced AM then costs
+    /// only its deserialization copy — the receive-side batching win.
+    async fn service_batch(&self, src: usize, entries: Vec<AmEntry>) {
+        let pack_ps = self.m.params().pack_byte_time_ps;
+        for e in entries {
+            let bytes = (e.header.len() + e.payload.len()) as u64;
+            self.m
+                .sim()
+                .sleep(SimDuration::from_ps(bytes * pack_ps))
+                .await;
+            self.dispatch_am(src, e.dispatch, e.header, e.payload);
+        }
+    }
+
+    /// How long servicing `item` keeps the driving thread busy before its
+    /// effect applies (context lock held by the caller).
+    fn service_cost(&self, item: &WorkItem) -> SimDuration {
+        let p = self.m.params();
+        let scaled = |n: usize, unit_ps: u64| SimDuration::from_ps(n as u64 * unit_ps);
+        match item {
+            WorkItem::SwPut { .. }
+            | WorkItem::SwGet { .. }
+            | WorkItem::Am { .. }
+            | WorkItem::AmBatch { .. } => p.am_dispatch,
+            WorkItem::Rmw { .. } => p.rmw_service,
+            WorkItem::AccF64 { data, .. } | WorkItem::AccStrided { data, .. } => {
+                p.am_dispatch + scaled(data.len() / 8, p.acc_elem_time_ps)
+            }
+            WorkItem::PackedGet { chunks, .. } => {
+                let total: usize = chunks.iter().map(|&(_, l)| l).sum();
+                p.am_dispatch + scaled(total, p.pack_byte_time_ps)
+            }
+            WorkItem::PackedPut { data, .. } => {
+                p.am_dispatch + scaled(data.len(), p.pack_byte_time_ps)
+            }
+        }
+    }
+
+    /// Apply one serviced item's effect, synchronously, at the end of its
+    /// busy period. Reply messages it injects are attributed to
+    /// `flight_op`, the operation the item belongs to.
+    fn apply_item(&self, item: WorkItem, flight_op: Option<OpId>) {
+        let now = self.m.sim().now();
         let p = self.m.params();
         match item {
             WorkItem::SwPut {
@@ -1149,7 +1125,6 @@ impl PamiRank {
                 remote_done,
                 ..
             } => {
-                sim.sleep(p.am_dispatch).await;
                 self.state().write(offset, &data);
                 remote_done.complete(());
             }
@@ -1160,12 +1135,11 @@ impl PamiRank {
                 local_off,
                 done,
             } => {
-                sim.sleep(p.am_dispatch).await;
                 let data = self.state().read(offset, len);
                 let src_state = self.m.rank_state(src);
                 deliver_then(
                     &self.m,
-                    sim.now(),
+                    now,
                     self.r,
                     src,
                     len,
@@ -1187,25 +1161,18 @@ impl PamiRank {
                 op,
                 done,
             } => {
-                sim.sleep(p.rmw_service).await;
                 let old = self.state().read_i64(offset);
                 let new = match op {
                     RmwOp::FetchAdd(v) => Some(old.wrapping_add(v)),
                     RmwOp::Swap(v) => Some(v),
-                    RmwOp::CompareSwap { compare, swap } => {
-                        if old == compare {
-                            Some(swap)
-                        } else {
-                            None
-                        }
-                    }
+                    RmwOp::CompareSwap { compare, swap } => (old == compare).then_some(swap),
                 };
                 if let Some(new) = new {
                     self.state().write_i64(offset, new);
                 }
                 deliver_then(
                     &self.m,
-                    sim.now(),
+                    now,
                     self.r,
                     src,
                     8,
@@ -1223,18 +1190,7 @@ impl PamiRank {
                 remote_done,
                 ..
             } => {
-                let elems = data.len() / 8;
-                let cost = p.am_dispatch + SimDuration::from_ps(elems as u64 * p.acc_elem_time_ps);
-                sim.sleep(cost).await;
-                let incoming: Vec<f64> = data
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect();
-                let mut cur = self.read_f64s(offset, elems);
-                for (c, x) in cur.iter_mut().zip(&incoming) {
-                    *c += scale * x;
-                }
-                self.write_f64s(offset, &cur);
+                self.accumulate(offset, &data, scale);
                 remote_done.complete(());
             }
             WorkItem::PackedGet {
@@ -1244,22 +1200,18 @@ impl PamiRank {
                 done,
             } => {
                 let total: usize = chunks.iter().map(|&(_, l)| l).sum();
-                let pack = SimDuration::from_ps(total as u64 * p.pack_byte_time_ps);
-                sim.sleep(p.am_dispatch + pack).await;
-                let mut data = Vec::with_capacity(total);
-                for &(off, len) in &chunks {
-                    data.extend_from_slice(&self.state().read(off, len));
-                }
+                let data = self.gather(&chunks, total);
                 let src_state = self.m.rank_state(src);
                 deliver_then(
                     &self.m,
-                    sim.now(),
+                    now,
                     self.r,
                     src,
                     total,
                     MsgClass::Ordered,
                     flight_op,
-                    pack, // unpack (scatter) cost at the requester
+                    // unpack (scatter) cost at the requester
+                    SimDuration::from_ps(total as u64 * p.pack_byte_time_ps),
                     0,
                     Box::new(move |_, delivered| {
                         if delivered {
@@ -1279,9 +1231,6 @@ impl PamiRank {
                 remote_done,
                 ..
             } => {
-                let total = data.len();
-                let pack = SimDuration::from_ps(total as u64 * p.pack_byte_time_ps);
-                sim.sleep(p.am_dispatch + pack).await;
                 let mut cursor = 0;
                 for &(off, len) in &chunks {
                     self.state().write(off, &data[cursor..cursor + len]);
@@ -1296,19 +1245,9 @@ impl PamiRank {
                 remote_done,
                 ..
             } => {
-                let elems = data.len() / 8;
-                let cost = p.am_dispatch + SimDuration::from_ps(elems as u64 * p.acc_elem_time_ps);
-                sim.sleep(cost).await;
                 let mut cursor = 0;
                 for &(off, len) in &chunks {
-                    let n = len / 8;
-                    let mut cur = self.read_f64s(off, n);
-                    for (i, c) in cur.iter_mut().enumerate() {
-                        let b = &data[cursor + i * 8..cursor + i * 8 + 8];
-                        let x = f64::from_le_bytes(b.try_into().expect("8 bytes"));
-                        *c += scale * x;
-                    }
-                    self.write_f64s(off, &cur);
+                    self.accumulate(off, &data[cursor..cursor + len], scale);
                     cursor += len;
                 }
                 remote_done.complete(());
@@ -1318,30 +1257,30 @@ impl PamiRank {
                 dispatch,
                 header,
                 payload,
-            } => {
-                sim.sleep(p.am_dispatch).await;
-                self.dispatch_am(src, dispatch, header, payload);
-            }
-            WorkItem::AmBatch { src, entries } => {
-                // One protocol dispatch for the whole wire message; each
-                // coalesced AM then costs only its deserialization copy —
-                // the receive-side half of the batching win.
-                sim.sleep(p.am_dispatch).await;
-                for e in entries {
-                    let bytes = e.header.len() + e.payload.len();
-                    sim.sleep(SimDuration::from_ps(bytes as u64 * p.pack_byte_time_ps))
-                        .await;
-                    self.dispatch_am(src, e.dispatch, e.header, e.payload);
-                }
-            }
+            } => self.dispatch_am(src, dispatch, header, payload),
+            WorkItem::AmBatch { .. } => unreachable!("batches are serviced entry by entry"),
         }
+    }
+
+    /// `mem[off..] += scale · incoming` over little-endian f64s.
+    fn accumulate(&self, off: usize, incoming: &[u8], scale: f64) {
+        let mut cur = self.read_f64s(off, incoming.len() / 8);
+        for (c, b) in cur.iter_mut().zip(incoming.chunks_exact(8)) {
+            *c += scale * f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        }
+        self.write_f64s(off, &cur);
     }
 
     /// Run the handler registered for `dispatch`: the destination context's
     /// table first, the machine-wide table on a miss.
     fn dispatch_am(&self, src: usize, dispatch: u16, header: Vec<u8>, payload: Vec<u8>) {
-        let ctx = self.ctx(self.m.target_ctx());
-        let handler = ctx.dispatch.borrow().get(&dispatch).cloned();
+        let ctx = &self.state().contexts[self.m.target_ctx()];
+        let handler = ctx
+            .dispatch
+            .borrow()
+            .iter()
+            .find(|(id, _)| *id == dispatch)
+            .map(|(_, h)| Rc::clone(h));
         let handler = handler.or_else(|| self.m.am_handler(dispatch));
         match handler {
             Some(h) => h(
@@ -1377,25 +1316,20 @@ impl PamiRank {
         }
         let v = loop {
             if let Some(v) = done.peek() {
-                // Completions are reaped by advancing the context, which
-                // requires the progress-engine lock — with ρ=1 this is where
-                // the main thread contends with the asynchronous progress
-                // thread (§III-D).
-                let _reap = main_ctx.lock.lock().await;
                 break v;
             }
             if main_ctx.depth() > 0 {
                 self.advance(0, 1).await;
                 continue;
             }
-            match race(done.wait(), main_ctx.arrived.wait()).await {
-                Either::Left(v) => {
-                    let _reap = main_ctx.lock.lock().await;
-                    break v;
-                }
-                Either::Right(()) => {}
+            if let Either::Left(v) = race(done.wait(), NotifyCell::wait(main_ctx.clone())).await {
+                break v;
             }
         };
+        // Completions are reaped by advancing the context, which requires
+        // the progress-engine lock — with ρ=1 this is where the main thread
+        // contends with the asynchronous progress thread (§III-D).
+        drop(MutexCell::lock(main_ctx.clone()).await);
         if mark_progress {
             main_ctx.progress_since.set(None);
         }
@@ -1419,7 +1353,7 @@ impl PamiRank {
                 if ctx.depth() == 0 {
                     // Idle: until re-awoken, freshly arriving work starves.
                     ctx.progress_since.set(None);
-                    match race(ctx.arrived.wait(), stop2.wait()).await {
+                    match race(NotifyCell::wait(ctx.clone()), stop2.wait()).await {
                         Either::Left(()) => {}
                         Either::Right(()) => break,
                     }
