@@ -496,16 +496,6 @@ impl ArmciRank {
     // Strided (uniformly non-contiguous) get/put/acc
     // ------------------------------------------------------------------
 
-    fn span(desc: &Strided) -> (usize, usize) {
-        let extra: usize = desc
-            .counts
-            .iter()
-            .zip(&desc.strides)
-            .map(|(&c, &s)| c.saturating_sub(1) * s)
-            .sum();
-        (desc.offset, extra + desc.chunk)
-    }
-
     /// Non-blocking strided get; `local` and `remote` must be
     /// shape-compatible.
     pub async fn nbget_strided(
@@ -515,62 +505,9 @@ impl ArmciRank {
         remote: &Strided,
     ) -> NbHandle {
         assert!(local.compatible(remote), "incompatible strided descriptors");
-        let op = self.begin_op("armci.get_strided");
-        self.stats().incr("armci.get_strided");
-        self.stats()
-            .add("armci.get_bytes", remote.total_bytes() as u64);
-        self.ensure_endpoint(target).await;
-        let (roff, rlen) = Self::span(remote);
-        let region = self.resolve_remote(target, roff, rlen).await;
-        let key = region.map(|r| r.off);
-        self.consistency_read_gate(target, key).await;
-        let (loff, llen) = Self::span(local);
-        let local_ok = self.ensure_local_region(loff, llen).await;
-        let pairs = Strided::pair_chunks(local, remote);
-        let min_chunk = pairs.iter().map(|&(_, (_, l))| l).min().unwrap_or(0);
-        let zero_copy =
-            min_chunk >= self.a.inner.cfg.pack_threshold && local_ok && region.is_some();
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.get_strided",
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64(remote.total_bytes() as u64)),
-                ("chunks", TraceValue::U64(pairs.len() as u64)),
-                (
-                    "path",
-                    TraceValue::Str(if zero_copy { "zero_copy" } else { "packed" }),
-                ),
-            ],
-        );
-        let done = if zero_copy {
-            self.stats().incr("armci.strided_zero_copy");
-            let mut parts = Vec::with_capacity(pairs.len());
-            for ((lo, ll), (ro, _)) in pairs {
-                parts.push(self.pami.rdma_get(target, lo, ro, ll).await);
-            }
-            merge_completions(self.a.sim(), parts)
-        } else {
-            self.stats().incr("armci.strided_packed");
-            self.pami
-                .packed_get(target, remote.chunks(), local.chunks())
-                .await
-        };
-        tr.span_end(track, "armci.get_strided", self.a.sim().now(), &[]);
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Get,
-            target,
-            done,
-            remote: None,
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+        let list = StridedPair { local, remote };
+        self.nb_chunked(OpKind::Get, "armci.get_strided", target, &list)
+            .await
     }
 
     /// Blocking strided get.
@@ -587,79 +524,127 @@ impl ArmciRank {
         remote: &Strided,
     ) -> NbHandle {
         assert!(local.compatible(remote), "incompatible strided descriptors");
-        let op = self.begin_op("armci.put_strided");
-        self.stats().incr("armci.put_strided");
-        self.stats()
-            .add("armci.put_bytes", remote.total_bytes() as u64);
-        self.ensure_endpoint(target).await;
-        let (roff, rlen) = Self::span(remote);
-        let region = self.resolve_remote(target, roff, rlen).await;
-        let key = region.map(|r| r.off);
-        let (loff, llen) = Self::span(local);
-        let local_ok = self.ensure_local_region(loff, llen).await;
-        let pairs = Strided::pair_chunks(local, remote);
-        let min_chunk = pairs.iter().map(|&(_, (_, l))| l).min().unwrap_or(0);
-        let zero_copy =
-            min_chunk >= self.a.inner.cfg.pack_threshold && local_ok && region.is_some();
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.put_strided",
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64(remote.total_bytes() as u64)),
-                ("chunks", TraceValue::U64(pairs.len() as u64)),
-                (
-                    "path",
-                    TraceValue::Str(if zero_copy { "zero_copy" } else { "packed" }),
-                ),
-            ],
-        );
-        let (local_done, remote_done) = if zero_copy {
-            self.stats().incr("armci.strided_zero_copy");
-            let mut locals = Vec::with_capacity(pairs.len());
-            let mut remotes = Vec::with_capacity(pairs.len());
-            for ((lo, ll), (ro, _)) in pairs {
-                let h = self.pami.rdma_put(target, lo, ro, ll).await;
-                locals.push(h.local);
-                remotes.push(h.remote);
-            }
-            (
-                merge_completions(self.a.sim(), locals),
-                merge_completions(self.a.sim(), remotes),
-            )
-        } else {
-            self.stats().incr("armci.strided_packed");
-            let h = self
-                .pami
-                .packed_put(target, local.chunks(), remote.chunks())
-                .await;
-            (h.local, h.remote)
-        };
-        tr.span_end(track, "armci.put_strided", self.a.sim().now(), &[]);
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, key, remote_done.clone());
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Put,
-            target,
-            done: local_done,
-            remote: Some(remote_done),
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+        let list = StridedPair { local, remote };
+        self.nb_chunked(OpKind::Put, "armci.put_strided", target, &list)
+            .await
     }
 
     /// Blocking strided put.
     pub async fn put_strided(&self, target: usize, local: &Strided, remote: &Strided) {
         let h = self.nbput_strided(target, local, remote).await;
         self.wait(&h).await;
+    }
+
+    /// The handle of a transfer over no chunks (a zero count): complete on
+    /// the spot, with no message.
+    fn nothing_to_move(&self, kind: OpKind, target: usize, op: Option<OpId>) -> NbHandle {
+        self.detach_op(op);
+        let done = Completion::new();
+        done.complete(());
+        NbHandle {
+            kind,
+            target,
+            remote: (kind != OpKind::Get).then(|| done.clone()),
+            done,
+            op,
+        }
+    }
+
+    /// The issue path every chunked get and put shares (strided and vector):
+    /// resolve both sides, then either post the pieces as one RDMA chunk
+    /// train (zero-copy, Eq. 9) or, for pieces under the pack threshold or
+    /// without regions, take the packed typed-datatype path. A transfer of
+    /// no chunks completes on the spot, with no message.
+    async fn nb_chunked(
+        &self,
+        kind: OpKind,
+        name: &'static str,
+        target: usize,
+        list: &impl ChunkList,
+    ) -> NbHandle {
+        let op = self.begin_op(name);
+        self.stats().incr(name);
+        let (mut chunks, mut total, mut min_len) = (0u64, 0, usize::MAX);
+        for (_, _, len) in list.pieces() {
+            chunks += 1;
+            total += len;
+            min_len = min_len.min(len);
+        }
+        if chunks == 0 {
+            return self.nothing_to_move(kind, target, op);
+        }
+        let is_get = kind == OpKind::Get;
+        let bytes_key = if is_get {
+            "armci.get_bytes"
+        } else {
+            "armci.put_bytes"
+        };
+        self.stats().add(bytes_key, total as u64);
+        self.ensure_endpoint(target).await;
+        let ((loff, llen), (roff, rlen)) = list.spans();
+        let region = self.resolve_remote(target, roff, rlen).await;
+        let key = region.map(|r| r.off);
+        if is_get {
+            self.consistency_read_gate(target, key).await;
+        }
+        let local_ok = self.ensure_local_region(loff, llen).await;
+        let zero_copy = min_len >= self.a.inner.cfg.pack_threshold && local_ok && region.is_some();
+        let tr = self.tracer();
+        let track = self.op_track(&tr);
+        tr.span_begin(
+            track,
+            name,
+            self.a.sim().now(),
+            &[
+                ("target", TraceValue::U64(target as u64)),
+                ("bytes", TraceValue::U64(total as u64)),
+                ("chunks", TraceValue::U64(chunks)),
+                (
+                    "path",
+                    TraceValue::Str(if zero_copy { "zero_copy" } else { "packed" }),
+                ),
+            ],
+        );
+        self.stats().incr(if zero_copy {
+            "armci.strided_zero_copy"
+        } else {
+            "armci.strided_packed"
+        });
+        let (done, remote) = if is_get {
+            let done = if zero_copy {
+                self.pami.rdma_get_list(target, list.pieces(), total).await
+            } else {
+                let (local, remote) = list.chunk_lists();
+                self.pami.packed_get(target, remote, local).await
+            };
+            (done, None)
+        } else {
+            let h = if zero_copy {
+                self.pami.rdma_put_list(target, list.pieces(), total).await
+            } else {
+                let (local, remote) = list.chunk_lists();
+                self.pami.packed_put(target, local, remote).await
+            };
+            (h.local, Some(h.remote))
+        };
+        tr.span_end(track, name, self.a.sim().now(), &[]);
+        if let Some(remote) = &remote {
+            self.rt()
+                .consistency
+                .borrow_mut()
+                .record_write(target, key, remote.clone());
+        }
+        self.detach_op(op);
+        let h = NbHandle {
+            kind,
+            target,
+            done,
+            remote,
+            op,
+        };
+        let _mem = memprof::scope(&HANDLES_TAG);
+        self.rt().implicit.borrow_mut().push(h.done.clone());
+        h
     }
 
     /// Non-blocking strided accumulate (`dst += scale·src` elementwise over
@@ -674,10 +659,13 @@ impl ArmciRank {
         assert!(local.compatible(remote), "incompatible strided descriptors");
         let op = self.begin_op("armci.acc_strided");
         self.stats().incr("armci.acc_strided");
+        if remote.nchunks() == 0 {
+            return self.nothing_to_move(OpKind::Acc, target, op);
+        }
         self.stats()
             .add("armci.acc_bytes", remote.total_bytes() as u64);
         self.ensure_endpoint(target).await;
-        let (roff, rlen) = Self::span(remote);
+        let (roff, rlen) = span(remote);
         let key = self
             .rt()
             .region_cache
@@ -686,7 +674,7 @@ impl ArmciRank {
             .map(|r| r.off);
         let h = self
             .pami
-            .acc_strided_f64(target, local.chunks(), remote.chunks(), scale)
+            .acc_strided_f64(target, local.chunk_list(), remote.chunk_list(), scale)
             .await;
         self.rt()
             .consistency
@@ -736,59 +724,8 @@ impl ArmciRank {
     /// the compact special case, §III-C2).
     pub async fn nbgetv(&self, target: usize, parts: &[(usize, usize, usize)]) -> NbHandle {
         assert!(!parts.is_empty(), "empty vector request");
-        let op = self.begin_op("armci.getv");
-        self.stats().incr("armci.getv");
-        self.ensure_endpoint(target).await;
-        let total: usize = parts.iter().map(|&(_, _, l)| l).sum();
-        self.stats().add("armci.get_bytes", total as u64);
-        let lo = parts.iter().map(|&(_, r, _)| r).min().expect("nonempty");
-        let hi = parts
-            .iter()
-            .map(|&(_, r, l)| r + l)
-            .max()
-            .expect("nonempty");
-        let region = self.resolve_remote(target, lo, hi - lo).await;
-        let key = region.map(|r| r.off);
-        self.consistency_read_gate(target, key).await;
-        let min_len = parts.iter().map(|&(_, _, l)| l).min().expect("nonempty");
-        let local_span = {
-            let lo = parts.iter().map(|&(l, _, _)| l).min().expect("nonempty");
-            let hi = parts
-                .iter()
-                .map(|&(l, _, len)| l + len)
-                .max()
-                .expect("nonempty");
-            (lo, hi - lo)
-        };
-        let local_ok = self.ensure_local_region(local_span.0, local_span.1).await;
-        let done = if region.is_some() && local_ok && min_len >= self.a.inner.cfg.pack_threshold {
-            self.stats().incr("armci.strided_zero_copy");
-            let mut dones = Vec::with_capacity(parts.len());
-            for &(l, r, len) in parts {
-                dones.push(self.pami.rdma_get(target, l, r, len).await);
-            }
-            merge_completions(self.a.sim(), dones)
-        } else {
-            self.stats().incr("armci.strided_packed");
-            let remote_chunks: Vec<(usize, usize)> =
-                parts.iter().map(|&(_, r, l)| (r, l)).collect();
-            let local_chunks: Vec<(usize, usize)> =
-                parts.iter().map(|&(l, _, len)| (l, len)).collect();
-            self.pami
-                .packed_get(target, remote_chunks, local_chunks)
-                .await
-        };
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Get,
-            target,
-            done,
-            remote: None,
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+        self.nb_chunked(OpKind::Get, "armci.getv", target, &parts)
+            .await
     }
 
     /// Blocking vector get.
@@ -800,71 +737,8 @@ impl ArmciRank {
     /// Non-blocking vector put.
     pub async fn nbputv(&self, target: usize, parts: &[(usize, usize, usize)]) -> NbHandle {
         assert!(!parts.is_empty(), "empty vector request");
-        let op = self.begin_op("armci.putv");
-        self.stats().incr("armci.putv");
-        self.ensure_endpoint(target).await;
-        let total: usize = parts.iter().map(|&(_, _, l)| l).sum();
-        self.stats().add("armci.put_bytes", total as u64);
-        let lo = parts.iter().map(|&(_, r, _)| r).min().expect("nonempty");
-        let hi = parts
-            .iter()
-            .map(|&(_, r, l)| r + l)
-            .max()
-            .expect("nonempty");
-        let region = self.resolve_remote(target, lo, hi - lo).await;
-        let key = region.map(|r| r.off);
-        let local_span = {
-            let lo = parts.iter().map(|&(l, _, _)| l).min().expect("nonempty");
-            let hi = parts
-                .iter()
-                .map(|&(l, _, len)| l + len)
-                .max()
-                .expect("nonempty");
-            (lo, hi - lo)
-        };
-        let local_ok = self.ensure_local_region(local_span.0, local_span.1).await;
-        let min_len = parts.iter().map(|&(_, _, l)| l).min().expect("nonempty");
-        let (local_done, remote_done) =
-            if region.is_some() && local_ok && min_len >= self.a.inner.cfg.pack_threshold {
-                self.stats().incr("armci.strided_zero_copy");
-                let mut locals = Vec::with_capacity(parts.len());
-                let mut remotes = Vec::with_capacity(parts.len());
-                for &(l, r, len) in parts {
-                    let h = self.pami.rdma_put(target, l, r, len).await;
-                    locals.push(h.local);
-                    remotes.push(h.remote);
-                }
-                (
-                    merge_completions(self.a.sim(), locals),
-                    merge_completions(self.a.sim(), remotes),
-                )
-            } else {
-                self.stats().incr("armci.strided_packed");
-                let remote_chunks: Vec<(usize, usize)> =
-                    parts.iter().map(|&(_, r, l)| (r, l)).collect();
-                let local_chunks: Vec<(usize, usize)> =
-                    parts.iter().map(|&(l, _, len)| (l, len)).collect();
-                let h = self
-                    .pami
-                    .packed_put(target, local_chunks, remote_chunks)
-                    .await;
-                (h.local, h.remote)
-            };
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, key, remote_done.clone());
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Put,
-            target,
-            done: local_done,
-            remote: Some(remote_done),
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+        self.nb_chunked(OpKind::Put, "armci.putv", target, &parts)
+            .await
     }
 
     /// Blocking vector put.
@@ -1224,19 +1098,68 @@ impl ArmciRank {
     }
 }
 
-/// Combine many completions into one that fires when all have fired
-/// (spawns a tiny watcher task — the chunk list of a strided transfer).
-fn merge_completions(sim: &desim::Sim, parts: Vec<Completion<()>>) -> Completion<()> {
-    if parts.len() == 1 {
-        return parts.into_iter().next().expect("len checked");
+/// `(offset, len)` of the smallest span covering every chunk of `desc`.
+fn span(desc: &Strided) -> (usize, usize) {
+    let extra: usize = desc
+        .counts
+        .iter()
+        .zip(&desc.strides)
+        .map(|(&c, &s)| c.saturating_sub(1) * s)
+        .sum();
+    (desc.offset, extra + desc.chunk)
+}
+
+/// `(offset, len)` chunks of one side of a transfer.
+type Spans = Vec<(usize, usize)>;
+
+/// A chunked transfer as [`ArmciRank::nb_chunked`] sees it: a strided
+/// descriptor pair or an explicit I/O vector.
+trait ChunkList {
+    /// `(local_off, remote_off, len)` of every piece, in posting order.
+    fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)>;
+    /// Covering `(offset, len)` span of the local and of the remote side.
+    fn spans(&self) -> ((usize, usize), (usize, usize));
+    /// The `(local, remote)` chunk lists a packed work item carries.
+    fn chunk_lists(&self) -> (Spans, Spans);
+}
+
+struct StridedPair<'a> {
+    local: &'a Strided,
+    remote: &'a Strided,
+}
+
+impl ChunkList for StridedPair<'_> {
+    fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        Strided::pair_chunks(self.local, self.remote).map(|((lo, len), (ro, _))| (lo, ro, len))
     }
-    let merged = Completion::new();
-    let m2 = merged.clone();
-    sim.spawn(async move {
-        for p in parts {
-            p.wait().await;
-        }
-        m2.complete(());
-    });
-    merged
+
+    fn spans(&self) -> ((usize, usize), (usize, usize)) {
+        (span(self.local), span(self.remote))
+    }
+
+    fn chunk_lists(&self) -> (Spans, Spans) {
+        (self.local.chunk_list(), self.remote.chunk_list())
+    }
+}
+
+impl ChunkList for &[(usize, usize, usize)] {
+    fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        self.iter().copied()
+    }
+
+    fn spans(&self) -> ((usize, usize), (usize, usize)) {
+        let cover = |side: fn(&(usize, usize, usize)) -> usize| {
+            let lo = self.iter().map(side).min().unwrap_or(0);
+            let hi = self.iter().map(|p| side(p) + p.2).max().unwrap_or(0);
+            (lo, hi - lo)
+        };
+        (cover(|p| p.0), cover(|p| p.1))
+    }
+
+    fn chunk_lists(&self) -> (Spans, Spans) {
+        (
+            self.iter().map(|&(l, _, len)| (l, len)).collect(),
+            self.iter().map(|&(_, r, len)| (r, len)).collect(),
+        )
+    }
 }

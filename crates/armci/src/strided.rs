@@ -5,7 +5,9 @@
 //! repetition counts and byte strides. [`Strided::chunks`] enumerates the
 //! contiguous pieces, which the runtime either ships as a list of
 //! non-blocking RDMA operations (zero-copy, Eq. 9) or through the packed
-//! typed-datatype path for tall-skinny shapes.
+//! typed-datatype path for tall-skinny shapes. Enumeration is an iterator
+//! over the descriptor — no chunk list is built unless one has to travel
+//! inside a work item ([`Strided::chunk_list`]).
 
 /// A uniformly strided transfer descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,9 +51,9 @@ impl Strided {
         self.counts.len()
     }
 
-    /// Number of contiguous chunks (`m / l0`).
+    /// Number of contiguous chunks (`m / l0`); zero when any count is zero.
     pub fn nchunks(&self) -> usize {
-        self.counts.iter().product::<usize>().max(1)
+        self.counts.iter().product()
     }
 
     /// Total payload bytes (`m`).
@@ -64,53 +66,58 @@ impl Strided {
     /// length is really one contiguous chunk. ARMCI performs the same
     /// coalescing before building its chunk list.
     pub fn normalized(&self) -> Strided {
-        let mut out = self.clone();
-        while let (Some(&count0), Some(&stride0)) = (out.counts.first(), out.strides.first()) {
-            if stride0 == out.chunk {
-                out.chunk *= count0;
-                out.counts.remove(0);
-                out.strides.remove(0);
-            } else {
-                break;
-            }
+        let (dense, chunk) = self.dense_prefix();
+        Strided {
+            offset: self.offset,
+            chunk,
+            counts: self.counts[dense..].to_vec(),
+            strides: self.strides[dense..].to_vec(),
         }
-        out
+    }
+
+    /// How many innermost levels are dense (stride equal to the extent below
+    /// them), and the contiguous chunk they coalesce into.
+    fn dense_prefix(&self) -> (usize, usize) {
+        let mut chunk = self.chunk;
+        let mut dense = 0;
+        while dense < self.counts.len().min(self.strides.len()) && self.strides[dense] == chunk {
+            chunk *= self.counts[dense];
+            dense += 1;
+        }
+        (dense, chunk)
     }
 
     /// Enumerate the `(offset, len)` of every contiguous chunk, in canonical
     /// (innermost-level-fastest) order. Dense levels are coalesced first.
-    pub fn chunks(&self) -> Vec<(usize, usize)> {
+    pub fn chunks(&self) -> Chunks<'_> {
         assert_eq!(
             self.counts.len(),
             self.strides.len(),
             "counts/strides length mismatch"
         );
-        let norm = self.normalized();
-        let n = norm.nchunks();
-        let mut out = Vec::with_capacity(n);
-        let mut idx = vec![0usize; norm.counts.len()];
-        loop {
-            let off = norm.offset
-                + idx
-                    .iter()
-                    .zip(&norm.strides)
-                    .map(|(&i, &s)| i * s)
-                    .sum::<usize>();
-            out.push((off, norm.chunk));
-            // Odometer increment, innermost level first.
-            let mut level = 0;
-            loop {
-                if level == norm.counts.len() {
-                    return out;
-                }
-                idx[level] += 1;
-                if idx[level] < norm.counts[level] {
-                    break;
-                }
-                idx[level] = 0;
-                level += 1;
-            }
+        let (dense, chunk) = self.dense_prefix();
+        let counts = &self.counts[dense..];
+        let left = if self.nchunks() == 0 {
+            0
+        } else {
+            counts.iter().product()
+        };
+        Chunks {
+            counts,
+            strides: &self.strides[dense..],
+            base: self.offset,
+            chunk,
+            k: 0,
+            left,
+            i0: 0,
+            off: self.offset,
         }
+    }
+
+    /// [`Strided::chunks`] collected, for a chunk list that travels inside a
+    /// work item.
+    pub fn chunk_list(&self) -> Vec<(usize, usize)> {
+        self.chunks().collect()
     }
 
     /// True when two descriptors describe transfers of the same total size
@@ -122,48 +129,123 @@ impl Strided {
 
     /// Pair up the contiguous pieces of two shape-compatible descriptors,
     /// splitting at common boundaries so each pair has equal length (needed
-    /// when dense coalescing merges chunks on one side only). Returns
+    /// when dense coalescing merges chunks on one side only). Yields
     /// `((local_off, len), (remote_off, len))` pairs in canonical order.
-    pub fn pair_chunks(a: &Strided, b: &Strided) -> Vec<((usize, usize), (usize, usize))> {
-        let ac = a.chunks();
-        let bc = b.chunks();
-        let mut out = Vec::with_capacity(ac.len().max(bc.len()));
-        let (mut i, mut j) = (0usize, 0usize);
-        let (mut aoff, mut alen) = ac.first().copied().unwrap_or((0, 0));
-        let (mut boff, mut blen) = bc.first().copied().unwrap_or((0, 0));
-        while i < ac.len() && j < bc.len() {
-            let take = alen.min(blen);
-            out.push(((aoff, take), (boff, take)));
-            aoff += take;
-            alen -= take;
-            boff += take;
-            blen -= take;
-            if alen == 0 {
-                i += 1;
-                if i < ac.len() {
-                    (aoff, alen) = ac[i];
-                }
-            }
-            if blen == 0 {
-                j += 1;
-                if j < bc.len() {
-                    (boff, blen) = bc[j];
-                }
-            }
+    ///
+    /// # Panics
+    /// The iterator panics when one side runs out before the other
+    /// (descriptors of different total sizes).
+    pub fn pair_chunks<'a>(a: &'a Strided, b: &'a Strided) -> PairChunks<'a> {
+        let (mut a, mut b) = (a.chunks(), b.chunks());
+        PairChunks {
+            cur_a: a.next(),
+            cur_b: b.next(),
+            a,
+            b,
         }
-        assert!(
-            i >= ac.len() && j >= bc.len(),
-            "descriptors have different total sizes"
-        );
-        out
     }
 
     /// Whether any two chunks overlap (always false for well-formed
     /// descriptors with strides ≥ chunk; used by property tests).
     pub fn self_overlapping(&self) -> bool {
-        let mut ranges: Vec<(usize, usize)> = self.chunks();
+        let mut ranges = self.chunk_list();
         ranges.sort_unstable();
         ranges.windows(2).any(|w| w[0].0 + w[0].1 > w[1].0)
+    }
+}
+
+/// Iterator over a descriptor's contiguous chunks ([`Strided::chunks`]).
+/// The odometer is inline: a running offset and the innermost level's
+/// position; a wrap of the innermost level recomputes the offset from the
+/// chunk number, so any number of levels costs no per-level state.
+#[derive(Debug, Clone)]
+pub struct Chunks<'a> {
+    /// Counts and strides of the levels left after dense coalescing.
+    counts: &'a [usize],
+    strides: &'a [usize],
+    base: usize,
+    chunk: usize,
+    /// Chunks yielded so far, and still to come.
+    k: usize,
+    left: usize,
+    /// Position within the innermost level, and chunk `k`'s offset.
+    i0: usize,
+    off: usize,
+}
+
+impl Chunks<'_> {
+    /// Offset of chunk `k`: its mixed-radix digits times the strides.
+    fn offset_of(&self, mut k: usize) -> usize {
+        let mut off = self.base;
+        for (&c, &s) in self.counts.iter().zip(self.strides) {
+            off += (k % c) * s;
+            k /= c;
+        }
+        off
+    }
+}
+
+impl Iterator for Chunks<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.left == 0 {
+            return None;
+        }
+        let out = (self.off, self.chunk);
+        self.left -= 1;
+        self.k += 1;
+        self.i0 += 1;
+        if self.counts.first().is_some_and(|&c0| self.i0 < c0) {
+            self.off += self.strides[0];
+        } else if self.left > 0 {
+            self.i0 = 0;
+            self.off = self.offset_of(self.k);
+        }
+        Some(out)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Chunks<'_> {}
+
+/// Iterator over the equal-length pieces of two descriptors
+/// ([`Strided::pair_chunks`]).
+#[derive(Debug, Clone)]
+pub struct PairChunks<'a> {
+    a: Chunks<'a>,
+    b: Chunks<'a>,
+    /// The unconsumed rest of each side's current chunk.
+    cur_a: Option<(usize, usize)>,
+    cur_b: Option<(usize, usize)>,
+}
+
+impl Iterator for PairChunks<'_> {
+    type Item = ((usize, usize), (usize, usize));
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (Some((aoff, alen)), Some((boff, blen))) = (self.cur_a, self.cur_b) else {
+            assert!(
+                self.cur_a.is_none() && self.cur_b.is_none(),
+                "descriptors have different total sizes"
+            );
+            return None;
+        };
+        let take = alen.min(blen);
+        self.cur_a = if alen == take {
+            self.a.next()
+        } else {
+            Some((aoff + take, alen - take))
+        };
+        self.cur_b = if blen == take {
+            self.b.next()
+        } else {
+            Some((boff + take, blen - take))
+        };
+        Some(((aoff, take), (boff, take)))
     }
 }
 
@@ -176,7 +258,7 @@ mod tests {
         let s = Strided::contiguous(64, 4096);
         assert_eq!(s.nchunks(), 1);
         assert_eq!(s.total_bytes(), 4096);
-        assert_eq!(s.chunks(), vec![(64, 4096)]);
+        assert_eq!(s.chunk_list(), vec![(64, 4096)]);
         assert_eq!(s.levels(), 0);
     }
 
@@ -186,7 +268,7 @@ mod tests {
         let s = Strided::patch2d(1000, 16, 3, 100);
         assert_eq!(s.nchunks(), 3);
         assert_eq!(s.total_bytes(), 48);
-        assert_eq!(s.chunks(), vec![(1000, 16), (1100, 16), (1200, 16)]);
+        assert_eq!(s.chunk_list(), vec![(1000, 16), (1100, 16), (1200, 16)]);
     }
 
     #[test]
@@ -199,9 +281,85 @@ mod tests {
         };
         assert_eq!(s.nchunks(), 6);
         assert_eq!(
-            s.chunks(),
+            s.chunk_list(),
             vec![(0, 4), (10, 4), (100, 4), (110, 4), (200, 4), (210, 4)]
         );
+    }
+
+    #[test]
+    fn four_levels_with_a_dense_innermost_one() {
+        // Level 0 is dense (stride == chunk) and coalesces; the other three
+        // run the odometer through every wrap.
+        let s = Strided {
+            offset: 7,
+            chunk: 4,
+            counts: vec![2, 2, 3, 2],
+            strides: vec![4, 20, 100, 1000],
+        };
+        let mut expect = Vec::new();
+        for i3 in 0..2 {
+            for i2 in 0..3 {
+                for i1 in 0..2 {
+                    expect.push((7 + i1 * 20 + i2 * 100 + i3 * 1000, 8));
+                }
+            }
+        }
+        assert_eq!(s.chunks().len(), 12);
+        assert_eq!(s.chunk_list(), expect);
+        assert_eq!(s.chunk_list(), s.normalized().chunk_list());
+    }
+
+    #[test]
+    fn zero_count_is_empty() {
+        // No rows: no chunk, no byte.
+        let none = Strided::patch2d(64, 16, 0, 100);
+        assert_eq!((none.nchunks(), none.total_bytes()), (0, 0));
+        assert_eq!(none.chunks().next(), None);
+        // A zero at any level empties the whole descriptor, also behind a
+        // level that coalesces.
+        for (counts, strides) in [(vec![3, 0], vec![10, 100]), (vec![3, 0], vec![8, 100])] {
+            let s = Strided {
+                offset: 0,
+                chunk: 8,
+                counts,
+                strides,
+            };
+            assert_eq!((s.nchunks(), s.total_bytes()), (0, 0));
+            assert_eq!(s.chunk_list(), vec![]);
+            assert!(s.compatible(&none));
+            assert!(!s.compatible(&Strided::contiguous(0, 24)));
+        }
+    }
+
+    #[test]
+    fn pair_chunks_resplits_at_common_boundaries() {
+        // Dense on one side (one 48-byte chunk), three rows on the other.
+        let dense = Strided::patch2d(0, 16, 3, 16);
+        let rows = Strided::patch2d(1000, 16, 3, 100);
+        let pairs: Vec<_> = Strided::pair_chunks(&dense, &rows).collect();
+        assert_eq!(
+            pairs,
+            vec![
+                ((0, 16), (1000, 16)),
+                ((16, 16), (1100, 16)),
+                ((32, 16), (1200, 16)),
+            ]
+        );
+    }
+
+    #[test]
+    fn pair_chunks_of_two_empty_sides_is_empty() {
+        let a = Strided::patch2d(0, 16, 0, 16);
+        let b = Strided::patch2d(512, 32, 0, 64);
+        assert_eq!(Strided::pair_chunks(&a, &b).next(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "different total sizes")]
+    fn pair_chunks_with_one_empty_side_panics() {
+        let a = Strided::patch2d(0, 16, 0, 16);
+        let b = Strided::patch2d(512, 16, 2, 64);
+        Strided::pair_chunks(&a, &b).for_each(drop);
     }
 
     #[test]

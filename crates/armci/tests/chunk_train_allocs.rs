@@ -1,0 +1,81 @@
+//! What a chunk of a warm zero-copy strided get costs the host: two
+//! allocations (the boxes of its request-arrival and its response-arrival
+//! event) and no task. Everything else — rank states, parameters, staging
+//! bytes, the completion and its countdown — exists once per train.
+//!
+//! Counted with `desim::memprof`, leaving out the `desim.wheel` tag: a
+//! timer-wheel slot regrows when a long train reaches a window it has not
+//! filled before, which is the wheel's occupancy, not the train's cost.
+//! Its own integration-test binary: the profiling allocator is process-wide.
+
+use armci::{Armci, ArmciConfig, Strided};
+use desim::memprof::{self, MemProf};
+use desim::Sim;
+use pami_sim::{Machine, MachineConfig};
+use std::cell::Cell;
+use std::rc::Rc;
+
+#[global_allocator]
+static ALLOC: MemProf = MemProf;
+
+const ROW: usize = 368;
+const LD: usize = 1024;
+
+#[test]
+fn an_extra_chunk_costs_two_allocations_and_no_task() {
+    memprof::enable();
+    let sim = Sim::new();
+    let machine = Machine::new(sim.clone(), MachineConfig::new(2).procs_per_node(1));
+    let armci = Armci::new(machine, ArmciConfig::default());
+    let bufs = Rc::new(Cell::new((0, 0)));
+    for r in 0..2 {
+        let (rk, bufs) = (armci.rank(r), Rc::clone(&bufs));
+        sim.spawn(async move {
+            let seg = rk.malloc_collective(64 * LD).await;
+            if r == 0 {
+                bufs.set((rk.malloc(64 * ROW).await, seg[1]));
+            }
+        });
+    }
+    sim.run();
+    let (local, remote) = bufs.get();
+    // One blocking `rows`-row get from rank 0: allocations, and the task
+    // table and live-task count while the transfer is in flight.
+    let get = |rows: usize| {
+        let rk = armci.rank(0);
+        let seen = Rc::new(Cell::new((0, 0)));
+        let (s, seen2) = (sim.clone(), Rc::clone(&seen));
+        let before = memprof::mark();
+        sim.spawn(async move {
+            let here = Strided::patch2d(local, ROW, rows, ROW);
+            let there = Strided::patch2d(remote, ROW, rows, LD);
+            let h = rk.nbget_strided(1, &here, &there).await;
+            seen2.set((s.task_slots(), s.pending_tasks()));
+            rk.wait(&h).await;
+        });
+        sim.run();
+        let allocs: u64 = memprof::since(&before)
+            .tags
+            .iter()
+            .filter(|t| t.name != "desim.wheel")
+            .map(|t| t.allocs + t.reallocs)
+            .sum();
+        (allocs, seen.get())
+    };
+    // Warm both shapes (wheel slots, staging-sized heap blocks, stats keys).
+    let idle = (sim.task_slots(), sim.pending_tasks());
+    get(8);
+    get(64);
+    let (allocs8, tasks8) = get(8);
+    let (allocs64, tasks64) = get(64);
+    assert!(
+        allocs64 - allocs8 <= 2 * (64 - 8),
+        "8 rows: {allocs8} allocations, 64 rows: {allocs64}"
+    );
+    // The issuing task is the only one: no watcher per transfer.
+    assert_eq!(tasks8, (idle.0.max(1), idle.1 + 1));
+    assert_eq!(tasks64, tasks8);
+    assert_eq!((sim.task_slots(), sim.pending_tasks()), idle);
+    armci.finalize();
+    sim.shutdown();
+}

@@ -13,7 +13,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::waker_set::WakerSet;
+use crate::waker_set::{WakerSet, Woken};
 
 struct Inner<T> {
     queue: VecDeque<T>,
@@ -51,19 +51,17 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let wakers = {
+        let mut woken = {
             let mut inner = self.inner.borrow_mut();
             inner.senders -= 1;
             if inner.senders == 0 {
                 inner.closed = true;
                 inner.wakers.take_all()
             } else {
-                Vec::new()
+                Woken::default()
             }
         };
-        for w in wakers {
-            w.wake();
-        }
+        woken.wake();
     }
 }
 

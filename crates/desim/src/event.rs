@@ -56,15 +56,14 @@ impl<T> Completion<T> {
     /// # Panics
     /// Panics if the event was already completed.
     pub fn complete(&self, value: T) {
-        let wakers = {
+        let mut woken = {
             let mut st = self.state.borrow_mut();
             assert!(st.value.is_none(), "Completion completed twice");
             st.value = Some(value);
             st.wakers.take_all()
         };
-        for w in wakers {
-            w.wake();
-        }
+        // Write-once: nobody registers again, so the storage is not recycled.
+        woken.wake();
     }
 
     /// True once [`Completion::complete`] has been called.

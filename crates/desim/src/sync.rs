@@ -279,11 +279,11 @@ impl Future for BarrierWait {
                 if st.arrived == st.parties {
                     st.arrived = 0;
                     st.generation += 1;
-                    let wakers = st.wakers.take_all();
+                    let mut woken = st.wakers.take_all();
                     drop(st);
-                    for w in wakers {
-                        w.wake();
-                    }
+                    woken.wake();
+                    // The next generation registers into the same storage.
+                    this.state.borrow_mut().wakers.recycle(woken);
                     this.generation = Some((gen, true));
                     Poll::Ready(true)
                 } else {
@@ -341,14 +341,16 @@ impl NotifyCell {
 
     /// Wake every current waiter (and satisfy `wait` futures already created).
     pub fn notify_all(&self) {
-        let wakers = {
+        let mut woken = {
             let mut st = self.state.borrow_mut();
             st.epoch += 1;
             st.wakers.take_all()
         };
-        for w in wakers {
-            w.wake();
+        if woken.is_empty() {
+            return;
         }
+        woken.wake();
+        self.state.borrow_mut().wakers.recycle(woken);
     }
 
     /// Future resolving at the next notification of the cell behind `h`.

@@ -62,9 +62,23 @@ impl WakerSet {
         }
     }
 
-    /// Take every waker out of the set (to wake outside any borrow).
-    pub fn take_all(&mut self) -> Vec<Waker> {
-        self.entries.drain(..).map(|(_, w)| w).collect()
+    /// Take every waker out of the set, to wake outside any borrow. The
+    /// set's own storage moves into the returned [`Woken`]: nothing is
+    /// allocated, and [`WakerSet::recycle`] hands the storage back to a set
+    /// that will be waited on again.
+    pub fn take_all(&mut self) -> Woken {
+        if self.entries.is_empty() {
+            return Woken::default();
+        }
+        Woken(std::mem::take(&mut self.entries))
+    }
+
+    /// Give a spent [`Woken`]'s storage back, unless a waiter re-registered
+    /// in the meantime and the set already owns storage again.
+    pub fn recycle(&mut self, woken: Woken) {
+        if self.entries.capacity() == 0 {
+            self.entries = woken.0;
+        }
     }
 
     /// Take the longest-registered waker, if any.
@@ -84,6 +98,24 @@ impl WakerSet {
     /// True when no wakers are registered.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// The wakers [`WakerSet::take_all`] removed, in registration order.
+#[derive(Default)]
+pub struct Woken(Vec<(u64, Waker)>);
+
+impl Woken {
+    /// Wake every taken waker, longest-registered first.
+    pub fn wake(&mut self) {
+        for (_, w) in self.0.drain(..) {
+            w.wake();
+        }
+    }
+
+    /// True when nothing is left to wake.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -133,8 +165,30 @@ mod tests {
         let mut s = WakerSet::new();
         let mut a = None;
         s.register(&mut a, &waker());
-        assert_eq!(s.take_all().len(), 1);
+        assert!(!s.take_all().is_empty());
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn recycle_returns_the_storage_unless_replaced() {
+        let mut s = WakerSet::new();
+        let (mut a, mut b) = (None, None);
+        s.register(&mut a, &waker());
+        s.register(&mut b, &waker());
+        let cap = s.entries.capacity();
+        let mut woken = s.take_all();
+        assert_eq!(s.entries.capacity(), 0);
+        woken.wake();
+        assert!(woken.is_empty());
+        s.recycle(woken);
+        assert_eq!(s.entries.capacity(), cap);
+        // A waiter that re-registered first keeps its entry.
+        s.register(&mut b, &waker());
+        let mut woken = s.take_all();
+        s.register(&mut a, &waker());
+        woken.wake();
+        s.recycle(woken);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

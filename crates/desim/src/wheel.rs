@@ -9,15 +9,21 @@
 //! Three levels of 256 slots cover a geometrically growing horizon
 //! (~16.8 µs, ~4.3 ms, ~1.1 s past the current window base); anything beyond
 //! the top level falls back to a `BinaryHeap`. Inserting into a slot is an
-//! `O(1)` `Vec` push. Popping activates one slot at a time: its entries move
-//! into a small ordered `pending` heap, so extraction remains **exactly**
-//! ordered by `(time, seq)` — the wheel is an internal reorganization, never
-//! a semantic change. Late inserts that land at or below the activated
-//! region (always `>= now`) go straight to `pending`, preserving order.
+//! `O(1)` `Vec` push. Popping activates one slot at a time: the slot's
+//! `Vec` becomes the **ordered run** — sorted once, popped from the back —
+//! so extraction remains **exactly** ordered by `(time, seq)`: the wheel is
+//! an internal reorganization, never a semantic change. Late inserts that
+//! land below the activated region (always `>= now`) go to a small `late`
+//! heap; `pop` takes the smaller of the run's tail and the heap's top. The
+//! late side stays a heap because it can be large: the first insert into an
+//! empty wheel rebases every window at its deadline, so a burst of
+//! unordered deadlines (320 k uniform callbacks, say) lands almost entirely
+//! below `active_end`, where a sorted `Vec::insert` would be quadratic.
 //!
-//! All `Vec` slots and both heaps retain their capacity across clears and
-//! window rebasing, so steady-state operation allocates only when a slot
-//! outgrows every previous occupancy (slab-style recycling).
+//! All `Vec` slots, the run and both heaps retain their capacity across
+//! clears and window rebasing (activation swaps the slot's buffer with the
+//! run's), so steady-state operation allocates only when a slot outgrows
+//! every previous occupancy (slab-style recycling).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -93,12 +99,15 @@ impl<T> Level<T> {
 /// far-future heap, semantically an exact `(at, seq)`-ordered priority queue.
 pub(crate) struct TimerWheel<T> {
     levels: Vec<Level<T>>,
-    /// Ordered near-term entries: the activated slot's contents plus any
-    /// late insert at `at < active_end`.
-    pending: BinaryHeap<MinEntry<T>>,
+    /// The activated slot's entries, sorted descending by `(at, seq)`: the
+    /// earliest is `run.last()`.
+    run: Vec<Entry<T>>,
+    /// Inserts at `at < active_end` that arrived after their slot was
+    /// activated (or before the window the first insert rebased to).
+    late: BinaryHeap<MinEntry<T>>,
     /// Deadlines beyond the top level's horizon.
     far: BinaryHeap<MinEntry<T>>,
-    /// Entries strictly below this time must be routed through `pending`;
+    /// Entries strictly below this time must be routed through `late`;
     /// equals `levels[0].base + cursor * W0` except right after a far-heap
     /// rebase jump (where it equals the new base).
     active_end: u64,
@@ -109,7 +118,8 @@ impl<T> TimerWheel<T> {
     pub(crate) fn new() -> TimerWheel<T> {
         TimerWheel {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            pending: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             far: BinaryHeap::new(),
             active_end: 0,
             len: 0,
@@ -141,7 +151,7 @@ impl<T> TimerWheel<T> {
         self.len += 1;
         let e = Entry { at, seq, payload };
         if at < self.active_end {
-            self.pending.push(MinEntry(e));
+            self.late.push(MinEntry(e));
             return;
         }
         for (l, level) in self.levels.iter_mut().enumerate() {
@@ -155,12 +165,28 @@ impl<T> TimerWheel<T> {
         self.far.push(MinEntry(e));
     }
 
+    /// True when the next entry in `(at, seq)` order sits on the late heap
+    /// rather than at the run's tail; `None` when both are empty.
+    #[inline]
+    fn next_is_late(&self) -> Option<bool> {
+        match (self.run.last(), self.late.peek()) {
+            (None, None) => None,
+            (Some(_), None) => Some(false),
+            (None, Some(_)) => Some(true),
+            (Some(r), Some(l)) => Some((l.0.at, l.0.seq) < (r.at, r.seq)),
+        }
+    }
+
     /// Remove and return the earliest `(at, seq)` entry.
     pub(crate) fn pop(&mut self) -> Option<Entry<T>> {
         loop {
-            if let Some(MinEntry(e)) = self.pending.pop() {
+            if let Some(late) = self.next_is_late() {
                 self.len -= 1;
-                return Some(e);
+                return if late {
+                    self.late.pop().map(|e| e.0)
+                } else {
+                    self.run.pop()
+                };
             }
             if !self.advance() {
                 return None;
@@ -171,11 +197,11 @@ impl<T> TimerWheel<T> {
     /// The earliest `(at, seq)` without removing it.
     pub(crate) fn peek(&mut self) -> Option<(u64, u64)> {
         loop {
-            if let Some(MinEntry(e)) = self.pending.peek() {
-                return Some((e.at, e.seq));
-            }
-            if !self.advance() {
-                return None;
+            match self.next_is_late() {
+                Some(true) => return self.late.peek().map(|e| (e.0.at, e.0.seq)),
+                Some(false) => return self.run.last().map(|e| (e.at, e.seq)),
+                None if !self.advance() => return None,
+                None => {}
             }
         }
     }
@@ -189,15 +215,18 @@ impl<T> TimerWheel<T> {
             level.cursor = 0;
             level.base = 0;
         }
-        self.pending.clear();
+        self.run.clear();
+        self.late.clear();
         self.far.clear();
         self.active_end = 0;
         self.len = 0;
     }
 
-    /// Move the next non-empty batch into `pending`. Returns false when the
-    /// wheel holds no timers at all.
+    /// Make the next non-empty slot the ordered run. Only called with the
+    /// run and the late heap both empty. Returns false when the wheel holds
+    /// no timers at all.
     fn advance(&mut self) -> bool {
+        debug_assert!(self.run.is_empty() && self.late.is_empty());
         loop {
             // Finest level: activate its next occupied slot.
             {
@@ -206,15 +235,17 @@ impl<T> TimerWheel<T> {
                     let c = level.cursor;
                     level.cursor += 1;
                     if !level.slots[c].is_empty() {
-                        for e in level.slots[c].drain(..) {
-                            self.pending.push(MinEntry(e));
-                        }
+                        // The slot's buffer becomes the run; the slot keeps
+                        // the (empty) buffer the run had.
+                        std::mem::swap(&mut self.run, &mut level.slots[c]);
+                        self.run
+                            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                         self.active_end = level.base + ((c as u64 + 1) << shift(0));
                         return true;
                     }
                 }
                 // Window exhausted with nothing found: route future inserts
-                // below the next window through `pending`.
+                // below the next window through `late`.
                 self.active_end = level.window_end(0);
             }
             // Cascade the next occupied slot of a coarser level downwards.
@@ -439,14 +470,14 @@ mod tests {
     fn insert_burst_after_exhaustion_keeps_order() {
         // After the idle rebase, later inserts (len > 0) must still route
         // correctly relative to the rebased windows — including deadlines
-        // *earlier* than the rebase point, which go through `pending`.
+        // *earlier* than the rebase point, which go through `late`.
         let mut w = TimerWheel::new();
         w.insert(5, 0, 0);
         assert_eq!(w.pop().map(|e| e.at), Some(5));
         assert!(w.pop().is_none());
         let base = 1_000_000u64;
         w.insert(base, 1, 0); // triggers the rebase
-        w.insert(base - 100, 2, 0); // behind the rebase point -> pending
+        w.insert(base - 100, 2, 0); // behind the rebase point -> late
         w.insert(base + (1 << 20), 3, 0);
         w.insert(base + (1 << 30), 4, 0);
         w.insert(base + (1 << 46), 5, 0);
@@ -462,40 +493,132 @@ mod tests {
         );
     }
 
-    #[test]
-    fn randomized_against_reference_heap() {
-        // Deterministic pseudo-random interleaving of inserts and pops,
-        // checked against a sorted reference.
-        let mut w = TimerWheel::new();
-        let mut reference: Vec<(u64, u64)> = Vec::new();
-        let mut rng = crate::rng::SimRng::new(0xDEAD_BEEF);
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        let mut popped = Vec::new();
-        for round in 0..50 {
-            for _ in 0..40 {
-                // Mix of near, mid, far and same-tick deadlines.
-                let delta = match rng.next_below(4) {
-                    0 => rng.next_below(1 << 12),
-                    1 => rng.next_below(1 << 22),
-                    2 => rng.next_below(1 << 34),
-                    _ => rng.next_below(1 << 44),
-                };
-                let at = now + delta;
-                w.insert(at, seq, 0);
-                reference.push((at, seq));
-                seq += 1;
+    /// Wheel and reference heap side by side; every step checks `len()` and
+    /// that `peek()` names what the next `pop()` returns.
+    struct Pair {
+        w: TimerWheel<u64>,
+        r: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+        seq: u64,
+        now: u64,
+    }
+
+    impl Pair {
+        fn insert(&mut self, at: u64) {
+            assert!(at >= self.now);
+            self.w.insert(at, self.seq, self.seq);
+            self.r.push(std::cmp::Reverse((at, self.seq)));
+            self.seq += 1;
+            self.check();
+        }
+
+        /// Insert under a ticket drawn earlier (`Sim::schedule_reserved`).
+        fn insert_reserved(&mut self, at: u64, seq: u64) {
+            self.w.insert(at, seq, seq);
+            self.r.push(std::cmp::Reverse((at, seq)));
+            self.check();
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            let want = self.r.pop().map(|e| e.0);
+            let got = self.w.pop().map(|e| {
+                assert_eq!(e.payload, e.seq);
+                (e.at, e.seq)
+            });
+            assert_eq!(got, want);
+            if let Some((at, _)) = got {
+                assert!(at >= self.now, "time went backwards");
+                self.now = at;
             }
-            let pops = if round == 49 { usize::MAX } else { 25 };
-            for _ in 0..pops {
-                let Some(e) = w.pop() else { break };
-                assert!(e.at >= now, "time went backwards");
-                now = e.at;
-                popped.push((e.at, e.seq));
+            self.check();
+            got
+        }
+
+        fn check(&mut self) {
+            assert_eq!(self.w.len(), self.r.len());
+            assert_eq!(self.w.peek(), self.r.peek().map(|e| e.0));
+        }
+    }
+
+    #[test]
+    fn differential_against_reference_heap() {
+        // 10^5 seeded operations against a plain `BinaryHeap<(at, seq)>`.
+        let mut p = Pair {
+            w: TimerWheel::new(),
+            r: BinaryHeap::new(),
+            seq: 0,
+            now: 0,
+        };
+        let mut rng = crate::rng::SimRng::new(0xDEAD_BEEF);
+        let mut ops = 0u32;
+        let (mut late_before_tail, mut late_after_tail, mut cleared_late) = (0u32, 0u32, 0u32);
+        while ops < 100_000 {
+            ops += 1;
+            match rng.next_below(16) {
+                // Near, mid, far and beyond-the-hierarchy deadlines: slots of
+                // all three levels, cascades, and far-heap rebases.
+                0..=6 => {
+                    let delta = match rng.next_below(8) {
+                        0..=3 => rng.next_below(1 << 12),
+                        4 | 5 => rng.next_below(1 << 22),
+                        6 => rng.next_below(1 << 34),
+                        _ => rng.next_below(1 << 44),
+                    };
+                    p.insert(p.now + delta);
+                }
+                // Equal-`at` ties inside one slot: must pop in `seq` order.
+                7 => {
+                    let at = p.now + rng.next_below(1 << 10);
+                    for _ in 0..rng.next_below(6) + 2 {
+                        p.insert(at);
+                    }
+                }
+                // Late inserts below `active_end` while a run is half
+                // consumed, both earlier and later than the run's tail.
+                8 | 9 => {
+                    let Some(&Entry { at: tail, .. }) = p.w.run.last() else {
+                        continue;
+                    };
+                    if rng.next_below(2) == 0 && tail > p.now {
+                        p.insert(p.now + rng.next_below(tail - p.now));
+                        late_before_tail += 1;
+                    } else if p.w.active_end > tail + 1 {
+                        p.insert(tail + 1 + rng.next_below(p.w.active_end - tail - 1));
+                        late_after_tail += 1;
+                    }
+                }
+                // A reserved ticket: an older `seq` entering a slot behind
+                // younger ones (the slot is then not in `seq` order).
+                10 => {
+                    let ticket = p.seq;
+                    p.seq += 1;
+                    let at = p.now + rng.next_below(1 << 14);
+                    p.insert(at);
+                    p.insert_reserved(at, ticket);
+                }
+                // Drain to empty, then reuse.
+                11 if rng.next_below(64) == 0 => {
+                    while p.pop().is_some() {}
+                    assert!(p.w.pop().is_none());
+                    p.insert(p.now + rng.next_below(1 << 30));
+                }
+                // `clear()`, sometimes with a non-empty late heap.
+                12 if rng.next_below(64) == 0 => {
+                    if !p.w.late.is_empty() {
+                        cleared_late += 1;
+                    }
+                    p.w.clear();
+                    p.r.clear();
+                    p.check();
+                }
+                _ => {
+                    for _ in 0..rng.next_below(4) + 1 {
+                        p.pop();
+                    }
+                }
             }
         }
-        reference.sort();
-        assert_eq!(popped, reference);
-        assert_eq!(w.len(), 0);
+        while p.pop().is_some() {}
+        assert_eq!(p.w.len(), 0);
+        assert!(late_before_tail > 100 && late_after_tail > 100 && cleared_late > 0);
     }
 }

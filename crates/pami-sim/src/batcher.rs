@@ -270,8 +270,7 @@ impl Batcher {
             MsgClass::Ordered,
             op,
             SimDuration::ZERO,
-            0,
-            Box::new(move |arrival, delivered| {
+            move |arrival, delivered| {
                 if delivered {
                     crate::rank::enqueue_at_target(
                         &m2,
@@ -281,7 +280,7 @@ impl Batcher {
                         op,
                     );
                 }
-            }),
+            },
         );
     }
 }

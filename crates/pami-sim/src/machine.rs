@@ -251,29 +251,36 @@ impl RankState {
         }
     }
 
-    pub fn write(&self, off: usize, data: &[u8]) {
-        let mut mem = self.memory.borrow_mut();
-        let end = off + data.len();
-        if mem.len() < end {
-            let _mem_tag = memprof::scope(&RANKMEM_TAG);
-            mem.resize(end, 0);
-        }
-        mem[off..end].copy_from_slice(data);
-    }
-
-    pub fn read(&self, off: usize, len: usize) -> Vec<u8> {
+    /// Run `f` over `[off, off + len)` of this rank's memory, growing the
+    /// memory (zero-filled) to cover the range first.
+    pub fn with_mut<R>(&self, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut mem = self.memory.borrow_mut();
         let end = off + len;
         if mem.len() < end {
             let _mem_tag = memprof::scope(&RANKMEM_TAG);
             mem.resize(end, 0);
         }
-        mem[off..end].to_vec()
+        f(&mut mem[off..end])
+    }
+
+    /// [`RankState::with_mut`] for readers (a read grows the memory too:
+    /// untouched memory reads as zero).
+    pub fn with<R>(&self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.with_mut(off, len, |mem| f(mem))
+    }
+
+    pub fn write(&self, off: usize, data: &[u8]) {
+        self.with_mut(off, data.len(), |mem| mem.copy_from_slice(data));
+    }
+
+    pub fn read(&self, off: usize, len: usize) -> Vec<u8> {
+        self.with(off, len, <[u8]>::to_vec)
     }
 
     pub fn read_i64(&self, off: usize) -> i64 {
-        let b = self.read(off, 8);
-        i64::from_le_bytes(b.try_into().expect("8 bytes"))
+        self.with(off, 8, |b| {
+            i64::from_le_bytes(b.try_into().expect("8 bytes"))
+        })
     }
 
     pub fn write_i64(&self, off: usize, v: i64) {

@@ -1,7 +1,7 @@
 //! Per-rank PAMI operations: memory, regions, endpoints, RMA, AMOs, AM and
 //! the progress engine.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 use desim::futures::{race, Either};
@@ -44,10 +44,8 @@ impl AsyncThread {
 /// legs of get/rmw-style operations — retrying per the machine's
 /// [`crate::RetryPolicy`] when the fault layer drops it, then invoke
 /// `then(arrival, delivered)` as an event at `arrival + extra`. Without an
-/// active fault plan this is exactly one `deliver_op` plus one `schedule`,
-/// so fault-free event streams are unchanged. Retries recurse through
-/// scheduled closures rather than awaiting, so the target's progress engine
-/// keeps running while a reply waits out its backoff.
+/// active fault plan this is exactly one `deliver_op` plus one `schedule`
+/// holding `then` inline, so fault-free event streams are unchanged.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deliver_then(
     m: &Machine,
@@ -58,32 +56,63 @@ pub(crate) fn deliver_then(
     class: MsgClass,
     op: Option<OpId>,
     extra: SimDuration,
+    then: impl FnOnce(SimTime, bool) + 'static,
+) {
+    if m.faults_active() {
+        let leg = Leg {
+            src,
+            dst,
+            payload,
+            class,
+            op,
+            extra,
+        };
+        return deliver_faulty(m, inject, leg, 0, Box::new(then));
+    }
+    let arrival = m
+        .inner
+        .net
+        .borrow_mut()
+        .deliver_op(inject, src, dst, payload, class, op)
+        + extra;
+    m.schedule_leg(src, dst, arrival, move || then(arrival, true));
+}
+
+/// What stays the same across the retransmissions of one response leg.
+#[derive(Clone, Copy)]
+struct Leg {
+    src: usize,
+    dst: usize,
+    payload: usize,
+    class: MsgClass,
+    op: Option<OpId>,
+    extra: SimDuration,
+}
+
+/// [`deliver_then`] under an active fault plan. Retries recurse through
+/// scheduled closures rather than awaiting, so the target's progress engine
+/// keeps running while a reply waits out its backoff.
+fn deliver_faulty(
+    m: &Machine,
+    inject: SimTime,
+    leg: Leg,
     attempt: u32,
     then: Box<dyn FnOnce(SimTime, bool)>,
 ) {
     let sim = m.sim();
-    if !m.faults_active() {
-        let arrival = m
-            .inner
+    let stats = m.stats();
+    let Leg { src, dst, op, .. } = leg;
+    let outcome =
+        m.inner
             .net
             .borrow_mut()
-            .deliver_op(inject, src, dst, payload, class, op)
-            + extra;
-        m.schedule_leg(src, dst, arrival, move || then(arrival, true));
-        return;
-    }
-    let stats = m.stats();
-    let outcome = m
-        .inner
-        .net
-        .borrow_mut()
-        .try_deliver_op(inject, src, dst, payload, class, op);
+            .try_deliver_op(inject, src, dst, leg.payload, leg.class, op);
     match outcome {
         Delivery::Delivered(t) => {
             if attempt > 0 {
                 stats.record_hist("pami.op_retries", attempt as u64);
             }
-            let arrival = t + extra;
+            let arrival = t + leg.extra;
             sim.schedule(arrival, move || then(arrival, true));
         }
         Delivery::Dropped { .. } => {
@@ -120,20 +149,119 @@ pub(crate) fn deliver_then(
                     m2.sim().timeline().add(ids.retries, resume, 1);
                 }
                 m2.tl_retry_backlog(resume, -1);
-                deliver_then(
-                    &m2,
-                    resume,
-                    src,
-                    dst,
-                    payload,
-                    class,
-                    op,
-                    extra,
-                    attempt + 1,
-                    then,
-                );
+                deliver_faulty(&m2, resume, leg, attempt + 1, then);
             });
         }
+    }
+}
+
+/// Fires `done` once every announced part has arrived and the poster has
+/// released its own hold — chunks are posted one `o_send` apart, so early
+/// ones can finish while later ones are still being posted.
+struct Countdown {
+    left: Cell<usize>,
+    done: Completion<()>,
+}
+
+impl Countdown {
+    /// A countdown holding the poster's part.
+    fn new() -> Countdown {
+        Countdown {
+            left: Cell::new(1),
+            done: Completion::new(),
+        }
+    }
+
+    fn add(&self) {
+        self.left.set(self.left.get() + 1);
+    }
+
+    /// One part (or the poster's hold) is finished.
+    fn arrive(&self) {
+        let left = self.left.get() - 1;
+        self.left.set(left);
+        if left == 0 {
+            self.done.complete(());
+        }
+    }
+}
+
+/// What the chunks of one RDMA *chunk train* share (DESIGN.md, "chunk
+/// train"): a strided or vector transfer is still one NIC post, one message
+/// and one landing event per chunk — link reservations depend on call
+/// order — but the rank states, parameters, op id, staging bytes and the
+/// completion countdown exist once. `D` is the train's countdowns.
+struct Train<D> {
+    m: Machine,
+    src: usize,
+    target: usize,
+    src_state: Rc<RankState>,
+    /// Materialized when the first chunk reaches the target.
+    tgt_state: OnceCell<Rc<RankState>>,
+    p: Rc<torus5d::BgqParams>,
+    op: Option<OpId>,
+    /// Snapshots of every chunk's bytes, back to back in the order taken.
+    staging: RefCell<Vec<u8>>,
+    done: D,
+}
+
+/// A put train's countdowns: acks returned, payloads landed.
+struct PutDone {
+    local: Countdown,
+    remote: Countdown,
+}
+
+impl<D> Train<D> {
+    fn new(rank: &PamiRank, target: usize, total: usize, done: D) -> Rc<Train<D>> {
+        Rc::new(Train {
+            m: rank.m.clone(),
+            src: rank.r,
+            target,
+            src_state: Rc::clone(rank.state()),
+            tgt_state: OnceCell::new(),
+            p: rank.m.params_rc(),
+            op: rank.current_op(),
+            staging: RefCell::new(Vec::with_capacity(total)),
+            done,
+        })
+    }
+
+    fn tgt(&self) -> &Rc<RankState> {
+        self.tgt_state
+            .get_or_init(|| self.m.rank_state(self.target))
+    }
+}
+
+impl Train<Countdown> {
+    /// The request of the get chunk `(local_off, remote_off, len)` reached
+    /// the target NIC at `at`: snapshot the target bytes and send them back.
+    fn reply(self: Rc<Self>, (local_off, remote_off, len): (usize, usize, usize), at: SimTime) {
+        let pos = {
+            let mut staging = self.staging.borrow_mut();
+            let pos = staging.len();
+            self.tgt()
+                .with(remote_off, len, |b| staging.extend_from_slice(b));
+            pos
+        };
+        let m = self.m.clone();
+        let extra = self.p.align_penalty(len);
+        deliver_then(
+            &m,
+            at,
+            self.target,
+            self.src,
+            len,
+            MsgClass::Ordered,
+            self.op,
+            extra,
+            move |_, delivered| {
+                if delivered {
+                    self.src_state
+                        .write(local_off, &self.staging.borrow()[pos..][..len]);
+                }
+                self.done.arrive();
+            },
+        );
     }
 }
 
@@ -264,19 +392,20 @@ impl PamiRank {
 
     /// Read `n` f64s from this rank's memory.
     pub fn read_f64s(&self, off: usize, n: usize) -> Vec<f64> {
-        let raw = self.read_bytes(off, n * 8);
-        raw.chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect()
+        self.state().with(off, n * 8, |raw| {
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+                .collect()
+        })
     }
 
     /// Write f64s into this rank's memory.
     pub fn write_f64s(&self, off: usize, xs: &[f64]) {
-        let mut raw = Vec::with_capacity(xs.len() * 8);
-        for x in xs {
-            raw.extend_from_slice(&x.to_le_bytes());
-        }
-        self.write_bytes(off, &raw);
+        self.state().with_mut(off, xs.len() * 8, |mem| {
+            for (c, x) in mem.chunks_exact_mut(8).zip(xs) {
+                c.copy_from_slice(&x.to_le_bytes());
+            }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -493,9 +622,7 @@ impl PamiRank {
     // ------------------------------------------------------------------
 
     /// RDMA put: `len` bytes from this rank's `local_off` to `target`'s
-    /// `remote_off`. The data snapshot is taken at post time (buffer-reuse
-    /// semantics); the remote completion fires when the payload lands, the
-    /// local completion after the hardware ack returns.
+    /// `remote_off` — a chunk train of one chunk.
     pub async fn rdma_put(
         &self,
         target: usize,
@@ -503,40 +630,74 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> PutHandles {
-        let inner = Rc::clone(&self.m.inner);
+        self.rdma_put_list(target, [(local_off, remote_off, len)], len)
+            .await
+    }
+
+    /// RDMA put of a chunk list (`(local_off, remote_off, len)` each, `total`
+    /// bytes in all; paper Eq. 9): one NIC post per chunk, `o_send` apart.
+    /// Each chunk's data snapshot is taken at its post time (buffer-reuse
+    /// semantics). The remote completion fires when the last payload has
+    /// landed, the local completion after the last hardware ack returns.
+    pub async fn rdma_put_list(
+        &self,
+        target: usize,
+        parts: impl IntoIterator<Item = (usize, usize, usize)>,
+        total: usize,
+    ) -> PutHandles {
         let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.rdma_put");
-        sim.sleep(p.o_send).await;
-        let data = self.read_bytes(local_off, len);
-        let inject = sim.now() + p.rdma_engine;
-        let (raw, delivered) = self
-            .deliver_reliable(inject, target, len, MsgClass::Ordered, op)
-            .await;
-        let arrival = raw + p.align_penalty(len);
-        let handles = PutHandles {
-            local: Completion::new(),
-            remote: Completion::new(),
+        let done = PutDone {
+            local: Countdown::new(),
+            remote: Countdown::new(),
         };
-        let remote_done = handles.remote.clone();
-        let tgt_state = self.m.rank_state(target);
-        self.m.schedule_leg(self.r, target, arrival, move || {
-            if delivered {
-                tgt_state.write(remote_off, &data);
-            }
-            remote_done.complete(());
-        });
-        let hops = inner.net.borrow().hops(self.r, target);
-        let ack = arrival + p.oneway_header(hops);
-        let local_done = handles.local.clone();
-        sim.schedule(ack, move || local_done.complete(()));
-        handles
+        let train = Train::new(self, target, total, done);
+        let p = &train.p;
+        let ack_after = p.oneway_header(self.m.inner.net.borrow().hops(self.r, target));
+        let mut posted = 0;
+        for (local_off, remote_off, len) in parts {
+            posted += 1;
+            sim.sleep(p.o_send).await;
+            let pos = {
+                let mut staging = train.staging.borrow_mut();
+                let pos = staging.len();
+                train
+                    .src_state
+                    .with(local_off, len, |b| staging.extend_from_slice(b));
+                pos
+            };
+            let inject = sim.now() + p.rdma_engine;
+            let (raw, delivered) = self
+                .deliver_reliable(inject, target, len, MsgClass::Ordered, train.op)
+                .await;
+            let arrival = raw + p.align_penalty(len);
+            train.done.remote.add();
+            train.done.local.add();
+            // The target materializes where a single put's always has: once
+            // the first payload is on its way.
+            train.tgt();
+            let t = Rc::clone(&train);
+            self.m.schedule_leg(self.r, target, arrival, move || {
+                if delivered {
+                    t.tgt().write(remote_off, &t.staging.borrow()[pos..][..len]);
+                }
+                t.done.remote.arrive();
+            });
+            let t = Rc::clone(&train);
+            sim.schedule(arrival + ack_after, move || t.done.local.arrive());
+        }
+        if posted > 0 {
+            self.m.stats().add("pami.rdma_put", posted);
+        }
+        train.done.local.arrive();
+        train.done.remote.arrive();
+        PutHandles {
+            local: train.done.local.done.clone(),
+            remote: train.done.remote.done.clone(),
+        }
     }
 
     /// RDMA get: `len` bytes from `target`'s `remote_off` into this rank's
-    /// `local_off`. The target memory is read when the request reaches the
-    /// target NIC — no target CPU involvement (paper Eq. 7).
+    /// `local_off` — a chunk train of one chunk.
     pub async fn rdma_get(
         &self,
         target: usize,
@@ -544,49 +705,48 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> Completion<()> {
+        self.rdma_get_list(target, [(local_off, remote_off, len)], len)
+            .await
+    }
+
+    /// RDMA get of a chunk list (`(local_off, remote_off, len)` each, `total`
+    /// bytes in all): one request per chunk, `o_send` apart. The target
+    /// memory is read when a chunk's request reaches the target NIC — no
+    /// target CPU involvement (paper Eq. 7). Completes when the last reply
+    /// has landed.
+    pub async fn rdma_get_list(
+        &self,
+        target: usize,
+        parts: impl IntoIterator<Item = (usize, usize, usize)>,
+        total: usize,
+    ) -> Completion<()> {
         let sim = self.m.sim();
-        // `p` crosses into the `'static` response closure below: share the
-        // Rc rather than cloning the whole parameter struct.
-        let p = self.m.params_rc();
-        let op = self.current_op();
-        self.m.stats().incr("pami.rdma_get");
-        sim.sleep(p.o_send).await;
-        let inject = sim.now() + p.rdma_engine;
-        let (req_arrival, req_delivered) = self
-            .deliver_reliable(inject, target, 0, MsgClass::Control, op)
-            .await;
-        let done = Completion::new();
-        let done2 = done.clone();
-        let src = self.r;
-        if !req_delivered {
-            // Gave up on the request (best-effort): complete without data.
-            sim.schedule(req_arrival, move || done2.complete(()));
-            return done;
+        let train = Train::new(self, target, total, Countdown::new());
+        let p = &train.p;
+        let mut posted = 0;
+        for chunk in parts {
+            posted += 1;
+            sim.sleep(p.o_send).await;
+            let inject = sim.now() + p.rdma_engine;
+            let (req_arrival, req_delivered) = self
+                .deliver_reliable(inject, target, 0, MsgClass::Control, train.op)
+                .await;
+            train.done.add();
+            let t = Rc::clone(&train);
+            if req_delivered {
+                self.m.schedule_leg(self.r, target, req_arrival, move || {
+                    t.reply(chunk, req_arrival)
+                });
+            } else {
+                // Gave up on the request (best-effort): complete without data.
+                sim.schedule(req_arrival, move || t.done.arrive());
+            }
         }
-        let m = self.m.clone();
-        self.m.schedule_leg(self.r, target, req_arrival, move || {
-            let data = m.rank_state(target).read(remote_off, len);
-            let src_state = m.rank_state(src);
-            let extra = p.align_penalty(len);
-            deliver_then(
-                &m,
-                req_arrival,
-                target,
-                src,
-                len,
-                MsgClass::Ordered,
-                op,
-                extra,
-                0,
-                Box::new(move |_, delivered| {
-                    if delivered {
-                        src_state.write(local_off, &data);
-                    }
-                    done2.complete(());
-                }),
-            );
-        });
-        done
+        if posted > 0 {
+            self.m.stats().add("pami.rdma_get", posted);
+        }
+        train.done.arrive();
+        train.done.done.clone()
     }
 
     // ------------------------------------------------------------------
@@ -649,7 +809,7 @@ impl PamiRank {
     fn gather(&self, chunks: &[(usize, usize)], total: usize) -> Vec<u8> {
         let mut data = Vec::with_capacity(total);
         for &(off, len) in chunks {
-            data.extend_from_slice(&self.read_bytes(off, len));
+            self.state().with(off, len, |b| data.extend_from_slice(b));
         }
         data
     }
@@ -1146,13 +1306,12 @@ impl PamiRank {
                     MsgClass::Ordered,
                     flight_op,
                     p.align_penalty(len),
-                    0,
-                    Box::new(move |_, delivered| {
+                    move |_, delivered| {
                         if delivered {
                             src_state.write(local_off, &data);
                         }
                         done.complete(());
-                    }),
+                    },
                 );
             }
             WorkItem::Rmw {
@@ -1179,8 +1338,7 @@ impl PamiRank {
                     MsgClass::Unordered,
                     flight_op,
                     SimDuration::ZERO,
-                    0,
-                    Box::new(move |_, _| done.complete(old)),
+                    move |_, _| done.complete(old),
                 );
             }
             WorkItem::AccF64 {
@@ -1212,8 +1370,7 @@ impl PamiRank {
                     flight_op,
                     // unpack (scatter) cost at the requester
                     SimDuration::from_ps(total as u64 * p.pack_byte_time_ps),
-                    0,
-                    Box::new(move |_, delivered| {
+                    move |_, delivered| {
                         if delivered {
                             let mut cursor = 0;
                             for &(off, len) in &local_chunks {
@@ -1222,7 +1379,7 @@ impl PamiRank {
                             }
                         }
                         done.complete(());
-                    }),
+                    },
                 );
             }
             WorkItem::PackedPut {
@@ -1264,11 +1421,13 @@ impl PamiRank {
 
     /// `mem[off..] += scale · incoming` over little-endian f64s.
     fn accumulate(&self, off: usize, incoming: &[u8], scale: f64) {
-        let mut cur = self.read_f64s(off, incoming.len() / 8);
-        for (c, b) in cur.iter_mut().zip(incoming.chunks_exact(8)) {
-            *c += scale * f64::from_le_bytes(b.try_into().expect("8 bytes"));
-        }
-        self.write_f64s(off, &cur);
+        let f64_of = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+        self.state().with_mut(off, incoming.len() / 8 * 8, |mem| {
+            for (c, b) in mem.chunks_exact_mut(8).zip(incoming.chunks_exact(8)) {
+                let sum = f64_of(c) + scale * f64_of(b);
+                c.copy_from_slice(&sum.to_le_bytes());
+            }
+        });
     }
 
     /// Run the handler registered for `dispatch`: the destination context's

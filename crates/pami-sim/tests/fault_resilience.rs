@@ -345,3 +345,118 @@ fn best_effort_gives_up_and_completes_without_data() {
     assert_eq!(b.read_i64(dst), 0);
     assert!(m.stats().counter("pami.gave_up") >= 1);
 }
+
+/// One 8-chunk train (256 B chunks, rank 0 → rank 16) whose fourth chunk is
+/// injected into a 300 ns detection gap on the route's first link; every
+/// other chunk goes out before the link dies or after routing has noticed.
+/// Returns the machine, which destination chunks hold the source pattern
+/// afterwards, and how often the train's completions fired.
+fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec<bool>, u32) {
+    const CHUNKS: usize = 8;
+    const LEN: usize = 256;
+    let topo = Topology::for_procs(32, 16);
+    let dead = first_internode_link(&topo);
+    let p = torus5d::BgqParams::default();
+    // Chunk i is posted (i + 1)·o_send after the start and injected one
+    // `rdma_engine` later.
+    let start = at(10);
+    let inject = |i: u64| start + p.o_send * (i + 1) + p.rdma_engine;
+    let plan = FaultPlan::new(3)
+        .route_update_delay(SimDuration::from_ns(300))
+        .link_down(dead, inject(3) - SimDuration::from_ns(100), at(500));
+    let sim = Sim::new();
+    let m = Machine::new(
+        sim.clone(),
+        MachineConfig::new(32)
+            .procs_per_node(16)
+            .contention(true)
+            .faults(plan)
+            .retry(policy),
+    );
+    // The requester is rank 0 either way; data flows 0 → 16 for the put and
+    // 16 → 0 for the get, whose *requests* cross the dying link.
+    let (a, b) = (m.rank(0), m.rank(16));
+    let (src_rank, dst_rank) = if get { (&b, &a) } else { (&a, &b) };
+    let src = src_rank.alloc(CHUNKS * LEN);
+    let dst = dst_rank.alloc(2 * CHUNKS * LEN);
+    let pattern: Vec<u8> = (0..CHUNKS * LEN).map(|i| (i % 251) as u8 + 1).collect();
+    src_rank.write_bytes(src, &pattern);
+    let fired = std::rc::Rc::new(std::cell::Cell::new(0u32));
+    {
+        let (a, sim, fired) = (a.clone(), sim.clone(), fired.clone());
+        sim.clone().spawn(async move {
+            sim.sleep_until(start).await;
+            // Destination chunks sit 2·LEN apart: a strided scatter.
+            let parts = (0..CHUNKS).map(|i| {
+                let (s, d) = (src + i * LEN, dst + 2 * i * LEN);
+                if get {
+                    (d, s, LEN)
+                } else {
+                    (s, d, LEN)
+                }
+            });
+            if get {
+                let done = a.rdma_get_list(16, parts, CHUNKS * LEN).await;
+                done.wait().await;
+                fired.set(fired.get() + 1);
+            } else {
+                let h = a.rdma_put_list(16, parts, CHUNKS * LEN).await;
+                h.remote.wait().await;
+                h.local.wait().await;
+                fired.set(fired.get() + 2);
+            }
+        });
+    }
+    sim.run();
+    let landed = (0..CHUNKS)
+        .map(|i| dst_rank.read_bytes(dst + 2 * i * LEN, LEN) == pattern[i * LEN..][..LEN])
+        .collect();
+    (m, landed, fired.get())
+}
+
+#[test]
+fn one_dropped_chunk_of_a_train_retries_alone() {
+    let policy = RetryPolicy {
+        timeout: us(5),
+        backoff: us(1),
+        max_retries: 4,
+        failure: FailureMode::FailFast,
+    };
+    for get in [false, true] {
+        let (m, landed, fired) = train_with_one_dropped_chunk(get, policy);
+        assert_eq!(landed, vec![true; 8], "get={get}: every chunk lands");
+        assert_eq!(fired, if get { 1 } else { 2 });
+        let stats = m.stats();
+        assert_eq!(stats.counter("pami.timeouts"), 1, "get={get}");
+        assert_eq!(stats.counter("pami.retries"), 1, "get={get}");
+        assert_eq!(stats.counter("pami.gave_up"), 0, "get={get}");
+        let key = if get {
+            "pami.rdma_get"
+        } else {
+            "pami.rdma_put"
+        };
+        assert_eq!(stats.counter(key), 8, "one count per chunk, get={get}");
+    }
+}
+
+#[test]
+fn a_train_completes_once_without_the_chunk_best_effort_gave_up_on() {
+    let policy = RetryPolicy {
+        timeout: us(5),
+        backoff: us(1),
+        max_retries: 0,
+        failure: FailureMode::BestEffort,
+    };
+    for get in [false, true] {
+        let (m, landed, fired) = train_with_one_dropped_chunk(get, policy);
+        // Only the fourth chunk's bytes are missing; a second firing of a
+        // countdown would have panicked in `Completion::complete`.
+        let mut expect = vec![true; 8];
+        expect[3] = false;
+        assert_eq!(landed, expect, "get={get}");
+        assert_eq!(fired, if get { 1 } else { 2 });
+        let stats = m.stats();
+        assert_eq!(stats.counter("pami.gave_up"), 1, "get={get}");
+        assert_eq!(stats.counter("pami.retries"), 0, "get={get}");
+    }
+}

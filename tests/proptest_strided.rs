@@ -31,11 +31,7 @@ fn arb_strided(rng: &mut SimRng) -> Strided {
 }
 
 fn byte_set(s: &Strided) -> Vec<usize> {
-    let mut v: Vec<usize> = s
-        .chunks()
-        .into_iter()
-        .flat_map(|(off, len)| off..off + len)
-        .collect();
+    let mut v: Vec<usize> = s.chunks().flat_map(|(off, len)| off..off + len).collect();
     v.sort_unstable();
     v
 }
@@ -45,7 +41,7 @@ fn chunks_cover_total_bytes_exactly() {
     let mut rng = SimRng::new(11);
     for _ in 0..128 {
         let s = arb_strided(&mut rng);
-        let total: usize = s.chunks().iter().map(|&(_, l)| l).sum();
+        let total: usize = s.chunks().map(|(_, l)| l).sum();
         assert_eq!(total, s.total_bytes());
         // No overlap: the byte set has no duplicates.
         let bytes = byte_set(&s);
@@ -76,7 +72,7 @@ fn pair_chunks_is_a_consistent_resplit() {
         let rgap = rng.next_below(32) as usize;
         let local = Strided::patch2d(0, row, rows, row + lgap);
         let remote = Strided::patch2d(10_000, row, rows, row + rgap);
-        let pairs = Strided::pair_chunks(&local, &remote);
+        let pairs: Vec<_> = Strided::pair_chunks(&local, &remote).collect();
         // Pair lengths match on both sides and sum to the total.
         let mut ltotal = 0;
         let mut rtotal = 0;
@@ -94,16 +90,8 @@ fn pair_chunks_is_a_consistent_resplit() {
             lbytes.extend(*lo..lo + ll);
             rbytes.extend(*ro..ro + rl);
         }
-        let lref: Vec<usize> = local
-            .chunks()
-            .into_iter()
-            .flat_map(|(o, l)| o..o + l)
-            .collect();
-        let rref: Vec<usize> = remote
-            .chunks()
-            .into_iter()
-            .flat_map(|(o, l)| o..o + l)
-            .collect();
+        let lref: Vec<usize> = local.chunks().flat_map(|(o, l)| o..o + l).collect();
+        let rref: Vec<usize> = remote.chunks().flat_map(|(o, l)| o..o + l).collect();
         assert_eq!(lbytes, lref);
         assert_eq!(rbytes, rref);
     }
@@ -117,7 +105,7 @@ fn dense_patch_coalesces_to_one_chunk() {
         let row = rng.range(1, 128) as usize;
         let off = rng.next_below(256) as usize;
         let s = Strided::patch2d(off, row, rows, row); // ld == row: dense
-        let chunks = s.chunks();
+        let chunks = s.chunk_list();
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0], (off, rows * row));
     }
