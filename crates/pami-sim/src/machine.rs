@@ -540,7 +540,7 @@ impl Machine {
             return None;
         }
         let mut net = self.inner.net.borrow_mut();
-        let node = net.route_table().node_of(rank);
+        let node = net.node_of(rank);
         net.hang_until(node, now)
     }
 

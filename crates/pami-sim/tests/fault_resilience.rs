@@ -19,8 +19,8 @@ fn at(n: u64) -> SimTime {
 /// 32-rank (2-node) partition — the link the fault plan kills.
 fn first_internode_link(topo: &Topology) -> u32 {
     let rt = RouteTable::new(topo);
-    let src = rt.coord_of(0);
-    let dst = rt.coord_of(16);
+    let src = rt.ranks().coord_of(0);
+    let dst = rt.ranks().coord_of(16);
     let first = routing::route(rt.shape(), src, dst)[0];
     rt.link_id(first).0
 }

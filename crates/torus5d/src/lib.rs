@@ -15,11 +15,16 @@
 //! * [`cost::BgqParams`] — LogGP-style cost constants calibrated against the
 //!   paper's Table II and §IV-B microbenchmarks (35 ns/hop, 1.8 GB/s
 //!   available link bandwidth, 2.89 µs adjacent-node get, …).
-//! * [`route_table::RouteTable`] — interned dense [`route_table::LinkId`]s,
-//!   a lazily cached route arena and a precomputed rank table, so delivery
-//!   is allocation- and hash-free on the hot path.
+//! * [`rank_map::RankMap`] — rank → node → coordinate with the mapping's
+//!   digits folded once and every division a reciprocal multiplication;
+//!   [`Mapping::rank_to_coord`] stays as the slow, obviously-right oracle.
+//! * [`route_table::RouteTable`] — interned dense [`route_table::LinkId`]s
+//!   and a lazily cached route arena behind a compact node-pair hash map, so
+//!   warm delivery is allocation-free (it still makes up to three hash
+//!   probes: injection FIFO, pair front, route span).
 //! * [`net::NetState`] — per-(src,dst) FIFO tracking for ordered delivery and
-//!   optional per-link contention (busy-until reservation).
+//!   optional per-link contention (busy-until reservation), one delivery
+//!   core for the plain, observed and fault-injected paths.
 
 pub mod coords;
 pub mod cost;
@@ -27,6 +32,7 @@ pub mod fxmap;
 pub mod mapping;
 pub mod net;
 pub mod par;
+pub mod rank_map;
 pub mod route_table;
 pub mod routing;
 pub mod shape;
@@ -36,6 +42,7 @@ pub use cost::BgqParams;
 pub use mapping::Mapping;
 pub use net::{Delivery, FaultCounters, MsgClass, NetState};
 pub use par::{deliver_batch, deliver_batch_arrivals, BatchOut, NetMsg};
+pub use rank_map::RankMap;
 pub use route_table::{LinkId, RouteTable};
 pub use routing::Link;
 pub use shape::TorusShape;

@@ -12,22 +12,28 @@
 //!   payload bytes of the messages crossing it (busy-until reservation with
 //!   cut-through forwarding), exposing hot links under concurrent traffic.
 //!
-//! The per-message hot path is allocation-free once warm and (except for
-//! the compact pair maps) hash-free: routes come from the [`RouteTable`]
-//! arena as cached [`LinkId`] slices, per-link busy/occupancy state lives
-//! in flat `Vec`s indexed by `LinkId` (per-*link* hardware state — O(nodes),
-//! not O(ranks)), while the per-*rank* injection FIFO and the pair-ordering
-//! front live in hand-rolled FxHash maps ([`crate::fxmap::FxMap64`]) so
-//! ranks that never send cost zero bytes. Arrival-time arithmetic is
-//! identical to the original dense implementation — simulated times are
-//! bit-for-bit unchanged (pinned by the differential tests and the
-//! `results/` goldens).
+//! Every entry point funnels into one delivery core,
+//! `NetState::deliver_core`: both endpoints are resolved to node indices
+//! once ([`crate::rank_map::RankMap`], no runtime division), and the core is
+//! generic over an `Observer` (flight recorder, timeline) and a
+//! `FaultView` (installed plan) whose zero-sized no-op implementations
+//! leave the plain path without an instrumentation or fault branch.
+//!
+//! The warm path is allocation-free, not hash-free: it probes up to three
+//! compact [`crate::fxmap::FxMap64`]s — the per-*rank* injection FIFO, the
+//! per-pair ordering front and, when links are walked, the [`RouteTable`]'s
+//! node-pair span map — so idle ranks and pairs cost zero bytes. Per-*link*
+//! state is one flat `Vec` indexed by [`LinkId`] (O(nodes), not O(ranks)).
+//! Arrival times are the same max/add chain in the same order as the
+//! original dense implementation: bit-for-bit unchanged (pinned by the
+//! differential tests and the `results/` goldens).
 
 use std::cell::Cell;
 
 use desim::fault::{FaultEvent, FaultPlan};
 use desim::timeline::{SeriesId, SeriesKind, Timeline};
-use desim::{FlightRecorder, OpId, SegCategory, SimDuration, SimRng, SimTime, TraceValue, Tracer};
+use desim::SegCategory::{self, Contention, Queueing, Wire};
+use desim::{FlightRecorder, OpId, SimDuration, SimRng, SimTime, TraceValue, Tracer};
 
 use crate::cost::BgqParams;
 use crate::fxmap::FxMap64;
@@ -56,6 +62,31 @@ pub enum MsgClass {
 
 /// Sentinel: flight-recorder id not interned yet for this link.
 const NO_FLIGHT_ID: u32 = u32::MAX;
+
+/// Reservation and occupancy of one directed link, side by side so a hop
+/// touches one cache line.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LinkState {
+    /// Busy-until reservation (contended deliveries only).
+    pub(crate) busy: SimTime,
+    /// Twice the accumulated occupancy in picoseconds, plus one once the
+    /// link was occupied at all — a zero-length occupation still lists it in
+    /// [`NetState::link_utilization`] — so a link stays 16 bytes.
+    util2: u64,
+}
+
+impl LinkState {
+    /// Add `d` of occupancy and mark the link used.
+    #[inline]
+    pub(crate) fn occupy(&mut self, d: SimDuration) {
+        self.util2 = (self.util2 + (d.as_ps() << 1)) | 1;
+    }
+
+    /// Accumulated occupancy, or `None` for a link no message ever crossed.
+    fn util(&self) -> Option<SimDuration> {
+        (self.util2 & 1 == 1).then_some(SimDuration::from_ps(self.util2 >> 1))
+    }
+}
 
 /// Outcome of a fault-aware delivery attempt ([`NetState::try_deliver_op`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,28 +162,83 @@ struct Faults {
     drops_unroutable: u64,
 }
 
+impl Faults {
+    /// Replay every scheduled fault event with `at <= now`. The cursor only
+    /// moves forward; see [`NetState::install_faults`] for the ordering
+    /// contract.
+    fn advance(&mut self, tl: &Option<NetTimeline>, tracer: &Option<Tracer>, now: SimTime) {
+        let instant = |name, at, args: &[(&'static str, TraceValue)]| {
+            if let Some(tr) = tracer {
+                tr.instant(tr.track("net.faults"), name, at, args);
+            }
+        };
+        while self.cursor < self.events.len() && self.events[self.cursor].0 <= now {
+            let (at, ev) = self.events[self.cursor];
+            self.cursor += 1;
+            match ev {
+                FaultEvent::LinkDown(l) | FaultEvent::LinkUp(l) => {
+                    let (li, up) = (l as usize, matches!(ev, FaultEvent::LinkUp(_)));
+                    if self.phys_up[li] == up {
+                        continue;
+                    }
+                    self.phys_up[li] = up;
+                    if up {
+                        self.downtime += at.since(self.down_since[li]);
+                    } else {
+                        self.down_since[li] = at;
+                        self.link_down_events += 1;
+                    }
+                    if let Some(t) = tl {
+                        let n = t.down_now.get() + if up { -1 } else { 1 };
+                        t.down_now.set(n);
+                        t.tl.gauge(t.links_down, at, n);
+                    }
+                    let name = if up {
+                        "fault.link_up"
+                    } else {
+                        "fault.link_down"
+                    };
+                    let link = ("link", TraceValue::U64(u64::from(l)));
+                    instant(name, at, &[link]);
+                }
+                FaultEvent::RouteLost(l) | FaultEvent::RouteRestored(l) => {
+                    let (li, live) = (l as usize, matches!(ev, FaultEvent::RouteRestored(_)));
+                    if self.routable[li] != live {
+                        self.routable[li] = live;
+                        self.epoch += 1;
+                    }
+                }
+                FaultEvent::NodeHang { node, until } => {
+                    let n = node as usize;
+                    self.hang_until[n] = self.hang_until[n].max(until);
+                    let args = [
+                        ("node", TraceValue::U64(u64::from(node))),
+                        ("until_ps", TraceValue::U64(until.as_ps())),
+                    ];
+                    instant("fault.node_hang", at, &args);
+                }
+            }
+        }
+    }
+}
+
 /// Mutable interconnect state: per-pair FIFO fronts and per-link busy times.
 pub struct NetState {
     pub(crate) topo: Topology,
     pub(crate) params: BgqParams,
     pub(crate) contention: bool,
-    /// Interned links, cached routes and the rank→(coord, node) table.
+    /// Interned links, cached routes and the rank → node → coordinate map.
     pub(crate) rt: RouteTable,
     /// Pair-ordering front per `(src << 32) | dst` rank pair.
     pub(crate) pair_last: FxMap64<SimTime>,
-    /// Busy-until reservation per directed link, indexed by [`LinkId`].
-    pub(crate) link_busy: Vec<SimTime>,
+    /// Reservation and occupancy per directed link, indexed by [`LinkId`].
+    /// Occupancy is filled by the contended path always, and by the analytic
+    /// path when [`NetState::set_link_tracking`] is on.
+    pub(crate) links: Vec<LinkState>,
     /// Per-rank NIC injection FIFO front, keyed by sending rank: data
     /// payloads from one rank serialize onto the wire, bounding any stream
     /// at link bandwidth. Sparse so idle ranks cost zero bytes.
     pub(crate) tx_busy: FxMap64<SimTime>,
-    /// Accumulated occupancy (header + serialization) per directed link, for
-    /// utilization heatmaps. Filled by the contended path always, and by the
-    /// analytic path when [`NetState::set_link_tracking`] is on.
-    pub(crate) link_util: Vec<SimDuration>,
-    /// Which links have been touched (a touch with a zero-duration increment
-    /// still counts, matching the old map-entry semantics).
-    pub(crate) link_touched: Vec<bool>,
     pub(crate) track_links: bool,
     pub(crate) messages: u64,
     pub(crate) bytes: u64,
@@ -210,10 +296,8 @@ impl NetState {
             contention,
             rt,
             pair_last: FxMap64::new(),
-            link_busy: vec![SimTime::ZERO; nlinks],
+            links: vec![LinkState::default(); nlinks],
             tx_busy: FxMap64::new(),
-            link_util: vec![SimDuration::ZERO; nlinks],
-            link_touched: vec![false; nlinks],
             track_links: false,
             messages: 0,
             bytes: 0,
@@ -270,17 +354,12 @@ impl NetState {
         self.faults.is_some()
     }
 
-    /// True when the flight recorder attached to this network is recording —
-    /// one of the per-delivery observers that pins [`crate::par`] batches to
-    /// the serial path (lifecycle segments are emitted in delivery order).
-    pub(crate) fn flight_on(&self) -> bool {
-        self.flight.on()
-    }
-
-    /// True when an enabled timeline is attached (see [`NetState::flight_on`]
-    /// — same role for the windowed-telemetry observer).
-    pub(crate) fn timeline_attached(&self) -> bool {
-        self.tl.is_some()
+    /// True when a recording flight recorder or an enabled timeline watches
+    /// each delivery: the core runs observed, and [`crate::par`] batches stay
+    /// serial (records are emitted in delivery order).
+    #[inline]
+    pub(crate) fn watched(&self) -> bool {
+        self.tl.is_some() || self.flight.on()
     }
 
     /// Attach a tracer so fault transitions emit instants on a
@@ -344,98 +423,10 @@ impl NetState {
     /// If `node` is hung at `now` (per the installed plan), the time it
     /// resumes. Advances the fault schedule to `now` first.
     pub fn hang_until(&mut self, node: u32, now: SimTime) -> Option<SimTime> {
-        self.advance_faults(now);
-        let f = self.faults.as_deref()?;
+        let f = self.faults.as_deref_mut()?;
+        f.advance(&self.tl, &self.tracer, now);
         let t = f.hang_until[node as usize];
         (t > now).then_some(t)
-    }
-
-    /// Replay every scheduled fault event with `at <= now`. The cursor only
-    /// moves forward; see [`NetState::install_faults`] for the ordering
-    /// contract.
-    fn advance_faults(&mut self, now: SimTime) {
-        let Some(f) = self.faults.as_deref_mut() else {
-            return;
-        };
-        while f.cursor < f.events.len() && f.events[f.cursor].0 <= now {
-            let (at, ev) = f.events[f.cursor];
-            f.cursor += 1;
-            match ev {
-                FaultEvent::LinkDown(l) => {
-                    let li = l as usize;
-                    if f.phys_up[li] {
-                        f.phys_up[li] = false;
-                        f.down_since[li] = at;
-                        f.link_down_events += 1;
-                        if let Some(t) = &self.tl {
-                            let n = t.down_now.get() + 1;
-                            t.down_now.set(n);
-                            t.tl.gauge(t.links_down, at, n);
-                        }
-                        if let Some(tr) = &self.tracer {
-                            let track = tr.track("net.faults");
-                            tr.instant(
-                                track,
-                                "fault.link_down",
-                                at,
-                                &[("link", TraceValue::U64(u64::from(l)))],
-                            );
-                        }
-                    }
-                }
-                FaultEvent::LinkUp(l) => {
-                    let li = l as usize;
-                    if !f.phys_up[li] {
-                        f.phys_up[li] = true;
-                        f.downtime += at.since(f.down_since[li]);
-                        if let Some(t) = &self.tl {
-                            let n = t.down_now.get() - 1;
-                            t.down_now.set(n);
-                            t.tl.gauge(t.links_down, at, n);
-                        }
-                        if let Some(tr) = &self.tracer {
-                            let track = tr.track("net.faults");
-                            tr.instant(
-                                track,
-                                "fault.link_up",
-                                at,
-                                &[("link", TraceValue::U64(u64::from(l)))],
-                            );
-                        }
-                    }
-                }
-                FaultEvent::RouteLost(l) => {
-                    let li = l as usize;
-                    if f.routable[li] {
-                        f.routable[li] = false;
-                        f.epoch += 1;
-                    }
-                }
-                FaultEvent::RouteRestored(l) => {
-                    let li = l as usize;
-                    if !f.routable[li] {
-                        f.routable[li] = true;
-                        f.epoch += 1;
-                    }
-                }
-                FaultEvent::NodeHang { node, until } => {
-                    let n = node as usize;
-                    f.hang_until[n] = f.hang_until[n].max(until);
-                    if let Some(tr) = &self.tracer {
-                        let track = tr.track("net.faults");
-                        tr.instant(
-                            track,
-                            "fault.node_hang",
-                            at,
-                            &[
-                                ("node", TraceValue::U64(u64::from(node))),
-                                ("until_ps", TraceValue::U64(until.as_ps())),
-                            ],
-                        );
-                    }
-                }
-            }
-        }
     }
 
     /// Record per-link occupancy on the analytic (non-contended) path too.
@@ -498,11 +489,17 @@ impl NetState {
         self.bytes
     }
 
-    /// Hop count between the nodes hosting two ranks (table lookup; same
-    /// value as [`Topology::hops`]).
+    /// Node index of the node hosting `rank`.
+    #[inline]
+    pub fn node_of(&self, rank: usize) -> u32 {
+        self.rt.ranks().node_of(rank)
+    }
+
+    /// Hop count between the nodes hosting two ranks (same value as
+    /// [`Topology::hops`], without its divisions).
     #[inline]
     pub fn hops(&self, a: usize, b: usize) -> u32 {
-        self.rt.hops(a, b)
+        self.rt.ranks().hops(a, b)
     }
 
     /// Compute the full-arrival time at `dst` for `payload` bytes injected by
@@ -565,262 +562,152 @@ impl NetState {
         class: MsgClass,
         op: Option<OpId>,
     ) -> Delivery {
-        if self.faults.is_some() {
-            self.advance_faults(inject);
-        }
-        let same_node = self.rt.same_node(src, dst);
-        let wire = if same_node {
-            self.params.intranode_time(payload)
+        let ranks = self.rt.ranks();
+        let msg = Msg {
+            inject,
+            src,
+            dst,
+            src_node: ranks.node_of(src),
+            dst_node: ranks.node_of(dst),
+            payload,
+            class,
+        };
+        // An installed plan steps aside so the core can hold it beside `self`.
+        if let Some(mut plan) = self.faults.take() {
+            plan.advance(&self.tl, &self.tracer, inject);
+            let outcome = self.deliver_core(&Recording(op), &mut *plan, &msg);
+            self.faults = Some(plan);
+            outcome
+        } else if self.watched() {
+            self.deliver_core(&Recording(op), &mut NoFaults, &msg)
         } else {
-            self.params.wire_time(payload)
+            self.deliver_core(&NoObserver, &mut NoFaults, &msg)
+        }
+    }
+
+    /// The one delivery core: every arrival time is this max/add chain, in
+    /// this order; `O` only watches it and `F` only cuts it short with a drop.
+    #[inline]
+    fn deliver_core<O: Observer, F: FaultView>(
+        &mut self,
+        obs: &O,
+        faults: &mut F,
+        m: &Msg,
+    ) -> Delivery {
+        let same_node = m.src_node == m.dst_node;
+        let wire = if same_node {
+            self.params.intranode_time(m.payload)
+        } else {
+            self.params.wire_time(m.payload)
         };
         // Injection: data payloads from one rank serialize onto the wire
         // (any stream is bounded by link bandwidth). Control packets and
         // AMOs interleave on their own virtual channels and bypass the data
         // FIFO; pair ordering is enforced below regardless.
-        let start = if class == MsgClass::Ordered {
-            let front = self.tx_busy.entry(src as u64);
-            let start = inject.max(*front);
+        let start = if m.class == MsgClass::Ordered {
+            let front = self.tx_busy.entry(m.src as u64);
+            let start = m.inject.max(*front);
             *front = start + wire;
             start
         } else {
-            inject
+            m.inject
         };
-        if let Some(op) = op {
-            self.flight
-                .segment(op, SegCategory::Queueing, "net.tx_fifo", inject, start);
-        }
+        obs.segment(self, Queueing, "net.tx_fifo", m.inject, start);
         // Head-of-packet flight time. Intranode transfers never touch the
         // torus, so they are immune to link faults.
         let head = if same_node {
             let head = start + self.params.intranode_latency;
-            if let Some(op) = op {
-                self.flight
-                    .segment(op, SegCategory::Wire, "net.intranode", start, head);
-            }
+            obs.segment(self, Wire, "net.intranode", start, head);
             head
-        } else if self.contention {
-            match self.deliver_contended_head(start, src, dst, payload, op) {
-                Ok(head) => head,
-                Err(at) => return Delivery::Dropped { at },
-            }
-        } else if self.faults.is_some() {
-            match self.analytic_head_faulty(start, src, dst, payload, op) {
-                Ok(head) => head,
-                Err(at) => return Delivery::Dropped { at },
-            }
+        } else if !(self.contention || F::LIVE || self.track_links) {
+            // Pure LogGP: no link is visited, only counted.
+            let hops = self.rt.ranks().node_hops(m.src_node, m.dst_node);
+            let head = start + self.params.oneway_header(hops);
+            obs.segment(self, Wire, "net.header", start, head);
+            head
         } else {
-            if self.track_links {
-                self.account_links(src, dst, payload);
+            // Walk the route link by link. Contended: cut-through wormhole —
+            // the header reserves each link in turn (waiting for it to
+            // drain), the payload then occupies it for its serialization
+            // time. Analytic (fault plan or link tracking on): timing stays
+            // LogGP over the route's hop count; the walk only checks liveness
+            // and corruption and accounts occupancy.
+            let Some((off, len)) = faults.route(&mut self.rt, m.src_node, m.dst_node) else {
+                return Delivery::Dropped { at: start };
+            };
+            let hop = self.params.hop_latency;
+            let contended = self.contention;
+            let mut t = start + self.params.base_latency;
+            if contended {
+                if let (true, Some(tl)) = (F::LIVE, obs.timeline(self)) {
+                    // A live route longer than the fault-free dimension-
+                    // ordered one detoured around a lost link.
+                    if u32::from(len) > self.rt.ranks().node_hops(m.src_node, m.dst_node) {
+                        tl.tl.add(tl.detours, start, 1);
+                    }
+                }
+                obs.segment(self, Wire, "net.header", start, t);
             }
-            let head = start + self.params.oneway_header(self.rt.hops(src, dst));
-            if let Some(op) = op {
-                self.flight
-                    .segment(op, SegCategory::Wire, "net.header", start, head);
+            for (k, i) in (off..off + u32::from(len)).enumerate() {
+                let link = self.rt.link_at(i);
+                let li = link.0 as usize;
+                if !contended {
+                    // Head reaches link k roughly k hops into the flight.
+                    t = start + self.params.oneway_header(k as u32);
+                }
+                // A physically-down link on a (stale) route eats the packet
+                // the moment the head reaches it; nothing gets reserved.
+                if faults.link_down(li) {
+                    return Delivery::Dropped { at: t };
+                }
+                if contended {
+                    let request = t;
+                    let ls = &mut self.links[li];
+                    let granted = t.max(ls.busy);
+                    t = granted + hop;
+                    ls.busy = t + wire;
+                    ls.occupy(hop + wire);
+                    obs.link(self, link, request, granted, t, t + wire);
+                    // The packet crossed (and occupied) the link but arrived
+                    // damaged: lost after the reservation.
+                    if faults.corrupted(li) {
+                        return Delivery::Dropped { at: t };
+                    }
+                } else {
+                    if faults.corrupted(li) {
+                        return Delivery::Dropped { at: t + hop };
+                    }
+                    if self.track_links {
+                        self.links[li].occupy(hop + wire);
+                    }
+                }
             }
-            head
+            if !contended {
+                t = start + self.params.oneway_header(u32::from(len));
+                obs.segment(self, Wire, "net.header", start, t);
+            }
+            t
         };
         let mut arrival = head + wire;
-        if let Some(op) = op {
-            self.flight
-                .segment(op, SegCategory::Wire, "net.serialize", head, arrival);
-        }
-        if class != MsgClass::Unordered {
+        obs.segment(self, Wire, "net.serialize", head, arrival);
+        if m.class != MsgClass::Unordered {
             // Deterministic dimension-ordered routing: everything between a
             // pair except AMOs stays in order. Single probe walk: the front
             // slot is read, clamped and written in place.
-            let key = ((src as u64) << 32) | dst as u64;
+            let key = ((m.src as u64) << 32) | m.dst as u64;
             let front = self.pair_last.entry(key);
-            let last = *front;
-            if let (Some(op), true) = (op, last > arrival) {
-                self.flight
-                    .segment(op, SegCategory::Queueing, "net.pair_order", arrival, last);
-            }
-            arrival = arrival.max(last);
+            let unclamped = arrival;
+            arrival = arrival.max(*front);
             *front = arrival;
+            obs.segment(self, Queueing, "net.pair_order", unclamped, arrival);
         }
         self.messages += 1;
-        self.bytes += payload as u64;
-        if let Some(t) = &self.tl {
-            t.tl.add(t.msgs, inject, 1);
-            t.tl.add(t.bytes, inject, payload as u64);
+        self.bytes += m.payload as u64;
+        if let Some(t) = obs.timeline(self) {
+            t.tl.add(t.msgs, m.inject, 1);
+            t.tl.add(t.bytes, m.inject, m.payload as u64);
         }
         Delivery::Delivered(arrival)
-    }
-
-    /// Cut-through wormhole model: the header reserves each link in turn
-    /// (waiting for the link to drain), the payload then occupies every link
-    /// on the path for its serialization time. Returns the *head* arrival
-    /// time, or `Err(drop time)` when the fault layer lost the message; the
-    /// caller adds the payload serialization on success.
-    fn deliver_contended_head(
-        &mut self,
-        inject: SimTime,
-        src: usize,
-        dst: usize,
-        payload: usize,
-        op: Option<OpId>,
-    ) -> Result<SimTime, SimTime> {
-        let src_node = self.rt.node_of(src);
-        let dst_node = self.rt.node_of(dst);
-        let (off, len) = if let Some(f) = self.faults.as_deref() {
-            match self
-                .rt
-                .route_span_live(src_node, dst_node, f.epoch, |l| f.routable[l.0 as usize])
-            {
-                Some(span) => span,
-                None => {
-                    self.faults.as_deref_mut().unwrap().drops_unroutable += 1;
-                    return Err(inject);
-                }
-            }
-        } else {
-            self.rt.route_span(src_node, dst_node)
-        };
-        let check_faults = self.faults.is_some();
-        let check_corrupt = self
-            .faults
-            .as_deref()
-            .is_some_and(|f| !f.corrupt.is_empty());
-        let wire = self.params.wire_time(payload);
-        let hop = self.params.hop_latency;
-        let record = self.flight.on();
-        // Copy out the timeline handles (Rc bump, no allocation) so the
-        // reservation loop below can mutate `link_busy` freely.
-        let tlh = self.tl.as_ref().map(|t| (t.tl.clone(), t.busy, t.wait));
-        if check_faults {
-            if let Some(t) = &self.tl {
-                // A live route longer than the fault-free dimension-ordered
-                // one means the message detoured around a lost link.
-                if u32::from(len) > self.rt.hops(src, dst) {
-                    t.tl.add(t.detours, inject, 1);
-                }
-            }
-        }
-        let mut t = inject + self.params.base_latency;
-        if let (Some(op), true) = (op, record) {
-            self.flight
-                .segment(op, SegCategory::Wire, "net.header", inject, t);
-        }
-        for i in off..off + u32::from(len) {
-            let link = self.rt.link_at(i);
-            let li = link.0 as usize;
-            if check_faults {
-                // A physically-down link on a (stale) route eats the packet
-                // the moment the head reaches it; nothing gets reserved.
-                let f = self.faults.as_deref_mut().unwrap();
-                if !f.phys_up[li] {
-                    f.drops_dead_link += 1;
-                    return Err(t);
-                }
-            }
-            let request = t;
-            let granted = t.max(self.link_busy[li]);
-            t = granted + hop;
-            self.link_busy[li] = t + wire;
-            self.link_util[li] += hop + wire;
-            self.link_touched[li] = true;
-            if let Some((tl, busy, wait)) = &tlh {
-                tl.add_range(*busy, granted, t + wire);
-                tl.add(*wait, request, granted.since(request).as_ps());
-            }
-            if record {
-                let id = self.flight_link_id(link);
-                self.flight.link_use(id, request, granted, t + wire, op);
-                if let Some(op) = op {
-                    self.flight.segment(
-                        op,
-                        SegCategory::Contention,
-                        "net.link_wait",
-                        request,
-                        granted,
-                    );
-                    self.flight
-                        .segment(op, SegCategory::Wire, "net.hop", granted, t);
-                }
-            }
-            if check_corrupt {
-                // The packet crossed (and occupied) the link but arrived
-                // damaged: lost after the reservation, one uniform draw per
-                // corruptible link traversal.
-                let f = self.faults.as_deref_mut().unwrap();
-                let p = f.corrupt[li];
-                if p > 0.0 && f.rng.next_f64() < p {
-                    f.drops_corrupt += 1;
-                    return Err(t);
-                }
-            }
-        }
-        Ok(t)
-    }
-
-    /// Analytic (non-contended) head time under an installed fault plan:
-    /// timing stays LogGP over the *live* route's hop count, but the walk
-    /// still visits every link for physical-liveness and corruption checks
-    /// (and utilization accounting when link tracking is on). With an empty
-    /// plan this computes exactly the fault-free analytic head.
-    fn analytic_head_faulty(
-        &mut self,
-        start: SimTime,
-        src: usize,
-        dst: usize,
-        payload: usize,
-        op: Option<OpId>,
-    ) -> Result<SimTime, SimTime> {
-        let src_node = self.rt.node_of(src);
-        let dst_node = self.rt.node_of(dst);
-        let f = self.faults.as_deref().unwrap();
-        let Some((off, len)) = self
-            .rt
-            .route_span_live(src_node, dst_node, f.epoch, |l| f.routable[l.0 as usize])
-        else {
-            self.faults.as_deref_mut().unwrap().drops_unroutable += 1;
-            return Err(start);
-        };
-        let check_corrupt = !f.corrupt.is_empty();
-        let track = self.track_links;
-        let add = self.params.hop_latency + self.params.wire_time(payload);
-        for (k, i) in (off..off + u32::from(len)).enumerate() {
-            let li = self.rt.link_at(i).0 as usize;
-            // Head reaches link k roughly k hops into the flight.
-            let at = start + self.params.oneway_header(k as u32);
-            let f = self.faults.as_deref_mut().unwrap();
-            if !f.phys_up[li] {
-                f.drops_dead_link += 1;
-                return Err(at);
-            }
-            if check_corrupt {
-                let p = f.corrupt[li];
-                if p > 0.0 && f.rng.next_f64() < p {
-                    f.drops_corrupt += 1;
-                    return Err(at + self.params.hop_latency);
-                }
-            }
-            if track {
-                self.link_util[li] += add;
-                self.link_touched[li] = true;
-            }
-        }
-        let head = start + self.params.oneway_header(u32::from(len));
-        if let Some(op) = op {
-            self.flight
-                .segment(op, SegCategory::Wire, "net.header", start, head);
-        }
-        Ok(head)
-    }
-
-    /// Accumulate per-link occupancy for a message on the analytic path
-    /// (cached-route walk for accounting only; timing stays LogGP).
-    fn account_links(&mut self, src: usize, dst: usize, payload: usize) {
-        let (off, len) = self
-            .rt
-            .route_span(self.rt.node_of(src), self.rt.node_of(dst));
-        let add = self.params.hop_latency + self.params.wire_time(payload);
-        for i in off..off + u32::from(len) {
-            let li = self.rt.link_at(i).0 as usize;
-            self.link_util[li] += add;
-            self.link_touched[li] = true;
-        }
     }
 
     /// Accumulated busy time per directed link, sorted deterministically by
@@ -831,17 +718,166 @@ impl NetState {
     /// (ascending `LinkId` equals the lexicographic [`Link`] order), so the
     /// sorted view is a single filtered pass, not a sort.
     pub fn link_utilization(&self) -> Vec<(Link, SimDuration)> {
-        (0..self.link_util.len())
-            .filter(|&i| self.link_touched[i])
-            .map(|i| (self.rt.link_of(LinkId(i as u32)), self.link_util[i]))
+        self.links
+            .iter()
+            .enumerate()
+            .filter_map(|(i, ls)| Some((self.rt.link_of(LinkId(i as u32)), ls.util()?)))
             .collect()
     }
 
-    /// Analytic reference delivery time ignoring FIFO/contention state
-    /// (useful for assertions).
+    /// Analytic delivery time ignoring FIFO/contention state (for assertions).
     pub fn analytic(&self, src: usize, dst: usize, payload: usize) -> SimDuration {
-        let hops = self.rt.hops(src, dst);
-        self.params.oneway(hops, payload)
+        self.params.oneway(self.hops(src, dst), payload)
+    }
+}
+
+/// One message, its endpoints resolved to node indices once for all users.
+struct Msg {
+    inject: SimTime,
+    src: usize,
+    dst: usize,
+    src_node: u32,
+    dst_node: u32,
+    payload: usize,
+    class: MsgClass,
+}
+
+/// What watches a delivery. Every hook defaults to nothing, so
+/// [`NoObserver`] compiles out of [`NetState::deliver_core`] entirely.
+trait Observer {
+    /// An interval of the message's lifecycle (empty intervals are ignored).
+    fn segment(
+        &self,
+        _net: &NetState,
+        _cat: SegCategory,
+        _label: &'static str,
+        _start: SimTime,
+        _end: SimTime,
+    ) {
+    }
+
+    /// One link reservation: the head asked at `request`, got the link at
+    /// `granted`, was through at `hop_end`; the payload holds it to `release`.
+    fn link(
+        &self,
+        _net: &mut NetState,
+        _link: LinkId,
+        _request: SimTime,
+        _granted: SimTime,
+        _hop_end: SimTime,
+        _release: SimTime,
+    ) {
+    }
+
+    /// The timeline to count into, when one is recording.
+    fn timeline<'a>(&self, _net: &'a NetState) -> Option<&'a NetTimeline> {
+        None
+    }
+}
+
+/// Nobody is watching: the plain path.
+struct NoObserver;
+
+impl Observer for NoObserver {}
+
+/// Attribute the delivery to an operation (if any) in the flight recorder
+/// and feed the timeline; each sink still gates itself.
+struct Recording(Option<OpId>);
+
+impl Observer for Recording {
+    fn segment(
+        &self,
+        net: &NetState,
+        cat: SegCategory,
+        label: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        if let Some(op) = self.0 {
+            net.flight.segment(op, cat, label, start, end);
+        }
+    }
+
+    fn link(
+        &self,
+        net: &mut NetState,
+        link: LinkId,
+        request: SimTime,
+        granted: SimTime,
+        hop_end: SimTime,
+        release: SimTime,
+    ) {
+        if let Some(t) = &net.tl {
+            t.tl.add_range(t.busy, granted, release);
+            t.tl.add(t.wait, request, granted.since(request).as_ps());
+        }
+        if net.flight.on() {
+            let id = net.flight_link_id(link);
+            net.flight.link_use(id, request, granted, release, self.0);
+            self.segment(net, Contention, "net.link_wait", request, granted);
+            self.segment(net, Wire, "net.hop", granted, hop_end);
+        }
+    }
+
+    fn timeline<'a>(&self, net: &'a NetState) -> Option<&'a NetTimeline> {
+        net.tl.as_ref()
+    }
+}
+
+/// How a fault plan bears on a delivery. The defaults are the fault-free
+/// network, so [`NoFaults`] compiles out of [`NetState::deliver_core`]; the
+/// installed plan ([`Faults`]) keeps the loss accounting.
+trait FaultView {
+    /// Whether links must be walked even when timing alone would not need it.
+    const LIVE: bool = false;
+
+    /// The route span to walk, or `None` (counted) when the pair is cut off.
+    fn route(&mut self, rt: &mut RouteTable, src_node: u32, dst_node: u32) -> Option<(u32, u16)> {
+        Some(rt.route_span(src_node, dst_node))
+    }
+
+    /// True (counted) when link `li` is physically down.
+    fn link_down(&mut self, _li: usize) -> bool {
+        false
+    }
+
+    /// True (counted) when the packet is corrupted crossing link `li`: one
+    /// uniform draw per corruptible link traversal.
+    fn corrupted(&mut self, _li: usize) -> bool {
+        false
+    }
+}
+
+/// No plan installed.
+struct NoFaults;
+
+impl FaultView for NoFaults {}
+
+impl FaultView for Faults {
+    const LIVE: bool = true;
+
+    fn route(&mut self, rt: &mut RouteTable, src_node: u32, dst_node: u32) -> Option<(u32, u16)> {
+        let span = rt.route_span_live(src_node, dst_node, self.epoch, |l| {
+            self.routable[l.0 as usize]
+        });
+        self.drops_unroutable += u64::from(span.is_none());
+        span
+    }
+
+    fn link_down(&mut self, li: usize) -> bool {
+        let down = !self.phys_up[li];
+        self.drops_dead_link += u64::from(down);
+        down
+    }
+
+    fn corrupted(&mut self, li: usize) -> bool {
+        // `corrupt` is empty when the plan has no corruption at all.
+        let hit = match self.corrupt.get(li) {
+            Some(&p) if p > 0.0 => self.rng.next_f64() < p,
+            _ => false,
+        };
+        self.drops_corrupt += u64::from(hit);
+        hit
     }
 }
 
@@ -1123,8 +1159,8 @@ mod tests {
         let t0 = SimTime::ZERO;
         // Find the first link of 0 -> 9's route, then kill it for a window.
         let first = {
-            let sn = n.rt.node_of(0);
-            let dn = n.rt.node_of(9);
+            let sn = n.node_of(0);
+            let dn = n.node_of(9);
             let (off, len) = n.rt.route_span(sn, dn);
             assert!(len > 0);
             n.rt.link_at(off)
@@ -1178,8 +1214,8 @@ mod tests {
         let mut n = net(true);
         let t0 = SimTime::ZERO;
         let first = {
-            let sn = n.rt.node_of(0);
-            let dn = n.rt.node_of(9);
+            let sn = n.node_of(0);
+            let dn = n.node_of(9);
             let (off, _) = n.rt.route_span(sn, dn);
             n.rt.link_at(off)
         };

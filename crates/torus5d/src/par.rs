@@ -38,7 +38,7 @@
 //!
 //! After the dataflow drains, per-shard state merges back into the
 //! [`NetState`] in a fixed order: `tx_busy`/`pair_last` fronts ascending by
-//! key, link `busy`/`utilization`/`touched` ascending by [`crate::LinkId`] (each
+//! key, link reservations and occupancy ascending by [`crate::LinkId`] (each
 //! link is owned by exactly one worker, so these are plain moves), and the
 //! message/byte counters as sums. Every merged value equals the serial
 //! value, so a serial delivery *after* a parallel batch continues
@@ -119,7 +119,7 @@ pub fn deliver_batch_arrivals(
 /// The parallel dataflow supports exactly the observer-free configuration;
 /// everything else keeps the serial loop (which supports everything).
 fn use_serial(net: &NetState, workers: usize) -> bool {
-    workers <= 1 || net.faults_installed() || net.flight_on() || net.timeline_attached()
+    workers <= 1 || net.faults_installed() || net.watched()
 }
 
 /// The serial fallback: the exact per-message hot path, no staging state.
@@ -216,16 +216,17 @@ fn deliver_batch_parallel(
         Vec::new()
     };
     for m in msgs {
-        let (src, dst) = (m.src as usize, m.dst as usize);
-        let same = net.rt.same_node(src, dst);
+        // Endpoints resolved once per message, as in the serial core.
+        let ranks = net.rt.ranks();
+        let (sn, dn) = (ranks.node_of(m.src as usize), ranks.node_of(m.dst as usize));
         let payload = m.payload as usize;
-        if same {
+        if sn == dn {
             wire.push(net.params.intranode_time(payload).as_ps());
             head_add.push(intra_ps);
             expect.push(0);
             spans.push((0, 0));
         } else if contention {
-            let (off, len) = net.rt.route_span(net.rt.node_of(src), net.rt.node_of(dst));
+            let (off, len) = net.rt.route_span(sn, dn);
             wire.push(net.params.wire_time(payload).as_ps());
             head_add.push(base_ps);
             expect.push(u32::from(len));
@@ -234,30 +235,20 @@ fn deliver_batch_parallel(
                 counts[net.rt.link_at(i).0 as usize] += 1;
             }
         } else {
-            wire.push(net.params.wire_time(payload).as_ps());
-            head_add.push(net.params.oneway_header(net.rt.hops(src, dst)).as_ps());
+            let wire_t = net.params.wire_time(payload);
+            wire.push(wire_t.as_ps());
+            head_add.push(net.params.oneway_header(ranks.node_hops(sn, dn)).as_ps());
             expect.push(0);
-            let span = if track {
-                net.rt.route_span(net.rt.node_of(src), net.rt.node_of(dst))
-            } else {
-                (0, 0)
-            };
-            spans.push(span);
-        }
-    }
-    // Analytic-mode link accounting is a pure commutative sum, so it can run
-    // right here on the serial prep pass — the workers then never touch the
-    // link arrays at all in analytic mode.
-    if !contention && track {
-        for (m, &(off, len)) in msgs.iter().zip(&spans) {
-            if len == 0 && net.rt.same_node(m.src as usize, m.dst as usize) {
-                continue;
-            }
-            let add = net.params.hop_latency + net.params.wire_time(m.payload as usize);
-            for i in off..off + u32::from(len) {
-                let li = net.rt.link_at(i).0 as usize;
-                net.link_util[li] += add;
-                net.link_touched[li] = true;
+            spans.push((0, 0));
+            // Analytic-mode link accounting is a pure commutative sum, so it
+            // runs right here on the serial prep pass — the workers then
+            // never touch the link array at all in analytic mode.
+            if track {
+                let (off, len) = net.rt.route_span(sn, dn);
+                let add = net.params.hop_latency + wire_t;
+                for i in off..off + u32::from(len) {
+                    net.links[net.rt.link_at(i).0 as usize].occupy(add);
+                }
             }
         }
     }
@@ -322,7 +313,7 @@ fn deliver_batch_parallel(
                     lo: qstart[li],
                     hi: qstart[li + 1],
                     cur: qstart[li],
-                    busy: net.link_busy[li].as_ps(),
+                    busy: net.links[li].busy.as_ps(),
                     util: 0,
                 });
             }
@@ -372,9 +363,8 @@ fn deliver_batch_parallel(
     }
     for (li, busy, util) in link_merge {
         let li = li as usize;
-        net.link_busy[li] = SimTime(busy);
-        net.link_util[li] += SimDuration(util);
-        net.link_touched[li] = true;
+        net.links[li].busy = SimTime(busy);
+        net.links[li].occupy(SimDuration(util));
     }
     net.messages += n as u64;
     net.bytes += bytes;

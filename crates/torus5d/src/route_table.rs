@@ -15,19 +15,22 @@
 //!   route once (via [`crate::routing::route_with`], so it is exact by
 //!   construction) and appends it to a shared arena; every later message
 //!   walks the cached `LinkId` slice with zero allocations.
-//! * **On-demand rank mapping** — rank → (coordinate, node index) is pure
-//!   mapping arithmetic, computed per call. A precomputed rank table (and a
-//!   dense node² span table) would cost O(p) (and O(nodes²)) bytes up
+//! * **Folded rank mapping** — rank → node index → coordinate goes through
+//!   a [`RankMap`]: a handful of reciprocal multiplications fixed at
+//!   construction, O(1) in size whatever the partition. A per-rank table
+//!   (and a dense node² span table) would cost O(p) (and O(nodes²)) bytes up
 //!   front; at the million-rank partitions `fig_scale` targets, every
 //!   per-rank structure must instead cost O(touched). Route spans live in a
 //!   compact [`FxMap64`] keyed by the packed node pair, so only pairs that
-//!   actually exchange traffic occupy memory.
+//!   actually exchange traffic occupy memory — the warm delivery path makes
+//!   one probe of it (and two more of [`crate::net::NetState`]'s per-rank
+//!   and per-pair fronts); it is allocation-free, not hash-free.
 
-use crate::coords::Coord;
 use crate::fxmap::FxMap64;
+use crate::rank_map::RankMap;
 use crate::routing::{route_avoiding, route_with, Link};
 use crate::shape::TorusShape;
-use crate::{Mapping, Topology};
+use crate::Topology;
 use desim::memprof::{self, MemTag};
 
 /// Span map and link arena of the route cache.
@@ -72,6 +75,13 @@ impl Default for SpanSlot {
     }
 }
 
+/// The [`LinkId`] of `link` in `shape` (see [`RouteTable::link_id`]).
+#[inline]
+fn intern(shape: &TorusShape, link: Link) -> LinkId {
+    let node = shape.node_index(link.from) as u32;
+    LinkId(node * LINKS_PER_NODE + u32::from(link.dim) * 2 + u32::from(link.plus))
+}
+
 /// Pack a `(src node, dst node)` pair into one span-map key.
 #[inline]
 fn span_key(src_node: u32, dst_node: u32) -> u64 {
@@ -83,11 +93,8 @@ fn span_key(src_node: u32, dst_node: u32) -> u64 {
 pub struct RouteTable {
     shape: TorusShape,
     nodes: u32,
-    /// Rank→coordinate mapping, evaluated on demand per lookup.
-    mapping: Mapping,
-    procs_per_node: usize,
-    /// Total process slots of the partition (`nodes * procs_per_node`).
-    capacity: usize,
+    /// Rank → node → coordinate resolution.
+    ranks: RankMap,
     /// Packed (src node, dst node) → cached span. Compact: only pairs that
     /// exchanged traffic occupy a slot, so idle partitions cost zero and a
     /// million-rank all-to-all among k active ranks costs O(k²), never
@@ -101,16 +108,14 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// Build the table for a topology. Construction is O(1) in the partition
-    /// size: rank coordinates are computed on demand and routes fill in
-    /// lazily as traffic touches node pairs.
+    /// size: the rank map is a fixed handful of reciprocals and routes fill
+    /// in lazily as traffic touches node pairs.
     pub fn new(topo: &Topology) -> RouteTable {
         let shape = topo.shape;
         RouteTable {
             shape,
             nodes: shape.num_nodes() as u32,
-            mapping: topo.mapping.clone(),
-            procs_per_node: topo.procs_per_node,
-            capacity: topo.capacity(),
+            ranks: RankMap::new(&topo.mapping, &shape, topo.procs_per_node),
             spans: FxMap64::new(),
             arena: Vec::new(),
             routes_cached: 0,
@@ -122,9 +127,9 @@ impl RouteTable {
         &self.shape
     }
 
-    /// Total process slots of the partition.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The rank → node → coordinate map of the partition.
+    pub fn ranks(&self) -> &RankMap {
+        &self.ranks
     }
 
     /// Number of nodes in the torus.
@@ -137,39 +142,10 @@ impl RouteTable {
         (self.nodes * LINKS_PER_NODE) as usize
     }
 
-    /// Torus coordinate of the node hosting `rank` (mapping arithmetic).
-    #[inline]
-    pub fn coord_of(&self, rank: usize) -> Coord {
-        self.mapping
-            .rank_to_coord(rank, &self.shape, self.procs_per_node)
-            .0
-    }
-
-    /// Node index of the node hosting `rank` (mapping arithmetic).
-    #[inline]
-    pub fn node_of(&self, rank: usize) -> u32 {
-        self.shape.node_index(self.coord_of(rank)) as u32
-    }
-
-    /// True when both ranks live on the same node.
-    #[inline]
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
-    /// Hop count between the nodes hosting the two ranks (0 if co-located).
-    /// Coordinate mapping + wrap arithmetic; no route computation.
-    #[inline]
-    pub fn hops(&self, a: usize, b: usize) -> u32 {
-        self.shape
-            .torus_distance(self.coord_of(a), self.coord_of(b))
-    }
-
     /// Intern a [`Link`] (O(1): one node-index linearization, no hashing).
     #[inline]
     pub fn link_id(&self, link: Link) -> LinkId {
-        let node = self.shape.node_index(link.from) as u32;
-        LinkId(node * LINKS_PER_NODE + u32::from(link.dim) * 2 + u32::from(link.plus))
+        intern(&self.shape, link)
     }
 
     /// Decode a [`LinkId`] back into the full [`Link`] identity.
@@ -255,12 +231,7 @@ impl RouteTable {
         let dst = self.shape.node_coord(dst_node as usize);
         let shape = self.shape;
         let arena = &mut self.arena;
-        route_with(&shape, src, dst, |link| {
-            let node = shape.node_index(link.from) as u32;
-            arena.push(LinkId(
-                node * LINKS_PER_NODE + u32::from(link.dim) * 2 + u32::from(link.plus),
-            ));
-        });
+        route_with(&shape, src, dst, |link| arena.push(intern(&shape, link)));
         let len = (self.arena.len() as u32 - off) as u16;
         debug_assert_eq!(
             u32::from(len),
@@ -285,12 +256,7 @@ impl RouteTable {
         let shape = self.shape;
         let src = shape.node_coord(src_node as usize);
         let dst = shape.node_coord(dst_node as usize);
-        let fresh = route_avoiding(&shape, src, dst, |l| {
-            let node = shape.node_index(l.from) as u32;
-            live(LinkId(
-                node * LINKS_PER_NODE + u32::from(l.dim) * 2 + u32::from(l.plus),
-            ))
-        });
+        let fresh = route_avoiding(&shape, src, dst, |l| live(intern(&shape, l)));
         let old = self.spans.get(key).unwrap_or_default();
         let Some(links) = fresh else {
             self.spans.insert(
@@ -319,10 +285,7 @@ impl RouteTable {
             }
         }
         let off = self.arena.len() as u32;
-        for l in &links {
-            let id = self.link_id(*l);
-            self.arena.push(id);
-        }
+        self.arena.extend(links.iter().map(|l| intern(&shape, *l)));
         let span = SpanSlot {
             off,
             len: links.len() as u16,
@@ -348,23 +311,6 @@ mod tests {
         };
         let rt = RouteTable::new(&topo);
         (topo, rt)
-    }
-
-    #[test]
-    fn rank_table_matches_topology() {
-        let (topo, rt) = table(64, 16);
-        assert_eq!(rt.capacity(), topo.capacity());
-        for r in 0..topo.capacity() {
-            assert_eq!(rt.coord_of(r), topo.coord_of(r), "rank {r}");
-            assert_eq!(
-                rt.node_of(r) as usize,
-                topo.shape.node_index(topo.coord_of(r))
-            );
-        }
-        for (a, b) in [(0, 0), (0, 15), (0, 16), (3, 999), (1000, 17)] {
-            assert_eq!(rt.same_node(a, b), topo.same_node(a, b));
-            assert_eq!(rt.hops(a, b), topo.hops(a, b));
-        }
     }
 
     #[test]

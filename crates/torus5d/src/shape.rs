@@ -88,6 +88,7 @@ impl TorusShape {
     }
 
     /// Shortest-path (wrap-around Manhattan) distance between two nodes.
+    #[inline]
     pub fn torus_distance(&self, a: Coord, b: Coord) -> u32 {
         (0..5)
             .map(|i| wrap_distance(a.get(i), b.get(i), self.dims[i]))

@@ -9,9 +9,11 @@
 
 use std::collections::HashMap;
 
-use desim::{SimDuration, SimRng, SimTime};
+use desim::{FaultPlan, SimDuration, SimRng, SimTime};
 use torus5d::routing::route;
-use torus5d::{BgqParams, Link, MsgClass, NetState, Topology};
+use torus5d::{
+    BgqParams, Delivery, FaultCounters, Link, MsgClass, NetState, RouteTable, Topology, TorusShape,
+};
 
 /// The pre-rework `NetState` delivery logic, verbatim modulo flight
 /// recording (both sides run with the recorder disabled).
@@ -131,67 +133,246 @@ impl RefNet {
     }
 }
 
+/// A partition from an explicit node count, slot count and mapping string.
+fn partition(nodes: usize, ppn: usize, mapping: &str) -> Topology {
+    Topology {
+        shape: TorusShape::for_nodes(nodes),
+        procs_per_node: ppn,
+        mapping: mapping.parse().unwrap(),
+    }
+}
+
+/// One seeded message of the randomized schedules below.
+fn next_msg(rng: &mut SimRng, inject: &mut SimTime, cap: usize) -> (usize, usize, usize, MsgClass) {
+    let src = rng.next_below(cap as u64) as usize;
+    let mut dst = rng.next_below(cap as u64) as usize;
+    if dst == src {
+        dst = (dst + 1) % cap;
+    }
+    let payload = 1usize << rng.next_below(16); // 1 B .. 32 KB
+    let class = match rng.next_below(4) {
+        0 => MsgClass::Unordered,
+        1 => MsgClass::Control,
+        _ => MsgClass::Ordered,
+    };
+    *inject += SimDuration::from_ns(rng.next_below(500));
+    (src, dst, payload, class)
+}
+
 /// Run a randomized schedule through both implementations and require exact
-/// agreement on every arrival time and the final utilization view.
-fn differential(procs: usize, ppn: usize, contention: bool, track: bool, seed: u64, msgs: usize) {
-    let topo = Topology::for_procs(procs, ppn);
+/// agreement on every arrival time and the final utilization view. With
+/// `empty_plan` the new side runs its fault-aware core under an installed
+/// but empty [`FaultPlan`], which must change nothing.
+fn differential(
+    topo: Topology,
+    contention: bool,
+    track: bool,
+    empty_plan: bool,
+    seed: u64,
+    msgs: usize,
+) {
+    let cap = topo.capacity();
+    let what = format!(
+        "{} on {} ppn {} contention={contention} track={track} empty_plan={empty_plan}",
+        topo.mapping, topo.shape, topo.procs_per_node
+    );
     let mut new = NetState::new(topo.clone(), BgqParams::default(), contention);
     new.set_link_tracking(track);
+    if empty_plan {
+        new.install_faults(FaultPlan::new(seed));
+    }
     let mut old = RefNet::new(topo, BgqParams::default(), contention, track);
     let mut rng = SimRng::new(seed);
     let mut inject = SimTime::ZERO;
-    let cap = (procs) as u64;
     for i in 0..msgs {
-        let src = rng.next_below(cap) as usize;
-        let mut dst = rng.next_below(cap) as usize;
-        if dst == src {
-            dst = (dst + 1) % procs;
-        }
-        let payload = 1usize << rng.next_below(16); // 1 B .. 32 KB
-        let class = match rng.next_below(4) {
-            0 => MsgClass::Unordered,
-            1 => MsgClass::Control,
-            _ => MsgClass::Ordered,
-        };
-        inject += SimDuration::from_ns(rng.next_below(500));
+        let (src, dst, payload, class) = next_msg(&mut rng, &mut inject, cap);
         let a_new = new.deliver(inject, src, dst, payload, class);
         let a_old = old.deliver(inject, src, dst, payload, class);
         assert_eq!(
             a_new, a_old,
-            "msg {i}: {src}->{dst} {payload}B {class:?} at {inject}"
+            "msg {i}: {src}->{dst} {payload}B {class:?} at {inject} ({what})"
         );
     }
     assert_eq!(
         new.link_utilization(),
         old.link_utilization(),
-        "link utilization view diverged (procs={procs} ppn={ppn} \
-         contention={contention} track={track})"
+        "link utilization view diverged ({what})"
     );
+    assert_eq!(new.fault_counters(inject), None, "{what}");
 }
 
 #[test]
 fn contended_delivery_matches_reference() {
-    differential(256, 16, true, false, 0xD1FF_0001, 20_000);
+    differential(
+        Topology::for_procs(256, 16),
+        true,
+        false,
+        false,
+        0xD1FF_0001,
+        20_000,
+    );
 }
 
 #[test]
 fn analytic_delivery_matches_reference() {
-    differential(256, 16, false, false, 0xD1FF_0002, 20_000);
+    differential(
+        Topology::for_procs(256, 16),
+        false,
+        false,
+        false,
+        0xD1FF_0002,
+        20_000,
+    );
 }
 
 #[test]
 fn tracked_analytic_delivery_matches_reference() {
-    differential(128, 16, false, true, 0xD1FF_0003, 10_000);
+    differential(
+        Topology::for_procs(128, 16),
+        false,
+        true,
+        false,
+        0xD1FF_0003,
+        10_000,
+    );
 }
 
 #[test]
 fn single_rank_per_node_matches_reference() {
-    differential(64, 1, true, false, 0xD1FF_0004, 10_000);
+    differential(
+        Topology::for_procs(64, 1),
+        true,
+        false,
+        false,
+        0xD1FF_0004,
+        10_000,
+    );
 }
 
 #[test]
 fn intranode_heavy_schedule_matches_reference() {
     // Few nodes, many ranks per node: most traffic is intranode, stressing
     // the same-node and tx-FIFO paths.
-    differential(32, 16, true, false, 0xD1FF_0005, 10_000);
+    differential(
+        Topology::for_procs(32, 16),
+        true,
+        false,
+        false,
+        0xD1FF_0005,
+        10_000,
+    );
+}
+
+#[test]
+fn other_mappings_and_shapes_match_reference() {
+    // T slowest, a scramble no two of whose axes fold, and a greedy-factored
+    // 96-node shape (4x3x2x2x2: an odd dimension, so no wrap ties there).
+    let mut seed = 0xD1FF_0100;
+    for (nodes, ppn, mapping) in [
+        (16, 16, "TABCDE"),
+        (32, 4, "DTBEAC"),
+        (96, 3, "ABCDET"),
+        (96, 2, "DTBEAC"),
+    ] {
+        for (contention, track) in [(true, false), (false, false), (false, true)] {
+            seed += 1;
+            differential(
+                partition(nodes, ppn, mapping),
+                contention,
+                track,
+                false,
+                seed,
+                4_000,
+            );
+        }
+    }
+}
+
+#[test]
+fn empty_fault_plan_matches_reference() {
+    // The fault-aware instance of the delivery core, given nothing to do,
+    // must be the reference network too: contended and analytic, tracked
+    // and not, default and scrambled mapping.
+    let mut seed = 0xD1FF_0200;
+    for (nodes, ppn, mapping) in [(16, 16, "ABCDET"), (96, 2, "DTBEAC")] {
+        for (contention, track) in [(true, false), (false, false), (false, true)] {
+            seed += 1;
+            differential(
+                partition(nodes, ppn, mapping),
+                contention,
+                track,
+                true,
+                seed,
+                4_000,
+            );
+        }
+    }
+}
+
+/// FNV-1a over a stream of u64 words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of the `(Delivered | Dropped, ps)` outcome stream and the final
+/// fault counters of a seeded schedule under a **non-empty** plan: the link
+/// under the heaviest pair's first hop goes down for a window (with a
+/// routing-detection delay, so stale routes drop, then detour, then return)
+/// and every link corrupts 5 % of the packets that cross it.
+fn faulty_digest(contention: bool) -> (u64, FaultCounters) {
+    let topo = Topology::for_procs(128, 4);
+    let cap = topo.capacity();
+    let first = route(&topo.shape, topo.coord_of(0), topo.coord_of(cap - 1))[0];
+    let ids = RouteTable::new(&topo);
+    let dead = ids.link_id(first).0;
+    let at = |us| SimTime::ZERO + SimDuration::from_us(us);
+    let mut net = NetState::new(topo, BgqParams::default(), contention);
+    net.set_link_tracking(true);
+    net.install_faults(
+        FaultPlan::new(0xFA17)
+            .route_update_delay(SimDuration::from_us(40))
+            .link_down(dead, at(300), at(1_200))
+            .corruption(0.05),
+    );
+    let mut rng = SimRng::new(0xD1FF_0300);
+    let mut inject = SimTime::ZERO;
+    let mut words = Vec::new();
+    for i in 0..8_000 {
+        let (mut src, mut dst, payload, class) = next_msg(&mut rng, &mut inject, cap);
+        if i % 4 == 0 {
+            // Keep the pair whose route starts on the doomed link busy.
+            (src, dst) = (0, cap - 1);
+        }
+        match net.try_deliver_op(inject, src, dst, payload, class, None) {
+            Delivery::Delivered(at) => words.extend([1, at.as_ps()]),
+            Delivery::Dropped { at } => words.extend([0, at.as_ps()]),
+        }
+    }
+    for (link, busy) in net.link_utilization() {
+        words.extend([u64::from(ids.link_id(link).0), busy.as_ps()]);
+    }
+    let counters = net.fault_counters(inject).expect("non-empty plan");
+    (fnv(words), counters)
+}
+
+/// Pinned on the commit before the delivery paths were merged into one core
+/// (`deliver_contended_head` / `analytic_head_faulty` still separate): the
+/// fault arm of the core is held to exactly that behaviour.
+#[test]
+fn faulty_delivery_matches_pinned_digest() {
+    let counters = FaultCounters {
+        link_down_ps: 900_000_000,
+        link_down_events: 1,
+        drops_dead_link: 42,
+        drops_corrupt: 1178,
+        drops_unroutable: 0,
+    };
+    assert_eq!(faulty_digest(true), (0x2e32_e79a_5e6b_91d6, counters));
+    assert_eq!(faulty_digest(false), (0x116e_8425_99b4_48d0, counters));
 }

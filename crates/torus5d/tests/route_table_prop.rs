@@ -144,9 +144,10 @@ fn rank_table_agrees_with_mapping_on_random_ranks() {
         for _ in 0..100 {
             let a = rng.next_below(cap) as usize;
             let b = rng.next_below(cap) as usize;
-            assert_eq!(rt.coord_of(a), t.coord_of(a));
-            assert_eq!(rt.hops(a, b), t.hops(a, b), "shape {shape} {a},{b}");
-            assert_eq!(rt.same_node(a, b), t.same_node(a, b));
+            let ranks = rt.ranks();
+            assert_eq!(ranks.coord_of(a), t.coord_of(a));
+            assert_eq!(ranks.hops(a, b), t.hops(a, b), "shape {shape} {a},{b}");
+            assert_eq!(ranks.same_node(a, b), t.same_node(a, b));
         }
     }
 }

@@ -116,4 +116,9 @@ check_json results/fig_mem.json results/fig_mem.timeline.json
   --gate-json results/gate_fig_scale.json > results/fig_scale.txt
 check_json results/gate_fig_scale.json
 ./target/release/perfdiff results/BENCH_scale_gate.json results/gate_fig_scale.json --tol 0 --check
+# abl_mapping (the only run above unit level on a non-default mapping,
+# TABCDE) and fig7_rank_latency (every rank of its partition resolved) are
+# deterministic, and their text is committed: what the runs above just wrote
+# must be the committed bytes. CI makes the same two comparisons.
+git diff --exit-code -- results/abl_mapping.txt results/fig7_rank_latency.txt
 echo "perf gate passed; all results in results/"
