@@ -8,7 +8,6 @@
 //! latency).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use desim::{Completion, FxHashMap};
@@ -51,9 +50,9 @@ pub(crate) struct CollectiveOp {
 #[derive(Default)]
 pub(crate) struct CollectiveEngine {
     reduce_seq: RefCell<FxHashMap<usize, u64>>,
-    reduces: RefCell<HashMap<u64, CollectiveOp>>,
+    reduces: RefCell<FxHashMap<u64, CollectiveOp>>,
     bcast_seq: RefCell<FxHashMap<usize, u64>>,
-    bcasts: RefCell<HashMap<u64, CollectiveOp>>,
+    bcasts: RefCell<FxHashMap<u64, CollectiveOp>>,
 }
 
 fn next_seq(seqs: &RefCell<FxHashMap<usize, u64>>, rank: usize) -> u64 {

@@ -1,7 +1,6 @@
 //! The ARMCI runtime: configuration, initialization, and shared state.
 
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use desim::memprof::{self, MemTag};
@@ -164,7 +163,7 @@ pub(crate) struct ArmciInner {
     pub barrier: RefCell<BarrierSt>,
     pub nmutexes: Cell<usize>,
     /// In-flight collective allocations, keyed by call sequence number.
-    pub collective: RefCell<HashMap<u64, CollectiveAlloc>>,
+    pub collective: RefCell<FxHashMap<u64, CollectiveAlloc>>,
     /// Per-rank count of `malloc_collective` calls (the ordering key);
     /// ranks that never allocate collectively carry no slot.
     pub collective_seq: RefCell<FxHashMap<usize, u64>>,
@@ -200,7 +199,7 @@ impl Armci {
                 current: None,
             }),
             nmutexes: Cell::new(0),
-            collective: RefCell::new(HashMap::new()),
+            collective: RefCell::new(FxHashMap::default()),
             collective_seq: RefCell::new(FxHashMap::default()),
             coll: CollectiveEngine::default(),
             tl_inflight: Cell::new(None),

@@ -12,8 +12,8 @@
 //! wire message per destination.
 //!
 //! Deterministic throughout: virtual completion time, AM/wire counters and
-//! the flight-recorder decomposition are identical for any `--jobs` or
-//! `--workers` value, so CI diffs the `am-v1` JSON at zero tolerance.
+//! the flight-recorder decomposition are identical for any `--jobs` value,
+//! so CI diffs the `am-v1` JSON at zero tolerance.
 
 use std::rc::Rc;
 
@@ -101,33 +101,18 @@ pub fn run_cell(
     msgs_per_rank: usize,
     window_us: u64,
     fanout: usize,
-    workers: usize,
 ) -> AmCell {
-    run_cell_full(
-        procs,
-        size,
-        msgs_per_rank,
-        window_us,
-        fanout,
-        workers,
-        None,
-        false,
-    )
-    .0
+    run_cell_full(procs, size, msgs_per_rank, window_us, fanout, None, false).0
 }
 
 /// Like [`run_cell`], with optional windowed telemetry and flight-recorder
-/// attribution. Sharding (`workers > 1`) routes batched flush legs through
-/// the reserved-sequence mailbox, so every field is byte-identical for any
-/// worker count.
-#[allow(clippy::too_many_arguments)]
+/// attribution.
 pub fn run_cell_full(
     procs: usize,
     size: usize,
     msgs_per_rank: usize,
     window_us: u64,
     fanout: usize,
-    workers: usize,
     timeline_window_ps: Option<u64>,
     breakdown: bool,
 ) -> (AmCell, Option<desim::TimelineSnapshot>, Option<AmCrit>) {
@@ -141,8 +126,7 @@ pub fn run_cell_full(
     let mut mcfg = MachineConfig::new(procs)
         .procs_per_node(1)
         .contexts(2)
-        .contention(true)
-        .workers(workers);
+        .contention(true);
     if window_us > 0 {
         mcfg = mcfg.am_batching(AM_BATCH_BYTES, SimDuration::from_us(window_us));
     }
@@ -279,15 +263,15 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic() {
-        let a = run_cell(32, 8, 8, 1, 1, 1);
-        let b = run_cell(32, 8, 8, 1, 1, 1);
+        let a = run_cell(32, 8, 8, 1, 1);
+        let b = run_cell(32, 8, 8, 1, 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn batching_beats_unbatched_at_small_size() {
-        let un = run_cell(32, 8, 16, 0, 1, 1);
-        let ba = run_cell(32, 8, 16, 1, 1, 1);
+        let un = run_cell(32, 8, 16, 0, 1);
+        let ba = run_cell(32, 8, 16, 1, 1);
         assert_eq!(un.am_sent, ba.am_sent);
         assert!(
             ba.wire_msgs < un.wire_msgs,
@@ -305,16 +289,16 @@ mod tests {
 
     #[test]
     fn breakdown_attributes_aggregation_wait() {
-        let (_, _, crit) = run_cell_full(32, 8, 16, 4, 1, 1, None, true);
+        let (_, _, crit) = run_cell_full(32, 8, 16, 4, 1, None, true);
         let c = crit.expect("breakdown requested");
         assert!(c.aggr_wait_ps > 0, "batched AMs must accrue buffer wait");
-        let (_, _, crit) = run_cell_full(32, 8, 16, 0, 1, 1, None, true);
+        let (_, _, crit) = run_cell_full(32, 8, 16, 0, 1, None, true);
         assert_eq!(crit.expect("breakdown").aggr_wait_ps, 0);
     }
 
     #[test]
     fn timeline_series_render_in_simstat_and_stay_healthy() {
-        let (_, tl, _) = run_cell_full(32, 8, 16, 1, 1, 1, Some(1_000_000), false);
+        let (_, tl, _) = run_cell_full(32, 8, 16, 1, 1, Some(1_000_000), false);
         let snap = tl.expect("timeline requested");
         // The am.* series reach the windowed snapshot and the simstat
         // renderer without any am-specific plumbing.
@@ -349,7 +333,7 @@ mod tests {
 
     #[test]
     fn sweep_json_has_fixed_schema() {
-        let cells = vec![run_cell(32, 8, 4, 0, 1, 1), run_cell(32, 8, 4, 1, 1, 1)];
+        let cells = vec![run_cell(32, 8, 4, 0, 1), run_cell(32, 8, 4, 1, 1)];
         let doc = sweep_json(32, 4, &cells, &[]);
         let parsed = desim::json::parse(&doc).expect("valid JSON");
         let flat = crate::perfdiff::flatten(&parsed);

@@ -7,7 +7,7 @@
 //! accumulates; `cs_mr` recognizes the structures as disjoint.
 
 use armci::{ArmciConfig, ConsistencyMode, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -79,7 +79,7 @@ fn main() {
         ],
     );
     let rounds = arg_usize("--rounds", 100);
-    let p = arg_usize("--procs", 8);
+    let p = arg_procs(8, 2);
     let jobs = arg_jobs();
     println!("== Ablation: location-consistency tracking granularity (p={p}) ==");
     println!(

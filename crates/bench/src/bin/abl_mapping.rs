@@ -7,7 +7,7 @@
 //! how much nearest-neighbour traffic stays on-node.
 
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
 use pami_sim::MachineConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -94,7 +94,7 @@ fn main() {
             JOBS_FLAG,
         ],
     );
-    let p = arg_usize("--procs", 256);
+    let p = arg_procs(256, 2);
     let c = arg_usize("--ppn", 16);
     let jobs = arg_jobs();
     println!("== Ablation: ABCDET vs TABCDE mapping (p={p}, c={c}) ==");

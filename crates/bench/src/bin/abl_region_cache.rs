@@ -3,7 +3,7 @@
 //! query round trips to the owner).
 
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -60,7 +60,7 @@ fn main() {
             JOBS_FLAG,
         ],
     );
-    let p = arg_usize("--procs", 64);
+    let p = arg_procs(64, 2);
     let rounds = arg_usize("--rounds", 1000);
     let jobs = arg_jobs();
     println!("== Ablation: remote region cache capacity (p={p}, {rounds} gets, LFU) ==");

@@ -10,8 +10,8 @@
 
 use armci::ProgressMode;
 use bgq_bench::{
-    append_json_field, arg_flag, arg_jobs, arg_list, arg_str, arg_usize, arg_workers, check_args,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    append_json_field, arg_flag, arg_jobs, arg_procs_list, arg_str, arg_usize, check_args,
+    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
 };
 use nwchem_scf::{run_scf_timeline, ScfConfig};
 
@@ -31,21 +31,19 @@ fn main() {
             ),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
     let quick = arg_flag("--quick");
-    let procs = arg_list(
-        "--procs",
+    let procs = arg_procs_list(
         if quick {
             &[64, 128]
         } else {
             &[1024, 2048, 4096]
         },
+        1,
     );
     let iters = arg_usize("--iters", if quick { 2 } else { 3 });
     let jobs = arg_jobs();
-    let workers = arg_workers();
     let breakdown_path = arg_str("--breakdown");
     let wants_breakdown = breakdown_path.is_some();
     let timeline_path = arg_str("--timeline");
@@ -60,7 +58,6 @@ fn main() {
         let mode = MODES[mi];
         let mut cfg = ScfConfig::paper(mode);
         cfg.iterations = iters;
-        cfg.workers = workers;
         if quick {
             cfg.repeat_factor = 8; // ~1.6k tasks/iter
         }

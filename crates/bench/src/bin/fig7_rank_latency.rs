@@ -5,7 +5,7 @@
 //! ≈ 35 ns per hop.
 
 use armci::ArmciConfig;
-use bgq_bench::{arg_jobs, arg_usize, check_args, Fixture, JOBS_FLAG};
+use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, Fixture, JOBS_FLAG};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -24,7 +24,7 @@ fn main() {
     // sweep harness has nothing to fan out; the flag is accepted for CLI
     // uniformity across the bench binaries.
     let _jobs = arg_jobs();
-    let p = arg_usize("--procs", 2048);
+    let p = arg_procs(2048, 2);
     let c = arg_usize("--ppn", 16);
     let reps = arg_usize("--reps", 3);
     let bytes = 16usize;

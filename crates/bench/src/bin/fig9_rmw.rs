@@ -20,8 +20,8 @@
 use armci::ProgressMode;
 use bgq_bench::fig9::run;
 use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_str, arg_usize, arg_workers, check_args,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    append_json_field, arg_jobs, arg_procs_list, arg_str, arg_usize, check_args, peak_rss_kb,
+    sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
 };
 use desim::{ChromeTrace, Stats, TimelineDoc};
 
@@ -45,16 +45,12 @@ fn main() {
             ),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
-    let procs = arg_list(
-        "--procs",
-        &[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096],
-    );
+    // Ranks 1..p are the requesters: p = 1 has none to average over.
+    let procs = arg_procs_list(&[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096], 2);
     let k = arg_usize("--ops", 10);
     let jobs = arg_jobs();
-    let workers = arg_workers();
     let json_path = arg_str("--json");
     let trace_path = arg_str("--trace");
     let breakdown_path = arg_str("--breakdown");
@@ -90,9 +86,7 @@ fn main() {
         let trace = (wants_trace && pi == 0).then_some((ci as u64 + 1, name));
         let breakdown = wants_breakdown && pi == 0;
         let tl = (wants_timeline && pi == 0).then_some(TIMELINE_WINDOW_PS);
-        run(
-            procs[pi], mode, compute, k, trace, breakdown, None, tl, workers,
-        )
+        run(procs[pi], mode, compute, k, trace, breakdown, None, tl)
     });
     // Timeline doc: one run per configuration, recorded at the smallest p.
     let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();

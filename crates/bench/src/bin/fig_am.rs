@@ -16,8 +16,8 @@
 
 use bgq_bench::am_bench::{best_speedup, run_cell_full, AmCell, AmCrit};
 use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_str, arg_usize, arg_workers, check_args, fmt_size,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    append_json_field, arg_jobs, arg_list, arg_procs, arg_str, arg_usize, check_args, fmt_size,
+    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
 };
 
 fn main() {
@@ -37,16 +37,14 @@ fn main() {
             ("--json", true, "write the am-v1 sweep JSON"),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
-    let procs = arg_usize("--procs", 64);
+    let procs = arg_procs(64, 17); // destinations sit a stride of 16 ranks away
     let msgs = arg_usize("--msgs", 128);
     let sizes = arg_list("--sizes", &[8, 64, 512]);
     let windows = arg_list("--windows", &[0, 1, 4]);
     let fanouts = arg_list("--fanout", &[1, 4]);
     let jobs = arg_jobs();
-    let workers = arg_workers();
     let json_path = arg_str("--json");
     let timeline_path = arg_str("--timeline");
 
@@ -87,7 +85,6 @@ fn main() {
             msgs,
             windows[wi] as u64,
             fanouts[fi],
-            workers,
             tl,
             designated,
         )

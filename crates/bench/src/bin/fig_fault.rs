@@ -15,8 +15,8 @@
 
 use bgq_bench::fault_bench::{run_cell_timeline, sweep_json, FaultCell};
 use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_str, arg_usize, arg_workers, check_args, fmt_size,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    append_json_field, arg_jobs, arg_list, arg_procs, arg_str, arg_usize, check_args, fmt_size,
+    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
 };
 
 fn main() {
@@ -40,16 +40,14 @@ fn main() {
             ("--json", true, "write the fault-v1 sweep JSON"),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
-    let procs = arg_usize("--procs", 32);
+    let procs = arg_procs(32, 32); // puts go to the next node: two nodes of 16
     let msgs = arg_usize("--msgs", 8);
     let sizes = arg_list("--sizes", &[4096, 65536]);
     let rates = arg_list("--fault-rate", &[0, 1000, 10000]);
     let seed = arg_usize("--seed", 42) as u64;
     let jobs = arg_jobs();
-    let workers = arg_workers();
     let json_path = arg_str("--json");
     let timeline_path = arg_str("--timeline");
 
@@ -72,7 +70,7 @@ fn main() {
     let outs = sweep::run_parallel(rates.len() * sizes.len(), jobs, |idx| {
         let (ri, si) = (idx / sizes.len(), idx % sizes.len());
         let tl = (wants_timeline && ri == tl_ri && si == 0).then_some(TIMELINE_WINDOW_PS);
-        run_cell_timeline(procs, sizes[si], msgs, rates[ri] as u64, seed, tl, workers)
+        run_cell_timeline(procs, sizes[si], msgs, rates[ri] as u64, seed, tl)
     });
     let cells: Vec<FaultCell> = outs.iter().map(|(c, _)| c.clone()).collect();
     for c in &cells {

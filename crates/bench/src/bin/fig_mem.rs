@@ -17,7 +17,7 @@
 
 use bgq_bench::memscale::{self, DEFAULT_MSGS_PER_RANK, DEFAULT_OPS, DEFAULT_PROCS};
 use bgq_bench::{
-    arg_flag, arg_jobs, arg_list, arg_str, arg_usize, check_args, write_text, JOBS_FLAG,
+    arg_flag, arg_jobs, arg_procs_list, arg_str, arg_usize, check_args, write_text, JOBS_FLAG,
     TIMELINE_FLAG,
 };
 use desim::memprof;
@@ -48,7 +48,7 @@ fn main() {
             JOBS_FLAG,
         ],
     );
-    let mut procs = arg_list("--procs", &DEFAULT_PROCS);
+    let mut procs = arg_procs_list(&DEFAULT_PROCS, 1);
     procs.sort_unstable();
     procs.dedup();
     let ops = arg_usize("--ops", DEFAULT_OPS);

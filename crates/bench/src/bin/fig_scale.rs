@@ -13,19 +13,16 @@
 //! peak-RSS column meaningful.
 //!
 //! A `netstorm` workload additionally drives a fixed seeded delivery
-//! schedule through the conservative parallel batch engine at each
-//! `--workers` count, reporting per-worker wall time and events/s (the
-//! engine's speedup curve; honest caveat: on a single-core host it is ~1x).
+//! schedule straight through `torus5d::NetState` at each p, reporting the
+//! network layer's wall time and deliveries/s.
 //!
-//! `--json` writes the full `scale-v2` document (committed as
+//! `--json` writes the full `scale-v3` document (committed as
 //! `results/BENCH_scale.json`, curves ungated); `--gate-json` writes the
 //! deterministic-leaves-only `scale-gate-v2` subset that CI compares with
 //! `perfdiff --tol 0` at small p against `results/BENCH_scale_gate.json`.
 
-use bgq_bench::scale::{
-    self, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS, DEFAULT_WORKERS,
-};
-use bgq_bench::{arg_list, arg_str, arg_usize, check_args, write_text};
+use bgq_bench::scale::{self, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS};
+use bgq_bench::{arg_procs_list, arg_str, arg_usize, check_args, write_text};
 use desim::memprof;
 
 #[global_allocator]
@@ -52,16 +49,11 @@ fn main() {
                 "fetch-and-adds per requester / all-to-all rounds (default 1)",
             ),
             (
-                "--workers",
-                true,
-                "netstorm parallel-engine shard counts, comma-separated (default 1,2,4)",
-            ),
-            (
                 "--storm-msgs",
                 true,
                 "netstorm schedule length (default 100,000)",
             ),
-            ("--json", true, "write the full scale-v2 JSON document"),
+            ("--json", true, "write the full scale-v3 JSON document"),
             (
                 "--gate-json",
                 true,
@@ -69,12 +61,11 @@ fn main() {
             ),
         ],
     );
-    let mut procs = arg_list("--procs", &DEFAULT_PROCS);
+    let mut procs = arg_procs_list(&DEFAULT_PROCS, 1);
     procs.sort_unstable();
     procs.dedup();
     let ops = arg_usize("--ops", DEFAULT_OPS).max(1);
     let active = arg_usize("--active", DEFAULT_ACTIVE).max(2);
-    let workers = arg_list("--workers", &DEFAULT_WORKERS);
     let storm_msgs = arg_usize("--storm-msgs", DEFAULT_STORM_MSGS).max(1);
     let json_path = arg_str("--json");
     let gate_path = arg_str("--gate-json");
@@ -103,35 +94,25 @@ fn main() {
             eps
         );
     });
-    // netstorm: the parallel batch engine's speedup curve per p. Points run
-    // serially after the memory sweep; deterministic leaves are asserted
-    // worker-count-invariant inside run_netstorm.
+    // netstorm: points run serially after the memory sweep.
     println!(
-        "netstorm: msgs = {storm_msgs}, workers = {workers:?}\n\
-         {:<9} {:>9} {:>12} {:>12} {:>4} {:>11} {:>12}",
-        "workload", "p", "sim_ms", "events", "w", "wall_ms", "events/s"
+        "netstorm: msgs = {storm_msgs}\n\
+         {:<9} {:>9} {:>12} {:>12} {:>11} {:>12}",
+        "workload", "p", "sim_ms", "events", "wall_ms", "events/s"
     );
     let storm: Vec<scale::StormPoint> = procs
         .iter()
         .map(|&p| {
-            let pt = scale::run_netstorm(p, storm_msgs, &workers);
-            for (w, wall_ms) in &pt.per_workers {
-                let eps = if *wall_ms > 0.0 {
-                    pt.events as f64 / (wall_ms / 1e3)
-                } else {
-                    0.0
-                };
-                println!(
-                    "{:<9} {:>9} {:>12.3} {:>12} {:>4} {:>11.1} {:>12.0}",
-                    "netstorm",
-                    pt.procs,
-                    pt.sim_time_ps as f64 / 1e9,
-                    pt.events,
-                    w,
-                    wall_ms,
-                    eps
-                );
-            }
+            let pt = scale::run_netstorm(p, storm_msgs);
+            println!(
+                "{:<9} {:>9} {:>12.3} {:>12} {:>11.1} {:>12.0}",
+                "netstorm",
+                pt.procs,
+                pt.load.sim_time_ps as f64 / 1e9,
+                pt.load.events,
+                pt.load.wall.as_secs_f64() * 1e3,
+                pt.load.mevents_per_sec() * 1e6
+            );
             pt
         })
         .collect();

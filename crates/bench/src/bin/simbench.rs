@@ -2,8 +2,7 @@
 //!
 //! Drives the synthetic workloads of [`bgq_bench::simbench`] (timer churn,
 //! channel ping-pong, a network-delivery storm through `torus5d::NetState`,
-//! a token-relay storm through the conservative parallel driver at 1/2/4
-//! shards, and a Fig 4-style sweep through the parallel harness) and reports
+//! and a Fig 4-style sweep through the parallel harness) and reports
 //! wall-clock events/sec — for `net_churn`, deliveries/sec — deterministic
 //! event totals and peak memory. `--json` writes a fixed-schema document (see
 //! `results/BENCH_simbench.json` for the committed golden): event counts and
@@ -12,12 +11,11 @@
 //! only loosely (perfdiff with a generous tolerance).
 
 use bgq_bench::simbench::{
-    fig4_sweep, net_churn_timeline, net_churn_workers, par_churn, peak_rss_kb, ping_pong,
-    timer_churn, KernelLoad,
+    fig4_sweep, net_churn, net_churn_timeline, peak_rss_kb, ping_pong, timer_churn, KernelLoad,
 };
 use bgq_bench::{
-    arg_flag, arg_jobs, arg_str, arg_usize, arg_workers, check_args, write_text, JOBS_FLAG,
-    TIMELINE_FLAG, TIMELINE_WINDOW_PS, WORKERS_FLAG,
+    arg_flag, arg_jobs, arg_str, arg_usize, check_args, write_text, JOBS_FLAG, TIMELINE_FLAG,
+    TIMELINE_WINDOW_PS,
 };
 use desim::json::{push_f64, push_str, push_u64};
 
@@ -60,7 +58,6 @@ fn main() {
             ("--json", true, "write the fixed-schema result JSON"),
             TIMELINE_FLAG,
             JOBS_FLAG,
-            WORKERS_FLAG,
         ],
     );
     let quick = arg_flag("--quick");
@@ -71,9 +68,6 @@ fn main() {
     let churn_procs = arg_usize("--churn-procs", if quick { 128 } else { 512 });
     let churn_msgs = arg_usize("--churn-msgs", if quick { 50_000 } else { 400_000 });
     let jobs = arg_jobs();
-    let workers = arg_workers();
-    let par_nodes = if quick { 96 } else { 384 };
-    let par_ttl: u32 = if quick { 120 } else { 400 };
     let sweep_reps = if quick { 8 } else { 16 };
     let sizes = bgq_bench::size_sweep(16, if quick { 1 << 18 } else { 1 << 20 });
 
@@ -101,10 +95,7 @@ fn main() {
         pp.mevents_per_sec()
     );
 
-    // net_churn executes through the parallel batch engine at --workers > 1;
-    // events and sim time are byte-identical either way (the determinism
-    // suite diffs the JSON at --workers 1 vs 4).
-    let churn_net = net_churn_workers(churn_procs, churn_msgs, workers);
+    let churn_net = net_churn(churn_procs, churn_msgs);
     println!(
         "{:<14} {:>14} {:>13.3}us {:>12.1} {:>14.2}",
         "net_churn",
@@ -114,28 +105,6 @@ fn main() {
         churn_net.mevents_per_sec()
     );
 
-    // par_churn: the same relay storm at 1, 2 and 4 shards of the
-    // conservative time-windowed driver. Deterministic fields must agree
-    // across the row set — asserted here, and gated byte-for-byte in CI.
-    let par_rows: Vec<(usize, KernelLoad)> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| (w, par_churn(par_nodes, par_ttl, w)))
-        .collect();
-    for (w, load) in &par_rows {
-        assert_eq!(load.events, par_rows[0].1.events, "par_churn w={w} events");
-        assert_eq!(
-            load.sim_time_ps, par_rows[0].1.sim_time_ps,
-            "par_churn w={w} sim time"
-        );
-        println!(
-            "{:<14} {:>14} {:>13.3}us {:>12.1} {:>14.2}",
-            format!("par_churn w={w}"),
-            load.events,
-            load.sim_time_ps as f64 / 1e6,
-            wall_ms(load.wall),
-            load.mevents_per_sec()
-        );
-    }
     // --timeline: a separate instrumented net_churn run (leaves the timed
     // run above, and the JSON below, untouched).
     if let Some(path) = arg_str("--timeline") {
@@ -173,10 +142,8 @@ fn main() {
     println!("peak RSS: {rss} kB");
 
     if let Some(path) = arg_str("--json") {
-        let mut o = String::from("{\"schema\":\"simbench-v3\",\"jobs\":");
+        let mut o = String::from("{\"schema\":\"simbench-v4\",\"jobs\":");
         push_u64(&mut o, jobs as u64);
-        o.push_str(",\"workers\":");
-        push_u64(&mut o, workers as u64);
         o.push_str(",\"workloads\":{");
         push_load(
             &mut o,
@@ -198,21 +165,7 @@ fn main() {
             &[("procs", churn_procs as u64), ("msgs", churn_msgs as u64)],
             &churn_net,
         );
-        // par_churn rows: events/sim_time_ps are worker-count-invariant
-        // (asserted above); wall_ms/mevents_per_sec are host context and
-        // only ever gated loosely.
-        o.push_str(",\"par_churn\":{\"nodes\":");
-        push_u64(&mut o, par_nodes as u64);
-        o.push_str(",\"ttl\":");
-        push_u64(&mut o, par_ttl as u64);
-        o.push_str(",\"rows\":{");
-        for (i, (w, load)) in par_rows.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            push_load(&mut o, &format!("w{w}"), &[("workers", *w as u64)], load);
-        }
-        o.push_str("}},\"fig4_sweep\":{\"points\":");
+        o.push_str(",\"fig4_sweep\":{\"points\":");
         push_u64(&mut o, sizes.len() as u64);
         o.push_str(",\"reps\":");
         push_u64(&mut o, sweep_reps as u64);

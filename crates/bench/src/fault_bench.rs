@@ -90,18 +90,13 @@ pub fn run_cell(
     rate_ppm: u64,
     seed: u64,
 ) -> FaultCell {
-    run_cell_timeline(procs, size, msgs_per_rank, rate_ppm, seed, None, 1).0
+    run_cell_timeline(procs, size, msgs_per_rank, rate_ppm, seed, None).0
 }
 
 /// Like [`run_cell`], but with windowed telemetry at `timeline_window_ps`
 /// when set: link occupancy, retry/timeout rates, retry backlog and
 /// links-down get a time axis, so `simstat` can pinpoint the retry storm
-/// around the link-down window. `workers` shards the machine across the
-/// conservative parallel engine; any cell with a fault plan installed
-/// (`rate_ppm > 0`) pins itself back to the serial path, so only the
-/// zero-rate column actually shards — either way every [`FaultCell`] field
-/// is byte-identical for any worker count.
-#[allow(clippy::too_many_arguments)]
+/// around the link-down window.
 pub fn run_cell_timeline(
     procs: usize,
     size: usize,
@@ -109,7 +104,6 @@ pub fn run_cell_timeline(
     rate_ppm: u64,
     seed: u64,
     timeline_window_ps: Option<u64>,
-    workers: usize,
 ) -> (FaultCell, Option<desim::TimelineSnapshot>) {
     assert!(
         procs > 16 && procs.is_multiple_of(16),
@@ -118,7 +112,6 @@ pub fn run_cell_timeline(
     let mut mcfg = MachineConfig::new(procs)
         .procs_per_node(16)
         .contention(true)
-        .workers(workers)
         .retry(RetryPolicy {
             failure: FailureMode::BestEffort,
             ..RetryPolicy::default()

@@ -49,11 +49,7 @@ pub struct RunOut {
 /// `tests/fault_zero_cost.rs`); `timeline_window_ps` turns on windowed
 /// telemetry at the given sample width. When both tracing and a timeline
 /// are active, the Chrome fragment additionally carries Perfetto counter
-/// tracks and health-finding instants. `workers > 1` shards the machine
-/// across the conservative parallel engine (DESIGN.md §16); every
-/// [`RunOut`] field except `events` stays byte-identical — the mailbox pump
-/// timers count as kernel events, so callers that gate on raw event counts
-/// (the scale gate) must pass 1.
+/// tracks and health-finding instants.
 #[allow(clippy::too_many_arguments)]
 pub fn run(
     p: usize,
@@ -64,7 +60,6 @@ pub fn run(
     breakdown: bool,
     fault: Option<FaultPlan>,
     timeline_window_ps: Option<u64>,
-    workers: usize,
 ) -> RunOut {
     let contexts = if progress == ProgressMode::AsyncThread {
         2
@@ -73,8 +68,7 @@ pub fn run(
     };
     let mut mcfg = pami_sim::MachineConfig::new(p)
         .procs_per_node(16)
-        .contexts(contexts)
-        .workers(workers);
+        .contexts(contexts);
     if let Some(plan) = fault {
         mcfg = mcfg.faults(plan);
     }

@@ -57,21 +57,6 @@ pub fn arg_jobs() -> usize {
     arg_usize("--jobs", sweep::default_jobs()).max(1)
 }
 
-/// The `--workers` CLI option shared by the parallel-engine-capable
-/// binaries. Unlike `--jobs` (independent sweep points run concurrently),
-/// `--workers` splits **one simulation** across conservative time-windowed
-/// shards; every output stays byte-identical for any value (DESIGN.md §16).
-pub const WORKERS_FLAG: FlagSpec = (
-    "--workers",
-    true,
-    "in-simulation engine shards (default 1; outputs identical)",
-);
-
-/// Parse the `--workers` option (default 1 — the untouched serial hot path).
-pub fn arg_workers() -> usize {
-    arg_usize("--workers", 1).max(1)
-}
-
 /// One CLI option specification: `(name, takes_value, help)`.
 pub type FlagSpec = (&'static str, bool, &'static str);
 
@@ -91,9 +76,10 @@ pub fn usage_text(bin: &str, about: &str, flags: &[FlagSpec]) -> String {
 }
 
 /// Scan an argument slice (program name excluded) against a flag table:
-/// `Ok(true)` when help was requested, `Err(token)` on the first unknown
-/// option. Value tokens following a value-taking flag are skipped, so
-/// negative numbers and file paths never trip the check (testable core).
+/// `Ok(true)` when help was requested, `Err(message)` on the first unknown
+/// option or on a value-taking flag that ends the line. Value tokens
+/// following a value-taking flag are skipped, so negative numbers and file
+/// paths never trip the check (testable core).
 pub fn scan_args(args: &[String], flags: &[FlagSpec]) -> Result<bool, String> {
     let mut i = 0;
     while i < args.len() {
@@ -102,9 +88,12 @@ pub fn scan_args(args: &[String], flags: &[FlagSpec]) -> Result<bool, String> {
             return Ok(true);
         }
         match flags.iter().find(|(n, _, _)| n == a) {
+            Some((_, true, _)) if i + 1 == args.len() => {
+                return Err(format!("missing value for {a}"));
+            }
             Some((_, true, _)) => i += 1, // skip the flag's value token
             Some(_) => {}
-            None if a.starts_with('-') => return Err(a.clone()),
+            None if a.starts_with('-') => return Err(format!("unknown option '{a}'")),
             None => {}
         }
         i += 1;
@@ -112,22 +101,35 @@ pub fn scan_args(args: &[String], flags: &[FlagSpec]) -> Result<bool, String> {
     Ok(false)
 }
 
+/// `(bin, usage text)` of the running binary, recorded by [`check_args`] so
+/// that a value rejected later ([`arg_usize`], [`arg_list`], ...) leaves the
+/// same way an unknown option does.
+static USAGE: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
+
+/// Reject the command line: `<bin>: <message>` plus the usage text on
+/// stderr, exit status 2.
+fn exit_usage(message: &str) -> ! {
+    match USAGE.get() {
+        Some((bin, usage)) => eprint!("{bin}: {message}\n{usage}"),
+        None => eprintln!("{message}"),
+    }
+    std::process::exit(2);
+}
+
 /// Enforce the CLI contract shared by every bench binary: `--help`/`-h`
-/// prints the usage text and exits 0; an unknown option prints an error plus
-/// the usage text to stderr and exits 2.
+/// prints the usage text and exits 0; an unknown option, or a value-taking
+/// flag without a value, prints an error plus the usage text to stderr and
+/// exits 2.
 pub fn check_args(bin: &str, about: &str, flags: &[FlagSpec]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let (_, usage) = USAGE.get_or_init(|| (bin.to_string(), usage_text(bin, about, flags)));
     match scan_args(&args, flags) {
         Ok(false) => {}
         Ok(true) => {
-            print!("{}", usage_text(bin, about, flags));
+            print!("{usage}");
             std::process::exit(0);
         }
-        Err(tok) => {
-            eprintln!("{bin}: unknown option '{tok}'");
-            eprint!("{}", usage_text(bin, about, flags));
-            std::process::exit(2);
-        }
+        Err(message) => exit_usage(&message),
     }
 }
 
@@ -262,34 +264,73 @@ pub fn size_sweep(lo: usize, hi: usize) -> Vec<usize> {
     sizes
 }
 
-/// Parse `--key value` from an argument slice (testable core).
-pub fn parse_usize(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The token following `name` when the flag is present; a flag that ends
+/// the line has the empty value.
+fn value_of<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    let i = args.iter().position(|a| a == name)?;
+    Some(args.get(i + 1).map_or("", |v| v.as_str()))
 }
 
-/// Parse `--key a,b,c` from an argument slice (testable core).
-pub fn parse_list(args: &[String], name: &str, default: &[usize]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
+/// One number of `name`'s value: a `usize` no smaller than `min`.
+fn parse_one(name: &str, token: &str, min: usize) -> Result<usize, String> {
+    match token.trim().parse() {
+        Ok(v) if v >= min => Ok(v),
+        _ => Err(format!("invalid value '{token}' for {name}")),
+    }
 }
 
-/// Parse `--key value` style CLI options with a default.
+/// Parse `--key value` from an argument slice (testable core): `default`
+/// when the flag is absent, `Err(message)` when its value is missing, not a
+/// number, or below `min`.
+pub fn parse_usize(
+    args: &[String],
+    name: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, String> {
+    value_of(args, name).map_or(Ok(default), |v| parse_one(name, v, min))
+}
+
+/// Parse `--key a,b,c` from an argument slice (testable core): `default`
+/// when the flag is absent, `Err(message)` naming the first element that is
+/// empty, not a number, or below `min`.
+pub fn parse_list(
+    args: &[String],
+    name: &str,
+    default: &[usize],
+    min: usize,
+) -> Result<Vec<usize>, String> {
+    value_of(args, name).map_or(Ok(default.to_vec()), |v| {
+        v.split(',').map(|x| parse_one(name, x, min)).collect()
+    })
+}
+
+/// Parse `--key value` style CLI options with a default; a malformed value
+/// is a usage error (exit 2).
 pub fn arg_usize(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
-    parse_usize(&args, name, default)
+    parse_usize(&args, name, default, 0).unwrap_or_else(|e| exit_usage(&e))
 }
 
-/// Parse a `--key a,b,c` list option with a default.
+/// Parse a `--key a,b,c` list option with a default; a malformed element is
+/// a usage error (exit 2).
 pub fn arg_list(name: &str, default: &[usize]) -> Vec<usize> {
     let args: Vec<String> = std::env::args().collect();
-    parse_list(&args, name, default)
+    parse_list(&args, name, default, 0).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Parse `--procs <n>`: a process count below `min` (the fewest ranks the
+/// calling experiment is defined for) is a usage error like any other
+/// malformed value.
+pub fn arg_procs(default: usize, min: usize) -> usize {
+    let args: Vec<String> = std::env::args().collect();
+    parse_usize(&args, "--procs", default, min).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Parse `--procs a,b,c`, every element held to `min` as in [`arg_procs`].
+pub fn arg_procs_list(default: &[usize], min: usize) -> Vec<usize> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_list(&args, "--procs", default, min).unwrap_or_else(|e| exit_usage(&e))
 }
 
 /// Parse `--key value` for a string-valued option (testable core).
@@ -388,22 +429,71 @@ mod tests {
         assert!(bw > 1700.0, "peak get bandwidth {bw}");
     }
 
+    fn argv(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn cli_parsing() {
-        let args: Vec<String> = ["prog", "--procs", "64", "--list", "1,2,3", "--bad", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_usize(&args, "--procs", 8), 64);
-        assert_eq!(parse_usize(&args, "--missing", 8), 8);
-        assert_eq!(parse_usize(&args, "--bad", 8), 8); // unparsable -> default
-        assert_eq!(parse_list(&args, "--list", &[9]), vec![1, 2, 3]);
-        assert_eq!(parse_list(&args, "--missing", &[9]), vec![9]);
+        let args = argv(&["prog", "--procs", "64", "--list", "1,2,3", "--bad", "x"]);
+        assert_eq!(parse_usize(&args, "--procs", 8, 0), Ok(64));
+        assert_eq!(parse_usize(&args, "--missing", 8, 0), Ok(8));
+        assert_eq!(parse_list(&args, "--list", &[9], 0), Ok(vec![1, 2, 3]));
+        assert_eq!(parse_list(&args, "--missing", &[9], 0), Ok(vec![9]));
         assert_eq!(parse_str(&args, "--bad").as_deref(), Some("x"));
         assert_eq!(parse_str(&args, "--missing"), None);
-        // value missing after the flag -> default
-        let tail: Vec<String> = ["prog", "--procs"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_usize(&tail, "--procs", 7), 7);
+    }
+
+    #[test]
+    fn malformed_values_are_errors_not_defaults() {
+        let bad = |flag: &str, v: &str| format!("invalid value '{v}' for {flag}");
+        // Unparsable scalar: never the default.
+        let args = argv(&["prog", "--procs", "abc", "--ops", "1o"]);
+        assert_eq!(
+            parse_usize(&args, "--procs", 8, 0),
+            Err(bad("--procs", "abc"))
+        );
+        assert_eq!(parse_usize(&args, "--ops", 10, 0), Err(bad("--ops", "1o")));
+        assert_eq!(
+            parse_list(&args, "--procs", &[9], 0),
+            Err(bad("--procs", "abc"))
+        );
+        // A list keeps every element or none: no silent drops.
+        let args = argv(&["prog", "--procs", "2,,8"]);
+        assert_eq!(
+            parse_list(&args, "--procs", &[9], 0),
+            Err(bad("--procs", ""))
+        );
+        let args = argv(&["prog", "--procs", "2,x"]);
+        assert_eq!(
+            parse_list(&args, "--procs", &[9], 0),
+            Err(bad("--procs", "x"))
+        );
+        // Value missing after the flag: not "flag absent".
+        let tail = argv(&["prog", "--procs"]);
+        assert_eq!(parse_usize(&tail, "--procs", 7, 0), Err(bad("--procs", "")));
+        assert_eq!(
+            parse_list(&tail, "--procs", &[7], 0),
+            Err(bad("--procs", ""))
+        );
+        // Process counts below the experiment's floor.
+        let args = argv(&["prog", "--procs", "0"]);
+        assert_eq!(
+            parse_usize(&args, "--procs", 8, 1),
+            Err(bad("--procs", "0"))
+        );
+        let args = argv(&["prog", "--procs", "1"]);
+        assert_eq!(
+            parse_usize(&args, "--procs", 8, 2),
+            Err(bad("--procs", "1"))
+        );
+        assert_eq!(parse_usize(&args, "--procs", 8, 1), Ok(1));
+        let args = argv(&["prog", "--procs", "2,1,8"]);
+        assert_eq!(
+            parse_list(&args, "--procs", &[9], 2),
+            Err(bad("--procs", "1"))
+        );
+        assert_eq!(parse_list(&args, "--procs", &[9], 1), Ok(vec![2, 1, 8]));
     }
 
     #[test]
@@ -420,7 +510,19 @@ mod tests {
         let help: Vec<String> = ["--quick", "-h"].iter().map(|s| s.to_string()).collect();
         assert_eq!(scan_args(&help, flags), Ok(true));
         let bad: Vec<String> = ["--procz", "2"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(scan_args(&bad, flags), Err("--procz".to_string()));
+        assert_eq!(
+            scan_args(&bad, flags),
+            Err("unknown option '--procz'".to_string())
+        );
+        // A value-taking flag that ends the line has no value to skip.
+        let tail: Vec<String> = ["--quick", "--procs"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            scan_args(&tail, flags),
+            Err("missing value for --procs".to_string())
+        );
         let usage = usage_text("demo", "a demo", flags);
         assert!(usage.contains("usage: demo [--procs <v>] [--quick]"));
         assert!(usage.contains("--help"));

@@ -94,7 +94,6 @@ pub fn run_sweep(
                 false,
                 None,
                 tl,
-                1,
             );
             (out.timeline, out.events)
             // the rest of `out` drops here, before the snapshot

@@ -15,10 +15,9 @@
 //!   spread evenly across the rank space: the sparse case, where the other
 //!   `p - active` ranks must never materialize and the footprint must stay
 //!   (near-)constant as p grows;
-//! * `netstorm` — a fixed seeded delivery schedule pushed through
-//!   [`torus5d::deliver_batch`] at each `--workers` count: the parallel
-//!   engine's speedup curve per p, with worker-count-invariant
-//!   deterministic leaves (deliveries, last arrival).
+//! * `netstorm` — a fixed seeded delivery schedule pushed straight through
+//!   [`torus5d::NetState`] ([`simbench::net_churn`]): the network layer's
+//!   deliveries/s per p, with no kernel and no tasks.
 //!
 //! Each point records two kinds of fields. **Deterministic** (virtual end
 //! time, kernel events, materialized-rank count, task-table high-water
@@ -35,6 +34,7 @@ use armci::{ArmciConfig, ProgressMode};
 use desim::memprof;
 
 use crate::memscale::{self, MemPoint};
+use crate::simbench::{self, KernelLoad};
 use crate::{fig9, peak_rss_kb, Fixture};
 
 /// Default process counts for the scale sweep (ascending, to one million).
@@ -45,9 +45,6 @@ pub const DEFAULT_ACTIVE: usize = 256;
 
 /// Default fetch-and-adds per requester (`fig9_rmw`) / all-to-all rounds.
 pub const DEFAULT_OPS: usize = 1;
-
-/// Default worker counts for the `netstorm` parallel-engine curve.
-pub const DEFAULT_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Default messages in the `netstorm` delivery schedule.
 pub const DEFAULT_STORM_MSGS: usize = 100_000;
@@ -69,55 +66,24 @@ pub struct ScalePoint {
     pub peak_rss_kb: u64,
 }
 
-/// One measured point of the `netstorm` workload: a fixed seeded delivery
-/// schedule executed by [`torus5d::deliver_batch`] at each worker count.
-/// `events` and `sim_time_ps` are worker-count-invariant (asserted at run
-/// time) and gate at zero tolerance; the per-worker timings are the
-/// parallel engine's speedup curve and are never gated.
+/// One measured point of the `netstorm` workload: [`simbench::net_churn`]
+/// at `procs` ranks. `load.events` (deliveries) and `load.sim_time_ps`
+/// (latest arrival) gate at zero tolerance; `load.wall` is host context and
+/// is never gated.
 pub struct StormPoint {
     /// Process count.
     pub procs: usize,
-    /// Messages delivered — deterministic, worker-count-invariant.
-    pub events: u64,
-    /// Latest arrival time (ps) — deterministic, worker-count-invariant.
-    pub sim_time_ps: u64,
-    /// `(workers, wall_ms)` per configured worker count — host context.
-    pub per_workers: Vec<(usize, f64)>,
+    /// Deliveries, latest arrival and host wall-clock of the storm.
+    pub load: KernelLoad,
 }
 
-/// Run the `netstorm` workload at `p`: deliver the seeded `msgs`-message
-/// churn schedule through a fresh [`torus5d::NetState`] once per entry of
-/// `workers`, asserting that the deterministic outputs never move.
-pub fn run_netstorm(p: usize, msgs: usize, workers: &[usize]) -> StormPoint {
-    use torus5d::{BgqParams, NetState, Topology};
-    let sched = crate::simbench::churn_schedule(p, msgs);
-    let mut point: Option<StormPoint> = None;
-    for &w in workers {
-        let mut net = NetState::new(Topology::for_procs(p, 16), BgqParams::default(), true);
-        let t0 = std::time::Instant::now();
-        let out = torus5d::deliver_batch(&mut net, &sched, w);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (events, sim_time_ps) = (net.messages(), out.last_arrival.as_ps());
-        match &mut point {
-            None => {
-                point = Some(StormPoint {
-                    procs: p,
-                    events,
-                    sim_time_ps,
-                    per_workers: vec![(w, wall_ms)],
-                })
-            }
-            Some(pt) => {
-                assert_eq!(pt.events, events, "netstorm p={p} w={w}: events moved");
-                assert_eq!(
-                    pt.sim_time_ps, sim_time_ps,
-                    "netstorm p={p} w={w}: arrival time moved"
-                );
-                pt.per_workers.push((w, wall_ms));
-            }
-        }
+/// Run the `netstorm` workload at `p`: the seeded `msgs`-message churn
+/// schedule through a fresh [`torus5d::NetState`].
+pub fn run_netstorm(p: usize, msgs: usize) -> StormPoint {
+    StormPoint {
+        procs: p,
+        load: simbench::net_churn(p, msgs),
     }
-    point.expect("at least one worker count")
 }
 
 /// The deterministically spread active set: `n` ranks at even stride over
@@ -135,8 +101,6 @@ pub fn active_set(p: usize, n: usize) -> Vec<usize> {
 pub fn run_rmw(p: usize, ops: usize) -> ScalePoint {
     let m = memprof::mark();
     let t0 = std::time::Instant::now();
-    // workers pinned to 1: `RunOut::events` is a zero-tolerance gate leaf
-    // and the parallel engine's pump timers would inflate it.
     let out = fig9::run(
         p,
         ProgressMode::AsyncThread,
@@ -146,7 +110,6 @@ pub fn run_rmw(p: usize, ops: usize) -> ScalePoint {
         false,
         None,
         None,
-        1,
     );
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     ScalePoint {
@@ -318,24 +281,14 @@ fn storm_json(storm: &[StormPoint], msgs: usize, deterministic_only: bool) -> St
         }
         o.push_str(&format!(
             "\"p{}\":{{\"procs\":{},\"events\":{},\"sim_time_ps\":{}",
-            pt.procs, pt.procs, pt.events, pt.sim_time_ps
+            pt.procs, pt.procs, pt.load.events, pt.load.sim_time_ps
         ));
         if !deterministic_only {
-            o.push_str(",\"workers\":{");
-            for (j, (w, wall_ms)) in pt.per_workers.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                let eps = if *wall_ms > 0.0 {
-                    pt.events as f64 / (wall_ms / 1e3)
-                } else {
-                    0.0
-                };
-                o.push_str(&format!(
-                    "\"w{w}\":{{\"wall_ms\":{wall_ms:.1},\"events_per_sec\":{eps:.0}}}"
-                ));
-            }
-            o.push('}');
+            o.push_str(&format!(
+                ",\"wall_ms\":{:.1},\"events_per_sec\":{:.0}",
+                pt.load.wall.as_secs_f64() * 1e3,
+                pt.load.mevents_per_sec() * 1e6
+            ));
         }
         o.push('}');
     }
@@ -343,9 +296,8 @@ fn storm_json(storm: &[StormPoint], msgs: usize, deterministic_only: bool) -> St
     o
 }
 
-/// Serialize the sweep as a `scale-v2` JSON document: all three workloads,
-/// all fields, plus per-tag growth classes fitted across the sweep and the
-/// `netstorm` per-worker timing curves (ungated).
+/// Serialize the sweep as a `scale-v3` JSON document: all three workloads,
+/// all fields, plus per-tag growth classes fitted across the sweep.
 pub fn scale_json(
     rmw: &[ScalePoint],
     a2a: &[ScalePoint],
@@ -355,7 +307,7 @@ pub fn scale_json(
     storm_msgs: usize,
 ) -> String {
     format!(
-        "{{\"schema\":\"scale-v2\",\"bench\":\"fig_scale\",\"ops\":{ops},\
+        "{{\"schema\":\"scale-v3\",\"bench\":\"fig_scale\",\"ops\":{ops},\
          \"active\":{active},\"workloads\":{{\"fig9_rmw\":{},\"alltoall\":{},\
          \"netstorm\":{}}}}}\n",
         workload_json(rmw, false),
@@ -367,8 +319,7 @@ pub fn scale_json(
 /// Serialize only the deterministic per-point fields as a `scale-gate-v2`
 /// document. Every leaf is byte-stable for a given source tree (virtual
 /// times, event counts, materialization counts, task-table size — never
-/// bytes or wall time; `netstorm` leaves are additionally worker-count-
-/// invariant), so CI gates it with `perfdiff --tol 0` at small p.
+/// bytes or wall time), so CI gates it with `perfdiff --tol 0` at small p.
 pub fn gate_json(
     rmw: &[ScalePoint],
     a2a: &[ScalePoint],
@@ -480,25 +431,20 @@ mod tests {
         };
         let rmw = vec![mk(32, 3200), mk(1024, 102_400)];
         let a2a = vec![mk(32, 800), mk(1024, 800)];
-        let storm = vec![
-            StormPoint {
-                procs: 32,
+        let mk_storm = |procs: usize, sim_time_ps: u64, wall_ms: u64| StormPoint {
+            procs,
+            load: KernelLoad {
                 events: 5000,
-                sim_time_ps: 999,
-                per_workers: vec![(1, 3.0), (2, 2.0), (4, 1.5)],
+                sim_time_ps,
+                wall: std::time::Duration::from_millis(wall_ms),
             },
-            StormPoint {
-                procs: 1024,
-                events: 5000,
-                sim_time_ps: 1999,
-                per_workers: vec![(1, 4.0), (2, 3.0), (4, 2.5)],
-            },
-        ];
+        };
+        let storm = vec![mk_storm(32, 999, 3), mk_storm(1024, 1999, 4)];
         let full = scale_json(&rmw, &a2a, &storm, 1, 8, 5000);
-        let v = json::parse(&full).expect("scale-v2 parses");
+        let v = json::parse(&full).expect("scale-v3 parses");
         assert_eq!(
             v.get("schema").and_then(JsonValue::as_str),
-            Some("scale-v2")
+            Some("scale-v3")
         );
         let w = v.get("workloads").unwrap();
         let p32 = w
@@ -522,17 +468,16 @@ mod tests {
         };
         assert_eq!(class("fig9_rmw").as_deref(), Some("linear"));
         assert_eq!(class("alltoall").as_deref(), Some("constant"));
-        // netstorm: per-worker timing curve present in the full doc.
+        // netstorm: host timing present in the full doc.
         let storm_p32 = w
             .get("netstorm")
             .and_then(|x| x.get("points"))
             .and_then(|x| x.get("p32"))
             .expect("netstorm p32 point");
-        assert!(storm_p32
-            .get("workers")
-            .and_then(|x| x.get("w4"))
-            .and_then(|x| x.get("wall_ms"))
-            .is_some());
+        assert_eq!(
+            storm_p32.get("wall_ms").and_then(JsonValue::as_f64),
+            Some(3.0)
+        );
 
         let gate = gate_json(&rmw, &a2a, &storm, 1, 8, 5000);
         let g = json::parse(&gate).expect("scale-gate-v2 parses");
@@ -561,12 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn netstorm_point_is_worker_invariant() {
-        // run_netstorm itself asserts the deterministic leaves agree across
-        // worker counts; this exercises that assertion on a real schedule.
-        let pt = run_netstorm(64, 2000, &[1, 2, 4]);
-        assert_eq!(pt.events, 2000);
-        assert!(pt.sim_time_ps > 0);
-        assert_eq!(pt.per_workers.len(), 3);
+    fn netstorm_point_equals_net_churn_signature() {
+        let pt = run_netstorm(64, 2000);
+        let churn = simbench::net_churn(64, 2000);
+        assert_eq!(pt.procs, 64);
+        assert_eq!(pt.load.events, 2000);
+        assert_eq!(pt.load.events, churn.events);
+        assert_eq!(pt.load.sim_time_ps, churn.sim_time_ps);
+        assert!(pt.load.sim_time_ps > 0);
     }
 }

@@ -13,10 +13,6 @@
 //!   lookup, per-link reservation, pair ordering) and reports deliveries/sec.
 //! * [`fig4_sweep`] — a real bandwidth sweep (Fig 4 shape) run serially and
 //!   with the parallel harness: measures end-to-end sweep speedup.
-//! * [`par_churn`] — a token-relay storm through the conservative
-//!   time-windowed parallel driver ([`desim::ParSim`]): measures the
-//!   window/barrier machinery at 1..N worker shards with byte-identical
-//!   delivery logs.
 //!
 //! Event counts and simulated times are fully deterministic; only wall-clock
 //! readings vary between hosts. The `simbench` binary reports both in a
@@ -26,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use desim::{FaultPlan, Sim, SimDuration, SimRng, SimTime};
-use torus5d::{BgqParams, Delivery, MsgClass, NetMsg, NetState, Topology};
+use torus5d::{BgqParams, Delivery, MsgClass, NetState, Topology};
 
 use crate::sweep;
 
@@ -195,11 +191,19 @@ pub fn net_churn_timeline(
     (load, snap)
 }
 
+/// One pre-scheduled message of the churn storm.
+#[derive(Debug, Clone, Copy)]
+struct ChurnMsg {
+    inject: SimTime,
+    src: u32,
+    dst: u32,
+    payload: u32,
+    class: MsgClass,
+}
+
 /// The seeded pseudo-random all-to-all schedule every `net_churn` variant
-/// delivers. Shared between the serial timed loop and the parallel batch
-/// engine, so `--workers` can never change the workload itself — only who
-/// executes it.
-pub fn churn_schedule(procs: usize, msgs: usize) -> Vec<NetMsg> {
+/// delivers, generated before the timed loop starts.
+fn churn_schedule(procs: usize, msgs: usize) -> Vec<ChurnMsg> {
     let mut rng = SimRng::new(0x4E45_7443);
     let mut sched = Vec::with_capacity(msgs);
     let mut inject = SimTime::ZERO;
@@ -216,7 +220,7 @@ pub fn churn_schedule(procs: usize, msgs: usize) -> Vec<NetMsg> {
             _ => MsgClass::Ordered,
         };
         inject += SimDuration::from_ns(rng.next_below(200));
-        sched.push(NetMsg {
+        sched.push(ChurnMsg {
             inject,
             src: src as u32,
             dst: dst as u32,
@@ -225,125 +229,6 @@ pub fn churn_schedule(procs: usize, msgs: usize) -> Vec<NetMsg> {
         });
     }
     sched
-}
-
-/// [`net_churn`] executed by the parallel batch engine
-/// ([`torus5d::deliver_batch`]) at `workers` shards. `workers <= 1` takes
-/// the untouched serial hot path; either way `events` and `sim_time_ps` are
-/// byte-identical — only `wall` may move.
-pub fn net_churn_workers(procs: usize, msgs: usize, workers: usize) -> KernelLoad {
-    if workers <= 1 {
-        return net_churn(procs, msgs);
-    }
-    let topo = Topology::for_procs(procs, 16);
-    let mut net = NetState::new(topo, BgqParams::default(), true);
-    let sched = churn_schedule(procs, msgs);
-    let t0 = Instant::now();
-    let out = torus5d::deliver_batch(&mut net, &sched, workers);
-    let wall = t0.elapsed();
-    KernelLoad {
-        events: net.messages(),
-        sim_time_ps: out.last_arrival.as_ps(),
-        wall,
-    }
-}
-
-/// Token-relay storm through the conservative time-windowed driver
-/// ([`desim::ParSim`]): `nodes` logical nodes block-partitioned across
-/// `workers` shards, each seeding one token that relays for `ttl` hops.
-/// Every hop is announced at least one full lookahead window ahead (the
-/// window width is the BG/Q minimum internode header, base + one 35 ns hop)
-/// and keyed `origin << 32 | origin_seq`, so the merged delivery log — and
-/// therefore `events` (deliveries) and `sim_time_ps` (last delivery) — is
-/// invariant in the worker count. This is the kernel-level benchmark of the
-/// window/barrier machinery itself, complementing `net_churn`'s
-/// network-level batch engine.
-pub fn par_churn(nodes: usize, ttl: u32, workers: usize) -> KernelLoad {
-    use desim::{Envelope, Outbox, ParSim, ShardApp};
-
-    fn owner(node: u64, n: u64, workers: usize) -> usize {
-        ((node * workers as u64) / n) as usize
-    }
-
-    struct Relay {
-        workers: usize,
-        n: u64,
-        ttl: u32,
-        lookahead_ps: u64,
-        seq: Vec<u64>,
-        delivered: u64,
-        last_ps: u64,
-    }
-
-    impl ShardApp for Relay {
-        type Msg = (u64, u64, u32); // (node, token, remaining hops)
-        type Out = (u64, u64); // (deliveries, last delivery ps)
-
-        fn start(&mut self, shard: usize, _sim: &Sim, out: &Outbox<Self::Msg>) {
-            for node in 0..self.n {
-                if owner(node, self.n, self.workers) != shard {
-                    continue;
-                }
-                out.send(Envelope {
-                    at: SimTime((node + 1) * 10_000),
-                    to_shard: shard,
-                    key: node << 32,
-                    msg: (node, node + 1, self.ttl),
-                });
-                self.seq[node as usize] = 1;
-            }
-        }
-
-        fn deliver(&mut self, sim: &Sim, env: Envelope<Self::Msg>, out: &Outbox<Self::Msg>) {
-            // Advance the shard clock to the delivery instant, then relay.
-            sim.schedule(env.at, || {});
-            let (node, token, ttl) = env.msg;
-            self.delivered += 1;
-            self.last_ps = self.last_ps.max(env.at.as_ps());
-            if ttl == 0 {
-                return;
-            }
-            let next = (node + token) % self.n;
-            let jitter = (token * 37_000) % 500_000 + 1_000;
-            let seq = &mut self.seq[node as usize];
-            let key = (node << 32) | *seq;
-            *seq += 1;
-            out.send(Envelope {
-                at: env.at + SimDuration(self.lookahead_ps + jitter),
-                to_shard: owner(next, self.n, self.workers),
-                key,
-                msg: (next, (token * 31 + 7) % 1009 + 1, ttl - 1),
-            });
-        }
-
-        fn finish(&mut self, _sim: &Sim) -> Self::Out {
-            (self.delivered, self.last_ps)
-        }
-    }
-
-    let workers = workers.max(1);
-    let params = BgqParams::default();
-    let lookahead = params.base_latency + params.hop_latency;
-    let par = ParSim::new(workers, lookahead);
-    let apps: Vec<Relay> = (0..workers)
-        .map(|_| Relay {
-            workers,
-            n: nodes as u64,
-            ttl,
-            lookahead_ps: lookahead.as_ps(),
-            seq: vec![0; nodes],
-            delivered: 0,
-            last_ps: 0,
-        })
-        .collect();
-    let t0 = Instant::now();
-    let outs = par.run(apps);
-    let wall = t0.elapsed();
-    KernelLoad {
-        events: outs.iter().map(|o| o.0).sum(),
-        sim_time_ps: outs.iter().map(|o| o.1).max().unwrap_or(0),
-        wall,
-    }
 }
 
 /// Fig 4-style bandwidth sweep (get+put per size), run through the parallel
@@ -403,27 +288,5 @@ mod tests {
         let (serial, _) = fig4_sweep(&sizes, 2, 4, 1);
         let (parallel, _) = fig4_sweep(&sizes, 2, 4, 4);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn net_churn_workers_matches_serial() {
-        let serial = net_churn(128, 3000);
-        for workers in [2usize, 4] {
-            let par = net_churn_workers(128, 3000, workers);
-            assert_eq!(par.events, serial.events, "workers={workers}");
-            assert_eq!(par.sim_time_ps, serial.sim_time_ps, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn par_churn_is_worker_count_invariant() {
-        let serial = par_churn(24, 40, 1);
-        assert_eq!(serial.events, 24 * 41, "one delivery per seed + hop");
-        assert!(serial.sim_time_ps > 0);
-        for workers in [2usize, 4] {
-            let par = par_churn(24, 40, workers);
-            assert_eq!(par.events, serial.events, "workers={workers}");
-            assert_eq!(par.sim_time_ps, serial.sim_time_ps, "workers={workers}");
-        }
     }
 }

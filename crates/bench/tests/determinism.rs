@@ -5,11 +5,6 @@
 //! simulations and reassembles results by input index, so worker count can
 //! never leak into the output. These tests run real binaries (quick
 //! configurations) at `--jobs 1` and `--jobs 4` and diff everything.
-//!
-//! `--workers` (the in-simulation conservative parallel engine, DESIGN.md
-//! §16) carries the same contract one level deeper: sharding a *single*
-//! simulation must leave every output byte unchanged. The `*_workers_*`
-//! tests diff `--workers 1` against `--workers 4` with zero tolerance.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -24,39 +19,6 @@ fn run(bin: &str, args: &[&str], jobs: usize, json: Option<&str>) -> (String, Op
     let json_path = json.map(|tag| {
         let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
         p.push(format!("det_{tag}_j{jobs}.json"));
-        p
-    });
-    if let Some(p) = &json_path {
-        cmd.arg("--json").arg(p);
-    }
-    let out = cmd.output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} exited with {:?}\nstderr:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let json_body = json_path.map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
-    });
-    (stdout, json_body)
-}
-
-/// Like [`run`], but varying `--workers` (the conservative parallel engine
-/// shard count) instead of `--jobs` (the sweep-harness worker pool).
-fn run_workers(
-    bin: &str,
-    args: &[&str],
-    workers: usize,
-    json: Option<&str>,
-) -> (String, Option<String>) {
-    let mut cmd = Command::new(bin);
-    cmd.args(args);
-    cmd.arg("--workers").arg(workers.to_string());
-    let json_path = json.map(|tag| {
-        let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-        p.push(format!("det_{tag}_w{workers}.json"));
         p
     });
     if let Some(p) = &json_path {
@@ -100,6 +62,26 @@ fn stable_json(s: &str) -> String {
     }
 }
 
+/// Run `bin args` at `--jobs 1` and `--jobs 4`: stdout and the `--json`
+/// artifact (`peak_rss_kb` excepted) must be byte-identical. Returns the
+/// `--jobs 1` JSON for schema checks.
+fn assert_jobs_invariant(bin: &str, args: &[&str], tag: &str) -> String {
+    let (out1, json1) = run(bin, args, 1, Some(tag));
+    let (out4, json4) = run(bin, args, 4, Some(tag));
+    assert_eq!(
+        stable_stdout(&out1),
+        stable_stdout(&out4),
+        "{tag} stdout must not depend on --jobs"
+    );
+    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
+    assert_eq!(
+        stable_json(&json1),
+        stable_json(&json4),
+        "{tag} --json must not depend on --jobs (peak_rss_kb excepted)"
+    );
+    json1
+}
+
 #[test]
 fn fig4_bandwidth_is_jobs_invariant() {
     let bin = env!("CARGO_BIN_EXE_fig4_bandwidth");
@@ -123,24 +105,35 @@ fn fig4_bandwidth_is_jobs_invariant() {
 #[test]
 fn fig9_rmw_is_jobs_invariant() {
     let bin = env!("CARGO_BIN_EXE_fig9_rmw");
-    let args = ["--procs", "2,8", "--ops", "3"];
-    let (out1, json1) = run(bin, &args, 1, Some("fig9"));
-    let (out4, json4) = run(bin, &args, 4, Some("fig9"));
-    assert_eq!(
-        stable_stdout(&out1),
-        stable_stdout(&out4),
-        "fig9 stdout must not depend on --jobs"
-    );
-    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
+    let json = assert_jobs_invariant(bin, &["--procs", "2,8", "--ops", "3"], "fig9");
     assert!(
-        json1.contains("\"peak_rss_kb\":"),
+        json.contains("\"peak_rss_kb\":"),
         "host-context RSS field missing from fig9 JSON"
     );
-    assert_eq!(
-        stable_json(&json1),
-        stable_json(&json4),
-        "fig9 --json must not depend on --jobs (peak_rss_kb excepted)"
-    );
+}
+
+#[test]
+fn fig11_nwchem_scf_is_jobs_invariant() {
+    let bin = env!("CARGO_BIN_EXE_fig11_nwchem_scf");
+    assert_jobs_invariant(bin, &["--quick", "--procs", "32,64"], "fig11");
+}
+
+#[test]
+fn fig_fault_is_jobs_invariant() {
+    // The golden configuration: rate-0 and faulted cells side by side.
+    let bin = env!("CARGO_BIN_EXE_fig_fault");
+    let args = [
+        "--procs",
+        "32",
+        "--msgs",
+        "8",
+        "--sizes",
+        "4096,65536",
+        "--fault-rate",
+        "0,5000",
+    ];
+    let json = assert_jobs_invariant(bin, &args, "fig_fault");
+    assert!(json.contains("\"schema\":\"fault-v1\""));
 }
 
 #[test]
@@ -254,150 +247,17 @@ fn simbench_net_churn_is_jobs_invariant() {
 }
 
 #[test]
-fn fig9_rmw_is_workers_invariant() {
-    // Sharding the PAMI machine itself (--workers, not the sweep harness)
-    // must leave stdout and the fig9-v2 JSON byte-identical: the
-    // conservative engine's merge path reserves the exact sequence numbers
-    // the serial run would assign.
-    let bin = env!("CARGO_BIN_EXE_fig9_rmw");
-    let args = ["--procs", "2,8", "--ops", "3"];
-    let (out1, json1) = run_workers(bin, &args, 1, Some("fig9w"));
-    let (out4, json4) = run_workers(bin, &args, 4, Some("fig9w"));
-    assert_eq!(
-        stable_stdout(&out1),
-        stable_stdout(&out4),
-        "fig9 stdout must not depend on --workers"
-    );
-    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
-    assert_eq!(
-        stable_json(&json1),
-        stable_json(&json4),
-        "fig9 --json must not depend on --workers (peak_rss_kb excepted)"
-    );
-}
-
-#[test]
-fn simbench_net_churn_is_workers_invariant() {
-    // At --workers > 1 the churn storm executes through the parallel batch
-    // engine (`torus5d::deliver_batch`); its delivery count and final
-    // arrival time must match the serial engine exactly.
-    let bin = env!("CARGO_BIN_EXE_simbench");
-    let args = [
-        "--quick",
-        "--tasks",
-        "8",
-        "--steps",
-        "20",
-        "--pairs",
-        "4",
-        "--rounds",
-        "20",
-        "--churn-procs",
-        "128",
-        "--churn-msgs",
-        "20000",
-    ];
-    let (_, json_1) = run_workers(bin, &args, 1, Some("simbench_churn_w"));
-    let (_, json_4) = run_workers(bin, &args, 4, Some("simbench_churn_w"));
-    let churn_fields = |body: &str| -> Vec<String> {
-        let start = body
-            .find("\"net_churn\"")
-            .expect("net_churn section present");
-        body[start..]
-            .split(',')
-            .filter(|f| f.contains("\"events\"") || f.contains("\"sim_time_ps\""))
-            .take(2)
-            .map(str::to_owned)
-            .collect()
-    };
-    let a = churn_fields(&json_1.expect("json written"));
-    let b = churn_fields(&json_4.expect("json written"));
-    assert_eq!(a.len(), 2, "net_churn events + sim_time_ps present");
-    assert_eq!(a, b, "net_churn results must not depend on --workers");
-}
-
-#[test]
 fn fig_am_is_jobs_invariant() {
     // Every am-v1 field — AM rates, wire counts, flight attribution — must
     // be byte-identical whether the sweep runs serially or on 4 harness
     // workers.
     let bin = env!("CARGO_BIN_EXE_fig_am");
     let args = ["--procs", "32", "--msgs", "16", "--sizes", "8,64"];
-    let (out1, json1) = run(bin, &args, 1, Some("fig_am"));
-    let (out4, json4) = run(bin, &args, 4, Some("fig_am"));
-    assert_eq!(
-        stable_stdout(&out1),
-        stable_stdout(&out4),
-        "fig_am stdout must not depend on --jobs"
-    );
-    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
-    assert!(json1.contains("\"schema\":\"am-v1\""));
-    assert!(json1.contains("\"best_speedup\""));
+    let json = assert_jobs_invariant(bin, &args, "fig_am");
+    assert!(json.contains("\"schema\":\"am-v1\""));
+    assert!(json.contains("\"best_speedup\""));
     assert!(
-        json1.contains("\"am_aggr_wait_ps\""),
+        json.contains("\"am_aggr_wait_ps\""),
         "flight attribution missing from am-v1 JSON"
     );
-    assert_eq!(
-        stable_json(&json1),
-        stable_json(&json4),
-        "fig_am --json must not depend on --jobs (peak_rss_kb excepted)"
-    );
-}
-
-#[test]
-fn fig_am_is_workers_invariant() {
-    // Batched flushes cross shard boundaries through the reserved-sequence
-    // mailbox: sharding the machine must leave the am-v1 document
-    // byte-identical.
-    let bin = env!("CARGO_BIN_EXE_fig_am");
-    let args = ["--procs", "32", "--msgs", "16", "--sizes", "8,64"];
-    let (out1, json1) = run_workers(bin, &args, 1, Some("fig_am_w"));
-    let (out4, json4) = run_workers(bin, &args, 4, Some("fig_am_w"));
-    assert_eq!(
-        stable_stdout(&out1),
-        stable_stdout(&out4),
-        "fig_am stdout must not depend on --workers"
-    );
-    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
-    assert_eq!(
-        stable_json(&json1),
-        stable_json(&json4),
-        "fig_am --json must not depend on --workers (peak_rss_kb excepted)"
-    );
-}
-
-#[test]
-fn fig_scale_gate_is_workers_invariant() {
-    // The scale-gate-v2 document feeds the zero-tolerance CI gate; the
-    // netstorm leaves in it come from the parallel batch engine, so the
-    // whole artifact must be byte-identical at any --workers list.
-    let bin = env!("CARGO_BIN_EXE_fig_scale");
-    let run_gate = |workers: &str, tag: &str| -> String {
-        let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-        p.push(format!("det_scale_gate_{tag}.json"));
-        let out = Command::new(bin)
-            .args([
-                "--procs",
-                "32",
-                "--storm-msgs",
-                "2000",
-                "--workers",
-                workers,
-            ])
-            .arg("--gate-json")
-            .arg(&p)
-            .output()
-            .expect("spawn fig_scale");
-        assert!(
-            out.status.success(),
-            "fig_scale --gate-json failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
-    };
-    let w1 = run_gate("1", "w1");
-    let w4 = run_gate("4", "w4");
-    assert_eq!(w1, w4, "scale gate JSON must not depend on --workers");
-    assert!(w1.contains("\"schema\":\"scale-gate-v2\""));
-    assert!(w1.contains("\"netstorm\""), "netstorm workload missing");
 }

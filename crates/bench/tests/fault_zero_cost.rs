@@ -16,7 +16,7 @@ use desim::FaultPlan;
 #[test]
 fn fig9_with_empty_plan_is_byte_identical_to_no_plan() {
     for mode in [ProgressMode::Default, ProgressMode::AsyncThread] {
-        let bare = run(32, mode, true, 4, None, false, None, None, 1);
+        let bare = run(32, mode, true, 4, None, false, None, None);
         let empty = run(
             32,
             mode,
@@ -26,7 +26,6 @@ fn fig9_with_empty_plan_is_byte_identical_to_no_plan() {
             false,
             Some(FaultPlan::new(99)),
             None,
-            1,
         );
         assert_eq!(
             bare.latency_us, empty.latency_us,

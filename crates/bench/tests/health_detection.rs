@@ -50,7 +50,7 @@ fn fig_fault_storm_trips_retry_storm_deterministically() {
     // the same designated cell `fig_fault --fault-rate 0,50000 --msgs 32
     // --timeline` records.
     let run = || {
-        let (_, snap) = run_cell_timeline(32, 4096, 32, 50_000, 42, Some(TIMELINE_WINDOW_PS), 1);
+        let (_, snap) = run_cell_timeline(32, 4096, 32, 50_000, 42, Some(TIMELINE_WINDOW_PS));
         analyze(&snap.expect("timeline on"), &cfg)
     };
     let a = run();

@@ -31,7 +31,6 @@ fn results_are_identical_with_profiling_off_and_on() {
         false,
         None,
         None,
-        1,
     );
 
     // Phase 2: profiler fully on — worst case, every allocation attributed.
@@ -46,7 +45,6 @@ fn results_are_identical_with_profiling_off_and_on() {
         false,
         None,
         None,
-        1,
     );
     memprof::disable();
 

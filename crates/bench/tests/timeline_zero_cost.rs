@@ -17,7 +17,7 @@ use bgq_bench::TIMELINE_WINDOW_PS;
 #[test]
 fn fig9_timeline_observes_without_perturbing() {
     for mode in [ProgressMode::Default, ProgressMode::AsyncThread] {
-        let bare = run(32, mode, true, 4, None, false, None, None, 1);
+        let bare = run(32, mode, true, 4, None, false, None, None);
         let tl = run(
             32,
             mode,
@@ -27,7 +27,6 @@ fn fig9_timeline_observes_without_perturbing() {
             false,
             None,
             Some(TIMELINE_WINDOW_PS),
-            1,
         );
         assert_eq!(
             bare.latency_us, tl.latency_us,

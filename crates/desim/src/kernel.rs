@@ -16,7 +16,7 @@
 //!   `RawWaker` over `Rc` — no atomics, no mutex, non-atomic refcounts. The
 //!   single-thread invariant this relies on is *enforced*: a waker used from
 //!   a foreign thread panics instead of racing (see `check_owner_thread`).
-//! * Each task id has a persistent [`TaskHook`] carrying a `queued` flag:
+//! * Each task id has a persistent `TaskHook` carrying a `queued` flag:
 //!   multiple wakes before the next poll collapse into **one** queue entry,
 //!   so `events_processed` counts real polls, not wake multiplicity.
 //! * Task slots and their hooks/wakers are recycled across spawns, and the
@@ -544,42 +544,6 @@ impl Sim {
     /// Yield to other tasks runnable at the current virtual time.
     pub fn yield_now(&self) -> YieldNow {
         YieldNow { yielded: false }
-    }
-
-    /// Earliest pending work: `now()` if tasks are ready to poll, otherwise
-    /// the earliest timer deadline, otherwise `None` (kernel idle).
-    ///
-    /// This is the per-shard bound the conservative parallel driver
-    /// ([`crate::par::ParSim`]) feeds into its global-virtual-time minimum;
-    /// it never mutates kernel state beyond the wheel's internal cursor.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if !self.k.ready.q.borrow().is_empty() {
-            return Some(self.now());
-        }
-        self.k.timers.borrow_mut().peek().map(|(at, _)| SimTime(at))
-    }
-
-    /// Reserve a `(time, seq)` tie-break ticket at the current instant, for a
-    /// callback handed to [`Sim::schedule_reserved`] later. Deferred
-    /// scheduling (e.g. a window-boundary mailbox flush) can thereby fire its
-    /// callbacks in exactly the tie-break position direct [`Sim::schedule`]
-    /// at reservation time would have given them.
-    pub fn reserve_seq(&self) -> u64 {
-        self.k.bump_seq()
-    }
-
-    /// Schedule `cb` at absolute time `at` under a ticket from
-    /// [`Sim::reserve_seq`]. `at` must not be in the past, and the ticket
-    /// must have been reserved before any same-time event that should fire
-    /// after `cb` was scheduled — the wheel orders strictly by `(time, seq)`.
-    pub fn schedule_reserved<F: FnOnce() + 'static>(&self, at: SimTime, seq: u64, cb: F) {
-        debug_assert!(at >= self.now(), "reserved callback scheduled in the past");
-        let _mem = memprof::scope_default(&KERNEL_TAG);
-        let _wheel = memprof::scope(&WHEEL_TAG);
-        self.k
-            .timers
-            .borrow_mut()
-            .insert(at.as_ps(), seq, TimerKind::Callback(Box::new(cb)));
     }
 
     /// Run until no events remain. Returns the final virtual time.

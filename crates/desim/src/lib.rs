@@ -41,7 +41,6 @@ pub mod health;
 pub mod json;
 pub mod kernel;
 pub mod memprof;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -60,7 +59,6 @@ pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use health::{Finding, HealthConfig, Severity};
 pub use kernel::{JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
-pub use par::{Envelope, Outbox, ParSim, ShardApp};
 pub use rng::SimRng;
 pub use stats::{MetricsSnapshot, Stats};
 pub use time::{SimDuration, SimTime};

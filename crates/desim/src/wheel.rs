@@ -511,13 +511,6 @@ mod tests {
             self.check();
         }
 
-        /// Insert under a ticket drawn earlier (`Sim::schedule_reserved`).
-        fn insert_reserved(&mut self, at: u64, seq: u64) {
-            self.w.insert(at, seq, seq);
-            self.r.push(std::cmp::Reverse((at, seq)));
-            self.check();
-        }
-
         fn pop(&mut self) -> Option<(u64, u64)> {
             let want = self.r.pop().map(|e| e.0);
             let got = self.w.pop().map(|e| {
@@ -585,15 +578,6 @@ mod tests {
                         p.insert(tail + 1 + rng.next_below(p.w.active_end - tail - 1));
                         late_after_tail += 1;
                     }
-                }
-                // A reserved ticket: an older `seq` entering a slot behind
-                // younger ones (the slot is then not in `seq` order).
-                10 => {
-                    let ticket = p.seq;
-                    p.seq += 1;
-                    let at = p.now + rng.next_below(1 << 14);
-                    p.insert(at);
-                    p.insert_reserved(at, ticket);
                 }
                 // Drain to empty, then reuse.
                 11 if rng.next_below(64) == 0 => {

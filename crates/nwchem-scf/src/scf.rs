@@ -54,10 +54,6 @@ pub struct ScfConfig {
     /// Windowed-telemetry sample width in picoseconds (`None` = timelines
     /// off; the run stays allocation-free on the telemetry paths).
     pub timeline_window_ps: Option<u64>,
-    /// Conservative parallel-engine shards for the simulated machine
-    /// (DESIGN.md §16). Outputs are byte-identical for any value; 1 keeps
-    /// the serial hot path.
-    pub workers: usize,
 }
 
 impl ScfConfig {
@@ -83,7 +79,6 @@ impl ScfConfig {
             procs_per_node: 16,
             seed: 20130520,
             timeline_window_ps: None,
-            workers: 1,
         }
     }
 
@@ -108,7 +103,6 @@ impl ScfConfig {
             procs_per_node: 1,
             seed: 7,
             timeline_window_ps: None,
-            workers: 1,
         }
     }
 
@@ -165,8 +159,7 @@ pub fn run_scf_timeline(
         sim.clone(),
         MachineConfig::new(nprocs)
             .procs_per_node(cfg.procs_per_node)
-            .contexts(cfg.contexts)
-            .workers(cfg.workers),
+            .contexts(cfg.contexts),
     );
     if flight_capacity > 0 {
         machine.enable_flight(flight_capacity);

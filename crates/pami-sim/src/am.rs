@@ -4,7 +4,7 @@
 //! Modeled on the paper's PAMI send/dispatch objects (§III-A2): a sender
 //! names a **dispatch id**, the destination runs the registered handler in
 //! sim time during progress, and the handler may reply with a response AM
-//! ([`AmEnv::reply`]). Two registries exist:
+//! ([`crate::AmEnv::reply`]). Two registries exist:
 //!
 //! * [`PamiRank::register_dispatch`] — per-rank, per-context (the original
 //!   surface; consulted first, so existing users are unaffected);

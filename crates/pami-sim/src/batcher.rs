@@ -16,12 +16,10 @@
 //! re-arms for the earliest remaining deadline. Flush order is therefore
 //! deterministic by `(deadline, dst)` regardless of enqueue interleaving.
 //!
-//! The coalesced message travels through [`crate::rank::deliver_then`] as an
+//! The coalesced message travels through `rank::deliver_then` as an
 //! `Ordered`-class payload, so pair-FIFO ordering, fault drops, retries and
 //! `FailureMode` semantics all apply to a batch exactly as they do to any
-//! other ordered message — and its landing event goes through
-//! [`crate::Machine`]'s `schedule_leg`, so batched runs stay byte-identical
-//! under `--workers N` via the reserved-sequence mailbox.
+//! other ordered message.
 //!
 //! Determinism: buffers are keyed by `BTreeMap<dst, _>` (sorted sweeps), the
 //! sweep timer is armed only from deterministic sim events, and a source's
@@ -258,7 +256,7 @@ impl Batcher {
             })
             .collect();
         // One NIC post for the whole batch, then the ordinary reliable
-        // ordered delivery path (faults, retries, pair FIFO, shard mailbox).
+        // ordered delivery path (faults, retries, pair FIFO).
         let inject = now + p.o_send;
         let m2 = m.clone();
         crate::rank::deliver_then(

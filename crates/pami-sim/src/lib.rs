@@ -45,7 +45,6 @@ pub mod context;
 pub mod machine;
 pub mod rank;
 pub mod retry;
-pub mod shard;
 pub mod space;
 
 pub use batcher::{AmBatchConfig, Batcher, AM_FRAME_BYTES};
@@ -53,5 +52,4 @@ pub use context::{AmEntry, AmEnv, AmHandler, AmMsg, CtxState, RmwOp, WorkItem};
 pub use machine::{Machine, MachineConfig, RegionError, RegionId};
 pub use rank::{AsyncThread, PamiRank, PutHandles};
 pub use retry::{FailureMode, RetryPolicy};
-pub use shard::{ShardMap, Shards};
 pub use space::{SpaceAccount, SpaceSnapshot};

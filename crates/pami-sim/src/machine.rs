@@ -57,12 +57,6 @@ pub struct MachineConfig {
     /// Timeout/backoff/retry policy for network legs; only consulted when a
     /// non-empty fault plan is installed.
     pub retry: RetryPolicy,
-    /// Conservative-parallel worker shards. `1` (the default) is the plain
-    /// serial engine; `> 1` block-partitions the ranks across shards and
-    /// routes cross-shard network legs through window-boundary mailboxes
-    /// (see [`crate::shard`]) — all simulation outputs stay byte-identical
-    /// to the serial engine for any value.
-    pub workers: usize,
     /// Per-destination active-message aggregation (see [`crate::batcher`]).
     /// `None` (the default) keeps [`crate::PamiRank::send_am`] on the
     /// unbatched hot path — the AM layer is zero-cost when disabled.
@@ -85,7 +79,6 @@ impl MachineConfig {
             shape: None,
             fault_plan: None,
             retry: RetryPolicy::default(),
-            workers: 1,
             am_batch: None,
         }
     }
@@ -95,13 +88,6 @@ impl MachineConfig {
     /// whichever comes first.
     pub fn am_batching(mut self, max_bytes: usize, window: desim::SimDuration) -> Self {
         self.am_batch = Some(AmBatchConfig { max_bytes, window });
-        self
-    }
-
-    /// Set the conservative-parallel worker shard count (1 = serial).
-    pub fn workers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "need at least one worker shard");
-        self.workers = n;
         self
     }
 
@@ -346,10 +332,6 @@ pub(crate) struct MachineInner {
     /// Retries scheduled but not yet resumed, mirrored into the
     /// `pami.retry_backlog` gauge while the timeline is enabled.
     pub retry_backlog: Cell<i64>,
-    /// Shard table + window mailbox of the conservative parallel mode.
-    /// `None` when `workers == 1` or a non-empty fault plan is installed
-    /// (faults pin the machine to the serial path).
-    pub shards: Option<Rc<crate::shard::Shards>>,
     /// Machine-wide active-message dispatch table, consulted when a
     /// destination's per-context table misses (see [`Machine::register_am`]).
     pub am_handlers: RefCell<desim::FxHashMap<u16, AmHandler>>,
@@ -446,15 +428,6 @@ impl Machine {
         }
         let stats = sim.stats();
         let params = Rc::new(cfg.params.clone());
-        let shards = if cfg.workers > 1 && !faults_active {
-            Some(Rc::new(crate::shard::Shards::new(
-                cfg.nprocs,
-                cfg.workers,
-                &cfg.params,
-            )))
-        } else {
-            None
-        };
         let batcher = cfg
             .am_batch
             .map(|bc| Rc::new(crate::batcher::Batcher::new(bc)));
@@ -471,55 +444,10 @@ impl Machine {
                 faults_active,
                 tl_ids: Cell::new(None),
                 retry_backlog: Cell::new(0),
-                shards,
                 am_handlers: RefCell::new(desim::FxHashMap::default()),
                 batcher,
             }),
         }
-    }
-
-    /// Conservative-parallel worker shard count (1 = serial engine).
-    pub fn workers(&self) -> usize {
-        self.inner.cfg.workers
-    }
-
-    /// The shard owning `rank` (always 0 on a serial machine).
-    pub fn shard_of(&self, rank: usize) -> usize {
-        match &self.inner.shards {
-            Some(sh) => sh.map.shard_of(rank),
-            None => 0,
-        }
-    }
-
-    /// `(cross-shard legs posted, windows pumped)` by the mailbox so far.
-    /// Diagnostic only: these never reach the stats registry, which must
-    /// stay byte-identical across worker counts.
-    pub fn mail_counters(&self) -> (u64, u64) {
-        match &self.inner.shards {
-            Some(sh) => sh.counters(),
-            None => (0, 0),
-        }
-    }
-
-    /// Schedule a network leg's landing event: directly when `src` and `dst`
-    /// share a shard (or the machine is serial), through the window-boundary
-    /// mailbox when the leg crosses shards. Either way the callback executes
-    /// at the exact `(at, seq)` position a direct `schedule` would have
-    /// given it — see [`crate::shard`] for the argument.
-    pub(crate) fn schedule_leg<F: FnOnce() + 'static>(
-        &self,
-        src: usize,
-        dst: usize,
-        at: SimTime,
-        f: F,
-    ) {
-        if let Some(sh) = &self.inner.shards {
-            if sh.map.cross(src, dst) {
-                sh.post(&self.inner.sim, at, Box::new(f));
-                return;
-            }
-        }
-        self.inner.sim.schedule(at, f);
     }
 
     /// True when a non-empty fault plan is installed (deadlines and retries

@@ -75,7 +75,7 @@ pub(crate) fn deliver_then(
         .borrow_mut()
         .deliver_op(inject, src, dst, payload, class, op)
         + extra;
-    m.schedule_leg(src, dst, arrival, move || then(arrival, true));
+    m.sim().schedule(arrival, move || then(arrival, true));
 }
 
 /// What stays the same across the retransmissions of one response leg.
@@ -267,7 +267,7 @@ impl Train<Countdown> {
 
 /// The landing half of a software-path message: enqueue `item` on the
 /// target's designated context at `arrival`. Must run *as* the landing event
-/// (callers schedule it through `schedule_leg`, or invoke it directly from a
+/// (callers `schedule` it, or invoke it directly from a
 /// `deliver_then` continuation, which already is one). Spawns the target's
 /// asynchronous progress thread lazily, before the push, so the freshly
 /// enqueued thread polls ahead of anyone the push's notify wakes — the same
@@ -676,7 +676,7 @@ impl PamiRank {
             // the first payload is on its way.
             train.tgt();
             let t = Rc::clone(&train);
-            self.m.schedule_leg(self.r, target, arrival, move || {
+            sim.schedule(arrival, move || {
                 if delivered {
                     t.tgt().write(remote_off, &t.staging.borrow()[pos..][..len]);
                 }
@@ -734,9 +734,7 @@ impl PamiRank {
             train.done.add();
             let t = Rc::clone(&train);
             if req_delivered {
-                self.m.schedule_leg(self.r, target, req_arrival, move || {
-                    t.reply(chunk, req_arrival)
-                });
+                sim.schedule(req_arrival, move || t.reply(chunk, req_arrival));
             } else {
                 // Gave up on the request (best-effort): complete without data.
                 sim.schedule(req_arrival, move || t.done.arrive());
@@ -761,7 +759,7 @@ impl PamiRank {
         op: Option<OpId>,
     ) {
         let m = self.m.clone();
-        self.m.schedule_leg(self.r, target, arrival, move || {
+        self.m.sim().schedule(arrival, move || {
             enqueue_at_target(&m, target, arrival, item, op);
         });
     }

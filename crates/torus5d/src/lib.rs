@@ -31,7 +31,6 @@ pub mod cost;
 pub mod fxmap;
 pub mod mapping;
 pub mod net;
-pub mod par;
 pub mod rank_map;
 pub mod route_table;
 pub mod routing;
@@ -41,7 +40,6 @@ pub use coords::Coord;
 pub use cost::BgqParams;
 pub use mapping::Mapping;
 pub use net::{Delivery, FaultCounters, MsgClass, NetState};
-pub use par::{deliver_batch, deliver_batch_arrivals, BatchOut, NetMsg};
 pub use rank_map::RankMap;
 pub use route_table::{LinkId, RouteTable};
 pub use routing::Link;

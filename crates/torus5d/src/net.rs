@@ -66,9 +66,9 @@ const NO_FLIGHT_ID: u32 = u32::MAX;
 /// Reservation and occupancy of one directed link, side by side so a hop
 /// touches one cache line.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LinkState {
+struct LinkState {
     /// Busy-until reservation (contended deliveries only).
-    pub(crate) busy: SimTime,
+    busy: SimTime,
     /// Twice the accumulated occupancy in picoseconds, plus one once the
     /// link was occupied at all — a zero-length occupation still lists it in
     /// [`NetState::link_utilization`] — so a link stays 16 bytes.
@@ -78,7 +78,7 @@ pub(crate) struct LinkState {
 impl LinkState {
     /// Add `d` of occupancy and mark the link used.
     #[inline]
-    pub(crate) fn occupy(&mut self, d: SimDuration) {
+    fn occupy(&mut self, d: SimDuration) {
         self.util2 = (self.util2 + (d.as_ps() << 1)) | 1;
     }
 
@@ -224,24 +224,24 @@ impl Faults {
 
 /// Mutable interconnect state: per-pair FIFO fronts and per-link busy times.
 pub struct NetState {
-    pub(crate) topo: Topology,
-    pub(crate) params: BgqParams,
-    pub(crate) contention: bool,
+    topo: Topology,
+    params: BgqParams,
+    contention: bool,
     /// Interned links, cached routes and the rank → node → coordinate map.
-    pub(crate) rt: RouteTable,
+    rt: RouteTable,
     /// Pair-ordering front per `(src << 32) | dst` rank pair.
-    pub(crate) pair_last: FxMap64<SimTime>,
+    pair_last: FxMap64<SimTime>,
     /// Reservation and occupancy per directed link, indexed by [`LinkId`].
     /// Occupancy is filled by the contended path always, and by the analytic
     /// path when [`NetState::set_link_tracking`] is on.
-    pub(crate) links: Vec<LinkState>,
+    links: Vec<LinkState>,
     /// Per-rank NIC injection FIFO front, keyed by sending rank: data
     /// payloads from one rank serialize onto the wire, bounding any stream
     /// at link bandwidth. Sparse so idle ranks cost zero bytes.
-    pub(crate) tx_busy: FxMap64<SimTime>,
-    pub(crate) track_links: bool,
-    pub(crate) messages: u64,
-    pub(crate) bytes: u64,
+    tx_busy: FxMap64<SimTime>,
+    track_links: bool,
+    messages: u64,
+    bytes: u64,
     /// Lifecycle recorder for per-operation attribution (disabled by
     /// default; shared with the owning `Sim` via [`NetState::set_flight`]).
     flight: FlightRecorder,
@@ -349,16 +349,10 @@ impl NetState {
         }));
     }
 
-    /// True when a fault plan has been installed (empty or not).
-    pub fn faults_installed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// True when a recording flight recorder or an enabled timeline watches
-    /// each delivery: the core runs observed, and [`crate::par`] batches stay
-    /// serial (records are emitted in delivery order).
+    /// each delivery: the core runs observed.
     #[inline]
-    pub(crate) fn watched(&self) -> bool {
+    fn watched(&self) -> bool {
         self.tl.is_some() || self.flight.on()
     }
 

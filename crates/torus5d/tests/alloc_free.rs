@@ -135,37 +135,6 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
         "a disabled timeline must not add allocations to warm deliveries"
     );
 
-    // The batch entry point at `workers = 1` is contractually the serial
-    // hot path (DESIGN.md §16): no shard state, no mailboxes, no merge
-    // buffers — just the same warm `deliver` loop, so a warm batch must
-    // also be a zero-allocation operation. (The schedule is prepared in
-    // `NetMsg` form *before* the measured region.)
-    let mut bnet = NetState::new(Topology::for_procs(procs, 16), BgqParams::default(), true);
-    let mut inject = SimTime::ZERO;
-    let batch: Vec<torus5d::NetMsg> = sched
-        .iter()
-        .map(|&(src, dst, payload, class)| {
-            inject += SimDuration::from_ns(100);
-            torus5d::NetMsg {
-                inject,
-                src: src as u32,
-                dst: dst as u32,
-                payload: payload as u32,
-                class,
-            }
-        })
-        .collect();
-    torus5d::deliver_batch(&mut bnet, &batch, 1); // warm pass
-    let before = memprof::total_allocs();
-    let out = torus5d::deliver_batch(&mut bnet, &batch, 1);
-    let after = memprof::total_allocs();
-    assert_eq!(
-        after - before,
-        0,
-        "deliver_batch at workers=1 must take the allocation-free serial path"
-    );
-    assert_eq!(out.delivered, batch.len() as u64);
-
     // Ranks that never send cost zero bytes: per-rank sender state
     // (`tx_busy`, the pair-ordering map) lives in lazily-grown hash maps
     // tagged `torus5d.fxmap`, so the same traffic between the same two

@@ -10,12 +10,6 @@
 # Usage: reproduce.sh [--jobs N]
 #   --jobs N   forward to every bench binary: run sweep points on N threads.
 #              Results are byte-identical for any N (collected by input index).
-#
-# The orthogonal `--workers N` flag (conservative parallel engine *inside*
-# one simulation, DESIGN.md §16) is not forwarded here: outputs are
-# byte-identical at any worker count, so the goldens regenerate the same
-# either way, and the speedup curve is measured by simbench/fig_scale
-# themselves (par_churn and netstorm rows).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=""
@@ -108,8 +102,8 @@ check_json results/fig_mem.json results/fig_mem.timeline.json
 ./target/release/memstat results/fig_mem.json > results/memstat.txt
 # Million-rank scaling (fig_scale): the small-p deterministic signature
 # (virtual times, event counts, materialized ranks, task-table size, and
-# the netstorm batch-engine delivery signature) gates at zero tolerance;
-# the full curves to p=1M are regenerated with the default sweep
+# the netstorm delivery signature) gates at zero tolerance; the full curves
+# to p=1M are regenerated with the default sweep
 # (`fig_scale --json results/BENCH_scale.json`) when the rank-lifecycle
 # model changes intentionally. Serial by design — no $JOBS.
 ./target/release/fig_scale --procs 32,1024,32768 \
