@@ -6,13 +6,16 @@
 //! targets. The naive scheme fences every get behind the outstanding
 //! accumulates; `cs_mr` recognizes the structures as disjoint.
 
+use crate::Figure;
 use armci::{ArmciConfig, ConsistencyMode, ProgressMode};
-use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 
-fn run(mode: ConsistencyMode, p: usize, rounds: usize) -> (f64, u64) {
+fn measure(mode: ConsistencyMode, p: usize, rounds: usize) -> (f64, u64) {
     let f = Fixture::with_machine(
         MachineConfig::new(p).procs_per_node(1).contexts(2),
         ArmciConfig::default()
@@ -68,26 +71,28 @@ fn run(mode: ConsistencyMode, p: usize, rounds: usize) -> (f64, u64) {
     (out.get(), f.armci.induced_fences())
 }
 
-fn main() {
-    check_args(
-        "abl_consistency",
-        "ablation — per-target vs per-memory-region consistency tracking",
-        &[
-            ("--rounds", true, "conflict rounds (default 100)"),
-            ("--procs", true, "processes (default 8)"),
-            JOBS_FLAG,
-        ],
-    );
-    let rounds = arg_usize("--rounds", 100);
-    let p = arg_procs(8, 2);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_consistency",
+    about: "ablation — per-target vs per-memory-region consistency tracking",
+    flags: &[
+        Flag("--rounds", Num(100, 0), "conflict rounds"),
+        Flag("--procs", Num(8, 2), "processes"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let rounds = args.num("--rounds");
+    let p = args.num("--procs");
+    let jobs = args.jobs();
     println!("== Ablation: location-consistency tracking granularity (p={p}) ==");
     println!(
         "{:>10} {:>16} {:>16}",
         "mode", "rank0 time (us)", "induced fences"
     );
     let modes = [ConsistencyMode::PerTarget, ConsistencyMode::PerRegion];
-    let rows = sweep::run_parallel(modes.len(), jobs, |i| run(modes[i], p, rounds));
+    let rows = sweep::run_parallel(modes.len(), jobs, |i| measure(modes[i], p, rounds));
     let (t_naive, f_naive) = rows[0];
     println!("{:>10} {:>16.1} {:>16}", "cs_tgt", t_naive, f_naive);
     let (t_mr, f_mr) = rows[1];

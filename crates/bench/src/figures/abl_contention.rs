@@ -6,13 +6,16 @@
 //! queues them; the analytic model only serializes per-NIC and predicts no
 //! slowdown. This quantifies what the simpler model misses.
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn run(p: usize, contention: bool, bytes: usize) -> (f64, f64) {
+fn measure(p: usize, contention: bool, bytes: usize) -> (f64, f64) {
     let f = Fixture::with_machine(
         MachineConfig::new(p)
             .procs_per_node(1)
@@ -55,17 +58,19 @@ fn run(p: usize, contention: bool, bytes: usize) -> (f64, f64) {
     (mean, max)
 }
 
-fn main() {
-    check_args(
-        "abl_contention",
-        "ablation — analytic LogGP network vs per-link contention modelling",
-        &[
-            ("--bytes", true, "message size in bytes (default 256K)"),
-            JOBS_FLAG,
-        ],
-    );
-    let bytes = arg_usize("--bytes", 1 << 18);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_contention",
+    about: "ablation — analytic LogGP network vs per-link contention modelling",
+    flags: &[
+        Flag("--bytes", Num(1 << 18, 0), "message size in bytes"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let bytes = args.num("--bytes");
+    let jobs = args.jobs();
     println!("== Ablation: shift-permutation put+fence, analytic vs link contention ==");
     println!(
         "{:>6} {:>14} {:>14} {:>14} {:>14} {:>8}",
@@ -73,7 +78,10 @@ fn main() {
     );
     let procs = [4usize, 8, 16, 32, 64, 128];
     let rows = sweep::run_parallel(procs.len(), jobs, |i| {
-        (run(procs[i], false, bytes), run(procs[i], true, bytes))
+        (
+            measure(procs[i], false, bytes),
+            measure(procs[i], true, bytes),
+        )
     });
     for (p, ((am, ax), (cm, cx))) in procs.iter().zip(&rows) {
         println!(

@@ -6,8 +6,11 @@
 //! while the main thread waits on its own gets exposes the contention. With
 //! ρ=2 each context progresses independently.
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -15,7 +18,7 @@ use std::rc::Rc;
 /// Rank 0 runs a get-heavy loop while ranks 1..p bombard it with large
 /// accumulates (long lock-holding service batches); returns rank 0's loop
 /// completion time (us).
-fn run(contexts: usize, p: usize, rounds: usize) -> f64 {
+fn measure(contexts: usize, p: usize, rounds: usize) -> f64 {
     let mcfg = MachineConfig::new(p).procs_per_node(1).contexts(contexts);
     let f = Fixture::with_machine(
         mcfg,
@@ -62,17 +65,16 @@ fn run(contexts: usize, p: usize, rounds: usize) -> f64 {
     out.get()
 }
 
-fn main() {
-    check_args(
-        "abl_contexts",
-        "ablation — 1 vs 2 PAMI contexts under the async-thread design",
-        &[
-            ("--rounds", true, "get-loop rounds (default 200)"),
-            JOBS_FLAG,
-        ],
-    );
-    let rounds = arg_usize("--rounds", 200);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_contexts",
+    about: "ablation — 1 vs 2 PAMI contexts under the async-thread design",
+    flags: &[Flag("--rounds", Num(200, 0), "get-loop rounds"), JOBS],
+    run,
+};
+
+fn run(args: &Args) {
+    let rounds = args.num("--rounds");
+    let jobs = args.jobs();
     println!("== Ablation: rho=1 vs rho=2 contexts under AT (rank-0 get loop, us) ==");
     println!(
         "{:>4} {:>14} {:>14} {:>10}",
@@ -80,7 +82,7 @@ fn main() {
     );
     let procs = [2usize, 4, 8, 16];
     let rows = sweep::run_parallel(procs.len(), jobs, |i| {
-        (run(1, procs[i], rounds), run(2, procs[i], rounds))
+        (measure(1, procs[i], rounds), measure(2, procs[i], rounds))
     });
     for (p, (one, two)) in procs.iter().zip(&rows) {
         println!("{:>4} {:>14.1} {:>14.1} {:>9.2}x", p, one, two, one / two);

@@ -5,14 +5,17 @@
 //! target (a) driving progress promptly (AT) and (b) computing in 300 µs
 //! chunks — exposing the fall-back's dependence on remote progress.
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_usize, check_args, fmt_size, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
 use desim::SimDuration;
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 
-fn run(bytes: usize, rdma: bool, target_computes: bool, reps: usize) -> f64 {
+fn measure(bytes: usize, rdma: bool, target_computes: bool, reps: usize) -> f64 {
     // Busy-target case runs in Default progress mode (one context, no AT):
     // remote requests are only serviced between rank 1's compute chunks.
     let (contexts, progress) = if target_computes {
@@ -57,17 +60,16 @@ fn run(bytes: usize, rdma: bool, target_computes: bool, reps: usize) -> f64 {
     out.get()
 }
 
-fn main() {
-    check_args(
-        "abl_fallback",
-        "ablation — RDMA protocol vs active-message fall-back latency",
-        &[
-            ("--reps", true, "repetitions per size (default 20)"),
-            JOBS_FLAG,
-        ],
-    );
-    let reps = arg_usize("--reps", 20);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_fallback",
+    about: "ablation — RDMA protocol vs active-message fall-back latency",
+    flags: &[Flag("--reps", Num(20, 0), "repetitions per size"), JOBS],
+    run,
+};
+
+fn run(args: &Args) {
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     println!("== Ablation: RDMA (Eq.7) vs AM fall-back (Eq.8) blocking get latency (us) ==");
     println!(
         "{:>8} {:>10} {:>12} {:>22}",
@@ -77,9 +79,9 @@ fn main() {
     let rows = sweep::run_parallel(sizes.len(), jobs, |i| {
         let m = sizes[i];
         (
-            run(m, true, false, reps),
-            run(m, false, false, reps),
-            run(m, false, true, 3),
+            measure(m, true, false, reps),
+            measure(m, false, false, reps),
+            measure(m, false, true, 3),
         )
     });
     for (m, (rdma, fb, fb_busy)) in sizes.iter().zip(&rows) {

@@ -6,8 +6,11 @@
 //! consecutive ranks land on different nodes immediately. It also changes
 //! how much nearest-neighbour traffic stays on-node.
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -84,19 +87,21 @@ fn neighbour_exchange_time(p: usize, c: usize, mapping: Mapping) -> f64 {
     v
 }
 
-fn main() {
-    check_args(
-        "abl_mapping",
-        "ablation — ABCDET vs TABCDE process-to-torus mapping",
-        &[
-            ("--procs", true, "processes (default 256)"),
-            ("--ppn", true, "processes per node (default 16)"),
-            JOBS_FLAG,
-        ],
-    );
-    let p = arg_procs(256, 2);
-    let c = arg_usize("--ppn", 16);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_mapping",
+    about: "ablation — ABCDET vs TABCDE process-to-torus mapping",
+    flags: &[
+        Flag("--procs", Num(256, 2), "processes"),
+        Flag("--ppn", Num(16, 0), "processes per node"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let p = args.num("--procs");
+    let c = args.num("--ppn");
+    let jobs = args.jobs();
     println!("== Ablation: ABCDET vs TABCDE mapping (p={p}, c={c}) ==");
     let mappings = [("ABCDET", Mapping::abcdet()), ("TABCDE", Mapping::tabcde())];
     let rows = sweep::run_parallel(mappings.len(), jobs, |i| {

@@ -2,15 +2,18 @@
 //! (§III-B: full caching costs σ·ζ·γ; a bounded cache trades memory for
 //! query round trips to the owner).
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
-use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 
 /// Rank 0 gets from `targets` ranks round-robin with a skewed (Zipf-ish)
 /// popularity; returns (total time us, hits, misses, queries).
-fn run(capacity: usize, p: usize, rounds: usize) -> (f64, u64, u64, u64) {
+fn measure(capacity: usize, p: usize, rounds: usize) -> (f64, u64, u64, u64) {
     let f = Fixture::with_machine(
         MachineConfig::new(p).procs_per_node(1).contexts(2),
         ArmciConfig::default()
@@ -50,26 +53,28 @@ fn run(capacity: usize, p: usize, rounds: usize) -> (f64, u64, u64, u64) {
     (out.get(), hits, misses, queries)
 }
 
-fn main() {
-    check_args(
-        "abl_region_cache",
-        "ablation — remote memory-region cache capacity / replacement",
-        &[
-            ("--procs", true, "processes (default 64)"),
-            ("--rounds", true, "access rounds (default 1000)"),
-            JOBS_FLAG,
-        ],
-    );
-    let p = arg_procs(64, 2);
-    let rounds = arg_usize("--rounds", 1000);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_region_cache",
+    about: "ablation — remote memory-region cache capacity / replacement",
+    flags: &[
+        Flag("--procs", Num(64, 2), "processes"),
+        Flag("--rounds", Num(1000, 0), "access rounds"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let p = args.num("--procs");
+    let rounds = args.num("--rounds");
+    let jobs = args.jobs();
     println!("== Ablation: remote region cache capacity (p={p}, {rounds} gets, LFU) ==");
     println!(
         "{:>9} {:>14} {:>8} {:>8} {:>9} {:>10}",
         "capacity", "time (us)", "hits", "misses", "queries", "us/get"
     );
     let caps = [0usize, 4, 8, 16, 32, 64, 1 << 16];
-    let rows = sweep::run_parallel(caps.len(), jobs, |i| run(caps[i], p, rounds));
+    let rows = sweep::run_parallel(caps.len(), jobs, |i| measure(caps[i], p, rounds));
     for (cap, (t, h, m, q)) in caps.iter().zip(&rows) {
         println!(
             "{:>9} {:>14.1} {:>8} {:>8} {:>9} {:>10.2}",

@@ -2,13 +2,16 @@
 //! (Eq. 9) vs the packed typed-datatype path, as a function of the
 //! contiguous chunk size l₀ (§III-C2, "tall-skinny" transfers).
 
+use crate::Figure;
 use armci::{ArmciConfig, ProgressMode, Strided};
-use bgq_bench::{arg_jobs, arg_usize, check_args, fmt_size, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 
-fn run(total: usize, l0: usize, force_packed: bool, reps: usize) -> f64 {
+fn measure(total: usize, l0: usize, force_packed: bool, reps: usize) -> f64 {
     // pack_threshold selects the protocol: 0 forces zero-copy for every l0;
     // usize::MAX forces packed.
     let threshold = if force_packed { usize::MAX } else { 0 };
@@ -40,19 +43,21 @@ fn run(total: usize, l0: usize, force_packed: bool, reps: usize) -> f64 {
     out.get()
 }
 
-fn main() {
-    check_args(
-        "abl_strided_pack",
-        "ablation — chunk-list RDMA vs packed strided protocol crossover",
-        &[
-            ("--total", true, "total transfer bytes (default 256K)"),
-            ("--reps", true, "repetitions (default 4)"),
-            JOBS_FLAG,
-        ],
-    );
-    let total = arg_usize("--total", 1 << 18); // 256 KB
-    let reps = arg_usize("--reps", 4);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "abl_strided_pack",
+    about: "ablation — chunk-list RDMA vs packed strided protocol crossover",
+    flags: &[
+        Flag("--total", Num(1 << 18, 0), "total transfer bytes"),
+        Flag("--reps", Num(4, 0), "repetitions"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let total = args.num("--total");
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     println!(
         "== Ablation: strided get, zero-copy vs packed (total {}) ==",
         fmt_size(total)
@@ -69,8 +74,8 @@ fn main() {
     }
     let rows = sweep::run_parallel(chunk_sizes.len(), jobs, |i| {
         (
-            run(total, chunk_sizes[i], false, reps),
-            run(total, chunk_sizes[i], true, reps),
+            measure(total, chunk_sizes[i], false, reps),
+            measure(total, chunk_sizes[i], true, reps),
         )
     });
     for (l0, (zc, pk)) in chunk_sizes.iter().zip(&rows) {

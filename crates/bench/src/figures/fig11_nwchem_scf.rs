@@ -8,46 +8,58 @@
 //! smallest process count, prints the critical-path decomposition of the D
 //! and AT runs, and writes the machine-readable form as JSON.
 
+use crate::Figure;
 use armci::ProgressMode;
+use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::Kind::{List, Num, Path, Switch};
 use bgq_bench::{
-    append_json_field, arg_flag, arg_jobs, arg_procs_list, arg_str, arg_usize, check_args,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
+    breakdown_json, print_crit_reports, sweep, timeline_json, with_peak_rss, Args, CritReports,
+    Flag, TIMELINE_WINDOW_PS,
 };
 use nwchem_scf::{run_scf_timeline, ScfConfig};
 
-fn main() {
-    check_args(
-        "fig11_nwchem_scf",
-        "Fig 11 — NWChem SCF mini-app, Default vs AsyncThread progress",
-        &[
-            ("--quick", false, "small CI-sized workload"),
-            ("--procs", true, "comma-separated process counts"),
-            ("--iters", true, "SCF iterations (default 3, quick 2)"),
-            ("--json", true, "write per-run report rows as JSON"),
-            (
-                "--breakdown",
-                true,
-                "write critical-path breakdown JSON (smallest p)",
-            ),
-            TIMELINE_FLAG,
-            JOBS_FLAG,
-        ],
-    );
-    let quick = arg_flag("--quick");
-    let procs = arg_procs_list(
-        if quick {
-            &[64, 128]
-        } else {
-            &[1024, 2048, 4096]
-        },
-        1,
-    );
-    let iters = arg_usize("--iters", if quick { 2 } else { 3 });
-    let jobs = arg_jobs();
-    let breakdown_path = arg_str("--breakdown");
-    let wants_breakdown = breakdown_path.is_some();
-    let timeline_path = arg_str("--timeline");
-    let wants_timeline = timeline_path.is_some();
+pub const FIGURE: Figure = Figure {
+    name: "fig11_nwchem_scf",
+    about: "Fig 11 — NWChem SCF mini-app, Default vs AsyncThread progress",
+    flags: &[
+        Flag(
+            "--quick",
+            Switch,
+            "small CI-sized workload: --procs 64,128 --iters 2 unless given",
+        ),
+        Flag(
+            "--procs",
+            List(&[1024, 2048, 4096], 1),
+            "comma-separated process counts",
+        ),
+        Flag("--iters", Num(3, 0), "SCF iterations"),
+        Flag("--json", Path, "write per-run report rows as JSON"),
+        Flag(
+            "--breakdown",
+            Path,
+            "write critical-path breakdown JSON (smallest p)",
+        ),
+        TIMELINE,
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let quick = args.given("--quick");
+    let procs = if quick && !args.given("--procs") {
+        vec![64, 128]
+    } else {
+        args.list("--procs")
+    };
+    let iters = if quick && !args.given("--iters") {
+        2
+    } else {
+        args.num("--iters")
+    };
+    let jobs = args.jobs();
+    let wants_breakdown = args.given("--breakdown");
+    let wants_timeline = args.given("--timeline");
 
     println!("== Fig 11: NWChem SCF, 6 waters / 644 basis functions ==");
     const MODES: [ProgressMode; 2] = [ProgressMode::Default, ProgressMode::AsyncThread];
@@ -73,7 +85,7 @@ fn main() {
         run_scf_timeline(procs[pi], &cfg, cap)
     });
     let mut rows = Vec::new();
-    let mut crits: Vec<(&str, String, String)> = Vec::new();
+    let mut crits = CritReports::new();
     let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();
     for (pi, &p) in procs.iter().enumerate() {
         for (mi, &mode) in MODES.iter().enumerate() {
@@ -103,34 +115,11 @@ fn main() {
     }
     println!("paper: AT reduces execution time by up to 30%;");
     println!("       load-balance-counter time drops sharply with AT");
-    if !crits.is_empty() {
-        let p0 = procs.first().copied().unwrap_or(0);
-        println!("\n== message-lifecycle critical path at p={p0} ==");
-        for (key, report, _) in &crits {
-            println!("[{key}]");
-            print!("{report}");
-        }
-    }
-    if let Some(path) = breakdown_path {
-        let p0 = procs.first().copied().unwrap_or(0);
-        let mut body = format!("{{\"bench\":\"fig11_nwchem_scf\",\"p\":{p0},\"configs\":{{");
-        for (i, (key, _, json)) in crits.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{key}\":{json}"));
-        }
-        body.push_str("}}\n");
-        write_text(&path, &body);
-    }
-    if let Some(path) = timeline_path {
-        let doc = desim::TimelineDoc {
-            bench: "fig11_nwchem_scf".to_string(),
-            runs: timelines,
-        };
-        write_text(&path, &doc.to_json());
-    }
-    if let Some(path) = arg_str("--json") {
+    let p0 = procs.first().copied().unwrap_or(0);
+    print_crit_reports(p0, &crits);
+    args.write("--breakdown", || breakdown_json(FIGURE.name, p0, &crits));
+    args.write("--timeline", || timeline_json(FIGURE.name, timelines));
+    args.write("--json", || {
         let body = rows
             .iter()
             .map(|r| format!("  {}", r.to_json()))
@@ -138,7 +127,6 @@ fn main() {
             .join(",\n");
         // The document is a golden-locked array, so the ungated host-context
         // field rides in the final row (candidate-only leaves never gate).
-        let doc = append_json_field(&format!("[\n{body}\n]\n"), "peak_rss_kb", peak_rss_kb());
-        write_text(&path, &doc);
-    }
+        with_peak_rss(&format!("[\n{body}\n]\n"))
+    });
 }

@@ -3,22 +3,21 @@
 //! Paper headline numbers: 2.89 µs get @ 16 B, 2.70 µs put @ 16 B, and a
 //! latency drop at the 256 B cache-alignment boundary.
 
-use bgq_bench::{
-    arg_jobs, arg_usize, check_args, fmt_size, get_latency, put_latency, size_sweep, sweep,
-    JOBS_FLAG,
+use crate::Figure;
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{fmt_size, get_latency, put_latency, size_sweep, sweep, Args, Flag};
+
+pub const FIGURE: Figure = Figure {
+    name: "fig3_latency",
+    about: "Fig 3 — contiguous get/put latency vs message size",
+    flags: &[Flag("--reps", Num(50, 0), "repetitions per size"), JOBS],
+    run,
 };
 
-fn main() {
-    check_args(
-        "fig3_latency",
-        "Fig 3 — contiguous get/put latency vs message size",
-        &[
-            ("--reps", true, "repetitions per size (default 50)"),
-            JOBS_FLAG,
-        ],
-    );
-    let reps = arg_usize("--reps", 50);
-    let jobs = arg_jobs();
+fn run(args: &Args) {
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     println!("== Fig 3: contiguous get/put latency (2 procs, adjacent nodes) ==");
     println!("{:>8} {:>12} {:>12}", "size", "get (us)", "put (us)");
     let sizes = size_sweep(16, 8192);

@@ -3,26 +3,28 @@
 //! Paper: peak ≈ 1775 MB/s of the 1.8 GB/s available; the get curve trails
 //! the put curve until ≈ 8 KB because of the request round trip.
 
-use bgq_bench::{
-    arg_jobs, arg_str, arg_usize, bandwidth, check_args, fmt_size, size_sweep, sweep, write_text,
-    JOBS_FLAG,
-};
+use crate::Figure;
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::{Num, Path};
+use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args, Flag};
 use desim::json::{push_f64, push_u64};
 
-fn main() {
-    check_args(
-        "fig4_bandwidth",
-        "Fig 4 — contiguous get/put bandwidth vs message size",
-        &[
-            ("--window", true, "outstanding operations (default 2)"),
-            ("--reps", true, "messages per size (default 32)"),
-            ("--json", true, "write bandwidth rows as JSON"),
-            JOBS_FLAG,
-        ],
-    );
-    let window = arg_usize("--window", 2);
-    let reps = arg_usize("--reps", 32);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "fig4_bandwidth",
+    about: "Fig 4 — contiguous get/put bandwidth vs message size",
+    flags: &[
+        Flag("--window", Num(2, 0), "outstanding operations"),
+        Flag("--reps", Num(32, 0), "messages per size"),
+        Flag("--json", Path, "write bandwidth rows as JSON"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let window = args.num("--window");
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     let sizes = size_sweep(16, 1 << 20);
     println!("== Fig 4: get/put bandwidth, 2 procs, window = {window} ==");
     println!("{:>8} {:>14} {:>14}", "size", "get (MB/s)", "put (MB/s)");
@@ -38,7 +40,7 @@ fn main() {
     }
     println!("paper: peak 1775 MB/s; get round-trip overhead visible till 8K");
 
-    if let Some(path) = arg_str("--json") {
+    args.write("--json", || {
         let mut o = String::from("{\"schema\":\"fig4-v1\",\"window\":");
         push_u64(&mut o, window as u64);
         o.push_str(",\"reps\":");
@@ -57,6 +59,6 @@ fn main() {
             o.push('}');
         }
         o.push_str("]}\n");
-        write_text(&path, &o);
-    }
+        o
+    });
 }

@@ -3,21 +3,21 @@
 //! Used to find the message-aggregation inflection point: beyond 4 KB the
 //! latency/byte settles to ≈ 1 ns.
 
-use bgq_bench::{
-    arg_jobs, arg_usize, check_args, fmt_size, get_latency, size_sweep, sweep, JOBS_FLAG,
+use crate::Figure;
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{fmt_size, get_latency, size_sweep, sweep, Args, Flag};
+
+pub const FIGURE: Figure = Figure {
+    name: "fig5_latency_per_byte",
+    about: "Fig 5 — effective get latency per byte vs message size",
+    flags: &[Flag("--reps", Num(50, 0), "repetitions per size"), JOBS],
+    run,
 };
 
-fn main() {
-    check_args(
-        "fig5_latency_per_byte",
-        "Fig 5 — effective get latency per byte vs message size",
-        &[
-            ("--reps", true, "repetitions per size (default 50)"),
-            JOBS_FLAG,
-        ],
-    );
-    let reps = arg_usize("--reps", 50);
-    let jobs = arg_jobs();
+fn run(args: &Args) {
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     println!("== Fig 5: effective get latency per byte (2 procs) ==");
     println!(
         "{:>8} {:>12} {:>16}",

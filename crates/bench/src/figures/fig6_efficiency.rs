@@ -2,23 +2,26 @@
 //!
 //! Paper: N½ ≈ 2 KB, efficiency ≥ 90 % beyond 16 KB.
 
-use bgq_bench::{
-    arg_jobs, arg_usize, bandwidth, check_args, fmt_size, size_sweep, sweep, JOBS_FLAG,
+use crate::Figure;
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args, Flag};
+
+pub const FIGURE: Figure = Figure {
+    name: "fig6_efficiency",
+    about: "Fig 6 — bandwidth efficiency and N-half",
+    flags: &[
+        Flag("--window", Num(2, 0), "outstanding operations"),
+        Flag("--reps", Num(32, 0), "messages per size"),
+        JOBS,
+    ],
+    run,
 };
 
-fn main() {
-    check_args(
-        "fig6_efficiency",
-        "Fig 6 — bandwidth efficiency and N-half",
-        &[
-            ("--window", true, "outstanding operations (default 2)"),
-            ("--reps", true, "messages per size (default 32)"),
-            JOBS_FLAG,
-        ],
-    );
-    let window = arg_usize("--window", 2);
-    let reps = arg_usize("--reps", 32);
-    let jobs = arg_jobs();
+fn run(args: &Args) {
+    let window = args.num("--window");
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     let peak = 1800.0;
     println!("== Fig 6: bandwidth efficiency (put, window = {window}) ==");
     println!("{:>8} {:>14} {:>12}", "size", "bw (MB/s)", "efficiency");

@@ -4,29 +4,33 @@
 //! oscillates with the torus distance from rank 0; the min/max spread gives
 //! ≈ 35 ns per hop.
 
+use crate::Figure;
 use armci::ArmciConfig;
-use bgq_bench::{arg_jobs, arg_procs, arg_usize, check_args, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{Args, Fixture, Flag};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn main() {
-    check_args(
-        "fig7_rank_latency",
-        "Fig 7 — get latency vs process rank under ABCDET",
-        &[
-            ("--procs", true, "processes (default 2048)"),
-            ("--ppn", true, "processes per node (default 16)"),
-            ("--reps", true, "repetitions per rank (default 3)"),
-            JOBS_FLAG,
-        ],
-    );
-    // This figure is one big simulation (all ranks share a machine), so the
-    // sweep harness has nothing to fan out; the flag is accepted for CLI
-    // uniformity across the bench binaries.
-    let _jobs = arg_jobs();
-    let p = arg_procs(2048, 2);
-    let c = arg_usize("--ppn", 16);
-    let reps = arg_usize("--reps", 3);
+// This figure is one big simulation (all ranks share a machine), so the
+// sweep harness has nothing to fan out; `--jobs` is accepted so one loop can
+// pass it to every figure.
+pub const FIGURE: Figure = Figure {
+    name: "fig7_rank_latency",
+    about: "Fig 7 — get latency vs process rank under ABCDET",
+    flags: &[
+        Flag("--procs", Num(2048, 2), "processes"),
+        Flag("--ppn", Num(16, 0), "processes per node"),
+        Flag("--reps", Num(3, 0), "repetitions per rank"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let p = args.num("--procs");
+    let c = args.num("--ppn");
+    let reps = args.num("--reps");
     let bytes = 16usize;
     let f = Fixture::new(p, c, ArmciConfig::default());
     let topo = f.armci.machine().topology().clone();

@@ -4,12 +4,15 @@
 //! Paper: the curve tracks Fig 4 as l₀ grows — per-chunk overhead `o·m/l₀`
 //! (Eq. 9) dominates for small chunks, the wire for large ones.
 
+use crate::Figure;
 use armci::{ArmciConfig, Strided};
-use bgq_bench::{arg_jobs, arg_usize, check_args, fmt_size, sweep, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::Kind::Num;
+use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
 use std::cell::Cell;
 use std::rc::Rc;
 
-fn run(total: usize, l0: usize, is_get: bool, reps: usize) -> f64 {
+fn measure(total: usize, l0: usize, is_get: bool, reps: usize) -> f64 {
     let f = Fixture::new(2, 1, ArmciConfig::default());
     let r0 = f.rank(0);
     let r1 = f.rank(1);
@@ -41,19 +44,21 @@ fn run(total: usize, l0: usize, is_get: bool, reps: usize) -> f64 {
     out.get()
 }
 
-fn main() {
-    check_args(
-        "fig8_strided",
-        "Fig 8 — strided get/put bandwidth vs contiguous chunk size",
-        &[
-            ("--total", true, "total transfer bytes (default 1M)"),
-            ("--reps", true, "repetitions (default 4)"),
-            JOBS_FLAG,
-        ],
-    );
-    let total = arg_usize("--total", 1 << 20);
-    let reps = arg_usize("--reps", 4);
-    let jobs = arg_jobs();
+pub const FIGURE: Figure = Figure {
+    name: "fig8_strided",
+    about: "Fig 8 — strided get/put bandwidth vs contiguous chunk size",
+    flags: &[
+        Flag("--total", Num(1 << 20, 0), "total transfer bytes"),
+        Flag("--reps", Num(4, 0), "repetitions"),
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let total = args.num("--total");
+    let reps = args.num("--reps");
+    let jobs = args.jobs();
     println!(
         "== Fig 8: strided bandwidth vs l0 (total {} transfer) ==",
         fmt_size(total)
@@ -70,7 +75,10 @@ fn main() {
     }
     let rows = sweep::run_parallel(chunk_sizes.len(), jobs, |i| {
         let l0 = chunk_sizes[i];
-        (run(total, l0, true, reps), run(total, l0, false, reps))
+        (
+            measure(total, l0, true, reps),
+            measure(total, l0, false, reps),
+        )
     });
     for (l0, (g, p)) in chunk_sizes.iter().zip(&rows) {
         println!(

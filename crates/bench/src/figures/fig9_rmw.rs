@@ -17,50 +17,53 @@
 //! queueing / wire / contention / progress-starvation, tiling the whole
 //! run), and writes the machine-readable form as JSON.
 
+use crate::Figure;
 use armci::ProgressMode;
-use bgq_bench::fig9::run;
+use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::Kind::{List, Num, Path};
 use bgq_bench::{
-    append_json_field, arg_jobs, arg_procs_list, arg_str, arg_usize, check_args, peak_rss_kb,
-    sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
+    breakdown_json, fig9, print_crit_reports, sweep, timeline_json, with_peak_rss, Args,
+    CritReports, Flag, TIMELINE_WINDOW_PS,
 };
-use desim::{ChromeTrace, Stats, TimelineDoc};
+use desim::{ChromeTrace, Stats};
 
-fn main() {
-    check_args(
-        "fig9_rmw",
-        "Fig 9 — fetch-and-add latency vs process count (D/AT × idle/compute)",
-        &[
-            ("--procs", true, "comma-separated process counts"),
-            ("--ops", true, "fetch-and-adds per requester (default 10)"),
-            ("--json", true, "write the merged metrics snapshot JSON"),
-            (
-                "--trace",
-                true,
-                "write a Chrome trace of the smallest-p runs",
-            ),
-            (
-                "--breakdown",
-                true,
-                "write critical-path breakdown JSON (smallest p)",
-            ),
-            TIMELINE_FLAG,
-            JOBS_FLAG,
-        ],
-    );
-    // Ranks 1..p are the requesters: p = 1 has none to average over.
-    let procs = arg_procs_list(&[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096], 2);
-    let k = arg_usize("--ops", 10);
-    let jobs = arg_jobs();
-    let json_path = arg_str("--json");
-    let trace_path = arg_str("--trace");
-    let breakdown_path = arg_str("--breakdown");
-    let timeline_path = arg_str("--timeline");
-    let mut chrome = trace_path.as_ref().map(|_| ChromeTrace::new());
+pub const FIGURE: Figure = Figure {
+    name: "fig9_rmw",
+    about: "Fig 9 — fetch-and-add latency vs process count (D/AT × idle/compute)",
+    flags: &[
+        // Ranks 1..p are the requesters: p = 1 has none to average over.
+        Flag(
+            "--procs",
+            List(&[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096], 2),
+            "comma-separated process counts",
+        ),
+        Flag("--ops", Num(10, 0), "fetch-and-adds per requester"),
+        Flag("--json", Path, "write the merged metrics snapshot JSON"),
+        Flag(
+            "--trace",
+            Path,
+            "write a Chrome trace of the smallest-p runs",
+        ),
+        Flag(
+            "--breakdown",
+            Path,
+            "write critical-path breakdown JSON (smallest p)",
+        ),
+        TIMELINE,
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let procs = args.list("--procs");
+    let k = args.num("--ops");
+    let jobs = args.jobs();
+    let mut chrome = args.given("--trace").then(ChromeTrace::new);
     // Merge vehicle for the sweep-wide metrics snapshot.
     let merged = Stats::new();
-    // (config key, critical-path report, critical-path JSON) triples from
-    // the flight-recorded runs at the smallest process count.
-    let mut crits: Vec<(&str, String, String)> = Vec::new();
+    // From the flight-recorded runs at the smallest process count.
+    let mut crits = CritReports::new();
 
     println!("== Fig 9: fetch-and-add latency on a counter at rank 0 (us/op) ==");
     println!(
@@ -77,8 +80,8 @@ fn main() {
     // collected by input index, so the merge below runs in the same order as
     // the old serial loop regardless of worker count.
     let wants_trace = chrome.is_some();
-    let wants_breakdown = breakdown_path.is_some();
-    let wants_timeline = timeline_path.is_some();
+    let wants_breakdown = args.given("--breakdown");
+    let wants_timeline = args.given("--timeline");
     let outs = sweep::run_parallel(procs.len() * CONFIGS.len(), jobs, |idx| {
         let (pi, ci) = (idx / CONFIGS.len(), idx % CONFIGS.len());
         let (mode, compute, name) = CONFIGS[ci];
@@ -86,7 +89,7 @@ fn main() {
         let trace = (wants_trace && pi == 0).then_some((ci as u64 + 1, name));
         let breakdown = wants_breakdown && pi == 0;
         let tl = (wants_timeline && pi == 0).then_some(TIMELINE_WINDOW_PS);
-        run(procs[pi], mode, compute, k, trace, breakdown, None, tl)
+        fig9::run(procs[pi], mode, compute, k, trace, breakdown, None, tl)
     });
     // Timeline doc: one run per configuration, recorded at the smallest p.
     let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();
@@ -119,40 +122,12 @@ fn main() {
     }
     println!("paper: D+compute >> others (grain ~300us); AT immune to rank-0 compute;");
     println!("       AT latency grows ~linearly with p (software AMOs, no NIC support)");
-    if !crits.is_empty() {
-        let p0 = procs.first().copied().unwrap_or(0);
-        println!("\n== message-lifecycle critical path at p={p0} ==");
-        for (key, report, _) in &crits {
-            println!("[{key}]");
-            print!("{report}");
-        }
-    }
-    if let Some(path) = breakdown_path {
-        let p0 = procs.first().copied().unwrap_or(0);
-        let mut body = format!("{{\"bench\":\"fig9_rmw\",\"p\":{p0},\"configs\":{{");
-        for (i, (key, _, json)) in crits.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("\"{key}\":{json}"));
-        }
-        body.push_str("}}\n");
-        write_text(&path, &body);
-    }
-    if let Some(path) = timeline_path {
-        let doc = TimelineDoc {
-            bench: "fig9_rmw".to_string(),
-            runs: timelines,
-        };
-        write_text(&path, &doc.to_json());
-    }
-    if let Some(path) = json_path {
-        // peak_rss_kb is host context, not a gated metric: candidate-only
-        // leaves never fail perfdiff, so the committed golden stays as-is.
-        let doc = append_json_field(&merged.snapshot().to_json(), "peak_rss_kb", peak_rss_kb());
-        write_text(&path, &doc);
-    }
-    if let (Some(path), Some(ct)) = (trace_path, chrome) {
-        write_text(&path, &ct.finish());
+    let p0 = procs.first().copied().unwrap_or(0);
+    print_crit_reports(p0, &crits);
+    args.write("--breakdown", || breakdown_json(FIGURE.name, p0, &crits));
+    args.write("--timeline", || timeline_json(FIGURE.name, timelines));
+    args.write("--json", || with_peak_rss(&merged.snapshot().to_json()));
+    if let Some(ct) = chrome {
+        args.write("--trace", || ct.finish());
     }
 }

@@ -11,42 +11,51 @@
 //! `--json <path>` writes the fixed-schema `am-v1` document, including the
 //! flight-recorder attribution (six critical-path categories plus the
 //! summed `pami.am_aggr` buffer wait) for the designated batched and
-//! unbatched cells. Every field is deterministic, so CI diffs it against
-//! `results/BENCH_fig_am.json` with zero tolerance.
+//! unbatched cells. Every field is deterministic, so `bgq-bench gate` diffs
+//! it against `results/BENCH_fig_am.json` with zero tolerance.
 
-use bgq_bench::am_bench::{best_speedup, run_cell_full, AmCell, AmCrit};
-use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_procs, arg_str, arg_usize, check_args, fmt_size,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
+use crate::Figure;
+use bgq_bench::am_bench::{best_speedup, run_cell_full, sweep_json, AmCell, AmCrit};
+use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::Kind::{List, Num, Path};
+use bgq_bench::{fmt_size, sweep, timeline_json, with_peak_rss, Args, Flag, TIMELINE_WINDOW_PS};
+
+pub const FIGURE: Figure = Figure {
+    name: "fig_am",
+    about: "active-message throughput with and without aggregation",
+    flags: &[
+        // Destinations sit a stride of 16 ranks away.
+        Flag("--procs", Num(64, 17), "process count, > 16"),
+        Flag("--msgs", Num(128, 0), "AM accumulates per rank"),
+        Flag(
+            "--sizes",
+            List(&[8, 64, 512], 0),
+            "comma-separated payload sizes (bytes)",
+        ),
+        Flag(
+            "--windows",
+            List(&[0, 1, 4], 0),
+            "comma-separated flush windows (us); 0 = unbatched",
+        ),
+        Flag(
+            "--fanout",
+            List(&[1, 4], 0),
+            "comma-separated destination fan-outs",
+        ),
+        Flag("--json", Path, "write the am-v1 sweep JSON"),
+        TIMELINE,
+        JOBS,
+    ],
+    run,
 };
 
-fn main() {
-    check_args(
-        "fig_am",
-        "active-message throughput with and without aggregation",
-        &[
-            ("--procs", true, "process count, > 16 (default 64)"),
-            ("--msgs", true, "AM accumulates per rank (default 128)"),
-            ("--sizes", true, "comma-separated payload sizes (bytes)"),
-            (
-                "--windows",
-                true,
-                "comma-separated flush windows (us); 0 = unbatched",
-            ),
-            ("--fanout", true, "comma-separated destination fan-outs"),
-            ("--json", true, "write the am-v1 sweep JSON"),
-            TIMELINE_FLAG,
-            JOBS_FLAG,
-        ],
-    );
-    let procs = arg_procs(64, 17); // destinations sit a stride of 16 ranks away
-    let msgs = arg_usize("--msgs", 128);
-    let sizes = arg_list("--sizes", &[8, 64, 512]);
-    let windows = arg_list("--windows", &[0, 1, 4]);
-    let fanouts = arg_list("--fanout", &[1, 4]);
-    let jobs = arg_jobs();
-    let json_path = arg_str("--json");
-    let timeline_path = arg_str("--timeline");
+fn run(args: &Args) {
+    let procs = args.num("--procs");
+    let msgs = args.num("--msgs");
+    let sizes = args.list("--sizes");
+    let windows = args.list("--windows");
+    let fanouts = args.list("--fanout");
+    let jobs = args.jobs();
 
     println!("== fig_am: {procs} ranks, {msgs} AMs/rank ==");
     println!(
@@ -68,7 +77,7 @@ fn main() {
         .max_by_key(|&(_, &w)| w)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let wants_timeline = timeline_path.is_some();
+    let wants_timeline = args.given("--timeline");
     let n_cells = sizes.len() * windows.len() * fanouts.len();
     // One independent simulation per cell; collected by input index so
     // output order never depends on the job count.
@@ -139,27 +148,16 @@ fn main() {
         println!("am_aggr wait: {:.3} us total", c.aggr_wait_ps as f64 / 1e6);
         print!("{}", c.crit.report());
     }
-    if let Some(path) = json_path {
-        // Host context, never gated: the am-v1 golden diffs at tol 0 but
-        // candidate-only leaves are ignored by perfdiff.
-        let doc = append_json_field(
-            &bgq_bench::am_bench::sweep_json(procs, msgs, &cells, &crits),
-            "peak_rss_kb",
-            peak_rss_kb(),
-        );
-        write_text(&path, &doc);
-    }
-    if let Some(path) = timeline_path {
+    args.write("--json", || {
+        with_peak_rss(&sweep_json(procs, msgs, &cells, &crits))
+    });
+    args.write("--timeline", || {
         let runs = outs
             .into_iter()
             .filter_map(|(c, tl, _)| {
                 tl.map(|tl| (format!("size{}_win{}us", c.size, c.window_us), tl))
             })
             .collect();
-        let doc = desim::TimelineDoc {
-            bench: "fig_am".to_string(),
-            runs,
-        };
-        write_text(&path, &doc.to_json());
-    }
+        timeline_json(FIGURE.name, runs)
+    });
 }

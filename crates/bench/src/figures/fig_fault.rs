@@ -10,46 +10,52 @@
 //!
 //! `--json <path>` writes the fixed-schema `fault-v1` document; every field
 //! in it is deterministic (virtual time, counters, percentiles derived from
-//! virtual time), so CI diffs it against `results/BENCH_fig_fault.json`
-//! with zero tolerance.
+//! virtual time), so `bgq-bench gate` diffs it against
+//! `results/BENCH_fig_fault.json` with zero tolerance.
 
+use crate::Figure;
+use bgq_bench::cli::{JOBS, TIMELINE};
 use bgq_bench::fault_bench::{run_cell_timeline, sweep_json, FaultCell};
-use bgq_bench::{
-    append_json_field, arg_jobs, arg_list, arg_procs, arg_str, arg_usize, check_args, fmt_size,
-    peak_rss_kb, sweep, write_text, JOBS_FLAG, TIMELINE_FLAG, TIMELINE_WINDOW_PS,
+use bgq_bench::Kind::{List, Multiple, Num, Path};
+use bgq_bench::{fmt_size, sweep, timeline_json, with_peak_rss, Args, Flag, TIMELINE_WINDOW_PS};
+
+pub const FIGURE: Figure = Figure {
+    name: "fig_fault",
+    about: "bandwidth and p99 latency under deterministic fault injection",
+    flags: &[
+        // Puts go to the rank 16 away on the next node: whole nodes of 16
+        // ranks, at least two of them.
+        Flag(
+            "--procs",
+            Multiple(32, 32, 16),
+            "process count, a multiple of 16",
+        ),
+        Flag("--msgs", Num(8, 0), "puts per rank"),
+        Flag(
+            "--sizes",
+            List(&[4096, 65536], 0),
+            "comma-separated payload sizes (bytes)",
+        ),
+        Flag(
+            "--fault-rate",
+            List(&[0, 1000, 10000], 0),
+            "comma-separated corruption rates, parts per million",
+        ),
+        Flag("--seed", Num(42, 0), "fault-plan seed"),
+        Flag("--json", Path, "write the fault-v1 sweep JSON"),
+        TIMELINE,
+        JOBS,
+    ],
+    run,
 };
 
-fn main() {
-    check_args(
-        "fig_fault",
-        "bandwidth and p99 latency under deterministic fault injection",
-        &[
-            (
-                "--procs",
-                true,
-                "process count, multiple of 16 (default 32)",
-            ),
-            ("--msgs", true, "puts per rank (default 8)"),
-            ("--sizes", true, "comma-separated payload sizes (bytes)"),
-            (
-                "--fault-rate",
-                true,
-                "comma-separated corruption rates, parts per million",
-            ),
-            ("--seed", true, "fault-plan seed (default 42)"),
-            ("--json", true, "write the fault-v1 sweep JSON"),
-            TIMELINE_FLAG,
-            JOBS_FLAG,
-        ],
-    );
-    let procs = arg_procs(32, 32); // puts go to the next node: two nodes of 16
-    let msgs = arg_usize("--msgs", 8);
-    let sizes = arg_list("--sizes", &[4096, 65536]);
-    let rates = arg_list("--fault-rate", &[0, 1000, 10000]);
-    let seed = arg_usize("--seed", 42) as u64;
-    let jobs = arg_jobs();
-    let json_path = arg_str("--json");
-    let timeline_path = arg_str("--timeline");
+fn run(args: &Args) {
+    let procs = args.num("--procs");
+    let msgs = args.num("--msgs");
+    let sizes = args.list("--sizes");
+    let rates = args.list("--fault-rate");
+    let seed = args.num("--seed") as u64;
+    let jobs = args.jobs();
 
     println!("== fig_fault: {procs} ranks, {msgs} puts/rank, seed {seed} ==");
     println!(
@@ -64,7 +70,7 @@ fn main() {
         .max_by_key(|&(_, &r)| r)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let wants_timeline = timeline_path.is_some();
+    let wants_timeline = args.given("--timeline");
     // One independent simulation per (rate, size) cell; collected by input
     // index so output order never depends on worker count.
     let outs = sweep::run_parallel(rates.len() * sizes.len(), jobs, |idx| {
@@ -87,25 +93,14 @@ fn main() {
         );
     }
     println!("expected: MB/s falls and p99 rises smoothly with rate; rate 0 == fault-free");
-    if let Some(path) = json_path {
-        // Host context, never gated: the fault-v1 golden diffs at tol 0 but
-        // candidate-only leaves are ignored by perfdiff.
-        let doc = append_json_field(
-            &sweep_json(procs, msgs, seed, &cells),
-            "peak_rss_kb",
-            peak_rss_kb(),
-        );
-        write_text(&path, &doc);
-    }
-    if let Some(path) = timeline_path {
+    args.write("--json", || {
+        with_peak_rss(&sweep_json(procs, msgs, seed, &cells))
+    });
+    args.write("--timeline", || {
         let runs = outs
             .into_iter()
             .filter_map(|(c, tl)| tl.map(|tl| (format!("rate{}_size{}", c.rate_ppm, c.size), tl)))
             .collect();
-        let doc = desim::TimelineDoc {
-            bench: "fig_fault".to_string(),
-            runs,
-        };
-        write_text(&path, &doc.to_json());
-    }
+        timeline_json(FIGURE.name, runs)
+    });
 }

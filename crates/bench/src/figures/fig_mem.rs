@@ -1,0 +1,70 @@
+//! fig_mem — communication-subsystem memory scaling vs partition size.
+//!
+//! The companion question to every time-scaling figure in the paper: on
+//! Blue Gene/Q's 16 GB nodes, what does the PGAS communication subsystem
+//! *cost in memory* as the partition grows? This figure enables the
+//! tagged allocation profiler ([`desim::memprof`], `bgq-bench`'s global
+//! allocator), sweeps the Fig 9 fetch-and-add workload and the raw
+//! `net_churn` delivery storm over a list of process counts, and reports
+//! per-subsystem peak bytes, bytes-per-rank and a fitted growth class
+//! (constant / sublinear / linear / superlinear / quadratic) per allocation
+//! tag.
+//!
+//! `--json <path>` writes the `memscale-v1` document consumed by `memstat`
+//! and gated (schema + growth classes exactly, byte counts loosely) by
+//! `bgq-bench gate` against `results/BENCH_memscale.json`; `--timeline
+//! <path>` additionally records windowed telemetry at the smallest p with
+//! `mem.live_bytes.<tag>` gauge tracks for `simstat`.
+
+use crate::Figure;
+use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::memscale::{self, DEFAULT_MSGS_PER_RANK, DEFAULT_OPS, DEFAULT_PROCS};
+use bgq_bench::Kind::{List, Num, Path, Switch};
+use bgq_bench::{timeline_json, Args, Flag};
+use desim::memprof;
+
+pub const FIGURE: Figure = Figure {
+    name: "fig_mem",
+    about: "memory scaling of the communication subsystem vs process count",
+    flags: &[
+        Flag(
+            "--procs",
+            List(&DEFAULT_PROCS, 1),
+            "comma-separated process counts",
+        ),
+        Flag("--ops", Num(DEFAULT_OPS, 0), "fetch-and-adds per requester"),
+        Flag(
+            "--msgs-per-rank",
+            Num(DEFAULT_MSGS_PER_RANK, 0),
+            "net_churn messages per rank",
+        ),
+        Flag("--json", Path, "write the memscale-v1 JSON document"),
+        Flag(
+            "--no-timing",
+            Switch,
+            "omit ungated wall_ms/events_per_sec point fields (golden regen)",
+        ),
+        TIMELINE,
+        JOBS,
+    ],
+    run,
+};
+
+fn run(args: &Args) {
+    let mut procs = args.list("--procs");
+    procs.sort_unstable();
+    procs.dedup();
+    let ops = args.num("--ops");
+    let msgs = args.num("--msgs-per-rank");
+
+    memprof::enable();
+    let out = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.given("--timeline"));
+    let timing = !args.given("--no-timing");
+    let doc = memscale::scale_json(&out.fig9, &out.churn, ops, msgs, timing);
+    print!(
+        "{}",
+        memscale::memstat_report(&doc).expect("fresh document renders")
+    );
+    args.write("--timeline", || timeline_json(FIGURE.name, out.timelines));
+    args.write("--json", || doc);
+}

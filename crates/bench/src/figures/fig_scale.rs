@@ -18,57 +18,57 @@
 //!
 //! `--json` writes the full `scale-v3` document (committed as
 //! `results/BENCH_scale.json`, curves ungated); `--gate-json` writes the
-//! deterministic-leaves-only `scale-gate-v2` subset that CI compares with
-//! `perfdiff --tol 0` at small p against `results/BENCH_scale_gate.json`.
+//! deterministic-leaves-only `scale-gate-v2` subset that
+//! `bgq-bench gate` compares at zero tolerance, at small p, against
+//! `results/BENCH_scale_gate.json`.
 
+use crate::Figure;
 use bgq_bench::scale::{self, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS};
-use bgq_bench::{arg_procs_list, arg_str, arg_usize, check_args, write_text};
+use bgq_bench::Kind::{List, Num, Path};
+use bgq_bench::{Args, Flag};
 use desim::memprof;
 
-#[global_allocator]
-static ALLOC: memprof::MemProf = memprof::MemProf;
+pub const FIGURE: Figure = Figure {
+    name: "fig_scale",
+    about: "memory and throughput scaling of lazily materialized rank state to p=1M",
+    flags: &[
+        Flag(
+            "--procs",
+            List(&DEFAULT_PROCS, 1),
+            "comma-separated process counts",
+        ),
+        Flag(
+            "--active",
+            Num(DEFAULT_ACTIVE, 0),
+            "alltoall active-set size (at least 2; capped at p)",
+        ),
+        Flag(
+            "--ops",
+            Num(DEFAULT_OPS, 0),
+            "fetch-and-adds per requester / all-to-all rounds",
+        ),
+        Flag(
+            "--storm-msgs",
+            Num(DEFAULT_STORM_MSGS, 0),
+            "netstorm schedule length",
+        ),
+        Flag("--json", Path, "write the full scale-v3 JSON document"),
+        Flag(
+            "--gate-json",
+            Path,
+            "write the deterministic scale-gate-v2 JSON document",
+        ),
+    ],
+    run,
+};
 
-fn main() {
-    check_args(
-        "fig_scale",
-        "memory and throughput scaling of lazily materialized rank state to p=1M",
-        &[
-            (
-                "--procs",
-                true,
-                "comma-separated process counts (default up to 1,000,000)",
-            ),
-            (
-                "--active",
-                true,
-                "alltoall active-set size (default 256; capped at p)",
-            ),
-            (
-                "--ops",
-                true,
-                "fetch-and-adds per requester / all-to-all rounds (default 1)",
-            ),
-            (
-                "--storm-msgs",
-                true,
-                "netstorm schedule length (default 100,000)",
-            ),
-            ("--json", true, "write the full scale-v3 JSON document"),
-            (
-                "--gate-json",
-                true,
-                "write the deterministic scale-gate-v2 JSON document",
-            ),
-        ],
-    );
-    let mut procs = arg_procs_list(&DEFAULT_PROCS, 1);
+fn run(args: &Args) {
+    let mut procs = args.list("--procs");
     procs.sort_unstable();
     procs.dedup();
-    let ops = arg_usize("--ops", DEFAULT_OPS).max(1);
-    let active = arg_usize("--active", DEFAULT_ACTIVE).max(2);
-    let storm_msgs = arg_usize("--storm-msgs", DEFAULT_STORM_MSGS).max(1);
-    let json_path = arg_str("--json");
-    let gate_path = arg_str("--gate-json");
+    let ops = args.num("--ops").max(1);
+    let active = args.num("--active").max(2);
+    let storm_msgs = args.num("--storm-msgs").max(1);
 
     memprof::enable();
     println!(
@@ -116,16 +116,10 @@ fn main() {
             pt
         })
         .collect();
-    if let Some(path) = json_path {
-        write_text(
-            &path,
-            &scale::scale_json(&rmw, &a2a, &storm, ops, active, storm_msgs),
-        );
-    }
-    if let Some(path) = gate_path {
-        write_text(
-            &path,
-            &scale::gate_json(&rmw, &a2a, &storm, ops, active, storm_msgs),
-        );
-    }
+    args.write("--json", || {
+        scale::scale_json(&rmw, &a2a, &storm, ops, active, storm_msgs)
+    });
+    args.write("--gate-json", || {
+        scale::gate_json(&rmw, &a2a, &storm, ops, active, storm_msgs)
+    });
 }

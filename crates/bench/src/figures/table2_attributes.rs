@@ -3,21 +3,24 @@
 //! Measures object-creation times and space inside the simulation and prints
 //! them next to the paper's reported values.
 
+use crate::Figure;
 use armci::model;
-use bgq_bench::{arg_jobs, check_args, Fixture, JOBS_FLAG};
+use bgq_bench::cli::JOBS;
+use bgq_bench::{Args, Fixture};
 use desim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn main() {
-    check_args(
-        "table2_attributes",
-        "Table II — empirical time/space attribute values",
-        &[JOBS_FLAG],
-    );
-    // Single measurement simulation; the flag is accepted for CLI uniformity
-    // across the bench binaries.
-    let _jobs = arg_jobs();
+// A single measurement simulation; `--jobs` is accepted so one loop can pass
+// it to every figure.
+pub const FIGURE: Figure = Figure {
+    name: "table2_attributes",
+    about: "Table II — empirical time/space attribute values",
+    flags: &[JOBS],
+    run,
+};
+
+fn run(_args: &Args) {
     let f = Fixture::new(4, 1, armci::ArmciConfig::default());
     let r0 = f.armci.machine().rank(0);
     let params = f.armci.machine().params().clone();

@@ -1,10 +1,14 @@
 //! # bgq-bench — benchmark harness regenerating the paper's tables & figures
 //!
-//! One binary per table/figure (see `src/bin/`), each printing the same
-//! rows/series the paper reports, plus ablation binaries for the design
-//! choices of §III. Shared measurement helpers live here.
+//! One executable, `bgq-bench <name> [options]` (`src/main.rs`), dispatches
+//! over a registry of figures (`src/figures/`), each printing the same
+//! rows/series the paper reports, plus ablations for the design choices of
+//! §III. `bgq-bench list` prints the registry; `bgq-bench gate` reruns the
+//! quick configurations against the committed `results/BENCH_*` goldens.
+//! Shared measurement helpers, the command-line grammar ([`cli`]) and the
+//! report/diff tools live in this library.
 //!
-//! | Binary | Reproduces |
+//! | Figure | Reproduces |
 //! |---|---|
 //! | `table2_attributes` | Table II — empirical time/space attribute values |
 //! | `fig3_latency` | Fig 3 — contiguous get/put latency vs message size |
@@ -15,14 +19,22 @@
 //! | `fig8_strided` | Fig 8 — strided bandwidth vs contiguous chunk size |
 //! | `fig9_rmw` | Fig 9 — fetch-and-add latency vs process count |
 //! | `fig11_nwchem_scf` | Fig 11 — NWChem SCF, D vs AT |
-//! | `fig_scale` | Million-rank scaling of lazily materialized rank state |
+//! | `fig_fault`, `fig_am`, `fig_mem`, `fig_scale` | fault injection, AM aggregation, memory and million-rank scaling |
 //! | `abl_*` | §III design-choice ablations |
+//!
+//! | Verb | Does |
+//! |---|---|
+//! | `list` | print the figure names, one per line |
+//! | `gate` | rerun the quick configs and diff them against the goldens |
+//! | `perfdiff` | diff two metrics JSONs within a tolerance |
+//! | `simstat` / `memstat` | report over `timeline-v1` / `memscale-v1` documents |
 
 use armci::{Armci, ArmciConfig, ArmciRank};
 use desim::{Sim, SimDuration, SimTime};
 use pami_sim::{Machine, MachineConfig};
 
 pub mod am_bench;
+pub mod cli;
 pub mod fault_bench;
 pub mod fig9;
 pub mod memscale;
@@ -32,106 +44,11 @@ pub mod simbench;
 pub mod simstat;
 pub mod sweep;
 
-/// The `--jobs` CLI option shared by every bench binary: parallel sweep
-/// workers. Sweep points are whole independent simulations, so worker count
-/// never changes results (see [`sweep::run_parallel`]).
-pub const JOBS_FLAG: FlagSpec = (
-    "--jobs",
-    true,
-    "parallel sweep workers (default: available cores)",
-);
+pub use cli::{Args, Flag, Kind};
 
 /// Sample width for `--timeline` windowed telemetry: 100 µs windows keep
 /// even the large sweeps under the series cap without coarsening.
 pub const TIMELINE_WINDOW_PS: u64 = 100_000_000;
-
-/// The `--timeline` CLI option shared by the timeline-capable binaries.
-pub const TIMELINE_FLAG: FlagSpec = (
-    "--timeline",
-    true,
-    "write windowed-telemetry JSON (timeline-v1)",
-);
-
-/// Parse the `--jobs` option (default: available parallelism).
-pub fn arg_jobs() -> usize {
-    arg_usize("--jobs", sweep::default_jobs()).max(1)
-}
-
-/// One CLI option specification: `(name, takes_value, help)`.
-pub type FlagSpec = (&'static str, bool, &'static str);
-
-/// Render the `--help` text for a benchmark binary.
-pub fn usage_text(bin: &str, about: &str, flags: &[FlagSpec]) -> String {
-    let mut s = format!("{bin} — {about}\n\nusage: {bin}");
-    for (name, takes, _) in flags {
-        s.push_str(&format!(" [{name}{}]", if *takes { " <v>" } else { "" }));
-    }
-    s.push_str("\n\noptions:\n");
-    for (name, takes, help) in flags {
-        let lhs = format!("{name}{}", if *takes { " <v>" } else { "" });
-        s.push_str(&format!("  {lhs:<18} {help}\n"));
-    }
-    s.push_str("  -h, --help         print this help\n");
-    s
-}
-
-/// Scan an argument slice (program name excluded) against a flag table:
-/// `Ok(true)` when help was requested, `Err(message)` on the first unknown
-/// option or on a value-taking flag that ends the line. Value tokens
-/// following a value-taking flag are skipped, so negative numbers and file
-/// paths never trip the check (testable core).
-pub fn scan_args(args: &[String], flags: &[FlagSpec]) -> Result<bool, String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--help" || a == "-h" {
-            return Ok(true);
-        }
-        match flags.iter().find(|(n, _, _)| n == a) {
-            Some((_, true, _)) if i + 1 == args.len() => {
-                return Err(format!("missing value for {a}"));
-            }
-            Some((_, true, _)) => i += 1, // skip the flag's value token
-            Some(_) => {}
-            None if a.starts_with('-') => return Err(format!("unknown option '{a}'")),
-            None => {}
-        }
-        i += 1;
-    }
-    Ok(false)
-}
-
-/// `(bin, usage text)` of the running binary, recorded by [`check_args`] so
-/// that a value rejected later ([`arg_usize`], [`arg_list`], ...) leaves the
-/// same way an unknown option does.
-static USAGE: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
-
-/// Reject the command line: `<bin>: <message>` plus the usage text on
-/// stderr, exit status 2.
-fn exit_usage(message: &str) -> ! {
-    match USAGE.get() {
-        Some((bin, usage)) => eprint!("{bin}: {message}\n{usage}"),
-        None => eprintln!("{message}"),
-    }
-    std::process::exit(2);
-}
-
-/// Enforce the CLI contract shared by every bench binary: `--help`/`-h`
-/// prints the usage text and exits 0; an unknown option, or a value-taking
-/// flag without a value, prints an error plus the usage text to stderr and
-/// exits 2.
-pub fn check_args(bin: &str, about: &str, flags: &[FlagSpec]) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, usage) = USAGE.get_or_init(|| (bin.to_string(), usage_text(bin, about, flags)));
-    match scan_args(&args, flags) {
-        Ok(false) => {}
-        Ok(true) => {
-            print!("{usage}");
-            std::process::exit(0);
-        }
-        Err(message) => exit_usage(&message),
-    }
-}
 
 /// A microbenchmark fixture: a simulated machine with an ARMCI runtime.
 pub struct Fixture {
@@ -264,94 +181,6 @@ pub fn size_sweep(lo: usize, hi: usize) -> Vec<usize> {
     sizes
 }
 
-/// The token following `name` when the flag is present; a flag that ends
-/// the line has the empty value.
-fn value_of<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    let i = args.iter().position(|a| a == name)?;
-    Some(args.get(i + 1).map_or("", |v| v.as_str()))
-}
-
-/// One number of `name`'s value: a `usize` no smaller than `min`.
-fn parse_one(name: &str, token: &str, min: usize) -> Result<usize, String> {
-    match token.trim().parse() {
-        Ok(v) if v >= min => Ok(v),
-        _ => Err(format!("invalid value '{token}' for {name}")),
-    }
-}
-
-/// Parse `--key value` from an argument slice (testable core): `default`
-/// when the flag is absent, `Err(message)` when its value is missing, not a
-/// number, or below `min`.
-pub fn parse_usize(
-    args: &[String],
-    name: &str,
-    default: usize,
-    min: usize,
-) -> Result<usize, String> {
-    value_of(args, name).map_or(Ok(default), |v| parse_one(name, v, min))
-}
-
-/// Parse `--key a,b,c` from an argument slice (testable core): `default`
-/// when the flag is absent, `Err(message)` naming the first element that is
-/// empty, not a number, or below `min`.
-pub fn parse_list(
-    args: &[String],
-    name: &str,
-    default: &[usize],
-    min: usize,
-) -> Result<Vec<usize>, String> {
-    value_of(args, name).map_or(Ok(default.to_vec()), |v| {
-        v.split(',').map(|x| parse_one(name, x, min)).collect()
-    })
-}
-
-/// Parse `--key value` style CLI options with a default; a malformed value
-/// is a usage error (exit 2).
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    parse_usize(&args, name, default, 0).unwrap_or_else(|e| exit_usage(&e))
-}
-
-/// Parse a `--key a,b,c` list option with a default; a malformed element is
-/// a usage error (exit 2).
-pub fn arg_list(name: &str, default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_list(&args, name, default, 0).unwrap_or_else(|e| exit_usage(&e))
-}
-
-/// Parse `--procs <n>`: a process count below `min` (the fewest ranks the
-/// calling experiment is defined for) is a usage error like any other
-/// malformed value.
-pub fn arg_procs(default: usize, min: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    parse_usize(&args, "--procs", default, min).unwrap_or_else(|e| exit_usage(&e))
-}
-
-/// Parse `--procs a,b,c`, every element held to `min` as in [`arg_procs`].
-pub fn arg_procs_list(default: &[usize], min: usize) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_list(&args, "--procs", default, min).unwrap_or_else(|e| exit_usage(&e))
-}
-
-/// Parse `--key value` for a string-valued option (testable core).
-pub fn parse_str(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parse a `--key value` string option (e.g. `--json out.json`).
-pub fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    parse_str(&args, name)
-}
-
-/// True when `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Write a text artifact (JSON snapshot, Chrome trace) to `path`, creating
 /// parent directories as needed, and report it on stdout.
 pub fn write_text(path: &str, contents: &str) {
@@ -368,7 +197,7 @@ pub fn write_text(path: &str, contents: &str) {
 
 /// Peak resident-set size of this process in kilobytes (`VmHWM` from
 /// `/proc/self/status`); 0 when the platform does not expose it. Reported
-/// by the bench binaries as an *ungated* context field — it varies by host
+/// by the figures as an *ungated* context field — it varies by host
 /// and allocator, so CI never compares it.
 pub fn peak_rss_kb() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
@@ -391,6 +220,50 @@ pub fn append_json_field(doc: &str, key: &str, value: u64) -> String {
         Some(i) => format!("{},\"{}\":{}{}", &doc[..i], key, value, &doc[i..]),
         None => doc.to_string(),
     }
+}
+
+/// A metrics document with the process's `peak_rss_kb` spliced in. The field
+/// is host context, not a gated metric: candidate-only leaves never fail
+/// `perfdiff`, so the committed goldens stay as they are.
+pub fn with_peak_rss(doc: &str) -> String {
+    append_json_field(doc, "peak_rss_kb", peak_rss_kb())
+}
+
+/// The `timeline-v1` document of a figure's recorded runs.
+pub fn timeline_json(bench: &str, runs: Vec<(String, desim::TimelineSnapshot)>) -> String {
+    let doc = desim::TimelineDoc {
+        bench: bench.to_string(),
+        runs,
+    };
+    doc.to_json()
+}
+
+/// Critical-path decompositions of a figure's flight-recorded runs, taken at
+/// its smallest process count: `(config key, text report, JSON)` each.
+pub type CritReports = Vec<(&'static str, String, String)>;
+
+/// Print the critical-path table of each recorded configuration.
+pub fn print_crit_reports(p: usize, crits: &CritReports) {
+    if crits.is_empty() {
+        return;
+    }
+    println!("\n== message-lifecycle critical path at p={p} ==");
+    for (key, report, _) in crits {
+        println!("[{key}]");
+        print!("{report}");
+    }
+}
+
+/// The `--breakdown` document: every configuration's decomposition by key.
+pub fn breakdown_json(bench: &str, p: usize, crits: &CritReports) -> String {
+    let configs: Vec<String> = crits
+        .iter()
+        .map(|(key, _, json)| format!("\"{key}\":{json}"))
+        .collect();
+    format!(
+        "{{\"bench\":\"{bench}\",\"p\":{p},\"configs\":{{{}}}}}\n",
+        configs.join(",")
+    )
 }
 
 /// Human-friendly byte-size label.
@@ -429,102 +302,120 @@ mod tests {
         assert!(bw > 1700.0, "peak get bandwidth {bw}");
     }
 
-    fn argv(tokens: &[&str]) -> Vec<String> {
-        tokens.iter().map(|s| s.to_string()).collect()
+    const DEMO: &[Flag] = &[
+        Flag("--procs", Kind::List(&[9], 2), "process counts"),
+        Flag("--ops", Kind::Num(10, 0), "operations"),
+        Flag(
+            "--nodes",
+            Kind::Multiple(32, 32, 16),
+            "ranks in whole nodes",
+        ),
+        Flag("--tol", Kind::Real(0.05), "tolerance"),
+        Flag("--json", Kind::Path, "write JSON"),
+        Flag("--quick", Kind::Switch, "small run"),
+        cli::JOBS,
+    ];
+    const WITH_OPERANDS: &[Flag] = &[DEMO[1], Flag("<a.json>", Kind::Operands, "a document")];
+
+    fn parse(tokens: &[&str]) -> Result<Option<Args>, String> {
+        let argv: Vec<String> = tokens.iter().map(|s| s.to_string()).collect();
+        Args::parse(DEMO, &argv)
+    }
+
+    fn parsed(tokens: &[&str]) -> Args {
+        parse(tokens)
+            .expect("accepted")
+            .expect("not a help request")
     }
 
     #[test]
     fn cli_parsing() {
-        let args = argv(&["prog", "--procs", "64", "--list", "1,2,3", "--bad", "x"]);
-        assert_eq!(parse_usize(&args, "--procs", 8, 0), Ok(64));
-        assert_eq!(parse_usize(&args, "--missing", 8, 0), Ok(8));
-        assert_eq!(parse_list(&args, "--list", &[9], 0), Ok(vec![1, 2, 3]));
-        assert_eq!(parse_list(&args, "--missing", &[9], 0), Ok(vec![9]));
-        assert_eq!(parse_str(&args, "--bad").as_deref(), Some("x"));
-        assert_eq!(parse_str(&args, "--missing"), None);
+        let args = parsed(&["--procs", "2,8", "--json", "x.json", "--quick"]);
+        assert_eq!(args.list("--procs"), vec![2, 8]);
+        assert_eq!(args.path("--json"), Some("x.json"));
+        assert!(args.given("--quick") && args.given("--procs"));
+        // Absent flags read as their declared defaults.
+        assert_eq!(args.num("--ops"), 10);
+        assert_eq!(args.real("--tol"), 0.05);
+        assert!(!args.given("--ops"));
+        assert!(args.jobs() >= 1);
+        let none = parsed(&[]);
+        assert_eq!(none.list("--procs"), vec![9]);
+        assert_eq!(none.path("--json"), None);
+        assert!(!none.given("--quick"));
+        assert_eq!(parsed(&["--jobs", "3", "--tol", "-1e-3"]).jobs(), 3);
+        assert_eq!(parsed(&["--tol", "-1e-3"]).real("--tol"), -1e-3);
     }
 
     #[test]
     fn malformed_values_are_errors_not_defaults() {
-        let bad = |flag: &str, v: &str| format!("invalid value '{v}' for {flag}");
+        let rejected = |tokens: &[&str], flag: &str, v: &str| {
+            let want = format!("invalid value '{v}' for {flag}");
+            assert_eq!(parse(tokens).err(), Some(want), "{tokens:?}");
+        };
         // Unparsable scalar: never the default.
-        let args = argv(&["prog", "--procs", "abc", "--ops", "1o"]);
-        assert_eq!(
-            parse_usize(&args, "--procs", 8, 0),
-            Err(bad("--procs", "abc"))
-        );
-        assert_eq!(parse_usize(&args, "--ops", 10, 0), Err(bad("--ops", "1o")));
-        assert_eq!(
-            parse_list(&args, "--procs", &[9], 0),
-            Err(bad("--procs", "abc"))
-        );
+        rejected(&["--procs", "abc"], "--procs", "abc");
+        rejected(&["--ops", "1o"], "--ops", "1o");
+        rejected(&["--ops", "-3"], "--ops", "-3");
+        rejected(&["--tol", "x"], "--tol", "x");
         // A list keeps every element or none: no silent drops.
-        let args = argv(&["prog", "--procs", "2,,8"]);
-        assert_eq!(
-            parse_list(&args, "--procs", &[9], 0),
-            Err(bad("--procs", ""))
-        );
-        let args = argv(&["prog", "--procs", "2,x"]);
-        assert_eq!(
-            parse_list(&args, "--procs", &[9], 0),
-            Err(bad("--procs", "x"))
-        );
-        // Value missing after the flag: not "flag absent".
-        let tail = argv(&["prog", "--procs"]);
-        assert_eq!(parse_usize(&tail, "--procs", 7, 0), Err(bad("--procs", "")));
-        assert_eq!(
-            parse_list(&tail, "--procs", &[7], 0),
-            Err(bad("--procs", ""))
-        );
-        // Process counts below the experiment's floor.
-        let args = argv(&["prog", "--procs", "0"]);
-        assert_eq!(
-            parse_usize(&args, "--procs", 8, 1),
-            Err(bad("--procs", "0"))
-        );
-        let args = argv(&["prog", "--procs", "1"]);
-        assert_eq!(
-            parse_usize(&args, "--procs", 8, 2),
-            Err(bad("--procs", "1"))
-        );
-        assert_eq!(parse_usize(&args, "--procs", 8, 1), Ok(1));
-        let args = argv(&["prog", "--procs", "2,1,8"]);
-        assert_eq!(
-            parse_list(&args, "--procs", &[9], 2),
-            Err(bad("--procs", "1"))
-        );
-        assert_eq!(parse_list(&args, "--procs", &[9], 1), Ok(vec![2, 1, 8]));
+        rejected(&["--procs", "2,,8"], "--procs", "");
+        rejected(&["--procs", "2,x"], "--procs", "x");
+        // Below the declared floor, or off the declared stride.
+        rejected(&["--procs", "2,1,8"], "--procs", "1");
+        rejected(&["--nodes", "16"], "--nodes", "16");
+        rejected(&["--nodes", "40"], "--nodes", "40");
+        assert_eq!(parsed(&["--nodes", "48"]).num("--nodes"), 48);
+        // A later bad value is caught even when an earlier flag was fine.
+        rejected(&["--ops", "1", "--procs", "0"], "--procs", "0");
     }
 
     #[test]
     fn arg_scanning_accepts_known_rejects_unknown() {
-        let flags: &[FlagSpec] = &[("--procs", true, "process counts"), ("--quick", false, "")];
-        let ok: Vec<String> = ["--procs", "2,8", "--quick"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(scan_args(&ok, flags), Ok(false));
-        // A value token that looks like a flag is skipped, not rejected.
-        let neg: Vec<String> = ["--procs", "-3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(scan_args(&neg, flags), Ok(false));
-        let help: Vec<String> = ["--quick", "-h"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(scan_args(&help, flags), Ok(true));
-        let bad: Vec<String> = ["--procz", "2"].iter().map(|s| s.to_string()).collect();
+        assert!(parse(&["--procs", "2,8", "--quick"]).is_ok());
+        assert_eq!(parse(&["--quick", "-h"]).map(|a| a.is_none()), Ok(true));
         assert_eq!(
-            scan_args(&bad, flags),
-            Err("unknown option '--procz'".to_string())
+            parse(&["--procz", "2"]).err(),
+            Some("unknown option '--procz'".to_string())
         );
-        // A value-taking flag that ends the line has no value to skip.
-        let tail: Vec<String> = ["--quick", "--procs"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
         assert_eq!(
-            scan_args(&tail, flags),
-            Err("missing value for --procs".to_string())
+            parse(&["stray"]).err(),
+            Some("unexpected argument 'stray'".to_string())
         );
-        let usage = usage_text("demo", "a demo", flags);
-        assert!(usage.contains("usage: demo [--procs <v>] [--quick]"));
+        // A value-taking flag that ends the line, or is followed by another
+        // option, has no value: the next flag is never swallowed as one.
+        for tokens in [
+            &["--quick", "--procs"][..],
+            &["--procs", "--quick"],
+            &["--procs", "--help"],
+            &["--procs", "-h"],
+        ] {
+            assert_eq!(
+                parse(tokens).err(),
+                Some("missing value for --procs".to_string()),
+                "{tokens:?}"
+            );
+        }
+        assert_eq!(
+            parse(&["--json", "--ops", "x"]).err(),
+            Some("missing value for --json".to_string())
+        );
+        // Paths that merely start with a dash are values.
+        assert_eq!(
+            parsed(&["--json", "-out.json"]).path("--json"),
+            Some("-out.json")
+        );
+        let argv = vec!["a.json".to_string(), "b.json".to_string()];
+        let with_operands = Args::parse(WITH_OPERANDS, &argv).unwrap().unwrap();
+        assert_eq!(with_operands.operands, argv);
+        let usage = cli::usage_text("demo", "a demo", WITH_OPERANDS);
+        assert!(usage.contains("usage: bgq-bench demo [--ops <n>] <a.json>\n"));
+        let usage = cli::usage_text("demo", "a demo", DEMO);
+        assert!(usage.contains("usage: bgq-bench demo [--procs <n,n,..>] [--ops <n>]"));
+        assert!(usage.contains("[--quick] [--jobs <n>]\n"));
+        assert!(usage.contains("operations (default 10)\n"));
+        assert!(usage.contains("process counts (default 9)\n"));
+        assert!(usage.contains("tolerance (default 0.05)\n"));
         assert!(usage.contains("--help"));
     }
 

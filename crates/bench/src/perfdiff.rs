@@ -1,7 +1,7 @@
 //! Numeric diffing of two JSON metric documents — the perf-regression gate.
 //!
-//! The `perfdiff` binary (and the CI job wired to it) compares a freshly
-//! generated `MetricsSnapshot` / critical-path breakdown against a committed
+//! `bgq-bench perfdiff` (two files) and `bgq-bench gate` (the whole table of
+//! goldens) compare a freshly generated `MetricsSnapshot` / critical-path breakdown against a committed
 //! golden baseline. Because the simulator is deterministic, goldens normally
 //! match bit-for-bit; the tolerances exist so that *intentional* model
 //! retuning can be landed by regenerating the baseline, while accidental

@@ -21,7 +21,7 @@
 //!
 //! Each point records two kinds of fields. **Deterministic** (virtual end
 //! time, kernel events, materialized-rank count, task-table high-water
-//! mark): byte-stable for a given binary, gated at zero tolerance in CI via
+//! mark): byte-stable for a given binary, gated at zero tolerance via
 //! the `scale-gate-v2` document at small p. **Ungated context** (tagged
 //! peak bytes, peak RSS, wall time, events/s): the scaling curves
 //! themselves, committed for the record but host/compiler-dependent, so CI
@@ -319,7 +319,7 @@ pub fn scale_json(
 /// Serialize only the deterministic per-point fields as a `scale-gate-v2`
 /// document. Every leaf is byte-stable for a given source tree (virtual
 /// times, event counts, materialization counts, task-table size — never
-/// bytes or wall time), so CI gates it with `perfdiff --tol 0` at small p.
+/// bytes or wall time), so `bgq-bench gate` holds it to zero tolerance at small p.
 pub fn gate_json(
     rmw: &[ScalePoint],
     a2a: &[ScalePoint],

@@ -1,30 +1,21 @@
-//! Simulator self-benchmark workloads (the `simbench` binary).
+//! The seeded `net_churn` delivery storm: host-speed workload of the
+//! network layer alone.
 //!
-//! Synthetic kernel workloads that measure how fast the `desim` kernel
-//! itself runs on the host — wall-clock events/second — independent of any
-//! model fidelity question. Three workloads cover the kernel's hot paths:
-//!
-//! * [`timer_churn`] — many tasks sleeping pseudo-random durations: stresses
-//!   the timer wheel (insert/fire) across near and far deadlines.
-//! * [`ping_pong`] — channel ping-pong pairs with no sleeps: stresses the
-//!   ready queue and waker path exclusively (everything at t = 0).
-//! * [`net_churn`] — a contended all-to-all delivery storm pushed straight
-//!   through `torus5d::NetState`: stresses the network hot path (route
-//!   lookup, per-link reservation, pair ordering) and reports deliveries/sec.
-//! * [`fig4_sweep`] — a real bandwidth sweep (Fig 4 shape) run serially and
-//!   with the parallel harness: measures end-to-end sweep speedup.
-//!
-//! Event counts and simulated times are fully deterministic; only wall-clock
-//! readings vary between hosts. The `simbench` binary reports both in a
-//! fixed-schema JSON so CI can gate on schema/determinism strictly and on
-//! timings loosely (see `scripts/reproduce.sh` and the CI workflow).
+//! [`net_churn`] pushes a contended all-to-all message schedule straight
+//! through `torus5d::NetState` — no kernel, no tasks — so it stresses the
+//! network hot path (route lookup, per-link reservation, pair ordering) and
+//! nothing else. `fig_scale`'s `netstorm` rows and `fig_mem`'s `net_churn`
+//! rows run it, and the zero-cost tests (`fault_zero_cost`,
+//! `timeline_zero_cost`, `memprof_zero_cost`, `health_detection`) use it as
+//! the workload whose bytes must not move. Delivery counts and simulated
+//! times are fully deterministic; only the wall-clock reading varies by
+//! host. Host time itself is measured by `bgq-perf` under `benchmark/`
+//! (`net_storm` is this storm's counterpart there), not here.
 
 use std::time::{Duration, Instant};
 
-use desim::{FaultPlan, Sim, SimDuration, SimRng, SimTime};
+use desim::{FaultPlan, SimDuration, SimRng, SimTime};
 use torus5d::{BgqParams, Delivery, MsgClass, NetState, Topology};
-
-use crate::sweep;
 
 /// Outcome of one kernel workload: deterministic event/time totals plus the
 /// host wall-clock spent running it.
@@ -41,69 +32,6 @@ impl KernelLoad {
     /// Millions of kernel events per wall-clock second.
     pub fn mevents_per_sec(&self) -> f64 {
         self.events as f64 / self.wall.as_secs_f64().max(1e-9) / 1e6
-    }
-}
-
-/// Timer-churn workload: `tasks` tasks each perform `steps` sleeps of
-/// seeded pseudo-random length (1 ns – ~1 µs, with an occasional ~300 µs
-/// far-future sleep mimicking compute grains), so deadlines land across
-/// every level of the timer wheel.
-pub fn timer_churn(tasks: usize, steps: usize) -> KernelLoad {
-    let sim = Sim::new();
-    let root = SimRng::new(0xB9C4_5EED);
-    for t in 0..tasks {
-        let s = sim.clone();
-        let mut rng = root.derive(t as u64);
-        sim.spawn(async move {
-            for step in 0..steps {
-                let d = if step % 64 == 63 {
-                    SimDuration::from_us(300) // far-future: falls past the near wheel
-                } else {
-                    SimDuration::from_ns(1 + rng.next_below(1000))
-                };
-                s.sleep(d).await;
-            }
-        });
-    }
-    let t0 = Instant::now();
-    let end = sim.run();
-    let wall = t0.elapsed();
-    KernelLoad {
-        events: sim.events_processed(),
-        sim_time_ps: end.as_ps(),
-        wall,
-    }
-}
-
-/// Channel ping-pong workload: `pairs` pairs of tasks bounce a token
-/// `rounds` times with no sleeps, so the whole workload executes at t = 0
-/// through the ready queue and waker path alone.
-pub fn ping_pong(pairs: usize, rounds: usize) -> KernelLoad {
-    let sim = Sim::new();
-    for p in 0..pairs {
-        let (to_b, from_a) = desim::channel::channel::<u64>();
-        let (to_a, from_b) = desim::channel::channel::<u64>();
-        sim.spawn(async move {
-            let mut token = p as u64;
-            for _ in 0..rounds {
-                to_b.send(token);
-                token = from_b.recv().await.expect("peer hung up");
-            }
-        });
-        sim.spawn(async move {
-            for _ in 0..rounds {
-                let v = from_a.recv().await.expect("peer hung up");
-                to_a.send(v.wrapping_add(1));
-            }
-        });
-    }
-    let t0 = Instant::now();
-    let end = sim.run();
-    let wall = t0.elapsed();
-    KernelLoad {
-        events: sim.events_processed(),
-        sim_time_ps: end.as_ps(),
-        wall,
     }
 }
 
@@ -231,46 +159,9 @@ fn churn_schedule(procs: usize, msgs: usize) -> Vec<ChurnMsg> {
     sched
 }
 
-/// Fig 4-style bandwidth sweep (get+put per size), run through the parallel
-/// harness with `jobs` workers. Returns the per-size bandwidth sums (MB/s,
-/// deterministic) and the wall-clock for the whole sweep.
-pub fn fig4_sweep(
-    sizes: &[usize],
-    window: usize,
-    reps: usize,
-    jobs: usize,
-) -> (Vec<f64>, Duration) {
-    let t0 = Instant::now();
-    let rows = sweep::run_parallel(sizes.len(), jobs, |i| {
-        let m = sizes[i];
-        crate::bandwidth(2, m, window, reps, true) + crate::bandwidth(2, m, window, reps, false)
-    });
-    (rows, t0.elapsed())
-}
-
-pub use crate::peak_rss_kb;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_churn_is_deterministic() {
-        let a = timer_churn(16, 32);
-        let b = timer_churn(16, 32);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.sim_time_ps, b.sim_time_ps);
-        assert!(a.events > (16 * 32) as u64); // at least one event per sleep
-    }
-
-    #[test]
-    fn ping_pong_is_deterministic_and_timeless() {
-        let a = ping_pong(8, 50);
-        let b = ping_pong(8, 50);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.sim_time_ps, 0, "no sleeps: everything happens at t=0");
-        assert_eq!(b.sim_time_ps, 0);
-    }
 
     #[test]
     fn net_churn_is_deterministic() {
@@ -280,13 +171,5 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.sim_time_ps, b.sim_time_ps);
         assert!(a.sim_time_ps > 0, "messages must take time to arrive");
-    }
-
-    #[test]
-    fn fig4_sweep_matches_serial_across_jobs() {
-        let sizes = [1024usize, 4096, 16384];
-        let (serial, _) = fig4_sweep(&sizes, 2, 4, 1);
-        let (parallel, _) = fig4_sweep(&sizes, 2, 4, 4);
-        assert_eq!(serial, parallel);
     }
 }

@@ -1,4 +1,4 @@
-//! Core of the `simstat` binary: human reports over `timeline-v1` JSON
+//! Core of the `bgq-bench simstat` verb: human reports over `timeline-v1` JSON
 //! artifacts — text sparklines per series, health findings per run, and a
 //! window-aligned A/B diff when two documents are given.
 //!

@@ -1,27 +1,25 @@
 //! Bad command lines are usage errors, never silent defaults or panics.
 //!
-//! Every bench binary parses its options through `bgq_bench::check_args` and
-//! the `arg_*` helpers; a missing, unparsable or too-small value must print
-//! one `<bin>: ...` line plus the usage text on stderr, exit 2, and leave no
-//! artifact behind — the same path an unknown option takes.
+//! `bgq-bench` parses every figure's options through its `Flag` table into
+//! `bgq_bench::Args` before the figure runs; a missing, unparsable or
+//! out-of-range value must print one `<figure>: ...` line plus the usage text
+//! on stderr, exit 2, and leave no artifact behind — the same path an unknown
+//! option takes.
 
 use std::path::Path;
 use std::process::Command;
 
-/// Run `<bin> --json <tmp> args` and require the usage-error exit: status
-/// 2, `<bin>: <message>` as the first stderr line, usage after it, empty
-/// stdout, no JSON written.
-fn assert_rejected(bin_path: &str, args: &[&str], message: &str) {
-    let bin = Path::new(bin_path)
-        .file_name()
-        .and_then(|n| n.to_str())
-        .expect("binary path has a UTF-8 file name");
+/// Run `bgq-bench <bin> --json <tmp> args` and require the usage-error exit:
+/// status 2, `<bin>: <message>` as the first stderr line, usage after it,
+/// empty stdout, no JSON written.
+fn assert_rejected(bin: &str, args: &[&str], message: &str) {
     let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
         "cli_{bin}_{}.json",
         args.join("_").replace(',', "-")
     ));
     let _ = std::fs::remove_file(&json);
-    let out = Command::new(bin_path)
+    let out = Command::new(env!("CARGO_BIN_EXE_bgq-bench"))
+        .arg(bin)
         .arg("--json")
         .arg(&json)
         .args(args)
@@ -32,7 +30,7 @@ fn assert_rejected(bin_path: &str, args: &[&str], message: &str) {
     let mut lines = stderr.lines();
     assert_eq!(lines.next(), Some(format!("{bin}: {message}").as_str()));
     assert!(
-        lines.any(|l| l.starts_with(&format!("usage: {bin}"))),
+        lines.any(|l| l.starts_with(&format!("usage: bgq-bench {bin}"))),
         "{bin} {args:?}: usage text missing:\n{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{bin} {args:?}:\n{stderr}");
@@ -45,8 +43,7 @@ fn assert_rejected(bin_path: &str, args: &[&str], message: &str) {
 
 #[test]
 fn fig9_rmw_rejects_malformed_values() {
-    let bin = env!("CARGO_BIN_EXE_fig9_rmw");
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["--procs", "abc"], "invalid value 'abc' for --procs"),
         (&["--procs", "2,,8"], "invalid value '' for --procs"),
         (&["--procs", "2,x"], "invalid value 'x' for --procs"),
@@ -55,10 +52,18 @@ fn fig9_rmw_rejects_malformed_values() {
         (&["--procs", "1"], "invalid value '1' for --procs"),
         (&["--procs"], "missing value for --procs"),
         (&["--workers", "2"], "unknown option '--workers'"),
+        // A flag is never swallowed as the value of the one before it:
+        // `--breakdown --trace x` used to write a file named `--trace`.
+        (
+            &["--breakdown", "--trace", "x"],
+            "missing value for --breakdown",
+        ),
+        (&["--timeline", "--help"], "missing value for --timeline"),
     ];
     for (args, message) in cases {
-        assert_rejected(bin, args, message);
+        assert_rejected("fig9_rmw", args, message);
     }
+    assert!(!Path::new("--trace").exists());
 }
 
 #[test]
@@ -66,17 +71,23 @@ fn process_count_floors_are_per_experiment() {
     // `--procs 0` used to reach `Machine::new`'s assertion; small counts hit
     // each benchmark's own (fan-out stride, two nodes of 16 ranks).
     assert_rejected(
-        env!("CARGO_BIN_EXE_fig_fault"),
+        "fig_fault",
+        &["--procs", "16"],
+        "invalid value '16' for --procs",
+    );
+    // Whole nodes only: 40 ranks used to reach the library's assertion.
+    assert_rejected(
+        "fig_fault",
+        &["--procs", "40"],
+        "invalid value '40' for --procs",
+    );
+    assert_rejected(
+        "fig_am",
         &["--procs", "16"],
         "invalid value '16' for --procs",
     );
     assert_rejected(
-        env!("CARGO_BIN_EXE_fig_am"),
-        &["--procs", "16"],
-        "invalid value '16' for --procs",
-    );
-    assert_rejected(
-        env!("CARGO_BIN_EXE_fig11_nwchem_scf"),
+        "fig11_nwchem_scf",
         &["--quick", "--procs", "32,0"],
         "invalid value '0' for --procs",
     );

@@ -1,20 +1,21 @@
 //! End-to-end determinism gate for the parallel sweep harness.
 //!
-//! Every bench binary must produce byte-identical stdout and JSON artifacts
+//! Every figure must produce byte-identical stdout and JSON artifacts
 //! regardless of `--jobs`: the harness parallelizes across *whole*
 //! simulations and reassembles results by input index, so worker count can
-//! never leak into the output. These tests run real binaries (quick
-//! configurations) at `--jobs 1` and `--jobs 4` and diff everything.
+//! never leak into the output. These tests run the real `bgq-bench`
+//! executable (quick configurations) at `--jobs 1` and `--jobs 4` and diff
+//! everything.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Run `bin` with `args` plus `--jobs <jobs>`, capturing stdout. When
+/// Run figure `bin` with `args` plus `--jobs <jobs>`, capturing stdout. When
 /// `json` is set, a `--json <tmp>` flag is appended and the file contents
 /// are returned alongside stdout.
 fn run(bin: &str, args: &[&str], jobs: usize, json: Option<&str>) -> (String, Option<String>) {
-    let mut cmd = Command::new(bin);
-    cmd.args(args);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bgq-bench"));
+    cmd.arg(bin).args(args);
     cmd.arg("--jobs").arg(jobs.to_string());
     let json_path = json.map(|tag| {
         let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
@@ -84,7 +85,7 @@ fn assert_jobs_invariant(bin: &str, args: &[&str], tag: &str) -> String {
 
 #[test]
 fn fig4_bandwidth_is_jobs_invariant() {
-    let bin = env!("CARGO_BIN_EXE_fig4_bandwidth");
+    let bin = "fig4_bandwidth";
     let args = ["--window", "1", "--reps", "1"];
     let (out1, json1) = run(bin, &args, 1, Some("fig4"));
     let (out4, json4) = run(bin, &args, 4, Some("fig4"));
@@ -104,7 +105,7 @@ fn fig4_bandwidth_is_jobs_invariant() {
 
 #[test]
 fn fig9_rmw_is_jobs_invariant() {
-    let bin = env!("CARGO_BIN_EXE_fig9_rmw");
+    let bin = "fig9_rmw";
     let json = assert_jobs_invariant(bin, &["--procs", "2,8", "--ops", "3"], "fig9");
     assert!(
         json.contains("\"peak_rss_kb\":"),
@@ -114,14 +115,14 @@ fn fig9_rmw_is_jobs_invariant() {
 
 #[test]
 fn fig11_nwchem_scf_is_jobs_invariant() {
-    let bin = env!("CARGO_BIN_EXE_fig11_nwchem_scf");
+    let bin = "fig11_nwchem_scf";
     assert_jobs_invariant(bin, &["--quick", "--procs", "32,64"], "fig11");
 }
 
 #[test]
 fn fig_fault_is_jobs_invariant() {
     // The golden configuration: rate-0 and faulted cells side by side.
-    let bin = env!("CARGO_BIN_EXE_fig_fault");
+    let bin = "fig_fault";
     let args = [
         "--procs",
         "32",
@@ -141,11 +142,12 @@ fn fig9_rmw_timeline_is_jobs_invariant_and_repeatable() {
     // The timeline-v1 artifact must be byte-identical across worker counts
     // and across repeated invocations — it feeds a zero-tolerance perfdiff
     // gate in CI.
-    let bin = env!("CARGO_BIN_EXE_fig9_rmw");
+    let bin = "fig9_rmw";
     let run_tl = |jobs: &str, tag: &str| -> String {
         let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
         p.push(format!("det_fig9_tl_{tag}.json"));
-        let out = Command::new(bin)
+        let out = Command::new(env!("CARGO_BIN_EXE_bgq-bench"))
+            .arg(bin)
             .args(["--procs", "2,8", "--ops", "3", "--jobs", jobs, "--timeline"])
             .arg(&p)
             .output()
@@ -172,86 +174,11 @@ fn fig9_rmw_timeline_is_jobs_invariant_and_repeatable() {
 }
 
 #[test]
-fn simbench_event_counts_are_deterministic() {
-    // Two runs of the same workload must count the same events and reach
-    // the same simulated time — wall-clock varies, virtual time never does.
-    let bin = env!("CARGO_BIN_EXE_simbench");
-    let args = [
-        "--tasks",
-        "32",
-        "--steps",
-        "100",
-        "--pairs",
-        "16",
-        "--rounds",
-        "100",
-        "--churn-procs",
-        "64",
-        "--churn-msgs",
-        "5000",
-    ];
-    let (_, json_a) = run(bin, &args, 2, Some("simbench_a"));
-    let (_, json_b) = run(bin, &args, 2, Some("simbench_b"));
-    let pick = |body: &str| -> Vec<String> {
-        body.split(',')
-            .filter(|f| f.contains("\"events\"") || f.contains("\"sim_time_ps\""))
-            .map(str::to_owned)
-            .collect()
-    };
-    let a = pick(&json_a.expect("json written"));
-    let b = pick(&json_b.expect("json written"));
-    assert!(
-        !a.is_empty(),
-        "no deterministic fields found in simbench JSON"
-    );
-    assert_eq!(a, b, "simbench event counts / sim times must be stable");
-}
-
-#[test]
-fn simbench_net_churn_is_jobs_invariant() {
-    // The net_churn delivery storm must reach the same message count and
-    // final virtual time whether the binary runs its sweep serially or with
-    // 4 workers (only wall-clock fields may differ between invocations).
-    let bin = env!("CARGO_BIN_EXE_simbench");
-    let args = [
-        "--tasks",
-        "8",
-        "--steps",
-        "20",
-        "--pairs",
-        "4",
-        "--rounds",
-        "20",
-        "--churn-procs",
-        "128",
-        "--churn-msgs",
-        "20000",
-    ];
-    let (_, json_1) = run(bin, &args, 1, Some("simbench_churn_j1"));
-    let (_, json_4) = run(bin, &args, 4, Some("simbench_churn_j4"));
-    let churn_fields = |body: &str| -> Vec<String> {
-        let start = body
-            .find("\"net_churn\"")
-            .expect("net_churn section present");
-        body[start..]
-            .split(',')
-            .filter(|f| f.contains("\"events\"") || f.contains("\"sim_time_ps\""))
-            .take(2)
-            .map(str::to_owned)
-            .collect()
-    };
-    let a = churn_fields(&json_1.expect("json written"));
-    let b = churn_fields(&json_4.expect("json written"));
-    assert_eq!(a.len(), 2, "net_churn events + sim_time_ps present");
-    assert_eq!(a, b, "net_churn results must not depend on --jobs");
-}
-
-#[test]
 fn fig_am_is_jobs_invariant() {
     // Every am-v1 field — AM rates, wire counts, flight attribution — must
     // be byte-identical whether the sweep runs serially or on 4 harness
     // workers.
-    let bin = env!("CARGO_BIN_EXE_fig_am");
+    let bin = "fig_am";
     let args = ["--procs", "32", "--msgs", "16", "--sizes", "8,64"];
     let json = assert_jobs_invariant(bin, &args, "fig_am");
     assert!(json.contains("\"schema\":\"am-v1\""));
