@@ -7,6 +7,8 @@
 
 use desim::{Completion, OpId};
 
+use crate::optable::OpDesc;
+
 /// What kind of operation a handle tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
@@ -16,13 +18,15 @@ pub enum OpKind {
     Put,
     /// An accumulate: completion = local buffer reusable.
     Acc,
+    /// An atomic read-modify-write: blocking, completion = old value fetched.
+    Rmw,
 }
 
 /// Explicit handle for one non-blocking ARMCI operation.
 #[derive(Clone)]
 pub struct NbHandle {
-    /// Operation kind (decides the completion-processing overhead on wait).
-    pub kind: OpKind,
+    /// The operation's table row (decides what `wait` charges and records).
+    pub desc: &'static OpDesc,
     /// Target rank of the operation.
     pub target: usize,
     /// The caller-visible completion (see [`OpKind`] for what it means).
@@ -49,7 +53,7 @@ mod tests {
     #[test]
     fn test_reflects_completion() {
         let h = NbHandle {
-            kind: OpKind::Get,
+            desc: &crate::optable::GET,
             target: 3,
             done: Completion::new(),
             remote: None,

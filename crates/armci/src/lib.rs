@@ -23,6 +23,9 @@
 //!   false-positive fences between distinct distributed structures (§III-E);
 //! * fences, barriers, mutexes, and pairwise notify/wait.
 //!
+//! Each operation is described once, as a row of [`optable::OPS`]; the issue
+//! path in [`ops`], [`ArmciRank::wait`] and the tests read the rows.
+//!
 //! ```
 //! use desim::Sim;
 //! use pami_sim::{Machine, MachineConfig};
@@ -48,6 +51,7 @@ pub mod consistency;
 pub mod handle;
 pub mod model;
 pub mod ops;
+pub mod optable;
 pub mod region_cache;
 pub mod runtime;
 pub mod strided;
@@ -57,6 +61,7 @@ pub use consistency::{ConsistencyMode, ConsistencyTracker};
 pub use handle::{NbHandle, OpKind};
 pub use model::{FailureMode, RetryPolicy};
 pub use ops::ArmciRank;
+pub use optable::{OpDesc, Overhead, OPS};
 pub use region_cache::{RegionCache, RemoteRegion};
 pub use runtime::{Armci, ArmciConfig, ProgressMode};
 pub use strided::Strided;

@@ -9,23 +9,38 @@
 //! Strided transfers post a chunk list of non-blocking RDMA operations
 //! (Eq. 9) unless the contiguous chunk is below the pack threshold
 //! (tall-skinny), in which case the packed typed-datatype path is used.
+//!
+//! Every get, put and accumulate — contiguous, strided or vector — runs the
+//! one issue path, `ArmciRank::issue`, over its row of the operation table
+//! ([`crate::optable`]); the operation itself contributes only its *protocol
+//! step*, the PAMI calls that move the data.
 
 use std::cell::OnceCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
-use desim::{Completion, FlightRecorder, OpId, SimDuration, TraceValue, Tracer, TrackId};
-use pami_sim::{PamiRank, RmwOp};
+use desim::{Completion, FlightRecorder, OpId, SimDuration, SimTime, TraceValue, Tracer, TrackId};
+use pami_sim::{PamiRank, PutHandles, RmwOp};
 
 /// Implicit-handle sets and non-blocking handle state.
 static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 
 use crate::handle::{NbHandle, OpKind};
+use crate::optable::{self, OpDesc, Overhead};
 use crate::region_cache::RemoteRegion;
 use crate::runtime::{
-    Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY_AM, DISPATCH_REGION_QUERY,
+    Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY, DISPATCH_REGION_QUERY,
 };
 use crate::strided::Strided;
+
+/// What a protocol step hands back: the caller-visible completion and, for
+/// a write, the remote completion fences wait on.
+type Posted = (Completion<()>, Option<Completion<()>>);
+
+fn written(h: PutHandles) -> Posted {
+    (h.local, Some(h.remote))
+}
 
 /// Handle for one rank's view of the ARMCI runtime.
 ///
@@ -243,7 +258,7 @@ impl ArmciRank {
         header.extend_from_slice(&(off as u64).to_le_bytes());
         header.extend_from_slice(&(len as u64).to_le_bytes());
         self.pami
-            .am_send(target, DISPATCH_REGION_QUERY, header, Vec::new())
+            .send_control_am(target, DISPATCH_REGION_QUERY, header, Vec::new())
             .await;
         let res = self.pami.progress_wait(&reply).await;
         if let Some(region) = res {
@@ -269,81 +284,161 @@ impl ArmciRank {
 
     /// Await the conflicting writes location consistency demands before a
     /// read of `(target, key)` (§III-E).
-    async fn consistency_read_gate(&self, target: usize, key: Option<usize>) {
+    fn consistency_read_gate(
+        &self,
+        target: usize,
+        key: Option<usize>,
+    ) -> impl Future<Output = ()> + '_ {
+        // Collected at the call (every caller awaits at once), so the future
+        // holds the conflicts and not the arguments they were found by.
         let conflicts = self
             .rt()
             .consistency
             .borrow_mut()
             .conflicts_for_read(target, key);
-        if !conflicts.is_empty() {
-            self.stats().incr("armci.induced_fence");
-            for c in conflicts {
-                self.pami.progress_wait(&c).await;
+        async move {
+            if !conflicts.is_empty() {
+                self.stats().incr("armci.induced_fence");
+                for c in conflicts {
+                    self.pami.progress_wait(&c).await;
+                }
             }
         }
     }
 
     // ------------------------------------------------------------------
-    // Contiguous get/put/acc
+    // The issue path
+    // ------------------------------------------------------------------
+
+    /// Issue one non-blocking transfer of the pieces of `list`, described by
+    /// the table row `desc`: the prologue (lifecycle record, counters, trace
+    /// span, endpoint, region resolution, consistency gate, local region,
+    /// protocol choice), the operation's own protocol `step` — told whether
+    /// the direct protocol may be used, and the total bytes — and the
+    /// epilogue (span end, write record, detach, handle, implicit list).
+    /// Generic over the step rather than boxing it: the future of each public
+    /// operation holds its own PAMI calls inline and nothing else's. A
+    /// transfer of no chunks completes on the spot, with no message.
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    fn issue<'a, S, F>(
+        &'a self,
+        desc: &'static OpDesc,
+        target: usize,
+        list: impl ChunkList + 'a,
+        step: S,
+    ) -> impl Future<Output = NbHandle> + 'a
+    where
+        S: FnOnce(bool, usize) -> F + 'a,
+        F: Future<Output = Posted> + 'a,
+    {
+        async move {
+            let op = self.begin_op(desc.name);
+            self.stats().incr(desc.name);
+            let (mut chunks, mut total, mut min_len) = (0u64, 0, usize::MAX);
+            for (_, _, len) in list.pieces() {
+                chunks += 1;
+                total += len;
+                min_len = min_len.min(len);
+            }
+            if chunks == 0 {
+                self.detach_op(op);
+                let done = Completion::new();
+                done.complete(());
+                return NbHandle {
+                    desc,
+                    target,
+                    remote: (desc.kind != OpKind::Get).then(|| done.clone()),
+                    done,
+                    op,
+                };
+            }
+            self.stats().add(desc.bytes, total as u64);
+            let packed = desc.packs && min_len < self.a.inner.cfg.pack_threshold;
+            let tr = self.tracer();
+            let track = self.op_track(&tr);
+            tr.span_begin(
+                track,
+                desc.name,
+                self.a.sim().now(),
+                &[
+                    ("target", TraceValue::U64(target as u64)),
+                    ("bytes", TraceValue::U64(total as u64)),
+                    ("chunks", TraceValue::U64(chunks)),
+                ],
+            );
+            self.ensure_endpoint(target).await;
+            let ((loff, llen), (roff, rlen)) = list.spans();
+            let (key, direct) = if desc.protocol.is_some() {
+                let region = self.resolve_remote(target, roff, rlen).await;
+                let key = region.map(|r| r.off);
+                if desc.kind == OpKind::Get {
+                    self.consistency_read_gate(target, key).await;
+                }
+                let local_ok = self.ensure_local_region(loff, llen).await;
+                (key, local_ok && key.is_some() && !packed)
+            } else {
+                // Software only: the transfer itself never needs the region,
+                // but its key (if cheaply known) lets cs_mr scope conflict
+                // tracking.
+                let mut cache = self.rt().region_cache.borrow_mut();
+                (cache.lookup(target, roff, rlen).map(|r| r.off), false)
+            };
+            if let Some(taken) = desc.protocol_key(direct) {
+                self.stats().incr(taken);
+            }
+            let (done, remote) = step(direct, total).await;
+            // Looked up again rather than kept across the step's await: the
+            // row is static, the future's bytes are per rank.
+            let path = desc.protocol_key(direct).unwrap_or("software");
+            tr.span_end(
+                track,
+                desc.name,
+                self.a.sim().now(),
+                &[("path", TraceValue::Str(path))],
+            );
+            if let Some(remote) = &remote {
+                self.rt()
+                    .consistency
+                    .borrow_mut()
+                    .record_write(target, key, remote.clone());
+            }
+            self.detach_op(op);
+            let h = NbHandle {
+                desc,
+                target,
+                done,
+                remote,
+                op,
+            };
+            let _mem = memprof::scope(&HANDLES_TAG);
+            self.rt().implicit.borrow_mut().push(h.done.clone());
+            h
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Contiguous get/put/acc: chunk lists of one piece
     // ------------------------------------------------------------------
 
     /// Non-blocking contiguous get.
-    pub async fn nbget(
+    pub fn nbget(
         &self,
         target: usize,
         local_off: usize,
         remote_off: usize,
         len: usize,
-    ) -> NbHandle {
-        let op = self.begin_op("armci.get");
-        self.stats().incr("armci.get");
-        self.stats().add("armci.get_bytes", len as u64);
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.get",
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64(len as u64)),
-            ],
-        );
-        self.ensure_endpoint(target).await;
-        let remote = self.resolve_remote(target, remote_off, len).await;
-        let key = remote.map(|r| r.off);
-        self.consistency_read_gate(target, key).await;
-        let local_ok = self.ensure_local_region(local_off, len).await;
-        let (done, path) = if local_ok && remote.is_some() {
-            self.stats().incr("armci.get_rdma");
-            (
-                self.pami.rdma_get(target, local_off, remote_off, len).await,
-                "rdma",
-            )
-        } else {
-            self.stats().incr("armci.get_fallback");
-            (
-                self.pami.sw_get(target, local_off, remote_off, len).await,
-                "fallback",
-            )
-        };
-        tr.span_end(
-            track,
-            "armci.get",
-            self.a.sim().now(),
-            &[("path", TraceValue::Str(path))],
-        );
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Get,
-            target,
-            done,
-            remote: None,
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+    ) -> impl Future<Output = NbHandle> + '_ {
+        let piece = (local_off, remote_off, len);
+        self.issue(&optable::GET, target, piece, move |rdma, _| async move {
+            let done = if rdma {
+                self.pami.rdma_get(target, local_off, remote_off, len).await
+            } else {
+                self.pami.sw_get(target, local_off, remote_off, len).await
+            };
+            (done, None)
+        })
     }
 
     /// Blocking contiguous get.
@@ -353,65 +448,21 @@ impl ArmciRank {
     }
 
     /// Non-blocking contiguous put.
-    pub async fn nbput(
+    pub fn nbput(
         &self,
         target: usize,
         local_off: usize,
         remote_off: usize,
         len: usize,
-    ) -> NbHandle {
-        let op = self.begin_op("armci.put");
-        self.stats().incr("armci.put");
-        self.stats().add("armci.put_bytes", len as u64);
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.put",
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64(len as u64)),
-            ],
-        );
-        self.ensure_endpoint(target).await;
-        let remote = self.resolve_remote(target, remote_off, len).await;
-        let key = remote.map(|r| r.off);
-        let local_ok = self.ensure_local_region(local_off, len).await;
-        let (handles, path) = if local_ok && remote.is_some() {
-            self.stats().incr("armci.put_rdma");
-            (
-                self.pami.rdma_put(target, local_off, remote_off, len).await,
-                "rdma",
-            )
-        } else {
-            self.stats().incr("armci.put_fallback");
-            (
-                self.pami.sw_put(target, local_off, remote_off, len).await,
-                "fallback",
-            )
-        };
-        tr.span_end(
-            track,
-            "armci.put",
-            self.a.sim().now(),
-            &[("path", TraceValue::Str(path))],
-        );
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, key, handles.remote.clone());
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Put,
-            target,
-            done: handles.local.clone(),
-            remote: Some(handles.remote),
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+    ) -> impl Future<Output = NbHandle> + '_ {
+        let piece = (local_off, remote_off, len);
+        self.issue(&optable::PUT, target, piece, move |rdma, _| async move {
+            written(if rdma {
+                self.pami.rdma_put(target, local_off, remote_off, len).await
+            } else {
+                self.pami.sw_put(target, local_off, remote_off, len).await
+            })
+        })
     }
 
     /// Blocking contiguous put (returns when the local buffer is reusable).
@@ -422,58 +473,22 @@ impl ArmciRank {
 
     /// Non-blocking accumulate of `elems` f64s: `dst += scale·src`. Always
     /// travels the software path (no NIC support for accumulate on BG/Q).
-    pub async fn nbacc(
+    pub fn nbacc(
         &self,
         target: usize,
         local_off: usize,
         remote_off: usize,
         elems: usize,
         scale: f64,
-    ) -> NbHandle {
-        let op = self.begin_op("armci.acc");
-        self.stats().incr("armci.acc");
-        self.stats().add("armci.acc_bytes", (elems * 8) as u64);
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.acc",
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64((elems * 8) as u64)),
-                ("path", TraceValue::Str("software")),
-            ],
-        );
-        self.ensure_endpoint(target).await;
-        // Accumulates never need the region for the transfer itself, but the
-        // region key (if cheaply known) lets cs_mr scope conflict tracking.
-        let key = self
-            .rt()
-            .region_cache
-            .borrow_mut()
-            .lookup(target, remote_off, elems * 8)
-            .map(|r| r.off);
-        let handles = self
-            .pami
-            .acc_f64(target, local_off, remote_off, elems, scale)
-            .await;
-        tr.span_end(track, "armci.acc", self.a.sim().now(), &[]);
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, key, handles.remote.clone());
-        self.detach_op(op);
-        let h = NbHandle {
-            kind: OpKind::Acc,
-            target,
-            done: handles.local.clone(),
-            remote: Some(handles.remote),
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
+    ) -> impl Future<Output = NbHandle> + '_ {
+        let piece = (local_off, remote_off, elems * 8);
+        self.issue(&optable::ACC, target, piece, move |_, _| async move {
+            written(
+                self.pami
+                    .acc_f64(target, local_off, remote_off, elems, scale)
+                    .await,
+            )
+        })
     }
 
     /// Blocking accumulate (local completion only; the remote update is
@@ -493,21 +508,49 @@ impl ArmciRank {
     }
 
     // ------------------------------------------------------------------
-    // Strided (uniformly non-contiguous) get/put/acc
+    // Strided (uniformly non-contiguous) and vector get/put/acc
     // ------------------------------------------------------------------
+
+    /// The chunked transfer every strided and vector get and put is: the
+    /// pieces as one RDMA chunk train (zero-copy, Eq. 9) or, for pieces under
+    /// the pack threshold or without regions, the packed typed-datatype path.
+    fn nb_chunked<'a>(
+        &'a self,
+        desc: &'static OpDesc,
+        target: usize,
+        list: impl ChunkList + 'a,
+    ) -> impl Future<Output = NbHandle> + 'a {
+        self.issue(desc, target, list, move |zero_copy, total| async move {
+            match (desc.kind == OpKind::Get, zero_copy) {
+                (true, true) => {
+                    let pieces = list.pieces();
+                    (self.pami.rdma_get_list(target, pieces, total).await, None)
+                }
+                (true, false) => {
+                    let (local, remote) = list.chunk_lists();
+                    (self.pami.packed_get(target, remote, local).await, None)
+                }
+                (false, true) => {
+                    written(self.pami.rdma_put_list(target, list.pieces(), total).await)
+                }
+                (false, false) => {
+                    let (local, remote) = list.chunk_lists();
+                    written(self.pami.packed_put(target, local, remote).await)
+                }
+            }
+        })
+    }
 
     /// Non-blocking strided get; `local` and `remote` must be
     /// shape-compatible.
-    pub async fn nbget_strided(
-        &self,
+    pub fn nbget_strided<'a>(
+        &'a self,
         target: usize,
-        local: &Strided,
-        remote: &Strided,
-    ) -> NbHandle {
-        assert!(local.compatible(remote), "incompatible strided descriptors");
-        let list = StridedPair { local, remote };
-        self.nb_chunked(OpKind::Get, "armci.get_strided", target, &list)
-            .await
+        local: &'a Strided,
+        remote: &'a Strided,
+    ) -> impl Future<Output = NbHandle> + 'a {
+        let list = StridedPair::new(local, remote);
+        self.nb_chunked(&optable::GET_STRIDED, target, list)
     }
 
     /// Blocking strided get.
@@ -517,16 +560,14 @@ impl ArmciRank {
     }
 
     /// Non-blocking strided put.
-    pub async fn nbput_strided(
-        &self,
+    pub fn nbput_strided<'a>(
+        &'a self,
         target: usize,
-        local: &Strided,
-        remote: &Strided,
-    ) -> NbHandle {
-        assert!(local.compatible(remote), "incompatible strided descriptors");
-        let list = StridedPair { local, remote };
-        self.nb_chunked(OpKind::Put, "armci.put_strided", target, &list)
-            .await
+        local: &'a Strided,
+        remote: &'a Strided,
+    ) -> impl Future<Output = NbHandle> + 'a {
+        let list = StridedPair::new(local, remote);
+        self.nb_chunked(&optable::PUT_STRIDED, target, list)
     }
 
     /// Blocking strided put.
@@ -535,162 +576,29 @@ impl ArmciRank {
         self.wait(&h).await;
     }
 
-    /// The handle of a transfer over no chunks (a zero count): complete on
-    /// the spot, with no message.
-    fn nothing_to_move(&self, kind: OpKind, target: usize, op: Option<OpId>) -> NbHandle {
-        self.detach_op(op);
-        let done = Completion::new();
-        done.complete(());
-        NbHandle {
-            kind,
-            target,
-            remote: (kind != OpKind::Get).then(|| done.clone()),
-            done,
-            op,
-        }
-    }
-
-    /// The issue path every chunked get and put shares (strided and vector):
-    /// resolve both sides, then either post the pieces as one RDMA chunk
-    /// train (zero-copy, Eq. 9) or, for pieces under the pack threshold or
-    /// without regions, take the packed typed-datatype path. A transfer of
-    /// no chunks completes on the spot, with no message.
-    async fn nb_chunked(
-        &self,
-        kind: OpKind,
-        name: &'static str,
-        target: usize,
-        list: &impl ChunkList,
-    ) -> NbHandle {
-        let op = self.begin_op(name);
-        self.stats().incr(name);
-        let (mut chunks, mut total, mut min_len) = (0u64, 0, usize::MAX);
-        for (_, _, len) in list.pieces() {
-            chunks += 1;
-            total += len;
-            min_len = min_len.min(len);
-        }
-        if chunks == 0 {
-            return self.nothing_to_move(kind, target, op);
-        }
-        let is_get = kind == OpKind::Get;
-        let bytes_key = if is_get {
-            "armci.get_bytes"
-        } else {
-            "armci.put_bytes"
-        };
-        self.stats().add(bytes_key, total as u64);
-        self.ensure_endpoint(target).await;
-        let ((loff, llen), (roff, rlen)) = list.spans();
-        let region = self.resolve_remote(target, roff, rlen).await;
-        let key = region.map(|r| r.off);
-        if is_get {
-            self.consistency_read_gate(target, key).await;
-        }
-        let local_ok = self.ensure_local_region(loff, llen).await;
-        let zero_copy = min_len >= self.a.inner.cfg.pack_threshold && local_ok && region.is_some();
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            name,
-            self.a.sim().now(),
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("bytes", TraceValue::U64(total as u64)),
-                ("chunks", TraceValue::U64(chunks)),
-                (
-                    "path",
-                    TraceValue::Str(if zero_copy { "zero_copy" } else { "packed" }),
-                ),
-            ],
-        );
-        self.stats().incr(if zero_copy {
-            "armci.strided_zero_copy"
-        } else {
-            "armci.strided_packed"
-        });
-        let (done, remote) = if is_get {
-            let done = if zero_copy {
-                self.pami.rdma_get_list(target, list.pieces(), total).await
-            } else {
-                let (local, remote) = list.chunk_lists();
-                self.pami.packed_get(target, remote, local).await
-            };
-            (done, None)
-        } else {
-            let h = if zero_copy {
-                self.pami.rdma_put_list(target, list.pieces(), total).await
-            } else {
-                let (local, remote) = list.chunk_lists();
-                self.pami.packed_put(target, local, remote).await
-            };
-            (h.local, Some(h.remote))
-        };
-        tr.span_end(track, name, self.a.sim().now(), &[]);
-        if let Some(remote) = &remote {
-            self.rt()
-                .consistency
-                .borrow_mut()
-                .record_write(target, key, remote.clone());
-        }
-        self.detach_op(op);
-        let h = NbHandle {
-            kind,
-            target,
-            done,
-            remote,
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(h.done.clone());
-        h
-    }
-
     /// Non-blocking strided accumulate (`dst += scale·src` elementwise over
     /// f64 chunks).
-    pub async fn nbacc_strided(
-        &self,
+    pub fn nbacc_strided<'a>(
+        &'a self,
         target: usize,
-        local: &Strided,
-        remote: &Strided,
+        local: &'a Strided,
+        remote: &'a Strided,
         scale: f64,
-    ) -> NbHandle {
-        assert!(local.compatible(remote), "incompatible strided descriptors");
-        let op = self.begin_op("armci.acc_strided");
-        self.stats().incr("armci.acc_strided");
-        if remote.nchunks() == 0 {
-            return self.nothing_to_move(OpKind::Acc, target, op);
-        }
-        self.stats()
-            .add("armci.acc_bytes", remote.total_bytes() as u64);
-        self.ensure_endpoint(target).await;
-        let (roff, rlen) = span(remote);
-        let key = self
-            .rt()
-            .region_cache
-            .borrow_mut()
-            .lookup(target, roff, rlen)
-            .map(|r| r.off);
-        let h = self
-            .pami
-            .acc_strided_f64(target, local.chunk_list(), remote.chunk_list(), scale)
-            .await;
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, key, h.remote.clone());
-        self.detach_op(op);
-        let handle = NbHandle {
-            kind: OpKind::Acc,
+    ) -> impl Future<Output = NbHandle> + 'a {
+        let list = StridedPair::new(local, remote);
+        self.issue(
+            &optable::ACC_STRIDED,
             target,
-            done: h.local.clone(),
-            remote: Some(h.remote),
-            op,
-        };
-        let _mem = memprof::scope(&HANDLES_TAG);
-        self.rt().implicit.borrow_mut().push(handle.done.clone());
-        handle
+            list,
+            move |_, _| async move {
+                let (local, remote) = list.chunk_lists();
+                written(
+                    self.pami
+                        .acc_strided_f64(target, local, remote, scale)
+                        .await,
+                )
+            },
+        )
     }
 
     /// Blocking strided accumulate.
@@ -699,18 +607,26 @@ impl ArmciRank {
         self.wait(&h).await;
     }
 
-    /// Blocking single-value put (ARMCI_PutValueLong): stages the value in a
-    /// scratch cell and writes it to the target. Used for flags and small
-    /// control words.
+    /// This rank's scratch word for single-value transfers: allocated on
+    /// first use and registered (δ, once) by the first transfer through it.
+    fn scratch_word(&self) -> usize {
+        let mut rare = self.rt().rare();
+        *rare.scratch.get_or_insert_with(|| self.pami.alloc(8))
+    }
+
+    /// Blocking single-value put (ARMCI_PutValueLong): stages the value in
+    /// the rank's scratch word and writes it to the target. Used for flags
+    /// and small control words.
     pub async fn put_value_i64(&self, target: usize, remote_off: usize, v: i64) {
-        let scratch = self.pami.alloc(8);
+        let scratch = self.scratch_word();
         self.pami.write_i64(scratch, v);
         self.put(target, scratch, remote_off, 8).await;
     }
 
-    /// Blocking single-value get (ARMCI_GetValueLong).
+    /// Blocking single-value get (ARMCI_GetValueLong), through the same
+    /// scratch word: one single-value transfer per rank at a time.
     pub async fn get_value_i64(&self, target: usize, remote_off: usize) -> i64 {
-        let scratch = self.pami.alloc(8);
+        let scratch = self.scratch_word();
         self.get(target, scratch, remote_off, 8).await;
         self.pami.read_i64(scratch)
     }
@@ -721,11 +637,14 @@ impl ArmciRank {
 
     /// Non-blocking vector get: explicit `(local_off, remote_off, len)`
     /// triples (the general I/O-vector interface; strided descriptors are
-    /// the compact special case, §III-C2).
-    pub async fn nbgetv(&self, target: usize, parts: &[(usize, usize, usize)]) -> NbHandle {
-        assert!(!parts.is_empty(), "empty vector request");
-        self.nb_chunked(OpKind::Get, "armci.getv", target, &parts)
-            .await
+    /// the compact special case, §III-C2). An empty vector completes on the
+    /// spot.
+    pub fn nbgetv<'a>(
+        &'a self,
+        target: usize,
+        parts: &'a [(usize, usize, usize)],
+    ) -> impl Future<Output = NbHandle> + 'a {
+        self.nb_chunked(&optable::GETV, target, parts)
     }
 
     /// Blocking vector get.
@@ -735,10 +654,12 @@ impl ArmciRank {
     }
 
     /// Non-blocking vector put.
-    pub async fn nbputv(&self, target: usize, parts: &[(usize, usize, usize)]) -> NbHandle {
-        assert!(!parts.is_empty(), "empty vector request");
-        self.nb_chunked(OpKind::Put, "armci.putv", target, &parts)
-            .await
+    pub fn nbputv<'a>(
+        &'a self,
+        target: usize,
+        parts: &'a [(usize, usize, usize)],
+    ) -> impl Future<Output = NbHandle> + 'a {
+        self.nb_chunked(&optable::PUTV, target, parts)
     }
 
     /// Blocking vector put.
@@ -750,6 +671,22 @@ impl ArmciRank {
     // ------------------------------------------------------------------
     // Completion / synchronization
     // ------------------------------------------------------------------
+
+    /// The tail of every blocking wait, begun at `t0`, once the operation's
+    /// completion has fired: charge the row's completion overhead and record
+    /// the wait under the row's `armci.wait.*` key (duration, and the same
+    /// key in the histogram space at ns granularity).
+    async fn reap(&self, desc: &OpDesc, t0: SimTime) {
+        let p = self.a.inner.machine.params();
+        match desc.completion {
+            Overhead::Recv => self.a.sim().sleep(p.o_recv).await,
+            Overhead::PutLocal => self.a.sim().sleep(p.o_put_local).await,
+            Overhead::None => {}
+        }
+        let waited = self.a.sim().now() - t0;
+        self.stats().record_time(desc.wait, waited);
+        self.stats().record_hist(desc.wait, waited.as_ps() / 1000);
+    }
 
     /// Wait for one explicit non-blocking handle, driving progress meanwhile.
     /// Records the wait time under `armci.wait.{get,put,acc}` in the stats
@@ -770,21 +707,7 @@ impl ArmciRank {
             self.pami.set_current_op(h.op);
         }
         self.pami.progress_wait(&h.done).await;
-        let p = self.a.inner.machine.params();
-        match h.kind {
-            OpKind::Get => self.a.sim().sleep(p.o_recv).await,
-            OpKind::Put => self.a.sim().sleep(p.o_put_local).await,
-            OpKind::Acc => {}
-        }
-        let key = match h.kind {
-            OpKind::Get => "armci.wait.get",
-            OpKind::Put => "armci.wait.put",
-            OpKind::Acc => "armci.wait.acc",
-        };
-        let waited = self.a.sim().now() - t0;
-        self.stats().record_time(key, waited);
-        // Same key in the histogram space: ns-granularity latency buckets.
-        self.stats().record_hist(key, waited.as_ps() / 1000);
+        self.reap(h.desc, t0).await;
         tr.span_end(track, "armci.wait", self.a.sim().now(), &[]);
         self.end_op(h.op);
     }
@@ -847,76 +770,74 @@ impl ArmciRank {
     // Atomic memory operations (load-balance counters)
     // ------------------------------------------------------------------
 
+    /// The one blocking read-modify-write: the full call is one span, whose
+    /// length in D mode is dominated by waiting for the *target* to enter a
+    /// blocking call and service the queue — the pathology of §III-D.
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    fn rmw(&self, target: usize, remote_off: usize, rmw: RmwOp) -> impl Future<Output = i64> + '_ {
+        const DESC: &OpDesc = &optable::RMW;
+        async move {
+            let op = self.begin_op(DESC.name);
+            let t0 = self.a.sim().now();
+            let tr = self.tracer();
+            let track = self.op_track(&tr);
+            let form = match rmw {
+                RmwOp::FetchAdd(_) => "fetch_add",
+                RmwOp::Swap(_) => "swap",
+                RmwOp::CompareSwap { .. } => "cas",
+            };
+            tr.span_begin(
+                track,
+                DESC.name,
+                t0,
+                &[
+                    ("target", TraceValue::U64(target as u64)),
+                    ("op", TraceValue::Str(form)),
+                ],
+            );
+            self.ensure_endpoint(target).await;
+            self.stats().incr(DESC.name);
+            let done = self.pami.rmw(target, remote_off, rmw).await;
+            let old = self.pami.progress_wait(&done).await;
+            self.reap(DESC, t0).await;
+            tr.span_end(track, DESC.name, self.a.sim().now(), &[]);
+            self.end_op(op);
+            old
+        }
+    }
+
     /// Blocking fetch-and-add on an i64 at the target; returns the previous
     /// value. This is the load-balance-counter primitive (§III-D).
-    pub async fn rmw_fetch_add(&self, target: usize, remote_off: usize, val: i64) -> i64 {
-        let op = self.begin_op("armci.rmw");
-        let t0 = self.a.sim().now();
-        // The full blocking call is one span: in D mode its length is
-        // dominated by waiting for the *target* to enter a blocking call and
-        // service the queue — exactly the pathology of §III-D.
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.rmw",
-            t0,
-            &[
-                ("target", TraceValue::U64(target as u64)),
-                ("op", TraceValue::Str("fetch_add")),
-            ],
-        );
-        self.ensure_endpoint(target).await;
-        self.stats().incr("armci.rmw");
-        let done = self
-            .pami
-            .rmw(target, remote_off, RmwOp::FetchAdd(val))
-            .await;
-        let old = self.pami.progress_wait(&done).await;
-        self.a
-            .sim()
-            .sleep(self.a.inner.machine.params().o_recv)
-            .await;
-        let waited = self.a.sim().now() - t0;
-        self.stats().record_time("armci.wait.rmw", waited);
-        self.stats()
-            .record_hist("armci.wait.rmw", waited.as_ps() / 1000);
-        tr.span_end(track, "armci.rmw", self.a.sim().now(), &[]);
-        self.end_op(op);
-        old
+    pub fn rmw_fetch_add(
+        &self,
+        target: usize,
+        remote_off: usize,
+        val: i64,
+    ) -> impl Future<Output = i64> + '_ {
+        self.rmw(target, remote_off, RmwOp::FetchAdd(val))
     }
 
     /// Blocking atomic swap; returns the previous value.
-    pub async fn rmw_swap(&self, target: usize, remote_off: usize, val: i64) -> i64 {
-        let op = self.begin_op("armci.rmw");
-        self.ensure_endpoint(target).await;
-        self.stats().incr("armci.rmw");
-        let done = self.pami.rmw(target, remote_off, RmwOp::Swap(val)).await;
-        let old = self.pami.progress_wait(&done).await;
-        self.a
-            .sim()
-            .sleep(self.a.inner.machine.params().o_recv)
-            .await;
-        self.end_op(op);
-        old
+    pub fn rmw_swap(
+        &self,
+        target: usize,
+        remote_off: usize,
+        val: i64,
+    ) -> impl Future<Output = i64> + '_ {
+        self.rmw(target, remote_off, RmwOp::Swap(val))
     }
 
     /// Blocking compare-and-swap; returns the previous value.
-    pub async fn rmw_cas(&self, target: usize, remote_off: usize, compare: i64, swap: i64) -> i64 {
-        let op = self.begin_op("armci.rmw");
-        self.ensure_endpoint(target).await;
-        self.stats().incr("armci.rmw");
-        let done = self
-            .pami
-            .rmw(target, remote_off, RmwOp::CompareSwap { compare, swap })
-            .await;
-        let old = self.pami.progress_wait(&done).await;
-        self.a
-            .sim()
-            .sleep(self.a.inner.machine.params().o_recv)
-            .await;
-        self.end_op(op);
-        old
+    pub fn rmw_cas(
+        &self,
+        target: usize,
+        remote_off: usize,
+        compare: i64,
+        swap: i64,
+    ) -> impl Future<Output = i64> + '_ {
+        self.rmw(target, remote_off, RmwOp::CompareSwap { compare, swap })
     }
 
     // ------------------------------------------------------------------
@@ -963,29 +884,31 @@ impl ArmciRank {
     // Pairwise notify/wait
     // ------------------------------------------------------------------
 
-    /// The next notification sequence number for `target` (1-based; shared
-    /// by the software-put and the AM notify paths).
-    fn next_notify_seq(&self, target: usize) -> i64 {
-        let mut rare = self.rt().rare();
-        let seq = rare.notify_seq.entry(target).or_insert(0);
-        *seq += 1;
-        *seq
-    }
-
     /// Post a notification to `target`; returns this notification's sequence
-    /// number (1-based, monotonically increasing per target).
+    /// number (1-based, monotonically increasing per target). The
+    /// notification is an active message whose handler raises this rank's
+    /// cell at the target, so it is ordered after this rank's earlier puts
+    /// to the same target (`Ordered` class, pair FIFO). Under AM batching it
+    /// may sit in an aggregation buffer until the window expires; an AM has
+    /// only local completion, so `fence(target)` does not wait for it —
+    /// [`ArmciRank::am_fence`] is the fence that forces it out and waits
+    /// until it has been applied.
     pub async fn notify(&self, target: usize) -> i64 {
-        let seq = self.next_notify_seq(target);
-        // Stage the sequence number in a scratch cell and software-put it
-        // into the target's notify slot for this rank.
-        let scratch = self.pami.alloc(8);
-        self.pami.write_i64(scratch, seq);
-        let dst = self.a.rank_rt(target).notify_off.get() + 8 * self.r;
-        let h = self.pami.sw_put(target, scratch, dst, 8).await;
-        self.rt()
-            .consistency
-            .borrow_mut()
-            .record_write(target, None, h.remote.clone());
+        let op = self.begin_op("armci.notify");
+        self.stats().incr("armci.notify");
+        let seq = {
+            let mut rare = self.rt().rare();
+            let seq = rare.notify_seq.entry(target).or_insert(0);
+            *seq += 1;
+            *seq
+        };
+        // Materialize the target's notify cells before the AM can land.
+        self.a.rank_rt(target);
+        let header = seq.to_le_bytes().to_vec();
+        self.pami
+            .send_am(target, DISPATCH_NOTIFY, header, Vec::new())
+            .await;
+        self.end_op(op);
         seq
     }
 
@@ -1005,45 +928,21 @@ impl ArmciRank {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Active-message-backed operations (aggregation surface)
-    // ------------------------------------------------------------------
-
-    /// Post a notification to `target` as an active message. Shares the
-    /// per-target sequence space with [`ArmciRank::notify`], and the
-    /// handler writes the same notify cell, so the receiver waits with the
-    /// ordinary [`ArmciRank::wait_notify`]. Under AM batching the
-    /// notification may sit in an aggregation buffer until the window
-    /// expires; use [`ArmciRank::am_fence`] to force it out.
-    pub async fn notify_am(&self, target: usize) -> i64 {
-        let op = self.begin_op("armci.notify_am");
-        self.stats().incr("armci.notify_am");
-        let seq = self.next_notify_seq(target);
-        // Materialize the target's notify cells before the AM can land.
-        self.a.rank_rt(target);
-        self.pami
-            .send_am(
-                target,
-                DISPATCH_NOTIFY_AM,
-                seq.to_le_bytes().to_vec(),
-                Vec::new(),
-            )
-            .await;
-        self.end_op(op);
-        seq
-    }
-
-    /// `am_broadcast`-style notify: post one AM notification to each target,
+    /// `am_broadcast`-style notify: post one notification to each target,
     /// returning the per-target sequence numbers. With batching enabled,
     /// notifications to the same destination coalesce with any other queued
     /// AM traffic into one wire message per destination.
     pub async fn notify_broadcast(&self, targets: &[usize]) -> Vec<i64> {
         let mut seqs = Vec::with_capacity(targets.len());
         for &t in targets {
-            seqs.push(self.notify_am(t).await);
+            seqs.push(self.notify(t).await);
         }
         seqs
     }
+
+    // ------------------------------------------------------------------
+    // Active-message-backed operations (aggregation surface)
+    // ------------------------------------------------------------------
 
     /// AM-based accumulate fallback: `target[remote_off..] += scale · vals`,
     /// carrying the values inside the message rather than staging them in
@@ -1112,9 +1011,9 @@ fn span(desc: &Strided) -> (usize, usize) {
 /// `(offset, len)` chunks of one side of a transfer.
 type Spans = Vec<(usize, usize)>;
 
-/// A chunked transfer as [`ArmciRank::nb_chunked`] sees it: a strided
-/// descriptor pair or an explicit I/O vector.
-trait ChunkList {
+/// A transfer as the issue path and its protocol steps see it: one
+/// contiguous piece, a strided descriptor pair or an explicit I/O vector.
+trait ChunkList: Copy {
     /// `(local_off, remote_off, len)` of every piece, in posting order.
     fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)>;
     /// Covering `(offset, len)` span of the local and of the remote side.
@@ -1123,9 +1022,32 @@ trait ChunkList {
     fn chunk_lists(&self) -> (Spans, Spans);
 }
 
+/// A contiguous transfer is the chunk list of one piece.
+impl ChunkList for (usize, usize, usize) {
+    fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)> {
+        std::iter::once(*self)
+    }
+
+    fn spans(&self) -> ((usize, usize), (usize, usize)) {
+        ((self.0, self.2), (self.1, self.2))
+    }
+
+    fn chunk_lists(&self) -> (Spans, Spans) {
+        (vec![(self.0, self.2)], vec![(self.1, self.2)])
+    }
+}
+
+#[derive(Clone, Copy)]
 struct StridedPair<'a> {
     local: &'a Strided,
     remote: &'a Strided,
+}
+
+impl<'a> StridedPair<'a> {
+    fn new(local: &'a Strided, remote: &'a Strided) -> StridedPair<'a> {
+        assert!(local.compatible(remote), "incompatible strided descriptors");
+        StridedPair { local, remote }
+    }
 }
 
 impl ChunkList for StridedPair<'_> {

@@ -79,10 +79,10 @@ impl ArmciConfig {
 /// AM dispatch ids used internally by the runtime.
 pub(crate) const DISPATCH_REGION_QUERY: u16 = 1;
 pub(crate) const DISPATCH_REGION_REPLY: u16 = 2;
-/// AM-backed notify (header = `[seq i64]`): the handler writes the sender's
-/// slot of the destination's notify-cell array, so [`crate::ArmciRank::wait_notify`]
-/// observes it exactly as it does a software-put notify.
-pub(crate) const DISPATCH_NOTIFY_AM: u16 = 3;
+/// Notify (header = `[seq i64]`): the handler raises the sender's slot of
+/// the destination's notify-cell array, which [`crate::ArmciRank::wait_notify`]
+/// polls.
+pub(crate) const DISPATCH_NOTIFY: u16 = 3;
 /// AM-backed accumulate (header = `[off u64][scale f64]`, payload = f64s):
 /// the handler applies `dst[i] += scale·x[i]` at the destination.
 pub(crate) const DISPATCH_ACC_AM: u16 = 4;
@@ -117,6 +117,8 @@ pub(crate) struct RareRt {
     /// Outstanding AM-fence pings awaiting their pong, by ping id.
     pub pending_pings: FxHashMap<u64, Completion<()>>,
     pub next_ping: u64,
+    /// The scratch word single-value transfers stage through, once allocated.
+    pub scratch: Option<usize>,
 }
 
 impl RankRt {
@@ -395,7 +397,7 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             let src = msg.src;
             env.machine.sim().spawn(async move {
                 owner
-                    .am_send(src, DISPATCH_REGION_REPLY, reply, Vec::new())
+                    .send_control_am(src, DISPATCH_REGION_REPLY, reply, Vec::new())
                     .await;
             });
         }),
@@ -422,13 +424,13 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             }),
         );
     }
-    // NOTIFY_AM: write the sender's notify cell at the destination. The
+    // NOTIFY: write the sender's notify cell at the destination. The
     // write is monotone-max so a retransmit-delayed older notify can never
     // roll the cell back below a newer one.
     {
         let weak = weak.clone();
         machine.register_am(
-            DISPATCH_NOTIFY_AM,
+            DISPATCH_NOTIFY,
             Rc::new(move |env, msg| {
                 let Some(inner) = weak.upgrade() else { return };
                 let seq = i64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
@@ -460,8 +462,8 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             pr.write_f64s(off, &cur);
         }),
     );
-    // AM_PING: echo the header back as a pong on the unbatched legacy
-    // channel — the pong is a completion signal, not ordered data, and must
+    // AM_PING: echo the header back as a pong on the unbatched control
+    // plane — the pong is a completion signal, not ordered data, and must
     // not sit out a batch window at the target.
     machine.register_am(
         DISPATCH_AM_PING,
@@ -471,7 +473,7 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             let header = msg.header;
             env.machine.sim().spawn(async move {
                 responder
-                    .am_send(src, DISPATCH_AM_PONG, header, Vec::new())
+                    .send_control_am(src, DISPATCH_AM_PONG, header, Vec::new())
                     .await;
             });
         }),

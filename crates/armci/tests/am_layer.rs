@@ -24,42 +24,82 @@ fn finish(sim: &Sim) {
 }
 
 #[test]
-fn notify_am_observed_by_wait_notify_unbatched() {
+fn notify_observed_by_wait_notify_unbatched() {
     let (sim, a) = setup(2, |m| m);
     let r0 = a.rank(0);
     let r1 = a.rank(1);
     let ok = Rc::new(RefCell::new(false));
     let ok2 = Rc::clone(&ok);
+    let next_alloc = a.machine().rank(0).alloc(0);
     sim.spawn(async move {
-        let s1 = r0.notify_am(1).await;
-        let s2 = r0.notify_am(1).await;
+        let s1 = r0.notify(1).await;
+        let s2 = r0.notify(1).await;
         assert_eq!((s1, s2), (1, 2));
         r1.wait_notify(0, 2).await;
         *ok2.borrow_mut() = true;
     });
     finish(&sim);
     assert!(*ok.borrow());
-    assert_eq!(a.machine().stats().counter("armci.notify_am"), 2);
+    assert_eq!(a.machine().stats().counter("armci.notify"), 2);
     // Unbatched: every AM is its own wire message.
     assert_eq!(a.machine().stats().counter("am.wire_msgs"), 2);
     assert_eq!(a.machine().stats().counter("am.batches"), 0);
+    // The sequence number travels in the message: nothing is staged in (or
+    // leaked from) the sender's memory arena.
+    assert_eq!(a.machine().rank(0).alloc(0), next_alloc);
 }
 
+/// What callers of `notify` rely on: it is ordered after this rank's
+/// earlier puts to the same target, so data put before the notify is
+/// visible to the waiter once `wait_notify` returns — on the unbatched path
+/// and, with `am_fence` forcing the buffer out, under batching.
 #[test]
-fn notify_am_shares_sequence_space_with_sw_notify() {
-    let (sim, a) = setup(2, |m| m);
-    let r0 = a.rank(0);
-    let r1 = a.rank(1);
-    let ok = Rc::new(RefCell::new(false));
-    let ok2 = Rc::clone(&ok);
-    sim.spawn(async move {
-        assert_eq!(r0.notify(1).await, 1);
-        assert_eq!(r0.notify_am(1).await, 2);
-        r1.wait_notify(0, 2).await;
-        *ok2.borrow_mut() = true;
-    });
-    finish(&sim);
-    assert!(*ok.borrow());
+fn put_before_notify_is_visible_after_wait_notify() {
+    for (batched, registered) in [(false, false), (false, true), (true, false), (true, true)] {
+        let (sim, a) = setup(2, |m| {
+            if batched {
+                m.am_batching(1 << 16, SimDuration::from_ms(1))
+            } else {
+                m
+            }
+        });
+        let (r0, r1) = (a.rank(0), a.rank(1));
+        let src = r0.pami().alloc(64);
+        let dst = r1.pami().alloc(64);
+        r0.pami().write_bytes(src, &[9u8; 64]);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let seen2 = Rc::clone(&seen);
+        let ready = desim::Completion::new();
+        let ready2 = ready.clone();
+        sim.spawn(async move {
+            if registered {
+                r1.pami().register_region(dst, 64).await.expect("no limit");
+            }
+            ready2.complete(());
+            r1.wait_notify(0, 1).await;
+            *seen2.borrow_mut() = r1.pami().read_bytes(dst, 64);
+        });
+        sim.spawn(async move {
+            ready.wait().await;
+            r0.put(1, src, dst, 64).await;
+            assert_eq!(r0.notify(1).await, 1);
+            if batched {
+                r0.am_fence(1).await;
+            }
+        });
+        finish(&sim);
+        assert_eq!(
+            *seen.borrow(),
+            vec![9u8; 64],
+            "batched {batched}, registered {registered}"
+        );
+        let path = if registered {
+            "armci.put_rdma"
+        } else {
+            "armci.put_fallback"
+        };
+        assert_eq!(a.machine().stats().counter(path), 1);
+    }
 }
 
 #[test]

@@ -162,6 +162,12 @@ fn zero_count_transfers_complete_without_a_message() {
         rk.get_strided(1, &none, &outer).await;
         rk.put_strided(1, &none, &outer).await;
         rk.acc_strided(1, &none, &outer, 2.0).await;
+        // The vector form of nothing: no triples at all.
+        rk.getv(1, &[]).await;
+        rk.putv(1, &[]).await;
+        let h = rk.nbgetv(1, &[]).await;
+        assert!(h.test(), "an empty vector get is complete when issued");
+        rk.wait(&h).await;
         rk.fence_all().await;
         assert_eq!((m.net_messages(), m.rank(1).read_bytes(0, 4096)), before);
         *done2.borrow_mut() = true;

@@ -248,26 +248,42 @@ fn value_put_get_round_trip() {
     let _ = r1;
 }
 
+/// Single-value transfers stage through one scratch word per rank: a
+/// hundred of them register one region, allocate eight bytes once, and —
+/// the first paid δ for the registration — cost the same simulated time each.
 #[test]
-fn immediate_am_reaches_handler() {
+fn value_transfers_reuse_one_registered_scratch_word() {
     let (sim, a) = setup(2, |m| m);
-    let p0 = a.machine().rank(0);
-    let p1 = a.machine().rank(1);
-    let seen = Rc::new(Cell::new(0u8));
-    let seen2 = Rc::clone(&seen);
-    let ctx = a.machine().target_ctx();
-    p1.register_dispatch(
-        ctx,
-        77,
-        std::rc::Rc::new(move |_env, msg| {
-            seen2.set(msg.header[0]);
-        }),
-    );
+    let r0 = a.rank(0);
+    let cell = a.machine().rank(1).alloc(8);
+    let regions = a.machine().stats().counter("pami.regions_created");
+    let costs = Rc::new(std::cell::RefCell::new(Vec::new()));
+    let costs2 = Rc::clone(&costs);
+    let s = sim.clone();
     sim.spawn(async move {
-        p0.am_send_immediate(1, 77, vec![42]).await;
+        let mut next_alloc = None;
+        for i in 0..100 {
+            let t0 = s.now();
+            r0.put_value_i64(1, cell, i).await;
+            costs2.borrow_mut().push(s.now() - t0);
+            let after = r0.pami().alloc(0);
+            assert_eq!(
+                *next_alloc.get_or_insert(after),
+                after,
+                "call {i} allocated"
+            );
+        }
+        r0.fence(1).await;
+        assert_eq!(r0.get_value_i64(1, cell).await, 99);
+        assert_eq!(Some(r0.pami().alloc(0)), next_alloc);
     });
     finish(&sim, &a);
-    assert_eq!(seen.get(), 42);
+    let stats = a.machine().stats();
+    assert_eq!(stats.counter("armci.put"), 100);
+    assert!(stats.counter("pami.regions_created") - regions <= 1);
+    let costs = costs.borrow();
+    assert!(costs[0] > costs[1], "the first call registers the word");
+    assert!(costs[1..].iter().all(|&c| c == costs[1]), "{costs:?}");
 }
 
 #[test]

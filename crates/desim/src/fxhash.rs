@@ -95,6 +95,9 @@ impl BuildHasher for FxBuildHasher {
 /// A `HashMap` keyed deterministically with [`FxBuildHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
+/// A `HashSet` keyed deterministically with [`FxBuildHasher`].
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

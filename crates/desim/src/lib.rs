@@ -55,7 +55,7 @@ pub use event::Completion;
 pub use fault::{FaultEvent, FaultPlan, FaultSpec};
 pub use flight::{FlightRecorder, OpId, SegCategory};
 pub use futures::{race, Either};
-pub use fxhash::{FxBuildHasher, FxHashMap};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use health::{Finding, HealthConfig, Severity};
 pub use kernel::{JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};

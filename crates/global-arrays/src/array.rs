@@ -1,5 +1,6 @@
 //! Block-distributed dense 2D arrays with one-sided patch access.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use armci::{Armci, ArmciRank, Strided};
@@ -17,6 +18,15 @@ struct GaInner {
     /// Per-rank base offset of the local block in that rank's memory.
     bases: Vec<usize>,
     armci: Armci,
+}
+
+/// What [`Ga::patch`] does with each owner's piece of a patch.
+#[derive(Clone, Copy)]
+enum PatchOp {
+    Get,
+    Put,
+    /// `A[patch] += scale·buf`.
+    Acc(f64),
 }
 
 /// A dense, block-distributed 2D array of f64 (a "global array").
@@ -112,77 +122,87 @@ impl Ga {
         Strided::patch2d(first, (chi - clo) * 8, rhi - rlo, patch_ld)
     }
 
-    /// One-sided get of the patch `[rlo,rhi)×[clo,chi)` into the caller's
-    /// dense row-major buffer at `buf` (must hold the full patch).
-    pub async fn get_patch(
-        &self,
-        caller: &ArmciRank,
+    /// The one patch loop: issue `op` on the intersection of the patch
+    /// `[rlo,rhi)×[clo,chi)` with each owner's block, against the matching
+    /// part of the caller's dense row-major buffer at `buf`, then wait for
+    /// every piece.
+    #[allow(clippy::too_many_arguments)]
+    // GA's patch signature plus the op
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    fn patch<'a>(
+        &'a self,
+        op: PatchOp,
+        caller: &'a ArmciRank,
         rlo: usize,
         rhi: usize,
         clo: usize,
         chi: usize,
         buf: usize,
-    ) {
-        let mut handles = Vec::new();
-        for (owner, (orlo, orhi), (oclo, ochi)) in
-            self.inner.dist.owners_of_patch(rlo, rhi, clo, chi)
-        {
-            let remote = self.owner_desc(owner, orlo, orhi, oclo, ochi);
-            let local = Self::local_desc(buf, rlo, clo, chi, orlo, orhi, oclo, ochi);
-            handles.push(caller.nbget_strided(owner, &local, &remote).await);
-        }
-        for h in &handles {
-            caller.wait(h).await;
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            let mut handles = Vec::new();
+            for (owner, (orlo, orhi), (oclo, ochi)) in
+                self.inner.dist.owners_of_patch(rlo, rhi, clo, chi)
+            {
+                let remote = self.owner_desc(owner, orlo, orhi, oclo, ochi);
+                let local = Self::local_desc(buf, rlo, clo, chi, orlo, orhi, oclo, ochi);
+                handles.push(match op {
+                    PatchOp::Get => caller.nbget_strided(owner, &local, &remote).await,
+                    PatchOp::Put => caller.nbput_strided(owner, &local, &remote).await,
+                    PatchOp::Acc(scale) => {
+                        caller.nbacc_strided(owner, &local, &remote, scale).await
+                    }
+                });
+            }
+            for h in &handles {
+                caller.wait(h).await;
+            }
         }
     }
 
-    /// One-sided put of the caller's dense buffer into the patch.
-    pub async fn put_patch(
-        &self,
-        caller: &ArmciRank,
+    /// One-sided get of the patch `[rlo,rhi)×[clo,chi)` into the caller's
+    /// dense row-major buffer at `buf` (must hold the full patch).
+    pub fn get_patch<'a>(
+        &'a self,
+        caller: &'a ArmciRank,
         rlo: usize,
         rhi: usize,
         clo: usize,
         chi: usize,
         buf: usize,
-    ) {
-        let mut handles = Vec::new();
-        for (owner, (orlo, orhi), (oclo, ochi)) in
-            self.inner.dist.owners_of_patch(rlo, rhi, clo, chi)
-        {
-            let remote = self.owner_desc(owner, orlo, orhi, oclo, ochi);
-            let local = Self::local_desc(buf, rlo, clo, chi, orlo, orhi, oclo, ochi);
-            handles.push(caller.nbput_strided(owner, &local, &remote).await);
-        }
-        for h in &handles {
-            caller.wait(h).await;
-        }
+    ) -> impl Future<Output = ()> + 'a {
+        self.patch(PatchOp::Get, caller, rlo, rhi, clo, chi, buf)
+    }
+
+    /// One-sided put of the caller's dense buffer into the patch.
+    pub fn put_patch<'a>(
+        &'a self,
+        caller: &'a ArmciRank,
+        rlo: usize,
+        rhi: usize,
+        clo: usize,
+        chi: usize,
+        buf: usize,
+    ) -> impl Future<Output = ()> + 'a {
+        self.patch(PatchOp::Put, caller, rlo, rhi, clo, chi, buf)
     }
 
     /// One-sided accumulate (`A[patch] += scale·buf`) of the caller's dense
     /// buffer into the patch. Completes locally; fence to make it visible.
     #[allow(clippy::too_many_arguments)] // mirrors GA's NGA_Acc patch signature
-    pub async fn acc_patch(
-        &self,
-        caller: &ArmciRank,
+    pub fn acc_patch<'a>(
+        &'a self,
+        caller: &'a ArmciRank,
         rlo: usize,
         rhi: usize,
         clo: usize,
         chi: usize,
         buf: usize,
         scale: f64,
-    ) {
-        let mut handles = Vec::new();
-        for (owner, (orlo, orhi), (oclo, ochi)) in
-            self.inner.dist.owners_of_patch(rlo, rhi, clo, chi)
-        {
-            let remote = self.owner_desc(owner, orlo, orhi, oclo, ochi);
-            let local = Self::local_desc(buf, rlo, clo, chi, orlo, orhi, oclo, ochi);
-            handles.push(caller.nbacc_strided(owner, &local, &remote, scale).await);
-        }
-        for h in &handles {
-            caller.wait(h).await;
-        }
+    ) -> impl Future<Output = ()> + 'a {
+        self.patch(PatchOp::Acc(scale), caller, rlo, rhi, clo, chi, buf)
     }
 
     /// Scatter-accumulate of individual elements (`A[i,j] += scale·v` for

@@ -178,6 +178,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // membership only: order never read
     fn patch_owners_cover_patch_exactly() {
         let d = BlockDist::new(64, 64, 16);
         let owners = d.owners_of_patch(10, 40, 20, 50);

@@ -1,45 +1,44 @@
-//! The active-message surface: machine-wide dispatch registration and the
-//! batchable [`PamiRank::send_am`] entry point.
+//! The active-message surface: one dispatch registry and the batchable
+//! [`PamiRank::send_am`] entry point.
 //!
 //! Modeled on the paper's PAMI send/dispatch objects (§III-A2): a sender
 //! names a **dispatch id**, the destination runs the registered handler in
 //! sim time during progress, and the handler may reply with a response AM
-//! ([`crate::AmEnv::reply`]). Two registries exist:
+//! ([`crate::AmEnv::reply`]). Handlers live in one machine-wide table
+//! ([`Machine::register_am`]): every rank runs the same code, so one entry
+//! serves every destination and context, and a materializing rank pays for
+//! no table of its own.
 //!
-//! * [`PamiRank::register_dispatch`] — per-rank, per-context (the original
-//!   surface; consulted first, so existing users are unaffected);
-//! * [`Machine::register_am`] — machine-wide, consulted on a per-context
-//!   miss. Upper layers with uniform handlers (every rank runs the same
-//!   code) register once instead of burning per-rank table memory.
+//! Every AM is posted by one body (`PamiRank::post_am`) behind two entry
+//! points that differ in class, counters and batching:
 //!
-//! Delivery: with no batcher configured, [`PamiRank::send_am`] posts one
-//! `Ordered`-class wire message per AM — the untouched hot path, one
-//! `Option` check away from the pre-AM code. With
-//! [`crate::MachineConfig::am_batching`] configured, the AM is appended to
-//! the per-destination aggregation buffer (see [`crate::batcher`]) for
-//! [`torus5d::BgqParams::am_enqueue`] — the wire message, NIC post and
-//! dispatch overheads are paid once per *batch* instead of once per AM.
-//!
-//! `send_am` traffic is `Ordered` (pair-FIFO through the data FIFO), unlike
-//! the legacy [`PamiRank::am_send`] which rides the `Control` channel: a
-//! batch must not overtake or be overtaken by other batches to the same
-//! destination, and the unbatched path uses the same class so the two are
-//! directly comparable.
+//! * [`PamiRank::send_am`] — the data plane. `Ordered` (pair-FIFO through
+//!   the data FIFO): with no batcher configured it posts one wire message
+//!   per AM; with [`crate::MachineConfig::am_batching`] the AM is appended
+//!   to the per-destination aggregation buffer (see [`crate::batcher`]) for
+//!   [`torus5d::BgqParams::am_enqueue`], and the wire message, NIC post and
+//!   dispatch overheads are paid once per *batch*. A batch must not overtake
+//!   or be overtaken by other batches to the same destination, and the
+//!   unbatched path uses the same class so the two are directly comparable.
+//! * [`PamiRank::send_control_am`] — the control plane. `Control` class,
+//!   never batched: request/reply and completion signals.
 
+use std::future::Future;
 use std::rc::Rc;
 
 use desim::{Completion, SimDuration};
 use torus5d::MsgClass;
 
 use crate::batcher::PendAm;
-use crate::context::{AmHandler, WorkItem};
+use crate::context::AmHandler;
 use crate::machine::Machine;
 use crate::rank::PamiRank;
 
 impl Machine {
-    /// Register a machine-wide active-message handler under `dispatch`.
-    /// Consulted when a destination's per-context table has no entry for the
-    /// id; registering the same id again replaces the old handler. (Charged
+    /// Register the active-message handler for `dispatch`, for every rank
+    /// and context; registering the same id again replaces the old handler.
+    /// An AM whose id has no handler is counted in `pami.am_unhandled` and
+    /// dropped. (Charged
     /// to the caller's memprof scope, not `pami.am`: the table exists even
     /// when aggregation is off, and the `pami.am` tag tracks only the
     /// batcher so the tag's absence certifies the zero-cost path.)
@@ -50,7 +49,7 @@ impl Machine {
             .insert(dispatch, handler);
     }
 
-    /// Look up a machine-wide handler.
+    /// Look up the handler registered under `dispatch`.
     pub(crate) fn am_handler(&self, dispatch: u16) -> Option<AmHandler> {
         self.inner.am_handlers.borrow().get(&dispatch).cloned()
     }
@@ -74,25 +73,34 @@ impl Machine {
 
 impl PamiRank {
     /// Send an active message to the handler registered under `dispatch` at
-    /// `target` (per-context table first, then the machine-wide table). The
-    /// returned completion covers *local* send completion: the AM is on the
-    /// wire, or safely parked in the aggregation buffer.
-    pub async fn send_am(
+    /// `target`. The returned completion covers *local* send completion: the
+    /// AM is on the wire, or safely parked in the aggregation buffer.
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    pub fn send_am(
         &self,
         target: usize,
         dispatch: u16,
         header: Vec<u8>,
         payload: Vec<u8>,
-    ) -> Completion<()> {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let stats = self.m.stats();
-        stats.incr("am.sent");
-        let done = Completion::new();
-        if let Some(b) = self.m.batcher() {
+    ) -> impl Future<Output = Completion<()>> + '_ {
+        async move {
+            let sim = self.m.sim();
+            let p = self.m.params();
+            let stats = self.m.stats();
+            stats.incr("am.sent");
+            let bytes = header.len() + payload.len();
+            let Some(b) = self.m.batcher() else {
+                // Unbatched hot path: one NIC post + one wire message per AM.
+                stats.add("am.bytes", (bytes + p.am_header_bytes) as u64);
+                let class = MsgClass::Ordered;
+                return self
+                    .post_am("am.wire_msgs", class, target, dispatch, header, payload)
+                    .await;
+            };
             // Batched path: pay a buffer append (cache-resident copy), not a
             // NIC post. The flush pays the post once for the whole batch.
-            let bytes = header.len() + payload.len();
             sim.sleep(p.am_enqueue + SimDuration::from_ps(bytes as u64 * p.pack_byte_time_ps))
                 .await;
             let op = self.current_op();
@@ -108,34 +116,10 @@ impl PamiRank {
                     op,
                 },
             );
+            let done = Completion::new();
             done.complete(());
-            return done;
+            done
         }
-        // Unbatched hot path: one NIC post + one wire message per AM,
-        // structurally identical to the legacy `am_send` but Ordered-class.
-        let op = self.current_op();
-        sim.sleep(p.o_send).await;
-        let wire = header.len() + payload.len() + p.am_header_bytes;
-        stats.incr("am.wire_msgs");
-        stats.add("am.bytes", wire as u64);
-        let (arrival, delivered) = self
-            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
-            .await;
-        done.complete(());
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::Am {
-                    src: self.r,
-                    dispatch,
-                    header,
-                    payload,
-                },
-                op,
-            );
-        }
-        done
     }
 }
 

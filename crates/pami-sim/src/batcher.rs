@@ -36,6 +36,8 @@ use torus5d::MsgClass;
 
 use crate::context::{AmEntry, WorkItem};
 use crate::machine::Machine;
+use crate::rank::{deliver_then, enqueue_at_target};
+use crate::retry::Leg;
 
 /// Aggregation buffers, pending entries and flush-timer closures.
 static AM_TAG: MemTag = MemTag::new("pami.am");
@@ -259,24 +261,22 @@ impl Batcher {
         // ordered delivery path (faults, retries, pair FIFO).
         let inject = now + p.o_send;
         let m2 = m.clone();
-        crate::rank::deliver_then(
-            m,
-            inject,
+        let leg = Leg {
             src,
             dst,
-            wire,
-            MsgClass::Ordered,
+            payload: wire,
+            class: MsgClass::Ordered,
             op,
+        };
+        deliver_then(
+            m,
+            inject,
+            leg,
             SimDuration::ZERO,
             move |arrival, delivered| {
                 if delivered {
-                    crate::rank::enqueue_at_target(
-                        &m2,
-                        dst,
-                        arrival,
-                        WorkItem::AmBatch { src, entries },
-                        op,
-                    );
+                    let item = WorkItem::AmBatch { src, entries };
+                    enqueue_at_target(&m2, dst, arrival, item, op);
                 }
             },
         );

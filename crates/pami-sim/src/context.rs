@@ -240,9 +240,6 @@ pub struct CtxState {
     pub arrived: NotifyCell,
     /// The progress-engine lock guarding `advance`.
     pub lock: MutexCell,
-    /// Active-message handlers registered on this context (a handful at
-    /// most: a linear scan, and no table until the first registration).
-    pub dispatch: RefCell<Vec<(u16, AmHandler)>>,
     /// Items serviced over the context's lifetime.
     pub serviced: Cell<u64>,
     /// High-water mark of the queue depth.
@@ -262,7 +259,6 @@ impl CtxState {
             queue: RefCell::new(VecDeque::new()),
             arrived: NotifyCell::new(),
             lock: MutexCell::new(),
-            dispatch: RefCell::new(Vec::new()),
             serviced: Cell::new(0),
             max_depth: Cell::new(0),
             progress_since: Cell::new(None),

@@ -4,7 +4,8 @@
 //! Models IBM's Parallel Active Messaging Interface (PAMI) as described in
 //! the paper (§III-A) and by Kumar et al.: clients/contexts/endpoints/memory
 //! regions as first-class objects with the measured creation costs of
-//! Table II, active messages with dispatch tables, RMA put/get with true
+//! Table II, active messages dispatched through one machine-wide handler
+//! table ([`Machine::register_am`]), RMA put/get with true
 //! RDMA (no target-CPU involvement) plus software variants that require the
 //! target's progress engine, and read-modify-write operations that — as on
 //! the real BG/Q NIC — have **no hardware support** and are serviced by

@@ -1,14 +1,13 @@
 //! The simulated machine: ranks, memories, contexts and the interconnect.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashSet;
 use std::ops::Deref;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
 use desim::timeline::{SeriesKind, Timeline};
-use desim::{FaultPlan, FlightRecorder, FxBuildHasher, OpId, Sim, SimTime, Stats};
+use desim::{FaultPlan, FlightRecorder, FxHashSet, OpId, Sim, SimTime, Stats};
 
 /// Per-rank state blocks (contexts included), backing memory, region tables
 /// and endpoint sets.
@@ -193,7 +192,7 @@ pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     pub next_alloc: Cell<usize>,
     pub regions: RefCell<Vec<Region>>,
     pub active_regions: Cell<usize>,
-    pub endpoints: RefCell<HashSet<(u32, u8), FxBuildHasher>>,
+    pub endpoints: RefCell<FxHashSet<(u32, u8)>>,
     pub space: SpaceAccount,
     /// The operation this rank is currently issuing/completing, threaded
     /// down into every message the rank injects while set. `None` when no
@@ -219,7 +218,7 @@ impl RankState {
                 next_alloc: Cell::new(0),
                 regions: RefCell::new(Vec::new()),
                 active_regions: Cell::new(0),
-                endpoints: RefCell::new(HashSet::default()),
+                endpoints: RefCell::new(FxHashSet::default()),
                 space: SpaceAccount::default(),
                 cur_op: Cell::new(None),
                 at_ctx: Cell::new(None),

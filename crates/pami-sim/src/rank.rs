@@ -2,6 +2,7 @@
 //! the progress engine.
 
 use std::cell::{Cell, OnceCell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use desim::futures::{race, Either};
@@ -11,11 +12,11 @@ use desim::{Completion, OpId, SegCategory, SimDuration, SimTime};
 
 /// Scheduled-but-unsent retransmit state (boxed retry continuations).
 static RETRY_TAG: MemTag = MemTag::new("pami.retry");
-use torus5d::{Delivery, MsgClass};
+use torus5d::MsgClass;
 
-use crate::context::{AmEntry, AmEnv, AmHandler, AmMsg, RmwOp, WorkItem};
+use crate::context::{AmEntry, AmEnv, AmMsg, RmwOp, WorkItem};
 use crate::machine::{CtxRef, Machine, RankState, Region, RegionError, RegionId};
-use crate::retry::FailureMode;
+use crate::retry::{self, Attempt, Leg};
 
 /// Completions returned by a put-style operation.
 #[derive(Clone)]
@@ -46,110 +47,50 @@ impl AsyncThread {
 /// `then(arrival, delivered)` as an event at `arrival + extra`. Without an
 /// active fault plan this is exactly one `deliver_op` plus one `schedule`
 /// holding `then` inline, so fault-free event streams are unchanged.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn deliver_then(
     m: &Machine,
     inject: SimTime,
-    src: usize,
-    dst: usize,
-    payload: usize,
-    class: MsgClass,
-    op: Option<OpId>,
+    leg: Leg,
     extra: SimDuration,
     then: impl FnOnce(SimTime, bool) + 'static,
 ) {
     if m.faults_active() {
-        let leg = Leg {
-            src,
-            dst,
-            payload,
-            class,
-            op,
-            extra,
-        };
-        return deliver_faulty(m, inject, leg, 0, Box::new(then));
+        return deliver_faulty(m, inject, leg, extra, 0, Box::new(then));
     }
-    let arrival = m
-        .inner
-        .net
-        .borrow_mut()
-        .deliver_op(inject, src, dst, payload, class, op)
-        + extra;
+    let arrival = m.inner.net.borrow_mut().deliver_op(
+        inject,
+        leg.src,
+        leg.dst,
+        leg.payload,
+        leg.class,
+        leg.op,
+    ) + extra;
     m.sim().schedule(arrival, move || then(arrival, true));
 }
 
-/// What stays the same across the retransmissions of one response leg.
-#[derive(Clone, Copy)]
-struct Leg {
-    src: usize,
-    dst: usize,
-    payload: usize,
-    class: MsgClass,
-    op: Option<OpId>,
-    extra: SimDuration,
-}
-
-/// [`deliver_then`] under an active fault plan. Retries recurse through
-/// scheduled closures rather than awaiting, so the target's progress engine
-/// keeps running while a reply waits out its backoff.
+/// [`deliver_then`] under an active fault plan: drives [`retry::attempt`]
+/// through scheduled closures rather than awaiting, so the target's progress
+/// engine keeps running while a reply waits out its backoff.
 fn deliver_faulty(
     m: &Machine,
     inject: SimTime,
     leg: Leg,
+    extra: SimDuration,
     attempt: u32,
     then: Box<dyn FnOnce(SimTime, bool)>,
 ) {
     let sim = m.sim();
-    let stats = m.stats();
-    let Leg { src, dst, op, .. } = leg;
-    let outcome =
-        m.inner
-            .net
-            .borrow_mut()
-            .try_deliver_op(inject, src, dst, leg.payload, leg.class, op);
-    match outcome {
-        Delivery::Delivered(t) => {
-            if attempt > 0 {
-                stats.record_hist("pami.op_retries", attempt as u64);
-            }
-            let arrival = t + leg.extra;
+    match retry::attempt(m, inject, &leg, attempt) {
+        Attempt::Arrived(t) => {
+            let arrival = t + extra;
             sim.schedule(arrival, move || then(arrival, true));
         }
-        Delivery::Dropped { .. } => {
-            stats.incr("pami.timeouts");
-            if let Some(ids) = m.tl_ids() {
-                sim.timeline().add(ids.timeouts, inject, 1);
-            }
-            let policy = m.retry_policy();
-            if attempt >= policy.max_retries {
-                match policy.failure {
-                    FailureMode::FailFast => panic!(
-                        "rank {src} -> {dst}: response leg lost after {attempt} retries \
-                         (fault plan too hostile for the retry policy)"
-                    ),
-                    FailureMode::BestEffort => {
-                        stats.incr("pami.gave_up");
-                        let at = policy.resume_at(inject, attempt);
-                        sim.schedule(at, move || then(at, false));
-                    }
-                }
-                return;
-            }
-            let resume = policy.resume_at(inject, attempt);
-            if let Some(op) = op {
-                sim.flight()
-                    .segment(op, SegCategory::Retry, "pami.retry", inject, resume);
-            }
-            m.tl_retry_backlog(inject, 1);
+        Attempt::GaveUp(at) => sim.schedule(at, move || then(at, false)),
+        Attempt::Backoff(resume) => {
             let m2 = m.clone();
             let _mem = memprof::scope(&RETRY_TAG);
             sim.schedule(resume, move || {
-                m2.stats().incr("pami.retries");
-                if let Some(ids) = m2.tl_ids() {
-                    m2.sim().timeline().add(ids.retries, resume, 1);
-                }
-                m2.tl_retry_backlog(resume, -1);
-                deliver_faulty(&m2, resume, leg, attempt + 1, then);
+                deliver_faulty(&m2, resume, leg, extra, attempt + 1, then);
             });
         }
     }
@@ -245,23 +186,20 @@ impl Train<Countdown> {
         };
         let m = self.m.clone();
         let extra = self.p.align_penalty(len);
-        deliver_then(
-            &m,
-            at,
-            self.target,
-            self.src,
-            len,
-            MsgClass::Ordered,
-            self.op,
-            extra,
-            move |_, delivered| {
-                if delivered {
-                    self.src_state
-                        .write(local_off, &self.staging.borrow()[pos..][..len]);
-                }
-                self.done.arrive();
-            },
-        );
+        let leg = Leg {
+            src: self.target,
+            dst: self.src,
+            payload: len,
+            class: MsgClass::Ordered,
+            op: self.op,
+        };
+        deliver_then(&m, at, leg, extra, move |_, delivered| {
+            if delivered {
+                self.src_state
+                    .write(local_off, &self.staging.borrow()[pos..][..len]);
+            }
+            self.done.arrive();
+        });
     }
 }
 
@@ -302,7 +240,7 @@ pub(crate) fn enqueue_at_target(
 ///
 /// All communication primitives are modelled after PAMI's RMA/AM interface:
 /// `rdma_*` operations complete without target-CPU involvement; `sw_*`,
-/// [`PamiRank::rmw`], [`PamiRank::acc_f64`] and [`PamiRank::am_send`] enqueue
+/// [`PamiRank::rmw`], [`PamiRank::acc_f64`] and [`PamiRank::send_am`] enqueue
 /// work that the target only executes when its progress engine runs
 /// ([`PamiRank::advance`], driven by [`PamiRank::progress_wait`] or an
 /// asynchronous progress thread).
@@ -522,16 +460,6 @@ impl PamiRank {
         (r.off, r.len)
     }
 
-    /// Register an active-message handler under `dispatch` on context `ctx`.
-    pub fn register_dispatch(&self, ctx: usize, dispatch: u16, handler: AmHandler) {
-        let ctx = self.ctx(ctx);
-        let mut table = ctx.dispatch.borrow_mut();
-        match table.iter_mut().find(|(id, _)| *id == dispatch) {
-            Some(slot) => slot.1 = handler,
-            None => table.push((dispatch, handler)),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Reliable delivery (fault-plan aware)
     // ------------------------------------------------------------------
@@ -539,8 +467,8 @@ impl PamiRank {
     /// Deliver one request leg from this rank, retrying per the machine's
     /// [`crate::RetryPolicy`] when the fault layer drops it. Returns the
     /// arrival time and whether the payload was actually delivered (`false`
-    /// only under [`FailureMode::BestEffort`] after retry exhaustion — the
-    /// caller must then complete the operation without its data effect).
+    /// only under [`crate::FailureMode::BestEffort`] after retry exhaustion —
+    /// the caller must then complete the operation without its data effect).
     /// Without an active fault plan this is exactly one `deliver_op` call,
     /// so fault-free runs are byte-identical to the pre-fault code path.
     pub(crate) async fn deliver_reliable(
@@ -551,67 +479,30 @@ impl PamiRank {
         class: MsgClass,
         op: Option<OpId>,
     ) -> (SimTime, bool) {
-        let inner = Rc::clone(&self.m.inner);
         if !self.m.faults_active() {
-            let arrival = inner
+            let arrival = self
+                .m
+                .inner
                 .net
                 .borrow_mut()
                 .deliver_op(inject, self.r, target, payload, class, op);
             return (arrival, true);
         }
-        let sim = self.m.sim();
-        let stats = self.m.stats();
-        let policy = self.m.retry_policy();
-        let mut attempt: u32 = 0;
-        let mut inject = inject;
+        let leg = Leg {
+            src: self.r,
+            dst: target,
+            payload,
+            class,
+            op,
+        };
+        let (mut inject, mut attempt) = (inject, 0);
         loop {
-            let outcome = inner
-                .net
-                .borrow_mut()
-                .try_deliver_op(inject, self.r, target, payload, class, op);
-            match outcome {
-                Delivery::Delivered(arrival) => {
-                    if attempt > 0 {
-                        stats.record_hist("pami.op_retries", attempt as u64);
-                    }
-                    return (arrival, true);
-                }
-                Delivery::Dropped { .. } => {
-                    stats.incr("pami.timeouts");
-                    if let Some(ids) = self.m.tl_ids() {
-                        sim.timeline().add(ids.timeouts, inject, 1);
-                    }
-                    if attempt >= policy.max_retries {
-                        match policy.failure {
-                            FailureMode::FailFast => panic!(
-                                "rank {} -> {target}: operation lost after {attempt} retries \
-                                 (fault plan too hostile for the retry policy)",
-                                self.r
-                            ),
-                            FailureMode::BestEffort => {
-                                stats.incr("pami.gave_up");
-                                return (policy.resume_at(inject, attempt), false);
-                            }
-                        }
-                    }
-                    // Wait out the timeout plus this attempt's backoff, then
-                    // retransmit. The retransmit goes through the normal
-                    // delivery path, so pair ordering still holds: the pair
-                    // front only advanced on deliveries, never on this drop.
-                    let resume = policy.resume_at(inject, attempt);
-                    if let Some(op) = op {
-                        sim.flight()
-                            .segment(op, SegCategory::Retry, "pami.retry", inject, resume);
-                    }
-                    self.m.tl_retry_backlog(inject, 1);
-                    sim.sleep_until(resume).await;
-                    stats.incr("pami.retries");
-                    if let Some(ids) = self.m.tl_ids() {
-                        sim.timeline().add(ids.retries, resume, 1);
-                    }
-                    self.m.tl_retry_backlog(resume, -1);
-                    attempt += 1;
-                    inject = sim.now();
+            match retry::attempt(&self.m, inject, &leg, attempt) {
+                Attempt::Arrived(arrival) => return (arrival, true),
+                Attempt::GaveUp(at) => return (at, false),
+                Attempt::Backoff(resume) => {
+                    self.m.sim().sleep_until(resume).await;
+                    (inject, attempt) = (resume, attempt + 1);
                 }
             }
         }
@@ -812,6 +703,35 @@ impl PamiRank {
         data
     }
 
+    /// The head every software-path initiator shares: count the operation,
+    /// pay the NIC post (`o_send`), take `stage`'s snapshot of whatever the
+    /// message carries, and send one `wire`-byte message of `class` to
+    /// `target` reliably. Returns the snapshot, the request leg's outcome and
+    /// the operation it was attributed to.
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    fn send_request<'a, T>(
+        &'a self,
+        counter: &'static str,
+        target: usize,
+        wire: usize,
+        class: MsgClass,
+        stage: impl FnOnce() -> T + 'a,
+    ) -> impl Future<Output = (T, (SimTime, bool), Option<OpId>)> + 'a {
+        async move {
+            let sim = self.m.sim();
+            let op = self.current_op();
+            self.m.stats().incr(counter);
+            sim.sleep(self.m.params().o_send).await;
+            let staged = stage();
+            let leg = self
+                .deliver_reliable(sim.now(), target, wire, class, op)
+                .await;
+            (staged, leg, op)
+        }
+    }
+
     /// Software put (PAMI default RMA): the payload travels as an active
     /// message and is written by the *target CPU* during progress.
     pub async fn sw_put(
@@ -821,15 +741,11 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> PutHandles {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.sw_put");
-        sim.sleep(p.o_send).await;
-        let data = self.read_bytes(local_off, len);
-        let wire = len + p.am_header_bytes;
-        let leg = self
-            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
+        let wire = len + self.m.params().am_header_bytes;
+        let (data, leg, op) = self
+            .send_request("pami.sw_put", target, wire, MsgClass::Ordered, || {
+                self.read_bytes(local_off, len)
+            })
             .await;
         self.post_put(target, leg, op, |remote_done| WorkItem::SwPut {
             src: self.r,
@@ -848,13 +764,9 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> Completion<()> {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.sw_get");
-        sim.sleep(p.o_send).await;
-        let leg = self
-            .deliver_reliable(sim.now(), target, p.am_header_bytes, MsgClass::Control, op)
+        let wire = self.m.params().am_header_bytes;
+        let ((), leg, op) = self
+            .send_request("pami.sw_get", target, wire, MsgClass::Control, || ())
             .await;
         self.post_request(target, leg, op, (), |done| WorkItem::SwGet {
             src: self.r,
@@ -876,15 +788,11 @@ impl PamiRank {
         elems: usize,
         scale: f64,
     ) -> PutHandles {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.acc");
-        sim.sleep(p.o_send).await;
-        let data = self.read_bytes(local_off, elems * 8);
-        let wire = elems * 8 + p.am_header_bytes;
-        let leg = self
-            .deliver_reliable(sim.now(), target, wire, MsgClass::Ordered, op)
+        let wire = elems * 8 + self.m.params().am_header_bytes;
+        let (data, leg, op) = self
+            .send_request("pami.acc", target, wire, MsgClass::Ordered, || {
+                self.read_bytes(local_off, elems * 8)
+            })
             .await;
         self.post_put(target, leg, op, |remote_done| WorkItem::AccF64 {
             src: self.r,
@@ -899,13 +807,8 @@ impl PamiRank {
     /// **unordered** with respect to all other traffic (paper §III-A4) and
     /// serviced by target-side software (§III-D).
     pub async fn rmw(&self, target: usize, remote_off: usize, op: RmwOp) -> Completion<i64> {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let flight_op = self.current_op();
-        self.m.stats().incr("pami.rmw");
-        sim.sleep(p.o_send).await;
-        let leg = self
-            .deliver_reliable(sim.now(), target, 16, MsgClass::Unordered, flight_op)
+        let ((), leg, flight_op) = self
+            .send_request("pami.rmw", target, 16, MsgClass::Unordered, || ())
             .await;
         // Best-effort give-up: the AMO never reached the target; its fetch
         // result is reported as 0.
@@ -927,14 +830,9 @@ impl PamiRank {
         chunks: Vec<(usize, usize)>,
         local_chunks: Vec<(usize, usize)>,
     ) -> Completion<()> {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.packed_get");
-        sim.sleep(p.o_send).await;
-        let desc_bytes = p.am_header_bytes + chunks.len() * 16;
-        let leg = self
-            .deliver_reliable(sim.now(), target, desc_bytes, MsgClass::Control, op)
+        let wire = self.m.params().am_header_bytes + chunks.len() * 16;
+        let ((), leg, op) = self
+            .send_request("pami.packed_get", target, wire, MsgClass::Control, || ())
             .await;
         self.post_request(target, leg, op, (), |done| WorkItem::PackedGet {
             src: self.r,
@@ -1013,84 +911,61 @@ impl PamiRank {
         (data, leg, op)
     }
 
-    /// Send an active message to a registered handler at the target.
-    /// The returned completion covers *local* send completion only.
-    pub async fn am_send(
+    /// The one active-message post: a software-path request whose work item
+    /// runs the handler registered under `dispatch`. `class` and `counter`
+    /// are what distinguish the data plane ([`PamiRank::send_am`]) from the
+    /// control plane ([`PamiRank::send_control_am`]). The returned completion
+    /// covers *local* send completion only, so it is already complete.
+    // An `async move` block, not an `async fn`: the arguments live in the future
+    // once, as captures, instead of twice (DESIGN.md, "Ops as data").
+    #[allow(clippy::manual_async_fn)]
+    pub(crate) fn post_am(
+        &self,
+        counter: &'static str,
+        class: MsgClass,
+        target: usize,
+        dispatch: u16,
+        header: Vec<u8>,
+        payload: Vec<u8>,
+    ) -> impl Future<Output = Completion<()>> + '_ {
+        async move {
+            let wire = header.len() + payload.len() + self.m.params().am_header_bytes;
+            let ((), (arrival, delivered), op) =
+                self.send_request(counter, target, wire, class, || ()).await;
+            if delivered {
+                let item = WorkItem::Am {
+                    src: self.r,
+                    dispatch,
+                    header,
+                    payload,
+                };
+                self.push_to_target(target, arrival, item, op);
+            }
+            let done = Completion::new();
+            done.complete(());
+            done
+        }
+    }
+
+    /// Send a control-plane active message: a request/reply or completion
+    /// signal (region query and reply, the AM-fence pong) that must not wait
+    /// in an aggregation buffer or queue behind ordered data. It rides the
+    /// `Control` class, is never batched, and is counted under `pami.am`.
+    pub fn send_control_am(
         &self,
         target: usize,
         dispatch: u16,
         header: Vec<u8>,
         payload: Vec<u8>,
-    ) -> Completion<()> {
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.am");
-        sim.sleep(p.o_send).await;
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                header.len() + payload.len() + p.am_header_bytes,
-                MsgClass::Control,
-                op,
-            )
-            .await;
-        let done = Completion::new();
-        done.complete(());
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::Am {
-                    src: self.r,
-                    dispatch,
-                    header,
-                    payload,
-                },
-                op,
-            );
-        }
-        done
-    }
-
-    /// Immediate active message (PAMI's blocking variant, §III-A2): small
-    /// header-only payloads with blocking send-completion semantics — the
-    /// call returns once the message is on the wire.
-    pub async fn am_send_immediate(&self, target: usize, dispatch: u16, header: Vec<u8>) {
-        assert!(
-            header.len() <= 128,
-            "immediate AMs carry at most 128 header bytes"
-        );
-        let sim = self.m.sim();
-        let p = self.m.params();
-        let op = self.current_op();
-        self.m.stats().incr("pami.am_immediate");
-        sim.sleep(p.o_send).await;
-        let (arrival, delivered) = self
-            .deliver_reliable(
-                sim.now(),
-                target,
-                header.len() + p.am_header_bytes,
-                MsgClass::Control,
-                op,
-            )
-            .await;
-        if delivered {
-            self.push_to_target(
-                target,
-                arrival,
-                WorkItem::Am {
-                    src: self.r,
-                    dispatch,
-                    header,
-                    payload: Vec::new(),
-                },
-                op,
-            );
-        }
-        // Blocking completion: occupied until the NIC accepts the packet.
-        sim.sleep(p.rdma_engine).await;
+    ) -> impl Future<Output = Completion<()>> + '_ {
+        self.post_am(
+            "pami.am",
+            MsgClass::Control,
+            target,
+            dispatch,
+            header,
+            payload,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1276,6 +1151,14 @@ impl PamiRank {
     fn apply_item(&self, item: WorkItem, flight_op: Option<OpId>) {
         let now = self.m.sim().now();
         let p = self.m.params();
+        // The response leg of a get-style request: this rank back to `dst`.
+        let reply = |dst, payload, class| Leg {
+            src: self.r,
+            dst,
+            payload,
+            class,
+            op: flight_op,
+        };
         match item {
             WorkItem::SwPut {
                 offset,
@@ -1295,14 +1178,11 @@ impl PamiRank {
             } => {
                 let data = self.state().read(offset, len);
                 let src_state = self.m.rank_state(src);
+                let leg = reply(src, len, MsgClass::Ordered);
                 deliver_then(
                     &self.m,
                     now,
-                    self.r,
-                    src,
-                    len,
-                    MsgClass::Ordered,
-                    flight_op,
+                    leg,
                     p.align_penalty(len),
                     move |_, delivered| {
                         if delivered {
@@ -1327,17 +1207,10 @@ impl PamiRank {
                 if let Some(new) = new {
                     self.state().write_i64(offset, new);
                 }
-                deliver_then(
-                    &self.m,
-                    now,
-                    self.r,
-                    src,
-                    8,
-                    MsgClass::Unordered,
-                    flight_op,
-                    SimDuration::ZERO,
-                    move |_, _| done.complete(old),
-                );
+                let leg = reply(src, 8, MsgClass::Unordered);
+                deliver_then(&self.m, now, leg, SimDuration::ZERO, move |_, _| {
+                    done.complete(old)
+                });
             }
             WorkItem::AccF64 {
                 offset,
@@ -1358,14 +1231,11 @@ impl PamiRank {
                 let total: usize = chunks.iter().map(|&(_, l)| l).sum();
                 let data = self.gather(&chunks, total);
                 let src_state = self.m.rank_state(src);
+                let leg = reply(src, total, MsgClass::Ordered);
                 deliver_then(
                     &self.m,
                     now,
-                    self.r,
-                    src,
-                    total,
-                    MsgClass::Ordered,
-                    flight_op,
+                    leg,
                     // unpack (scatter) cost at the requester
                     SimDuration::from_ps(total as u64 * p.pack_byte_time_ps),
                     move |_, delivered| {
@@ -1428,18 +1298,9 @@ impl PamiRank {
         });
     }
 
-    /// Run the handler registered for `dispatch`: the destination context's
-    /// table first, the machine-wide table on a miss.
+    /// Run the handler registered for `dispatch` ([`Machine::register_am`]).
     fn dispatch_am(&self, src: usize, dispatch: u16, header: Vec<u8>, payload: Vec<u8>) {
-        let ctx = &self.state().contexts[self.m.target_ctx()];
-        let handler = ctx
-            .dispatch
-            .borrow()
-            .iter()
-            .find(|(id, _)| *id == dispatch)
-            .map(|(_, h)| Rc::clone(h));
-        let handler = handler.or_else(|| self.m.am_handler(dispatch));
-        match handler {
+        match self.m.am_handler(dispatch) {
             Some(h) => h(
                 AmEnv {
                     machine: self.m.clone(),

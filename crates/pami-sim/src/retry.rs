@@ -14,8 +14,17 @@
 //! so the timeout needs no timer bookkeeping: the retry wait is modelled as
 //! one sleep to `inject + timeout + backoff·2^attempt`, recorded as a
 //! `retry`-category flight segment for the critical-path analyzer.
+//!
+//! The state machine is one plain function, `attempt`: it owns every
+//! counter, timeline sample, flight segment and the give-up policy. Its two
+//! drivers differ only in how they wait out an `Attempt::Backoff` — an
+//! initiator's request leg `await`s it, a target's response leg schedules a
+//! closure so the progress engine keeps running meanwhile.
 
-use desim::{SimDuration, SimTime};
+use desim::{OpId, SegCategory, SimDuration, SimTime};
+use torus5d::{Delivery, MsgClass};
+
+use crate::machine::Machine;
 
 /// What happens when an operation exhausts its retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +75,87 @@ impl RetryPolicy {
     /// after the timeout expires plus the attempt's backoff.
     pub fn resume_at(&self, inject: SimTime, attempt: u32) -> SimTime {
         inject + self.timeout + self.backoff_delay(attempt)
+    }
+}
+
+/// What stays the same across the retransmissions of one network leg.
+#[derive(Clone, Copy)]
+pub(crate) struct Leg {
+    pub src: usize,
+    pub dst: usize,
+    pub payload: usize,
+    pub class: MsgClass,
+    pub op: Option<OpId>,
+}
+
+/// Outcome of one [`attempt`] at a leg.
+pub(crate) enum Attempt {
+    /// Delivered: the message reaches the destination NIC at this time.
+    Arrived(SimTime),
+    /// Retries exhausted under [`FailureMode::BestEffort`]: the operation
+    /// completes at this time without its data effect.
+    GaveUp(SimTime),
+    /// Dropped: retransmit at this time, as attempt number `attempt + 1`.
+    Backoff(SimTime),
+}
+
+/// Inject `leg` at `inject` under the active fault plan, as transmission
+/// number `attempt` (0 = the original; a retransmit is injected at the
+/// resume time its predecessor's [`Attempt::Backoff`] named).
+pub(crate) fn attempt(m: &Machine, inject: SimTime, leg: &Leg, attempt: u32) -> Attempt {
+    let sim = m.sim();
+    let stats = m.stats();
+    let ids = m.tl_ids();
+    if attempt > 0 {
+        stats.incr("pami.retries");
+        if let Some(ids) = ids {
+            sim.timeline().add(ids.retries, inject, 1);
+        }
+        m.tl_retry_backlog(inject, -1);
+    }
+    let Leg { src, dst, op, .. } = *leg;
+    let outcome =
+        m.inner
+            .net
+            .borrow_mut()
+            .try_deliver_op(inject, src, dst, leg.payload, leg.class, op);
+    match outcome {
+        Delivery::Delivered(arrival) => {
+            if attempt > 0 {
+                stats.record_hist("pami.op_retries", attempt as u64);
+            }
+            Attempt::Arrived(arrival)
+        }
+        Delivery::Dropped { .. } => {
+            stats.incr("pami.timeouts");
+            if let Some(ids) = ids {
+                sim.timeline().add(ids.timeouts, inject, 1);
+            }
+            // The sender notices after the timeout plus this attempt's
+            // backoff. A retransmit goes through the normal delivery path,
+            // so pair ordering still holds: the pair front only advanced on
+            // deliveries, never on this drop.
+            let policy = m.retry_policy();
+            let resume = policy.resume_at(inject, attempt);
+            if attempt >= policy.max_retries {
+                return match policy.failure {
+                    FailureMode::FailFast => panic!(
+                        "rank {src} -> {dst}: message lost after {attempt} retries \
+                         (fault plan too hostile for the retry policy)"
+                    ),
+                    FailureMode::BestEffort => {
+                        stats.incr("pami.gave_up");
+                        Attempt::GaveUp(resume)
+                    }
+                };
+            }
+            if let Some(op) = op {
+                sim.flight()
+                    .segment(op, SegCategory::Retry, "pami.retry", inject, resume);
+            }
+            m.tl_retry_backlog(inject, 1);
+            Attempt::Backoff(resume)
+        }
     }
 }
 

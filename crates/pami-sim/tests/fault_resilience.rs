@@ -460,3 +460,77 @@ fn a_train_completes_once_without_the_chunk_best_effort_gave_up_on() {
         assert_eq!(stats.counter("pami.retries"), 0, "get={get}");
     }
 }
+
+/// Retry accounting `(timeouts, retries, retried ops, gave_up)` of one leg
+/// sent from node 0 to node 1 at 102 µs across a link that died at 100 µs:
+/// the request leg of an RDMA put by rank 0, or the response leg of a
+/// fetch-and-add that rank 16 issued against rank 0.
+fn one_leg_over_the_dead_link(response: bool, recovers: bool) -> (u64, u64, u64, u64) {
+    let dead = first_internode_link(&Topology::for_procs(32, 16));
+    let (plan, policy) = if recovers {
+        // Routing notices at 140 µs: the retransmit at 137 µs is dropped
+        // too, the one at 177 µs goes around.
+        let plan = FaultPlan::new(7)
+            .route_update_delay(us(40))
+            .link_down(dead, at(100), at(500));
+        (plan, RetryPolicy::default())
+    } else {
+        let plan =
+            FaultPlan::new(7)
+                .route_update_delay(us(100_000))
+                .link_down(dead, at(100), at(900_000));
+        let policy = RetryPolicy {
+            max_retries: 2,
+            failure: FailureMode::BestEffort,
+            ..RetryPolicy::default()
+        };
+        (plan, policy)
+    };
+    let sim = Sim::new();
+    let m = Machine::new(
+        sim.clone(),
+        MachineConfig::new(32)
+            .procs_per_node(16)
+            .faults(plan)
+            .retry(policy),
+    );
+    let (a, b) = (m.rank(0), m.rank(16));
+    let (cell_a, cell_b) = (a.alloc(8), b.alloc(8));
+    let _at = a.start_progress_thread(0);
+    {
+        let sim = sim.clone();
+        sim.clone().spawn(async move {
+            sim.sleep_until(at(102)).await;
+            if response {
+                let done = b.rmw(0, cell_a, pami_sim::RmwOp::FetchAdd(1)).await;
+                done.wait().await;
+            } else {
+                let h = a.rdma_put(16, cell_a, cell_b, 8).await;
+                h.local.wait().await;
+            }
+        });
+    }
+    sim.run_until(at(10_000));
+    m.stop_progress_threads();
+    sim.shutdown();
+    let s = m.stats();
+    (
+        s.counter("pami.timeouts"),
+        s.counter("pami.retries"),
+        s.hist("pami.op_retries").count(),
+        s.counter("pami.gave_up"),
+    )
+}
+
+/// One retry core drives both kinds of leg, so the same drop plan costs a
+/// request leg (awaited by its initiator) and a response leg (rescheduled
+/// from the target's progress engine) exactly the same accounting.
+#[test]
+fn request_and_response_legs_account_retries_alike() {
+    let recovered = one_leg_over_the_dead_link(false, true);
+    assert_eq!(recovered, (2, 2, 1, 0), "dropped twice, then rerouted");
+    assert_eq!(one_leg_over_the_dead_link(true, true), recovered);
+    let gave_up = one_leg_over_the_dead_link(false, false);
+    assert_eq!(gave_up, (3, 2, 0, 1), "two retransmits, then best-effort");
+    assert_eq!(one_leg_over_the_dead_link(true, false), gave_up);
+}

@@ -376,8 +376,7 @@ fn am_dispatch_runs_registered_handler() {
     let r1 = m.rank(1);
     let seen = Rc::new(RefCell::new(None));
     let seen2 = Rc::clone(&seen);
-    r1.register_dispatch(
-        0,
+    m.register_am(
         42,
         Rc::new(move |env, msg| {
             *seen2.borrow_mut() = Some((env.rank, msg.src, msg.header.clone(), msg.payload.len()));
@@ -385,13 +384,14 @@ fn am_dispatch_runs_registered_handler() {
     );
     let _at = r1.start_progress_thread(0);
     sim.spawn(async move {
-        r0.am_send(1, 42, vec![1, 2], vec![0u8; 100]).await;
+        r0.send_control_am(1, 42, vec![1, 2], vec![0u8; 100]).await;
     });
     sim.run_until(desim::SimTime::ZERO + SimDuration::from_ms(10));
     assert_eq!(
         *seen.borrow(),
         Some((1usize, 0usize, vec![1u8, 2], 100usize))
     );
+    assert_eq!(m.stats().counter("pami.am"), 1);
     sim.shutdown();
 }
 
@@ -402,11 +402,45 @@ fn unhandled_am_counts() {
     let r1 = m.rank(1);
     let _at = r1.start_progress_thread(0);
     sim.spawn(async move {
-        r0.am_send(1, 99, vec![], vec![]).await;
+        r0.send_am(1, 99, vec![], vec![]).await;
+        r0.send_control_am(1, 99, vec![], vec![]).await;
     });
     sim.run_until(desim::SimTime::ZERO + SimDuration::from_ms(10));
-    assert_eq!(m.stats().counter("pami.am_unhandled"), 1);
+    assert_eq!(m.stats().counter("pami.am_unhandled"), 2);
     sim.shutdown();
+}
+
+/// One registration serves every rank and whichever context incoming
+/// requests land on: context 0 with ρ = 1, the dedicated progress (AT)
+/// context with ρ = 2 — on both the data and the control plane.
+#[test]
+fn one_registration_serves_context_zero_and_the_at_context() {
+    for contexts in [1, 2] {
+        let sim = Sim::new();
+        let cfg = MachineConfig::new(3).procs_per_node(1).contexts(contexts);
+        let m = Machine::new(sim.clone(), cfg);
+        assert_eq!(m.target_ctx(), contexts - 1);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let seen2 = Rc::clone(&seen);
+        m.register_am(
+            7,
+            Rc::new(move |env, msg| seen2.borrow_mut().push((env.rank, msg.header[0]))),
+        );
+        for target in [1, 2] {
+            m.rank(target).enable_async_progress(m.target_ctx());
+        }
+        let r0 = m.rank(0);
+        sim.spawn(async move {
+            r0.send_am(1, 7, vec![10], vec![]).await;
+            r0.send_control_am(2, 7, vec![20], vec![]).await;
+        });
+        sim.run_until(desim::SimTime::ZERO + SimDuration::from_ms(10));
+        m.stop_progress_threads();
+        sim.shutdown();
+        seen.borrow_mut().sort_unstable();
+        assert_eq!(*seen.borrow(), vec![(1, 10), (2, 20)], "ρ = {contexts}");
+        assert_eq!(m.stats().counter("pami.am_unhandled"), 0);
+    }
 }
 
 #[test]

@@ -185,6 +185,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the std map is the oracle
     fn matches_std_hashmap_on_random_ops() {
         use std::collections::HashMap;
         let mut m: FxMap64<u64> = FxMap64::new();

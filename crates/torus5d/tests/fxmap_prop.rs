@@ -16,6 +16,7 @@ use torus5d::fxmap::FxMap64;
 
 /// Drive `ops` random operations from `rng` over keys drawn by `key_of`,
 /// mirroring every mutation into a std HashMap, then check full agreement.
+#[allow(clippy::disallowed_methods)] // the std map is the oracle
 fn check_against_std(mut rng: SimRng, ops: usize, key_of: impl Fn(u64) -> u64) {
     let mut fx: FxMap64<u64> = FxMap64::new();
     let mut std_map: HashMap<u64, u64> = HashMap::new();

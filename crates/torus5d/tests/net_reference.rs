@@ -29,6 +29,7 @@ struct RefNet {
 }
 
 impl RefNet {
+    #[allow(clippy::disallowed_methods)] // the reference network shares no code, maps included
     fn new(topo: Topology, params: BgqParams, contention: bool, track_links: bool) -> RefNet {
         RefNet {
             topo,

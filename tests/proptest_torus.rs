@@ -76,6 +76,7 @@ fn node_index_bijection() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // membership only: order never read
 fn abcdet_mapping_is_a_bijection() {
     let mut rng = SimRng::new(5);
     for _ in 0..16 {
