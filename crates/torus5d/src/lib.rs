@@ -20,8 +20,8 @@
 //!   [`Mapping::rank_to_coord`] stays as the slow, obviously-right oracle.
 //! * [`route_table::RouteTable`] — interned dense [`route_table::LinkId`]s
 //!   and a lazily cached route arena behind a compact node-pair hash map, so
-//!   warm delivery is allocation-free (it still makes up to three hash
-//!   probes: injection FIFO, pair front, route span).
+//!   warm delivery is allocation-free (it still probes hash maps: injection
+//!   FIFO, route span, and a pair front where no link FIFO orders the pair).
 //! * [`net::NetState`] — per-(src,dst) FIFO tracking for ordered delivery and
 //!   optional per-link contention (busy-until reservation), one delivery
 //!   core for the plain, observed and fault-injected paths.

@@ -19,11 +19,11 @@
 //! `FaultView` (installed plan) whose zero-sized no-op implementations
 //! leave the plain path without an instrumentation or fault branch.
 //!
-//! The warm path is allocation-free, not hash-free: it probes up to three
-//! compact [`crate::fxmap::FxMap64`]s — the per-*rank* injection FIFO, the
-//! per-pair ordering front and, when links are walked, the [`RouteTable`]'s
-//! node-pair span map — so idle ranks and pairs cost zero bytes. Per-*link*
-//! state is one flat `Vec` indexed by [`LinkId`] (O(nodes), not O(ranks)).
+//! The warm path is allocation-free, not hash-free. It probes compact
+//! [`crate::fxmap::FxMap64`]s: the per-*rank* injection FIFO (`Ordered`), the
+//! [`RouteTable`]'s node-pair span map (when links are walked) and the
+//! per-pair ordering front — only where no link FIFO orders the pair:
+//! intranode, analytic, fault plan. Per-*link* state is a `Vec` by [`LinkId`].
 //! Arrival times are the same max/add chain in the same order as the
 //! original dense implementation: bit-for-bit unchanged (pinned by the
 //! differential tests and the `results/` goldens).
@@ -229,7 +229,7 @@ pub struct NetState {
     contention: bool,
     /// Interned links, cached routes and the rank → node → coordinate map.
     rt: RouteTable,
-    /// Pair-ordering front per `(src << 32) | dst` rank pair.
+    /// Pair-ordering front per `(src << 32) | dst` rank pair that no link FIFO orders.
     pair_last: FxMap64<SimTime>,
     /// Reservation and occupancy per directed link, indexed by [`LinkId`].
     /// Occupancy is filled by the contended path always, and by the analytic
@@ -321,7 +321,16 @@ impl NetState {
     /// applies to every delivery injected at-or-after the first delivery
     /// that observed it. This is a detection-granularity approximation, and
     /// it is deterministic.
+    ///
+    /// # Panics
+    /// After the first delivery: fault-free contended messages keep no
+    /// pair-ordering front (`deliver_core`) for a detoured one to clamp behind.
     pub fn install_faults(&mut self, plan: FaultPlan) {
+        assert_eq!(
+            self.messages, 0,
+            "install_faults after the first delivery: earlier contended \
+             messages left no pair-ordering front for a detoured successor"
+        );
         let _mem = memprof::scope(&LINKS_TAG);
         let nlinks = self.rt.num_link_ids();
         let nodes = self.rt.num_nodes();
@@ -684,10 +693,16 @@ impl NetState {
         };
         let mut arrival = head + wire;
         obs.segment(self, Wire, "net.serialize", head, arrival);
-        if m.class != MsgClass::Unordered {
-            // Deterministic dimension-ordered routing: everything between a
-            // pair except AMOs stays in order. Single probe walk: the front
-            // slot is read, clamped and written in place.
+        // Deterministic dimension-ordered routing: everything between a pair
+        // except AMOs stays in order. Contended, fault-free and inter-node,
+        // the links already say so (DESIGN.md §19): `busy` only rises, so the
+        // grant on the route's last link is at or after the `busy` — the
+        // arrival — the pair's previous message left there. The front stays
+        // where no link is reserved (intranode, analytic) or routes can move
+        // (fault plan); `contention` has no setter and plans install before
+        // the first delivery, so a pair never changes sides.
+        let links_order = self.contention && !same_node && !F::LIVE;
+        if m.class != MsgClass::Unordered && !links_order {
             let key = ((m.src as u64) << 32) | m.dst as u64;
             let front = self.pair_last.entry(key);
             let unclamped = arrival;
@@ -1144,6 +1159,14 @@ mod tests {
             assert_eq!(plain.link_utilization(), faulty.link_utilization());
             assert_eq!(faulty.fault_counters(t), None, "empty plan reports nothing");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "install_faults after the first delivery")]
+    fn fault_plan_must_be_installed_before_the_first_delivery() {
+        let mut n = net(true);
+        n.deliver(SimTime::ZERO, 0, 9, 512, MsgClass::Ordered);
+        n.install_faults(desim::FaultPlan::new(1));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   per-rank structure must instead cost O(touched). Route spans live in a
 //!   compact [`FxMap64`] keyed by the packed node pair, so only pairs that
 //!   actually exchange traffic occupy memory — the warm delivery path makes
-//!   one probe of it (and two more of [`crate::net::NetState`]'s per-rank
-//!   and per-pair fronts); it is allocation-free, not hash-free.
+//!   one probe of it (and one of [`crate::net::NetState`]'s per-rank FIFO;
+//!   of its per-pair front only when no link is reserved or a fault plan is
+//!   live); it is allocation-free, not hash-free.
 
 use crate::fxmap::FxMap64;
 use crate::rank_map::RankMap;

@@ -50,7 +50,7 @@ impl RefNet {
         dst: usize,
         payload: usize,
         class: MsgClass,
-    ) -> SimTime {
+    ) -> (SimTime, bool) {
         let same_node = self.topo.same_node(src, dst);
         let wire = if same_node {
             self.params.intranode_time(payload)
@@ -80,13 +80,15 @@ impl RefNet {
             start + self.params.oneway_header(self.topo.hops(src, dst))
         };
         let mut arrival = head + wire;
+        let mut clamped = false;
         if class != MsgClass::Unordered {
             let key = (src as u32, dst as u32);
             let last = self.pair_last.get(&key).copied().unwrap_or(SimTime::ZERO);
+            clamped = last > arrival;
             arrival = arrival.max(last);
             self.pair_last.insert(key, arrival);
         }
-        arrival
+        (arrival, clamped)
     }
 
     fn contended_head(
@@ -143,13 +145,20 @@ fn partition(nodes: usize, ppn: usize, mapping: &str) -> Topology {
     }
 }
 
+/// One message of a schedule: inject time, source, destination, payload
+/// bytes, class.
+type Sched = (SimTime, usize, usize, usize, MsgClass);
+
+/// A uniform source and a different destination below `cap`.
+fn next_pair(rng: &mut SimRng, cap: usize) -> (usize, usize) {
+    let src = rng.next_below(cap as u64) as usize;
+    let dst = rng.next_below(cap as u64) as usize;
+    (src, if dst == src { (dst + 1) % cap } else { dst })
+}
+
 /// One seeded message of the randomized schedules below.
 fn next_msg(rng: &mut SimRng, inject: &mut SimTime, cap: usize) -> (usize, usize, usize, MsgClass) {
-    let src = rng.next_below(cap as u64) as usize;
-    let mut dst = rng.next_below(cap as u64) as usize;
-    if dst == src {
-        dst = (dst + 1) % cap;
-    }
+    let (src, dst) = next_pair(rng, cap);
     let payload = 1usize << rng.next_below(16); // 1 B .. 32 KB
     let class = match rng.next_below(4) {
         0 => MsgClass::Unordered,
@@ -160,10 +169,96 @@ fn next_msg(rng: &mut SimRng, inject: &mut SimTime, cap: usize) -> (usize, usize
     (src, dst, payload, class)
 }
 
-/// Run a randomized schedule through both implementations and require exact
-/// agreement on every arrival time and the final utilization view. With
-/// `empty_plan` the new side runs its fault-aware core under an installed
-/// but empty [`FaultPlan`], which must change nothing.
+/// `msgs` messages of [`next_msg`].
+fn random_schedule(seed: u64, cap: usize, msgs: usize) -> impl Iterator<Item = Sched> {
+    let mut rng = SimRng::new(seed);
+    let mut inject = SimTime::ZERO;
+    (0..msgs).map(move |_| {
+        let (src, dst, payload, class) = next_msg(&mut rng, &mut inject, cap);
+        (inject, src, dst, payload, class)
+    })
+}
+
+/// The `net_storm` schedule of `benchmark/src/workloads.rs`, draw for draw:
+/// uniform pairs, classes 1/2/5 of 8 (`Unordered`/`Control`/`Ordered`),
+/// 0–200 ns stagger, 16 B .. 32 KB.
+fn storm_schedule(seed: u64, cap: usize, msgs: usize) -> impl Iterator<Item = Sched> {
+    let mut rng = SimRng::new(seed);
+    let mut inject = SimTime::ZERO;
+    (0..msgs).map(move |i| {
+        let (src, dst) = next_pair(&mut rng, cap);
+        let class = match i % 8 {
+            0 => MsgClass::Unordered,
+            1 | 2 => MsgClass::Control,
+            _ => MsgClass::Ordered,
+        };
+        inject += SimDuration::from_ns(rng.next_below(200));
+        (inject, src, dst, 1 << (4 + rng.next_below(12)), class)
+    })
+}
+
+/// What [`compare`] saw besides equality.
+struct Seen {
+    /// Times the reference's pair-order clamp bound (moved an arrival).
+    clamps: u64,
+    /// Latest arrival.
+    last: SimTime,
+}
+
+/// Run a schedule through both implementations and require exact agreement
+/// on every arrival time and the final utilization view. With `empty_plan`
+/// the new side runs its fault-aware core under an installed but empty
+/// [`FaultPlan`], which must change nothing.
+///
+/// The reference keeps a pair front for *every* message, `NetState` only
+/// where links do not already order the pair, so equality here is the proof
+/// obligation of that shortcut; on top of it the reference's clamp must never
+/// bind on a contended inter-node message, whatever `NetState` does.
+fn compare(
+    topo: Topology,
+    contention: bool,
+    track: bool,
+    empty_plan: bool,
+    schedule: impl Iterator<Item = Sched>,
+) -> Seen {
+    let what = format!(
+        "{} on {} ppn {} contention={contention} track={track} empty_plan={empty_plan}",
+        topo.mapping, topo.shape, topo.procs_per_node
+    );
+    let mut new = NetState::new(topo.clone(), BgqParams::default(), contention);
+    new.set_link_tracking(track);
+    if empty_plan {
+        new.install_faults(FaultPlan::new(0xE4_97));
+    }
+    let mut old = RefNet::new(topo.clone(), BgqParams::default(), contention, track);
+    let mut seen = Seen {
+        clamps: 0,
+        last: SimTime::ZERO,
+    };
+    for (i, (inject, src, dst, payload, class)) in schedule.enumerate() {
+        let a_new = new.deliver(inject, src, dst, payload, class);
+        let (a_old, clamped) = old.deliver(inject, src, dst, payload, class);
+        assert_eq!(
+            a_new, a_old,
+            "msg {i}: {src}->{dst} {payload}B {class:?} at {inject} ({what})"
+        );
+        assert!(
+            !(clamped && contention && !topo.same_node(src, dst)),
+            "msg {i}: {src}->{dst} clamped behind its pair on reserved links ({what})"
+        );
+        seen.clamps += u64::from(clamped);
+        seen.last = seen.last.max(a_old);
+    }
+    assert_eq!(
+        new.link_utilization(),
+        old.link_utilization(),
+        "link utilization view diverged ({what})"
+    );
+    assert_eq!(new.fault_counters(seen.last), None, "{what}");
+    seen
+}
+
+/// [`compare`] over a [`random_schedule`].
 fn differential(
     topo: Topology,
     contention: bool,
@@ -172,34 +267,8 @@ fn differential(
     seed: u64,
     msgs: usize,
 ) {
-    let cap = topo.capacity();
-    let what = format!(
-        "{} on {} ppn {} contention={contention} track={track} empty_plan={empty_plan}",
-        topo.mapping, topo.shape, topo.procs_per_node
-    );
-    let mut new = NetState::new(topo.clone(), BgqParams::default(), contention);
-    new.set_link_tracking(track);
-    if empty_plan {
-        new.install_faults(FaultPlan::new(seed));
-    }
-    let mut old = RefNet::new(topo, BgqParams::default(), contention, track);
-    let mut rng = SimRng::new(seed);
-    let mut inject = SimTime::ZERO;
-    for i in 0..msgs {
-        let (src, dst, payload, class) = next_msg(&mut rng, &mut inject, cap);
-        let a_new = new.deliver(inject, src, dst, payload, class);
-        let a_old = old.deliver(inject, src, dst, payload, class);
-        assert_eq!(
-            a_new, a_old,
-            "msg {i}: {src}->{dst} {payload}B {class:?} at {inject} ({what})"
-        );
-    }
-    assert_eq!(
-        new.link_utilization(),
-        old.link_utilization(),
-        "link utilization view diverged ({what})"
-    );
-    assert_eq!(new.fault_counters(inject), None, "{what}");
+    let schedule = random_schedule(seed, topo.capacity(), msgs);
+    compare(topo, contention, track, empty_plan, schedule);
 }
 
 #[test]
@@ -308,6 +377,84 @@ fn empty_fault_plan_matches_reference() {
             );
         }
     }
+}
+
+/// The benchmark's partition: p = 512 at 16 ranks per node.
+fn storm_partition(mapping: &str) -> Topology {
+    partition(32, 16, mapping)
+}
+
+#[test]
+fn storm_schedule_matches_reference_without_a_pair_front() {
+    // Contended: `NetState` keeps no front for the inter-node pairs, the
+    // reference does, and `compare` holds both to the same arrivals.
+    for mapping in ["ABCDET", "TABCDE"] {
+        for seed in [0x5702_0001, 0x5702_0002, 0x5702_0003] {
+            let schedule = storm_schedule(seed, 512, 200_000);
+            compare(storm_partition(mapping), true, false, false, schedule);
+        }
+    }
+    // Every pair inter-node, a dozen messages per pair.
+    let schedule = storm_schedule(0x5702_0004, 128, 200_000);
+    compare(Topology::for_procs(128, 1), true, false, false, schedule);
+    // An installed-but-empty plan keeps the front; it must not matter.
+    let schedule = storm_schedule(0x5702_0005, 512, 50_000);
+    compare(storm_partition("ABCDET"), true, false, true, schedule);
+}
+
+/// Same-pair runs built to make a later message want to arrive first: a
+/// 16 B message behind a 32 KB one, `Control` (no injection FIFO) behind
+/// `Ordered`, inject times running backwards, an `Unordered` in between.
+fn overtaking_schedule(src: usize, dst: usize) -> impl Iterator<Item = Sched> {
+    use MsgClass::{Control, Ordered, Unordered};
+    let at = |ns| SimTime::ZERO + SimDuration::from_ns(ns);
+    [
+        (at(1_000), 32 << 10, Ordered),
+        (at(1_001), 16, Ordered),
+        (at(50_000), 32 << 10, Ordered),
+        (at(50_000), 16, Control),
+        (at(90_000), 32 << 10, Control),
+        (at(80_000), 16, Control),
+        (at(70_000), 16, Ordered),
+        (at(120_000), 32 << 10, Ordered),
+        (at(120_001), 16, Unordered),
+        (at(120_002), 16, Control),
+    ]
+    .into_iter()
+    .map(move |(inject, payload, class)| (inject, src, dst, payload, class))
+}
+
+#[test]
+fn pair_front_binds_only_where_no_link_orders_the_pair() {
+    for mapping in ["ABCDET", "TABCDE"] {
+        let topo = storm_partition(mapping);
+        // Rank 0's nearest neighbour shares its node, its farthest does not.
+        let near = (1..512).find(|&r| topo.same_node(0, r)).unwrap();
+        let far = (1..512).max_by_key(|&r| topo.hops(0, r)).unwrap();
+        assert!(topo.hops(0, far) > 1);
+        for empty_plan in [false, true] {
+            let run = |contention, dst| {
+                let schedule = overtaking_schedule(0, dst);
+                compare(topo.clone(), contention, false, empty_plan, schedule).clamps
+            };
+            // `compare` itself rejects a clamp on reserved links.
+            assert_eq!(run(true, far), 0, "links order the pair ({mapping})");
+            assert!(run(false, far) > 0, "analytic needs the front ({mapping})");
+            assert!(run(true, near) > 0, "intranode needs the front ({mapping})");
+        }
+    }
+}
+
+/// The benchmark's `net_storm` run at full size — 12 M messages, every
+/// arrival compared — ending on the `sim_time_ps` that
+/// `benchmark/expected.json` pins for seed 1. Release build only:
+/// `cargo test --release -p torus5d --test net_reference -- --ignored`.
+#[test]
+#[ignore = "12 M messages through both networks; run in release"]
+fn full_size_storm_matches_reference() {
+    let schedule = storm_schedule(1, 512, 12_000_000);
+    let seen = compare(Topology::for_procs(512, 16), true, false, false, schedule);
+    assert_eq!(seen.last.as_ps(), 1_194_105_622_200);
 }
 
 /// FNV-1a over a stream of u64 words.
