@@ -4,7 +4,7 @@ use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::rc::{Rc, Weak};
 
 use desim::memprof::{self, MemTag};
-use desim::{Completion, FxHashMap, Sim};
+use desim::{Completion, FxHashMap, PagedMap, Sim};
 use pami_sim::{Machine, PamiRank};
 
 /// Per-rank ARMCI runtime state (caches, implicit sets, reply maps).
@@ -160,8 +160,8 @@ pub(crate) struct ArmciInner {
     pub cfg: ArmciConfig,
     /// Lazily materialized per-rank runtime state, keyed by rank id and
     /// created by the machine's rank-init hook — an untouched rank has no
-    /// entry (and costs no bytes) here.
-    pub ranks: RefCell<FxHashMap<usize, Rc<RankRt>>>,
+    /// entry here (and its page none unless a neighbour has one).
+    pub ranks: RefCell<PagedMap<Rc<RankRt>>>,
     pub barrier: RefCell<BarrierSt>,
     pub nmutexes: Cell<usize>,
     /// In-flight collective allocations, keyed by call sequence number.
@@ -195,7 +195,7 @@ impl Armci {
         let inner = Rc::new(ArmciInner {
             machine: machine.clone(),
             cfg,
-            ranks: RefCell::new(FxHashMap::default()),
+            ranks: RefCell::new(PagedMap::new()),
             barrier: RefCell::new(BarrierSt {
                 arrived: 0,
                 current: None,
@@ -275,11 +275,11 @@ impl Armci {
     /// This rank's ARMCI runtime state, materializing the underlying PAMI
     /// rank (and hence running the init hook) on first touch.
     pub(crate) fn rank_rt(&self, r: usize) -> Rc<RankRt> {
-        if let Some(rt) = self.inner.ranks.borrow().get(&r) {
+        if let Some(rt) = self.inner.ranks.borrow().get(r) {
             return Rc::clone(rt);
         }
         self.inner.machine.materialize_rank(r);
-        if let Some(rt) = self.inner.ranks.borrow().get(&r) {
+        if let Some(rt) = self.inner.ranks.borrow().get(r) {
             return Rc::clone(rt);
         }
         // The rank materialized under an older hook (e.g. a second runtime
@@ -289,7 +289,7 @@ impl Armci {
             self.inner
                 .ranks
                 .borrow()
-                .get(&r)
+                .get(r)
                 .expect("init_rank inserts the rank"),
         )
     }
@@ -355,7 +355,7 @@ impl Armci {
 /// when initialization looped over every rank eagerly.
 fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
     let Some(inner) = weak.upgrade() else { return };
-    if inner.ranks.borrow().contains_key(&pr.id()) {
+    if inner.ranks.borrow().contains(pr.id()) {
         return;
     }
     let _mem = memprof::scope(&HANDLES_TAG);
@@ -416,7 +416,7 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
                 let pending = inner
                     .ranks
                     .borrow()
-                    .get(&env.rank)
+                    .get(env.rank)
                     .and_then(|rt| rt.rare().pending_replies.remove(&reply_id));
                 if let Some(c) = pending {
                     c.complete(found.then_some(RemoteRegion { off, len }));
@@ -434,7 +434,7 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             Rc::new(move |env, msg| {
                 let Some(inner) = weak.upgrade() else { return };
                 let seq = i64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let rt = inner.ranks.borrow().get(&env.rank).cloned();
+                let rt = inner.ranks.borrow().get(env.rank).cloned();
                 let Some(rt) = rt else { return };
                 let cell = rt.notify_off.get() + 8 * msg.src;
                 let pr = env.machine.rank(env.rank);
@@ -489,7 +489,7 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
                 let pending = inner
                     .ranks
                     .borrow()
-                    .get(&env.rank)
+                    .get(env.rank)
                     .and_then(|rt| rt.rare().pending_pings.remove(&reply_id));
                 if let Some(c) = pending {
                     c.complete(());

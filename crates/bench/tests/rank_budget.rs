@@ -7,14 +7,20 @@
 //! runtime state, its share of the rank tables, the timer wheel and rank
 //! 0's queue), must stay inside a stated budget:
 //!
-//! |                                   | parent commit | this budget | reached |
-//! |-----------------------------------|--------------:|------------:|--------:|
-//! | Σ per-tag peak bytes ÷ p          |          4759 |        2458 |    2403 |
-//! | live blocks ÷ p, all ranks parked |         17.07 |          10 |    7.08 |
-//! | allocation calls ÷ p, whole run   |         30.09 |          16 |   14.09 |
+//! |                                   | before | this budget | reached |
+//! |-----------------------------------|-------:|------------:|--------:|
+//! | Σ per-tag peak bytes ÷ p          |   2282 |        2048 |    1982 |
+//! | live blocks ÷ p, all ranks parked |   7.08 |         6.5 |    6.08 |
+//! | allocation calls ÷ p, whole run   |  11.09 |        10.5 |   10.09 |
 //!
-//! and lifecycle laziness must not move an event: the run's end `SimTime`
-//! is pinned to the value the parent commit produces.
+//! "Before" is the rank with the progress engine and the retry loop inside
+//! every blocking call's future, a hash set per endpoint set and hash-map
+//! rank tables; the three cuts are DESIGN.md §15's third column.
+//!
+//! Lifecycle laziness must not move an event: the run's end `SimTime` is
+//! pinned. The `#[ignore]`d full-size case runs the same shape at
+//! p = 262144 (`cargo test --release -p bgq-bench --test rank_budget --
+//! --ignored`, a few seconds) under the same byte budget.
 
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::Fixture;
@@ -27,20 +33,30 @@ use std::rc::Rc;
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
 
-const P: usize = 4096;
-/// 2.4 KiB per rank.
-const BYTES_PER_RANK: f64 = 2.4 * 1024.0;
-const BLOCKS_PER_RANK: f64 = 10.0;
-const ALLOCS_PER_RANK: f64 = 16.0;
-/// End of the run at the parent commit (ps).
-const END_PS: u64 = 619_166_104;
+/// 2.0 KiB per rank.
+const BYTES_PER_RANK: f64 = 2.0 * 1024.0;
+const BLOCKS_PER_RANK: f64 = 6.5;
+const ALLOCS_PER_RANK: f64 = 10.5;
 
-#[test]
-fn materialized_rank_stays_inside_its_byte_and_block_budget() {
+/// What one run of the Fig 9 shape cost, per rank.
+struct PerRank {
+    /// Live blocks at the instant every rank is parked in the barrier.
+    blocks: f64,
+    /// Σ per-tag peak bytes over the whole run.
+    bytes: f64,
+    /// Allocation calls over the whole run.
+    allocs: f64,
+    /// End of the run (ps).
+    end_ps: u64,
+    /// The run's per-tag snapshot, for failure messages.
+    tags: String,
+}
+
+fn fig9_shape(p: usize) -> PerRank {
     memprof::enable();
     let mark = memprof::mark();
     let f = Fixture::with_machine(
-        MachineConfig::new(P).procs_per_node(16).contexts(2),
+        MachineConfig::new(p).procs_per_node(16).contexts(2),
         ArmciConfig::default().progress(ProgressMode::AsyncThread),
     );
     let owner = f.armci.machine().rank(0);
@@ -48,7 +64,7 @@ fn materialized_rank_stays_inside_its_byte_and_block_budget() {
     owner.write_i64(counter, 0);
     let at_barrier = Rc::new(Cell::new(0usize));
     let mut expect = 0i64;
-    for r in 0..P {
+    for r in 0..p {
         let rk = f.rank(r);
         let inc = 1 + (r % 8) as i64;
         if r > 0 {
@@ -63,12 +79,12 @@ fn materialized_rank_stays_inside_its_byte_and_block_budget() {
             rk.barrier().await;
         });
     }
-    let per_rank = |n: i64| n as f64 / P as f64;
+    let per_rank = |n: i64| n as f64 / p as f64;
 
     // Step to the instant every rank is parked in the barrier: the live
     // blocks then are what p materialized, idle ranks hold.
     let mut t = SimTime::ZERO;
-    while at_barrier.get() < P {
+    while at_barrier.get() < p {
         t += SimDuration::from_us(1);
         f.sim.run_until(t);
     }
@@ -80,28 +96,59 @@ fn materialized_rank_stays_inside_its_byte_and_block_budget() {
             .map(|t| t.allocs as i64 - t.frees as i64)
             .sum(),
     );
+
+    let end = f.sim.run();
+    let run = memprof::since(&mark);
+    assert_eq!(f.armci.machine().materialized_count(), p);
+    assert_eq!(owner.read_i64(counter), expect, "counter sum");
+    f.armci.finalize();
+    f.sim.shutdown();
+    PerRank {
+        blocks,
+        bytes: per_rank(run.tags.iter().map(|t| t.peak_bytes).sum()),
+        allocs: per_rank(run.total_allocs() as i64),
+        end_ps: end.as_ps(),
+        tags: run.to_json(),
+    }
+}
+
+#[test]
+fn materialized_rank_stays_inside_its_byte_and_block_budget() {
+    let PerRank {
+        blocks,
+        bytes,
+        allocs,
+        end_ps,
+        tags,
+    } = fig9_shape(4096);
     assert!(
         blocks <= BLOCKS_PER_RANK,
         "{blocks:.2} live blocks per parked rank (budget {BLOCKS_PER_RANK})"
     );
-
-    let end = f.sim.run();
-    let run = memprof::since(&mark);
-    let bytes = per_rank(run.tags.iter().map(|t| t.peak_bytes).sum());
     assert!(
         bytes <= BYTES_PER_RANK,
-        "{bytes:.0} peak bytes per rank (budget {BYTES_PER_RANK:.0}): {}",
-        run.to_json()
+        "{bytes:.0} peak bytes per rank (budget {BYTES_PER_RANK:.0}): {tags}"
     );
-    let allocs = per_rank(run.total_allocs() as i64);
     assert!(
         allocs <= ALLOCS_PER_RANK,
         "{allocs:.2} allocation calls per rank (budget {ALLOCS_PER_RANK})"
     );
+    assert_eq!(end_ps, 619_166_104, "simulated end time moved");
+}
 
-    assert_eq!(f.armci.machine().materialized_count(), P);
-    assert_eq!(owner.read_i64(counter), expect, "counter sum");
-    assert_eq!(end.as_ps(), END_PS, "simulated end time moved");
-    f.armci.finalize();
-    f.sim.shutdown();
+#[test]
+#[ignore = "full size: run with --release -- --ignored"]
+fn full_size_fig9_rank_stays_inside_its_byte_budget() {
+    let got = fig9_shape(262_144);
+    assert!(
+        got.bytes <= BYTES_PER_RANK,
+        "{:.0} peak bytes per rank at p = 262144 (budget {BYTES_PER_RANK:.0}): {}",
+        got.bytes,
+        got.tags
+    );
+    eprintln!(
+        "p = 262144: {:.0} B, {:.2} blocks, {:.2} allocs per rank",
+        got.bytes, got.blocks, got.allocs
+    );
+    assert_eq!(got.end_ps, 39_327_016_104, "simulated end time moved");
 }

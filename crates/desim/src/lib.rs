@@ -41,6 +41,7 @@ pub mod health;
 pub mod json;
 pub mod kernel;
 pub mod memprof;
+pub mod paged;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -59,6 +60,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use health::{Finding, HealthConfig, Severity};
 pub use kernel::{JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
+pub use paged::PagedMap;
 pub use rng::SimRng;
 pub use stats::{MetricsSnapshot, Stats};
 pub use time::{SimDuration, SimTime};

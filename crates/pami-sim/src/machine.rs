@@ -7,10 +7,10 @@ use std::rc::Rc;
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
 use desim::timeline::{SeriesKind, Timeline};
-use desim::{FaultPlan, FlightRecorder, FxHashSet, OpId, Sim, SimTime, Stats};
+use desim::{FaultPlan, FlightRecorder, FxHashSet, OpId, PagedMap, Sim, SimTime, Stats};
 
 /// Per-rank state blocks (contexts included), backing memory, region tables
-/// and endpoint sets.
+/// and endpoint sets, and the pages of the rank table.
 static RANKMEM_TAG: MemTag = MemTag::new("pami.rankmem");
 use torus5d::{BgqParams, Mapping, NetState, Topology};
 
@@ -179,6 +179,61 @@ pub(crate) struct Region {
     pub active: bool,
 }
 
+/// A rank's endpoints, as `(target, context)` keys. Most ranks address one
+/// or two peers (Fig 9: rank 0's counter), so the first two keys sit inline
+/// in the rank block; the third insert spills the set, in place, into a
+/// hash set. The spill is not boxed: an extra pointer chase per probe cost
+/// the all-to-all runs more than the box saved.
+pub(crate) enum Endpoints {
+    Inline { len: u8, keys: [(u32, u8); 2] },
+    Spilled(FxHashSet<(u32, u8)>),
+}
+
+impl Default for Endpoints {
+    fn default() -> Self {
+        Endpoints::Inline {
+            len: 0,
+            keys: [(0, 0); 2],
+        }
+    }
+}
+
+impl Endpoints {
+    pub fn contains(&self, key: &(u32, u8)) -> bool {
+        match self {
+            Endpoints::Inline { len, keys } => keys[..*len as usize].contains(key),
+            Endpoints::Spilled(set) => set.contains(key),
+        }
+    }
+
+    /// Add `key`; returns `true` when it was not present.
+    pub fn insert(&mut self, key: (u32, u8)) -> bool {
+        match self {
+            Endpoints::Inline { len, keys } => {
+                if keys[..*len as usize].contains(&key) {
+                    return false;
+                }
+                if (*len as usize) < keys.len() {
+                    keys[*len as usize] = key;
+                    *len += 1;
+                } else {
+                    let set = keys.iter().copied().chain([key]).collect();
+                    *self = Endpoints::Spilled(set);
+                }
+                true
+            }
+            Endpoints::Spilled(set) => set.insert(key),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        match self {
+            Endpoints::Inline { len, .. } => *len as usize,
+            Endpoints::Spilled(set) => set.len(),
+        }
+    }
+}
+
 /// Per-rank simulation state: **one heap block** per materialized rank. The
 /// ρ contexts — queues, notifier and progress lock each — sit inline as the
 /// block's unsized tail, so a rank that has materialized but holds no
@@ -192,7 +247,7 @@ pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     pub next_alloc: Cell<usize>,
     pub regions: RefCell<Vec<Region>>,
     pub active_regions: Cell<usize>,
-    pub endpoints: RefCell<FxHashSet<(u32, u8)>>,
+    pub endpoints: RefCell<Endpoints>,
     pub space: SpaceAccount,
     /// The operation this rank is currently issuing/completing, threaded
     /// down into every message the rank injects while set. `None` when no
@@ -218,7 +273,7 @@ impl RankState {
                 next_alloc: Cell::new(0),
                 regions: RefCell::new(Vec::new()),
                 active_regions: Cell::new(0),
-                endpoints: RefCell::new(FxHashSet::default()),
+                endpoints: RefCell::new(Endpoints::default()),
                 space: SpaceAccount::default(),
                 cur_op: Cell::new(None),
                 at_ctx: Cell::new(None),
@@ -313,9 +368,9 @@ pub(crate) struct MachineInner {
     pub params: Rc<BgqParams>,
     pub net: RefCell<NetState>,
     /// Lazily materialized per-rank state, keyed by rank id. Ranks the
-    /// program never touches never appear here — the map is sized by the
+    /// program never touches never appear here — the table is sized by the
     /// *active* rank set, not by `nprocs`.
-    pub ranks: RefCell<desim::FxHashMap<usize, Rc<RankState>>>,
+    pub ranks: RefCell<PagedMap<Rc<RankState>>>,
     /// Hook run once per rank, right after its state materializes (upper
     /// layers hang their own per-rank init — dispatch tables, notification
     /// cells — off this instead of looping over all `nprocs` ranks).
@@ -437,7 +492,7 @@ impl Machine {
                 topo,
                 params,
                 net: RefCell::new(net),
-                ranks: RefCell::new(desim::FxHashMap::default()),
+                ranks: RefCell::new(PagedMap::new()),
                 rank_init: RefCell::new(None),
                 stats,
                 faults_active,
@@ -597,7 +652,7 @@ impl Machine {
     /// visible, so the hook may re-enter for the same rank without looping.
     pub(crate) fn rank_state(&self, r: usize) -> Rc<RankState> {
         assert!(r < self.nprocs(), "rank {r} out of range");
-        if let Some(st) = self.inner.ranks.borrow().get(&r) {
+        if let Some(st) = self.inner.ranks.borrow().get(r) {
             return Rc::clone(st);
         }
         let st = {
@@ -628,9 +683,7 @@ impl Machine {
 
     /// Ids of the ranks whose state has materialized, ascending.
     pub fn materialized_ranks(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.inner.ranks.borrow().keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.inner.ranks.borrow().iter().map(|(r, _)| r).collect()
     }
 
     /// Number of ranks whose state has materialized.
@@ -642,8 +695,9 @@ impl Machine {
     /// rank order, for determinism). Ranks whose AT never spawned — or never
     /// materialized at all — cost nothing here.
     pub fn stop_progress_threads(&self) {
-        for r in self.materialized_ranks() {
-            let st = self.rank_state(r);
+        // Stopping only wakes the thread (it exits when next polled), so no
+        // rank materializes while the table is borrowed.
+        for st in self.inner.ranks.borrow().values() {
             let at = st.at.borrow_mut().take();
             if let Some(at) = at {
                 at.stop();
@@ -655,7 +709,7 @@ impl Machine {
     /// untouched rank reports the all-zero snapshot it would have anyway.
     pub fn space(&self, rank: usize) -> SpaceSnapshot {
         assert!(rank < self.nprocs(), "rank {rank} out of range");
-        match self.inner.ranks.borrow().get(&rank) {
+        match self.inner.ranks.borrow().get(rank) {
             Some(st) => st.space.snapshot(),
             None => SpaceSnapshot::default(),
         }
@@ -743,6 +797,31 @@ mod tests {
         assert_eq!(rs.read(4000, 2), vec![0, 0]); // untouched memory is zero
         rs.write_i64(200, -77);
         assert_eq!(rs.read_i64(200), -77);
+    }
+
+    #[test]
+    fn endpoints_match_a_reference_set_and_spill_on_the_third_key() {
+        use std::collections::BTreeSet;
+        for seed in 1..=32u64 {
+            let mut rng = desim::SimRng::new(seed);
+            // Few distinct keys, so sequences revisit keys before and after
+            // the spill.
+            let (targets, ctxs) = (1 + rng.next_below(6), 1 + rng.next_below(2));
+            let mut set = Endpoints::default();
+            let mut reference = BTreeSet::new();
+            for _ in 0..40 {
+                let key = (rng.next_below(targets) as u32, rng.next_below(ctxs) as u8);
+                assert_eq!(set.contains(&key), reference.contains(&key));
+                assert_eq!(set.insert(key), reference.insert(key), "seed {seed}");
+                assert_eq!(set.len(), reference.len());
+                let spilled = matches!(set, Endpoints::Spilled(_));
+                assert_eq!(spilled, reference.len() > 2, "spill on the third key");
+                for probe in 0..8u32 {
+                    let key = (probe, 0);
+                    assert_eq!(set.contains(&key), reference.contains(&key));
+                }
+            }
+        }
     }
 
     #[test]

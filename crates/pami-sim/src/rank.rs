@@ -495,7 +495,14 @@ impl PamiRank {
             class,
             op,
         };
-        let (mut inject, mut attempt) = (inject, 0);
+        Box::pin(self.deliver_retrying(inject, leg)).await
+    }
+
+    /// The retry loop of [`PamiRank::deliver_reliable`]. Boxed by its one
+    /// caller: only a fault plan runs it, so the futures of every issue path
+    /// carry a pointer instead of its state.
+    async fn deliver_retrying(&self, mut inject: SimTime, leg: Leg) -> (SimTime, bool) {
+        let mut attempt = 0;
         loop {
             match retry::attempt(&self.m, inject, &leg, attempt) {
                 Attempt::Arrived(arrival) => return (arrival, true),
@@ -1337,7 +1344,9 @@ impl PamiRank {
                 break v;
             }
             if main_ctx.depth() > 0 {
-                self.advance(0, 1).await;
+                // Boxed: only ρ = 1 queues incoming work on the main context,
+                // so at ρ = 2 no blocking call carries the engine's state.
+                Box::pin(self.advance(0, 1)).await;
                 continue;
             }
             if let Either::Left(v) = race(done.wait(), NotifyCell::wait(main_ctx.clone())).await {
