@@ -188,6 +188,8 @@ impl Chunks<'_> {
 impl Iterator for Chunks<'_> {
     type Item = (usize, usize);
 
+    // Inline: called once per chunk by the loop that records a chunk train.
+    #[inline]
     fn next(&mut self) -> Option<(usize, usize)> {
         if self.left == 0 {
             return None;
@@ -226,6 +228,7 @@ pub struct PairChunks<'a> {
 impl Iterator for PairChunks<'_> {
     type Item = ((usize, usize), (usize, usize));
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let (Some((aoff, alen)), Some((boff, blen))) = (self.cur_a, self.cur_b) else {
             assert!(
@@ -246,6 +249,18 @@ impl Iterator for PairChunks<'_> {
             Some((boff + take, blen - take))
         };
         Some(((aoff, take), (boff, take)))
+    }
+
+    /// Each piece ends at a chunk boundary of one side or both, and the
+    /// last piece ends at both sides' last boundary: at least the larger
+    /// side's remaining chunk count, at most the sum less one.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left =
+            |cur: Option<(usize, usize)>, rest: &Chunks<'_>| cur.map_or(0, |_| 1 + rest.len());
+        match (left(self.cur_a, &self.a), left(self.cur_b, &self.b)) {
+            (0, _) | (_, 0) => (0, Some(0)),
+            (a, b) => (a.max(b), Some(a + b - 1)),
+        }
     }
 }
 
@@ -345,6 +360,50 @@ mod tests {
                 ((32, 16), (1200, 16)),
             ]
         );
+    }
+
+    #[test]
+    fn pair_chunks_size_hint_brackets_the_pieces_left() {
+        for seed in 1..=64 {
+            let mut rng = desim::SimRng::new(seed);
+            // Same total bytes, independently dense or gapped levels per side.
+            let counts: Vec<usize> = (0..1 + rng.next_below(3))
+                .map(|_| 1 + rng.next_below(5) as usize)
+                .collect();
+            let chunk = 8 * (1 + rng.next_below(4) as usize);
+            let side = |rng: &mut desim::SimRng| {
+                let mut extent = chunk;
+                let strides = counts
+                    .iter()
+                    .map(|&c| {
+                        let stride = extent + 8 * rng.next_below(2) as usize;
+                        extent = stride * c;
+                        stride
+                    })
+                    .collect();
+                Strided {
+                    offset: 0,
+                    chunk,
+                    counts: counts.clone(),
+                    strides,
+                }
+            };
+            let (a, b) = (side(&mut rng), side(&mut rng));
+            let mut pairs = Strided::pair_chunks(&a, &b);
+            let mut left = pairs.clone().count();
+            loop {
+                let (lo, hi) = pairs.size_hint();
+                assert!(
+                    lo <= left && Some(left) <= hi,
+                    "seed {seed}: {left} in {lo}..={hi:?}"
+                );
+                if pairs.next().is_none() {
+                    break;
+                }
+                left -= 1;
+            }
+            assert_eq!(left, 0, "seed {seed}");
+        }
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! recorded at the commit before strided transfers became chunk trains
 //! (one operation, completion and snapshot per chunk, a watcher task per
 //! transfer); a host-side reorganisation must reproduce them exactly.
+//!
+//! Four hand-made train cases (`Case`) pin the same four things, recorded
+//! before trains posted themselves and landed once: a same-pair delivery
+//! between two posts, landings out of chunk order, a zero `o_send`, and a
+//! put landing on the target mid-train.
 
 use armci::{Armci, ArmciConfig, ProgressMode, Strided};
-use desim::{Sim, SimRng};
+use desim::{Sim, SimDuration, SimRng};
 use pami_sim::{Machine, MachineConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -177,6 +182,288 @@ fn zero_count_transfers_complete_without_a_message() {
     armci.finalize();
     sim.shutdown();
 }
+
+/// The train cases below: the initiator 0 on one node, the target 16 and a
+/// third party 17 on the other.
+#[derive(Clone, Copy, Debug)]
+enum Case {
+    /// While rank 0 posts a 24-chunk get from 16, rank 16 fetch-and-adds a
+    /// counter on 0: in AT mode, 0's progress thread replies to 16 between
+    /// two of the train's posts (16's completion is pinned before the
+    /// instant 0's `nbgetv` returns), a same-pair delivery the posts must
+    /// not be reordered around.
+    Interleaved,
+    /// A `getv` and then a `putv` whose chunks straddle `align_threshold`
+    /// (256 B), so later chunks can land before earlier ones.
+    MixedLengths,
+    /// A strided get and put with `o_send` = 0: every chunk posts at once.
+    ZeroOsend,
+    /// Rank 17 overwrites the region a 16-chunk get reads; its put lands
+    /// between two of the train's request arrivals.
+    PutMidTrain,
+}
+
+/// `((rank, completion instant in ps) in the order they happened, memory
+/// digest, net messages, end time in ps)`.
+type Outcome = (Vec<(usize, u64)>, u64, u64, u64);
+
+const ACTIVE: [usize; 3] = [0, 16, 17];
+
+fn run_case(case: Case, mode: ProgressMode, contention: bool) -> Outcome {
+    let sim = Sim::new();
+    let contexts = if mode == ProgressMode::Default { 1 } else { 2 };
+    let mut params = torus5d::BgqParams::default();
+    if let Case::ZeroOsend = case {
+        params.o_send = SimDuration::ZERO;
+    }
+    let machine = Machine::new(
+        sim.clone(),
+        MachineConfig::new(P)
+            .procs_per_node(16)
+            .contexts(contexts)
+            .contention(contention)
+            .params(params),
+    );
+    let armci = Armci::new(machine.clone(), ArmciConfig::default().progress(mode));
+    let times: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
+    const SEG_BYTES: usize = 64 * 1024;
+    for r in ACTIVE {
+        let rk = armci.rank(r);
+        let (sim, times) = (sim.clone(), Rc::clone(&times));
+        let mut rng = SimRng::new(r as u64 + 1);
+        sim.clone().spawn(async move {
+            let segs = rk.malloc_collective(SEG_BYTES).await;
+            let fill: Vec<u8> = (0..SEG_BYTES).map(|_| rng.next_below(256) as u8).collect();
+            rk.pami().write_bytes(segs[r], &fill);
+            let local = rk.malloc(SEG_BYTES).await;
+            // Warm the endpoints and region caches the case uses.
+            match r {
+                0 => rk.get(16, local, segs[16], 8).await,
+                16 => drop(rk.rmw_fetch_add(0, segs[0], 0).await),
+                _ => rk.put(16, local, segs[16] + 8, 8).await,
+            }
+            rk.barrier().await;
+            let start = sim.now();
+            let done = |times: &Rc<RefCell<Vec<(usize, u64)>>>| {
+                times.borrow_mut().push((r, sim.now().as_ps()))
+            };
+            match (case, r) {
+                (Case::Interleaved, 0) => {
+                    let parts: Vec<_> = (0..24)
+                        .map(|i| (local + 512 * i, segs[16] + 1024 * i, 512))
+                        .collect();
+                    let h = rk.nbgetv(16, &parts).await;
+                    done(&times);
+                    rk.wait(&h).await;
+                    done(&times);
+                }
+                (Case::Interleaved, 16) => {
+                    sim.sleep_until(start + SimDuration::from_us(4)).await;
+                    rk.rmw_fetch_add(0, segs[0] + 64, 1).await;
+                    done(&times);
+                }
+                (Case::MixedLengths, 0) => {
+                    // Behind the 4 KiB chunk's reply, the 100 B one lands last.
+                    let lens = [64, 512, 96, 1024, 128, 300, 48, 4096, 100, 256];
+                    let mut parts = Vec::new();
+                    let (mut l, mut rem) = (local, segs[16]);
+                    for len in lens {
+                        parts.push((l, rem, len));
+                        (l, rem) = (l + len + 8, rem + 2 * len);
+                    }
+                    rk.getv(16, &parts).await;
+                    done(&times);
+                    let back: Vec<_> = parts.iter().map(|&(l, r, n)| (l, r + 8192, n)).collect();
+                    rk.putv(16, &back).await;
+                    done(&times);
+                }
+                (Case::ZeroOsend, 0) => {
+                    let here = Strided::patch2d(local, 384, 8, 512);
+                    let there = Strided::patch2d(segs[16], 384, 8, 1024);
+                    rk.get_strided(16, &here, &there).await;
+                    done(&times);
+                    let there = Strided::patch2d(segs[16] + 16384, 384, 8, 640);
+                    rk.put_strided(16, &here, &there).await;
+                    done(&times);
+                }
+                (Case::PutMidTrain, 0) => {
+                    let parts: Vec<_> = (0..16)
+                        .map(|i| (local + 256 * i, segs[16] + 256 * i, 256))
+                        .collect();
+                    rk.getv(16, &parts).await;
+                    done(&times);
+                    // Each chunk holds what its request found: the first
+                    // ones predate the put, the rest see it.
+                    let got = rk.pami().read_bytes(local, 4096);
+                    let fresh: Vec<bool> = got.chunks(256).map(|c| c == [0xee; 256]).collect();
+                    let cut = fresh
+                        .iter()
+                        .position(|&f| f)
+                        .expect("the put landed mid-train");
+                    assert!(cut > 0 && fresh[cut..].iter().all(|&f| f), "{fresh:?}");
+                }
+                (Case::PutMidTrain, 17) => {
+                    rk.pami().write_bytes(local, &[0xee; 4096]);
+                    sim.sleep_until(start + SimDuration::from_ns(4500)).await;
+                    rk.put(16, local, segs[16], 4096).await;
+                    done(&times);
+                }
+                _ => {}
+            }
+            rk.fence_all().await;
+            rk.barrier().await;
+        });
+    }
+    // The ranks that take no part still enter the collectives.
+    for r in (0..P).filter(|r| !ACTIVE.contains(r)) {
+        let rk = armci.rank(r);
+        sim.spawn(async move {
+            rk.malloc_collective(SEG_BYTES).await;
+            rk.barrier().await;
+            rk.barrier().await;
+        });
+    }
+    let end = sim.run();
+    let mem = ACTIVE.iter().fold(0xcbf2_9ce4_8422_2325, |h, &r| {
+        fnv(h, &machine.rank(r).read_bytes(0, 3 * SEG_BYTES))
+    });
+    let msgs = machine.net_messages();
+    let times = times.take();
+    armci.finalize();
+    sim.shutdown();
+    (times, mem, msgs, end.as_ps())
+}
+
+#[test]
+fn train_cases_match_their_recorded_outcomes() {
+    for (case, pins) in [
+        (Case::Interleaved, PIN_INTERLEAVED),
+        (Case::MixedLengths, PIN_MIXED),
+        (Case::ZeroOsend, PIN_ZERO_OSEND),
+        (Case::PutMidTrain, PIN_PUT_MID_TRAIN),
+    ] {
+        let configs = [ProgressMode::Default, ProgressMode::AsyncThread]
+            .into_iter()
+            .flat_map(|mode| [(mode, false), (mode, true)]);
+        for ((mode, contention), want) in configs.zip(pins) {
+            let (times, mem, msgs, end) = run_case(case, mode, contention);
+            assert_eq!(
+                (&times[..], mem, msgs, end),
+                want,
+                "{case:?}, {mode:?}, contention {contention}"
+            );
+        }
+    }
+}
+
+/// `(instants, memory digest, messages, end)` per case, for D and then AT,
+/// each with contention off and then on; recorded at the commit before
+/// trains posted themselves.
+type Pin = (&'static [(usize, u64)], u64, u64, u64);
+const PIN_INTERLEAVED: [Pin; 4] = [
+    (
+        &[(0, 104684504), (16, 105954008), (0, 107102760)],
+        133252463013873765,
+        55,
+        108852760,
+    ),
+    (
+        &[(0, 104684504), (16, 106039008), (0, 107102760)],
+        133252463013873765,
+        55,
+        108852760,
+    ),
+    (
+        &[(16, 99478016), (0, 104684504), (0, 107102760)],
+        133252463013873765,
+        55,
+        108852760,
+    ),
+    (
+        &[(16, 99539008), (0, 104684504), (0, 107102760)],
+        133252463013873765,
+        55,
+        108852760,
+    ),
+];
+const PIN_MIXED: [Pin; 4] = [
+    (
+        &[(0, 101426852), (0, 109979200)],
+        17831132554587638094,
+        35,
+        111729200,
+    ),
+    (
+        &[(0, 101461852), (0, 110049200)],
+        17831132554587638094,
+        35,
+        111799200,
+    ),
+    (
+        &[(0, 101426852), (0, 109979200)],
+        17831132554587638094,
+        35,
+        111729200,
+    ),
+    (
+        &[(0, 101461852), (0, 110049200)],
+        17831132554587638094,
+        35,
+        111799200,
+    ),
+];
+const PIN_ZERO_OSEND: [Pin; 4] = [
+    (
+        &[(0, 96044040), (0, 99713576)],
+        3870198275907058312,
+        29,
+        101463576,
+    ),
+    (
+        &[(0, 96289040), (0, 100203576)],
+        3870198275907058312,
+        29,
+        101953576,
+    ),
+    (
+        &[(0, 96044040), (0, 99713576)],
+        3870198275907058312,
+        29,
+        101463576,
+    ),
+    (
+        &[(0, 96289040), (0, 100203576)],
+        3870198275907058312,
+        29,
+        101953576,
+    ),
+];
+const PIN_PUT_MID_TRAIN: [Pin; 4] = [
+    (
+        &[(17, 99304104), (0, 102958632)],
+        2404102997063388437,
+        38,
+        104708632,
+    ),
+    (
+        &[(17, 99304104), (0, 102958632)],
+        2404102997063388437,
+        38,
+        104708632,
+    ),
+    (
+        &[(17, 99304104), (0, 102958632)],
+        2404102997063388437,
+        38,
+        104708632,
+    ),
+    (
+        &[(17, 99304104), (0, 102958632)],
+        2404102997063388437,
+        38,
+        104708632,
+    ),
+];
 
 const PIN_D1: (u64, u64, u64, u64) = (889678178306109358, 12518809790512685128, 3775, 1939918239);
 const PIN_AT1: (u64, u64, u64, u64) = (8569423904363568536, 10666706766254096254, 3775, 1866995279);

@@ -1,12 +1,15 @@
-//! What a chunk of a warm zero-copy strided get costs the host: two
-//! allocations (the boxes of its request-arrival and its response-arrival
-//! event) and no task. Everything else — rank states, parameters, staging
-//! bytes, the completion and its countdown — exists once per train.
+//! What a chunk of a warm zero-copy strided get or put costs the host: two
+//! kernel events (its post and its request arrival — a get's landing and a
+//! put's ack are events only for a chunk that may complete the train), at
+//! most two allocations (the boxes of those two events) and no task.
+//! Everything else — rank states, parameters, the chunk list, staging
+//! bytes, the completions and their countdowns — exists once per train.
 //!
-//! Counted with `desim::memprof`, leaving out the `desim.wheel` tag: a
-//! timer-wheel slot regrows when a long train reaches a window it has not
-//! filled before, which is the wheel's occupancy, not the train's cost.
-//! Its own integration-test binary: the profiling allocator is process-wide.
+//! Allocations are counted with `desim::memprof`, leaving out the
+//! `desim.wheel` tag: a timer-wheel slot regrows when a long train reaches a
+//! window it has not filled before, which is the wheel's occupancy, not the
+//! train's cost. Its own integration-test binary: the profiling allocator is
+//! process-wide.
 
 use armci::{Armci, ArmciConfig, Strided};
 use desim::memprof::{self, MemProf};
@@ -22,7 +25,7 @@ const ROW: usize = 368;
 const LD: usize = 1024;
 
 #[test]
-fn an_extra_chunk_costs_two_allocations_and_no_task() {
+fn an_extra_chunk_costs_two_events_two_allocations_and_no_task() {
     memprof::enable();
     let sim = Sim::new();
     let machine = Machine::new(sim.clone(), MachineConfig::new(2).procs_per_node(1));
@@ -39,17 +42,22 @@ fn an_extra_chunk_costs_two_allocations_and_no_task() {
     }
     sim.run();
     let (local, remote) = bufs.get();
-    // One blocking `rows`-row get from rank 0: allocations, and the task
-    // table and live-task count while the transfer is in flight.
-    let get = |rows: usize| {
+    // One blocking `rows`-row get (or put) from rank 0: kernel events,
+    // allocations, and the task table and live-task count while the
+    // transfer is in flight.
+    let transfer = |put: bool, rows: usize| {
         let rk = armci.rank(0);
         let seen = Rc::new(Cell::new((0, 0)));
         let (s, seen2) = (sim.clone(), Rc::clone(&seen));
-        let before = memprof::mark();
+        let (events, before) = (sim.events_processed(), memprof::mark());
         sim.spawn(async move {
             let here = Strided::patch2d(local, ROW, rows, ROW);
             let there = Strided::patch2d(remote, ROW, rows, LD);
-            let h = rk.nbget_strided(1, &here, &there).await;
+            let h = if put {
+                rk.nbput_strided(1, &here, &there).await
+            } else {
+                rk.nbget_strided(1, &here, &there).await
+            };
             seen2.set((s.task_slots(), s.pending_tasks()));
             rk.wait(&h).await;
         });
@@ -60,22 +68,29 @@ fn an_extra_chunk_costs_two_allocations_and_no_task() {
             .filter(|t| t.name != "desim.wheel")
             .map(|t| t.allocs + t.reallocs)
             .sum();
-        (allocs, seen.get())
+        (sim.events_processed() - events, allocs, seen.get())
     };
-    // Warm both shapes (wheel slots, staging-sized heap blocks, stats keys).
     let idle = (sim.task_slots(), sim.pending_tasks());
-    get(8);
-    get(64);
-    let (allocs8, tasks8) = get(8);
-    let (allocs64, tasks64) = get(64);
-    assert!(
-        allocs64 - allocs8 <= 2 * (64 - 8),
-        "8 rows: {allocs8} allocations, 64 rows: {allocs64}"
-    );
-    // The issuing task is the only one: no watcher per transfer.
-    assert_eq!(tasks8, (idle.0.max(1), idle.1 + 1));
-    assert_eq!(tasks64, tasks8);
-    assert_eq!((sim.task_slots(), sim.pending_tasks()), idle);
+    for put in [false, true] {
+        // Warm both shapes (wheel slots, staging-sized heap blocks, stats keys).
+        transfer(put, 8);
+        transfer(put, 64);
+        let (events8, allocs8, tasks8) = transfer(put, 8);
+        let (events64, allocs64, tasks64) = transfer(put, 64);
+        assert_eq!(
+            events64 - events8,
+            2 * (64 - 8),
+            "put={put}: 8 rows: {events8} events, 64 rows: {events64}"
+        );
+        assert!(
+            allocs64 - allocs8 <= 2 * (64 - 8),
+            "put={put}: 8 rows: {allocs8} allocations, 64 rows: {allocs64}"
+        );
+        // The issuing task is the only one: no watcher per transfer.
+        assert_eq!(tasks8, (idle.0.max(1), idle.1 + 1));
+        assert_eq!(tasks64, tasks8);
+        assert_eq!((sim.task_slots(), sim.pending_tasks()), idle);
+    }
     armci.finalize();
     sim.shutdown();
 }

@@ -2,8 +2,9 @@
 //! the progress engine.
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::future::Future;
+use std::future::{poll_fn, Future};
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
 use desim::futures::{race, Either};
 use desim::memprof::{self, MemTag};
@@ -57,15 +58,16 @@ pub(crate) fn deliver_then(
     if m.faults_active() {
         return deliver_faulty(m, inject, leg, extra, 0, Box::new(then));
     }
-    let arrival = m.inner.net.borrow_mut().deliver_op(
-        inject,
-        leg.src,
-        leg.dst,
-        leg.payload,
-        leg.class,
-        leg.op,
-    ) + extra;
+    let arrival = deliver(m, inject, &leg) + extra;
     m.sim().schedule(arrival, move || then(arrival, true));
+}
+
+/// Deliver `leg` at `inject` on a network without an active fault plan.
+fn deliver(m: &Machine, inject: SimTime, leg: &Leg) -> SimTime {
+    m.inner
+        .net
+        .borrow_mut()
+        .deliver_op(inject, leg.src, leg.dst, leg.payload, leg.class, leg.op)
 }
 
 /// [`deliver_then`] under an active fault plan: drives [`retry::attempt`]
@@ -96,42 +98,155 @@ fn deliver_faulty(
     }
 }
 
-/// Fires `done` once every announced part has arrived and the poster has
-/// released its own hold — chunks are posted one `o_send` apart, so early
-/// ones can finish while later ones are still being posted.
+/// Fires `done` when the last of a fixed number of parts has finished — at
+/// once when there are none.
 struct Countdown {
     left: Cell<usize>,
     done: Completion<()>,
 }
 
 impl Countdown {
-    /// A countdown holding the poster's part.
-    fn new() -> Countdown {
+    fn new(parts: usize) -> Countdown {
+        let done = Completion::new();
+        if parts == 0 {
+            done.complete(());
+        }
         Countdown {
-            left: Cell::new(1),
-            done: Completion::new(),
+            left: Cell::new(parts),
+            done,
         }
     }
 
-    fn add(&self) {
-        self.left.set(self.left.get() + 1);
-    }
-
-    /// One part (or the poster's hold) is finished.
-    fn arrive(&self) {
+    /// One part finished: after the last, run `last` and fire `done`.
+    fn arrive(&self, last: impl FnOnce()) {
         let left = self.left.get() - 1;
         self.left.set(left);
         if left == 0 {
+            last();
             self.done.complete(());
         }
     }
 }
 
-/// What the chunks of one RDMA *chunk train* share (DESIGN.md, "chunk
-/// train"): a strided or vector transfer is still one NIC post, one message
-/// and one landing event per chunk — link reservations depend on call
-/// order — but the rank states, parameters, op id, staging bytes and the
-/// completion countdown exist once. `D` is the train's countdowns.
+/// One chunk of a train: `len` bytes between the initiator's `local` and
+/// the target's `remote` offset, and whether its landing may be the train's
+/// last — and so needs an event of its own on a network without a fault
+/// plan.
+#[derive(Clone, Copy)]
+struct Chunk {
+    local: usize,
+    remote: usize,
+    len: usize,
+    lands: bool,
+}
+
+/// The words of a chunk's record in a [`Staging`] buffer: its offsets and
+/// length, where its snapshot starts ([`UNSTAGED`] while it has none to
+/// deliver), and 1 if its landing may complete the train.
+const LOCAL: usize = 0;
+const REMOTE: usize = 1;
+const LEN: usize = 2;
+const POS: usize = 3;
+const LANDS: usize = 4;
+const RECORD: usize = 5;
+const WORD: usize = std::mem::size_of::<usize>();
+const UNSTAGED: usize = usize::MAX;
+
+/// A train's chunk list and the bytes it stages, in one buffer: a record per
+/// chunk, then the snapshots, back to back in the order taken. A chunk list
+/// of run-time length cannot sit behind the train's own fields in its `Rc`
+/// without `unsafe`; sharing the staging block instead keeps a train at the
+/// allocations of one staging buffer.
+struct Staging {
+    buf: Vec<u8>,
+    chunks: usize,
+}
+
+impl Staging {
+    /// Record `parts`, with room for `total` staged bytes. Returns the list
+    /// and how many of its chunks may complete the train ([`Chunk::lands`]).
+    fn new(
+        parts: impl IntoIterator<Item = (usize, usize, usize)>,
+        total: usize,
+        p: &torus5d::BgqParams,
+    ) -> (Staging, usize) {
+        let parts = parts.into_iter();
+        let mut buf = Vec::with_capacity(parts.size_hint().0 * RECORD * WORD + total);
+        for (local, remote, len) in parts {
+            let record = [local, remote, len, UNSTAGED, 0].map(usize::to_ne_bytes);
+            buf.extend_from_slice(record.as_flattened());
+        }
+        let chunks = buf.len() / (RECORD * WORD);
+        let mut list = Staging { buf, chunks };
+        // A chunk's landing is its reply's arrival plus its alignment
+        // penalty, and replies arrive in chunk order. So a later chunk whose
+        // penalty is at least as large lands at or after it, in a later
+        // event: only the last chunk, and one whose penalty exceeds every
+        // later chunk's, may land last.
+        let (mut lands, mut later) = (0, None);
+        for k in (0..chunks).rev() {
+            let penalty = p.align_penalty(list.record(k)[LEN]);
+            if later.is_none_or(|later| penalty > later) {
+                list.set(k, LANDS, 1);
+                lands += 1;
+            }
+            later = later.max(Some(penalty));
+        }
+        (list, lands)
+    }
+
+    /// Chunk `k`'s record.
+    fn record(&self, k: usize) -> [usize; RECORD] {
+        let (words, _) = self.buf[k * RECORD * WORD..][..RECORD * WORD].as_chunks::<WORD>();
+        std::array::from_fn(|i| usize::from_ne_bytes(words[i]))
+    }
+
+    fn set(&mut self, k: usize, i: usize, w: usize) {
+        let at = (k * RECORD + i) * WORD;
+        self.buf[at..at + WORD].copy_from_slice(&w.to_ne_bytes());
+    }
+
+    fn chunk(&self, k: usize) -> Chunk {
+        let r = self.record(k);
+        Chunk {
+            local: r[LOCAL],
+            remote: r[REMOTE],
+            len: r[LEN],
+            lands: r[LANDS] == 1,
+        }
+    }
+
+    /// Snapshot chunk `k`'s `len` bytes from `mem` at `off`.
+    fn stage(&mut self, k: usize, mem: &RankState, off: usize, len: usize) {
+        let pos = self.buf.len();
+        mem.with(off, len, |b| self.buf.extend_from_slice(b));
+        self.set(k, POS, pos);
+    }
+
+    /// Chunk `k` delivers no bytes after all (best-effort give-up).
+    fn unstage(&mut self, k: usize) {
+        self.set(k, POS, UNSTAGED);
+    }
+
+    /// Chunk `k`'s snapshot, unless it has none to deliver.
+    fn staged(&self, k: usize) -> Option<&[u8]> {
+        let r = self.record(k);
+        (r[POS] != UNSTAGED).then(|| &self.buf[r[POS]..][..r[LEN]])
+    }
+
+    /// The local offset and snapshot of every chunk with one to deliver, in
+    /// chunk order.
+    fn delivered(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        (0..self.chunks).filter_map(|k| Some((self.record(k)[LOCAL], self.staged(k)?)))
+    }
+}
+
+/// One RDMA *chunk train* (DESIGN.md §18): a strided or vector transfer,
+/// still one NIC post, one request and one message per chunk, `o_send`
+/// apart — link reservations depend on call order — but the rank states,
+/// parameters, op id, chunk list, staging bytes and completions exist once.
+/// The issuing task posts chunk 0; each post then schedules the next, and
+/// the last wakes the task. `D` is a get's countdown or a put's two.
 struct Train<D> {
     m: Machine,
     src: usize,
@@ -141,8 +256,13 @@ struct Train<D> {
     tgt_state: OnceCell<Rc<RankState>>,
     p: Rc<torus5d::BgqParams>,
     op: Option<OpId>,
-    /// Snapshots of every chunk's bytes, back to back in the order taken.
-    staging: RefCell<Vec<u8>>,
+    staging: RefCell<Staging>,
+    /// The chunk to post next, and which transmission of its request (0,
+    /// then retransmits under a fault plan).
+    next: Cell<usize>,
+    attempt: Cell<u32>,
+    /// The issuing task, while it waits for the last post.
+    poster: Cell<Option<Waker>>,
     done: D,
 }
 
@@ -150,20 +270,56 @@ struct Train<D> {
 struct PutDone {
     local: Countdown,
     remote: Countdown,
+    /// From a payload's landing to its ack's return.
+    ack_after: SimDuration,
 }
 
-impl<D> Train<D> {
-    fn new(rank: &PamiRank, target: usize, total: usize, done: D) -> Rc<Train<D>> {
+/// What a get train and a put train do differently.
+trait Kind: Sized + 'static {
+    /// Whether a chunk's request carries its bytes (a put, `Ordered`) or
+    /// only asks for them (a get, a header-only `Control` message).
+    const CARRIES_DATA: bool;
+    /// The counter bumped by the chunk count.
+    const COUNTER: &'static str;
+
+    /// Chunk `k`'s request reached the target NIC at `at` — or, when not
+    /// `delivered`, was given up on at `at`. Runs at the chunk's post.
+    fn sent(t: &Rc<Train<Self>>, k: usize, c: Chunk, at: SimTime, delivered: bool);
+}
+
+impl<D: Kind> Train<D> {
+    /// Record `parts` and build the completions `done(chunks, lands)` for a
+    /// train whose completing event is one of `lands` events: one per chunk
+    /// that may land last, or one per chunk under a fault plan, where every
+    /// outcome arrives as an event of the retry core.
+    fn new(
+        rank: &PamiRank,
+        target: usize,
+        parts: impl IntoIterator<Item = (usize, usize, usize)>,
+        total: usize,
+        done: impl FnOnce(usize, usize) -> D,
+    ) -> Rc<Train<D>> {
+        let p = rank.m.params_rc();
+        let (staging, lands) = Staging::new(parts, total, &p);
+        let chunks = staging.chunks;
+        let lands = if rank.m.faults_active() {
+            chunks
+        } else {
+            lands
+        };
         Rc::new(Train {
             m: rank.m.clone(),
             src: rank.r,
             target,
             src_state: Rc::clone(rank.state()),
             tgt_state: OnceCell::new(),
-            p: rank.m.params_rc(),
+            p,
             op: rank.current_op(),
-            staging: RefCell::new(Vec::with_capacity(total)),
-            done,
+            staging: RefCell::new(staging),
+            next: Cell::new(0),
+            attempt: Cell::new(0),
+            poster: Cell::new(None),
+            done: done(chunks, lands),
         })
     }
 
@@ -171,35 +327,180 @@ impl<D> Train<D> {
         self.tgt_state
             .get_or_init(|| self.m.rank_state(self.target))
     }
+
+    /// The issuing task's part: sleep one `o_send`, post chunk 0, and wait —
+    /// not polled — while the other chunks post themselves.
+    async fn run(self: &Rc<Self>) {
+        let chunks = self.staging.borrow().chunks;
+        if chunks == 0 {
+            return;
+        }
+        self.m.sim().sleep(self.p.o_send).await;
+        self.post();
+        poll_fn(|cx| {
+            if self.next.get() == chunks {
+                return Poll::Ready(());
+            }
+            self.poster.set(Some(cx.waker().clone()));
+            Poll::Pending
+        })
+        .await;
+        self.m.stats().add(D::COUNTER, chunks as u64);
+    }
+
+    /// Post chunks from `next` on, now. Each request is delivered at its own
+    /// injection instant. The next post is scheduled `o_send` later, right
+    /// after this chunk's events — where the issuing task's sleep used to
+    /// register — or runs at once when `o_send` is zero; a request that
+    /// backs off resumes the chain at its retransmit instant instead. The
+    /// last post wakes the issuing task.
+    fn post(self: &Rc<Self>) {
+        let sim = self.m.sim();
+        loop {
+            let (k, attempt) = (self.next.get(), self.attempt.get());
+            let c = self.staging.borrow().chunk(k);
+            let mut inject = sim.now();
+            if attempt == 0 {
+                if D::CARRIES_DATA {
+                    self.staging
+                        .borrow_mut()
+                        .stage(k, &self.src_state, c.local, c.len);
+                }
+                inject += self.p.rdma_engine;
+            }
+            let leg = Leg {
+                src: self.src,
+                dst: self.target,
+                payload: if D::CARRIES_DATA { c.len } else { 0 },
+                class: if D::CARRIES_DATA {
+                    MsgClass::Ordered
+                } else {
+                    MsgClass::Control
+                },
+                op: self.op,
+            };
+            let (at, delivered) = if !self.m.faults_active() {
+                (deliver(&self.m, inject, &leg), true)
+            } else {
+                match retry::attempt(&self.m, inject, &leg, attempt) {
+                    Attempt::Arrived(t) => (t, true),
+                    Attempt::GaveUp(t) => (t, false),
+                    Attempt::Backoff(resume) => {
+                        self.attempt.set(attempt + 1);
+                        let t = Rc::clone(self);
+                        let _mem = memprof::scope(&RETRY_TAG);
+                        sim.schedule(resume, move || t.post());
+                        return;
+                    }
+                }
+            };
+            self.attempt.set(0);
+            D::sent(self, k, c, at, delivered);
+            self.next.set(k + 1);
+            if k + 1 == self.staging.borrow().chunks {
+                if let Some(poster) = self.poster.take() {
+                    poster.wake();
+                }
+                return;
+            }
+            if !self.p.o_send.is_zero() {
+                let t = Rc::clone(self);
+                sim.schedule(sim.now() + self.p.o_send, move || t.post());
+                return;
+            }
+        }
+    }
+}
+
+impl Kind for Countdown {
+    const CARRIES_DATA: bool = false;
+    const COUNTER: &'static str = "pami.rdma_get";
+
+    fn sent(t: &Rc<Train<Self>>, k: usize, _: Chunk, at: SimTime, delivered: bool) {
+        let t2 = Rc::clone(t);
+        t.m.sim().schedule(at, move || {
+            if delivered {
+                t2.reply(k, at);
+            } else {
+                t2.land(k, false);
+            }
+        });
+    }
 }
 
 impl Train<Countdown> {
-    /// The request of the get chunk `(local_off, remote_off, len)` reached
-    /// the target NIC at `at`: snapshot the target bytes and send them back.
-    fn reply(self: Rc<Self>, (local_off, remote_off, len): (usize, usize, usize), at: SimTime) {
-        let pos = {
+    /// Chunk `k`'s request reached the target NIC at `at`: snapshot the
+    /// target bytes and send them back. The reply's landing is an event only
+    /// if it may complete the train.
+    fn reply(self: Rc<Self>, k: usize, at: SimTime) {
+        let c = {
             let mut staging = self.staging.borrow_mut();
-            let pos = staging.len();
-            self.tgt()
-                .with(remote_off, len, |b| staging.extend_from_slice(b));
-            pos
+            let c = staging.chunk(k);
+            staging.stage(k, self.tgt(), c.remote, c.len);
+            c
         };
         let m = self.m.clone();
-        let extra = self.p.align_penalty(len);
+        let extra = self.p.align_penalty(c.len);
         let leg = Leg {
             src: self.target,
             dst: self.src,
-            payload: len,
+            payload: c.len,
             class: MsgClass::Ordered,
             op: self.op,
         };
-        deliver_then(&m, at, leg, extra, move |_, delivered| {
-            if delivered {
-                self.src_state
-                    .write(local_off, &self.staging.borrow()[pos..][..len]);
+        if m.faults_active() {
+            let then = move |_, delivered| self.land(k, delivered);
+            return deliver_faulty(&m, at, leg, extra, 0, Box::new(then));
+        }
+        let landing = deliver(&m, at, &leg) + extra;
+        if c.lands {
+            m.sim().schedule(landing, move || self.land(k, true));
+        }
+    }
+
+    /// Chunk `k`'s reply landed (or was lost). The train's last landing
+    /// writes every delivered chunk into the initiator's buffer, in chunk
+    /// order, and completes the get.
+    fn land(&self, k: usize, delivered: bool) {
+        if !delivered {
+            self.staging.borrow_mut().unstage(k);
+        }
+        self.done.arrive(|| {
+            for (local, bytes) in self.staging.borrow().delivered() {
+                self.src_state.write(local, bytes);
             }
-            self.done.arrive();
         });
+    }
+}
+
+impl Kind for PutDone {
+    const CARRIES_DATA: bool = true;
+    const COUNTER: &'static str = "pami.rdma_put";
+
+    /// A payload lands at the target, where others can see it, in an event
+    /// of its own; its ack only counts down, so it is an event only if it may
+    /// complete the train.
+    fn sent(t: &Rc<Train<Self>>, k: usize, c: Chunk, raw: SimTime, delivered: bool) {
+        let sim = t.m.sim();
+        let arrival = raw + t.p.align_penalty(c.len);
+        // The target materializes where a single put's always has: once the
+        // first payload is on its way.
+        t.tgt();
+        let (t2, remote) = (Rc::clone(t), c.remote);
+        sim.schedule(arrival, move || {
+            if delivered {
+                if let Some(bytes) = t2.staging.borrow().staged(k) {
+                    t2.tgt().write(remote, bytes);
+                }
+            }
+            t2.done.remote.arrive(|| ());
+        });
+        if t.m.faults_active() || c.lands {
+            let t2 = Rc::clone(t);
+            sim.schedule(arrival + t.done.ack_after, move || {
+                t2.done.local.arrive(|| ())
+            });
+        }
     }
 }
 
@@ -479,15 +780,6 @@ impl PamiRank {
         class: MsgClass,
         op: Option<OpId>,
     ) -> (SimTime, bool) {
-        if !self.m.faults_active() {
-            let arrival = self
-                .m
-                .inner
-                .net
-                .borrow_mut()
-                .deliver_op(inject, self.r, target, payload, class, op);
-            return (arrival, true);
-        }
         let leg = Leg {
             src: self.r,
             dst: target,
@@ -495,6 +787,9 @@ impl PamiRank {
             class,
             op,
         };
+        if !self.m.faults_active() {
+            return (deliver(&self.m, inject, &leg), true);
+        }
         Box::pin(self.deliver_retrying(inject, leg)).await
     }
 
@@ -543,51 +838,14 @@ impl PamiRank {
         parts: impl IntoIterator<Item = (usize, usize, usize)>,
         total: usize,
     ) -> PutHandles {
-        let sim = self.m.sim();
-        let done = PutDone {
-            local: Countdown::new(),
-            remote: Countdown::new(),
-        };
-        let train = Train::new(self, target, total, done);
-        let p = &train.p;
-        let ack_after = p.oneway_header(self.m.inner.net.borrow().hops(self.r, target));
-        let mut posted = 0;
-        for (local_off, remote_off, len) in parts {
-            posted += 1;
-            sim.sleep(p.o_send).await;
-            let pos = {
-                let mut staging = train.staging.borrow_mut();
-                let pos = staging.len();
-                train
-                    .src_state
-                    .with(local_off, len, |b| staging.extend_from_slice(b));
-                pos
-            };
-            let inject = sim.now() + p.rdma_engine;
-            let (raw, delivered) = self
-                .deliver_reliable(inject, target, len, MsgClass::Ordered, train.op)
-                .await;
-            let arrival = raw + p.align_penalty(len);
-            train.done.remote.add();
-            train.done.local.add();
-            // The target materializes where a single put's always has: once
-            // the first payload is on its way.
-            train.tgt();
-            let t = Rc::clone(&train);
-            sim.schedule(arrival, move || {
-                if delivered {
-                    t.tgt().write(remote_off, &t.staging.borrow()[pos..][..len]);
-                }
-                t.done.remote.arrive();
-            });
-            let t = Rc::clone(&train);
-            sim.schedule(arrival + ack_after, move || t.done.local.arrive());
-        }
-        if posted > 0 {
-            self.m.stats().add("pami.rdma_put", posted);
-        }
-        train.done.local.arrive();
-        train.done.remote.arrive();
+        let hops = self.m.inner.net.borrow().hops(self.r, target);
+        let ack_after = self.m.params().oneway_header(hops);
+        let train = Train::new(self, target, parts, total, |chunks, lands| PutDone {
+            local: Countdown::new(lands),
+            remote: Countdown::new(chunks),
+            ack_after,
+        });
+        train.run().await;
         PutHandles {
             local: train.done.local.done.clone(),
             remote: train.done.remote.done.clone(),
@@ -611,37 +869,15 @@ impl PamiRank {
     /// bytes in all): one request per chunk, `o_send` apart. The target
     /// memory is read when a chunk's request reaches the target NIC — no
     /// target CPU involvement (paper Eq. 7). Completes when the last reply
-    /// has landed.
+    /// has landed; the initiator's buffer is written then, not before.
     pub async fn rdma_get_list(
         &self,
         target: usize,
         parts: impl IntoIterator<Item = (usize, usize, usize)>,
         total: usize,
     ) -> Completion<()> {
-        let sim = self.m.sim();
-        let train = Train::new(self, target, total, Countdown::new());
-        let p = &train.p;
-        let mut posted = 0;
-        for chunk in parts {
-            posted += 1;
-            sim.sleep(p.o_send).await;
-            let inject = sim.now() + p.rdma_engine;
-            let (req_arrival, req_delivered) = self
-                .deliver_reliable(inject, target, 0, MsgClass::Control, train.op)
-                .await;
-            train.done.add();
-            let t = Rc::clone(&train);
-            if req_delivered {
-                sim.schedule(req_arrival, move || t.reply(chunk, req_arrival));
-            } else {
-                // Gave up on the request (best-effort): complete without data.
-                sim.schedule(req_arrival, move || t.done.arrive());
-            }
-        }
-        if posted > 0 {
-            self.m.stats().add("pami.rdma_get", posted);
-        }
-        train.done.arrive();
+        let train = Train::new(self, target, parts, total, |_, lands| Countdown::new(lands));
+        train.run().await;
         train.done.done.clone()
     }
 

@@ -347,11 +347,18 @@ fn best_effort_gives_up_and_completes_without_data() {
 }
 
 /// One 8-chunk train (256 B chunks, rank 0 → rank 16) whose fourth chunk is
-/// injected into a 300 ns detection gap on the route's first link; every
-/// other chunk goes out before the link dies or after routing has noticed.
-/// Returns the machine, which destination chunks hold the source pattern
-/// afterwards, and how often the train's completions fired.
-fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec<bool>, u32) {
+/// injected just after the route's first link dies; routing notices
+/// `detect` later, so with a short `detect` every other chunk goes out before
+/// the link dies or after routing has noticed. Chunks are posted one after
+/// another, so while a request backs off, the chunks behind it wait. Returns
+/// the machine, which destination chunks hold the source pattern afterwards,
+/// and the instants (ps) at which the train's completions fired, in order:
+/// the get's one, or the put's remote and then local completion.
+fn train_over_a_dying_link(
+    get: bool,
+    detect: SimDuration,
+    policy: RetryPolicy,
+) -> (Machine, Vec<bool>, Vec<u64>) {
     const CHUNKS: usize = 8;
     const LEN: usize = 256;
     let topo = Topology::for_procs(32, 16);
@@ -361,9 +368,11 @@ fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec
     // `rdma_engine` later.
     let start = at(10);
     let inject = |i: u64| start + p.o_send * (i + 1) + p.rdma_engine;
-    let plan = FaultPlan::new(3)
-        .route_update_delay(SimDuration::from_ns(300))
-        .link_down(dead, inject(3) - SimDuration::from_ns(100), at(500));
+    let plan = FaultPlan::new(3).route_update_delay(detect).link_down(
+        dead,
+        inject(3) - SimDuration::from_ns(100),
+        at(500),
+    );
     let sim = Sim::new();
     let m = Machine::new(
         sim.clone(),
@@ -381,7 +390,7 @@ fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec
     let dst = dst_rank.alloc(2 * CHUNKS * LEN);
     let pattern: Vec<u8> = (0..CHUNKS * LEN).map(|i| (i % 251) as u8 + 1).collect();
     src_rank.write_bytes(src, &pattern);
-    let fired = std::rc::Rc::new(std::cell::Cell::new(0u32));
+    let fired: std::rc::Rc<std::cell::RefCell<Vec<u64>>> = Default::default();
     {
         let (a, sim, fired) = (a.clone(), sim.clone(), fired.clone());
         sim.clone().spawn(async move {
@@ -395,15 +404,18 @@ fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec
                     (s, d, LEN)
                 }
             });
+            let done =
+                |fired: &std::cell::RefCell<Vec<u64>>| fired.borrow_mut().push(sim.now().as_ps());
             if get {
-                let done = a.rdma_get_list(16, parts, CHUNKS * LEN).await;
-                done.wait().await;
-                fired.set(fired.get() + 1);
+                let h = a.rdma_get_list(16, parts, CHUNKS * LEN).await;
+                h.wait().await;
+                done(&fired);
             } else {
                 let h = a.rdma_put_list(16, parts, CHUNKS * LEN).await;
                 h.remote.wait().await;
+                done(&fired);
                 h.local.wait().await;
-                fired.set(fired.get() + 2);
+                done(&fired);
             }
         });
     }
@@ -411,7 +423,8 @@ fn train_with_one_dropped_chunk(get: bool, policy: RetryPolicy) -> (Machine, Vec
     let landed = (0..CHUNKS)
         .map(|i| dst_rank.read_bytes(dst + 2 * i * LEN, LEN) == pattern[i * LEN..][..LEN])
         .collect();
-    (m, landed, fired.get())
+    let fired = fired.take();
+    (m, landed, fired)
 }
 
 #[test]
@@ -422,10 +435,10 @@ fn one_dropped_chunk_of_a_train_retries_alone() {
         max_retries: 4,
         failure: FailureMode::FailFast,
     };
-    for get in [false, true] {
-        let (m, landed, fired) = train_with_one_dropped_chunk(get, policy);
+    for (get, instants) in [(false, &PIN_RETRIED_PUT[..]), (true, &PIN_RETRIED_GET[..])] {
+        let (m, landed, fired) = train_over_a_dying_link(get, SimDuration::from_ns(300), policy);
         assert_eq!(landed, vec![true; 8], "get={get}: every chunk lands");
-        assert_eq!(fired, if get { 1 } else { 2 });
+        assert_eq!(fired, instants, "get={get}");
         let stats = m.stats();
         assert_eq!(stats.counter("pami.timeouts"), 1, "get={get}");
         assert_eq!(stats.counter("pami.retries"), 1, "get={get}");
@@ -447,19 +460,54 @@ fn a_train_completes_once_without_the_chunk_best_effort_gave_up_on() {
         max_retries: 0,
         failure: FailureMode::BestEffort,
     };
-    for get in [false, true] {
-        let (m, landed, fired) = train_with_one_dropped_chunk(get, policy);
+    for (get, instants) in [(false, &PIN_LOST_PUT[..]), (true, &PIN_LOST_GET[..])] {
+        let (m, landed, fired) = train_over_a_dying_link(get, SimDuration::from_ns(300), policy);
         // Only the fourth chunk's bytes are missing; a second firing of a
         // countdown would have panicked in `Completion::complete`.
         let mut expect = vec![true; 8];
         expect[3] = false;
         assert_eq!(landed, expect, "get={get}");
-        assert_eq!(fired, if get { 1 } else { 2 });
+        assert_eq!(fired, instants, "get={get}");
         let stats = m.stats();
         assert_eq!(stats.counter("pami.gave_up"), 1, "get={get}");
         assert_eq!(stats.counter("pami.retries"), 0, "get={get}");
     }
 }
+
+#[test]
+fn requests_that_back_off_hold_back_the_rest_of_the_train() {
+    // Routing never notices: from the fourth chunk on, every request is
+    // dropped, backs off once, is dropped again and given up on — and each
+    // chunk is posted only once the one before it is resolved.
+    let policy = RetryPolicy {
+        timeout: us(5),
+        backoff: us(1),
+        max_retries: 1,
+        failure: FailureMode::BestEffort,
+    };
+    for (get, instants) in [
+        (false, &PIN_BACKED_OFF_PUT[..]),
+        (true, &PIN_BACKED_OFF_GET[..]),
+    ] {
+        let (m, landed, fired) = train_over_a_dying_link(get, us(100_000), policy);
+        let expect: Vec<bool> = (0..8).map(|i| i < 3).collect();
+        assert_eq!(landed, expect, "get={get}");
+        assert_eq!(fired, instants, "get={get}");
+        let stats = m.stats();
+        assert_eq!(stats.counter("pami.timeouts"), 10, "get={get}");
+        assert_eq!(stats.counter("pami.retries"), 5, "get={get}");
+        assert_eq!(stats.counter("pami.gave_up"), 5, "get={get}");
+    }
+}
+
+// Completion instants (ps) recorded at the commit before trains posted
+// themselves: the get's, or the put's remote and local.
+const PIN_RETRIED_GET: [u64; 1] = [22_174_128];
+const PIN_RETRIED_PUT: [u64; 2] = [21_359_128, 22_174_128];
+const PIN_LOST_GET: [u64; 1] = [18_200_000];
+const PIN_LOST_PUT: [u64; 2] = [18_200_000, 19_015_000];
+const PIN_BACKED_OFF_GET: [u64; 1] = [52_000_000];
+const PIN_BACKED_OFF_PUT: [u64; 2] = [52_000_000, 52_815_000];
 
 /// Retry accounting `(timeouts, retries, retried ops, gave_up)` of one leg
 /// sent from node 0 to node 1 at 102 µs across a link that died at 100 µs:
