@@ -57,10 +57,14 @@ const GATE: &[Row] = &[
     Row { figure: "fig9_rmw", args: FIG9, flag: "--json", golden: "BENCH_fig9_rmw.json", tol: EXACT },
     Row { figure: "fig9_rmw", args: FIG9, flag: "--breakdown", golden: "BENCH_fig9_rmw.breakdown.json", tol: EXACT },
     Row { figure: "fig9_rmw", args: FIG9, flag: "--timeline", golden: "BENCH_fig9_rmw.timeline.json", tol: EXACT },
+    Row { figure: "fig9_rmw", args: FIG9, flag: "--trace", golden: "BENCH_fig9_rmw.trace.json", tol: EXACT },
     Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--json", golden: "BENCH_fig11_nwchem_scf.json", tol: EXACT },
     Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--breakdown", golden: "BENCH_fig11_nwchem_scf.breakdown.json", tol: EXACT },
+    Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--timeline", golden: "BENCH_fig11_nwchem_scf.timeline.json", tol: EXACT },
     Row { figure: "fig_fault", args: FAULT, flag: "--json", golden: "BENCH_fig_fault.json", tol: EXACT },
+    Row { figure: "fig_fault", args: FAULT, flag: "--timeline", golden: "BENCH_fig_fault.timeline.json", tol: EXACT },
     Row { figure: "fig_am", args: "", flag: "--json", golden: "BENCH_fig_am.json", tol: EXACT },
+    Row { figure: "fig_am", args: "", flag: "--timeline", golden: "BENCH_fig_am.timeline.json", tol: EXACT },
     Row { figure: "fig_scale", args: "--procs 32,1024,32768", flag: "--gate-json", golden: "BENCH_scale_gate.json", tol: EXACT },
     Row { figure: "fig_mem", args: MEM, flag: "--json", golden: "BENCH_memscale.json", tol: HOST_BYTES },
     // abl_mapping is the only run above unit level on a non-default mapping
