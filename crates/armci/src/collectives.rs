@@ -10,9 +10,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{Completion, FxHashMap};
+use desim::{Completion, FxHashMap, Probe};
 
 use crate::ops::ArmciRank;
+
+static ALLREDUCE: Probe = Probe::new().count("armci.allreduce");
+static BROADCAST: Probe = Probe::new().count("armci.broadcast");
 
 /// Reduction operator for [`ArmciRank::allreduce_f64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +103,7 @@ impl ArmciRank {
             self.armci()
                 .sim()
                 .schedule_in(cost, move || done2.complete(result));
-            self.armci().machine().stats().incr("armci.allreduce");
+            self.armci().sim().count(&ALLREDUCE, 1);
         }
         let out = self.pami().progress_wait(&done).await;
         out.0.clone()
@@ -145,7 +148,7 @@ impl ArmciRank {
             self.armci()
                 .sim()
                 .schedule_in(cost, move || done2.complete(result));
-            self.armci().machine().stats().incr("armci.broadcast");
+            self.armci().sim().count(&BROADCAST, 1);
         }
         let out = self.pami().progress_wait(&done).await;
         out.1.clone()

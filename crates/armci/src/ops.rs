@@ -20,7 +20,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
-use desim::{Completion, FlightRecorder, OpId, SimDuration, SimTime, TraceValue, Tracer, TrackId};
+use desim::{Completion, Lane, OpId, Probe, Probes, SimDuration, SimTime, TraceValue};
 use pami_sim::{PamiRank, PutHandles, RmwOp};
 
 /// Implicit-handle sets and non-blocking handle state.
@@ -33,6 +33,20 @@ use crate::runtime::{
     Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY, DISPATCH_REGION_QUERY,
 };
 use crate::strided::Strided;
+
+// Operations outside the table, recorded like a row's.
+static NOTIFY: Probe = optable::op("armci.notify");
+static ACC_AM: Probe = optable::op("armci.acc_am");
+static AM_FENCE: Probe = optable::op("armci.am_fence");
+/// A blocking wait, drawn as a span on the rank's lane.
+static WAIT: Probe = Probe::new().trace("armci.wait");
+static FENCE: Probe = Probe::new().count("armci.fence");
+static FENCE_ALL: Probe = Probe::new().count("armci.fence_all");
+static REGION_QUERY: Probe = Probe::new().count("armci.region_query");
+static INDUCED_FENCE: Probe = Probe::new().count("armci.induced_fence");
+static MALLOC_UNREGISTERED: Probe = Probe::new().count("armci.malloc_unregistered");
+static LOCK_ACQUIRED: Probe = Probe::new().count("armci.lock_acquired");
+static LOCK_RETRY: Probe = Probe::new().count("armci.lock_retry");
 
 /// What a protocol step hands back: the caller-visible completion and, for
 /// a write, the remote completion fences wait on.
@@ -77,38 +91,15 @@ impl ArmciRank {
         self.rt.get_or_init(|| self.a.rank_rt(self.r))
     }
 
-    fn stats(&self) -> desim::Stats {
-        self.a.inner.machine.stats()
+    fn probes(&self) -> &Probes {
+        self.a.sim().probes()
     }
 
-    fn tracer(&self) -> Tracer {
-        self.a.sim().tracer()
-    }
-
-    /// This rank's trace track. The `format!` (and everything else) is
-    /// guarded on enablement so disabled tracing allocates nothing.
-    fn op_track(&self, tr: &Tracer) -> TrackId {
-        if tr.on() {
-            tr.track(&format!("rank {}", self.r))
-        } else {
-            TrackId(0)
-        }
-    }
-
-    fn flight(&self) -> FlightRecorder {
-        self.a.sim().flight()
-    }
-
-    /// Open a flight-recorder lifecycle record for an operation of `kind`
-    /// and mark this rank's subsequent injections with its id. Returns
-    /// `None` (and records nothing) when the recorder is disabled.
-    fn begin_op(&self, kind: &'static str) -> Option<OpId> {
-        // The in-flight gauge counts op begin/end call pairs, independent of
-        // whether the flight recorder hands out an id.
-        self.a.op_inflight(self.a.sim().now(), 1);
-        let op = self
-            .flight()
-            .begin_op(self.a.sim().now(), self.r as u32, kind);
+    /// Begin an operation of `row` — counted, in flight, and with a flight
+    /// record whose id marks this rank's subsequent injections. The id is
+    /// `None` (and nothing is attributed) while the recorder is off.
+    fn begin_op(&self, row: &'static Probe) -> Option<OpId> {
+        let op = self.probes().begin_op(row, self.a.sim().now(), self.r);
         if op.is_some() {
             self.pami.set_current_op(op);
         }
@@ -124,11 +115,10 @@ impl ArmciRank {
         }
     }
 
-    /// Close an operation's lifecycle record (initiator-side completion).
-    fn end_op(&self, op: Option<OpId>) {
-        self.a.op_inflight(self.a.sim().now(), -1);
-        if let Some(op) = op {
-            self.flight().end_op(op, self.a.sim().now());
+    /// End an operation of `row` (initiator-side completion).
+    fn end_op(&self, row: &'static Probe, op: Option<OpId>) {
+        self.probes().end_op(row, op, self.a.sim().now());
+        if op.is_some() {
             self.pami.set_current_op(None);
         }
     }
@@ -143,7 +133,7 @@ impl ArmciRank {
     pub async fn malloc(&self, len: usize) -> usize {
         let off = self.pami.alloc(len);
         if self.pami.register_region(off, len).await.is_err() {
-            self.stats().incr("armci.malloc_unregistered");
+            self.a.sim().count(&MALLOC_UNREGISTERED, 1);
         }
         off
     }
@@ -163,7 +153,7 @@ impl ArmciRank {
         let off = self.pami.alloc(len);
         let registered = self.pami.register_region(off, len).await.is_ok();
         if !registered {
-            self.stats().incr("armci.malloc_unregistered");
+            self.a.sim().count(&MALLOC_UNREGISTERED, 1);
         }
         let seq = {
             let mut seqs = self.a.inner.collective_seq.borrow_mut();
@@ -244,7 +234,7 @@ impl ArmciRank {
             return Some(r);
         }
         // Miss: query the owner.
-        self.stats().incr("armci.region_query");
+        self.a.sim().count(&REGION_QUERY, 1);
         let reply: Completion<Option<RemoteRegion>> = Completion::new();
         let reply_id = {
             let mut rare = self.rt().rare();
@@ -298,7 +288,7 @@ impl ArmciRank {
             .conflicts_for_read(target, key);
         async move {
             if !conflicts.is_empty() {
-                self.stats().incr("armci.induced_fence");
+                self.a.sim().count(&INDUCED_FENCE, 1);
                 for c in conflicts {
                     self.pami.progress_wait(&c).await;
                 }
@@ -334,8 +324,7 @@ impl ArmciRank {
         F: Future<Output = Posted> + 'a,
     {
         async move {
-            let op = self.begin_op(desc.name);
-            self.stats().incr(desc.name);
+            let op = self.begin_op(&desc.op);
             let (mut chunks, mut total, mut min_len) = (0u64, 0, usize::MAX);
             for (_, _, len) in list.pieces() {
                 chunks += 1;
@@ -354,14 +343,13 @@ impl ArmciRank {
                     op,
                 };
             }
-            self.stats().add(desc.bytes, total as u64);
+            self.a.sim().count(&desc.bytes, total as u64);
             let packed = desc.packs && min_len < self.a.inner.cfg.pack_threshold;
-            let tr = self.tracer();
-            let track = self.op_track(&tr);
-            tr.span_begin(
-                track,
-                desc.name,
-                self.a.sim().now(),
+            let t0 = self.a.sim().now();
+            self.probes().begin(
+                &desc.op,
+                Lane::Rank(self.r),
+                t0,
                 &[
                     ("target", TraceValue::U64(target as u64)),
                     ("bytes", TraceValue::U64(total as u64)),
@@ -385,16 +373,18 @@ impl ArmciRank {
                 let mut cache = self.rt().region_cache.borrow_mut();
                 (cache.lookup(target, roff, rlen).map(|r| r.off), false)
             };
-            if let Some(taken) = desc.protocol_key(direct) {
-                self.stats().incr(taken);
+            if let Some(taken) = desc.protocol_taken(direct) {
+                self.a.sim().count(taken, 1);
             }
             let (done, remote) = step(direct, total).await;
             // Looked up again rather than kept across the step's await: the
             // row is static, the future's bytes are per rank.
-            let path = desc.protocol_key(direct).unwrap_or("software");
-            tr.span_end(
-                track,
-                desc.name,
+            let path = desc.protocol_taken(direct).map_or("software", Probe::key);
+            self.probes().end(
+                &desc.op,
+                Lane::Rank(self.r),
+                None,
+                t0,
                 self.a.sim().now(),
                 &[("path", TraceValue::Str(path))],
             );
@@ -674,18 +664,17 @@ impl ArmciRank {
 
     /// The tail of every blocking wait, begun at `t0`, once the operation's
     /// completion has fired: charge the row's completion overhead and record
-    /// the wait under the row's `armci.wait.*` key (duration, and the same
+    /// the wait on the row's `armci.wait.*` probe (duration, and the same
     /// key in the histogram space at ns granularity).
-    async fn reap(&self, desc: &OpDesc, t0: SimTime) {
+    async fn reap(&self, desc: &'static OpDesc, t0: SimTime) {
         let p = self.a.inner.machine.params();
         match desc.completion {
             Overhead::Recv => self.a.sim().sleep(p.o_recv).await,
             Overhead::PutLocal => self.a.sim().sleep(p.o_put_local).await,
             Overhead::None => {}
         }
-        let waited = self.a.sim().now() - t0;
-        self.stats().record_time(desc.wait, waited);
-        self.stats().record_hist(desc.wait, waited.as_ps() / 1000);
+        self.probes()
+            .span(&desc.wait, None, t0, self.a.sim().now(), 0);
     }
 
     /// Wait for one explicit non-blocking handle, driving progress meanwhile.
@@ -693,14 +682,9 @@ impl ArmciRank {
     /// registry.
     pub async fn wait(&self, h: &NbHandle) {
         let t0 = self.a.sim().now();
-        let tr = self.tracer();
-        let track = self.op_track(&tr);
-        tr.span_begin(
-            track,
-            "armci.wait",
-            t0,
-            &[("target", TraceValue::U64(h.target as u64))],
-        );
+        let target = TraceValue::U64(h.target as u64);
+        let lane = Lane::Rank(self.r);
+        self.probes().begin(&WAIT, lane, t0, &[("target", target)]);
         // Re-attach attribution: progress driven while blocked here (lock
         // waits, messages injected on the op's behalf) belongs to this op.
         if h.op.is_some() {
@@ -708,8 +692,10 @@ impl ArmciRank {
         }
         self.pami.progress_wait(&h.done).await;
         self.reap(h.desc, t0).await;
-        tr.span_end(track, "armci.wait", self.a.sim().now(), &[]);
-        self.end_op(h.op);
+        let lane = Lane::Rank(self.r);
+        self.probes()
+            .end(&WAIT, lane, None, t0, self.a.sim().now(), &[]);
+        self.end_op(&h.desc.op, h.op);
     }
 
     /// Wait for all outstanding implicit requests of this rank.
@@ -723,7 +709,7 @@ impl ArmciRank {
     /// Fence: block until all outstanding writes to `target` are remotely
     /// complete.
     pub async fn fence(&self, target: usize) {
-        self.stats().incr("armci.fence");
+        self.a.sim().count(&FENCE, 1);
         let writes = self.rt().consistency.borrow_mut().drain_target(target);
         for c in writes {
             self.pami.progress_wait(&c).await;
@@ -732,7 +718,7 @@ impl ArmciRank {
 
     /// Fence all targets.
     pub async fn fence_all(&self) {
-        self.stats().incr("armci.fence_all");
+        self.a.sim().count(&FENCE_ALL, 1);
         let writes = self.rt().consistency.borrow_mut().drain_all();
         for c in writes {
             self.pami.progress_wait(&c).await;
@@ -779,18 +765,16 @@ impl ArmciRank {
     fn rmw(&self, target: usize, remote_off: usize, rmw: RmwOp) -> impl Future<Output = i64> + '_ {
         const DESC: &OpDesc = &optable::RMW;
         async move {
-            let op = self.begin_op(DESC.name);
+            let op = self.begin_op(&DESC.op);
             let t0 = self.a.sim().now();
-            let tr = self.tracer();
-            let track = self.op_track(&tr);
             let form = match rmw {
                 RmwOp::FetchAdd(_) => "fetch_add",
                 RmwOp::Swap(_) => "swap",
                 RmwOp::CompareSwap { .. } => "cas",
             };
-            tr.span_begin(
-                track,
-                DESC.name,
+            self.probes().begin(
+                &DESC.op,
+                Lane::Rank(self.r),
                 t0,
                 &[
                     ("target", TraceValue::U64(target as u64)),
@@ -798,12 +782,13 @@ impl ArmciRank {
                 ],
             );
             self.ensure_endpoint(target).await;
-            self.stats().incr(DESC.name);
             let done = self.pami.rmw(target, remote_off, rmw).await;
             let old = self.pami.progress_wait(&done).await;
             self.reap(DESC, t0).await;
-            tr.span_end(track, DESC.name, self.a.sim().now(), &[]);
-            self.end_op(op);
+            let lane = Lane::Rank(self.r);
+            self.probes()
+                .end(&DESC.op, lane, None, t0, self.a.sim().now(), &[]);
+            self.end_op(&DESC.op, op);
             old
         }
     }
@@ -863,11 +848,11 @@ impl ArmciRank {
         loop {
             let old = self.rmw_cas(owner, off, 0, me).await;
             if old == 0 {
-                self.stats().incr("armci.lock_acquired");
+                self.a.sim().count(&LOCK_ACQUIRED, 1);
                 return;
             }
             attempts += 1;
-            self.stats().incr("armci.lock_retry");
+            self.a.sim().count(&LOCK_RETRY, 1);
             let backoff = SimDuration::from_us(attempts.min(8));
             self.a.sim().sleep(backoff).await;
         }
@@ -894,8 +879,7 @@ impl ArmciRank {
     /// [`ArmciRank::am_fence`] is the fence that forces it out and waits
     /// until it has been applied.
     pub async fn notify(&self, target: usize) -> i64 {
-        let op = self.begin_op("armci.notify");
-        self.stats().incr("armci.notify");
+        let op = self.begin_op(&NOTIFY);
         let seq = {
             let mut rare = self.rt().rare();
             let seq = rare.notify_seq.entry(target).or_insert(0);
@@ -908,7 +892,7 @@ impl ArmciRank {
         self.pami
             .send_am(target, DISPATCH_NOTIFY, header, Vec::new())
             .await;
-        self.end_op(op);
+        self.end_op(&NOTIFY, op);
         seq
     }
 
@@ -951,8 +935,7 @@ impl ArmciRank {
     /// (pairwise) after prior AMs and can be awaited with
     /// [`ArmciRank::am_fence`].
     pub async fn acc_am(&self, target: usize, remote_off: usize, vals: &[f64], scale: f64) {
-        let op = self.begin_op("armci.acc_am");
-        self.stats().incr("armci.acc_am");
+        let op = self.begin_op(&ACC_AM);
         let mut header = Vec::with_capacity(16);
         header.extend_from_slice(&(remote_off as u64).to_le_bytes());
         header.extend_from_slice(&scale.to_le_bytes());
@@ -963,7 +946,7 @@ impl ArmciRank {
         self.pami
             .send_am(target, DISPATCH_ACC_AM, header, payload)
             .await;
-        self.end_op(op);
+        self.end_op(&ACC_AM, op);
     }
 
     /// Fence all AM-layer traffic from this rank to `target`: queue a ping
@@ -972,8 +955,7 @@ impl ArmciRank {
     /// AM this rank sent to `target` before the fence has been executed
     /// there (buffer FIFO + ordered wire + in-order service).
     pub async fn am_fence(&self, target: usize) {
-        let op = self.begin_op("armci.am_fence");
-        self.stats().incr("armci.am_fence");
+        let op = self.begin_op(&AM_FENCE);
         let done = Completion::new();
         let reply_id = {
             let _mem = memprof::scope(&HANDLES_TAG);
@@ -993,7 +975,7 @@ impl ArmciRank {
             .await;
         self.a.machine().am_flush_pair(self.r, target);
         self.pami.progress_wait(&done).await;
-        self.end_op(op);
+        self.end_op(&AM_FENCE, op);
     }
 }
 

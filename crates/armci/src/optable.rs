@@ -6,7 +6,9 @@
 //! differing in a handful of constants. Those constants are the rows below;
 //! the composition itself exists once, in `ops.rs`.
 
-use crate::handle::OpKind;
+use desim::Probe;
+
+use crate::handle::OpKind::{self, Acc, Get, Put, Rmw};
 
 /// The completion-processing overhead a blocking wait charges once the
 /// operation's completion has fired.
@@ -29,105 +31,103 @@ pub enum Overhead {
 /// `kind` is [`OpKind::Get`] and a recorded *write* otherwise, and it
 /// resolves the remote region (cache, then an AM query to the owner) iff it
 /// has a direct `protocol` to use it for — a software-only operation takes
-/// the region key from the cache alone, to scope conflict tracking.
-#[derive(Debug, Clone, Copy)]
+/// the region key from the cache alone, to scope conflict tracking. What
+/// the operation records is part of the row, as [`Probe`] rows.
+#[derive(Debug)]
 pub struct OpDesc {
-    /// Flight-recorder kind, trace-span name and operation counter key.
-    pub name: &'static str,
+    /// The operation: its counter, trace span and flight kind are its name,
+    /// and it raises the `armci.inflight` level from begin to end.
+    pub op: Probe,
     /// What completion means and how consistency treats the operation.
     pub kind: OpKind,
-    /// Counter the bytes moved are added to (`""`: not counted).
-    pub bytes: &'static str,
-    /// Counter keys of the protocols the issue path chooses between —
+    /// Counter the bytes moved are added to (no key: not counted).
+    pub bytes: Probe,
+    /// Counters of the protocols the issue path chooses between —
     /// `[direct (RDMA), through the target CPU]` — or `None` when only the
     /// software path exists (no NIC support for accumulate or AMOs).
-    pub protocol: Option<[&'static str; 2]>,
+    pub protocol: Option<[Probe; 2]>,
     /// Pieces below `ArmciConfig::pack_threshold` go through the target CPU
     /// even when both regions are known (tall-skinny transfers, §III-C2).
     pub packs: bool,
-    /// `armci.wait.*` duration and histogram key of the blocking wait.
-    pub wait: &'static str,
+    /// The blocking wait: an `armci.wait.*` duration and its histogram.
+    pub wait: Probe,
     /// Completion overhead the blocking wait charges.
     pub completion: Overhead,
 }
 
+/// An operation's probe row: counted, traced and flight-recorded under
+/// `name`, and in flight (`armci.inflight`) from its begin to its end.
+pub(crate) const fn op(name: &'static str) -> Probe {
+    Probe::op(name).gauge("armci.inflight")
+}
+
 impl OpDesc {
-    /// Counter key of the protocol taken, given whether the direct one was
+    /// A row of `kind`, whose byte counter, wait and completion overhead
+    /// follow from the kind.
+    const fn new(
+        name: &'static str,
+        kind: OpKind,
+        protocol: Option<[&'static str; 2]>,
+        packs: bool,
+    ) -> OpDesc {
+        let (bytes, wait, completion) = match kind {
+            Get => ("armci.get_bytes", "armci.wait.get", Overhead::Recv),
+            Put => ("armci.put_bytes", "armci.wait.put", Overhead::PutLocal),
+            Acc => ("armci.acc_bytes", "armci.wait.acc", Overhead::None),
+            Rmw => ("", "armci.wait.rmw", Overhead::Recv),
+        };
+        OpDesc {
+            op: op(name),
+            kind,
+            bytes: if bytes.is_empty() {
+                Probe::new()
+            } else {
+                Probe::new().count(bytes)
+            },
+            protocol: match protocol {
+                Some([direct, cpu]) => Some([Probe::new().count(direct), Probe::new().count(cpu)]),
+                None => None,
+            },
+            packs,
+            wait: Probe::new().time_hist(wait),
+            completion,
+        }
+    }
+
+    /// The operation's name (`armci.get`, …).
+    pub fn name(&self) -> &'static str {
+        self.op.key()
+    }
+
+    /// The counter of the protocol taken, given whether the direct one was
     /// possible; `None` for a software-only operation.
-    pub fn protocol_key(&self, direct: bool) -> Option<&'static str> {
-        self.protocol.map(|keys| keys[usize::from(!direct)])
+    pub fn protocol_taken(&self, direct: bool) -> Option<&Probe> {
+        self.protocol.as_ref().map(|p| &p[usize::from(!direct)])
     }
 }
 
+const GETS: Option<[&str; 2]> = Some(["armci.get_rdma", "armci.get_fallback"]);
+const PUTS: Option<[&str; 2]> = Some(["armci.put_rdma", "armci.put_fallback"]);
+const STRIDED: Option<[&str; 2]> = Some(["armci.strided_zero_copy", "armci.strided_packed"]);
+
 /// Contiguous get (Eq. 7 direct, Eq. 8 fallback).
-pub static GET: OpDesc = OpDesc {
-    name: "armci.get",
-    kind: OpKind::Get,
-    bytes: "armci.get_bytes",
-    protocol: Some(["armci.get_rdma", "armci.get_fallback"]),
-    packs: false,
-    wait: "armci.wait.get",
-    completion: Overhead::Recv,
-};
+pub static GET: OpDesc = OpDesc::new("armci.get", Get, GETS, false);
 /// Contiguous put.
-pub static PUT: OpDesc = OpDesc {
-    name: "armci.put",
-    kind: OpKind::Put,
-    bytes: "armci.put_bytes",
-    protocol: Some(["armci.put_rdma", "armci.put_fallback"]),
-    packs: false,
-    wait: "armci.wait.put",
-    completion: Overhead::PutLocal,
-};
+pub static PUT: OpDesc = OpDesc::new("armci.put", Put, PUTS, false);
 /// Contiguous accumulate.
-pub static ACC: OpDesc = OpDesc {
-    name: "armci.acc",
-    kind: OpKind::Acc,
-    bytes: "armci.acc_bytes",
-    protocol: None,
-    packs: false,
-    wait: "armci.wait.acc",
-    completion: Overhead::None,
-};
+pub static ACC: OpDesc = OpDesc::new("armci.acc", Acc, None, false);
 /// Strided get: a chunk train (Eq. 9) or the packed path.
-pub static GET_STRIDED: OpDesc = OpDesc {
-    name: "armci.get_strided",
-    protocol: Some(["armci.strided_zero_copy", "armci.strided_packed"]),
-    packs: true,
-    ..GET
-};
+pub static GET_STRIDED: OpDesc = OpDesc::new("armci.get_strided", Get, STRIDED, true);
 /// Strided put.
-pub static PUT_STRIDED: OpDesc = OpDesc {
-    name: "armci.put_strided",
-    protocol: GET_STRIDED.protocol,
-    packs: true,
-    ..PUT
-};
+pub static PUT_STRIDED: OpDesc = OpDesc::new("armci.put_strided", Put, STRIDED, true);
 /// Vector (I/O-vector) get.
-pub static GETV: OpDesc = OpDesc {
-    name: "armci.getv",
-    ..GET_STRIDED
-};
+pub static GETV: OpDesc = OpDesc::new("armci.getv", Get, STRIDED, true);
 /// Vector put.
-pub static PUTV: OpDesc = OpDesc {
-    name: "armci.putv",
-    ..PUT_STRIDED
-};
+pub static PUTV: OpDesc = OpDesc::new("armci.putv", Put, STRIDED, true);
 /// Strided accumulate.
-pub static ACC_STRIDED: OpDesc = OpDesc {
-    name: "armci.acc_strided",
-    ..ACC
-};
+pub static ACC_STRIDED: OpDesc = OpDesc::new("armci.acc_strided", Acc, None, false);
 /// Fetch-and-add, swap and compare-and-swap.
-pub static RMW: OpDesc = OpDesc {
-    name: "armci.rmw",
-    kind: OpKind::Rmw,
-    bytes: "",
-    protocol: None,
-    packs: false,
-    wait: "armci.wait.rmw",
-    completion: Overhead::Recv,
-};
+pub static RMW: OpDesc = OpDesc::new("armci.rmw", Rmw, None, false);
 
 /// Every row of the operation table.
 pub static OPS: [&OpDesc; 9] = [

@@ -171,11 +171,6 @@ pub(crate) struct ArmciInner {
     pub collective_seq: RefCell<FxHashMap<usize, u64>>,
     /// Collective-network engine (allreduce/broadcast).
     pub coll: CollectiveEngine,
-    /// `armci.inflight` gauge handle, interned by [`Armci::enable_timeline`].
-    pub tl_inflight: Cell<Option<desim::SeriesId>>,
-    /// Operations begun but not yet locally completed (all ranks), mirrored
-    /// into the `armci.inflight` gauge while the timeline is enabled.
-    pub inflight: Cell<i64>,
 }
 
 /// The ARMCI runtime over a simulated machine. Clone freely.
@@ -204,8 +199,6 @@ impl Armci {
             collective: RefCell::new(FxHashMap::default()),
             collective_seq: RefCell::new(FxHashMap::default()),
             coll: CollectiveEngine::default(),
-            tl_inflight: Cell::new(None),
-            inflight: Cell::new(0),
         });
         let weak = Rc::downgrade(&inner);
         machine.set_rank_init(Rc::new(move |pr| init_rank(&weak, pr)));
@@ -246,29 +239,6 @@ impl Armci {
             r,
             pami: self.inner.machine.rank(r),
             rt: OnceCell::new(),
-        }
-    }
-
-    /// Turn on windowed telemetry for this runtime: enables the machine's
-    /// [`desim::Timeline`] (network + PAMI producers) and registers the
-    /// ARMCI-level `armci.inflight` gauge tracking operations begun but not
-    /// yet locally completed. Free until called.
-    pub fn enable_timeline(&self, window_ps: u64, max_windows: usize) {
-        self.inner.machine.enable_timeline(window_ps, max_windows);
-        let tl = self.inner.machine.timeline();
-        self.inner
-            .tl_inflight
-            .set(Some(tl.series("armci.inflight", desim::SeriesKind::Gauge)));
-        self.inner.inflight.set(0);
-    }
-
-    /// Adjust the in-flight-operations mirror and record the gauge sample.
-    /// One `Cell` read when the timeline is off.
-    pub(crate) fn op_inflight(&self, at: desim::SimTime, delta: i64) {
-        if let Some(id) = self.inner.tl_inflight.get() {
-            let n = self.inner.inflight.get() + delta;
-            self.inner.inflight.set(n);
-            self.inner.machine.timeline().gauge(id, at, n);
         }
     }
 

@@ -30,7 +30,7 @@ fn rmw_storm(mode: ProgressMode) -> (CritPath, String) {
         sim.clone(),
         MachineConfig::new(p).procs_per_node(1).contexts(contexts),
     );
-    machine.enable_flight(1 << 16);
+    sim.flight().enable(1 << 16);
     let armci = Armci::new(machine, ArmciConfig::default().progress(mode));
     let owner = armci.machine().rank(0);
     let counter = owner.alloc(8);
@@ -60,7 +60,7 @@ fn rmw_storm(mode: ProgressMode) -> (CritPath, String) {
         });
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    let fl = armci.machine().flight();
+    let fl = sim.flight();
     // Clip the analysis to the communication epoch: the last op completion.
     let end = fl.ops().iter().map(|o| o.end).max().expect("ops recorded");
     let cp = analyze(&fl, end);

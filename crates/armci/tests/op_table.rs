@@ -22,7 +22,7 @@ async fn drive(row: &OpDesc, r0: &ArmciRank, r1: &ArmciRank) -> (u64, u64) {
     );
     let parts = [(local, remote, 96), (local + 512, remote + 1024, 160)];
     // Bytes each case moves: 200 contiguous, 4 × 64 strided, 96 + 160 vector.
-    match row.name {
+    match row.name() {
         "armci.get" => r0.get(1, local, remote, 200).await,
         "armci.put" => r0.put(1, local, remote, 200).await,
         "armci.acc" => r0.acc(1, local, remote, 25, 2.0).await,
@@ -40,7 +40,7 @@ async fn drive(row: &OpDesc, r0: &ArmciRank, r1: &ArmciRank) -> (u64, u64) {
         }
         other => panic!("table row {other} has no case in the test plan"),
     }
-    let contiguous = matches!(row.name, "armci.get" | "armci.put" | "armci.acc");
+    let contiguous = matches!(row.name(), "armci.get" | "armci.put" | "armci.acc");
     (1, if contiguous { 200 } else { 256 })
 }
 
@@ -72,7 +72,7 @@ fn every_row_accounts_for_itself() {
         let machine = Machine::new(sim.clone(), MachineConfig::new(2).procs_per_node(1));
         let armci = Armci::new(machine.clone(), ArmciConfig::default());
         sim.tracer().enable(1 << 12);
-        machine.enable_flight(1 << 12);
+        sim.flight().enable(1 << 12);
         let (r0, r1) = (armci.rank(0), armci.rank(1));
         let task = sim.spawn(async move { drive(row, &r0, &r1).await });
         sim.run();
@@ -80,25 +80,27 @@ fn every_row_accounts_for_itself() {
         armci.finalize();
         sim.shutdown();
 
-        let name = row.name;
+        let name = row.name();
         let stats = machine.stats();
         assert_eq!(stats.counter(name), ops, "{name}: operation counter");
-        if !row.bytes.is_empty() {
-            assert_eq!(stats.counter(row.bytes), bytes, "{name}: {}", row.bytes);
+        let key = row.bytes.key();
+        if !key.is_empty() {
+            assert_eq!(stats.counter(key), bytes, "{name}: {key}");
         }
-        if let Some(keys) = row.protocol {
-            let taken = stats.counter(keys[0]) + stats.counter(keys[1]);
+        if let Some(keys) = &row.protocol {
+            let taken = stats.counter(keys[0].key()) + stats.counter(keys[1].key());
             assert_eq!(taken, ops, "{name}: one protocol choice per operation");
         }
-        assert_eq!(stats.time(row.wait).count, ops, "{name}: {}", row.wait);
-        assert_eq!(stats.hist(row.wait).count(), ops, "{name}: histogram");
+        let wait = row.wait.key();
+        assert_eq!(stats.time(wait).count, ops, "{name}: {wait}");
+        assert_eq!(stats.hist(wait).count(), ops, "{name}: histogram");
 
         let mut trace = ChromeTrace::new();
         trace.add_process(1, name, &sim.tracer());
         let trace = json::parse(&trace.finish()).expect("trace JSON");
         assert_eq!(spans(&trace, name), (ops, ops), "{name}: trace spans");
 
-        let records: Vec<_> = machine.flight().ops();
+        let records: Vec<_> = sim.flight().ops();
         let mine: Vec<_> = records.iter().filter(|r| r.kind == name).collect();
         assert_eq!(mine.len() as u64, ops, "{name}: lifecycle records");
         assert_eq!(records.len(), mine.len(), "{name}: no other operation ran");
@@ -111,9 +113,10 @@ fn every_row_accounts_for_itself() {
 #[test]
 fn rows_are_distinct_and_consistent() {
     for (i, row) in OPS.iter().enumerate() {
-        assert!(OPS[..i].iter().all(|r| r.name != row.name), "{}", row.name);
-        assert!(row.wait.starts_with("armci.wait."), "{}", row.name);
+        let name = row.name();
+        assert!(OPS[..i].iter().all(|r| r.name() != name), "{name}");
+        assert!(row.wait.key().starts_with("armci.wait."), "{name}");
         // Only an operation with a direct protocol can be told to avoid it.
-        assert!(!row.packs || row.protocol.is_some(), "{}", row.name);
+        assert!(!row.packs || row.protocol.is_some(), "{name}");
     }
 }

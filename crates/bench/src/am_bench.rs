@@ -133,11 +133,11 @@ pub fn run_cell_full(
     let sim = Sim::new();
     let m = Machine::new(sim.clone(), mcfg);
     if breakdown {
-        m.enable_flight(1 << 20);
+        sim.flight().enable(1 << 20);
     }
     let a = Armci::new(m.clone(), ArmciConfig::default());
     if let Some(w) = timeline_window_ps {
-        a.enable_timeline(w, 512);
+        sim.timeline().enable(w, 512);
     }
     // One accumulate target buffer per rank (AMs carry values, so no region
     // registration is involved — exactly the fallback the AM path is for).
@@ -163,7 +163,7 @@ pub fn run_cell_full(
     }
     let end = sim.run();
     m.flush_net_stats();
-    let timeline = timeline_window_ps.map(|_| m.timeline().snapshot());
+    let timeline = timeline_window_ps.map(|_| sim.timeline().snapshot());
     let stats = m.stats();
     let ams = (procs * msgs_per_rank) as u64;
     let secs = (end.as_ps() as f64 / 1e12).max(1e-12);
@@ -182,7 +182,7 @@ pub fn run_cell_full(
         avg_batch: am_sent as f64 / wire_msgs.max(1) as f64,
     };
     let crit = breakdown.then(|| {
-        let fl = m.flight();
+        let fl = sim.flight();
         let aggr_wait_ps: u64 = fl
             .segments()
             .iter()

@@ -122,7 +122,7 @@ pub fn run_cell_timeline(
     let sim = Sim::new();
     let m = Machine::new(sim.clone(), mcfg);
     if let Some(w) = timeline_window_ps {
-        m.enable_timeline(w, 512);
+        sim.timeline().enable(w, 512);
     }
     let lat_ps: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     for r in 0..procs {
@@ -144,7 +144,7 @@ pub fn run_cell_timeline(
     }
     let end = sim.run();
     m.flush_net_stats();
-    let timeline = timeline_window_ps.map(|_| m.timeline().snapshot());
+    let timeline = timeline_window_ps.map(|_| sim.timeline().snapshot());
     let stats = m.stats();
     let mut lats = Rc::try_unwrap(lat_ps).expect("all tasks done").into_inner();
     lats.sort_unstable();

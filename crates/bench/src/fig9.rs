@@ -78,10 +78,10 @@ pub fn run(
         tracer.enable(1 << 20);
     }
     if breakdown {
-        f.armci.machine().enable_flight(1 << 20);
+        f.sim.flight().enable(1 << 20);
     }
     if let Some(w) = timeline_window_ps {
-        f.armci.enable_timeline(w, 512);
+        f.sim.timeline().enable(w, 512);
     }
     let owner = f.armci.machine().rank(0);
     let counter = owner.alloc(8);
@@ -132,7 +132,7 @@ pub fn run(
     let task_slots = f.sim.task_slots();
     f.armci.machine().flush_net_stats();
     let snapshot = f.armci.machine().stats().snapshot();
-    let timeline = timeline_window_ps.map(|_| f.armci.machine().timeline().snapshot());
+    let timeline = timeline_window_ps.map(|_| f.sim.timeline().snapshot());
     let chrome = trace.map(|(pid, name)| {
         // Health findings become instants on the traced timeline, and the
         // windowed series ride along as Perfetto counter tracks.
@@ -148,7 +148,7 @@ pub fn run(
         tracer.disable();
         ct
     });
-    let crit = breakdown.then(|| analyze(&f.armci.machine().flight(), f.sim.now()));
+    let crit = breakdown.then(|| analyze(&f.sim.flight(), f.sim.now()));
     RunOut {
         latency_us: total_wait.get().as_us() / ops as f64,
         sim_time_ps,

@@ -57,8 +57,8 @@ pub fn net_churn_with_faults(procs: usize, msgs: usize, plan: Option<FaultPlan>)
     net_churn_timeline(procs, msgs, plan, None).0
 }
 
-/// [`net_churn_with_faults`] with optional windowed telemetry: a standalone
-/// [`desim::Timeline`] (no kernel needed) attached straight to the
+/// [`net_churn_with_faults`] with optional windowed telemetry: standalone
+/// [`desim::Probes`] (no kernel needed) attached straight to the
 /// [`NetState`], sampling per-window message/byte counts, link busy/wait
 /// time and detours so `simstat` can spot the congestion onset as the
 /// staggered injection schedule outruns link capacity.
@@ -73,11 +73,12 @@ pub fn net_churn_timeline(
     if let Some(plan) = plan {
         net.install_faults(plan);
     }
-    let tl = desim::Timeline::new();
+    let probes = desim::Probes::default();
+    let tl = probes.timeline.clone();
     if let Some(w) = timeline_window_ps {
         tl.enable(w, 512);
     }
-    net.set_timeline(&tl);
+    net.attach(probes);
     // Pre-generate the schedule so the timed loop measures delivery alone.
     let sched = churn_schedule(procs, msgs);
     let t0 = Instant::now();

@@ -69,7 +69,7 @@ fn no_batcher_means_no_am_surface() {
         sim.clone(),
         MachineConfig::new(32).procs_per_node(16).contention(true),
     );
-    m.enable_timeline(100_000_000, 512);
+    sim.timeline().enable(100_000_000, 512);
     assert!(m.batcher().is_none(), "no config, no batcher");
     for r in 0..32usize {
         let rk = m.rank(r);

@@ -187,11 +187,6 @@ impl FlightRecorder {
         self.inner.enabled.set(true);
     }
 
-    /// Stop recording. Already-captured records are retained.
-    pub fn disable(&self) {
-        self.inner.enabled.set(false);
-    }
-
     /// Allocate an [`OpId`] for an operation issued by `rank` at `now`.
     /// Returns `None` when disabled (or over budget) so instrumentation sites
     /// can skip all further attribution work.

@@ -34,13 +34,14 @@ use std::rc::Rc;
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::event::Completion;
-use crate::flight::FlightRecorder;
 use crate::memprof::{self, MemTag};
+use crate::probe::Probes;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::timeline::{SeriesId, Timeline};
+use crate::timeline::Timeline;
 use crate::trace::Tracer;
 use crate::wheel::TimerWheel;
+use crate::FlightRecorder;
 
 /// Task futures, slots, hooks and wakers.
 static KERNEL_TAG: MemTag = MemTag::new("desim.kernel");
@@ -222,15 +223,12 @@ pub(crate) struct Kernel {
     events_processed: Cell<u64>,
     /// `DESIM_TRACE` heartbeat, probed once here rather than per drain.
     trace_beat: bool,
-    stats: Stats,
-    tracer: Tracer,
-    flight: FlightRecorder,
-    timeline: Timeline,
+    probes: Probes,
     /// Next virtual time (ps) at which live-bytes gauges should be sampled
     /// into the timeline. Only consulted when the memory profiler is on.
     mem_next: Cell<u64>,
     /// Cached `mem.live_bytes.<tag>` series ids, indexed by tag id.
-    mem_ids: RefCell<Vec<Option<SeriesId>>>,
+    mem_ids: RefCell<Vec<Option<usize>>>,
 }
 
 impl Kernel {
@@ -247,10 +245,7 @@ impl Kernel {
             live_tasks: Cell::new(0),
             events_processed: Cell::new(0),
             trace_beat: std::env::var_os("DESIM_TRACE").is_some(),
-            stats: Stats::new(),
-            tracer: Tracer::new(),
-            flight: FlightRecorder::new(),
-            timeline: Timeline::new(),
+            probes: Probes::default(),
             mem_next: Cell::new(0),
             mem_ids: RefCell::new(Vec::new()),
         })
@@ -406,20 +401,17 @@ impl Kernel {
     /// per timeline window. The disabled-path cost on the timer hot path is
     /// the single relaxed load inside `memprof::enabled()`.
     fn maybe_sample_mem(&self) {
-        if !memprof::enabled() || !self.timeline.on() {
+        let timeline = &self.probes.timeline;
+        if !memprof::enabled() || !timeline.on() {
             return;
         }
         let now_ps = self.now.get().as_ps();
         if now_ps < self.mem_next.get() {
             return;
         }
-        let w = self.timeline.window_ps().max(1);
+        let w = timeline.window_ps().max(1);
         self.mem_next.set((now_ps / w + 1) * w);
-        memprof::record_live_gauges(
-            &self.timeline,
-            self.now.get(),
-            &mut self.mem_ids.borrow_mut(),
-        );
+        memprof::record_live_gauges(timeline, self.now.get(), &mut self.mem_ids.borrow_mut());
     }
 }
 
@@ -447,27 +439,39 @@ impl Sim {
         self.k.now()
     }
 
+    /// The simulation's sinks behind one handle: every layer records its
+    /// [`crate::Probe`] rows here.
+    #[inline]
+    pub fn probes(&self) -> &Probes {
+        &self.k.probes
+    }
+
+    /// Record `n` of `row` now ([`Probes::count`]).
+    pub fn count(&self, row: crate::probe::Row, n: u64) {
+        self.k.probes.count(row, self.now(), n);
+    }
+
     /// Shared statistics registry for this simulation.
     pub fn stats(&self) -> Stats {
-        self.k.stats.clone()
+        self.k.probes.stats.clone()
     }
 
     /// Shared event tracer for this simulation. Disabled (and free) unless
     /// [`Tracer::enable`] is called.
     pub fn tracer(&self) -> Tracer {
-        self.k.tracer.clone()
+        self.k.probes.tracer.clone()
     }
 
     /// Shared message-lifecycle flight recorder for this simulation. Disabled
     /// (and free) unless [`FlightRecorder::enable`] is called.
     pub fn flight(&self) -> FlightRecorder {
-        self.k.flight.clone()
+        self.k.probes.flight.clone()
     }
 
     /// Shared windowed telemetry timeline for this simulation. Disabled (and
     /// free) unless [`Timeline::enable`] is called.
     pub fn timeline(&self) -> Timeline {
-        self.k.timeline.clone()
+        self.k.probes.timeline.clone()
     }
 
     /// Number of events (task polls + timer firings) processed so far.

@@ -42,6 +42,7 @@ pub mod json;
 pub mod kernel;
 pub mod memprof;
 pub mod paged;
+pub mod probe;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -61,8 +62,9 @@ pub use health::{Finding, HealthConfig, Severity};
 pub use kernel::{JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
 pub use paged::PagedMap;
+pub use probe::{Lane, Probe, Probes};
 pub use rng::SimRng;
 pub use stats::{MetricsSnapshot, Stats};
 pub use time::{SimDuration, SimTime};
-pub use timeline::{SeriesId, SeriesKind, Timeline, TimelineDoc, TimelineSnapshot, WindowSample};
+pub use timeline::{SeriesKind, Timeline, TimelineDoc, TimelineSnapshot, WindowSample};
 pub use trace::{ChromeTrace, TraceValue, Tracer, TrackId};

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicU64, 
 use std::sync::Mutex;
 
 use crate::time::SimTime;
-use crate::timeline::{SeriesId, SeriesKind, Timeline};
+use crate::timeline::{SeriesKind, Timeline};
 
 /// Maximum number of distinct tags (including the implicit `untagged`
 /// bucket). Registration past the cap falls back to `untagged` rather than
@@ -738,7 +738,7 @@ pub fn total_allocs() -> u64 {
 /// interned series handles across calls (index = tag id). No-op unless both
 /// the profiler and `tl` are enabled, so default timeline runs (and their
 /// zero-tolerance goldens) never see these series.
-pub fn record_live_gauges(tl: &Timeline, at: SimTime, ids: &mut Vec<Option<SeriesId>>) {
+pub fn record_live_gauges(tl: &Timeline, at: SimTime, ids: &mut Vec<Option<usize>>) {
     if !enabled() || !tl.on() {
         return;
     }

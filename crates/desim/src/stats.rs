@@ -2,12 +2,14 @@
 //!
 //! Counters, duration accumulators and log₂ histograms keyed by name. The
 //! registry is deterministic: reports are emitted in sorted key order.
+//! Writes come only from [`crate::Probe`] rows, each bound to its entries
+//! once, so a warm record compares no string.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::mem::discriminant;
 use std::rc::Rc;
 
+use crate::probe::{Probe, Stat};
 use crate::time::SimDuration;
 
 /// Accumulated duration statistics for one key.
@@ -56,24 +58,73 @@ impl DurationStat {
     }
 }
 
-#[derive(Default)]
-struct StatsInner {
-    counters: BTreeMap<String, u64>,
-    durations: BTreeMap<String, DurationStat>,
-    histograms: BTreeMap<String, Histogram>,
+/// One kind's entries, in creation order (snapshots sort them by name).
+type Table<V> = Vec<(String, V)>;
+
+/// The entry for `key`, created (touched) on first use.
+fn cell<V: Default>(table: &mut Table<V>, key: &str) -> usize {
+    table.iter().position(|(k, _)| k == key).unwrap_or_else(|| {
+        table.push((key.to_string(), V::default()));
+        table.len() - 1
+    })
 }
 
-/// Update the entry for `key`, creating (touching) it on first use. The key
-/// is looked up by `&str` first: the hot path — a key seen before — does one
-/// lookup and allocates nothing.
-fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
-    match map.get_mut(key) {
-        Some(v) => f(v),
-        None => f(map.entry(key.to_string()).or_default()),
+fn get<'a, V>(table: &'a Table<V>, key: &str) -> Option<&'a V> {
+    table.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+fn sorted<V: Clone>(table: &Table<V>) -> Table<V> {
+    let mut t = table.clone();
+    t.sort_by(|a, b| a.0.cmp(&b.0));
+    t
+}
+
+#[derive(Default)]
+struct StatsInner {
+    counters: Table<u64>,
+    durations: Table<DurationStat>,
+    histograms: Table<Histogram>,
+    /// Row slot → each of its stats with the entries it was bound to (a
+    /// duration-histogram has two) on the row's first record.
+    rows: Vec<Option<[(Stat, usize, usize); 2]>>,
+    /// The kind each row-bound key was bound as: one name, one kind.
+    kinds: Vec<Stat>,
+}
+
+impl StatsInner {
+    fn bind(&mut self, row: &Probe) -> [(Stat, usize, usize); 2] {
+        let cells = row.stats.map(|s| {
+            let Some(key) = s.key() else {
+                return (s, 0, 0);
+            };
+            match self.kinds.iter().find(|b| b.key() == Some(key)) {
+                Some(b) => assert!(
+                    discriminant(b) == discriminant(&s),
+                    "stats key {key:?} bound as two kinds ({b:?}, {s:?})"
+                ),
+                None => self.kinds.push(s),
+            }
+            match s {
+                Stat::Count(_) => (s, cell(&mut self.counters, key), 0),
+                Stat::Hist(_) => (s, cell(&mut self.histograms, key), 0),
+                Stat::Time(_) => (s, cell(&mut self.durations, key), 0),
+                _ => {
+                    let i = cell(&mut self.durations, key);
+                    (s, i, cell(&mut self.histograms, key))
+                }
+            }
+        });
+        let slot = row.slot();
+        if self.rows.len() <= slot {
+            self.rows.resize(slot + 1, None);
+        }
+        self.rows[slot] = Some(cells);
+        cells
     }
 }
 
-/// A shared, clonable statistics registry.
+/// A shared, clonable statistics registry. Written only through
+/// [`crate::Probe`] rows (see [`crate::Probes`]); read by name.
 #[derive(Clone, Default)]
 pub struct Stats {
     inner: Rc<RefCell<StatsInner>>,
@@ -85,94 +136,54 @@ impl Stats {
         Stats::default()
     }
 
-    /// Increment counter `key` by one.
-    pub fn incr(&self, key: &str) {
-        self.add(key, 1);
-    }
-
-    /// Increment counter `key` by `n`.
-    pub fn add(&self, key: &str, n: u64) {
-        update(&mut self.inner.borrow_mut().counters, key, |c| *c += n);
+    /// Record one sample of `row`'s statistics: counters add `n`, a
+    /// histogram records `n`, a duration records `d` (a duration-histogram
+    /// also records `d` in ns). A row's first record binds its keys,
+    /// creating each entry even when `n` is zero.
+    #[inline]
+    pub(crate) fn record(&self, row: &Probe, n: u64, d: SimDuration) {
+        if row.stats[0] == Stat::None {
+            return;
+        }
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let cells = match inner.rows.get(row.slot()) {
+            Some(Some(cells)) => *cells,
+            _ => inner.bind(row),
+        };
+        for (stat, i, j) in cells {
+            match stat {
+                Stat::None => {}
+                Stat::Count(_) => inner.counters[i].1 += n,
+                Stat::Hist(_) => inner.histograms[i].1.record(n),
+                Stat::Time(_) => inner.durations[i].1.record(d),
+                Stat::TimeHist(_) => {
+                    inner.durations[i].1.record(d);
+                    inner.histograms[j].1.record(d.as_ps() / 1000);
+                }
+            }
+        }
     }
 
     /// Current value of counter `key` (zero if never touched).
     pub fn counter(&self, key: &str) -> u64 {
-        self.inner.borrow().counters.get(key).copied().unwrap_or(0)
-    }
-
-    /// Record one duration sample under `key`.
-    pub fn record_time(&self, key: &str, d: SimDuration) {
-        update(&mut self.inner.borrow_mut().durations, key, |s| s.record(d));
+        get(&self.inner.borrow().counters, key)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Duration statistics for `key`.
     pub fn time(&self, key: &str) -> DurationStat {
-        self.inner
-            .borrow()
-            .durations
-            .get(key)
+        get(&self.inner.borrow().durations, key)
             .copied()
             .unwrap_or_default()
     }
 
-    /// Record a sample into the log₂ histogram under `key`.
-    pub fn record_hist(&self, key: &str, value: u64) {
-        update(&mut self.inner.borrow_mut().histograms, key, |h| {
-            h.record(value)
-        });
-    }
-
     /// A copy of the histogram under `key` (empty if never touched).
     pub fn hist(&self, key: &str) -> Histogram {
-        self.inner
-            .borrow()
-            .histograms
-            .get(key)
+        get(&self.inner.borrow().histograms, key)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// All counter keys currently present, sorted.
-    pub fn counter_keys(&self) -> Vec<String> {
-        self.inner.borrow().counters.keys().cloned().collect()
-    }
-
-    /// Reset everything.
-    pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.counters.clear();
-        inner.durations.clear();
-        inner.histograms.clear();
-    }
-
-    /// Human-readable dump in sorted key order.
-    pub fn report(&self) -> String {
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        for (k, v) in &inner.counters {
-            let _ = writeln!(out, "counter {k} = {v}");
-        }
-        for (k, d) in &inner.durations {
-            let _ = writeln!(
-                out,
-                "time    {k}: n={} total={} mean={} min={} max={}",
-                d.count,
-                d.total,
-                d.mean(),
-                d.min,
-                d.max
-            );
-        }
-        for (k, h) in &inner.histograms {
-            let _ = writeln!(
-                out,
-                "hist    {k}: n={} p50~{} p99~{}",
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.99)
-            );
-        }
-        out
     }
 
     /// Snapshot every counter, duration stat and histogram into a plain,
@@ -180,21 +191,9 @@ impl Stats {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.borrow();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            durations: inner
-                .durations
-                .iter()
-                .map(|(k, d)| (k.clone(), *d))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.clone()))
-                .collect(),
+            counters: sorted(&inner.counters),
+            durations: sorted(&inner.durations),
+            histograms: sorted(&inner.histograms),
         }
     }
 
@@ -203,13 +202,16 @@ impl Stats {
     pub fn absorb(&self, snap: &MetricsSnapshot) {
         let mut inner = self.inner.borrow_mut();
         for (k, v) in &snap.counters {
-            *inner.counters.entry(k.clone()).or_insert(0) += v;
+            let i = cell(&mut inner.counters, k);
+            inner.counters[i].1 += v;
         }
         for (k, d) in &snap.durations {
-            inner.durations.entry(k.clone()).or_default().merge(d);
+            let i = cell(&mut inner.durations, k);
+            inner.durations[i].1.merge(d);
         }
         for (k, h) in &snap.histograms {
-            inner.histograms.entry(k.clone()).or_default().merge(h);
+            let i = cell(&mut inner.histograms, k);
+            inner.histograms[i].1.merge(h);
         }
     }
 }
@@ -389,11 +391,19 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    static X: Probe = Probe::new().count("x");
+    static LAT: Probe = Probe::new().time("lat");
+    static T: Probe = Probe::new().time("t");
+    static H: Probe = Probe::new().hist("h");
+    static LAT_HIST: Probe = Probe::new().hist("lat");
+    static GET_BYTES: Probe = Probe::new().count("armci.get_bytes");
+    static WAIT_GET: Probe = Probe::new().time_hist("armci.wait.get");
+
     #[test]
     fn counters_accumulate() {
         let s = Stats::new();
-        s.incr("x");
-        s.add("x", 4);
+        s.record(&X, 1, SimDuration::ZERO);
+        s.record(&X, 4, SimDuration::ZERO);
         assert_eq!(s.counter("x"), 5);
         assert_eq!(s.counter("missing"), 0);
     }
@@ -401,9 +411,9 @@ mod tests {
     #[test]
     fn durations_track_min_max_mean() {
         let s = Stats::new();
-        s.record_time("lat", SimDuration::from_us(2));
-        s.record_time("lat", SimDuration::from_us(4));
-        s.record_time("lat", SimDuration::from_us(9));
+        s.record(&LAT, 0, SimDuration::from_us(2));
+        s.record(&LAT, 0, SimDuration::from_us(4));
+        s.record(&LAT, 0, SimDuration::from_us(9));
         let d = s.time("lat");
         assert_eq!(d.count, 3);
         assert_eq!(d.total.as_us(), 15.0);
@@ -441,40 +451,15 @@ mod tests {
     }
 
     #[test]
-    fn report_is_sorted_and_stable() {
-        let s = Stats::new();
-        s.incr("b");
-        s.incr("a");
-        s.record_time("t", SimDuration::from_ns(5));
-        let r1 = s.report();
-        let r2 = s.report();
-        assert_eq!(r1, r2);
-        let a_pos = r1.find("counter a").unwrap();
-        let b_pos = r1.find("counter b").unwrap();
-        assert!(a_pos < b_pos);
-    }
-
-    #[test]
     fn stats_histogram_api() {
         let s = Stats::new();
         for v in [1u64, 10, 100, 1000] {
-            s.record_hist("lat", v);
+            s.record(&LAT_HIST, v, SimDuration::ZERO);
         }
         let h = s.hist("lat");
         assert_eq!(h.count(), 4);
         assert!((h.mean() - 277.75).abs() < 0.01);
         assert_eq!(s.hist("missing").count(), 0);
-        let report = s.report();
-        assert!(report.contains("hist    lat"));
-    }
-
-    #[test]
-    fn counter_keys_sorted() {
-        let s = Stats::new();
-        s.incr("zz");
-        s.incr("aa");
-        s.incr("mm");
-        assert_eq!(s.counter_keys(), vec!["aa", "mm", "zz"]);
     }
 
     #[test]
@@ -523,10 +508,10 @@ mod tests {
     #[test]
     fn snapshot_round_trips_and_absorbs() {
         let s = Stats::new();
-        s.incr("armci.get");
-        s.add("armci.get_bytes", 4096);
-        s.record_time("armci.wait.get", SimDuration::from_us(3));
-        s.record_hist("armci.wait.get", 3000);
+        s.record(&X, 1, SimDuration::ZERO);
+        s.record(&GET_BYTES, 4096, SimDuration::ZERO);
+        s.record(&WAIT_GET, 0, SimDuration::from_us(3));
+        assert_eq!(s.hist("armci.wait.get").sum(), 3000, "the ns histogram");
         let snap = s.snapshot();
         assert_eq!(snap.counters.len(), 2);
         assert_eq!(snap.durations.len(), 1);
@@ -535,7 +520,7 @@ mod tests {
         let merged = Stats::new();
         merged.absorb(&snap);
         merged.absorb(&snap);
-        assert_eq!(merged.counter("armci.get"), 2);
+        assert_eq!(merged.counter("x"), 2);
         assert_eq!(merged.time("armci.wait.get").count, 2);
         assert_eq!(merged.time("armci.wait.get").min.as_us(), 3.0);
         assert_eq!(merged.hist("armci.wait.get").count(), 2);
@@ -544,28 +529,18 @@ mod tests {
     #[test]
     fn snapshot_json_is_deterministic_and_complete() {
         let s = Stats::new();
-        s.incr("pami.rmw");
-        s.record_time("t", SimDuration::from_ns(5));
-        s.record_hist("h", u64::MAX);
+        s.record(&X, 1, SimDuration::ZERO);
+        s.record(&T, 0, SimDuration::from_ns(5));
+        s.record(&H, u64::MAX, SimDuration::ZERO);
         let j1 = s.snapshot().to_json();
         let j2 = s.snapshot().to_json();
         assert_eq!(j1, j2);
-        assert!(j1.contains("\"pami.rmw\": 1"));
+        assert!(j1.contains("\"x\": 1"));
         assert!(j1.contains("\"total_ps\": 5000"));
         assert!(j1.contains("\"p99\": 18446744073709551615"));
         // Full bucket vector: 65 entries -> 64 commas inside the array.
         let buckets = j1.split("\"buckets\": [").nth(1).unwrap();
         let arr = buckets.split(']').next().unwrap();
         assert_eq!(arr.split(',').count(), 65);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let s = Stats::new();
-        s.incr("x");
-        s.record_time("t", SimDuration::from_ns(1));
-        s.clear();
-        assert_eq!(s.counter("x"), 0);
-        assert_eq!(s.time("t").count, 0);
     }
 }

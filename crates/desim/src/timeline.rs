@@ -2,13 +2,13 @@
 //!
 //! A [`Timeline`] buckets samples into fixed-width windows of virtual time
 //! (`window_ps` picoseconds). Counters accumulate per-window deltas; gauges
-//! keep per-window min/max/last. Series are interned by name into cheap
-//! [`SeriesId`] handles so the hot path never hashes strings.
+//! keep per-window min/max/last. Producers write only through
+//! [`crate::Probe`] rows: a row's series is interned by name on its first
+//! record while enabled, and its slot maps to the series from then on, so
+//! the hot path never compares strings.
 //!
 //! Like [`crate::Tracer`], a timeline is **disabled by default** and free
-//! when disabled: every record call is a single flag check. Producers that
-//! cannot afford even that keep an `Option` of pre-interned ids instead and
-//! skip the call entirely.
+//! when disabled: every record call is a single flag check.
 //!
 //! Series length is bounded: when any series would exceed `max_windows`,
 //! the whole timeline **coarsens** — `window_ps` doubles and adjacent window
@@ -27,19 +27,11 @@ use std::rc::Rc;
 
 use crate::json::{self, JsonValue};
 use crate::memprof::{self, MemTag};
+use crate::probe::Probe;
 use crate::time::SimTime;
 
 /// Series storage and window vectors (memory-profiler attribution).
 static TIMELINE_TAG: MemTag = MemTag::new("desim.timeline");
-
-/// Interned handle for one series. Copy, cheap, stable for the lifetime of
-/// the timeline. The sentinel value (from interning on a disabled timeline)
-/// makes every record call a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(pub(crate) u32);
-
-/// Sentinel id handed out while the timeline is disabled.
-const NO_SERIES: u32 = u32::MAX;
 
 /// What a series measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +84,8 @@ impl Windows {
 struct Series {
     name: String,
     windows: Windows,
+    /// Running level of a gauge fed by deltas ([`Timeline::level`]).
+    level: i64,
 }
 
 #[derive(Debug)]
@@ -100,6 +94,8 @@ struct TimelineInner {
     window_ps: Cell<u64>,
     max_windows: Cell<usize>,
     series: RefCell<Vec<Series>>,
+    /// Row slot → its series, from the row's first record.
+    rows: RefCell<Vec<Option<usize>>>,
 }
 
 /// Shared handle to a windowed telemetry recorder. Clones share state.
@@ -123,6 +119,7 @@ impl Timeline {
                 window_ps: Cell::new(1),
                 max_windows: Cell::new(usize::MAX),
                 series: RefCell::new(Vec::new()),
+                rows: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -137,11 +134,7 @@ impl Timeline {
         self.inner.window_ps.set(window_ps);
         self.inner.max_windows.set(max_windows);
         self.inner.series.borrow_mut().clear();
-    }
-
-    /// Stop recording; data already collected stays readable.
-    pub fn disable(&self) {
-        self.inner.enabled.set(false);
+        self.inner.rows.borrow_mut().clear();
     }
 
     /// Is the timeline currently recording?
@@ -155,13 +148,9 @@ impl Timeline {
         self.inner.window_ps.get()
     }
 
-    /// Intern a series by name. Returns a sentinel no-op id while disabled,
-    /// so producers can intern eagerly without cost. Interning the same name
-    /// twice returns the same id; the kind must match.
-    pub fn series(&self, name: &str, kind: SeriesKind) -> SeriesId {
-        if !self.on() {
-            return SeriesId(NO_SERIES);
-        }
+    /// Intern a series by name (while enabled): its index until the next
+    /// enable. Interning a name again must give the same kind.
+    pub(crate) fn series(&self, name: &str, kind: SeriesKind) -> usize {
         let _mem = memprof::scope(&TIMELINE_TAG);
         let mut series = self.inner.series.borrow_mut();
         if let Some(i) = series.iter().position(|s| s.name == name) {
@@ -173,7 +162,7 @@ impl Timeline {
                 have == kind,
                 "series {name:?} re-interned with a different kind"
             );
-            return SeriesId(i as u32);
+            return i;
         }
         series.push(Series {
             name: name.to_string(),
@@ -181,26 +170,41 @@ impl Timeline {
                 SeriesKind::Counter => Windows::Counter(Vec::new()),
                 SeriesKind::Gauge => Windows::Gauge(Vec::new()),
             },
+            level: 0,
         });
-        SeriesId((series.len() - 1) as u32)
+        series.len() - 1
     }
 
-    /// Add `delta` to a counter series in the window containing `at`.
+    /// The series `row` feeds, interned on the row's first record; `None`
+    /// while disabled or when the row feeds no series.
     #[inline]
-    pub fn add(&self, id: SeriesId, at: SimTime, delta: u64) {
-        if !self.on() || id.0 == NO_SERIES || delta == 0 {
+    pub(crate) fn row(&self, row: &Probe) -> Option<usize> {
+        let (name, kind) = row.series_of().filter(|_| self.on())?;
+        let slot = row.slot();
+        if let Some(&Some(id)) = self.inner.rows.borrow().get(slot) {
+            return Some(id);
+        }
+        let id = self.series(name, kind);
+        let _mem = memprof::scope(&TIMELINE_TAG);
+        let mut rows = self.inner.rows.borrow_mut();
+        if rows.len() <= slot {
+            rows.resize(slot + 1, None);
+        }
+        rows[slot] = Some(id);
+        Some(id)
+    }
+
+    /// Add `delta` (if not 0) to a counter series in the window of `at`.
+    pub(crate) fn add(&self, id: usize, at: SimTime, delta: u64) {
+        if delta == 0 {
             return;
         }
-        self.add_slow(id, at, delta);
-    }
-
-    fn add_slow(&self, id: SeriesId, at: SimTime, delta: u64) {
         let _mem = memprof::scope(&TIMELINE_TAG);
         let w = self.inner.window_ps.get();
         let idx = at.as_ps() / w;
         {
             let mut series = self.inner.series.borrow_mut();
-            let Windows::Counter(v) = &mut series[id.0 as usize].windows else {
+            let Windows::Counter(v) = &mut series[id].windows else {
                 panic!("Timeline::add on a gauge series");
             };
             match v.binary_search_by_key(&idx, |&(i, _)| i) {
@@ -214,40 +218,39 @@ impl Timeline {
     /// Spread a busy span `[start, end)` over the windows it overlaps,
     /// adding the overlapped picoseconds to a counter series per window.
     /// This is how occupancy fractions are recorded exactly.
-    pub fn add_range(&self, id: SeriesId, start: SimTime, end: SimTime) {
-        if !self.on() || id.0 == NO_SERIES || end <= start {
-            return;
-        }
+    pub(crate) fn add_range(&self, id: usize, start: SimTime, end: SimTime) {
         let (s, e) = (start.as_ps(), end.as_ps());
         let mut cur = s;
         while cur < e {
-            // Re-read the width each step: add_slow may coarsen mid-range.
+            // Re-read the width each step: add may coarsen mid-range.
             // Splitting finer than the (new, wider) windows stays exact —
             // the sub-spans land in the same window and their sums add.
             let w = self.inner.window_ps.get();
             let stop = ((cur / w + 1) * w).min(e);
-            self.add_slow(id, SimTime(cur), stop - cur);
+            self.add(id, SimTime(cur), stop - cur);
             cur = stop;
         }
     }
 
-    /// Record a gauge sample `value` at time `at`.
-    #[inline]
-    pub fn gauge(&self, id: SeriesId, at: SimTime, value: i64) {
-        if !self.on() || id.0 == NO_SERIES {
-            return;
-        }
-        self.gauge_slow(id, at, value);
+    /// Move a gauge's running level by `delta` and sample the new level.
+    pub(crate) fn level(&self, id: usize, at: SimTime, delta: i64) {
+        let value = {
+            let s = &mut self.inner.series.borrow_mut()[id];
+            s.level += delta;
+            s.level
+        };
+        self.gauge(id, at, value);
     }
 
-    fn gauge_slow(&self, id: SeriesId, at: SimTime, value: i64) {
+    /// Record a gauge sample `value` at time `at`.
+    pub(crate) fn gauge(&self, id: usize, at: SimTime, value: i64) {
         let _mem = memprof::scope(&TIMELINE_TAG);
         let w = self.inner.window_ps.get();
         let t = at.as_ps();
         let idx = t / w;
         {
             let mut series = self.inner.series.borrow_mut();
-            let Windows::Gauge(v) = &mut series[id.0 as usize].windows else {
+            let Windows::Gauge(v) = &mut series[id].windows else {
                 panic!("Timeline::gauge on a counter series");
             };
             match v.binary_search_by_key(&idx, |g| g.idx) {
@@ -326,11 +329,6 @@ impl Timeline {
                 }
             }
         }
-    }
-
-    /// Number of interned series.
-    pub fn series_count(&self) -> usize {
-        self.inner.series.borrow().len()
     }
 
     /// Freeze the current contents into an immutable, name-sorted snapshot.
@@ -607,14 +605,16 @@ mod tests {
 
     #[test]
     fn disabled_timeline_is_inert() {
-        let tl = Timeline::new();
-        assert!(!tl.on());
-        let id = tl.series("x", SeriesKind::Counter);
-        tl.add(id, t(1), 5);
-        tl.gauge(id, t(1), 5);
-        tl.add_range(id, t(0), t(10));
-        assert_eq!(tl.series_count(), 0);
-        assert!(tl.snapshot().series.is_empty());
+        static C: Probe = Probe::new().series("x");
+        static G: Probe = Probe::new().gauge("g");
+        static R: Probe = Probe::new().spread("r");
+        let p = crate::Probes::default();
+        assert!(!p.timeline.on());
+        p.count(&C, t(1), 5);
+        p.gauge(&G, t(1), 5);
+        p.level(&G, t(1), 5);
+        p.span(&R, None, t(0), t(10), 0);
+        assert!(p.timeline.snapshot().series.is_empty());
     }
 
     #[test]
@@ -747,6 +747,6 @@ mod tests {
         let c = tl.series("c", SeriesKind::Counter);
         tl.add(c, t(1), 1);
         tl.enable(1_000_000, 64);
-        assert_eq!(tl.series_count(), 0);
+        assert!(tl.snapshot().series.is_empty());
     }
 }

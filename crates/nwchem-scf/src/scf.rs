@@ -7,10 +7,16 @@ use std::rc::Rc;
 
 use armci::{Armci, ArmciConfig, ProgressMode};
 use desim::memprof::{self, MemTag};
-use desim::{CritPath, Sim, SimDuration, SimRng};
+use desim::{CritPath, Lane, Probe, Sim, SimDuration, SimRng, TraceValue};
 
 /// SCF driver state: per-rank tallies and rank-program captures.
 static SCF_TAG: MemTag = MemTag::new("scf");
+
+// The phases of one SCF iteration: a span on the rank's lane and a duration.
+static FOCK: Probe = Probe::new().trace("scf.fock_build").time("scf.phase.fock");
+static SYNC: Probe = Probe::new().trace("scf.sync").time("scf.phase.sync");
+static DIAG: Probe = Probe::new().trace("scf.diag").time("scf.phase.diag");
+static ENERGY: Probe = Probe::new().trace("scf.energy");
 use global_arrays::{Ga, SharedCounter};
 use pami_sim::{Machine, MachineConfig};
 
@@ -131,24 +137,14 @@ struct RankTally {
 /// Run one SCF calculation on a fresh simulated machine and report the
 /// timing breakdown. Deterministic for a given configuration.
 pub fn run_scf(nprocs: usize, cfg: &ScfConfig) -> ScfReport {
-    run_scf_flight(nprocs, cfg, 0).0
+    run_scf_timeline(nprocs, cfg, 0).0
 }
 
-/// Like [`run_scf`], but with the message-lifecycle flight recorder enabled
-/// when `flight_capacity > 0`: additionally returns the critical-path
-/// decomposition of the whole run (compute / queueing / wire / contention /
-/// progress-starvation), or `None` when recording was off.
-pub fn run_scf_flight(
-    nprocs: usize,
-    cfg: &ScfConfig,
-    flight_capacity: usize,
-) -> (ScfReport, Option<CritPath>) {
-    let (report, crit, _) = run_scf_timeline(nprocs, cfg, flight_capacity);
-    (report, crit)
-}
-
-/// Like [`run_scf_flight`], but additionally returns the windowed-telemetry
-/// snapshot when `cfg.timeline_window_ps` is set (`None` otherwise).
+/// Like [`run_scf`], observed: with the message-lifecycle flight recorder
+/// enabled when `flight_capacity > 0`, additionally returns the
+/// critical-path decomposition of the whole run (compute / queueing / wire /
+/// contention / progress-starvation), and the windowed-telemetry snapshot
+/// when `cfg.timeline_window_ps` is set (each `None` when off).
 pub fn run_scf_timeline(
     nprocs: usize,
     cfg: &ScfConfig,
@@ -162,11 +158,11 @@ pub fn run_scf_timeline(
             .contexts(cfg.contexts),
     );
     if flight_capacity > 0 {
-        machine.enable_flight(flight_capacity);
+        sim.flight().enable(flight_capacity);
     }
     let armci = Armci::new(machine, ArmciConfig::default().progress(cfg.progress));
     if let Some(w) = cfg.timeline_window_ps {
-        armci.enable_timeline(w, 512);
+        sim.timeline().enable(w, 512);
     }
     let density = Ga::create(&armci, "density", cfg.nbf, cfg.nbf);
     let fock = Ga::create(&armci, "fock", cfg.nbf, cfg.nbf);
@@ -199,22 +195,13 @@ pub fn run_scf_timeline(
             let mut tally = RankTally::default();
             let mut prev_energy = 0.0f64;
             // SCF phase tags: one span per phase per iteration on this
-            // rank's track (allocation-free while tracing is disabled).
-            let tracer = s.tracer();
-            let track = if tracer.on() {
-                tracer.track(&format!("rank {}", rk.id()))
-            } else {
-                desim::TrackId(0)
-            };
+            // rank's lane (allocation-free while tracing is disabled).
+            let lane = Lane::Rank(rk.id());
             for iter in 0..cfg.iterations {
                 // --- Fock build (Fig 10 inner loop) ---
                 let t_fock = s.now();
-                tracer.span_begin(
-                    track,
-                    "scf.fock_build",
-                    t_fock,
-                    &[("iter", desim::TraceValue::U64(iter as u64))],
-                );
+                let it = TraceValue::U64(iter as u64);
+                s.probes().begin(&FOCK, lane, t_fock, &[("iter", it)]);
                 loop {
                     let t0 = s.now();
                     let t = counter.next(&rk, 1).await;
@@ -257,41 +244,26 @@ pub fn run_scf_timeline(
                     fock.acc_patch(&rk, rlo, rhi, clo, chi, f_buf, 1.0).await;
                     tally.acc_time += s.now() - t0;
                 }
-                tracer.span_end(track, "scf.fock_build", s.now(), &[]);
-                rk.armci()
-                    .machine()
-                    .stats()
-                    .record_time("scf.phase.fock", s.now() - t_fock);
+                s.probes().end(&FOCK, lane, None, t_fock, s.now(), &[]);
                 // --- end of iteration: synchronize, reset counter, "diag" ---
                 let t0 = s.now();
-                tracer.span_begin(track, "scf.sync", t0, &[]);
+                s.probes().begin(&SYNC, lane, t0, &[]);
                 rk.barrier().await;
                 if rk.id() == 0 {
                     counter.reset(&armci_handle);
                 }
                 rk.barrier().await;
                 tally.sync_time += s.now() - t0;
-                tracer.span_end(track, "scf.sync", s.now(), &[]);
-                rk.armci()
-                    .machine()
-                    .stats()
-                    .record_time("scf.phase.sync", s.now() - t0);
+                s.probes().end(&SYNC, lane, None, t0, s.now(), &[]);
                 let t_diag = s.now();
-                tracer.span_begin(track, "scf.diag", t_diag, &[]);
+                s.probes().begin(&DIAG, lane, t_diag, &[]);
                 s.sleep(cfg.diag_time).await;
-                tracer.span_end(track, "scf.diag", s.now(), &[]);
-                rk.armci()
-                    .machine()
-                    .stats()
-                    .record_time("scf.phase.diag", s.now() - t_diag);
+                s.probes().end(&DIAG, lane, None, t_diag, s.now(), &[]);
                 // Convergence check: SCF energy via the collective network.
                 let energy = fock.global_sum(&rk).await;
-                tracer.instant(
-                    track,
-                    "scf.energy",
-                    s.now(),
-                    &[("value", desim::TraceValue::F64(energy))],
-                );
+                let value = TraceValue::F64(energy);
+                s.probes()
+                    .instant(&ENERGY, lane, s.now(), 0, &[("value", value)]);
                 let delta = (energy - prev_energy).abs();
                 prev_energy = energy;
                 tally.iterations_run = iter + 1;
@@ -307,12 +279,9 @@ pub fn run_scf_timeline(
     }
 
     let end = sim.run();
-    let crit = (flight_capacity > 0).then(|| desim::analyze(&armci.machine().flight(), end));
-    let timeline = cfg
-        .timeline_window_ps
-        .map(|_| armci.machine().timeline().snapshot());
-    let stats = armci.machine().stats();
-    let rmw_count = stats.counter("armci.rmw");
+    let crit = (flight_capacity > 0).then(|| desim::analyze(&sim.flight(), end));
+    let timeline = cfg.timeline_window_ps.map(|_| sim.timeline().snapshot());
+    let rmw_count = sim.stats().counter("armci.rmw");
     armci.finalize();
     sim.shutdown();
 
@@ -396,13 +365,13 @@ mod tests {
     #[test]
     fn flight_breakdown_tiles_total_time_deterministically() {
         let cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
-        let (report, crit) = run_scf_flight(4, &cfg, 1 << 16);
+        let (report, crit, _) = run_scf_timeline(4, &cfg, 1 << 16);
         let cp = crit.expect("flight enabled");
         // The five categories tile the whole run exactly.
         assert_eq!(cp.breakdown.total(), cp.total);
         assert!((cp.total.as_us() - report.total_us).abs() < 1e-9);
         // Byte-identical across same-seed runs.
-        let (_, crit2) = run_scf_flight(4, &cfg, 1 << 16);
+        let (_, crit2, _) = run_scf_timeline(4, &cfg, 1 << 16);
         assert_eq!(cp.to_json(), crit2.unwrap().to_json());
         // Plain run_scf keeps recording off and matches the recorded run.
         let plain = run_scf(4, &cfg);

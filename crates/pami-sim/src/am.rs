@@ -26,13 +26,19 @@
 use std::future::Future;
 use std::rc::Rc;
 
-use desim::{Completion, SimDuration};
+use desim::{Completion, Probe, SimDuration};
 use torus5d::MsgClass;
 
 use crate::batcher::PendAm;
 use crate::context::AmHandler;
 use crate::machine::Machine;
 use crate::rank::PamiRank;
+
+// An unbatched AM's own wire message, counted but not in the timeline: the
+// batcher's rows carry the `am.*` series.
+static SENT: Probe = Probe::new().count("am.sent");
+static BYTES: Probe = Probe::new().count("am.bytes");
+static WIRE_MSGS: Probe = Probe::new().count("am.wire_msgs");
 
 impl Machine {
     /// Register the active-message handler for `dispatch`, for every rank
@@ -88,15 +94,14 @@ impl PamiRank {
         async move {
             let sim = self.m.sim();
             let p = self.m.params();
-            let stats = self.m.stats();
-            stats.incr("am.sent");
             let bytes = header.len() + payload.len();
             let Some(b) = self.m.batcher() else {
                 // Unbatched hot path: one NIC post + one wire message per AM.
-                stats.add("am.bytes", (bytes + p.am_header_bytes) as u64);
+                sim.count(&SENT, 1);
+                sim.count(&BYTES, (bytes + p.am_header_bytes) as u64);
                 let class = MsgClass::Ordered;
                 return self
-                    .post_am("am.wire_msgs", class, target, dispatch, header, payload)
+                    .post_am(&WIRE_MSGS, class, target, dispatch, header, payload)
                     .await;
             };
             // Batched path: pay a buffer append (cache-resident copy), not a

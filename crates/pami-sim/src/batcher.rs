@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
-use desim::{OpId, SegCategory, SimDuration, SimTime};
+use desim::{OpId, Probe, SegCategory, SimDuration, SimTime};
 use torus5d::MsgClass;
 
 use crate::context::{AmEntry, WorkItem};
@@ -41,6 +41,23 @@ use crate::retry::Leg;
 
 /// Aggregation buffers, pending entries and flush-timer closures.
 static AM_TAG: MemTag = MemTag::new("pami.am");
+
+// A machine without a batcher records none of these, so its stats and
+// timeline carry no `am.*` series.
+static SENT: Probe = Probe::new().count("am.sent").series("am.sent");
+static FLUSHES: Probe = Probe::new().count("am.flushes").series("am.flushes");
+static WIRE_MSGS: Probe = Probe::new().count("am.wire_msgs").series("am.wire_msgs");
+static BYTES: Probe = Probe::new().count("am.bytes").series("am.bytes");
+/// Flushed wire messages coalescing two or more AMs.
+static BATCHES: Probe = Probe::new().count("am.batches").series("am.batches");
+static BATCH_SIZE: Probe = Probe::new().hist("am.batch_size");
+/// The level of AMs waiting in aggregation buffers.
+static QUEUE_DEPTH: Probe = Probe::new().gauge("am.queue_depth");
+/// At each flush, how long the oldest entry waited (the `am-flush-stall`
+/// health rule).
+static OLDEST_WAIT: Probe = Probe::new().gauge("am.oldest_wait_ps");
+/// An AM's time in its buffer.
+static AGGR: Probe = Probe::new().segment(SegCategory::Queueing, "pami.am_aggr");
 
 /// Wire framing bytes per active message inside a coalesced batch
 /// (dispatch id + header/payload lengths).
@@ -89,8 +106,6 @@ struct SrcState {
 pub struct Batcher {
     cfg: AmBatchConfig,
     srcs: RefCell<desim::FxHashMap<usize, Rc<SrcState>>>,
-    /// AMs currently waiting in some buffer (the `am.queue_depth` gauge).
-    queued: Cell<i64>,
 }
 
 impl Batcher {
@@ -100,18 +115,12 @@ impl Batcher {
         Batcher {
             cfg,
             srcs: RefCell::new(desim::FxHashMap::default()),
-            queued: Cell::new(0),
         }
     }
 
     /// The configured thresholds.
     pub fn config(&self) -> AmBatchConfig {
         self.cfg
-    }
-
-    /// AMs currently waiting in aggregation buffers (all sources).
-    pub fn queued(&self) -> i64 {
-        self.queued.get()
     }
 
     fn src_state(&self, src: usize) -> Rc<SrcState> {
@@ -146,12 +155,8 @@ impl Batcher {
             buf.bytes += framed;
             buf.bytes >= self.cfg.max_bytes
         };
-        self.queued.set(self.queued.get() + 1);
-        if let Some(am) = m.am_tl() {
-            let tl = m.sim().timeline();
-            tl.add(am.sent, now, 1);
-            tl.gauge(am.queue_depth, now, self.queued.get());
-        }
+        m.sim().probes().count(&SENT, now, 1);
+        m.sim().probes().level(&QUEUE_DEPTH, now, 1);
         if size_trip {
             self.flush_pair(m, src, dst, now);
         } else if ss.timer_at.get().is_none() {
@@ -215,37 +220,22 @@ impl Batcher {
     fn flush_buf(&self, m: &Machine, src: usize, dst: usize, buf: DstBuf, now: SimTime) {
         let _mem = memprof::scope(&AM_TAG);
         let p = m.params();
-        let stats = m.stats();
         let n = buf.entries.len();
         let wire = buf.bytes + p.am_header_bytes;
-        stats.incr("am.flushes");
-        stats.incr("am.wire_msgs");
-        stats.add("am.bytes", wire as u64);
-        stats.record_hist("am.batch_size", n as u64);
+        let probes = m.sim().probes();
+        probes.count(&FLUSHES, now, 1);
+        probes.count(&WIRE_MSGS, now, 1);
+        probes.count(&BYTES, now, wire as u64);
+        probes.count(&BATCH_SIZE, now, n as u64);
         if n > 1 {
-            stats.incr("am.batches");
+            probes.count(&BATCHES, now, 1);
         }
-        self.queued.set(self.queued.get() - n as i64);
-        if let Some(am) = m.am_tl() {
-            let tl = m.sim().timeline();
-            tl.add(am.flushes, now, 1);
-            tl.add(am.wire_msgs, now, 1);
-            tl.add(am.bytes, now, wire as u64);
-            if n > 1 {
-                tl.add(am.batches, now, 1);
-            }
-            tl.gauge(am.queue_depth, now, self.queued.get());
-            tl.gauge(am.oldest_wait, now, now.since(buf.oldest).as_ps() as i64);
-        }
+        probes.level(&QUEUE_DEPTH, now, -(n as i64));
+        probes.gauge(&OLDEST_WAIT, now, now.since(buf.oldest).as_ps() as i64);
         // Attribute each AM's time in the buffer: queueing the critpath can
         // see (the cost side of the batching trade).
-        let fl = m.sim().flight();
-        if fl.on() {
-            for e in &buf.entries {
-                if let Some(op) = e.op {
-                    fl.segment(op, SegCategory::Queueing, "pami.am_aggr", e.enqueued, now);
-                }
-            }
+        for e in &buf.entries {
+            probes.span(&AGGR, e.op, e.enqueued, now, 0);
         }
         let op = buf.entries[0].op;
         let entries: Vec<AmEntry> = buf

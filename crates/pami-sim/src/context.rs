@@ -13,10 +13,27 @@ use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
-use desim::{Completion, OpId, SimTime};
+use desim::{Completion, OpId, Probe, SegCategory, SimTime};
 
 /// Context work queues.
 static QUEUES_TAG: MemTag = MemTag::new("pami.queues");
+
+/// Servicing one kind of work: a `pami.service.*` trace span on the serving
+/// lane, and a `compute` segment of the work's operation.
+const fn service(span: &'static str) -> Probe {
+    Probe::new()
+        .trace(span)
+        .segment(SegCategory::Compute, "pami.service")
+}
+static SW_PUT: Probe = service("pami.service.sw_put");
+static SW_GET: Probe = service("pami.service.sw_get");
+static RMW: Probe = service("pami.service.rmw");
+static ACC: Probe = service("pami.service.acc");
+static PACKED_GET: Probe = service("pami.service.packed_get");
+static PACKED_PUT: Probe = service("pami.service.packed_put");
+static ACC_STRIDED: Probe = service("pami.service.acc_strided");
+static AM: Probe = service("pami.service.am");
+static AM_BATCH: Probe = service("pami.service.am_batch");
 
 /// Atomic read-modify-write operations (paper §III-D).
 ///
@@ -185,18 +202,19 @@ pub enum WorkItem {
 }
 
 impl WorkItem {
-    /// Stable trace-span name for this kind of work (`pami.service.*`).
-    pub fn kind_name(&self) -> &'static str {
+    /// The probe row of servicing this kind of work (its trace span is
+    /// named `pami.service.*`).
+    pub fn service(&self) -> &'static Probe {
         match self {
-            WorkItem::SwPut { .. } => "pami.service.sw_put",
-            WorkItem::SwGet { .. } => "pami.service.sw_get",
-            WorkItem::Rmw { .. } => "pami.service.rmw",
-            WorkItem::AccF64 { .. } => "pami.service.acc",
-            WorkItem::PackedGet { .. } => "pami.service.packed_get",
-            WorkItem::PackedPut { .. } => "pami.service.packed_put",
-            WorkItem::AccStrided { .. } => "pami.service.acc_strided",
-            WorkItem::Am { .. } => "pami.service.am",
-            WorkItem::AmBatch { .. } => "pami.service.am_batch",
+            WorkItem::SwPut { .. } => &SW_PUT,
+            WorkItem::SwGet { .. } => &SW_GET,
+            WorkItem::Rmw { .. } => &RMW,
+            WorkItem::AccF64 { .. } => &ACC,
+            WorkItem::PackedGet { .. } => &PACKED_GET,
+            WorkItem::PackedPut { .. } => &PACKED_PUT,
+            WorkItem::AccStrided { .. } => &ACC_STRIDED,
+            WorkItem::Am { .. } => &AM,
+            WorkItem::AmBatch { .. } => &AM_BATCH,
         }
     }
 

@@ -6,18 +6,27 @@ use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
-use desim::timeline::{SeriesKind, Timeline};
-use desim::{FaultPlan, FlightRecorder, FxHashSet, OpId, PagedMap, Sim, SimTime, Stats};
+use desim::{FaultPlan, FxHashSet, OpId, PagedMap, Probe, Sim, SimTime, Stats};
 
 /// Per-rank state blocks (contexts included), backing memory, region tables
 /// and endpoint sets, and the pages of the rank table.
 static RANKMEM_TAG: MemTag = MemTag::new("pami.rankmem");
+
 use torus5d::{BgqParams, Mapping, NetState, Topology};
 
 use crate::batcher::AmBatchConfig;
 use crate::context::{AmHandler, CtxState};
 use crate::retry::RetryPolicy;
 use crate::space::{SpaceAccount, SpaceSnapshot};
+
+// The interconnect totals [`Machine::flush_net_stats`] folds in.
+static NET_MESSAGES: Probe = Probe::new().count("net.messages");
+static NET_BYTES: Probe = Probe::new().count("net.bytes");
+static LINKS_USED: Probe = Probe::new().count("net.links_used");
+static LINK_BUSY_US: Probe = Probe::new().hist("net.link_busy_us");
+static LINK_DOWN_PS: Probe = Probe::new().count("fault.link_down_ps");
+static LINK_DOWN_EVENTS: Probe = Probe::new().count("fault.link_down_events");
+static DROPS: Probe = Probe::new().count("fault.drops");
 
 /// Most contexts a rank can have (the paper uses ρ = 1 or 2; only the main
 /// context and the progress context ever carry work).
@@ -41,9 +50,6 @@ pub struct MachineConfig {
     /// the ARMCI fall-back protocol — the paper's "creation of memory region
     /// may fail due to memory constraints" case.
     pub memregion_limit: Option<usize>,
-    /// Record per-link occupancy even on the analytic (non-contended)
-    /// network path, for utilization heatmaps. Implied by `contention`.
-    pub track_links: bool,
     /// Process→torus mapping.
     pub mapping: Mapping,
     /// Explicit torus shape (default: the standard BG/Q partition shape for
@@ -72,7 +78,6 @@ impl MachineConfig {
             params: BgqParams::default(),
             contexts_per_rank: 1,
             contention: false,
-            track_links: false,
             memregion_limit: None,
             mapping: Mapping::abcdet(),
             shape: None,
@@ -109,12 +114,6 @@ impl MachineConfig {
     /// Enable/disable link contention.
     pub fn contention(mut self, on: bool) -> Self {
         self.contention = on;
-        self
-    }
-
-    /// Enable per-link occupancy accounting on the analytic network path.
-    pub fn track_links(mut self, on: bool) -> Self {
-        self.track_links = on;
         self
     }
 
@@ -375,65 +374,16 @@ pub(crate) struct MachineInner {
     /// layers hang their own per-rank init — dispatch tables, notification
     /// cells — off this instead of looping over all `nprocs` ranks).
     pub rank_init: RefCell<Option<RankInitHook>>,
-    pub stats: Stats,
     /// True when a *non-empty* fault plan is installed: the only case in
     /// which the retry machinery arms itself. Cached so the fault-free hot
     /// path costs a single bool read.
     pub faults_active: bool,
-    /// Pre-interned timeline series, set by [`Machine::enable_timeline`].
-    /// `None` (the default) keeps every producer at one `Option` check.
-    pub tl_ids: Cell<Option<TlIds>>,
-    /// Retries scheduled but not yet resumed, mirrored into the
-    /// `pami.retry_backlog` gauge while the timeline is enabled.
-    pub retry_backlog: Cell<i64>,
     /// Machine-wide active-message dispatch table, consulted when a
     /// destination's per-context table misses (see [`Machine::register_am`]).
     pub am_handlers: RefCell<desim::FxHashMap<u16, AmHandler>>,
     /// Per-destination AM aggregation buffers; `None` unless
     /// [`MachineConfig::am_batching`] was configured.
     pub batcher: Option<Rc<crate::batcher::Batcher>>,
-}
-
-/// Pre-interned timeline series handles for the PAMI-layer producers.
-/// `Copy` so instrumentation sites read them out of a `Cell` for free.
-#[derive(Clone, Copy)]
-pub struct TlIds {
-    /// `pami.ctx.lock_wait_ps` — context-lock wait per window.
-    pub lock_wait: desim::SeriesId,
-    /// `pami.ctx.lock_hold_ps` — context-lock hold per window.
-    pub lock_hold: desim::SeriesId,
-    /// `pami.queue_depth` — gauge of the deepest context queue sampled.
-    pub queue_depth: desim::SeriesId,
-    /// `pami.retries` — retransmissions per window.
-    pub retries: desim::SeriesId,
-    /// `pami.timeouts` — delivery deadline hits per window.
-    pub timeouts: desim::SeriesId,
-    /// `pami.retry_backlog` — gauge of scheduled-but-unsent retries.
-    pub retry_backlog: desim::SeriesId,
-    /// Active-message series, interned only when AM batching is configured
-    /// so machines that never touch the AM layer keep their timeline
-    /// snapshots byte-identical to pre-AM builds.
-    pub am: Option<AmTlIds>,
-}
-
-/// Pre-interned timeline series for the active-message layer.
-#[derive(Clone, Copy)]
-pub struct AmTlIds {
-    /// `am.sent` — AMs accepted by `send_am` per window.
-    pub sent: desim::SeriesId,
-    /// `am.batches` — flushed wire messages coalescing ≥ 2 AMs.
-    pub batches: desim::SeriesId,
-    /// `am.flushes` — aggregation-buffer flushes (any size).
-    pub flushes: desim::SeriesId,
-    /// `am.wire_msgs` — wire messages the AM layer injected.
-    pub wire_msgs: desim::SeriesId,
-    /// `am.bytes` — wire bytes (framing included) the AM layer injected.
-    pub bytes: desim::SeriesId,
-    /// `am.queue_depth` — gauge of AMs waiting in aggregation buffers.
-    pub queue_depth: desim::SeriesId,
-    /// `am.oldest_wait_ps` — gauge: at each flush, how long the oldest
-    /// entry waited (feeds the `am-flush-stall` health rule).
-    pub oldest_wait: desim::SeriesId,
 }
 
 /// A simulated Blue Gene/Q partition running `nprocs` PGAS processes.
@@ -471,16 +421,11 @@ impl Machine {
             mapping: cfg.mapping.clone(),
         };
         let mut net = NetState::new(topo.clone(), cfg.params.clone(), cfg.contention);
-        if cfg.track_links {
-            net.set_link_tracking(true);
-        }
-        net.set_flight(sim.flight());
-        net.set_tracer(sim.tracer());
+        net.attach(sim.probes().clone());
         let faults_active = cfg.fault_plan.as_ref().is_some_and(|p| !p.is_empty());
         if let Some(plan) = &cfg.fault_plan {
             net.install_faults(plan.clone());
         }
-        let stats = sim.stats();
         let params = Rc::new(cfg.params.clone());
         let batcher = cfg
             .am_batch
@@ -494,10 +439,7 @@ impl Machine {
                 net: RefCell::new(net),
                 ranks: RefCell::new(PagedMap::new()),
                 rank_init: RefCell::new(None),
-                stats,
                 faults_active,
-                tl_ids: Cell::new(None),
-                retry_backlog: Cell::new(0),
                 am_handlers: RefCell::new(desim::FxHashMap::default()),
                 batcher,
             }),
@@ -559,80 +501,7 @@ impl Machine {
 
     /// Shared statistics registry (same as the simulation's).
     pub fn stats(&self) -> Stats {
-        self.inner.stats.clone()
-    }
-
-    /// The simulation's shared message-lifecycle flight recorder (disabled
-    /// unless [`Machine::enable_flight`] or `Sim::flight().enable(..)` was
-    /// called).
-    pub fn flight(&self) -> FlightRecorder {
-        self.inner.sim.flight()
-    }
-
-    /// Turn on message-lifecycle recording with the given per-kind record
-    /// budget. Convenience for `self.flight().enable(capacity)`.
-    pub fn enable_flight(&self, capacity: usize) {
-        self.inner.sim.flight().enable(capacity);
-    }
-
-    /// Turn on windowed telemetry: enable the simulation's [`Timeline`] with
-    /// `window_ps`-wide windows (capped at `max_windows` per series, with
-    /// deterministic coarsening past that), wire the network producers, and
-    /// pre-intern the PAMI-layer series. Until this is called, every
-    /// instrumentation site costs a single `Option`/flag check.
-    pub fn enable_timeline(&self, window_ps: u64, max_windows: usize) {
-        let tl = self.inner.sim.timeline();
-        tl.enable(window_ps, max_windows);
-        self.inner.net.borrow_mut().set_timeline(&tl);
-        self.inner.tl_ids.set(Some(TlIds {
-            lock_wait: tl.series("pami.ctx.lock_wait_ps", SeriesKind::Counter),
-            lock_hold: tl.series("pami.ctx.lock_hold_ps", SeriesKind::Counter),
-            queue_depth: tl.series("pami.queue_depth", SeriesKind::Gauge),
-            retries: tl.series("pami.retries", SeriesKind::Counter),
-            timeouts: tl.series("pami.timeouts", SeriesKind::Counter),
-            retry_backlog: tl.series("pami.retry_backlog", SeriesKind::Gauge),
-            // AM series only exist on machines that configured batching:
-            // everyone else's snapshots stay byte-identical to pre-AM builds.
-            am: self.inner.cfg.am_batch.map(|_| AmTlIds {
-                sent: tl.series("am.sent", SeriesKind::Counter),
-                batches: tl.series("am.batches", SeriesKind::Counter),
-                flushes: tl.series("am.flushes", SeriesKind::Counter),
-                wire_msgs: tl.series("am.wire_msgs", SeriesKind::Counter),
-                bytes: tl.series("am.bytes", SeriesKind::Counter),
-                queue_depth: tl.series("am.queue_depth", SeriesKind::Gauge),
-                oldest_wait: tl.series("am.oldest_wait_ps", SeriesKind::Gauge),
-            }),
-        }));
-        self.inner.retry_backlog.set(0);
-    }
-
-    /// The simulation's shared timeline (disabled unless
-    /// [`Machine::enable_timeline`] or `Sim::timeline().enable(..)` ran).
-    pub fn timeline(&self) -> Timeline {
-        self.inner.sim.timeline()
-    }
-
-    /// Pre-interned PAMI series handles, `Some` only after
-    /// [`Machine::enable_timeline`].
-    #[inline]
-    pub(crate) fn tl_ids(&self) -> Option<TlIds> {
-        self.inner.tl_ids.get()
-    }
-
-    /// Pre-interned AM series handles, `Some` only after
-    /// [`Machine::enable_timeline`] on a machine with AM batching configured.
-    #[inline]
-    pub(crate) fn am_tl(&self) -> Option<AmTlIds> {
-        self.inner.tl_ids.get().and_then(|ids| ids.am)
-    }
-
-    /// Adjust the retry-backlog mirror and record the gauge.
-    pub(crate) fn tl_retry_backlog(&self, at: SimTime, delta: i64) {
-        if let Some(ids) = self.tl_ids() {
-            let n = self.inner.retry_backlog.get() + delta;
-            self.inner.retry_backlog.set(n);
-            self.inner.sim.timeline().gauge(ids.retry_backlog, at, n);
-        }
+        self.inner.sim.stats()
     }
 
     /// Handle for one rank. Cheap: no per-rank state is created until the
@@ -736,34 +605,26 @@ impl Machine {
         self.inner.net.borrow().bytes()
     }
 
-    /// Accumulated busy time per directed torus link (deterministically
-    /// sorted). Populated under contention, or with
-    /// [`MachineConfig::track_links`] on the analytic path.
-    pub fn link_utilization(&self) -> Vec<(torus5d::Link, desim::SimDuration)> {
-        self.inner.net.borrow().link_utilization()
-    }
-
     /// Fold interconnect totals into the stats registry under `net.*` keys:
     /// `net.messages`, `net.bytes`, `net.links_used`, and a `net.link_busy_us`
     /// histogram of per-link busy time (µs). Call once, at the end of a run,
     /// before snapshotting.
     pub fn flush_net_stats(&self) {
-        let stats = self.stats();
         let net = self.inner.net.borrow();
-        stats.add("net.messages", net.messages());
-        stats.add("net.bytes", net.bytes());
+        self.inner.sim.count(&NET_MESSAGES, net.messages());
+        self.inner.sim.count(&NET_BYTES, net.bytes());
         let util = net.link_utilization();
-        stats.add("net.links_used", util.len() as u64);
+        self.inner.sim.count(&LINKS_USED, util.len() as u64);
         for (_, busy) in &util {
-            stats.record_hist("net.link_busy_us", busy.as_us() as u64);
+            self.inner.sim.count(&LINK_BUSY_US, busy.as_us() as u64);
         }
         // Fault accounting flushes only when a non-empty plan is installed,
         // so fault-free snapshots are byte-identical with or without the
         // fault hooks compiled in.
         if let Some(c) = net.fault_counters(self.inner.sim.now()) {
-            stats.add("fault.link_down_ps", c.link_down_ps);
-            stats.add("fault.link_down_events", c.link_down_events);
-            stats.add("fault.drops", c.drops());
+            self.inner.sim.count(&LINK_DOWN_PS, c.link_down_ps);
+            self.inner.sim.count(&LINK_DOWN_EVENTS, c.link_down_events);
+            self.inner.sim.count(&DROPS, c.drops());
         }
     }
 }

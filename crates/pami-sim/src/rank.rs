@@ -9,7 +9,8 @@ use std::task::{Poll, Waker};
 use desim::futures::{race, Either};
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
-use desim::{Completion, OpId, SegCategory, SimDuration, SimTime};
+use desim::SegCategory::{Contention, Queueing, Starvation};
+use desim::{Completion, Lane, OpId, Probe, SimDuration, SimTime};
 
 /// Scheduled-but-unsent retransmit state (boxed retry continuations).
 static RETRY_TAG: MemTag = MemTag::new("pami.retry");
@@ -18,6 +19,42 @@ use torus5d::MsgClass;
 use crate::context::{AmEntry, AmEnv, AmMsg, RmwOp, WorkItem};
 use crate::machine::{CtxRef, Machine, RankState, Region, RegionError, RegionId};
 use crate::retry::{self, Attempt, Leg};
+
+// The progress engine (§III-D): a context-lock wait is the ρ = 1
+// contention, charged to the operation its driver works on.
+static LOCK_WAIT: Probe = Probe::new()
+    .time("pami.ctx.lock_wait")
+    .count("pami.ctx.lock_contended")
+    .series("pami.ctx.lock_wait_ps")
+    .segment(Contention, "pami.lock_wait");
+/// A held context lock, carrying the batch of items serviced.
+static LOCK_HOLD: Probe = Probe::new()
+    .time("pami.ctx.lock_hold")
+    .hist("pami.advance_batch")
+    .series("pami.ctx.lock_hold_ps");
+/// Target context depth, sampled after each push and each batch.
+static QUEUE_DEPTH: Probe = Probe::new().gauge("pami.queue_depth");
+/// A queued item's wait before anyone drove progress.
+static STARVED: Probe = Probe::new().segment(Starvation, "pami.starved");
+/// A queued item's wait behind the batch ahead of it.
+static QUEUED: Probe = Probe::new().segment(Queueing, "pami.queue");
+static AT_SERVICED: Probe = Probe::new().count("pami.at_serviced");
+// One count per operation (the chunk trains count chunks).
+static RDMA_GET: Probe = Probe::new().count("pami.rdma_get");
+static RDMA_PUT: Probe = Probe::new().count("pami.rdma_put");
+static SW_PUT: Probe = Probe::new().count("pami.sw_put");
+static SW_GET: Probe = Probe::new().count("pami.sw_get");
+static ACC: Probe = Probe::new().count("pami.acc");
+static RMW: Probe = Probe::new().count("pami.rmw");
+static PACKED_GET: Probe = Probe::new().count("pami.packed_get");
+static PACKED_PUT: Probe = Probe::new().count("pami.packed_put");
+static ACC_STRIDED: Probe = Probe::new().count("pami.acc_strided");
+static CONTROL_AM: Probe = Probe::new().count("pami.am");
+static AM_UNHANDLED: Probe = Probe::new().count("pami.am_unhandled");
+static CONTEXTS_CREATED: Probe = Probe::new().count("pami.contexts_created");
+static ENDPOINTS_CREATED: Probe = Probe::new().count("pami.endpoints_created");
+static REGIONS_CREATED: Probe = Probe::new().count("pami.regions_created");
+static REGION_REGISTER_FAILED: Probe = Probe::new().count("pami.region_register_failed");
 
 /// Completions returned by a put-style operation.
 #[derive(Clone)]
@@ -279,8 +316,8 @@ trait Kind: Sized + 'static {
     /// Whether a chunk's request carries its bytes (a put, `Ordered`) or
     /// only asks for them (a get, a header-only `Control` message).
     const CARRIES_DATA: bool;
-    /// The counter bumped by the chunk count.
-    const COUNTER: &'static str;
+    /// The row counting chunks.
+    const COUNTER: &'static Probe;
 
     /// Chunk `k`'s request reached the target NIC at `at` — or, when not
     /// `delivered`, was given up on at `at`. Runs at the chunk's post.
@@ -345,7 +382,7 @@ impl<D: Kind> Train<D> {
             Poll::Pending
         })
         .await;
-        self.m.stats().add(D::COUNTER, chunks as u64);
+        self.m.sim().count(D::COUNTER, chunks as u64);
     }
 
     /// Post chunks from `next` on, now. Each request is delivered at its own
@@ -414,7 +451,7 @@ impl<D: Kind> Train<D> {
 
 impl Kind for Countdown {
     const CARRIES_DATA: bool = false;
-    const COUNTER: &'static str = "pami.rdma_get";
+    const COUNTER: &'static Probe = &RDMA_GET;
 
     fn sent(t: &Rc<Train<Self>>, k: usize, _: Chunk, at: SimTime, delivered: bool) {
         let t2 = Rc::clone(t);
@@ -475,7 +512,7 @@ impl Train<Countdown> {
 
 impl Kind for PutDone {
     const CARRIES_DATA: bool = true;
-    const COUNTER: &'static str = "pami.rdma_put";
+    const COUNTER: &'static Probe = &RDMA_PUT;
 
     /// A payload lands at the target, where others can see it, in an event
     /// of its own; its ack only counts down, so it is an event only if it may
@@ -530,11 +567,9 @@ pub(crate) fn enqueue_at_target(
     ctx.push(item, op, arrival);
     // Sample the post-push depth: the per-window gauge max is the deepest
     // any sampled context queue got inside that window.
-    if let Some(ids) = m.tl_ids() {
-        m.sim()
-            .timeline()
-            .gauge(ids.queue_depth, arrival, ctx.depth() as i64);
-    }
+    m.sim()
+        .probes()
+        .gauge(&QUEUE_DEPTH, arrival, ctx.depth() as i64);
 }
 
 /// Handle to one simulated process ("task" in PAMI terms).
@@ -660,7 +695,7 @@ impl PamiRank {
         for _ in 0..n {
             self.state().space.add_context(p.context_bytes);
         }
-        self.m.stats().add("pami.contexts_created", n);
+        self.m.sim().count(&CONTEXTS_CREATED, n);
     }
 
     /// Ensure an endpoint addressing `(target, ctx)` exists; creating one
@@ -675,7 +710,7 @@ impl PamiRank {
         self.m.sim().sleep(beta).await;
         self.state().endpoints.borrow_mut().insert(key);
         self.state().space.add_endpoint(alpha);
-        self.m.stats().incr("pami.endpoints_created");
+        self.m.sim().count(&ENDPOINTS_CREATED, 1);
         true
     }
 
@@ -704,7 +739,7 @@ impl PamiRank {
     fn region_slot_free(&self) -> Result<(), RegionError> {
         match self.m.config().memregion_limit {
             Some(limit) if self.state().active_regions.get() >= limit => {
-                self.m.stats().incr("pami.region_register_failed");
+                self.m.sim().count(&REGION_REGISTER_FAILED, 1);
                 Err(RegionError::LimitReached)
             }
             _ => Ok(()),
@@ -721,7 +756,7 @@ impl PamiRank {
         });
         st.active_regions.set(st.active_regions.get() + 1);
         st.space.add_region(self.m.params().memregion_bytes);
-        self.m.stats().incr("pami.regions_created");
+        self.m.sim().count(&REGIONS_CREATED, 1);
         RegionId(regions.len() - 1)
     }
 
@@ -956,7 +991,7 @@ impl PamiRank {
     #[allow(clippy::manual_async_fn)]
     fn send_request<'a, T>(
         &'a self,
-        counter: &'static str,
+        counter: &'static Probe,
         target: usize,
         wire: usize,
         class: MsgClass,
@@ -965,7 +1000,7 @@ impl PamiRank {
         async move {
             let sim = self.m.sim();
             let op = self.current_op();
-            self.m.stats().incr(counter);
+            self.m.sim().count(counter, 1);
             sim.sleep(self.m.params().o_send).await;
             let staged = stage();
             let leg = self
@@ -986,7 +1021,7 @@ impl PamiRank {
     ) -> PutHandles {
         let wire = len + self.m.params().am_header_bytes;
         let (data, leg, op) = self
-            .send_request("pami.sw_put", target, wire, MsgClass::Ordered, || {
+            .send_request(&SW_PUT, target, wire, MsgClass::Ordered, || {
                 self.read_bytes(local_off, len)
             })
             .await;
@@ -1009,7 +1044,7 @@ impl PamiRank {
     ) -> Completion<()> {
         let wire = self.m.params().am_header_bytes;
         let ((), leg, op) = self
-            .send_request("pami.sw_get", target, wire, MsgClass::Control, || ())
+            .send_request(&SW_GET, target, wire, MsgClass::Control, || ())
             .await;
         self.post_request(target, leg, op, (), |done| WorkItem::SwGet {
             src: self.r,
@@ -1033,7 +1068,7 @@ impl PamiRank {
     ) -> PutHandles {
         let wire = elems * 8 + self.m.params().am_header_bytes;
         let (data, leg, op) = self
-            .send_request("pami.acc", target, wire, MsgClass::Ordered, || {
+            .send_request(&ACC, target, wire, MsgClass::Ordered, || {
                 self.read_bytes(local_off, elems * 8)
             })
             .await;
@@ -1051,7 +1086,7 @@ impl PamiRank {
     /// serviced by target-side software (§III-D).
     pub async fn rmw(&self, target: usize, remote_off: usize, op: RmwOp) -> Completion<i64> {
         let ((), leg, flight_op) = self
-            .send_request("pami.rmw", target, 16, MsgClass::Unordered, || ())
+            .send_request(&RMW, target, 16, MsgClass::Unordered, || ())
             .await;
         // Best-effort give-up: the AMO never reached the target; its fetch
         // result is reported as 0.
@@ -1075,7 +1110,7 @@ impl PamiRank {
     ) -> Completion<()> {
         let wire = self.m.params().am_header_bytes + chunks.len() * 16;
         let ((), leg, op) = self
-            .send_request("pami.packed_get", target, wire, MsgClass::Control, || ())
+            .send_request(&PACKED_GET, target, wire, MsgClass::Control, || ())
             .await;
         self.post_request(target, leg, op, (), |done| WorkItem::PackedGet {
             src: self.r,
@@ -1093,7 +1128,7 @@ impl PamiRank {
         local_chunks: Vec<(usize, usize)>,
         remote_chunks: Vec<(usize, usize)>,
     ) -> PutHandles {
-        self.m.stats().incr("pami.packed_put");
+        self.m.sim().count(&PACKED_PUT, 1);
         let (data, leg, op) = self
             .send_packed(target, &local_chunks, &remote_chunks)
             .await;
@@ -1116,7 +1151,7 @@ impl PamiRank {
         remote_chunks: Vec<(usize, usize)>,
         scale: f64,
     ) -> PutHandles {
-        self.m.stats().incr("pami.acc_strided");
+        self.m.sim().count(&ACC_STRIDED, 1);
         let (data, leg, op) = self
             .send_packed(target, &local_chunks, &remote_chunks)
             .await;
@@ -1164,7 +1199,7 @@ impl PamiRank {
     #[allow(clippy::manual_async_fn)]
     pub(crate) fn post_am(
         &self,
-        counter: &'static str,
+        counter: &'static Probe,
         class: MsgClass,
         target: usize,
         dispatch: u16,
@@ -1202,7 +1237,7 @@ impl PamiRank {
         payload: Vec<u8>,
     ) -> impl Future<Output = Completion<()>> + '_ {
         self.post_am(
-            "pami.am",
+            &CONTROL_AM,
             MsgClass::Control,
             target,
             dispatch,
@@ -1232,39 +1267,25 @@ impl PamiRank {
         if let Some(resume) = self.m.node_hang_until(self.r, sim.now()) {
             sim.sleep_until(resume).await;
         }
-        let stats = self.m.stats();
-        let fl = sim.flight();
         let ctx = self.ctx(ctx_idx);
         let t_req = sim.now();
         // The op the *driver* of this advance is working on: lock-wait time
         // is charged to it as contention. The AT drives on its own behalf.
         let driver_op = if from_at { None } else { self.current_op() };
         let _guard = MutexCell::lock(ctx.clone()).await;
-        let lock_wait = sim.now().since(t_req);
-        if !lock_wait.is_zero() {
+        if sim.now() > t_req {
             // Someone else held the progress lock: the ρ=1 contention.
-            stats.record_time("pami.ctx.lock_wait", lock_wait);
-            stats.incr("pami.ctx.lock_contended");
-            if let Some(ids) = self.m.tl_ids() {
-                sim.timeline().add(ids.lock_wait, t_req, lock_wait.as_ps());
-            }
-            if let Some(op) = driver_op {
-                fl.segment(
-                    op,
-                    SegCategory::Contention,
-                    "pami.lock_wait",
-                    t_req,
-                    sim.now(),
-                );
-            }
+            sim.probes()
+                .span(&LOCK_WAIT, driver_op, t_req, sim.now(), 1);
         }
         let t_hold = sim.now();
-        let tracer = sim.tracer();
-        let track = if tracer.on() {
-            Some(self.service_track(&tracer, from_at))
+        // Progress work is drawn on the rank's lane, or on its AT's.
+        let lane = if from_at {
+            Lane::Progress(self.r)
         } else {
-            None
+            Lane::Rank(self.r)
         };
+        sim.probes().open(lane);
         let mut n = 0;
         while n < max_items {
             // Scoped: only the item itself is kept across the service await.
@@ -1273,31 +1294,21 @@ impl PamiRank {
                 None => break,
             };
             let svc_start = sim.now();
-            if let Some(op) = item_op {
+            if item_op.is_some() {
                 // Split the item's queue time at the instant the servicing
                 // rank started continuously driving progress: before that,
                 // nobody was listening (§III-D progress starvation); after
                 // it, the item merely waited its turn behind the batch.
                 let since = ctx.progress_since.get().unwrap_or(t_req);
                 let boundary = since.max(enqueued).min(svc_start);
-                fl.segment(
-                    op,
-                    SegCategory::Starvation,
-                    "pami.starved",
-                    enqueued,
-                    boundary,
-                );
-                fl.segment(op, SegCategory::Queueing, "pami.queue", boundary, svc_start);
+                sim.probes().span(&STARVED, item_op, enqueued, boundary, 0);
+                sim.probes().span(&QUEUED, item_op, boundary, svc_start, 0);
             }
-            let name = item.kind_name();
-            if let Some(track) = track {
-                tracer.span_begin(
-                    track,
-                    name,
-                    svc_start,
-                    &[("src", desim::TraceValue::U64(item.src() as u64))],
-                );
-            }
+            let row = item.service();
+            // Built in the call: an argument array kept as a local would
+            // live in the future across the service sleep.
+            let src = desim::TraceValue::U64(item.src() as u64);
+            sim.probes().begin(row, lane, svc_start, &[("src", src)]);
             // Service = one busy period, then the effect — the paper's cost
             // composition (Tables I/II). Only a coalesced batch keeps a loop.
             sim.sleep(self.service_cost(&item)).await;
@@ -1310,43 +1321,20 @@ impl PamiRank {
                 }
                 item => self.apply_item(item, item_op),
             }
-            if let Some(track) = track {
-                tracer.span_end(track, name, sim.now(), &[]);
-            }
-            if let Some(op) = item_op {
-                fl.segment(
-                    op,
-                    SegCategory::Compute,
-                    "pami.service",
-                    svc_start,
-                    sim.now(),
-                );
-            }
+            sim.probes()
+                .end(row, lane, item_op, svc_start, sim.now(), &[]);
             ctx.serviced.set(ctx.serviced.get() + 1);
             n += 1;
         }
         if n > 0 {
-            stats.record_time("pami.ctx.lock_hold", sim.now().since(t_hold));
-            stats.record_hist("pami.advance_batch", n as u64);
-            if let Some(ids) = self.m.tl_ids() {
-                let tl = sim.timeline();
-                tl.add(ids.lock_hold, t_hold, sim.now().since(t_hold).as_ps());
-                // Post-batch depth sample: captures drain (toward zero) as
-                // well as the build-up sampled at push time.
-                tl.gauge(ids.queue_depth, sim.now(), ctx.depth() as i64);
-            }
+            sim.probes()
+                .span(&LOCK_HOLD, None, t_hold, sim.now(), n as u64);
+            // Post-batch depth sample: captures drain (toward zero) as
+            // well as the build-up sampled at push time.
+            sim.probes()
+                .gauge(&QUEUE_DEPTH, sim.now(), ctx.depth() as i64);
         }
         n
-    }
-
-    /// The trace track progress work is attributed to: the rank's main lane,
-    /// or its asynchronous-progress lane when driven by the AT.
-    fn service_track(&self, tracer: &desim::Tracer, from_at: bool) -> desim::TrackId {
-        if from_at {
-            tracer.track(&format!("rank {} (at)", self.r))
-        } else {
-            tracer.track(&format!("rank {}", self.r))
-        }
     }
 
     /// Dispatch a coalesced batch entry by entry. The protocol dispatch was
@@ -1555,9 +1543,7 @@ impl PamiRank {
                     payload,
                 },
             ),
-            None => {
-                self.m.stats().incr("pami.am_unhandled");
-            }
+            None => self.m.sim().count(&AM_UNHANDLED, 1),
         }
     }
 
@@ -1629,7 +1615,7 @@ impl PamiRank {
                     ctx.progress_since.set(Some(sim.now()));
                 }
                 let n = this.advance_on(ctx_idx, usize::MAX, true).await;
-                this.m.stats().add("pami.at_serviced", n as u64);
+                this.m.sim().count(&AT_SERVICED, n as u64);
             }
         });
         AsyncThread { stop }

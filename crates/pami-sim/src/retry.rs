@@ -15,16 +15,25 @@
 //! one sleep to `inject + timeout + backoff·2^attempt`, recorded as a
 //! `retry`-category flight segment for the critical-path analyzer.
 //!
-//! The state machine is one plain function, `attempt`: it owns every
-//! counter, timeline sample, flight segment and the give-up policy. Its two
+//! The state machine is one plain function, `attempt`: it records every
+//! retry probe row and owns the give-up policy. Its two
 //! drivers differ only in how they wait out an `Attempt::Backoff` — an
 //! initiator's request leg `await`s it, a target's response leg schedules a
 //! closure so the progress engine keeps running meanwhile.
 
-use desim::{OpId, SegCategory, SimDuration, SimTime};
+use desim::{OpId, Probe, SegCategory, SimDuration, SimTime};
 use torus5d::{Delivery, MsgClass};
 
 use crate::machine::Machine;
+
+static RETRIES: Probe = Probe::new().count("pami.retries").series("pami.retries");
+static TIMEOUTS: Probe = Probe::new().count("pami.timeouts").series("pami.timeouts");
+static OP_RETRIES: Probe = Probe::new().hist("pami.op_retries");
+static GAVE_UP: Probe = Probe::new().count("pami.gave_up");
+/// The timeout plus backoff an attempt waits before its retransmit.
+static RETRY: Probe = Probe::new().segment(SegCategory::Retry, "pami.retry");
+/// Retransmits scheduled but not yet sent.
+static BACKLOG: Probe = Probe::new().gauge("pami.retry_backlog");
 
 /// What happens when an operation exhausts its retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,15 +112,10 @@ pub(crate) enum Attempt {
 /// number `attempt` (0 = the original; a retransmit is injected at the
 /// resume time its predecessor's [`Attempt::Backoff`] named).
 pub(crate) fn attempt(m: &Machine, inject: SimTime, leg: &Leg, attempt: u32) -> Attempt {
-    let sim = m.sim();
-    let stats = m.stats();
-    let ids = m.tl_ids();
+    let p = m.sim().probes();
     if attempt > 0 {
-        stats.incr("pami.retries");
-        if let Some(ids) = ids {
-            sim.timeline().add(ids.retries, inject, 1);
-        }
-        m.tl_retry_backlog(inject, -1);
+        p.count(&RETRIES, inject, 1);
+        p.level(&BACKLOG, inject, -1);
     }
     let Leg { src, dst, op, .. } = *leg;
     let outcome =
@@ -122,15 +126,12 @@ pub(crate) fn attempt(m: &Machine, inject: SimTime, leg: &Leg, attempt: u32) -> 
     match outcome {
         Delivery::Delivered(arrival) => {
             if attempt > 0 {
-                stats.record_hist("pami.op_retries", attempt as u64);
+                p.count(&OP_RETRIES, inject, attempt as u64);
             }
             Attempt::Arrived(arrival)
         }
         Delivery::Dropped { .. } => {
-            stats.incr("pami.timeouts");
-            if let Some(ids) = ids {
-                sim.timeline().add(ids.timeouts, inject, 1);
-            }
+            p.count(&TIMEOUTS, inject, 1);
             // The sender notices after the timeout plus this attempt's
             // backoff. A retransmit goes through the normal delivery path,
             // so pair ordering still holds: the pair front only advanced on
@@ -144,16 +145,13 @@ pub(crate) fn attempt(m: &Machine, inject: SimTime, leg: &Leg, attempt: u32) -> 
                          (fault plan too hostile for the retry policy)"
                     ),
                     FailureMode::BestEffort => {
-                        stats.incr("pami.gave_up");
+                        p.count(&GAVE_UP, inject, 1);
                         Attempt::GaveUp(resume)
                     }
                 };
             }
-            if let Some(op) = op {
-                sim.flight()
-                    .segment(op, SegCategory::Retry, "pami.retry", inject, resume);
-            }
-            m.tl_retry_backlog(inject, 1);
+            p.span(&RETRY, op, inject, resume, 0);
+            p.level(&BACKLOG, inject, 1);
             Attempt::Backoff(resume)
         }
     }

@@ -48,7 +48,7 @@ fn killed_link_mid_run_reroutes_retries_and_preserves_ordering() {
             .faults(plan)
             .retry(policy),
     );
-    m.enable_flight(1 << 16);
+    sim.flight().enable(1 << 16);
     assert!(m.faults_active());
 
     let a = m.rank(0);
@@ -63,7 +63,7 @@ fn killed_link_mid_run_reroutes_retries_and_preserves_ordering() {
     a.write_i64(src_a, 2);
     a.write_i64(src_b, 3);
 
-    let fl = m.flight();
+    let fl = sim.flight();
     let done_a = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
     let done_b = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
 
@@ -156,7 +156,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
             .faults(plan)
             .retry(policy),
     );
-    m.enable_flight(1 << 16);
+    sim.flight().enable(1 << 16);
     // Handler logs each AM's (batch, idx) tag in execution order.
     let log: std::rc::Rc<std::cell::RefCell<Vec<(u8, u8)>>> = Default::default();
     {
@@ -171,7 +171,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
     let a = m.rank(0);
     let b = m.rank(16);
     b.enable_async_progress(0);
-    let fl = m.flight();
+    let fl = sim.flight();
     {
         let (m, a, sim, fl) = (m.clone(), a.clone(), sim.clone(), fl.clone());
         sim.clone().spawn(async move {

@@ -15,9 +15,9 @@
 //! Every entry point funnels into one delivery core,
 //! `NetState::deliver_core`: both endpoints are resolved to node indices
 //! once ([`crate::rank_map::RankMap`], no runtime division), and the core is
-//! generic over an `Observer` (flight recorder, timeline) and a
-//! `FaultView` (installed plan) whose zero-sized no-op implementations
-//! leave the plain path without an instrumentation or fault branch.
+//! generic over an `Observer` (the attached [`Probes`]) and a `FaultView`
+//! (installed plan) whose zero-sized no-op implementations leave the plain
+//! path without an instrumentation or fault branch.
 //!
 //! The warm path is allocation-free, not hash-free. It probes compact
 //! [`crate::fxmap::FxMap64`]s: the per-*rank* injection FIFO (`Ordered`), the
@@ -28,12 +28,9 @@
 //! original dense implementation: bit-for-bit unchanged (pinned by the
 //! differential tests and the `results/` goldens).
 
-use std::cell::Cell;
-
 use desim::fault::{FaultEvent, FaultPlan};
-use desim::timeline::{SeriesId, SeriesKind, Timeline};
-use desim::SegCategory::{self, Contention, Queueing, Wire};
-use desim::{FlightRecorder, OpId, SimDuration, SimRng, SimTime, TraceValue, Tracer};
+use desim::SegCategory::{Contention, Queueing, Wire};
+use desim::{Lane, OpId, Probe, Probes, SimDuration, SimRng, SimTime, TraceValue};
 
 use crate::cost::BgqParams;
 use crate::fxmap::FxMap64;
@@ -44,6 +41,28 @@ use desim::memprof::{self, MemTag};
 
 /// Dense per-link/per-rank delivery state and the fault engine.
 static LINKS_TAG: MemTag = MemTag::new("torus5d.links");
+
+// What a delivery records, one row per measurement (DESIGN.md §10).
+static TX_FIFO: Probe = Probe::new().segment(Queueing, "net.tx_fifo");
+static INTRANODE: Probe = Probe::new().segment(Wire, "net.intranode");
+static HEADER: Probe = Probe::new().segment(Wire, "net.header");
+static SERIALIZE: Probe = Probe::new().segment(Wire, "net.serialize");
+static PAIR_ORDER: Probe = Probe::new().segment(Queueing, "net.pair_order");
+static HOP: Probe = Probe::new().segment(Wire, "net.hop");
+static LINK_WAIT: Probe = Probe::new()
+    .series("net.link_wait_ps")
+    .segment(Contention, "net.link_wait");
+static LINK_BUSY: Probe = Probe::new().spread("net.link_busy_ps");
+static MSGS: Probe = Probe::new().series("net.msgs");
+static BYTES: Probe = Probe::new().series("net.bytes");
+static DETOURS: Probe = Probe::new().series("net.detours");
+static LINK_DOWN: Probe = Probe::new()
+    .gauge("fault.links_down")
+    .trace("fault.link_down");
+static LINK_UP: Probe = Probe::new()
+    .gauge("fault.links_down")
+    .trace("fault.link_up");
+static NODE_HANG: Probe = Probe::new().trace("fault.node_hang");
 
 /// Ordering class of a message (paper §III-A4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,9 +78,6 @@ pub enum MsgClass {
     /// Atomic memory operations: may overtake everything (paper §III-A4).
     Unordered,
 }
-
-/// Sentinel: flight-recorder id not interned yet for this link.
-const NO_FLIGHT_ID: u32 = u32::MAX;
 
 /// Reservation and occupancy of one directed link, side by side so a hop
 /// touches one cache line.
@@ -166,12 +182,7 @@ impl Faults {
     /// Replay every scheduled fault event with `at <= now`. The cursor only
     /// moves forward; see [`NetState::install_faults`] for the ordering
     /// contract.
-    fn advance(&mut self, tl: &Option<NetTimeline>, tracer: &Option<Tracer>, now: SimTime) {
-        let instant = |name, at, args: &[(&'static str, TraceValue)]| {
-            if let Some(tr) = tracer {
-                tr.instant(tr.track("net.faults"), name, at, args);
-            }
-        };
+    fn advance(&mut self, probes: &Probes, now: SimTime) {
         while self.cursor < self.events.len() && self.events[self.cursor].0 <= now {
             let (at, ev) = self.events[self.cursor];
             self.cursor += 1;
@@ -188,18 +199,9 @@ impl Faults {
                         self.down_since[li] = at;
                         self.link_down_events += 1;
                     }
-                    if let Some(t) = tl {
-                        let n = t.down_now.get() + if up { -1 } else { 1 };
-                        t.down_now.set(n);
-                        t.tl.gauge(t.links_down, at, n);
-                    }
-                    let name = if up {
-                        "fault.link_up"
-                    } else {
-                        "fault.link_down"
-                    };
+                    let (row, delta) = if up { (&LINK_UP, -1) } else { (&LINK_DOWN, 1) };
                     let link = ("link", TraceValue::U64(u64::from(l)));
-                    instant(name, at, &[link]);
+                    probes.instant(row, Lane::Faults, at, delta, &[link]);
                 }
                 FaultEvent::RouteLost(l) | FaultEvent::RouteRestored(l) => {
                     let (li, live) = (l as usize, matches!(ev, FaultEvent::RouteRestored(_)));
@@ -215,7 +217,7 @@ impl Faults {
                         ("node", TraceValue::U64(u64::from(node))),
                         ("until_ps", TraceValue::U64(until.as_ps())),
                     ];
-                    instant("fault.node_hang", at, &args);
+                    probes.instant(&NODE_HANG, Lane::Faults, at, 0, &args);
                 }
             }
         }
@@ -242,44 +244,12 @@ pub struct NetState {
     track_links: bool,
     messages: u64,
     bytes: u64,
-    /// Lifecycle recorder for per-operation attribution (disabled by
-    /// default; shared with the owning `Sim` via [`NetState::set_flight`]).
-    flight: FlightRecorder,
-    /// Interned flight-recorder id per [`LinkId`], so the formatted link
-    /// name is built once per link rather than once per message.
-    flight_ids: Vec<u32>,
     /// Installed fault schedule and its runtime state; `None` (the default)
     /// keeps every delivery on the exact fault-free path.
     faults: Option<Box<Faults>>,
-    /// Tracer for fault instants (link down/up, node hangs); `None` or a
-    /// disabled tracer costs nothing.
-    tracer: Option<Tracer>,
-    /// Windowed-telemetry handles, populated by [`NetState::set_timeline`]
-    /// only when the attached timeline is *enabled*: the disabled case is
-    /// `None` and costs a single `Option` check per delivery.
-    tl: Option<NetTimeline>,
-}
-
-/// Pre-interned timeline series for the network producers.
-struct NetTimeline {
-    tl: Timeline,
-    /// `net.msgs` — messages delivered per window.
-    msgs: SeriesId,
-    /// `net.bytes` — payload bytes delivered per window.
-    bytes: SeriesId,
-    /// `net.link_busy_ps` — aggregate link occupancy (hop + serialization),
-    /// spread exactly over the windows each reservation covers.
-    busy: SeriesId,
-    /// `net.link_wait_ps` — aggregate head-blocking wait (granted − request);
-    /// the direct congestion signal.
-    wait: SeriesId,
-    /// `net.detours` — contended deliveries whose live route is longer than
-    /// the fault-free dimension-ordered route.
-    detours: SeriesId,
-    /// `fault.links_down` — gauge of physically-down links.
-    links_down: SeriesId,
-    /// Running count mirrored into the `links_down` gauge.
-    down_now: Cell<i64>,
+    /// The sinks deliveries and fault transitions record into (detached,
+    /// all off, until [`NetState::attach`]).
+    probes: Probes,
 }
 
 impl NetState {
@@ -288,6 +258,8 @@ impl NetState {
     /// analytic (LogGP).
     pub fn new(topo: Topology, params: BgqParams, contention: bool) -> NetState {
         let rt = RouteTable::new(&topo);
+        // The detached sinks are the caller's, not per-link state.
+        let probes = Probes::default();
         let _mem = memprof::scope(&LINKS_TAG);
         let nlinks = rt.num_link_ids();
         NetState {
@@ -301,11 +273,8 @@ impl NetState {
             track_links: false,
             messages: 0,
             bytes: 0,
-            flight: FlightRecorder::new(),
-            flight_ids: vec![NO_FLIGHT_ID; nlinks],
             faults: None,
-            tracer: None,
-            tl: None,
+            probes,
         }
     }
 
@@ -358,45 +327,10 @@ impl NetState {
         }));
     }
 
-    /// True when a recording flight recorder or an enabled timeline watches
-    /// each delivery: the core runs observed.
-    #[inline]
-    fn watched(&self) -> bool {
-        self.tl.is_some() || self.flight.on()
-    }
-
-    /// Attach a tracer so fault transitions emit instants on a
-    /// `net.faults` track (`fault.link_down`, `fault.link_up`,
-    /// `fault.node_hang`).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Attach a windowed-telemetry timeline. Series handles are interned
-    /// eagerly; when `timeline` is disabled nothing is stored, keeping the
-    /// per-delivery cost at one `Option` check (and the warm delivery path
-    /// allocation-free). Call again after enabling to start recording.
-    ///
-    /// Series produced: `net.msgs`, `net.bytes` (per-window delivery
-    /// counts), `net.link_busy_ps` (aggregate occupancy spread over the
-    /// windows it covers), `net.link_wait_ps` (aggregate head-blocking
-    /// wait — the congestion signal), `net.detours` (deliveries routed
-    /// around faults), and the `fault.links_down` gauge.
-    pub fn set_timeline(&mut self, timeline: &Timeline) {
-        if !timeline.on() {
-            self.tl = None;
-            return;
-        }
-        self.tl = Some(NetTimeline {
-            msgs: timeline.series("net.msgs", SeriesKind::Counter),
-            bytes: timeline.series("net.bytes", SeriesKind::Counter),
-            busy: timeline.series("net.link_busy_ps", SeriesKind::Counter),
-            wait: timeline.series("net.link_wait_ps", SeriesKind::Counter),
-            detours: timeline.series("net.detours", SeriesKind::Counter),
-            links_down: timeline.series("fault.links_down", SeriesKind::Gauge),
-            down_now: Cell::new(0),
-            tl: timeline.clone(),
-        });
+    /// Record into `probes`, a simulation's sinks (DESIGN.md §10). With its
+    /// timeline and flight recorder off, the core runs unobserved.
+    pub fn attach(&mut self, probes: Probes) {
+        self.probes = probes;
     }
 
     /// Cumulative fault accounting, with still-open link-down windows
@@ -427,7 +361,7 @@ impl NetState {
     /// resumes. Advances the fault schedule to `now` first.
     pub fn hang_until(&mut self, node: u32, now: SimTime) -> Option<SimTime> {
         let f = self.faults.as_deref_mut()?;
-        f.advance(&self.tl, &self.tracer, now);
+        f.advance(&self.probes, now);
         let t = f.hang_until[node as usize];
         (t > now).then_some(t)
     }
@@ -438,33 +372,17 @@ impl NetState {
         self.track_links = on;
     }
 
-    /// Attach the simulation's shared [`FlightRecorder`] so deliveries can
-    /// record per-message lifecycle segments and link occupancy. When the
-    /// recorder is disabled (the default) delivery costs are unchanged.
-    pub fn set_flight(&mut self, flight: FlightRecorder) {
-        self.flight = flight;
-        self.flight_ids.fill(NO_FLIGHT_ID);
-    }
-
-    /// Interned flight-recorder id for `link`, formatting the stable name
-    /// `(a,b,c,d,e)±X` (source coordinate, direction, dimension letter) at
-    /// most once per link.
-    fn flight_link_id(&mut self, link: LinkId) -> u32 {
-        let cached = self.flight_ids[link.0 as usize];
-        if cached != NO_FLIGHT_ID {
-            return cached;
-        }
+    /// The stable name of `link`: `(a,b,c,d,e)±X` (source coordinate,
+    /// direction, dimension letter).
+    fn link_name(&self, link: LinkId) -> String {
         let full = self.rt.link_of(link);
         let c = full.from.0;
         let dim = [b'A', b'B', b'C', b'D', b'E'][full.dim as usize] as char;
         let sign = if full.plus { '+' } else { '-' };
-        let name = format!(
+        format!(
             "({},{},{},{},{}){}{}",
             c[0], c[1], c[2], c[3], c[4], sign, dim
-        );
-        let id = self.flight.link_id(&name);
-        self.flight_ids[link.0 as usize] = id;
-        id
+        )
     }
 
     /// The topology this network spans.
@@ -577,11 +495,11 @@ impl NetState {
         };
         // An installed plan steps aside so the core can hold it beside `self`.
         if let Some(mut plan) = self.faults.take() {
-            plan.advance(&self.tl, &self.tracer, inject);
+            plan.advance(&self.probes, inject);
             let outcome = self.deliver_core(&Recording(op), &mut *plan, &msg);
             self.faults = Some(plan);
             outcome
-        } else if self.watched() {
+        } else if self.probes.timeline.on() || self.probes.flight.on() {
             self.deliver_core(&Recording(op), &mut NoFaults, &msg)
         } else {
             self.deliver_core(&NoObserver, &mut NoFaults, &msg)
@@ -615,18 +533,18 @@ impl NetState {
         } else {
             m.inject
         };
-        obs.segment(self, Queueing, "net.tx_fifo", m.inject, start);
+        obs.segment(self, &TX_FIFO, m.inject, start);
         // Head-of-packet flight time. Intranode transfers never touch the
         // torus, so they are immune to link faults.
         let head = if same_node {
             let head = start + self.params.intranode_latency;
-            obs.segment(self, Wire, "net.intranode", start, head);
+            obs.segment(self, &INTRANODE, start, head);
             head
         } else if !(self.contention || F::LIVE || self.track_links) {
             // Pure LogGP: no link is visited, only counted.
             let hops = self.rt.ranks().node_hops(m.src_node, m.dst_node);
             let head = start + self.params.oneway_header(hops);
-            obs.segment(self, Wire, "net.header", start, head);
+            obs.segment(self, &HEADER, start, head);
             head
         } else {
             // Walk the route link by link. Contended: cut-through wormhole —
@@ -642,14 +560,12 @@ impl NetState {
             let contended = self.contention;
             let mut t = start + self.params.base_latency;
             if contended {
-                if let (true, Some(tl)) = (F::LIVE, obs.timeline(self)) {
-                    // A live route longer than the fault-free dimension-
-                    // ordered one detoured around a lost link.
-                    if u32::from(len) > self.rt.ranks().node_hops(m.src_node, m.dst_node) {
-                        tl.tl.add(tl.detours, start, 1);
-                    }
+                // A live route longer than the fault-free dimension-ordered
+                // one detoured around a lost link.
+                if F::LIVE && u32::from(len) > self.rt.ranks().node_hops(m.src_node, m.dst_node) {
+                    obs.count(self, &DETOURS, start, 1);
                 }
-                obs.segment(self, Wire, "net.header", start, t);
+                obs.segment(self, &HEADER, start, t);
             }
             for (k, i) in (off..off + u32::from(len)).enumerate() {
                 let link = self.rt.link_at(i);
@@ -687,12 +603,12 @@ impl NetState {
             }
             if !contended {
                 t = start + self.params.oneway_header(u32::from(len));
-                obs.segment(self, Wire, "net.header", start, t);
+                obs.segment(self, &HEADER, start, t);
             }
             t
         };
         let mut arrival = head + wire;
-        obs.segment(self, Wire, "net.serialize", head, arrival);
+        obs.segment(self, &SERIALIZE, head, arrival);
         // Deterministic dimension-ordered routing: everything between a pair
         // except AMOs stays in order. Contended, fault-free and inter-node,
         // the links already say so (DESIGN.md §19): `busy` only rises, so the
@@ -708,14 +624,12 @@ impl NetState {
             let unclamped = arrival;
             arrival = arrival.max(*front);
             *front = arrival;
-            obs.segment(self, Queueing, "net.pair_order", unclamped, arrival);
+            obs.segment(self, &PAIR_ORDER, unclamped, arrival);
         }
         self.messages += 1;
         self.bytes += m.payload as u64;
-        if let Some(t) = obs.timeline(self) {
-            t.tl.add(t.msgs, m.inject, 1);
-            t.tl.add(t.bytes, m.inject, m.payload as u64);
-        }
+        obs.count(self, &MSGS, m.inject, 1);
+        obs.count(self, &BYTES, m.inject, m.payload as u64);
         Delivery::Delivered(arrival)
     }
 
@@ -755,32 +669,22 @@ struct Msg {
 /// [`NoObserver`] compiles out of [`NetState::deliver_core`] entirely.
 trait Observer {
     /// An interval of the message's lifecycle (empty intervals are ignored).
-    fn segment(
-        &self,
-        _net: &NetState,
-        _cat: SegCategory,
-        _label: &'static str,
-        _start: SimTime,
-        _end: SimTime,
-    ) {
-    }
+    fn segment(&self, _net: &NetState, _row: &'static Probe, _start: SimTime, _end: SimTime) {}
+
+    /// `n` of the row's quantity at `at`.
+    fn count(&self, _net: &NetState, _row: &'static Probe, _at: SimTime, _n: u64) {}
 
     /// One link reservation: the head asked at `request`, got the link at
     /// `granted`, was through at `hop_end`; the payload holds it to `release`.
     fn link(
         &self,
-        _net: &mut NetState,
+        _net: &NetState,
         _link: LinkId,
         _request: SimTime,
         _granted: SimTime,
         _hop_end: SimTime,
         _release: SimTime,
     ) {
-    }
-
-    /// The timeline to count into, when one is recording.
-    fn timeline<'a>(&self, _net: &'a NetState) -> Option<&'a NetTimeline> {
-        None
     }
 }
 
@@ -789,47 +693,36 @@ struct NoObserver;
 
 impl Observer for NoObserver {}
 
-/// Attribute the delivery to an operation (if any) in the flight recorder
-/// and feed the timeline; each sink still gates itself.
+/// Record the delivery into the attached probes, attributed to an
+/// operation (if any); each sink still gates itself.
 struct Recording(Option<OpId>);
 
 impl Observer for Recording {
-    fn segment(
-        &self,
-        net: &NetState,
-        cat: SegCategory,
-        label: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if let Some(op) = self.0 {
-            net.flight.segment(op, cat, label, start, end);
-        }
+    fn segment(&self, net: &NetState, row: &'static Probe, start: SimTime, end: SimTime) {
+        net.probes.span(row, self.0, start, end, 0);
+    }
+
+    fn count(&self, net: &NetState, row: &'static Probe, at: SimTime, n: u64) {
+        net.probes.count(row, at, n);
     }
 
     fn link(
         &self,
-        net: &mut NetState,
+        net: &NetState,
         link: LinkId,
         request: SimTime,
         granted: SimTime,
         hop_end: SimTime,
         release: SimTime,
     ) {
-        if let Some(t) = &net.tl {
-            t.tl.add_range(t.busy, granted, release);
-            t.tl.add(t.wait, request, granted.since(request).as_ps());
+        let p = &net.probes;
+        p.span(&LINK_BUSY, None, granted, release, 0);
+        p.span(&LINK_WAIT, self.0, request, granted, 0);
+        p.span(&HOP, self.0, granted, hop_end, 0);
+        if p.flight.on() {
+            let id = p.flight.link_id(&net.link_name(link));
+            p.flight.link_use(id, request, granted, release, self.0);
         }
-        if net.flight.on() {
-            let id = net.flight_link_id(link);
-            net.flight.link_use(id, request, granted, release, self.0);
-            self.segment(net, Contention, "net.link_wait", request, granted);
-            self.segment(net, Wire, "net.hop", granted, hop_end);
-        }
-    }
-
-    fn timeline<'a>(&self, net: &'a NetState) -> Option<&'a NetTimeline> {
-        net.tl.as_ref()
     }
 }
 
@@ -1066,9 +959,10 @@ mod tests {
     fn deliver_op_attributes_lifecycle_segments() {
         use desim::SegCategory;
         let mut n = net(true);
-        let fr = FlightRecorder::new();
+        let probes = Probes::default();
+        let fr = probes.flight.clone();
         fr.enable(1 << 12);
-        n.set_flight(fr.clone());
+        n.attach(probes);
         let t0 = SimTime::ZERO;
         let op = fr.begin_op(t0, 0, "test.op").unwrap();
         // First message (unattributed) loads the link; second (attributed)
@@ -1102,9 +996,10 @@ mod tests {
     #[test]
     fn deliver_op_records_pair_order_clamp() {
         let mut n = net(false);
-        let fr = FlightRecorder::new();
+        let probes = Probes::default();
+        let fr = probes.flight.clone();
         fr.enable(64);
-        n.set_flight(fr.clone());
+        n.attach(probes);
         let t0 = SimTime::ZERO;
         let op = fr.begin_op(t0, 0, "test.op").unwrap();
         let big = n.deliver(t0, 0, 5, 1 << 20, MsgClass::Ordered);
@@ -1118,7 +1013,7 @@ mod tests {
             .find(|s| s.label == "net.pair_order")
             .copied()
             .expect("pair-order clamp recorded");
-        assert_eq!(clamp.cat, SegCategory::Queueing);
+        assert_eq!(clamp.cat, desim::SegCategory::Queueing);
         assert_eq!(clamp.end, big);
     }
 

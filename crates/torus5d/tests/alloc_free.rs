@@ -112,12 +112,10 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
         "an empty fault plan must not add allocations to warm deliveries"
     );
 
-    // Same contract with a *disabled* timeline attached (the production
-    // default: every producer holds no handles, so the telemetry branches
-    // collapse to one `Option` check).
+    // Same contract with *disabled* sinks attached (the production default:
+    // the telemetry branches collapse to one flag check per sink).
     let mut tnet = NetState::new(Topology::for_procs(procs, 16), BgqParams::default(), true);
-    let tl = desim::Timeline::new();
-    tnet.set_timeline(&tl);
+    tnet.attach(desim::Probes::default());
     let mut inject = SimTime::ZERO;
     for &(src, dst, payload, class) in &sched {
         inject += SimDuration::from_ns(100);
