@@ -403,7 +403,14 @@ impl ArmciRank {
                 op,
             };
             let _mem = memprof::scope(&HANDLES_TAG);
-            self.rt().implicit.borrow_mut().push(h.done.clone());
+            let mut implicit = self.rt().implicit.borrow_mut();
+            // Only an outstanding request can hold up `wait_all`: drop the
+            // completed ones whenever the buffer is full, so a run of
+            // blocking operations never grows it.
+            if implicit.len() == implicit.capacity() {
+                implicit.retain(|c| !c.is_complete());
+            }
+            implicit.push(h.done.clone());
             h
         }
     }

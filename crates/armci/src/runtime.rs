@@ -95,7 +95,8 @@ pub(crate) const DISPATCH_AM_PONG: u16 = 6;
 pub(crate) struct RankRt {
     pub region_cache: RefCell<RegionCache>,
     pub consistency: RefCell<ConsistencyTracker>,
-    /// Implicit-handle set: local completions of outstanding non-blocking ops.
+    /// Implicit-handle set: local completions of issued operations, pruned
+    /// of completed ones whenever its buffer fills (`ArmciRank::issue`).
     pub implicit: RefCell<Vec<Completion<()>>>,
     /// Offset of this rank's mutex array (usize::MAX = not created).
     pub mutex_off: Cell<usize>,

@@ -1,9 +1,10 @@
 //! What a chunk of a warm zero-copy strided get or put costs the host: two
 //! kernel events (its post and its request arrival — a get's landing and a
-//! put's ack are events only for a chunk that may complete the train), at
-//! most two allocations (the boxes of those two events) and no task.
+//! put's ack are events only for a chunk that may complete the train), no
+//! allocation (every event targets the train itself) and no task.
 //! Everything else — rank states, parameters, the chunk list, staging
-//! bytes, the completions and their countdowns — exists once per train.
+//! bytes, the completions and their countdowns — exists once per train, and
+//! a warm train's staging buffer comes from the machine's pool.
 //!
 //! Allocations are counted with `desim::memprof`, leaving out the
 //! `desim.wheel` tag: a timer-wheel slot regrows when a long train reaches a
@@ -25,7 +26,7 @@ const ROW: usize = 368;
 const LD: usize = 1024;
 
 #[test]
-fn an_extra_chunk_costs_two_events_two_allocations_and_no_task() {
+fn an_extra_chunk_costs_two_events_no_allocation_and_no_task() {
     memprof::enable();
     let sim = Sim::new();
     let machine = Machine::new(sim.clone(), MachineConfig::new(2).procs_per_node(1));
@@ -43,8 +44,8 @@ fn an_extra_chunk_costs_two_events_two_allocations_and_no_task() {
     sim.run();
     let (local, remote) = bufs.get();
     // One blocking `rows`-row get (or put) from rank 0: kernel events,
-    // allocations, and the task table and live-task count while the
-    // transfer is in flight.
+    // allocations, those of the staging buffer, and the task table and
+    // live-task count while the transfer is in flight.
     let transfer = |put: bool, rows: usize| {
         let rk = armci.rank(0);
         let seen = Rc::new(Cell::new((0, 0)));
@@ -62,30 +63,35 @@ fn an_extra_chunk_costs_two_events_two_allocations_and_no_task() {
             rk.wait(&h).await;
         });
         sim.run();
-        let allocs: u64 = memprof::since(&before)
+        let snap = memprof::since(&before);
+        let blocks = |name: &str| snap.get(name).map_or(0, |t| t.allocs + t.reallocs);
+        let allocs: u64 = snap
             .tags
             .iter()
             .filter(|t| t.name != "desim.wheel")
             .map(|t| t.allocs + t.reallocs)
             .sum();
-        (sim.events_processed() - events, allocs, seen.get())
+        let staging = blocks("pami.staging");
+        (sim.events_processed() - events, allocs, staging, seen.get())
     };
     let idle = (sim.task_slots(), sim.pending_tasks());
     for put in [false, true] {
-        // Warm both shapes (wheel slots, staging-sized heap blocks, stats keys).
+        // Warm both shapes (wheel slots, the pooled staging buffer, stats
+        // keys).
         transfer(put, 8);
         transfer(put, 64);
-        let (events8, allocs8, tasks8) = transfer(put, 8);
-        let (events64, allocs64, tasks64) = transfer(put, 64);
+        let (events8, allocs8, staging8, tasks8) = transfer(put, 8);
+        let (events64, allocs64, staging64, tasks64) = transfer(put, 64);
         assert_eq!(
             events64 - events8,
             2 * (64 - 8),
             "put={put}: 8 rows: {events8} events, 64 rows: {events64}"
         );
-        assert!(
-            allocs64 - allocs8 <= 2 * (64 - 8),
+        assert_eq!(
+            allocs64, allocs8,
             "put={put}: 8 rows: {allocs8} allocations, 64 rows: {allocs64}"
         );
+        assert_eq!((staging8, staging64), (0, 0), "put={put}: staging");
         // The issuing task is the only one: no watcher per transfer.
         assert_eq!(tasks8, (idle.0.max(1), idle.1 + 1));
         assert_eq!(tasks64, tasks8);

@@ -79,10 +79,26 @@ impl<F: Future> Future for TaskFut<F> {
     }
 }
 
+/// An object already on the heap that an event can target. A
+/// [`Sim::schedule`] callback boxes its captures once per event; an object
+/// scheduled with [`Sim::schedule_fire`] is queued as itself, so the event
+/// allocates nothing, and `arg` tells it which of its events this is.
+pub trait Fire {
+    /// The event's instant has come. Consumes the reference it was queued
+    /// with.
+    fn fire(self: Rc<Self>, arg: u32);
+}
+
 enum TimerKind {
     Waker(Waker),
     Callback(Box<dyn FnOnce()>),
+    Fire(Rc<dyn Fire>, u32),
 }
+
+// The third kind fits beside the other two: a timer and a wheel entry stay
+// the size they were.
+const _: () = assert!(std::mem::size_of::<TimerKind>() == 24);
+const _: () = assert!(std::mem::size_of::<crate::wheel::Entry<TimerKind>>() == 40);
 
 /// Ready-queue of task ids with a pending wake, in FIFO order. The executor
 /// is single-threaded and `Sim` is `!Send`, so a `RefCell` suffices — the
@@ -261,20 +277,12 @@ impl Kernel {
         self.now.get()
     }
 
-    pub(crate) fn add_timer_waker(&self, at: SimTime, waker: Waker) {
-        debug_assert!(at >= self.now.get(), "timer scheduled in the past");
+    fn add_timer(&self, at: SimTime, kind: TimerKind) {
+        debug_assert!(at >= self.now.get(), "event scheduled in the past");
         let _mem = memprof::scope(&WHEEL_TAG);
         self.timers
             .borrow_mut()
-            .insert(at.as_ps(), self.bump_seq(), TimerKind::Waker(waker));
-    }
-
-    pub(crate) fn add_timer_callback(&self, at: SimTime, cb: Box<dyn FnOnce()>) {
-        debug_assert!(at >= self.now.get(), "callback scheduled in the past");
-        let _mem = memprof::scope(&WHEEL_TAG);
-        self.timers
-            .borrow_mut()
-            .insert(at.as_ps(), self.bump_seq(), TimerKind::Callback(cb));
+            .insert(at.as_ps(), self.bump_seq(), kind);
     }
 
     fn alloc_task(&self, future: BoxFuture) -> usize {
@@ -390,6 +398,7 @@ impl Kernel {
                 match entry.payload {
                     TimerKind::Waker(w) => w.wake(),
                     TimerKind::Callback(cb) => cb(),
+                    TimerKind::Fire(target, arg) => target.fire(arg),
                 }
                 true
             }
@@ -523,7 +532,16 @@ impl Sim {
     /// Schedule `cb` to run at absolute time `at` (must not be in the past).
     pub fn schedule<F: FnOnce() + 'static>(&self, at: SimTime, cb: F) {
         let _mem = memprof::scope_default(&KERNEL_TAG);
-        self.k.add_timer_callback(at, Box::new(cb));
+        self.k.add_timer(at, TimerKind::Callback(Box::new(cb)));
+    }
+
+    /// Fire `target` with `arg` at absolute time `at` (must not be in the
+    /// past). Ordered exactly like [`Sim::schedule`] — it takes the next
+    /// sequence number where `schedule` would — but queues the `Rc` itself,
+    /// so the event allocates nothing. [`Sim::shutdown`] drops pending
+    /// targets.
+    pub fn schedule_fire(&self, at: SimTime, target: Rc<dyn Fire>, arg: u32) {
+        self.k.add_timer(at, TimerKind::Fire(target, arg));
     }
 
     /// Schedule `cb` to run `after` from now.
@@ -667,7 +685,8 @@ impl Future for Sleep {
             // Register exactly once: the task waker is stable, and duplicate
             // timer entries from spurious re-polls would snowball.
             if !this.registered {
-                this.k.add_timer_waker(this.deadline, cx.waker().clone());
+                this.k
+                    .add_timer(this.deadline, TimerKind::Waker(cx.waker().clone()));
                 this.registered = true;
             }
             Poll::Pending
@@ -873,6 +892,66 @@ mod tests {
         }
         sim.run();
         assert_eq!(&*log.borrow(), &["callback", "task"]);
+    }
+
+    /// A `Fire` target that logs each event's `arg`.
+    struct Logger(Rc<StdRefCell<Vec<String>>>);
+
+    impl Fire for Logger {
+        fn fire(self: Rc<Self>, arg: u32) {
+            self.0.borrow_mut().push(format!("fire{arg}"));
+        }
+    }
+
+    #[test]
+    fn callbacks_fires_and_sleeps_at_one_instant_run_in_insertion_order() {
+        let sim = Sim::new();
+        let log: Rc<StdRefCell<Vec<String>>> = Rc::new(StdRefCell::new(Vec::new()));
+        let target = Rc::new(Logger(Rc::clone(&log)));
+        let at = SimTime::ZERO + SimDuration::from_us(5);
+        let callback = |name: &'static str| {
+            let log = Rc::clone(&log);
+            move || log.borrow_mut().push(name.to_string())
+        };
+        sim.schedule_fire(at, target.clone(), 0);
+        sim.schedule(at, callback("cb0"));
+        {
+            let (s, log) = (sim.clone(), Rc::clone(&log));
+            sim.spawn(async move {
+                s.sleep_until(at).await;
+                log.borrow_mut().push("task".to_string());
+            });
+        }
+        // The task registers its sleep when first polled: run up to it, so
+        // the events below are inserted after the sleep.
+        sim.run_until(SimTime::ZERO);
+        sim.schedule_fire(at, target.clone(), 1);
+        sim.schedule(at, callback("cb1"));
+        sim.schedule_fire(at, target, 2);
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            ["fire0", "cb0", "task", "fire1", "cb1", "fire2"]
+        );
+    }
+
+    #[test]
+    fn shutdown_releases_pending_fire_targets() {
+        let sim = Sim::new();
+        let target = Rc::new(Logger(Rc::new(StdRefCell::new(Vec::new()))));
+        for (us, arg) in [(1, 0), (1 << 20, 1), (1 << 40, 2)] {
+            sim.schedule_fire(
+                SimTime::ZERO + SimDuration::from_us(us),
+                target.clone(),
+                arg,
+            );
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_us(2));
+        assert_eq!(*target.0.borrow(), ["fire0"]);
+        assert_eq!(Rc::strong_count(&target), 3);
+        sim.shutdown();
+        assert_eq!(Rc::strong_count(&target), 1);
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_us(1));
     }
 
     #[test]

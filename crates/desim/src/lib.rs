@@ -59,7 +59,7 @@ pub use flight::{FlightRecorder, OpId, SegCategory};
 pub use futures::{race, Either};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use health::{Finding, HealthConfig, Severity};
-pub use kernel::{JoinHandle, Sim, TaskId};
+pub use kernel::{Fire, JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
 pub use paged::PagedMap;
 pub use probe::{Lane, Probe, Probes};

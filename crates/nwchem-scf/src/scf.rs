@@ -176,6 +176,10 @@ pub fn run_scf_timeline(
     let root_rng = SimRng::new(cfg.seed);
     let ntasks = cfg.tasks_per_iter();
     let nblk = cfg.nblocks();
+    // One contribution buffer for every rank program: a deposit fills and
+    // writes it without awaiting, so no two ranks use it at once, and it
+    // costs one patch for the run instead of one per rank.
+    let contribution: Rc<RefCell<Vec<f64>>> = Rc::default();
 
     for r in 0..nprocs {
         let rk = armci.rank(r);
@@ -186,6 +190,7 @@ pub fn run_scf_timeline(
         let counter = counter.clone();
         let tallies = Rc::clone(&tallies);
         let armci_handle = armci.clone();
+        let contribution = Rc::clone(&contribution);
         let mut rng = root_rng.derive(r as u64);
         sim.spawn(async move {
             let patch_elems = cfg.block * cfg.block;
@@ -236,10 +241,12 @@ pub fn run_scf_timeline(
                     // Density damping: later cycles contribute less, so the
                     // energy series converges like a real SCF.
                     let damp = 1.0 / ((iter + 1) * (iter + 1)) as f64;
-                    rk.pami().write_f64s(
-                        f_buf,
-                        &vec![damp / ntasks as f64; (rhi - rlo) * (chi - clo)],
-                    );
+                    {
+                        let mut patch = contribution.borrow_mut();
+                        patch.clear();
+                        patch.resize((rhi - rlo) * (chi - clo), damp / ntasks as f64);
+                        rk.pami().write_f64s(f_buf, &patch);
+                    }
                     let t0 = s.now();
                     fock.acc_patch(&rk, rlo, rhi, clo, chi, f_buf, 1.0).await;
                     tally.acc_time += s.now() - t0;

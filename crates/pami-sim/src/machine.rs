@@ -384,6 +384,8 @@ pub(crate) struct MachineInner {
     /// Per-destination AM aggregation buffers; `None` unless
     /// [`MachineConfig::am_batching`] was configured.
     pub batcher: Option<Rc<crate::batcher::Batcher>>,
+    /// Staging buffers of finished chunk trains, lent to the next ones.
+    pub staging: RefCell<crate::rank::StagingPool>,
 }
 
 /// A simulated Blue Gene/Q partition running `nprocs` PGAS processes.
@@ -442,6 +444,7 @@ impl Machine {
                 faults_active,
                 am_handlers: RefCell::new(desim::FxHashMap::default()),
                 batcher,
+                staging: RefCell::default(),
             }),
         }
     }
