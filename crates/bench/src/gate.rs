@@ -71,6 +71,11 @@ const GATE: &[Row] = &[
     // (TABCDE); fig7 resolves every rank of its partition.
     Row { figure: "abl_mapping", args: "", flag: STDOUT, golden: "abl_mapping.txt", tol: EXACT },
     Row { figure: "fig7_rank_latency", args: "", flag: STDOUT, golden: "fig7_rank_latency.txt", tol: EXACT },
+    // The software path: sw_get against an idle and a busy target, the packed
+    // get against the chunk train, and nbacc's AccF64 service.
+    Row { figure: "abl_fallback", args: "", flag: STDOUT, golden: "abl_fallback.txt", tol: EXACT },
+    Row { figure: "abl_strided_pack", args: "", flag: STDOUT, golden: "abl_strided_pack.txt", tol: EXACT },
+    Row { figure: "abl_consistency", args: "", flag: STDOUT, golden: "abl_consistency.txt", tol: EXACT },
 ];
 
 impl Row {
