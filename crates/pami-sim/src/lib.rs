@@ -46,6 +46,7 @@ pub mod context;
 pub mod machine;
 pub mod rank;
 pub mod retry;
+mod service;
 pub mod space;
 
 pub use batcher::{AmBatchConfig, Batcher, AM_FRAME_BYTES};

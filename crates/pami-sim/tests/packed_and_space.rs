@@ -129,6 +129,29 @@ fn acc_strided_scatter_accumulates() {
 }
 
 #[test]
+#[should_panic(expected = "accumulate chunks must hold whole f64s")]
+fn acc_strided_rejects_a_chunk_of_partial_f64s() {
+    // Two 12-byte chunks: the target adds whole f64s only, so the first
+    // chunk's last 4 bytes would be dropped and the second chunk's f64 read
+    // across the element boundary.
+    let (sim, m) = machine(2);
+    let a = m.rank(0);
+    let b = m.rank(1);
+    let lbase = a.alloc(24);
+    let rbase = b.alloc(1000);
+    let _at = b.start_progress_thread(0);
+    sim.spawn(async move {
+        let remote = vec![(rbase, 12), (rbase + 500, 12)];
+        a.acc_strided_f64(1, vec![(lbase, 24)], remote, 1.0)
+            .await
+            .remote
+            .wait()
+            .await;
+    });
+    run(&sim);
+}
+
+#[test]
 fn packed_transfer_charges_pack_cost() {
     // The packed path costs pack + unpack CPU copies; a zero-copy transfer
     // of the same bytes is strictly faster end-to-end.
