@@ -18,7 +18,7 @@
 use std::rc::Rc;
 
 use armci::{Armci, ArmciConfig};
-use desim::{analyze, CritPath, Sim, SimDuration};
+use desim::{CritPath, Observe, Observed, Sim, SimDuration};
 use pami_sim::{Machine, MachineConfig};
 
 /// Aggregation-buffer size threshold used by every batched cell (the sweep
@@ -94,28 +94,17 @@ impl AmCrit {
     }
 }
 
-/// Run one sweep cell.
+/// Run one sweep cell with the sinks `observe` names turned on. With the
+/// flight recorder on, the critical path comes back as an [`AmCrit`] (so
+/// the returned [`Observed`] carries none).
 pub fn run_cell(
     procs: usize,
     size: usize,
     msgs_per_rank: usize,
     window_us: u64,
     fanout: usize,
-) -> AmCell {
-    run_cell_full(procs, size, msgs_per_rank, window_us, fanout, None, false).0
-}
-
-/// Like [`run_cell`], with optional windowed telemetry and flight-recorder
-/// attribution.
-pub fn run_cell_full(
-    procs: usize,
-    size: usize,
-    msgs_per_rank: usize,
-    window_us: u64,
-    fanout: usize,
-    timeline_window_ps: Option<u64>,
-    breakdown: bool,
-) -> (AmCell, Option<desim::TimelineSnapshot>, Option<AmCrit>) {
+    observe: Observe,
+) -> (AmCell, Option<AmCrit>, Observed) {
     assert!(procs > 16, "need more ranks than the fan-out stride");
     assert!(size.is_multiple_of(8), "payload is f64s");
     // One rank per node so the torus spreads pair traffic across many
@@ -132,13 +121,8 @@ pub fn run_cell_full(
     }
     let sim = Sim::new();
     let m = Machine::new(sim.clone(), mcfg);
-    if breakdown {
-        sim.flight().enable(1 << 20);
-    }
+    observe.start(sim.probes());
     let a = Armci::new(m.clone(), ArmciConfig::default());
-    if let Some(w) = timeline_window_ps {
-        sim.timeline().enable(w, 512);
-    }
     // One accumulate target buffer per rank (AMs carry values, so no region
     // registration is involved — exactly the fallback the AM path is for).
     let bufs: Rc<Vec<usize>> = Rc::new((0..procs).map(|r| m.rank(r).alloc(size)).collect());
@@ -163,7 +147,7 @@ pub fn run_cell_full(
     }
     let end = sim.run();
     m.flush_net_stats();
-    let timeline = timeline_window_ps.map(|_| sim.timeline().snapshot());
+    let mut observed = observe.finish(sim.probes(), sim.now());
     let stats = m.stats();
     let ams = (procs * msgs_per_rank) as u64;
     let secs = (end.as_ps() as f64 / 1e12).max(1e-12);
@@ -181,20 +165,17 @@ pub fn run_cell_full(
         batches: stats.counter("am.batches"),
         avg_batch: am_sent as f64 / wire_msgs.max(1) as f64,
     };
-    let crit = breakdown.then(|| {
-        let fl = sim.flight();
-        let aggr_wait_ps: u64 = fl
+    let crit = observed.crit.take().map(|crit| AmCrit {
+        crit,
+        aggr_wait_ps: sim
+            .flight()
             .segments()
             .iter()
             .filter(|s| s.label == "pami.am_aggr")
             .map(|s| s.end.since(s.start).as_ps())
-            .sum();
-        AmCrit {
-            crit: analyze(&fl, sim.now()),
-            aggr_wait_ps,
-        }
+            .sum(),
     });
-    (cell, timeline, crit)
+    (cell, crit, observed)
 }
 
 /// Aggregated-vs-unbatched speedup at the smallest size: for each batched
@@ -261,17 +242,19 @@ pub fn sweep_json(
 mod tests {
     use super::*;
 
+    fn cell(size: usize, msgs: usize, window_us: u64, fanout: usize) -> AmCell {
+        run_cell(32, size, msgs, window_us, fanout, Observe::default()).0
+    }
+
     #[test]
     fn cells_are_deterministic() {
-        let a = run_cell(32, 8, 8, 1, 1);
-        let b = run_cell(32, 8, 8, 1, 1);
-        assert_eq!(a, b);
+        assert_eq!(cell(8, 8, 1, 1), cell(8, 8, 1, 1));
     }
 
     #[test]
     fn batching_beats_unbatched_at_small_size() {
-        let un = run_cell(32, 8, 16, 0, 1);
-        let ba = run_cell(32, 8, 16, 1, 1);
+        let un = cell(8, 16, 0, 1);
+        let ba = cell(8, 16, 1, 1);
         assert_eq!(un.am_sent, ba.am_sent);
         assert!(
             ba.wire_msgs < un.wire_msgs,
@@ -289,17 +272,25 @@ mod tests {
 
     #[test]
     fn breakdown_attributes_aggregation_wait() {
-        let (_, _, crit) = run_cell_full(32, 8, 16, 4, 1, None, true);
+        let flight = Observe {
+            flight: true,
+            ..Observe::default()
+        };
+        let (_, crit, _) = run_cell(32, 8, 16, 4, 1, flight);
         let c = crit.expect("breakdown requested");
         assert!(c.aggr_wait_ps > 0, "batched AMs must accrue buffer wait");
-        let (_, _, crit) = run_cell_full(32, 8, 16, 0, 1, None, true);
+        let (_, crit, _) = run_cell(32, 8, 16, 0, 1, flight);
         assert_eq!(crit.expect("breakdown").aggr_wait_ps, 0);
     }
 
     #[test]
     fn timeline_series_render_in_simstat_and_stay_healthy() {
-        let (_, tl, _) = run_cell_full(32, 8, 16, 1, 1, Some(1_000_000), false);
-        let snap = tl.expect("timeline requested");
+        let timeline = Observe {
+            timeline: Some(1_000_000),
+            ..Observe::default()
+        };
+        let (_, _, seen) = run_cell(32, 8, 16, 1, 1, timeline);
+        let snap = seen.timeline.expect("timeline requested");
         // The am.* series reach the windowed snapshot and the simstat
         // renderer without any am-specific plumbing.
         let doc = desim::TimelineDoc {
@@ -333,7 +324,7 @@ mod tests {
 
     #[test]
     fn sweep_json_has_fixed_schema() {
-        let cells = vec![run_cell(32, 8, 4, 0, 1), run_cell(32, 8, 4, 1, 1)];
+        let cells = vec![cell(8, 4, 0, 1), cell(8, 4, 1, 1)];
         let doc = sweep_json(32, 4, &cells, &[]);
         let parsed = desim::json::parse(&doc).expect("valid JSON");
         let flat = crate::perfdiff::flatten(&parsed);

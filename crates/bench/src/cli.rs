@@ -6,6 +6,8 @@
 //! has produced no output and written no file. `--help` renders the defaults
 //! from the same table the parser reads.
 
+use desim::Observe;
+
 /// What a flag takes and how its value is checked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kind {
@@ -18,6 +20,9 @@ pub enum Kind {
     Multiple(usize, usize, usize),
     /// Comma-separated unsigned numbers: `(default, floor of each element)`.
     List(&'static [usize], usize),
+    /// As [`Kind::List`], each element also at most the third field and a
+    /// multiple of the fourth: `(default, floor, ceiling, multiple of)`.
+    ListIn(&'static [usize], usize, usize, usize),
     /// One finite floating-point number: `(default)`.
     Real(f64),
     /// A file path: any token that is not itself an option.
@@ -48,6 +53,20 @@ pub const TIMELINE: Flag = Flag(
     "write windowed-telemetry JSON (timeline-v1)",
 );
 
+/// The `--trace` option of the traced figures.
+pub const TRACE: Flag = Flag(
+    "--trace",
+    Kind::Path,
+    "write a Chrome trace of the smallest-p runs",
+);
+
+/// The `--breakdown` option of the flight-recorded figures.
+pub const BREAKDOWN: Flag = Flag(
+    "--breakdown",
+    Kind::Path,
+    "write critical-path breakdown JSON (smallest p)",
+);
+
 impl Flag {
     /// `--flag <placeholder>` as shown in the usage text, and the declared
     /// default as `--help` appends it.
@@ -56,7 +75,7 @@ impl Flag {
         let (placeholder, default) = match self.1 {
             Kind::Switch | Kind::Operands => return (self.0.to_string(), None),
             Kind::Num(d, _) | Kind::Multiple(d, _, _) => ("n", Some(d.to_string())),
-            Kind::List(d, _) => ("n,n,..", Some(join(d).join(","))),
+            Kind::List(d, _) | Kind::ListIn(d, ..) => ("n,n,..", Some(join(d).join(","))),
             Kind::Real(d) => ("x", Some(d.to_string())),
             Kind::Path => ("path", None),
         };
@@ -66,18 +85,20 @@ impl Flag {
     /// Check one value token against the declaration.
     fn value(&self, token: &str) -> Result<Value, String> {
         let invalid = |t: &str| format!("invalid value '{t}' for {}", self.0);
-        let number = |t: &str, min: usize, of: usize| match t.trim().parse::<usize>() {
-            Ok(v) if v >= min && v % of == 0 => Ok(v),
+        let number = |t: &str, min: usize, max: usize, of: usize| match t.trim().parse::<usize>() {
+            Ok(v) if (min..=max).contains(&v) && v % of == 0 => Ok(v),
             _ => Err(invalid(t)),
+        };
+        let list = |min: usize, max: usize, of: usize| {
+            let items = token.split(',').map(|t| number(t, min, max, of));
+            items.collect::<Result<_, _>>().map(Value::List)
         };
         match self.1 {
             Kind::Switch | Kind::Operands => unreachable!("{} takes no value", self.0),
-            Kind::Num(_, min) => number(token, min, 1).map(Value::Num),
-            Kind::Multiple(_, min, of) => number(token, min, of).map(Value::Num),
-            Kind::List(_, min) => {
-                let items = token.split(',').map(|t| number(t, min, 1));
-                items.collect::<Result<_, _>>().map(Value::List)
-            }
+            Kind::Num(_, min) => number(token, min, usize::MAX, 1).map(Value::Num),
+            Kind::Multiple(_, min, of) => number(token, min, usize::MAX, of).map(Value::Num),
+            Kind::List(_, min) => list(min, usize::MAX, 1),
+            Kind::ListIn(_, min, max, of) => list(min, max, of),
             Kind::Real(_) => match token.trim().parse::<f64>() {
                 Ok(v) if v.is_finite() => Ok(Value::Real(v)),
                 _ => Err(invalid(token)),
@@ -189,11 +210,12 @@ impl Args {
         }
     }
 
-    /// A [`Kind::List`] flag: the given elements or the declared default.
+    /// A [`Kind::List`] or [`Kind::ListIn`] flag: the given elements or the
+    /// declared default.
     pub fn list(&self, name: &str) -> Vec<usize> {
         match self.lookup(name) {
             (Some(Value::List(v)), _) => v.clone(),
-            (None, Kind::List(default, _)) => default.to_vec(),
+            (None, Kind::List(default, _) | Kind::ListIn(default, ..)) => default.to_vec(),
             _ => panic!("{name} is not a list flag"),
         }
     }
@@ -222,6 +244,19 @@ impl Args {
         match self.num(JOBS.0) {
             0 => crate::sweep::default_jobs(),
             n => n,
+        }
+    }
+
+    /// The sinks this command line asks an observed run to turn on: the
+    /// flight recorder for [`BREAKDOWN`] and the timeline for [`TIMELINE`],
+    /// where the entry declares them. A [`TRACE`] also needs the run's
+    /// Chrome process, so the traced figure adds it.
+    pub fn observe(&self) -> Observe {
+        let wants = |flag: Flag| self.flags.iter().any(|f| f.0 == flag.0) && self.given(flag.0);
+        Observe {
+            flight: wants(BREAKDOWN),
+            timeline: wants(TIMELINE).then_some(crate::TIMELINE_WINDOW_PS),
+            ..Observe::default()
         }
     }
 

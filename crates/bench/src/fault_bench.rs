@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{FaultPlan, Sim, SimDuration, SimTime};
+use desim::{FaultPlan, Observe, Observed, Sim, SimDuration, SimTime};
 use pami_sim::{FailureMode, Machine, MachineConfig, RetryPolicy};
 
 /// One measured `(fault rate, message size)` sweep cell. All fields except
@@ -82,29 +82,19 @@ fn plan_for(rate_ppm: u64, seed: u64) -> FaultPlan {
 }
 
 /// Run one sweep cell: `procs` ranks (16/node), each streaming
-/// `msgs_per_rank` blocking puts of `size` bytes to `(r + 16) % procs`.
+/// `msgs_per_rank` blocking puts of `size` bytes to `(r + 16) % procs`,
+/// with the sinks `observe` names turned on. A timeline gives link
+/// occupancy, retry/timeout rates, retry backlog and links-down a time
+/// axis, so `simstat` can pinpoint the retry storm around the link-down
+/// window.
 pub fn run_cell(
     procs: usize,
     size: usize,
     msgs_per_rank: usize,
     rate_ppm: u64,
     seed: u64,
-) -> FaultCell {
-    run_cell_timeline(procs, size, msgs_per_rank, rate_ppm, seed, None).0
-}
-
-/// Like [`run_cell`], but with windowed telemetry at `timeline_window_ps`
-/// when set: link occupancy, retry/timeout rates, retry backlog and
-/// links-down get a time axis, so `simstat` can pinpoint the retry storm
-/// around the link-down window.
-pub fn run_cell_timeline(
-    procs: usize,
-    size: usize,
-    msgs_per_rank: usize,
-    rate_ppm: u64,
-    seed: u64,
-    timeline_window_ps: Option<u64>,
-) -> (FaultCell, Option<desim::TimelineSnapshot>) {
+    observe: Observe,
+) -> (FaultCell, Observed) {
     assert!(
         procs > 16 && procs.is_multiple_of(16),
         "need >=2 nodes of 16 ranks"
@@ -121,9 +111,7 @@ pub fn run_cell_timeline(
     }
     let sim = Sim::new();
     let m = Machine::new(sim.clone(), mcfg);
-    if let Some(w) = timeline_window_ps {
-        sim.timeline().enable(w, 512);
-    }
+    observe.start(sim.probes());
     let lat_ps: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     for r in 0..procs {
         let target = (r + 16) % procs;
@@ -144,7 +132,7 @@ pub fn run_cell_timeline(
     }
     let end = sim.run();
     m.flush_net_stats();
-    let timeline = timeline_window_ps.map(|_| sim.timeline().snapshot());
+    let observed = observe.finish(sim.probes(), end);
     let stats = m.stats();
     let mut lats = Rc::try_unwrap(lat_ps).expect("all tasks done").into_inner();
     lats.sort_unstable();
@@ -165,7 +153,7 @@ pub fn run_cell_timeline(
         link_down_ps: stats.counter("fault.link_down_ps"),
         messages: delivered_msgs,
     };
-    (cell, timeline)
+    (cell, observed)
 }
 
 /// Render a full sweep as the fixed-schema `fault-v1` JSON document.
@@ -188,10 +176,14 @@ pub fn sweep_json(procs: usize, msgs_per_rank: usize, seed: u64, cells: &[FaultC
 mod tests {
     use super::*;
 
+    fn cell(msgs: usize, rate_ppm: u64, seed: u64) -> FaultCell {
+        run_cell(32, 4096, msgs, rate_ppm, seed, Observe::default()).0
+    }
+
     #[test]
     fn zero_rate_cell_is_deterministic_and_fault_free() {
-        let a = run_cell(32, 4096, 4, 0, 42);
-        let b = run_cell(32, 4096, 4, 0, 42);
+        let a = cell(4, 0, 42);
+        let b = cell(4, 0, 42);
         assert_eq!(a, b);
         assert_eq!(a.retries, 0);
         assert_eq!(a.timeouts, 0);
@@ -201,9 +193,9 @@ mod tests {
 
     #[test]
     fn faulty_cell_is_seed_deterministic_and_degrades() {
-        let clean = run_cell(32, 4096, 4, 0, 42);
-        let a = run_cell(32, 4096, 4, 50_000, 42);
-        let b = run_cell(32, 4096, 4, 50_000, 42);
+        let clean = cell(4, 0, 42);
+        let a = cell(4, 50_000, 42);
+        let b = cell(4, 50_000, 42);
         assert_eq!(a, b, "same seed+rate must be byte-identical");
         assert!(a.timeouts > 0, "5% corruption must drop something");
         assert!(a.retries > 0);
@@ -220,7 +212,7 @@ mod tests {
 
     #[test]
     fn sweep_json_has_fixed_schema() {
-        let c = run_cell(32, 4096, 2, 0, 7);
+        let c = cell(2, 0, 7);
         let doc = sweep_json(32, 2, 7, &[c]);
         let parsed = desim::json::parse(&doc).expect("valid JSON");
         let flat = crate::perfdiff::flatten(&parsed);

@@ -8,10 +8,7 @@
 //! without a [`FaultPlan`] installed and compare outputs byte-for-byte.
 
 use armci::{ArmciConfig, ProgressMode};
-use desim::{
-    analyze, ChromeTrace, CritPath, FaultPlan, HealthConfig, MetricsSnapshot, SimDuration,
-    TimelineSnapshot,
-};
+use desim::{FaultPlan, MetricsSnapshot, Observe, Observed, SimDuration};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -32,34 +29,22 @@ pub struct RunOut {
     pub task_slots: usize,
     /// The machine's full metrics snapshot at the end of the run.
     pub snapshot: MetricsSnapshot,
-    /// Critical-path decomposition, when `breakdown` was requested.
-    pub crit: Option<CritPath>,
-    /// Chrome-trace fragment recorded in-run (worker thread local), merged
-    /// into the sweep-wide trace afterwards in input order.
-    pub chrome: Option<ChromeTrace>,
-    /// Windowed-telemetry snapshot, when `timeline_window_ps` was set.
-    pub timeline: Option<TimelineSnapshot>,
+    /// What the sinks the run was asked to observe recorded.
+    pub observed: Observed,
 }
 
 /// Run one Fig 9 configuration: `p` ranks, `k` fetch-and-adds per
-/// requester. `trace` enables the tracer with the given `(pid, name)`;
-/// `breakdown` turns on the flight recorder; `fault` installs a fault plan
-/// on the machine (with `None` and with an *empty* plan the run is
-/// byte-identical — the zero-cost-when-idle contract, asserted by
-/// `tests/fault_zero_cost.rs`); `timeline_window_ps` turns on windowed
-/// telemetry at the given sample width. When both tracing and a timeline
-/// are active, the Chrome fragment additionally carries Perfetto counter
-/// tracks and health-finding instants.
-#[allow(clippy::too_many_arguments)]
+/// requester. `fault` installs a fault plan on the machine (with `None` and
+/// with an *empty* plan the run is byte-identical — the
+/// zero-cost-when-idle contract, asserted by `tests/fault_zero_cost.rs`);
+/// `observe` names the sinks the run turns on.
 pub fn run(
     p: usize,
     progress: ProgressMode,
     rank0_computes: bool,
     k: usize,
-    trace: Option<(u64, &str)>,
-    breakdown: bool,
     fault: Option<FaultPlan>,
-    timeline_window_ps: Option<u64>,
+    observe: Observe,
 ) -> RunOut {
     let contexts = if progress == ProgressMode::AsyncThread {
         2
@@ -73,16 +58,7 @@ pub fn run(
         mcfg = mcfg.faults(plan);
     }
     let f = Fixture::with_machine(mcfg, ArmciConfig::default().progress(progress));
-    let tracer = f.sim.tracer();
-    if trace.is_some() {
-        tracer.enable(1 << 20);
-    }
-    if breakdown {
-        f.sim.flight().enable(1 << 20);
-    }
-    if let Some(w) = timeline_window_ps {
-        f.sim.timeline().enable(w, 512);
-    }
+    observe.start(f.sim.probes());
     let owner = f.armci.machine().rank(0);
     let counter = owner.alloc(8);
     owner.write_i64(counter, 0);
@@ -132,23 +108,6 @@ pub fn run(
     let task_slots = f.sim.task_slots();
     f.armci.machine().flush_net_stats();
     let snapshot = f.armci.machine().stats().snapshot();
-    let timeline = timeline_window_ps.map(|_| f.sim.timeline().snapshot());
-    let chrome = trace.map(|(pid, name)| {
-        // Health findings become instants on the traced timeline, and the
-        // windowed series ride along as Perfetto counter tracks.
-        if let Some(tl) = &timeline {
-            let findings = desim::health::analyze(tl, &HealthConfig::default());
-            desim::health::emit_instants(&tracer, &findings, tl.window_ps);
-        }
-        let mut ct = ChromeTrace::new();
-        ct.add_process(pid, name, &tracer);
-        if let Some(tl) = &timeline {
-            ct.add_counters(pid, tl);
-        }
-        tracer.disable();
-        ct
-    });
-    let crit = breakdown.then(|| analyze(&f.sim.flight(), f.sim.now()));
     RunOut {
         latency_us: total_wait.get().as_us() / ops as f64,
         sim_time_ps,
@@ -156,8 +115,6 @@ pub fn run(
         materialized,
         task_slots,
         snapshot,
-        crit,
-        chrome,
-        timeline,
+        observed: observe.finish(f.sim.probes(), f.sim.now()),
     }
 }

@@ -10,13 +10,11 @@
 
 use crate::Figure;
 use armci::ProgressMode;
-use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::cli::{BREAKDOWN, JOBS, TIMELINE};
 use bgq_bench::Kind::{List, Num, Path, Switch};
-use bgq_bench::{
-    breakdown_json, print_crit_reports, sweep, timeline_json, with_peak_rss, Args, CritReports,
-    Flag, TIMELINE_WINDOW_PS,
-};
-use nwchem_scf::{run_scf_timeline, ScfConfig};
+use bgq_bench::{sweep, with_peak_rss, Args, Flag, Observations};
+use desim::Observe;
+use nwchem_scf::{run_scf_observed, ScfConfig};
 
 pub const FIGURE: Figure = Figure {
     name: "fig11_nwchem_scf",
@@ -34,11 +32,7 @@ pub const FIGURE: Figure = Figure {
         ),
         Flag("--iters", Num(3, 0), "SCF iterations"),
         Flag("--json", Path, "write per-run report rows as JSON"),
-        Flag(
-            "--breakdown",
-            Path,
-            "write critical-path breakdown JSON (smallest p)",
-        ),
+        BREAKDOWN,
         TIMELINE,
         JOBS,
     ],
@@ -58,67 +52,46 @@ fn run(args: &Args) {
         args.num("--iters")
     };
     let jobs = args.jobs();
-    let wants_breakdown = args.given("--breakdown");
-    let wants_timeline = args.given("--timeline");
+    let observe = args.observe();
 
     println!("== Fig 11: NWChem SCF, 6 waters / 644 basis functions ==");
-    const MODES: [ProgressMode; 2] = [ProgressMode::Default, ProgressMode::AsyncThread];
+    const MODES: [(ProgressMode, &str); 2] =
+        [(ProgressMode::Default, "D"), (ProgressMode::AsyncThread, "AT")];
     // One sweep point per (process count, progress mode); results collected
     // by input index so reporting below matches the old serial loop exactly.
     let outs = sweep::run_parallel(procs.len() * MODES.len(), jobs, |idx| {
         let (pi, mi) = (idx / MODES.len(), idx % MODES.len());
-        let mode = MODES[mi];
-        let mut cfg = ScfConfig::paper(mode);
+        let mut cfg = ScfConfig::paper(MODES[mi].0);
         cfg.iterations = iters;
         if quick {
             cfg.repeat_factor = 8; // ~1.6k tasks/iter
         }
         // Flight-record / sample timelines only at the smallest p.
-        if wants_timeline && pi == 0 {
-            cfg.timeline_window_ps = Some(TIMELINE_WINDOW_PS);
-        }
-        let cap = if wants_breakdown && pi == 0 {
-            1 << 22
-        } else {
-            0
-        };
-        run_scf_timeline(procs[pi], &cfg, cap)
+        let observe = if pi == 0 { observe } else { Observe::default() };
+        run_scf_observed(procs[pi], &cfg, observe)
     });
+    let p0 = procs.first().copied().unwrap_or(0);
+    let mut seen = Observations::new(FIGURE.name, p0);
     let mut rows = Vec::new();
-    let mut crits = CritReports::new();
-    let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();
-    for (pi, &p) in procs.iter().enumerate() {
-        for (mi, &mode) in MODES.iter().enumerate() {
-            let (report, crit, tl) = &outs[pi * MODES.len() + mi];
-            let key = if mode == ProgressMode::Default {
-                "D"
-            } else {
-                "AT"
-            };
-            if let Some(cp) = crit {
-                crits.push((key, cp.report(), cp.to_json()));
-            }
-            if let Some(tl) = tl {
-                timelines.push((key.to_string(), tl.clone()));
-            }
-            println!("{}", report.row());
-            rows.push(report);
+    for (idx, (report, observed)) in outs.into_iter().enumerate() {
+        let (pi, mi) = (idx / MODES.len(), idx % MODES.len());
+        seen.add(MODES[mi].1, observed);
+        println!("{}", report.row());
+        rows.push(report);
+        if mi == MODES.len() - 1 {
+            // Per-pair improvement.
+            let d = &rows[rows.len() - 2];
+            let at = &rows[rows.len() - 1];
+            let gain = 100.0 * (d.total_us - at.total_us) / d.total_us;
+            println!(
+                "   p={}: AT reduces execution time by {gain:.1}% (counter time {:.0}us -> {:.0}us)",
+                procs[pi], d.counter_wait_mean_us, at.counter_wait_mean_us
+            );
         }
-        // Per-pair improvement.
-        let d = &rows[rows.len() - 2];
-        let at = &rows[rows.len() - 1];
-        let gain = 100.0 * (d.total_us - at.total_us) / d.total_us;
-        println!(
-            "   p={p}: AT reduces execution time by {gain:.1}% (counter time {:.0}us -> {:.0}us)",
-            d.counter_wait_mean_us, at.counter_wait_mean_us
-        );
     }
     println!("paper: AT reduces execution time by up to 30%;");
     println!("       load-balance-counter time drops sharply with AT");
-    let p0 = procs.first().copied().unwrap_or(0);
-    print_crit_reports(p0, &crits);
-    args.write("--breakdown", || breakdown_json(FIGURE.name, p0, &crits));
-    args.write("--timeline", || timeline_json(FIGURE.name, timelines));
+    seen.report(args);
     args.write("--json", || {
         let body = rows
             .iter()

@@ -19,13 +19,10 @@
 
 use crate::Figure;
 use armci::ProgressMode;
-use bgq_bench::cli::{JOBS, TIMELINE};
+use bgq_bench::cli::{BREAKDOWN, JOBS, TIMELINE, TRACE};
 use bgq_bench::Kind::{List, Num, Path};
-use bgq_bench::{
-    breakdown_json, fig9, print_crit_reports, sweep, timeline_json, with_peak_rss, Args,
-    CritReports, Flag, TIMELINE_WINDOW_PS,
-};
-use desim::{ChromeTrace, Stats};
+use bgq_bench::{fig9, sweep, with_peak_rss, Args, Flag, Observations};
+use desim::{Observe, Stats};
 
 pub const FIGURE: Figure = Figure {
     name: "fig9_rmw",
@@ -39,16 +36,8 @@ pub const FIGURE: Figure = Figure {
         ),
         Flag("--ops", Num(10, 0), "fetch-and-adds per requester"),
         Flag("--json", Path, "write the merged metrics snapshot JSON"),
-        Flag(
-            "--trace",
-            Path,
-            "write a Chrome trace of the smallest-p runs",
-        ),
-        Flag(
-            "--breakdown",
-            Path,
-            "write critical-path breakdown JSON (smallest p)",
-        ),
+        TRACE,
+        BREAKDOWN,
         TIMELINE,
         JOBS,
     ],
@@ -59,11 +48,8 @@ fn run(args: &Args) {
     let procs = args.list("--procs");
     let k = args.num("--ops");
     let jobs = args.jobs();
-    let mut chrome = args.given("--trace").then(ChromeTrace::new);
     // Merge vehicle for the sweep-wide metrics snapshot.
     let merged = Stats::new();
-    // From the flight-recorded runs at the smallest process count.
-    let mut crits = CritReports::new();
 
     println!("== Fig 9: fetch-and-add latency on a counter at rank 0 (us/op) ==");
     println!(
@@ -79,55 +65,40 @@ fn run(args: &Args) {
     // One sweep point per (process count, configuration) pair; results are
     // collected by input index, so the merge below runs in the same order as
     // the old serial loop regardless of worker count.
-    let wants_trace = chrome.is_some();
-    let wants_breakdown = args.given("--breakdown");
-    let wants_timeline = args.given("--timeline");
+    let observe = args.observe();
+    let traced = args.given(TRACE.0);
     let outs = sweep::run_parallel(procs.len() * CONFIGS.len(), jobs, |idx| {
         let (pi, ci) = (idx / CONFIGS.len(), idx % CONFIGS.len());
         let (mode, compute, name) = CONFIGS[ci];
-        // Trace/record only the smallest process count: one pid per config.
-        let trace = (wants_trace && pi == 0).then_some((ci as u64 + 1, name));
-        let breakdown = wants_breakdown && pi == 0;
-        let tl = (wants_timeline && pi == 0).then_some(TIMELINE_WINDOW_PS);
-        fig9::run(procs[pi], mode, compute, k, trace, breakdown, None, tl)
+        // Observe only the smallest process count: one pid per config.
+        let observe = if pi == 0 {
+            Observe {
+                trace: traced.then_some((ci as u64 + 1, name)),
+                ..observe
+            }
+        } else {
+            Observe::default()
+        };
+        fig9::run(procs[pi], mode, compute, k, None, observe)
     });
-    // Timeline doc: one run per configuration, recorded at the smallest p.
-    let mut timelines: Vec<(String, desim::TimelineSnapshot)> = Vec::new();
-    for (pi, &p) in procs.iter().enumerate() {
-        let mut lat = [0.0f64; 4];
-        for (ci, &(_, _, name)) in CONFIGS.iter().enumerate() {
-            let out = &outs[pi * CONFIGS.len() + ci];
-            lat[ci] = out.latency_us;
-            merged.absorb(&out.snapshot);
-            if let Some(cp) = &out.crit {
-                let key = name.trim_start_matches("fig9 ");
-                crits.push((key, cp.report(), cp.to_json()));
-            }
-            if let Some(tl) = &out.timeline {
-                let key = name.trim_start_matches("fig9 ");
-                timelines.push((key.to_string(), tl.clone()));
-            }
-        }
-        println!(
-            "{p:>6} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
-            lat[0], lat[1], lat[2], lat[3]
-        );
-    }
-    if let Some(ct) = &mut chrome {
-        for out in outs {
-            if let Some(fragment) = out.chrome {
-                ct.absorb(fragment);
-            }
+    let p0 = procs.first().copied().unwrap_or(0);
+    let mut seen = Observations::new(FIGURE.name, p0);
+    let mut lat = [0.0f64; 4];
+    for (idx, out) in outs.into_iter().enumerate() {
+        let (pi, ci) = (idx / CONFIGS.len(), idx % CONFIGS.len());
+        lat[ci] = out.latency_us;
+        merged.absorb(&out.snapshot);
+        seen.add(CONFIGS[ci].2.trim_start_matches("fig9 "), out.observed);
+        if ci == CONFIGS.len() - 1 {
+            println!(
+                "{:>6} {:>14.2} {:>14.2} {:>14.2} {:>14.2}",
+                procs[pi], lat[0], lat[1], lat[2], lat[3]
+            );
         }
     }
     println!("paper: D+compute >> others (grain ~300us); AT immune to rank-0 compute;");
     println!("       AT latency grows ~linearly with p (software AMOs, no NIC support)");
-    let p0 = procs.first().copied().unwrap_or(0);
-    print_crit_reports(p0, &crits);
-    args.write("--breakdown", || breakdown_json(FIGURE.name, p0, &crits));
-    args.write("--timeline", || timeline_json(FIGURE.name, timelines));
+    seen.report(args);
     args.write("--json", || with_peak_rss(&merged.snapshot().to_json()));
-    if let Some(ct) = chrome {
-        args.write("--trace", || ct.finish());
-    }
+    seen.write_trace(args);
 }

@@ -15,10 +15,11 @@
 //! it against `results/BENCH_fig_am.json` with zero tolerance.
 
 use crate::Figure;
-use bgq_bench::am_bench::{best_speedup, run_cell_full, sweep_json, AmCell, AmCrit};
+use bgq_bench::am_bench::{best_speedup, run_cell, sweep_json};
 use bgq_bench::cli::{JOBS, TIMELINE};
-use bgq_bench::Kind::{List, Num, Path};
-use bgq_bench::{fmt_size, sweep, timeline_json, with_peak_rss, Args, Flag, TIMELINE_WINDOW_PS};
+use bgq_bench::Kind::{List, ListIn, Num, Path};
+use bgq_bench::{fmt_size, sweep, with_peak_rss, Args, Flag, Observations};
+use desim::Observe;
 
 pub const FIGURE: Figure = Figure {
     name: "fig_am",
@@ -27,9 +28,10 @@ pub const FIGURE: Figure = Figure {
         // Destinations sit a stride of 16 ranks away.
         Flag("--procs", Num(64, 17), "process count, > 16"),
         Flag("--msgs", Num(128, 0), "AM accumulates per rank"),
+        // An accumulate carries whole f64s.
         Flag(
             "--sizes",
-            List(&[8, 64, 512], 0),
+            ListIn(&[8, 64, 512], 0, usize::MAX, 8),
             "comma-separated payload sizes (bytes)",
         ),
         Flag(
@@ -39,7 +41,7 @@ pub const FIGURE: Figure = Figure {
         ),
         Flag(
             "--fanout",
-            List(&[1, 4], 0),
+            List(&[1, 4], 1),
             "comma-separated destination fan-outs",
         ),
         Flag("--json", Path, "write the am-v1 sweep JSON"),
@@ -77,7 +79,7 @@ fn run(args: &Args) {
         .max_by_key(|&(_, &w)| w)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let wants_timeline = args.given("--timeline");
+    let timeline = args.observe().timeline;
     let n_cells = sizes.len() * windows.len() * fanouts.len();
     // One independent simulation per cell; collected by input index so
     // output order never depends on the job count.
@@ -86,20 +88,17 @@ fn run(args: &Args) {
         let wi = (idx / fanouts.len()) % windows.len();
         let fi = idx % fanouts.len();
         let designated = si == smallest_si && fi == 0 && (windows[wi] == 0 || wi == biggest_wi);
-        let tl = (wants_timeline && si == smallest_si && wi == biggest_wi && fi == 0)
-            .then_some(TIMELINE_WINDOW_PS);
-        run_cell_full(
-            procs,
-            sizes[si],
-            msgs,
-            windows[wi] as u64,
-            fanouts[fi],
-            tl,
-            designated,
-        )
+        let observe = Observe {
+            flight: designated,
+            timeline: timeline.filter(|_| si == smallest_si && wi == biggest_wi && fi == 0),
+            ..Observe::default()
+        };
+        run_cell(procs, sizes[si], msgs, windows[wi] as u64, fanouts[fi], observe)
     });
-    let cells: Vec<AmCell> = outs.iter().map(|(c, _, _)| c.clone()).collect();
-    for c in &cells {
+    let mut seen = Observations::new(FIGURE.name, procs);
+    let mut cells = Vec::with_capacity(outs.len());
+    let mut crits = Vec::new();
+    for (c, crit, observed) in outs {
         println!(
             "{:>8} {:>10} {:>7} {:>14.0} {:>10.2} {:>10} {:>10.2} {:>10.3}",
             fmt_size(c.size),
@@ -111,53 +110,30 @@ fn run(args: &Args) {
             c.avg_batch,
             c.sim_time_ps as f64 / 1e6,
         );
+        if let Some(crit) = crit {
+            let key = if c.window_us == 0 {
+                "unbatched"
+            } else {
+                "batched"
+            };
+            crits.push((key.to_string(), crit));
+        }
+        seen.add(&format!("size{}_win{}us", c.size, c.window_us), observed);
+        cells.push(c);
     }
+    let smallest = fmt_size(cells.iter().map(|c| c.size).min().unwrap_or(0));
     if let Some((w, f, ratio)) = best_speedup(&cells) {
-        println!(
-            "best aggregation speedup at {}: {ratio:.2}x (window {w} us, fanout {f})",
-            fmt_size(cells.iter().map(|c| c.size).min().unwrap_or(0)),
-        );
+        println!("best aggregation speedup at {smallest}: {ratio:.2}x (window {w} us, fanout {f})");
     }
     println!("expected: small sizes batch hard (avg_batch >> 1) and the AM rate multiplies;");
     println!("large payloads amortize the post cost on their own, so the win shrinks");
-    let crits: Vec<(String, AmCrit)> = outs
-        .iter()
-        .zip(cells.iter())
-        .filter_map(|((_, _, crit), c)| {
-            crit.as_ref().map(|cr| {
-                let key = if c.window_us == 0 {
-                    "unbatched".to_string()
-                } else {
-                    "batched".to_string()
-                };
-                (
-                    key,
-                    AmCrit {
-                        crit: cr.crit.clone(),
-                        aggr_wait_ps: cr.aggr_wait_ps,
-                    },
-                )
-            })
-        })
-        .collect();
     for (key, c) in &crits {
-        println!(
-            "\n== critical path, {key} (size {}, fanout 1) ==",
-            fmt_size(cells.iter().map(|c| c.size).min().unwrap_or(0))
-        );
+        println!("\n== critical path, {key} (size {smallest}, fanout 1) ==");
         println!("am_aggr wait: {:.3} us total", c.aggr_wait_ps as f64 / 1e6);
         print!("{}", c.crit.report());
     }
     args.write("--json", || {
         with_peak_rss(&sweep_json(procs, msgs, &cells, &crits))
     });
-    args.write("--timeline", || {
-        let runs = outs
-            .into_iter()
-            .filter_map(|(c, tl, _)| {
-                tl.map(|tl| (format!("size{}_win{}us", c.size, c.window_us), tl))
-            })
-            .collect();
-        timeline_json(FIGURE.name, runs)
-    });
+    seen.report(args);
 }

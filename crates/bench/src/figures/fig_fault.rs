@@ -15,9 +15,10 @@
 
 use crate::Figure;
 use bgq_bench::cli::{JOBS, TIMELINE};
-use bgq_bench::fault_bench::{run_cell_timeline, sweep_json, FaultCell};
-use bgq_bench::Kind::{List, Multiple, Num, Path};
-use bgq_bench::{fmt_size, sweep, timeline_json, with_peak_rss, Args, Flag, TIMELINE_WINDOW_PS};
+use bgq_bench::fault_bench::{run_cell, sweep_json};
+use bgq_bench::Kind::{List, ListIn, Multiple, Num, Path};
+use bgq_bench::{fmt_size, sweep, with_peak_rss, Args, Flag, Observations};
+use desim::Observe;
 
 pub const FIGURE: Figure = Figure {
     name: "fig_fault",
@@ -30,15 +31,17 @@ pub const FIGURE: Figure = Figure {
             Multiple(32, 32, 16),
             "process count, a multiple of 16",
         ),
-        Flag("--msgs", Num(8, 0), "puts per rank"),
+        // The p99 is read off the measured puts: at least one per rank.
+        Flag("--msgs", Num(8, 1), "puts per rank"),
         Flag(
             "--sizes",
             List(&[4096, 65536], 0),
             "comma-separated payload sizes (bytes)",
         ),
+        // A probability: at most one million parts per million.
         Flag(
             "--fault-rate",
-            List(&[0, 1000, 10000], 0),
+            ListIn(&[0, 1000, 10000], 0, 1_000_000, 1),
             "comma-separated corruption rates, parts per million",
         ),
         Flag("--seed", Num(42, 0), "fault-plan seed"),
@@ -70,16 +73,21 @@ fn run(args: &Args) {
         .max_by_key(|&(_, &r)| r)
         .map(|(i, _)| i)
         .unwrap_or(0);
-    let wants_timeline = args.given("--timeline");
+    let observe = args.observe();
     // One independent simulation per (rate, size) cell; collected by input
     // index so output order never depends on worker count.
     let outs = sweep::run_parallel(rates.len() * sizes.len(), jobs, |idx| {
         let (ri, si) = (idx / sizes.len(), idx % sizes.len());
-        let tl = (wants_timeline && ri == tl_ri && si == 0).then_some(TIMELINE_WINDOW_PS);
-        run_cell_timeline(procs, sizes[si], msgs, rates[ri] as u64, seed, tl)
+        let observe = if ri == tl_ri && si == 0 {
+            observe
+        } else {
+            Observe::default()
+        };
+        run_cell(procs, sizes[si], msgs, rates[ri] as u64, seed, observe)
     });
-    let cells: Vec<FaultCell> = outs.iter().map(|(c, _)| c.clone()).collect();
-    for c in &cells {
+    let mut seen = Observations::new(FIGURE.name, procs);
+    let mut cells = Vec::with_capacity(outs.len());
+    for (c, observed) in outs {
         println!(
             "{:>10} {:>8} {:>12.1} {:>10.2} {:>9} {:>9} {:>8} {:>12.3}",
             c.rate_ppm,
@@ -91,16 +99,12 @@ fn run(args: &Args) {
             c.gave_up,
             c.sim_time_ps as f64 / 1e9,
         );
+        seen.add(&format!("rate{}_size{}", c.rate_ppm, c.size), observed);
+        cells.push(c);
     }
     println!("expected: MB/s falls and p99 rises smoothly with rate; rate 0 == fault-free");
     args.write("--json", || {
         with_peak_rss(&sweep_json(procs, msgs, seed, &cells))
     });
-    args.write("--timeline", || {
-        let runs = outs
-            .into_iter()
-            .filter_map(|(c, tl)| tl.map(|tl| (format!("rate{}_size{}", c.rate_ppm, c.size), tl)))
-            .collect();
-        timeline_json(FIGURE.name, runs)
-    });
+    seen.report(args);
 }

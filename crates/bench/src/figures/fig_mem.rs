@@ -20,7 +20,7 @@ use crate::Figure;
 use bgq_bench::cli::{JOBS, TIMELINE};
 use bgq_bench::memscale::{self, DEFAULT_MSGS_PER_RANK, DEFAULT_OPS, DEFAULT_PROCS};
 use bgq_bench::Kind::{List, Num, Path, Switch};
-use bgq_bench::{timeline_json, Args, Flag};
+use bgq_bench::{Args, Flag};
 use desim::memprof;
 
 pub const FIGURE: Figure = Figure {
@@ -58,13 +58,13 @@ fn run(args: &Args) {
     let msgs = args.num("--msgs-per-rank");
 
     memprof::enable();
-    let out = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.given("--timeline"));
+    let out = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.observe());
     let timing = !args.given("--no-timing");
     let doc = memscale::scale_json(&out.fig9, &out.churn, ops, msgs, timing);
     print!(
         "{}",
         memscale::memstat_report(&doc).expect("fresh document renders")
     );
-    args.write("--timeline", || timeline_json(FIGURE.name, out.timelines));
+    out.seen.report(args);
     args.write("--json", || doc);
 }

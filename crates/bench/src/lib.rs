@@ -30,7 +30,7 @@
 //! | `simstat` / `memstat` | report over `timeline-v1` / `memscale-v1` documents |
 
 use armci::{Armci, ArmciConfig, ArmciRank};
-use desim::{Sim, SimDuration, SimTime};
+use desim::{ChromeTrace, CritPath, Observed, Sim, SimDuration, SimTime, TimelineDoc};
 use pami_sim::{Machine, MachineConfig};
 
 pub mod am_bench;
@@ -229,41 +229,80 @@ pub fn with_peak_rss(doc: &str) -> String {
     append_json_field(doc, "peak_rss_kb", peak_rss_kb())
 }
 
-/// The `timeline-v1` document of a figure's recorded runs.
-pub fn timeline_json(bench: &str, runs: Vec<(String, desim::TimelineSnapshot)>) -> String {
-    let doc = desim::TimelineDoc {
-        bench: bench.to_string(),
-        runs,
-    };
-    doc.to_json()
+/// What a figure's observed runs recorded, filed by run key in sweep order:
+/// the one place that prints their critical paths and writes the
+/// `--breakdown`, `--timeline` and `--trace` documents.
+pub struct Observations {
+    /// Process count of the flight-recorded runs.
+    p: usize,
+    crits: Vec<(String, CritPath)>,
+    timelines: TimelineDoc,
+    chrome: Option<ChromeTrace>,
 }
 
-/// Critical-path decompositions of a figure's flight-recorded runs, taken at
-/// its smallest process count: `(config key, text report, JSON)` each.
-pub type CritReports = Vec<(&'static str, String, String)>;
-
-/// Print the critical-path table of each recorded configuration.
-pub fn print_crit_reports(p: usize, crits: &CritReports) {
-    if crits.is_empty() {
-        return;
+impl Observations {
+    /// Nothing filed yet for figure `bench`, whose flight-recorded runs have
+    /// `p` ranks.
+    pub fn new(bench: &str, p: usize) -> Observations {
+        Observations {
+            p,
+            crits: Vec::new(),
+            timelines: TimelineDoc {
+                bench: bench.to_string(),
+                runs: Vec::new(),
+            },
+            chrome: None,
+        }
     }
-    println!("\n== message-lifecycle critical path at p={p} ==");
-    for (key, report, _) in crits {
-        println!("[{key}]");
-        print!("{report}");
-    }
-}
 
-/// The `--breakdown` document: every configuration's decomposition by key.
-pub fn breakdown_json(bench: &str, p: usize, crits: &CritReports) -> String {
-    let configs: Vec<String> = crits
-        .iter()
-        .map(|(key, _, json)| format!("\"{key}\":{json}"))
-        .collect();
-    format!(
-        "{{\"bench\":\"{bench}\",\"p\":{p},\"configs\":{{{}}}}}\n",
-        configs.join(",")
-    )
+    /// File what one run recorded under `key`.
+    pub fn add(&mut self, key: &str, seen: Observed) {
+        if let Some(crit) = seen.crit {
+            self.crits.push((key.to_string(), crit));
+        }
+        if let Some(tl) = seen.timeline {
+            self.timelines.runs.push((key.to_string(), tl));
+        }
+        if let Some(fragment) = seen.chrome {
+            self.chrome
+                .get_or_insert_with(ChromeTrace::new)
+                .absorb(fragment);
+        }
+    }
+
+    /// Print the critical path of each flight-recorded run and write the
+    /// `--breakdown` and `--timeline` documents the command line asks for.
+    pub fn report(&self, args: &Args) {
+        if !self.crits.is_empty() {
+            println!("\n== message-lifecycle critical path at p={} ==", self.p);
+            for (key, crit) in &self.crits {
+                println!("[{key}]");
+                print!("{}", crit.report());
+            }
+            args.write(cli::BREAKDOWN.0, || {
+                let configs: Vec<String> = self
+                    .crits
+                    .iter()
+                    .map(|(key, crit)| format!("\"{key}\":{}", crit.to_json()))
+                    .collect();
+                format!(
+                    "{{\"bench\":\"{}\",\"p\":{},\"configs\":{{{}}}}}\n",
+                    self.timelines.bench,
+                    self.p,
+                    configs.join(",")
+                )
+            });
+        }
+        args.write(cli::TIMELINE.0, || self.timelines.to_json());
+    }
+
+    /// Write the `--trace` document: the runs' Chrome fragments, merged in
+    /// the order they were filed.
+    pub fn write_trace(self, args: &Args) {
+        if let Some(ct) = self.chrome {
+            args.write(cli::TRACE.0, || ct.finish());
+        }
+    }
 }
 
 /// Human-friendly byte-size label.

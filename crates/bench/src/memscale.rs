@@ -25,9 +25,9 @@
 use armci::ProgressMode;
 use desim::json::{self, JsonValue};
 use desim::memprof::{self, MemSnapshot};
-use desim::TimelineSnapshot;
+use desim::Observe;
 
-use crate::{fig9, simbench, sweep};
+use crate::{fig9, simbench, sweep, Observations};
 
 /// Default process counts for the scale sweep (ascending).
 pub const DEFAULT_PROCS: [usize; 4] = [32, 64, 128, 256];
@@ -58,58 +58,48 @@ pub struct SweepOut {
     pub fig9: Vec<MemPoint>,
     /// `net_churn` points, in `procs` input order.
     pub churn: Vec<MemPoint>,
-    /// Windowed telemetry (with `mem.live_bytes.<tag>` gauges) recorded at
-    /// the smallest p of each workload, when requested.
-    pub timelines: Vec<(String, TimelineSnapshot)>,
+    /// What the smallest-p run of each workload observed: with a timeline,
+    /// its `mem.live_bytes.<tag>` gauges too.
+    pub seen: Observations,
 }
 
 /// Run the memory-scaling sweep: both workloads at every process count in
 /// `procs` (ascending), `jobs` sweep workers. Requires the calling binary to
 /// have installed [`memprof::MemProf`] and called [`memprof::enable`];
-/// without that the snapshots come back empty. `timeline` additionally
-/// records windowed telemetry at the smallest p of each workload.
+/// without that the snapshots come back empty. The smallest-p run of each
+/// workload turns on the sinks `observe` names.
 pub fn run_sweep(
     procs: &[usize],
     ops: usize,
     msgs_per_rank: usize,
     jobs: usize,
-    timeline: bool,
+    observe: Observe,
 ) -> SweepOut {
     let n = procs.len();
     let outs = sweep::run_parallel(n * 2, jobs, |idx| {
         let (wi, pi) = (idx / n, idx % n);
         let p = procs[pi];
-        let tl = (timeline && pi == 0).then_some(crate::TIMELINE_WINDOW_PS);
+        let observe = if pi == 0 { observe } else { Observe::default() };
         // Mark/since inside the worker closure: thread-local deltas over
         // exactly this run, so --jobs never changes the accounting.
         let m = memprof::mark();
         let t0 = std::time::Instant::now();
-        let (tl_snap, events) = if wi == 0 {
-            let out = fig9::run(
-                p,
-                ProgressMode::AsyncThread,
-                false,
-                ops,
-                None,
-                false,
-                None,
-                tl,
-            );
-            (out.timeline, out.events)
+        let (observed, events) = if wi == 0 {
+            let out = fig9::run(p, ProgressMode::AsyncThread, false, ops, None, observe);
+            (out.observed, out.events)
             // the rest of `out` drops here, before the snapshot
         } else {
-            let (load, tl) = simbench::net_churn_timeline(p, msgs_per_rank * p, None, tl);
-            (tl, load.events)
+            let (load, observed) = simbench::net_churn(p, msgs_per_rank * p, None, observe);
+            (observed, load.events)
         };
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        (memprof::since(&m), tl_snap, wall_ms, events)
+        (memprof::since(&m), observed, wall_ms, events)
     });
     let mut fig9_pts = Vec::with_capacity(n);
     let mut churn_pts = Vec::with_capacity(n);
-    let mut timelines = Vec::new();
-    for (idx, (snap, tl_snap, wall_ms, events)) in outs.into_iter().enumerate() {
+    let mut seen = Observations::new("fig_mem", procs.first().copied().unwrap_or(0));
+    for (idx, (snap, observed, wall_ms, events)) in outs.into_iter().enumerate() {
         let (wi, pi) = (idx / n, idx % n);
-        let name = if wi == 0 { "fig9_rmw" } else { "net_churn" };
         let pt = MemPoint {
             procs: procs[pi],
             snap,
@@ -118,17 +108,16 @@ pub fn run_sweep(
         };
         if wi == 0 {
             fig9_pts.push(pt);
+            seen.add("fig9_rmw", observed);
         } else {
             churn_pts.push(pt);
-        }
-        if let Some(tl) = tl_snap {
-            timelines.push((name.to_string(), tl));
+            seen.add("net_churn", observed);
         }
     }
     SweepOut {
         fig9: fig9_pts,
         churn: churn_pts,
-        timelines,
+        seen,
     }
 }
 

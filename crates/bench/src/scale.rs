@@ -31,7 +31,7 @@
 use std::rc::Rc;
 
 use armci::{ArmciConfig, ProgressMode};
-use desim::memprof;
+use desim::{memprof, Observe};
 
 use crate::memscale::{self, MemPoint};
 use crate::simbench::{self, KernelLoad};
@@ -82,7 +82,7 @@ pub struct StormPoint {
 pub fn run_netstorm(p: usize, msgs: usize) -> StormPoint {
     StormPoint {
         procs: p,
-        load: simbench::net_churn(p, msgs),
+        load: simbench::net_churn(p, msgs, None, Observe::default()).0,
     }
 }
 
@@ -101,16 +101,7 @@ pub fn active_set(p: usize, n: usize) -> Vec<usize> {
 pub fn run_rmw(p: usize, ops: usize) -> ScalePoint {
     let m = memprof::mark();
     let t0 = std::time::Instant::now();
-    let out = fig9::run(
-        p,
-        ProgressMode::AsyncThread,
-        false,
-        ops,
-        None,
-        false,
-        None,
-        None,
-    );
+    let out = fig9::run(p, ProgressMode::AsyncThread, false, ops, None, Observe::default());
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     ScalePoint {
         mem: MemPoint {
@@ -508,7 +499,7 @@ mod tests {
     #[test]
     fn netstorm_point_equals_net_churn_signature() {
         let pt = run_netstorm(64, 2000);
-        let churn = simbench::net_churn(64, 2000);
+        let (churn, _) = simbench::net_churn(64, 2000, None, Observe::default());
         assert_eq!(pt.procs, 64);
         assert_eq!(pt.load.events, 2000);
         assert_eq!(pt.load.events, churn.events);

@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use desim::{FaultPlan, SimDuration, SimRng, SimTime};
+use desim::{FaultPlan, Observe, Observed, Probes, SimDuration, SimRng, SimTime};
 use torus5d::{BgqParams, Delivery, MsgClass, NetState, Topology};
 
 /// Outcome of one kernel workload: deterministic event/time totals plus the
@@ -43,48 +43,36 @@ impl KernelLoad {
 /// [`KernelLoad::events`] counts *deliveries* and
 /// [`KernelLoad::sim_time_ps`] is the latest arrival time — both fully
 /// deterministic; only the wall-clock varies by host.
-pub fn net_churn(procs: usize, msgs: usize) -> KernelLoad {
-    net_churn_with_faults(procs, msgs, None)
-}
-
-/// [`net_churn`] with an optional [`FaultPlan`] installed on the network.
-/// Messages the plan drops are simply lost (no retry layer down here — this
-/// benchmarks raw `NetState` throughput); `events` still counts only actual
-/// deliveries. With `None` **or an empty plan** the delivery stream is
-/// byte-identical to [`net_churn`] — asserted by
-/// `tests/fault_zero_cost.rs`.
-pub fn net_churn_with_faults(procs: usize, msgs: usize, plan: Option<FaultPlan>) -> KernelLoad {
-    net_churn_timeline(procs, msgs, plan, None).0
-}
-
-/// [`net_churn_with_faults`] with optional windowed telemetry: standalone
-/// [`desim::Probes`] (no kernel needed) attached straight to the
-/// [`NetState`], sampling per-window message/byte counts, link busy/wait
-/// time and detours so `simstat` can spot the congestion onset as the
-/// staggered injection schedule outruns link capacity.
-pub fn net_churn_timeline(
+///
+/// `plan` installs a [`FaultPlan`] on the network: messages it drops are
+/// simply lost (no retry layer down here), and `events` still counts only
+/// actual deliveries; with `None` **or an empty plan** the delivery stream
+/// is byte-identical (`tests/fault_zero_cost.rs`). `observe` attaches
+/// standalone [`Probes`] (no kernel needed) with its sinks on: the timeline
+/// samples per-window message/byte counts, link busy/wait time and detours,
+/// so `simstat` can spot the congestion onset as the staggered injection
+/// schedule outruns link capacity.
+pub fn net_churn(
     procs: usize,
     msgs: usize,
     plan: Option<FaultPlan>,
-    timeline_window_ps: Option<u64>,
-) -> (KernelLoad, Option<desim::TimelineSnapshot>) {
+    observe: Observe,
+) -> (KernelLoad, Observed) {
     let topo = Topology::for_procs(procs, 16);
     let mut net = NetState::new(topo, BgqParams::default(), true);
     if let Some(plan) = plan {
         net.install_faults(plan);
     }
-    let probes = desim::Probes::default();
-    let tl = probes.timeline.clone();
-    if let Some(w) = timeline_window_ps {
-        tl.enable(w, 512);
-    }
-    net.attach(probes);
+    let probes = Probes::default();
+    observe.start(&probes);
+    net.attach(probes.clone());
     // Pre-generate the schedule so the timed loop measures delivery alone.
     let sched = churn_schedule(procs, msgs);
     let t0 = Instant::now();
     let mut last = SimTime::ZERO;
     // With the allocation profiler on, sample per-tag live-bytes gauges at
     // most once per timeline window (there is no kernel here to do it).
+    let tl = &probes.timeline;
     let sample_mem = desim::memprof::enabled() && tl.on();
     let mem_window = tl.window_ps().max(1);
     let mut mem_next = 0u64;
@@ -107,17 +95,16 @@ pub fn net_churn_timeline(
         }
         if sample_mem && at.as_ps() >= mem_next {
             mem_next = (at.as_ps() / mem_window + 1) * mem_window;
-            desim::memprof::record_live_gauges(&tl, at, &mut mem_ids);
+            desim::memprof::record_live_gauges(tl, at, &mut mem_ids);
         }
     }
     let wall = t0.elapsed();
-    let snap = timeline_window_ps.map(|_| tl.snapshot());
     let load = KernelLoad {
         events: net.messages(),
         sim_time_ps: last.as_ps(),
         wall,
     };
-    (load, snap)
+    (load, observe.finish(&probes, last))
 }
 
 /// One pre-scheduled message of the churn storm.
@@ -130,7 +117,7 @@ struct ChurnMsg {
     class: MsgClass,
 }
 
-/// The seeded pseudo-random all-to-all schedule every `net_churn` variant
+/// The seeded pseudo-random all-to-all schedule every `net_churn` run
 /// delivers, generated before the timed loop starts.
 fn churn_schedule(procs: usize, msgs: usize) -> Vec<ChurnMsg> {
     let mut rng = SimRng::new(0x4E45_7443);
@@ -166,8 +153,8 @@ mod tests {
 
     #[test]
     fn net_churn_is_deterministic() {
-        let a = net_churn(128, 2000);
-        let b = net_churn(128, 2000);
+        let (a, _) = net_churn(128, 2000, None, Observe::default());
+        let (b, _) = net_churn(128, 2000, None, Observe::default());
         assert_eq!(a.events, 2000);
         assert_eq!(a.events, b.events);
         assert_eq!(a.sim_time_ps, b.sim_time_ps);

@@ -6,6 +6,7 @@
 
 use bgq_bench::am_bench::run_cell;
 use desim::memprof::{self, MemProf};
+use desim::Observe;
 
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
@@ -17,7 +18,7 @@ fn batched_runs_charge_the_pami_am_tag_and_unbatched_charge_nothing() {
     memprof::enable();
 
     let m0 = memprof::mark();
-    run_cell(32, 8, 16, 0, 1); // window 0: no batcher at all
+    run_cell(32, 8, 16, 0, 1, Observe::default()); // window 0: no batcher at all
     let unbatched = memprof::since(&m0);
     let un_allocs = unbatched.get("pami.am").map_or(0, |t| t.allocs);
     assert_eq!(
@@ -26,7 +27,7 @@ fn batched_runs_charge_the_pami_am_tag_and_unbatched_charge_nothing() {
     );
 
     let m1 = memprof::mark();
-    run_cell(32, 8, 16, 1, 1); // 1 µs window: batcher active
+    run_cell(32, 8, 16, 1, 1, Observe::default()); // 1 µs window: batcher active
     let batched = memprof::since(&m1);
     let tag = batched.get("pami.am").expect("pami.am tag recorded");
     assert!(

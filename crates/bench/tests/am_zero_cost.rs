@@ -8,7 +8,7 @@
 
 use bgq_bench::fault_bench::run_cell;
 use bgq_bench::perfdiff::{flatten, Leaf};
-use desim::{Sim, SimDuration, SimTime};
+use desim::{Observe, Sim, SimDuration, SimTime};
 use pami_sim::{Machine, MachineConfig};
 
 fn golden_num(flat: &[(String, Leaf)], key: &str) -> f64 {
@@ -31,7 +31,7 @@ fn am_disabled_runs_match_the_pre_am_fault_golden() {
     let flat = flatten(&doc);
     assert_eq!(golden_num(&flat, "cells[0].rate_ppm"), 0.0);
     assert_eq!(golden_num(&flat, "cells[0].size"), 4096.0);
-    let clean = run_cell(32, 4096, 8, 0, 42);
+    let (clean, _) = run_cell(32, 4096, 8, 0, 42, Observe::default());
     assert_eq!(
         clean.sim_time_ps as f64,
         golden_num(&flat, "cells[0].sim_time_ps"),
@@ -46,7 +46,7 @@ fn am_disabled_runs_match_the_pre_am_fault_golden() {
     // paths the AM batcher now also rides — and must be untouched too.
     assert_eq!(golden_num(&flat, "cells[2].size"), 4096.0);
     let rate = golden_num(&flat, "cells[2].rate_ppm") as u64;
-    let faulty = run_cell(32, 4096, 8, rate, 42);
+    let (faulty, _) = run_cell(32, 4096, 8, rate, 42, Observe::default());
     assert_eq!(
         faulty.sim_time_ps as f64,
         golden_num(&flat, "cells[2].sim_time_ps"),

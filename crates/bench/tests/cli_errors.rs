@@ -92,3 +92,23 @@ fn process_count_floors_are_per_experiment() {
         "invalid value '0' for --procs",
     );
 }
+
+#[test]
+fn values_a_workload_cannot_run_are_rejected() {
+    // Each used to reach a panic inside the run: a corruption probability
+    // above one, a p99 over no puts, a payload that is not whole f64s, and
+    // a round-robin over no destinations.
+    let cases: [(&str, &[&str], &str); 4] = [
+        (
+            "fig_fault",
+            &["--fault-rate", "0,2000000"],
+            "invalid value '2000000' for --fault-rate",
+        ),
+        ("fig_fault", &["--msgs", "0"], "invalid value '0' for --msgs"),
+        ("fig_am", &["--sizes", "8,12"], "invalid value '12' for --sizes"),
+        ("fig_am", &["--fanout", "0"], "invalid value '0' for --fanout"),
+    ];
+    for (bin, args, message) in cases {
+        assert_rejected(bin, args, message);
+    }
+}

@@ -10,21 +10,22 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Run figure `bin` with `args` plus `--jobs <jobs>`, capturing stdout. When
-/// `json` is set, a `--json <tmp>` flag is appended and the file contents
-/// are returned alongside stdout.
-fn run(bin: &str, args: &[&str], jobs: usize, json: Option<&str>) -> (String, Option<String>) {
+/// Run figure `bin` with `args` plus `--jobs <jobs>`, capturing stdout. Each
+/// flag in `docs` (e.g. `--json`) is appended with a temp path, and the
+/// documents written there are returned alongside stdout, in `docs` order.
+fn run(bin: &str, args: &[&str], jobs: usize, tag: &str, docs: &[&str]) -> (String, Vec<String>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_bgq-bench"));
     cmd.arg(bin).args(args);
     cmd.arg("--jobs").arg(jobs.to_string());
-    let json_path = json.map(|tag| {
-        let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-        p.push(format!("det_{tag}_j{jobs}.json"));
-        p
-    });
-    if let Some(p) = &json_path {
-        cmd.arg("--json").arg(p);
-    }
+    let paths: Vec<PathBuf> = docs
+        .iter()
+        .map(|flag| {
+            let mut p = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+            p.push(format!("det_{tag}{}_j{jobs}.json", flag.replace('-', "_")));
+            cmd.arg(flag).arg(&p);
+            p
+        })
+        .collect();
     let out = cmd.output().unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(
         out.status.success(),
@@ -33,10 +34,11 @@ fn run(bin: &str, args: &[&str], jobs: usize, json: Option<&str>) -> (String, Op
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let json_body = json_path.map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
-    });
-    (stdout, json_body)
+    let bodies = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {}: {e}", p.display())))
+        .collect();
+    (stdout, bodies)
 }
 
 /// Strip lines that legitimately differ between invocations (the `wrote
@@ -63,32 +65,33 @@ fn stable_json(s: &str) -> String {
     }
 }
 
-/// Run `bin args` at `--jobs 1` and `--jobs 4`: stdout and the `--json`
-/// artifact (`peak_rss_kb` excepted) must be byte-identical. Returns the
-/// `--jobs 1` JSON for schema checks.
-fn assert_jobs_invariant(bin: &str, args: &[&str], tag: &str) -> String {
-    let (out1, json1) = run(bin, args, 1, Some(tag));
-    let (out4, json4) = run(bin, args, 4, Some(tag));
+/// Run `bin args` at `--jobs 1` and `--jobs 4`: stdout and every document
+/// `docs` names (`peak_rss_kb` excepted) must be byte-identical. Returns the
+/// `--jobs 1` documents, in `docs` order, for schema checks.
+fn assert_jobs_invariant(bin: &str, args: &[&str], tag: &str, docs: &[&str]) -> Vec<String> {
+    let (out1, docs1) = run(bin, args, 1, tag, docs);
+    let (out4, docs4) = run(bin, args, 4, tag, docs);
     assert_eq!(
         stable_stdout(&out1),
         stable_stdout(&out4),
         "{tag} stdout must not depend on --jobs"
     );
-    let (json1, json4) = (json1.expect("json written"), json4.expect("json written"));
-    assert_eq!(
-        stable_json(&json1),
-        stable_json(&json4),
-        "{tag} --json must not depend on --jobs (peak_rss_kb excepted)"
-    );
-    json1
+    for ((flag, a), b) in docs.iter().zip(&docs1).zip(&docs4) {
+        assert_eq!(
+            stable_json(a),
+            stable_json(b),
+            "{tag} {flag} must not depend on --jobs (peak_rss_kb excepted)"
+        );
+    }
+    docs1
 }
 
 #[test]
 fn fig4_bandwidth_is_jobs_invariant() {
     let bin = "fig4_bandwidth";
     let args = ["--window", "1", "--reps", "1"];
-    let (out1, json1) = run(bin, &args, 1, Some("fig4"));
-    let (out4, json4) = run(bin, &args, 4, Some("fig4"));
+    let (out1, json1) = run(bin, &args, 1, "fig4", &["--json"]);
+    let (out4, json4) = run(bin, &args, 4, "fig4", &["--json"]);
     assert_eq!(
         stable_stdout(&out1),
         stable_stdout(&out4),
@@ -96,9 +99,7 @@ fn fig4_bandwidth_is_jobs_invariant() {
     );
     assert_eq!(json1, json4, "fig4 --json must not depend on --jobs");
     assert!(
-        json1
-            .expect("json written")
-            .contains("\"schema\":\"fig4-v1\""),
+        json1[0].contains("\"schema\":\"fig4-v1\""),
         "fig4 JSON schema tag missing"
     );
 }
@@ -106,17 +107,22 @@ fn fig4_bandwidth_is_jobs_invariant() {
 #[test]
 fn fig9_rmw_is_jobs_invariant() {
     let bin = "fig9_rmw";
-    let json = assert_jobs_invariant(bin, &["--procs", "2,8", "--ops", "3"], "fig9");
+    let docs = ["--json", "--breakdown", "--trace"];
+    let out = assert_jobs_invariant(bin, &["--procs", "2,8", "--ops", "3"], "fig9", &docs);
     assert!(
-        json.contains("\"peak_rss_kb\":"),
+        out[0].contains("\"peak_rss_kb\":"),
         "host-context RSS field missing from fig9 JSON"
     );
+    assert!(out[1].contains("\"configs\":"), "breakdown configs missing");
+    assert!(out[2].contains("\"traceEvents\":"), "trace events missing");
 }
 
 #[test]
 fn fig11_nwchem_scf_is_jobs_invariant() {
     let bin = "fig11_nwchem_scf";
-    assert_jobs_invariant(bin, &["--quick", "--procs", "32,64"], "fig11");
+    let docs = ["--json", "--breakdown", "--timeline"];
+    let out = assert_jobs_invariant(bin, &["--quick", "--procs", "32,64"], "fig11", &docs);
+    assert!(out[2].contains("\"schema\":\"timeline-v1\""));
 }
 
 #[test]
@@ -133,8 +139,9 @@ fn fig_fault_is_jobs_invariant() {
         "--fault-rate",
         "0,5000",
     ];
-    let json = assert_jobs_invariant(bin, &args, "fig_fault");
-    assert!(json.contains("\"schema\":\"fault-v1\""));
+    let out = assert_jobs_invariant(bin, &args, "fig_fault", &["--json", "--timeline"]);
+    assert!(out[0].contains("\"schema\":\"fault-v1\""));
+    assert!(out[1].contains("\"schema\":\"timeline-v1\""));
 }
 
 #[test]
@@ -180,11 +187,13 @@ fn fig_am_is_jobs_invariant() {
     // workers.
     let bin = "fig_am";
     let args = ["--procs", "32", "--msgs", "16", "--sizes", "8,64"];
-    let json = assert_jobs_invariant(bin, &args, "fig_am");
+    let out = assert_jobs_invariant(bin, &args, "fig_am", &["--json", "--timeline"]);
+    let json = &out[0];
     assert!(json.contains("\"schema\":\"am-v1\""));
     assert!(json.contains("\"best_speedup\""));
     assert!(
         json.contains("\"am_aggr_wait_ps\""),
         "flight attribution missing from am-v1 JSON"
     );
+    assert!(out[1].contains("\"schema\":\"timeline-v1\""));
 }

@@ -7,8 +7,8 @@
 
 use armci::ProgressMode;
 use bgq_bench::fig9::run;
-use bgq_bench::simbench::{net_churn, net_churn_with_faults};
-use desim::FaultPlan;
+use bgq_bench::simbench::net_churn;
+use desim::{FaultPlan, Observe};
 
 /// fig9_rmw (the full ARMCI + PAMI + network stack, both progress modes,
 /// with rank-0 compute) produces the same latency and the same metrics
@@ -16,16 +16,14 @@ use desim::FaultPlan;
 #[test]
 fn fig9_with_empty_plan_is_byte_identical_to_no_plan() {
     for mode in [ProgressMode::Default, ProgressMode::AsyncThread] {
-        let bare = run(32, mode, true, 4, None, false, None, None);
+        let bare = run(32, mode, true, 4, None, Observe::default());
         let empty = run(
             32,
             mode,
             true,
             4,
-            None,
-            false,
             Some(FaultPlan::new(99)),
-            None,
+            Observe::default(),
         );
         assert_eq!(
             bare.latency_us, empty.latency_us,
@@ -43,8 +41,8 @@ fn fig9_with_empty_plan_is_byte_identical_to_no_plan() {
 /// the same delivery count and final arrival time under an empty plan.
 #[test]
 fn net_churn_with_empty_plan_is_byte_identical() {
-    let bare = net_churn(128, 3000);
-    let empty = net_churn_with_faults(128, 3000, Some(FaultPlan::new(7)));
+    let (bare, _) = net_churn(128, 3000, None, Observe::default());
+    let (empty, _) = net_churn(128, 3000, Some(FaultPlan::new(7)), Observe::default());
     assert_eq!(bare.events, empty.events);
     assert_eq!(bare.sim_time_ps, empty.sim_time_ps);
 }

@@ -6,11 +6,11 @@
 //! produce byte-identical findings (they feed trace instants and `simstat`
 //! reports that CI compares).
 
-use bgq_bench::fault_bench::run_cell_timeline;
-use bgq_bench::simbench::net_churn_timeline;
+use bgq_bench::fault_bench::run_cell;
+use bgq_bench::simbench::net_churn;
 use bgq_bench::TIMELINE_WINDOW_PS;
 use desim::health::analyze;
-use desim::HealthConfig;
+use desim::{HealthConfig, Observe};
 
 fn render(findings: &[desim::Finding]) -> String {
     findings
@@ -27,12 +27,19 @@ fn render(findings: &[desim::Finding]) -> String {
         .collect()
 }
 
+fn timeline(window_ps: u64) -> Observe {
+    Observe {
+        timeline: Some(window_ps),
+        ..Observe::default()
+    }
+}
+
 #[test]
 fn net_churn_trips_congestion_onset_deterministically() {
     let cfg = HealthConfig::default();
     let run = || {
-        let (_, snap) = net_churn_timeline(128, 20_000, None, Some(TIMELINE_WINDOW_PS / 100));
-        analyze(&snap.expect("timeline on"), &cfg)
+        let (_, seen) = net_churn(128, 20_000, None, timeline(TIMELINE_WINDOW_PS / 100));
+        analyze(&seen.timeline.expect("timeline on"), &cfg)
     };
     let a = run();
     assert!(
@@ -50,8 +57,8 @@ fn fig_fault_storm_trips_retry_storm_deterministically() {
     // the same designated cell `fig_fault --fault-rate 0,50000 --msgs 32
     // --timeline` records.
     let run = || {
-        let (_, snap) = run_cell_timeline(32, 4096, 32, 50_000, 42, Some(TIMELINE_WINDOW_PS));
-        analyze(&snap.expect("timeline on"), &cfg)
+        let (_, seen) = run_cell(32, 4096, 32, 50_000, 42, timeline(TIMELINE_WINDOW_PS));
+        analyze(&seen.timeline.expect("timeline on"), &cfg)
     };
     let a = run();
     assert!(

@@ -8,12 +8,21 @@
 //! committed goldens valid while `fig_mem` profiles the same workloads.
 
 use armci::ProgressMode;
-use bgq_bench::fig9::run;
-use bgq_bench::simbench::net_churn;
+use bgq_bench::fig9::{run, RunOut};
+use bgq_bench::simbench::{net_churn, KernelLoad};
 use desim::memprof::{self, MemProf};
+use desim::Observe;
 
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
+
+fn churn() -> KernelLoad {
+    net_churn(64, 2000, None, Observe::default()).0
+}
+
+fn fig9() -> RunOut {
+    run(16, ProgressMode::AsyncThread, false, 4, None, Observe::default())
+}
 
 /// One test body (not two `#[test]`s): enable/disable is process-global, so
 /// the phases must be strictly ordered.
@@ -21,31 +30,13 @@ static ALLOC: MemProf = MemProf;
 fn results_are_identical_with_profiling_off_and_on() {
     // Phase 1: profiler disabled — the baseline.
     assert!(!memprof::enabled());
-    let churn_off = net_churn(64, 2000);
-    let fig9_off = run(
-        16,
-        ProgressMode::AsyncThread,
-        false,
-        4,
-        None,
-        false,
-        None,
-        None,
-    );
+    let churn_off = churn();
+    let fig9_off = fig9();
 
     // Phase 2: profiler fully on — worst case, every allocation attributed.
     memprof::enable();
-    let churn_on = net_churn(64, 2000);
-    let fig9_on = run(
-        16,
-        ProgressMode::AsyncThread,
-        false,
-        4,
-        None,
-        false,
-        None,
-        None,
-    );
+    let churn_on = churn();
+    let fig9_on = fig9();
     memprof::disable();
 
     assert_eq!(churn_off.events, churn_on.events);
@@ -75,7 +66,7 @@ fn results_are_identical_with_profiling_off_and_on() {
 
     // Phase 3: disabled again — results still match the baseline, so an
     // enable/disable cycle leaves no residue in the simulation.
-    let churn_after = net_churn(64, 2000);
+    let churn_after = churn();
     assert_eq!(churn_off.events, churn_after.events);
     assert_eq!(churn_off.sim_time_ps, churn_after.sim_time_ps);
 }

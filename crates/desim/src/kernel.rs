@@ -563,11 +563,6 @@ impl Sim {
         }
     }
 
-    /// Yield to other tasks runnable at the current virtual time.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow { yielded: false }
-    }
-
     /// Run until no events remain. Returns the final virtual time.
     ///
     /// Tasks that are still pending (e.g. daemon-style progress loops blocked
@@ -694,24 +689,6 @@ impl Future for Sleep {
     }
 }
 
-/// Future returned by [`Sim::yield_now`].
-pub struct YieldNow {
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            Poll::Ready(())
-        } else {
-            self.yielded = true;
-            cx.waker().wake_by_ref();
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,25 +805,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_result(), Some(42));
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let sim = Sim::new();
-        let log: Rc<StdRefCell<Vec<&'static str>>> = Rc::new(StdRefCell::new(Vec::new()));
-        let s = sim.clone();
-        let l1 = Rc::clone(&log);
-        sim.spawn(async move {
-            l1.borrow_mut().push("a1");
-            s.yield_now().await;
-            l1.borrow_mut().push("a2");
-        });
-        let l2 = Rc::clone(&log);
-        sim.spawn(async move {
-            l2.borrow_mut().push("b1");
-        });
-        sim.run();
-        assert_eq!(&*log.borrow(), &["a1", "b1", "a2"]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! executor. Simulated entities (PGAS ranks, NIC engines, asynchronous
 //! progress threads, …) are expressed as ordinary `async` functions; awaiting
 //! [`Sim::sleep`] advances *virtual* time, and synchronization primitives
-//! ([`sync::SimMutex`], [`sync::Barrier`], [`channel`]s, [`event::Completion`])
+//! ([`sync::MutexCell`], [`sync::NotifyCell`], [`channel`]s, [`event::Completion`])
 //! let tasks interact causally without consuming virtual time on their own.
 //!
 //! The executor is single-threaded and fully deterministic: events that fire
@@ -62,7 +62,7 @@ pub use health::{Finding, HealthConfig, Severity};
 pub use kernel::{Fire, JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
 pub use paged::PagedMap;
-pub use probe::{Lane, Probe, Probes};
+pub use probe::{Lane, Observe, Observed, Probe, Probes};
 pub use rng::SimRng;
 pub use stats::{MetricsSnapshot, Stats};
 pub use time::{SimDuration, SimTime};

@@ -7,14 +7,21 @@
 //! the slot to its own entry once, so a warm record compares no string.
 //! [`Probes`] holds a simulation's four recorders: one call feeds every
 //! sink its row names, and a sink that is off costs its flag check.
+//!
+//! Which sinks a run turns on is one [`Observe`] request, and what they
+//! recorded comes back as one [`Observed`]: the sinks' capacities, the
+//! timeline's window cap and the Chrome-fragment assembly are decided here
+//! and nowhere else.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
+use crate::critpath::{analyze, CritPath};
 use crate::flight::{FlightRecorder, OpId, SegCategory};
+use crate::health::{self, HealthConfig};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::timeline::{SeriesKind, Timeline};
-use crate::trace::{TraceValue, Tracer};
+use crate::timeline::{SeriesKind, Timeline, TimelineSnapshot};
+use crate::trace::{ChromeTrace, TraceValue, Tracer};
 
 /// A statistic a row writes (see [`Probes::span`] for what each takes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,8 +213,9 @@ impl Lane {
     }
 }
 
-/// A simulation's sinks behind one handle; clones share them. Each is
-/// turned on and read where it lives (`sim.timeline().enable(..)`).
+/// A simulation's sinks behind one handle; clones share them. The stats
+/// registry is always on; an [`Observe`] request turns the other three on
+/// and reads them.
 #[derive(Clone, Default)]
 pub struct Probes {
     /// The stats registry.
@@ -333,6 +341,77 @@ impl Probes {
         }
         if delta != 0 {
             self.level(row, at, delta);
+        }
+    }
+}
+
+/// Events the tracer keeps per run; past it the oldest are dropped.
+const TRACE_CAPACITY: usize = 1 << 20;
+/// Records of each kind the flight recorder keeps per run; past it new ones
+/// are dropped.
+const FLIGHT_CAPACITY: usize = 1 << 22;
+/// Windows per timeline series; past it the window width doubles.
+const TIMELINE_WINDOWS: usize = 512;
+
+/// The sinks one run turns on; the default turns on none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// The tracer, its Chrome fragment filed under this process id and name.
+    pub trace: Option<(u64, &'static str)>,
+    /// The flight recorder, read as the run's critical path.
+    pub flight: bool,
+    /// The timeline, sampled on windows this wide (ps).
+    pub timeline: Option<u64>,
+}
+
+/// What the sinks of one [`Observe`] request recorded; a field is `None`
+/// when its sink was off.
+#[derive(Default)]
+pub struct Observed {
+    /// The tracer's Chrome fragment. With the timeline also on, it carries
+    /// the series as counter tracks and the health findings as instants.
+    pub chrome: Option<ChromeTrace>,
+    /// The critical path of the run.
+    pub crit: Option<CritPath>,
+    /// The timeline.
+    pub timeline: Option<TimelineSnapshot>,
+}
+
+impl Observe {
+    /// Turn the requested sinks on.
+    pub fn start(&self, probes: &Probes) {
+        if self.trace.is_some() {
+            probes.tracer.enable(TRACE_CAPACITY);
+        }
+        if self.flight {
+            probes.flight.enable(FLIGHT_CAPACITY);
+        }
+        if let Some(window_ps) = self.timeline {
+            probes.timeline.enable(window_ps, TIMELINE_WINDOWS);
+        }
+    }
+
+    /// Read the requested sinks of a run that ended at `end`, and turn the
+    /// tracer off.
+    pub fn finish(&self, probes: &Probes, end: SimTime) -> Observed {
+        let timeline = self.timeline.map(|_| probes.timeline.snapshot());
+        let chrome = self.trace.map(|(pid, name)| {
+            if let Some(tl) = &timeline {
+                let findings = health::analyze(tl, &HealthConfig::default());
+                health::emit_instants(&probes.tracer, &findings, tl.window_ps);
+            }
+            let mut ct = ChromeTrace::new();
+            ct.add_process(pid, name, &probes.tracer);
+            if let Some(tl) = &timeline {
+                ct.add_counters(pid, tl);
+            }
+            probes.tracer.disable();
+            ct
+        });
+        Observed {
+            chrome,
+            crit: self.flight.then(|| analyze(&probes.flight, end)),
+            timeline,
         }
     }
 }

@@ -4,12 +4,13 @@
 //! costs (lock hold times, barrier network latency, …) are modelled by the
 //! code running between acquisition and release, or by the layers above.
 //!
-//! * [`SimMutex`] — FIFO ticket lock with direct handoff (no barging), used to
-//!   model the PAMI progress-engine lock shared by the main thread and the
+//! Each is a cell embeddable in a larger object, reached through a handle
+//! that keeps that object alive; a stand-alone one is an `Rc` of its cell.
+//!
+//! * [`MutexCell`] — FIFO ticket lock with direct handoff (no barging), used
+//!   to model the PAMI progress-engine lock shared by the main thread and the
 //!   asynchronous progress thread.
-//! * [`Barrier`] — reusable generation barrier.
-//! * [`Notify`] — edge-triggered condition-variable-style wakeups.
-//! * [`Semaphore`] — counting semaphore with FIFO waiters.
+//! * [`NotifyCell`] — edge-triggered condition-variable-style wakeups.
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -20,7 +21,7 @@ use std::task::{Context, Poll, Waker};
 use crate::waker_set::WakerSet;
 
 // ---------------------------------------------------------------------------
-// SimMutex: FIFO ticket lock with direct handoff
+// MutexCell: FIFO ticket lock with direct handoff
 // ---------------------------------------------------------------------------
 
 struct MutexState {
@@ -35,9 +36,13 @@ struct MutexState {
 /// The state of a fair (FIFO, direct-handoff) mutex, embeddable in a larger
 /// object: it owns no allocation of its own until a waiter queues. Lock
 /// futures and guards reach it through a handle `H: AsRef<MutexCell>` that
-/// keeps the enclosing object alive — [`SimMutex`] is the stand-alone form
-/// (`H = Rc<MutexCell>`); an object that embeds the cell hands out a
-/// handle that projects to its field (see `pami_sim`'s per-rank block).
+/// keeps the enclosing object alive — a stand-alone lock is an
+/// `Rc<MutexCell>`; an object that embeds the cell hands out a handle that
+/// projects to its field (see `pami_sim`'s per-rank block).
+///
+/// Fairness matters for fidelity: the paper's §III-D discusses starvation
+/// between the main thread and the asynchronous progress thread competing for
+/// the progress-engine lock; a barging lock would hide that effect.
 pub struct MutexCell {
     state: RefCell<MutexState>,
 }
@@ -84,39 +89,7 @@ impl MutexCell {
     }
 }
 
-/// A fair (FIFO, direct-handoff) mutex for simulated tasks.
-///
-/// Fairness matters for fidelity: the paper's §III-D discusses starvation
-/// between the main thread and the asynchronous progress thread competing for
-/// the progress-engine lock; a barging lock would hide that effect.
-#[derive(Clone, Default)]
-pub struct SimMutex {
-    cell: Rc<MutexCell>,
-}
-
-impl SimMutex {
-    /// Create an unlocked mutex.
-    pub fn new() -> SimMutex {
-        SimMutex::default()
-    }
-
-    /// Acquire the lock, waiting FIFO behind earlier requesters.
-    pub fn lock(&self) -> MutexLock {
-        MutexCell::lock(Rc::clone(&self.cell))
-    }
-
-    /// Attempt to acquire without waiting.
-    pub fn try_lock(&self) -> Option<MutexGuard> {
-        MutexCell::try_lock(Rc::clone(&self.cell))
-    }
-
-    /// True when some task currently holds the lock.
-    pub fn is_locked(&self) -> bool {
-        self.cell.is_locked()
-    }
-}
-
-/// Future returned by [`SimMutex::lock`] / [`MutexCell::lock`].
+/// Future returned by [`MutexCell::lock`].
 pub struct MutexLock<H: AsRef<MutexCell> = Rc<MutexCell>> {
     h: H,
     ticket: Option<u64>,
@@ -201,113 +174,7 @@ fn advance_serving(st: &mut MutexState) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier: reusable generation barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: WakerSet,
-}
-
-/// A reusable barrier for a fixed set of parties.
-pub struct Barrier {
-    state: Rc<RefCell<BarrierState>>,
-}
-
-impl Clone for Barrier {
-    fn clone(&self) -> Self {
-        Barrier {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` tasks.
-    pub fn new(parties: usize) -> Barrier {
-        assert!(parties > 0, "barrier needs at least one party");
-        Barrier {
-            state: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                wakers: WakerSet::new(),
-            })),
-        }
-    }
-
-    /// Wait until all parties arrive. Resolves to `true` for the last
-    /// arriving party (the "leader"), `false` otherwise.
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            state: Rc::clone(&self.state),
-            generation: None,
-            slot: None,
-        }
-    }
-
-    /// Number of parties the barrier was created with.
-    pub fn parties(&self) -> usize {
-        self.state.borrow().parties
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    state: Rc<RefCell<BarrierState>>,
-    generation: Option<(u64, bool)>,
-    slot: Option<u64>,
-}
-
-impl Drop for BarrierWait {
-    fn drop(&mut self) {
-        self.state.borrow_mut().wakers.remove(&self.slot);
-    }
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let this = self.get_mut();
-        match this.generation {
-            None => {
-                let mut st = this.state.borrow_mut();
-                let gen = st.generation;
-                st.arrived += 1;
-                if st.arrived == st.parties {
-                    st.arrived = 0;
-                    st.generation += 1;
-                    let mut woken = st.wakers.take_all();
-                    drop(st);
-                    woken.wake();
-                    // The next generation registers into the same storage.
-                    this.state.borrow_mut().wakers.recycle(woken);
-                    this.generation = Some((gen, true));
-                    Poll::Ready(true)
-                } else {
-                    this.generation = Some((gen, false));
-                    st.wakers.register(&mut this.slot, cx.waker());
-                    Poll::Pending
-                }
-            }
-            Some((gen, leader)) => {
-                let mut st = this.state.borrow_mut();
-                if st.generation != gen {
-                    st.wakers.remove(&this.slot);
-                    Poll::Ready(leader)
-                } else {
-                    st.wakers.register(&mut this.slot, cx.waker());
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Notify: condition-variable-style wakeups
+// NotifyCell: condition-variable-style wakeups
 // ---------------------------------------------------------------------------
 
 struct NotifyState {
@@ -317,7 +184,13 @@ struct NotifyState {
 
 /// The state of an edge-triggered notifier, embeddable in a larger object
 /// (the [`MutexCell`] of notifications): wait futures reach it through a
-/// handle `H: AsRef<NotifyCell>`; [`Notify`] is the stand-alone form.
+/// handle `H: AsRef<NotifyCell>`; a stand-alone notifier is an
+/// `Rc<NotifyCell>`.
+///
+/// [`NotifyCell::wait`] resolves after the *next*
+/// [`NotifyCell::notify_all`]: notifications issued after the future is
+/// created, even before its first poll, count — so the check-then-wait
+/// pattern has no lost-wakeup window in the single-threaded executor.
 pub struct NotifyCell {
     state: RefCell<NotifyState>,
 }
@@ -364,33 +237,7 @@ impl NotifyCell {
     }
 }
 
-/// Edge-triggered notification: [`Notify::wait`] resolves after the *next*
-/// [`Notify::notify_all`] (notifications issued after the future is created,
-/// even before its first poll, count — so the check-then-wait pattern has no
-/// lost-wakeup window in the single-threaded executor).
-#[derive(Clone, Default)]
-pub struct Notify {
-    cell: Rc<NotifyCell>,
-}
-
-impl Notify {
-    /// Create a notifier.
-    pub fn new() -> Notify {
-        Notify::default()
-    }
-
-    /// Wake every current waiter (and satisfy `wait` futures already created).
-    pub fn notify_all(&self) {
-        self.cell.notify_all();
-    }
-
-    /// Future resolving at the next notification.
-    pub fn wait(&self) -> NotifyWait {
-        NotifyCell::wait(Rc::clone(&self.cell))
-    }
-}
-
-/// Future returned by [`Notify::wait`] / [`NotifyCell::wait`].
+/// Future returned by [`NotifyCell::wait`].
 pub struct NotifyWait<H: AsRef<NotifyCell> = Rc<NotifyCell>> {
     h: H,
     epoch: u64,
@@ -418,148 +265,6 @@ impl<H: AsRef<NotifyCell>> Drop for NotifyWait<H> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemState {
-    permits: usize,
-    waiters: Vec<(u64, usize, Waker)>, // (ticket, wanted, waker) in FIFO order
-    next_ticket: u64,
-}
-
-/// Counting semaphore with FIFO waiters (no overtaking), useful for modelling
-/// bounded request windows and flow control.
-pub struct Semaphore {
-    state: Rc<RefCell<SemState>>,
-}
-
-impl Clone for Semaphore {
-    fn clone(&self) -> Self {
-        Semaphore {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl Semaphore {
-    /// Create a semaphore holding `permits` permits.
-    pub fn new(permits: usize) -> Semaphore {
-        Semaphore {
-            state: Rc::new(RefCell::new(SemState {
-                permits,
-                waiters: Vec::new(),
-                next_ticket: 0,
-            })),
-        }
-    }
-
-    /// Acquire `n` permits, waiting FIFO if necessary.
-    pub fn acquire(&self, n: usize) -> SemAcquire {
-        SemAcquire {
-            state: Rc::clone(&self.state),
-            n,
-            ticket: None,
-        }
-    }
-
-    /// Return `n` permits, waking eligible waiters in order.
-    pub fn release(&self, n: usize) {
-        let wakers = {
-            let mut st = self.state.borrow_mut();
-            st.permits += n;
-            // Wake the longest-waiting requester whose demand now fits; it
-            // will consume permits at poll time. Only the head may proceed
-            // (FIFO, no overtaking).
-            st.waiters
-                .first()
-                .filter(|(_, wanted, _)| *wanted <= st.permits)
-                .map(|(_, _, w)| w.clone())
-        };
-        if let Some(w) = wakers {
-            w.wake();
-        }
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.state.borrow().permits
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct SemAcquire {
-    state: Rc<RefCell<SemState>>,
-    n: usize,
-    ticket: Option<u64>,
-}
-
-impl Future for SemAcquire {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        let mut st = this.state.borrow_mut();
-        let ticket = match this.ticket {
-            Some(t) => t,
-            None => {
-                let t = st.next_ticket;
-                st.next_ticket += 1;
-                this.ticket = Some(t);
-                t
-            }
-        };
-        // FIFO: may only take permits if no earlier requester is still waiting.
-        let earlier_waiting = st.waiters.iter().any(|(t, _, _)| *t < ticket);
-        if !earlier_waiting && st.permits >= this.n {
-            st.permits -= this.n;
-            st.waiters.retain(|(t, _, _)| *t != ticket);
-            // Chain: the new head may also be satisfiable now.
-            let next = st
-                .waiters
-                .first()
-                .filter(|(_, wanted, _)| *wanted <= st.permits)
-                .map(|(_, _, w)| w.clone());
-            drop(st);
-            if let Some(w) = next {
-                w.wake();
-            }
-            Poll::Ready(())
-        } else {
-            match st.waiters.iter_mut().find(|(t, _, _)| *t == ticket) {
-                Some(slot) => slot.2 = cx.waker().clone(),
-                None => {
-                    st.waiters.push((ticket, this.n, cx.waker().clone()));
-                    st.waiters.sort_by_key(|(t, _, _)| *t);
-                }
-            }
-            Poll::Pending
-        }
-    }
-}
-
-impl Drop for SemAcquire {
-    fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            let next = {
-                let mut st = self.state.borrow_mut();
-                let before = st.waiters.len();
-                st.waiters.retain(|(t, _, _)| *t != ticket);
-                if st.waiters.len() != before {
-                    st.waiters
-                        .first()
-                        .filter(|(_, wanted, _)| *wanted <= st.permits)
-                        .map(|(_, _, w)| w.clone())
-                } else {
-                    None
-                }
-            };
-            if let Some(w) = next {
-                w.wake();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,14 +274,14 @@ mod tests {
     #[test]
     fn mutex_mutual_exclusion_and_fifo() {
         let sim = Sim::new();
-        let m = SimMutex::new();
+        let m = Rc::new(MutexCell::new());
         let order: Rc<StdRefCell<Vec<u32>>> = Rc::new(StdRefCell::new(Vec::new()));
         for id in 0..4u32 {
-            let m = m.clone();
+            let m = Rc::clone(&m);
             let s = sim.clone();
             let order = Rc::clone(&order);
             sim.spawn(async move {
-                let _g = m.lock().await;
+                let _g = MutexCell::lock(m).await;
                 order.borrow_mut().push(id);
                 s.sleep(SimDuration::from_us(10)).await;
             });
@@ -589,13 +294,13 @@ mod tests {
 
     #[test]
     fn mutex_try_lock() {
-        let m = SimMutex::new();
-        let g = m.try_lock().unwrap();
+        let m = Rc::new(MutexCell::new());
+        let g = MutexCell::try_lock(Rc::clone(&m)).unwrap();
         assert!(m.is_locked());
-        assert!(m.try_lock().is_none());
+        assert!(MutexCell::try_lock(Rc::clone(&m)).is_none());
         drop(g);
         assert!(!m.is_locked());
-        assert!(m.try_lock().is_some());
+        assert!(MutexCell::try_lock(Rc::clone(&m)).is_some());
     }
 
     #[test]
@@ -603,28 +308,28 @@ mod tests {
         // A task that releases and immediately relocks must go behind a
         // waiting task.
         let sim = Sim::new();
-        let m = SimMutex::new();
+        let m = Rc::new(MutexCell::new());
         let order: Rc<StdRefCell<Vec<&'static str>>> = Rc::new(StdRefCell::new(Vec::new()));
         {
-            let m = m.clone();
+            let m = Rc::clone(&m);
             let s = sim.clone();
             let order = Rc::clone(&order);
             sim.spawn(async move {
-                let g = m.lock().await;
+                let g = MutexCell::lock(Rc::clone(&m)).await;
                 order.borrow_mut().push("a1");
                 s.sleep(SimDuration::from_us(5)).await;
                 drop(g);
-                let _g2 = m.lock().await;
+                let _g2 = MutexCell::lock(m).await;
                 order.borrow_mut().push("a2");
             });
         }
         {
-            let m = m.clone();
+            let m = Rc::clone(&m);
             let s = sim.clone();
             let order = Rc::clone(&order);
             sim.spawn(async move {
                 s.sleep(SimDuration::from_us(1)).await; // arrive while held
-                let _g = m.lock().await;
+                let _g = MutexCell::lock(m).await;
                 order.borrow_mut().push("b");
             });
         }
@@ -633,58 +338,13 @@ mod tests {
     }
 
     #[test]
-    fn barrier_releases_all_and_reports_leader() {
-        let sim = Sim::new();
-        let b = Barrier::new(3);
-        let leaders: Rc<StdRefCell<Vec<bool>>> = Rc::new(StdRefCell::new(Vec::new()));
-        for i in 0..3u64 {
-            let b = b.clone();
-            let s = sim.clone();
-            let leaders = Rc::clone(&leaders);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(i)).await;
-                let leader = b.wait().await;
-                leaders.borrow_mut().push(leader);
-                assert_eq!(s.now().as_us(), 2.0); // all released at last arrival
-            });
-        }
-        sim.run();
-        assert_eq!(leaders.borrow().iter().filter(|&&l| l).count(), 1);
-        assert_eq!(leaders.borrow().len(), 3);
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let sim = Sim::new();
-        let b = Barrier::new(2);
-        let mut handles = Vec::new();
-        for i in 0..2u64 {
-            let b = b.clone();
-            let s = sim.clone();
-            handles.push(sim.spawn(async move {
-                for round in 0..3u64 {
-                    s.sleep(SimDuration::from_us(i + 1)).await;
-                    b.wait().await;
-                    let _ = round;
-                }
-                s.now()
-            }));
-        }
-        sim.run();
-        // Each round gated by the slower party (2us): 3 rounds -> 6us.
-        for h in handles {
-            assert_eq!(h.try_result().unwrap().as_us(), 6.0);
-        }
-    }
-
-    #[test]
     fn notify_wakes_waiters() {
         let sim = Sim::new();
-        let n = Notify::new();
-        let n2 = n.clone();
+        let n = Rc::new(NotifyCell::new());
+        let n2 = Rc::clone(&n);
         let s = sim.clone();
         let h = sim.spawn(async move {
-            n2.wait().await;
+            NotifyCell::wait(n2).await;
             s.now()
         });
         let s2 = sim.clone();
@@ -699,8 +359,8 @@ mod tests {
     #[test]
     fn notify_created_before_signal_counts() {
         let sim = Sim::new();
-        let n = Notify::new();
-        let fut = n.wait(); // created before the notification
+        let n = Rc::new(NotifyCell::new());
+        let fut = NotifyCell::wait(Rc::clone(&n)); // created before the notification
         n.notify_all();
         let h = sim.spawn(async move {
             fut.await;
@@ -753,80 +413,13 @@ mod tests {
             h2.0.arrived.notify_all();
         });
         sim.run();
-        // FIFO handoff, one holder at a time, exactly like `SimMutex`.
+        // FIFO handoff, one holder at a time, exactly as through an
+        // `Rc<MutexCell>`.
         assert_eq!(
             &*h.0.log.borrow(),
             &[(0, 6_000_000), (1, 7_000_000), (2, 8_000_000)]
         );
         assert!(!h.0.lock.is_locked());
         assert_eq!(Rc::strong_count(&h.0), 1, "futures released the block");
-    }
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let active: Rc<StdRefCell<(usize, usize)>> = Rc::new(StdRefCell::new((0, 0))); // (current, max)
-        for _ in 0..6 {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let active = Rc::clone(&active);
-            sim.spawn(async move {
-                sem.acquire(1).await;
-                {
-                    let mut a = active.borrow_mut();
-                    a.0 += 1;
-                    a.1 = a.1.max(a.0);
-                }
-                s.sleep(SimDuration::from_us(5)).await;
-                active.borrow_mut().0 -= 1;
-                sem.release(1);
-            });
-        }
-        let end = sim.run();
-        assert_eq!(active.borrow().1, 2);
-        assert_eq!(end.as_us(), 15.0); // 6 tasks / 2 wide * 5us
-    }
-
-    #[test]
-    fn semaphore_fifo_large_request_not_starved() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(2);
-        let order: Rc<StdRefCell<Vec<&'static str>>> = Rc::new(StdRefCell::new(Vec::new()));
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                sem.acquire(2).await;
-                order.borrow_mut().push("big0");
-                s.sleep(SimDuration::from_us(5)).await;
-                sem.release(2);
-            });
-        }
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(1)).await;
-                sem.acquire(2).await; // queued first
-                order.borrow_mut().push("big1");
-                sem.release(2);
-            });
-        }
-        {
-            let sem = sem.clone();
-            let s = sim.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_us(2)).await;
-                sem.acquire(1).await; // arrives later; must not overtake big1
-                order.borrow_mut().push("small");
-                sem.release(1);
-            });
-        }
-        sim.run();
-        assert_eq!(&*order.borrow(), &["big0", "big1", "small"]);
     }
 }

@@ -7,7 +7,7 @@
 //! loop stuck at one virtual instant. These tests pin the fix.
 
 use desim::futures::race;
-use desim::sync::{Barrier, Notify, SimMutex};
+use desim::sync::{MutexCell, NotifyCell};
 use desim::{Completion, Sim, SimDuration};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -18,11 +18,11 @@ fn racing_completion_against_notify_is_linear() {
     // With leaking wakers this took quadratic events; it must stay linear.
     let sim = Sim::new();
     let done: Completion<()> = Completion::new();
-    let notify = Notify::new();
+    let notify = Rc::new(NotifyCell::new());
     let iters = 2000u64;
 
     {
-        let notify = notify.clone();
+        let notify = Rc::clone(&notify);
         let s = sim.clone();
         sim.spawn(async move {
             for _ in 0..iters {
@@ -33,14 +33,14 @@ fn racing_completion_against_notify_is_linear() {
     }
     {
         let done2 = done.clone();
-        let notify = notify.clone();
+        let notify = Rc::clone(&notify);
         let s = sim.clone();
         sim.spawn(async move {
             loop {
                 if done2.peek().is_some() {
                     break;
                 }
-                match race(done2.wait(), notify.wait()).await {
+                match race(done2.wait(), NotifyCell::wait(Rc::clone(&notify))).await {
                     desim::Either::Left(()) => break,
                     desim::Either::Right(()) => {}
                 }
@@ -69,11 +69,11 @@ fn racing_completion_against_notify_is_linear() {
 fn repeated_sleep_registers_one_timer_each() {
     // A task woken spuriously while sleeping must not duplicate its timer.
     let sim = Sim::new();
-    let notify = Notify::new();
+    let notify = Rc::new(NotifyCell::new());
     {
         // Spammer: wakes the sleeper continuously via notify (stale-waker
         // style wakeups are simulated by racing).
-        let notify = notify.clone();
+        let notify = Rc::clone(&notify);
         let s = sim.clone();
         sim.spawn(async move {
             for _ in 0..1000 {
@@ -103,10 +103,10 @@ fn repeated_sleep_registers_one_timer_each() {
 }
 
 /// Poll a sleep future to completion while being woken by a notify storm.
-async fn futures_pin(sleep: desim::kernel::Sleep, storms: &mut u32, notify: &Notify) {
+async fn futures_pin(sleep: desim::kernel::Sleep, storms: &mut u32, notify: &Rc<NotifyCell>) {
     let mut sleep = Box::pin(sleep);
     loop {
-        match race(sleep.as_mut(), notify.wait()).await {
+        match race(sleep.as_mut(), NotifyCell::wait(Rc::clone(notify))).await {
             desim::Either::Left(()) => return,
             desim::Either::Right(()) => *storms += 1,
         }
@@ -117,35 +117,35 @@ async fn futures_pin(sleep: desim::kernel::Sleep, storms: &mut u32, notify: &Not
 fn dropped_mutex_waiter_does_not_deadlock() {
     // A lock() future dropped while queued must surrender its ticket.
     let sim = Sim::new();
-    let m = SimMutex::new();
+    let m = Rc::new(MutexCell::new());
     let progressed = Rc::new(Cell::new(false));
     {
-        let m = m.clone();
+        let m = Rc::clone(&m);
         let s = sim.clone();
         sim.spawn(async move {
-            let _g = m.lock().await;
+            let _g = MutexCell::lock(m).await;
             s.sleep(SimDuration::from_us(10)).await;
         });
     }
     {
         // This waiter gives up (races the lock against a short sleep).
-        let m = m.clone();
+        let m = Rc::clone(&m);
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(SimDuration::from_us(1)).await;
-            match race(m.lock(), s.sleep(SimDuration::from_us(2))).await {
+            match race(MutexCell::lock(m), s.sleep(SimDuration::from_us(2))).await {
                 desim::Either::Left(_g) => {}
                 desim::Either::Right(()) => {} // cancelled while queued
             }
         });
     }
     {
-        let m = m.clone();
+        let m = Rc::clone(&m);
         let s = sim.clone();
         let progressed = Rc::clone(&progressed);
         sim.spawn(async move {
             s.sleep(SimDuration::from_us(5)).await;
-            let _g = m.lock().await; // must still be obtainable
+            let _g = MutexCell::lock(m).await; // must still be obtainable
             progressed.set(true);
         });
     }
@@ -154,22 +154,10 @@ fn dropped_mutex_waiter_does_not_deadlock() {
 }
 
 #[test]
-fn dropped_barrier_and_channel_waiters_clean_up() {
+fn dropped_channel_waiter_cleans_up() {
+    // A dropped Recv must hand queued messages to the next receiver.
     let sim = Sim::new();
-    // Barrier: a waiter that gives up must not satisfy the barrier.
-    let b = Barrier::new(2);
     let fired = Rc::new(Cell::new(false));
-    {
-        let b = b.clone();
-        let s = sim.clone();
-        sim.spawn(async move {
-            match race(b.wait(), s.sleep(SimDuration::from_us(1))).await {
-                desim::Either::Left(_) => panic!("barrier cannot complete alone"),
-                desim::Either::Right(()) => {}
-            }
-        });
-    }
-    // Channel: dropped Recv must hand queued messages to the next receiver.
     let (tx, rx) = desim::channel::channel::<u32>();
     {
         let rx2 = rx.clone();
@@ -203,8 +191,8 @@ fn long_progress_loop_event_count_is_proportional() {
     // virtual microseconds stays event-linear.
     let sim = Sim::new();
     let s = sim.clone();
-    let n = Notify::new();
-    let n2 = n.clone();
+    let n = Rc::new(NotifyCell::new());
+    let n2 = Rc::clone(&n);
     sim.spawn(async move {
         for _ in 0..10_000 {
             s.sleep(SimDuration::from_ns(500)).await;
@@ -215,7 +203,12 @@ fn long_progress_loop_event_count_is_proportional() {
     sim.spawn(async move {
         let deadline = desim::SimTime::ZERO + SimDuration::from_ms(5);
         while s2.now() < deadline {
-            match race(n.wait(), s2.sleep(SimDuration::from_us(1))).await {
+            match race(
+                NotifyCell::wait(Rc::clone(&n)),
+                s2.sleep(SimDuration::from_us(1)),
+            )
+            .await
+            {
                 desim::Either::Left(()) | desim::Either::Right(()) => {}
             }
         }

@@ -31,4 +31,4 @@ pub mod scf;
 
 pub use molecule::WaterCluster;
 pub use report::ScfReport;
-pub use scf::{run_scf, run_scf_timeline, ScfConfig};
+pub use scf::{run_scf, run_scf_observed, ScfConfig};

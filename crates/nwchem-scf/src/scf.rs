@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use armci::{Armci, ArmciConfig, ProgressMode};
 use desim::memprof::{self, MemTag};
-use desim::{CritPath, Lane, Probe, Sim, SimDuration, SimRng, TraceValue};
+use desim::{Lane, Observe, Observed, Probe, Sim, SimDuration, SimRng, TraceValue};
 
 /// SCF driver state: per-rank tallies and rank-program captures.
 static SCF_TAG: MemTag = MemTag::new("scf");
@@ -40,15 +40,6 @@ pub struct ScfConfig {
     pub compute_jitter: f64,
     /// Modeled diagonalization/DIIS time per iteration (replicated).
     pub diag_time: SimDuration,
-    /// Fraction of tasks eliminated by integral screening (Schwarz
-    /// inequality): screened tasks still cost a counter fetch but do
-    /// (almost) no work — they raise the AMO pressure per unit of compute,
-    /// sharpening the D-vs-AT contrast. 0.0 disables screening.
-    pub screen_fraction: f64,
-    /// Stop early once the SCF energy change falls below this tolerance
-    /// (`None` = always run `iterations` cycles). The density damping makes
-    /// per-iteration contributions decay as 1/iter², so the energy converges.
-    pub converge_tol: Option<f64>,
     /// Progress mode (the D-vs-AT axis of Fig 11).
     pub progress: ProgressMode,
     /// PAMI contexts per rank (ρ); the AT design uses 2 (§III-D).
@@ -57,9 +48,6 @@ pub struct ScfConfig {
     pub procs_per_node: usize,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Windowed-telemetry sample width in picoseconds (`None` = timelines
-    /// off; the run stays allocation-free on the telemetry paths).
-    pub timeline_window_ps: Option<u64>,
 }
 
 impl ScfConfig {
@@ -74,8 +62,6 @@ impl ScfConfig {
             compute_mean: SimDuration::from_us(300),
             compute_jitter: 0.3,
             diag_time: SimDuration::from_us(200),
-            screen_fraction: 0.0,
-            converge_tol: None,
             progress,
             contexts: if progress == ProgressMode::AsyncThread {
                 2
@@ -84,7 +70,6 @@ impl ScfConfig {
             },
             procs_per_node: 16,
             seed: 20130520,
-            timeline_window_ps: None,
         }
     }
 
@@ -98,8 +83,6 @@ impl ScfConfig {
             compute_mean: SimDuration::from_us(50),
             compute_jitter: 0.2,
             diag_time: SimDuration::from_us(20),
-            screen_fraction: 0.0,
-            converge_tol: None,
             progress,
             contexts: if progress == ProgressMode::AsyncThread {
                 2
@@ -108,7 +91,6 @@ impl ScfConfig {
             },
             procs_per_node: 1,
             seed: 7,
-            timeline_window_ps: None,
         }
     }
 
@@ -137,19 +119,12 @@ struct RankTally {
 /// Run one SCF calculation on a fresh simulated machine and report the
 /// timing breakdown. Deterministic for a given configuration.
 pub fn run_scf(nprocs: usize, cfg: &ScfConfig) -> ScfReport {
-    run_scf_timeline(nprocs, cfg, 0).0
+    run_scf_observed(nprocs, cfg, Observe::default()).0
 }
 
-/// Like [`run_scf`], observed: with the message-lifecycle flight recorder
-/// enabled when `flight_capacity > 0`, additionally returns the
-/// critical-path decomposition of the whole run (compute / queueing / wire /
-/// contention / progress-starvation), and the windowed-telemetry snapshot
-/// when `cfg.timeline_window_ps` is set (each `None` when off).
-pub fn run_scf_timeline(
-    nprocs: usize,
-    cfg: &ScfConfig,
-    flight_capacity: usize,
-) -> (ScfReport, Option<CritPath>, Option<desim::TimelineSnapshot>) {
+/// [`run_scf`] with the sinks `observe` names turned on: returns what they
+/// recorded beside the report, which they never change.
+pub fn run_scf_observed(nprocs: usize, cfg: &ScfConfig, observe: Observe) -> (ScfReport, Observed) {
     let sim = Sim::new();
     let machine = Machine::new(
         sim.clone(),
@@ -157,13 +132,8 @@ pub fn run_scf_timeline(
             .procs_per_node(cfg.procs_per_node)
             .contexts(cfg.contexts),
     );
-    if flight_capacity > 0 {
-        sim.flight().enable(flight_capacity);
-    }
+    observe.start(sim.probes());
     let armci = Armci::new(machine, ArmciConfig::default().progress(cfg.progress));
-    if let Some(w) = cfg.timeline_window_ps {
-        sim.timeline().enable(w, 512);
-    }
     let density = Ga::create(&armci, "density", cfg.nbf, cfg.nbf);
     let fock = Ga::create(&armci, "fock", cfg.nbf, cfg.nbf);
     density.fill(0.1);
@@ -198,7 +168,6 @@ pub fn run_scf_timeline(
             let d_buf2 = rk.malloc(patch_elems * 8).await;
             let f_buf = rk.malloc(patch_elems * 8).await;
             let mut tally = RankTally::default();
-            let mut prev_energy = 0.0f64;
             // SCF phase tags: one span per phase per iteration on this
             // rank's lane (allocation-free while tracing is disabled).
             let lane = Lane::Rank(rk.id());
@@ -215,11 +184,6 @@ pub fn run_scf_timeline(
                         break;
                     }
                     tally.tasks += 1;
-                    // Integral screening: negligible-contribution quartets
-                    // are skipped right after the counter fetch.
-                    if cfg.screen_fraction > 0.0 && rng.next_f64() < cfg.screen_fraction {
-                        continue;
-                    }
                     let blk = (t as usize) % (nblk * nblk);
                     let (bi, bj) = (blk / nblk, blk % nblk);
                     let (rlo, rhi) = (bi * cfg.block, ((bi + 1) * cfg.block).min(cfg.nbf));
@@ -266,19 +230,12 @@ pub fn run_scf_timeline(
                 s.probes().begin(&DIAG, lane, t_diag, &[]);
                 s.sleep(cfg.diag_time).await;
                 s.probes().end(&DIAG, lane, None, t_diag, s.now(), &[]);
-                // Convergence check: SCF energy via the collective network.
+                // SCF energy via the collective network.
                 let energy = fock.global_sum(&rk).await;
                 let value = TraceValue::F64(energy);
                 s.probes()
                     .instant(&ENERGY, lane, s.now(), 0, &[("value", value)]);
-                let delta = (energy - prev_energy).abs();
-                prev_energy = energy;
                 tally.iterations_run = iter + 1;
-                if let Some(tol) = cfg.converge_tol {
-                    if delta < tol {
-                        break;
-                    }
-                }
             }
             rk.barrier().await;
             tallies.borrow_mut()[rk.id()] = tally;
@@ -286,8 +243,7 @@ pub fn run_scf_timeline(
     }
 
     let end = sim.run();
-    let crit = (flight_capacity > 0).then(|| desim::analyze(&sim.flight(), end));
-    let timeline = cfg.timeline_window_ps.map(|_| sim.timeline().snapshot());
+    let observed = observe.finish(sim.probes(), end);
     let rmw_count = sim.stats().counter("armci.rmw");
     armci.finalize();
     sim.shutdown();
@@ -317,7 +273,7 @@ pub fn run_scf_timeline(
         tasks_max: tallies.iter().map(|t| t.tasks).max().unwrap_or(0),
         rmw_count,
     };
-    (report, crit, timeline)
+    (report, observed)
 }
 
 #[cfg(test)]
@@ -372,49 +328,21 @@ mod tests {
     #[test]
     fn flight_breakdown_tiles_total_time_deterministically() {
         let cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
-        let (report, crit, _) = run_scf_timeline(4, &cfg, 1 << 16);
-        let cp = crit.expect("flight enabled");
+        let flight = Observe {
+            flight: true,
+            ..Observe::default()
+        };
+        let (report, seen) = run_scf_observed(4, &cfg, flight);
+        let cp = seen.crit.expect("flight enabled");
         // The five categories tile the whole run exactly.
         assert_eq!(cp.breakdown.total(), cp.total);
         assert!((cp.total.as_us() - report.total_us).abs() < 1e-9);
         // Byte-identical across same-seed runs.
-        let (_, crit2, _) = run_scf_timeline(4, &cfg, 1 << 16);
-        assert_eq!(cp.to_json(), crit2.unwrap().to_json());
+        let (_, again) = run_scf_observed(4, &cfg, flight);
+        assert_eq!(cp.to_json(), again.crit.unwrap().to_json());
         // Plain run_scf keeps recording off and matches the recorded run.
         let plain = run_scf(4, &cfg);
         assert_eq!(plain.total_us, report.total_us);
-    }
-
-    #[test]
-    fn convergence_stops_early() {
-        let mut cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
-        cfg.iterations = 8;
-        // Contributions decay as 1/iter^2; a loose tolerance triggers early.
-        cfg.converge_tol = Some(5.0);
-        let report = run_scf(3, &cfg);
-        assert!(
-            report.iterations < 8,
-            "should converge before 8 cycles, ran {}",
-            report.iterations
-        );
-        // Without a tolerance, all cycles run.
-        cfg.converge_tol = None;
-        let full = run_scf(3, &cfg);
-        assert_eq!(full.iterations, 8);
-        assert!(full.total_us > report.total_us);
-    }
-
-    #[test]
-    fn screening_preserves_counter_pressure_but_cuts_compute() {
-        let mut cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
-        let unscreened = run_scf(4, &cfg);
-        cfg.screen_fraction = 0.5;
-        let screened = run_scf(4, &cfg);
-        // Same counter traffic (every task index is still fetched)...
-        assert_eq!(screened.rmw_count, unscreened.rmw_count);
-        // ...but roughly half the compute and a faster run.
-        assert!(screened.compute_mean_us < unscreened.compute_mean_us * 0.75);
-        assert!(screened.total_us < unscreened.total_us);
     }
 
     #[test]
