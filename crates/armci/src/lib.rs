@@ -62,6 +62,6 @@ pub use handle::{NbHandle, OpKind};
 pub use model::{FailureMode, RetryPolicy};
 pub use ops::ArmciRank;
 pub use optable::{OpDesc, Overhead, OPS};
-pub use region_cache::{RegionCache, RemoteRegion};
+pub use region_cache::{RegionCache, RegionTable, RemoteRegion};
 pub use runtime::{Armci, ArmciConfig, ProgressMode};
 pub use strided::Strided;

@@ -28,7 +28,7 @@ static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 
 use crate::handle::{NbHandle, OpKind};
 use crate::optable::{self, OpDesc, Overhead};
-use crate::region_cache::RemoteRegion;
+use crate::region_cache::{RegionTable, RemoteRegion};
 use crate::runtime::{
     Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY, DISPATCH_REGION_QUERY,
 };
@@ -183,23 +183,18 @@ impl ArmciRank {
                 .borrow_mut()
                 .remove(&seq)
                 .expect("collective state present");
-            // Exchange region keys: seed every rank's cache with every
-            // other rank's block (only blocks that actually registered).
-            for r in 0..p {
-                for (owner, &o) in st.offs.iter().enumerate() {
-                    if owner != r
-                        && self
-                            .a
-                            .inner
-                            .machine
-                            .rank(owner)
-                            .find_region(o, len)
-                            .is_some()
-                    {
-                        self.a.seed_region(r, owner, o, len);
-                    }
-                }
-            }
+            // Exchange region keys: one table of the blocks that actually
+            // registered, shared by every rank's cache.
+            let table: RegionTable = st
+                .offs
+                .iter()
+                .enumerate()
+                .map(|(owner, &o)| {
+                    let registered = self.a.inner.machine.rank(owner).find_region(o, len);
+                    registered.map(|_| RemoteRegion { off: o, len })
+                })
+                .collect();
+            self.a.seed_collective(&table);
             // The metadata exchange rides the collective network.
             let cost = self.a.inner.machine.params().barrier_cost(p);
             let offs = std::rc::Rc::new(st.offs);

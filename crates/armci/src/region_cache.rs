@@ -7,6 +7,8 @@
 //! (which requires the owner's progress engine — misses are *expensive*), and
 //! the replacement policy is **least frequently used** (paper §III-B).
 
+use std::rc::Rc;
+
 use desim::FxHashMap;
 
 /// Metadata of a remote rank's registered memory region.
@@ -25,6 +27,12 @@ impl RemoteRegion {
     }
 }
 
+/// One collective structure's regions, indexed by owner (`None`: the
+/// owner's block did not register). Built once per structure and shared by
+/// every rank's cache.
+pub type RegionTable = Rc<[Option<RemoteRegion>]>;
+
+/// An entry that came back from a miss query.
 #[derive(Debug, Clone)]
 struct Entry {
     target: usize,
@@ -33,12 +41,107 @@ struct Entry {
     inserted: u64,
 }
 
+/// A collective structure this cache was seeded from: the shared table plus
+/// this rank's LFU state for each of its slots.
+#[derive(Debug)]
+struct Seeded {
+    table: RegionTable,
+    /// Slot `t` was inserted at `base + t`.
+    base: u64,
+    /// Use frequency per owner; 0 = not cached (the rank's own block, an
+    /// unregistered one, one already cached from elsewhere, or evicted).
+    /// `u32::MAX`: the count outgrew 32 bits and continues in
+    /// [`Seeds::wide`].
+    freq: Box<[u32]>,
+}
+
+/// The collective structures a cache was seeded from, in seeding order.
+#[derive(Debug, Default)]
+struct Seeds {
+    structures: Vec<Seeded>,
+    /// Cached slots over all structures.
+    len: usize,
+    /// Frequencies of the slots marked `u32::MAX`, by (structure, owner).
+    wide: FxHashMap<(usize, usize), u64>,
+}
+
+impl Seeds {
+    /// The first structure whose cached slot `t` satisfies `pred`: the
+    /// oldest, since structures are kept in seeding order.
+    fn find(&self, t: usize, pred: impl Fn(&RemoteRegion) -> bool) -> Option<usize> {
+        self.structures.iter().position(|st| {
+            st.freq.get(t).is_some_and(|&f| f != 0) && st.table[t].as_ref().is_some_and(&pred)
+        })
+    }
+
+    fn region(&self, s: usize, t: usize) -> RemoteRegion {
+        self.structures[s].table[t].expect("cached slots hold a region")
+    }
+
+    fn freq(&self, s: usize, t: usize) -> u64 {
+        match self.structures[s].freq[t] {
+            u32::MAX => self.wide[&(s, t)],
+            f => u64::from(f),
+        }
+    }
+
+    fn bump(&mut self, s: usize, t: usize) {
+        let f = &mut self.structures[s].freq[t];
+        if *f < u32::MAX - 1 {
+            *f += 1;
+        } else {
+            *self.wide.entry((s, t)).or_insert(u64::from(*f)) += 1;
+            *f = u32::MAX;
+        }
+    }
+
+    fn insert(&mut self, s: usize, t: usize) {
+        self.structures[s].freq[t] = 1;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, s: usize, t: usize) -> RemoteRegion {
+        if std::mem::take(&mut self.structures[s].freq[t]) == u32::MAX {
+            self.wide.remove(&(s, t));
+        }
+        self.len -= 1;
+        self.region(s, t)
+    }
+
+    /// Every cached slot as `(structure, owner)`.
+    fn cached(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.structures.iter().enumerate().flat_map(|(s, st)| {
+            st.freq
+                .iter()
+                .enumerate()
+                .filter(|&(_, &f)| f != 0)
+                .map(move |(t, _)| (s, t))
+        })
+    }
+}
+
+/// Where a cached entry lives.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    Queried(usize),
+    Seeded(usize, usize),
+}
+
 /// Bounded cache of remote region metadata, LFU replacement.
+///
+/// Entries a miss query returned are kept one by one; a collective
+/// structure's entries are slots of its shared [`RegionTable`], at four
+/// bytes of frequency each. Both kinds are one cache: one capacity, one
+/// insertion order, one LFU order.
 #[derive(Debug)]
 pub struct RegionCache {
     capacity: usize,
     entries: Vec<Entry>,
+    /// Indices into `entries` per target, in insertion order.
     by_target: FxHashMap<usize, Vec<usize>>,
+    /// Boxed on the first seed: a rank of a run without collective
+    /// allocations pays one word for it.
+    seeded: Option<Box<Seeds>>,
     seq: u64,
     hits: u64,
     misses: u64,
@@ -53,6 +156,7 @@ impl RegionCache {
             capacity,
             entries: Vec::new(),
             by_target: FxHashMap::default(),
+            seeded: None,
             seq: 0,
             hits: 0,
             misses: 0,
@@ -63,16 +167,16 @@ impl RegionCache {
     /// Look up a cached region of `target` covering `[off, off+len)`,
     /// bumping its use frequency. Records a hit or miss.
     pub fn lookup(&mut self, target: usize, off: usize, len: usize) -> Option<RemoteRegion> {
-        let idx = self.by_target.get(&target).and_then(|ids| {
-            ids.iter()
-                .copied()
-                .find(|&i| self.entries[i].region.covers(off, len))
-        });
-        match idx {
-            Some(i) => {
-                self.entries[i].freq += 1;
+        let found = if self.entries.is_empty() && self.seeded.is_none() {
+            None
+        } else {
+            self.find(target, |r| r.covers(off, len))
+        };
+        match found {
+            Some(at) => {
+                self.bump(at);
                 self.hits += 1;
-                Some(self.entries[i].region)
+                Some(self.region(at))
             }
             None => {
                 self.misses += 1;
@@ -89,26 +193,11 @@ impl RegionCache {
             return None;
         }
         // Refresh rather than duplicate if an identical entry exists.
-        if let Some(ids) = self.by_target.get(&target) {
-            if let Some(&i) = ids.iter().find(|&&i| self.entries[i].region == region) {
-                self.entries[i].freq += 1;
-                return None;
-            }
+        if let Some(at) = self.find(target, |r| *r == region) {
+            self.bump(at);
+            return None;
         }
-        let mut evicted = None;
-        if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.freq, e.inserted))
-                .map(|(i, _)| i)
-                .expect("nonempty at capacity");
-            let e = self.entries.swap_remove(victim);
-            self.evictions += 1;
-            evicted = Some((e.target, e.region));
-            self.rebuild_index();
-        }
+        let evicted = self.evict_if_full();
         self.seq += 1;
         self.entries.push(Entry {
             target,
@@ -123,21 +212,147 @@ impl RegionCache {
         evicted
     }
 
-    fn rebuild_index(&mut self) {
-        self.by_target.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            self.by_target.entry(e.target).or_default().push(i);
+    /// Seed the cache of rank `me` with a collective structure: the same
+    /// as [`insert`](Self::insert)ing every other owner's region of `table`
+    /// in owner order, without a per-entry copy. Returns what that evicted,
+    /// in order.
+    pub fn seed(&mut self, me: usize, table: &RegionTable) -> Vec<(usize, RemoteRegion)> {
+        let mut evicted = Vec::new();
+        if self.capacity == 0 {
+            return evicted;
+        }
+        let seeds = self.seeded.get_or_insert_with(Box::default);
+        let s = seeds.structures.len();
+        seeds.structures.push(Seeded {
+            table: Rc::clone(table),
+            base: self.seq + 1,
+            freq: vec![0; table.len()].into(),
+        });
+        self.seq += table.len() as u64;
+        for (t, region) in table.iter().enumerate() {
+            let Some(region) = *region else { continue };
+            if t == me {
+                continue;
+            }
+            if let Some(at) = self.find(t, |r| *r == region) {
+                self.bump(at);
+                continue;
+            }
+            evicted.extend(self.evict_if_full());
+            self.seeds_mut().insert(s, t);
+        }
+        evicted
+    }
+
+    fn seeds(&self) -> &Seeds {
+        self.seeded
+            .as_deref()
+            .expect("a seeded slot has its structure")
+    }
+
+    fn seeds_mut(&mut self) -> &mut Seeds {
+        self.seeded
+            .as_deref_mut()
+            .expect("a seeded slot has its structure")
+    }
+
+    /// The earliest-inserted entry of `target` whose region satisfies
+    /// `pred`. `by_target` lists are in insertion order, so the first match
+    /// on each side is its oldest.
+    fn find(&self, target: usize, pred: impl Fn(&RemoteRegion) -> bool) -> Option<At> {
+        let seeded = self
+            .seeded
+            .as_deref()
+            .and_then(|sd| sd.find(target, &pred))
+            .map(|s| At::Seeded(s, target));
+        if self.entries.is_empty() {
+            return seeded;
+        }
+        let queried = self.by_target.get(&target).and_then(|ids| {
+            ids.iter()
+                .copied()
+                .find(|&i| pred(&self.entries[i].region))
+                .map(At::Queried)
+        });
+        match (seeded, queried) {
+            (Some(s), Some(q)) => Some(std::cmp::min_by_key(s, q, |&at| self.inserted(at))),
+            (s, q) => s.or(q),
+        }
+    }
+
+    fn region(&self, at: At) -> RemoteRegion {
+        match at {
+            At::Queried(i) => self.entries[i].region,
+            At::Seeded(s, t) => self.seeds().region(s, t),
+        }
+    }
+
+    fn inserted(&self, at: At) -> u64 {
+        match at {
+            At::Queried(i) => self.entries[i].inserted,
+            At::Seeded(s, t) => self.seeds().structures[s].base + t as u64,
+        }
+    }
+
+    fn freq(&self, at: At) -> u64 {
+        match at {
+            At::Queried(i) => self.entries[i].freq,
+            At::Seeded(s, t) => self.seeds().freq(s, t),
+        }
+    }
+
+    fn bump(&mut self, at: At) {
+        match at {
+            At::Queried(i) => self.entries[i].freq += 1,
+            At::Seeded(s, t) => self.seeds_mut().bump(s, t),
+        }
+    }
+
+    /// At capacity, evict the `(freq, inserted)`-minimal entry of either
+    /// kind and return it.
+    fn evict_if_full(&mut self) -> Option<(usize, RemoteRegion)> {
+        if self.len() < self.capacity {
+            return None;
+        }
+        let queried = (0..self.entries.len()).map(At::Queried);
+        let seeded = self.seeded.iter().flat_map(|sd| sd.cached());
+        let victim = queried
+            .chain(seeded.map(|(s, t)| At::Seeded(s, t)))
+            .min_by_key(|&at| (self.freq(at), self.inserted(at)))
+            .expect("nonempty at capacity");
+        self.evictions += 1;
+        Some(self.remove(victim))
+    }
+
+    fn remove(&mut self, at: At) -> (usize, RemoteRegion) {
+        match at {
+            At::Queried(v) => {
+                let e = self.entries.swap_remove(v);
+                let ids = self.by_target.get_mut(&e.target).expect("indexed");
+                ids.retain(|&i| i != v);
+                if ids.is_empty() {
+                    self.by_target.remove(&e.target);
+                }
+                // The last entry moved into `v`: re-point its one index.
+                if let Some(moved) = self.entries.get(v).map(|e| e.target) {
+                    let last = self.entries.len();
+                    let ids = self.by_target.get_mut(&moved).expect("indexed");
+                    *ids.iter_mut().find(|i| **i == last).expect("indexed") = v;
+                }
+                (e.target, e.region)
+            }
+            At::Seeded(s, t) => (t, self.seeds_mut().remove(s, t)),
         }
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.seeded.as_ref().map_or(0, |sd| sd.len)
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime cache hits.
@@ -249,5 +464,44 @@ mod tests {
         c.insert(1, reg(1000, 100));
         assert_eq!(c.lookup(1, 50, 10), Some(reg(0, 100)));
         assert_eq!(c.lookup(1, 1050, 10), Some(reg(1000, 100)));
+    }
+
+    fn table(regions: &[Option<RemoteRegion>]) -> RegionTable {
+        regions.into()
+    }
+
+    #[test]
+    fn lookup_returns_the_oldest_covering_entry() {
+        // Overlapping regions of one target, which `region_cache_oracle`
+        // leaves out: the older answers, whichever kind it is.
+        let mut c = RegionCache::new(8);
+        c.insert(1, reg(0, 100));
+        c.seed(0, &table(&[None, Some(reg(0, 50))]));
+        assert_eq!(c.lookup(1, 0, 8), Some(reg(0, 100)));
+        let mut c = RegionCache::new(8);
+        c.seed(0, &table(&[None, Some(reg(0, 50))]));
+        c.insert(1, reg(0, 100));
+        assert_eq!(c.lookup(1, 0, 8), Some(reg(0, 50)));
+    }
+
+    #[test]
+    fn slot_frequency_continues_past_32_bits() {
+        let mut c = RegionCache::new(3);
+        c.seed(0, &table(&[None, Some(reg(0, 8))]));
+        c.insert(2, reg(0, 8));
+        c.insert(3, reg(0, 8));
+        c.seeds_mut().structures[0].freq[1] = u32::MAX - 1;
+        c.lookup(1, 0, 8);
+        c.lookup(1, 0, 8);
+        assert_eq!(c.freq(At::Seeded(0, 1)), u64::from(u32::MAX) + 1);
+        // Target 2 is younger and one use colder than the seeded slot: a
+        // count saturated at 32 bits would tie them and evict the slot.
+        let wide = u64::from(u32::MAX);
+        c.entries[0].freq = wide;
+        c.entries[1].freq = wide + 5;
+        assert_eq!(c.insert(4, reg(0, 8)), Some((2, reg(0, 8))));
+        c.entries[1].freq = wide + 5;
+        assert_eq!(c.insert(5, reg(0, 8)), Some((1, reg(0, 8))));
+        assert!(c.seeds().wide.is_empty());
     }
 }

@@ -12,7 +12,7 @@ static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 
 use crate::collectives::CollectiveEngine;
 use crate::consistency::{ConsistencyMode, ConsistencyTracker};
-use crate::region_cache::{RegionCache, RemoteRegion};
+use crate::region_cache::{RegionCache, RegionTable, RemoteRegion};
 
 /// Progress-engine configuration (the paper's central design axis, §III-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,17 +283,21 @@ impl Armci {
         t
     }
 
-    /// Seed `rank`'s remote-region cache with `target`'s region metadata.
+    /// Hand every rank one collective structure's region keys: `table`
+    /// holds each owner's block (`None`: it did not register), and each
+    /// rank whose table names another owner's block caches it.
     ///
     /// Collective allocation (ARMCI_Malloc / GA create) exchanges region
     /// keys among all ranks at allocation time, so subsequent RDMA needs no
     /// query round trip; this is the σ·ζ·γ term of Eq. 5. The query-on-miss
     /// path remains for non-collective allocations and evicted entries.
-    pub fn seed_region(&self, rank: usize, target: usize, off: usize, len: usize) {
-        self.rank_rt(rank)
-            .region_cache
-            .borrow_mut()
-            .insert(target, RemoteRegion { off, len });
+    pub fn seed_collective(&self, table: &RegionTable) {
+        let registered = table.iter().filter(|r| r.is_some()).count();
+        for (r, own) in table.iter().enumerate() {
+            if registered > usize::from(own.is_some()) {
+                self.rank_rt(r).region_cache.borrow_mut().seed(r, table);
+            }
+        }
     }
 
     /// Resilience-layer counters accumulated so far: `(retries, timeouts,

@@ -7,7 +7,7 @@
 //! accumulates; `cs_mr` recognizes the structures as disjoint.
 
 use crate::Figure;
-use armci::{ArmciConfig, ConsistencyMode, ProgressMode};
+use armci::{ArmciConfig, ConsistencyMode, ProgressMode, RegionTable, RemoteRegion};
 use bgq_bench::cli::JOBS;
 use bgq_bench::Kind::Num;
 use bgq_bench::{sweep, Args, Fixture, Flag};
@@ -36,12 +36,18 @@ fn measure(mode: ConsistencyMode, p: usize, rounds: usize) -> (f64, u64) {
         let _ = pr.register_region_untimed(c, elems * 8);
         a_bases.push(a);
         c_bases.push(c);
-        for other in 0..p {
-            if other != r {
-                f.armci.seed_region(other, r, a, elems * 8);
-                f.armci.seed_region(other, r, c, elems * 8);
-            }
-        }
+    }
+    for bases in [&a_bases, &c_bases] {
+        let table: RegionTable = bases
+            .iter()
+            .map(|&off| {
+                Some(RemoteRegion {
+                    off,
+                    len: elems * 8,
+                })
+            })
+            .collect();
+        f.armci.seed_collective(&table);
     }
     for r in 0..p {
         let rk = f.rank(r);

@@ -3,7 +3,7 @@
 use std::future::Future;
 use std::rc::Rc;
 
-use armci::{Armci, ArmciRank, Strided};
+use armci::{Armci, ArmciRank, RegionTable, RemoteRegion, Strided};
 use desim::memprof::{self, MemTag};
 
 use crate::distribution::BlockDist;
@@ -46,7 +46,7 @@ impl Ga {
         let p = armci.nprocs();
         let dist = BlockDist::new(rows, cols, p);
         let mut bases = Vec::with_capacity(p);
-        let mut lens = Vec::with_capacity(p);
+        let mut regions = Vec::with_capacity(p);
         for r in 0..p {
             let pr = armci.machine().rank(r);
             let elems = dist.local_elems(r);
@@ -56,19 +56,11 @@ impl Ga {
             // fall-back protocol will be used for this block.
             let registered = pr.register_region_untimed(off, len).is_ok();
             bases.push(off);
-            lens.push(registered.then_some(len));
+            regions.push(registered.then_some(RemoteRegion { off, len }));
         }
         // Collective allocation exchanges region keys among all ranks
-        // (ARMCI_Malloc semantics): seed every rank's region cache.
-        for r in 0..p {
-            for (owner, (&base, &len)) in bases.iter().zip(&lens).enumerate() {
-                if owner != r {
-                    if let Some(len) = len {
-                        armci.seed_region(r, owner, base, len);
-                    }
-                }
-            }
-        }
+        // (ARMCI_Malloc semantics): one table, shared by every rank's cache.
+        armci.seed_collective(&RegionTable::from(regions));
         Ga {
             inner: Rc::new(GaInner {
                 name: name.to_string(),

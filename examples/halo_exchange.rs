@@ -7,7 +7,7 @@
 //! cargo run --release --example halo_exchange
 //! ```
 
-use armci::{Armci, ArmciConfig};
+use armci::{Armci, ArmciConfig, RegionTable, RemoteRegion};
 use desim::Sim;
 use pami_sim::{Machine, MachineConfig};
 use std::cell::RefCell;
@@ -36,13 +36,16 @@ fn main() {
         pr.write_f64s(off + 8, &vec![r as f64; CELLS]);
         slabs.push(off);
     }
-    for r in 0..P {
-        for (o, &slab) in slabs.iter().enumerate() {
-            if r != o {
-                armci.seed_region(r, o, slab, slab_bytes);
-            }
-        }
-    }
+    let table: RegionTable = slabs
+        .iter()
+        .map(|&off| {
+            Some(RemoteRegion {
+                off,
+                len: slab_bytes,
+            })
+        })
+        .collect();
+    armci.seed_collective(&table);
 
     let sums: Rc<RefCell<Vec<f64>>> = Rc::new(RefCell::new(vec![0.0; P]));
     for r in 0..P {

@@ -14,8 +14,9 @@ python3 - <<'EOF'
 import json, subprocess, sys
 
 # Run-phase allocations at seed 1: rma_mix 5.2 per op (256000 ops), scf_fock
-# 125 per Fock task (9408 tasks).
-ALLOC_CEILING = {"rma_mix": 1_331_200, "scf_fock": 1_176_000}
+# 116 per Fock task (9408 tasks; 1088198 measured, the two arrays' region
+# keys one shared table each).
+ALLOC_CEILING = {"rma_mix": 1_331_200, "scf_fock": 1_091_328}
 
 expected = json.load(open("benchmark/expected.json"))
 seed = str(expected["seed"])
