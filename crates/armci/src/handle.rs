@@ -34,8 +34,8 @@ pub struct NbHandle {
     /// Remote (target-side) completion for writes, used by fences; `None`
     /// for gets.
     pub remote: Option<Completion<()>>,
-    /// Flight-recorder operation id, when lifecycle recording was on at
-    /// issue time. The matching `wait` closes the op's lifecycle record.
+    /// Lifecycle operation id, when lifecycle attribution was on at issue
+    /// time. The matching `wait` ends the op.
     pub op: Option<OpId>,
 }
 

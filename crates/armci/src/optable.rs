@@ -35,8 +35,9 @@ pub enum Overhead {
 /// the operation records is part of the row, as [`Probe`] rows.
 #[derive(Debug)]
 pub struct OpDesc {
-    /// The operation: its counter, trace span and flight kind are its name,
-    /// and it raises the `armci.inflight` level from begin to end.
+    /// The operation: its counter and trace span are its name, it owns the
+    /// lifecycle intervals attributed to it, and it raises the
+    /// `armci.inflight` level from begin to end.
     pub op: Probe,
     /// What completion means and how consistency treats the operation.
     pub kind: OpKind,
@@ -55,7 +56,7 @@ pub struct OpDesc {
     pub completion: Overhead,
 }
 
-/// An operation's probe row: counted, traced and flight-recorded under
+/// An operation's probe row: counted, traced and lifecycle-attributed under
 /// `name`, and in flight (`armci.inflight`) from its begin to its end.
 pub(crate) const fn op(name: &'static str) -> Probe {
     Probe::op(name).gauge("armci.inflight")

@@ -1,5 +1,5 @@
 //! Full-stack message-lifecycle tests: ARMCI ops → PAMI contexts → torus
-//! delivery, recorded by the flight recorder and decomposed with
+//! delivery, accumulated as lifecycle intervals and decomposed with
 //! [`desim::analyze`]. Reproduces the paper's central claim at lifecycle
 //! granularity: under the default progress engine a compute-busy target
 //! *starves* remote atomics (the critical path is progress-starvation time),
@@ -30,7 +30,7 @@ fn rmw_storm(mode: ProgressMode) -> (CritPath, String) {
         sim.clone(),
         MachineConfig::new(p).procs_per_node(1).contexts(contexts),
     );
-    sim.flight().enable(1 << 16);
+    sim.probes().lifecycle.enable();
     let armci = Armci::new(machine, ArmciConfig::default().progress(mode));
     let owner = armci.machine().rank(0);
     let counter = owner.alloc(8);
@@ -60,10 +60,10 @@ fn rmw_storm(mode: ProgressMode) -> (CritPath, String) {
         });
     }
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-    let fl = sim.flight();
+    let lc = &sim.probes().lifecycle;
     // Clip the analysis to the communication epoch: the last op completion.
-    let end = fl.ops().iter().map(|o| o.end).max().expect("ops recorded");
-    let cp = analyze(&fl, end);
+    let end = lc.latest_end().expect("ops recorded");
+    let cp = analyze(lc, end);
     let json = cp.to_json();
     armci.finalize();
     sim.shutdown();

@@ -1,13 +1,15 @@
 //! The operation table is the test plan: every row of [`armci::OPS`] is
-//! driven once on a two-rank machine with the tracer and the flight recorder
-//! on, and must account for itself the same way — its counter and bytes key
-//! move by exactly what was issued, its trace span opens and closes once per
-//! operation, its lifecycle record opens and closes, and its wait key is
-//! recorded once per operation. A row without a case below fails the test.
+//! driven once on a two-rank machine with the tracer, the timeline and the
+//! lifecycle accumulator on, and must account for itself the same way — its
+//! counter and bytes key move by exactly what was issued, its trace span
+//! opens and closes once per operation, its `armci.inflight` level rises and
+//! returns to zero, its operations are the only ones on the critical path,
+//! and its wait key is recorded once per operation. A row without a case
+//! below fails the test.
 
 use armci::{Armci, ArmciConfig, ArmciRank, OpDesc, Strided, OPS};
 use desim::json::{self, JsonValue};
-use desim::{ChromeTrace, Sim};
+use desim::{analyze, ChromeTrace, Sim};
 use pami_sim::{Machine, MachineConfig};
 
 /// Drive `row` from rank 0 against rank 1; returns `(operations, bytes)`.
@@ -72,7 +74,9 @@ fn every_row_accounts_for_itself() {
         let machine = Machine::new(sim.clone(), MachineConfig::new(2).procs_per_node(1));
         let armci = Armci::new(machine.clone(), ArmciConfig::default());
         sim.tracer().enable(1 << 12);
-        sim.flight().enable(1 << 12);
+        // One window spans the whole run.
+        sim.timeline().enable(1 << 40, 4);
+        sim.probes().lifecycle.enable();
         let (r0, r1) = (armci.rank(0), armci.rank(1));
         let task = sim.spawn(async move { drive(row, &r0, &r1).await });
         sim.run();
@@ -100,13 +104,13 @@ fn every_row_accounts_for_itself() {
         let trace = json::parse(&trace.finish()).expect("trace JSON");
         assert_eq!(spans(&trace, name), (ops, ops), "{name}: trace spans");
 
-        let records: Vec<_> = sim.flight().ops();
-        let mine: Vec<_> = records.iter().filter(|r| r.kind == name).collect();
-        assert_eq!(mine.len() as u64, ops, "{name}: lifecycle records");
-        assert_eq!(records.len(), mine.len(), "{name}: no other operation ran");
-        for r in mine {
-            assert!(r.end > r.issue, "{name}: lifecycle record never closed");
-        }
+        let snap = sim.timeline().snapshot();
+        let level = snap.series("armci.inflight").expect("inflight level");
+        let w = level.windows.last().expect("a sampled window");
+        assert_eq!((w.max, w.last), (1, 0), "{name}: every operation closed");
+        let crit = analyze(&sim.probes().lifecycle, sim.now());
+        assert_eq!(crit.terminal_rank, 0, "{name}: the issuing rank");
+        assert_eq!(crit.ops_on_path, ops, "{name}: no other operation ran");
     }
 }
 

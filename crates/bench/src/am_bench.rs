@@ -12,7 +12,7 @@
 //! wire message per destination.
 //!
 //! Deterministic throughout: virtual completion time, AM/wire counters and
-//! the flight-recorder decomposition are identical for any `--jobs` value,
+//! the critical-path decomposition are identical for any `--jobs` value,
 //! so CI diffs the `am-v1` JSON at zero tolerance.
 
 use std::rc::Rc;
@@ -76,7 +76,7 @@ impl AmCell {
 /// six-category decomposition plus the summed per-AM aggregation-buffer
 /// wait (`pami.am_aggr` queueing segments — the cost side of batching).
 pub struct AmCrit {
-    /// Critical-path decomposition from the flight recorder.
+    /// Critical-path decomposition from the lifecycle accumulator.
     pub crit: CritPath,
     /// Total time AMs spent parked in aggregation buffers (ps, summed over
     /// all AMs — zero on an unbatched run).
@@ -95,7 +95,7 @@ impl AmCrit {
 }
 
 /// Run one sweep cell with the sinks `observe` names turned on. With the
-/// flight recorder on, the critical path comes back as an [`AmCrit`] (so
+/// lifecycle accumulator on, the critical path comes back as an [`AmCrit`] (so
 /// the returned [`Observed`] carries none).
 pub fn run_cell(
     procs: usize,
@@ -167,13 +167,7 @@ pub fn run_cell(
     };
     let crit = observed.crit.take().map(|crit| AmCrit {
         crit,
-        aggr_wait_ps: sim
-            .flight()
-            .segments()
-            .iter()
-            .filter(|s| s.label == "pami.am_aggr")
-            .map(|s| s.end.since(s.start).as_ps())
-            .sum(),
+        aggr_wait_ps: sim.probes().lifecycle.attributed("pami.am_aggr").as_ps(),
     });
     (cell, crit, observed)
 }
@@ -200,7 +194,7 @@ pub fn best_speedup(cells: &[AmCell]) -> Option<(u64, usize, f64)> {
 }
 
 /// Render a full sweep as the fixed-schema `am-v1` JSON document.
-/// `crits` carries the flight attribution of the two designated cells
+/// `crits` carries the lifecycle attribution of the two designated cells
 /// (smallest size, fanout 1): batched (largest window) and unbatched.
 pub fn sweep_json(
     procs: usize,
@@ -272,14 +266,14 @@ mod tests {
 
     #[test]
     fn breakdown_attributes_aggregation_wait() {
-        let flight = Observe {
-            flight: true,
+        let observe = Observe {
+            crit: true,
             ..Observe::default()
         };
-        let (_, crit, _) = run_cell(32, 8, 16, 4, 1, flight);
+        let (_, crit, _) = run_cell(32, 8, 16, 4, 1, observe);
         let c = crit.expect("breakdown requested");
         assert!(c.aggr_wait_ps > 0, "batched AMs must accrue buffer wait");
-        let (_, crit, _) = run_cell(32, 8, 16, 0, 1, flight);
+        let (_, crit, _) = run_cell(32, 8, 16, 0, 1, observe);
         assert_eq!(crit.expect("breakdown").aggr_wait_ps, 0);
     }
 

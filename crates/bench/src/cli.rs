@@ -60,7 +60,7 @@ pub const TRACE: Flag = Flag(
     "write a Chrome trace of the smallest-p runs",
 );
 
-/// The `--breakdown` option of the flight-recorded figures.
+/// The `--breakdown` option of the figures that analyze a critical path.
 pub const BREAKDOWN: Flag = Flag(
     "--breakdown",
     Kind::Path,
@@ -248,13 +248,13 @@ impl Args {
     }
 
     /// The sinks this command line asks an observed run to turn on: the
-    /// flight recorder for [`BREAKDOWN`] and the timeline for [`TIMELINE`],
-    /// where the entry declares them. A [`TRACE`] also needs the run's
+    /// lifecycle accumulator for [`BREAKDOWN`] and the timeline for
+    /// [`TIMELINE`], where the entry declares them. A [`TRACE`] also needs the run's
     /// Chrome process, so the traced figure adds it.
     pub fn observe(&self) -> Observe {
         let wants = |flag: Flag| self.flags.iter().any(|f| f.0 == flag.0) && self.given(flag.0);
         Observe {
-            flight: wants(BREAKDOWN),
+            crit: wants(BREAKDOWN),
             timeline: wants(TIMELINE).then_some(crate::TIMELINE_WINDOW_PS),
             ..Observe::default()
         }

@@ -4,7 +4,7 @@
 //! Paper: AT reduces total execution time by up to 30 %; the time spent in
 //! the load-balance counter collapses under AT.
 //!
-//! `--breakdown <path>` enables the message-lifecycle flight recorder at the
+//! `--breakdown <path>` enables the message-lifecycle accumulator at the
 //! smallest process count, prints the critical-path decomposition of the D
 //! and AT runs, and writes the machine-readable form as JSON.
 
@@ -66,7 +66,7 @@ fn run(args: &Args) {
         if quick {
             cfg.repeat_factor = 8; // ~1.6k tasks/iter
         }
-        // Flight-record / sample timelines only at the smallest p.
+        // Attribute lifecycles / sample timelines only at the smallest p.
         let observe = if pi == 0 { observe } else { Observe::default() };
         run_scf_observed(procs[pi], &cfg, observe)
     });

@@ -12,7 +12,7 @@
 //! `--trace <path>` writes a Chrome trace-event file (one process per
 //! configuration, traced at the smallest process count) loadable in
 //! Perfetto / `chrome://tracing`; `--breakdown <path>` enables the
-//! message-lifecycle flight recorder at the smallest process count, prints
+//! message-lifecycle accumulator at the smallest process count, prints
 //! the critical-path decomposition of each configuration (compute /
 //! queueing / wire / contention / progress-starvation, tiling the whole
 //! run), and writes the machine-readable form as JSON.

@@ -9,7 +9,7 @@
 //! aggregation win (wire messages collapse, AM rate multiplies).
 //!
 //! `--json <path>` writes the fixed-schema `am-v1` document, including the
-//! flight-recorder attribution (six critical-path categories plus the
+//! lifecycle attribution (six critical-path categories plus the
 //! summed `pami.am_aggr` buffer wait) for the designated batched and
 //! unbatched cells. Every field is deterministic, so `bgq-bench gate` diffs
 //! it against `results/BENCH_fig_am.json` with zero tolerance.
@@ -64,7 +64,7 @@ fn run(args: &Args) {
         "{:>8} {:>10} {:>7} {:>14} {:>10} {:>10} {:>10} {:>10}",
         "size", "window(us)", "fanout", "AMs/s", "MB/s", "wire_msgs", "avg_batch", "time(us)"
     );
-    // Flight attribution runs on the two designated cells: smallest size,
+    // Lifecycle attribution runs on the two designated cells: smallest size,
     // fanout 1, unbatched and largest window. Timeline (when requested)
     // records the batched one.
     let smallest_si = sizes
@@ -89,7 +89,7 @@ fn run(args: &Args) {
         let fi = idx % fanouts.len();
         let designated = si == smallest_si && fi == 0 && (windows[wi] == 0 || wi == biggest_wi);
         let observe = Observe {
-            flight: designated,
+            crit: designated,
             timeline: timeline.filter(|_| si == smallest_si && wi == biggest_wi && fi == 0),
             ..Observe::default()
         };

@@ -233,7 +233,7 @@ pub fn with_peak_rss(doc: &str) -> String {
 /// the one place that prints their critical paths and writes the
 /// `--breakdown`, `--timeline` and `--trace` documents.
 pub struct Observations {
-    /// Process count of the flight-recorded runs.
+    /// Process count of the observed runs.
     p: usize,
     crits: Vec<(String, CritPath)>,
     timelines: TimelineDoc,
@@ -241,8 +241,8 @@ pub struct Observations {
 }
 
 impl Observations {
-    /// Nothing filed yet for figure `bench`, whose flight-recorded runs have
-    /// `p` ranks.
+    /// Nothing filed yet for figure `bench`, whose observed runs have `p`
+    /// ranks.
     pub fn new(bench: &str, p: usize) -> Observations {
         Observations {
             p,
@@ -270,7 +270,7 @@ impl Observations {
         }
     }
 
-    /// Print the critical path of each flight-recorded run and write the
+    /// Print the critical path of each observed run and write the
     /// `--breakdown` and `--timeline` documents the command line asks for.
     pub fn report(&self, args: &Args) {
         if !self.crits.is_empty() {

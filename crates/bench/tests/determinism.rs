@@ -182,7 +182,7 @@ fn fig9_rmw_timeline_is_jobs_invariant_and_repeatable() {
 
 #[test]
 fn fig_am_is_jobs_invariant() {
-    // Every am-v1 field — AM rates, wire counts, flight attribution — must
+    // Every am-v1 field — AM rates, wire counts, lifecycle attribution — must
     // be byte-identical whether the sweep runs serially or on 4 harness
     // workers.
     let bin = "fig_am";
@@ -193,7 +193,7 @@ fn fig_am_is_jobs_invariant() {
     assert!(json.contains("\"best_speedup\""));
     assert!(
         json.contains("\"am_aggr_wait_ps\""),
-        "flight attribution missing from am-v1 JSON"
+        "lifecycle attribution missing from am-v1 JSON"
     );
     assert!(out[1].contains("\"schema\":\"timeline-v1\""));
 }

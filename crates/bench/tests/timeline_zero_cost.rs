@@ -74,14 +74,15 @@ fn net_churn_results_are_timeline_invariant() {
     );
 }
 
-/// The paper's application with every sink on — tracer, flight recorder
-/// and timeline — reports exactly what the unobserved run reports.
+/// The paper's application with every sink on — tracer, lifecycle
+/// accumulator and timeline — reports exactly what the unobserved run
+/// reports.
 #[test]
 fn scf_report_is_the_same_with_every_sink_on() {
     let cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
     let all = Observe {
         trace: Some((1, "scf")),
-        flight: true,
+        crit: true,
         timeline: Some(TIMELINE_WINDOW_PS / 100),
     };
     let (report, seen) = run_scf_observed(4, &cfg, all);

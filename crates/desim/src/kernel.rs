@@ -41,7 +41,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
 use crate::trace::Tracer;
 use crate::wheel::TimerWheel;
-use crate::FlightRecorder;
 
 /// Task futures, slots, hooks and wakers.
 static KERNEL_TAG: MemTag = MemTag::new("desim.kernel");
@@ -469,12 +468,6 @@ impl Sim {
     /// [`Tracer::enable`] is called.
     pub fn tracer(&self) -> Tracer {
         self.k.probes.tracer.clone()
-    }
-
-    /// Shared message-lifecycle flight recorder for this simulation. Disabled
-    /// (and free) unless [`FlightRecorder::enable`] is called.
-    pub fn flight(&self) -> FlightRecorder {
-        self.k.probes.flight.clone()
     }
 
     /// Shared windowed telemetry timeline for this simulation. Disabled (and

@@ -34,7 +34,6 @@ pub mod channel;
 pub mod critpath;
 pub mod event;
 pub mod fault;
-pub mod flight;
 pub mod futures;
 pub mod fxhash;
 pub mod health;
@@ -52,10 +51,9 @@ pub mod trace;
 pub mod waker_set;
 mod wheel;
 
-pub use critpath::{analyze, Breakdown, CritPath, LinkStat};
+pub use critpath::{analyze, Breakdown, CritPath, Lifecycle, LinkStat, OpId, SegCategory};
 pub use event::Completion;
 pub use fault::{FaultEvent, FaultPlan, FaultSpec};
-pub use flight::{FlightRecorder, OpId, SegCategory};
 pub use futures::{race, Either};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use health::{Finding, HealthConfig, Severity};

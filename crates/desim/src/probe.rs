@@ -1,22 +1,22 @@
 //! Probe rows: each measurement described once, recorded with one call.
 //!
 //! A [`Probe`] is a `static` row naming every sink one measurement feeds —
-//! a stats counter, duration or histogram key, a timeline series, a flight
-//! segment (or operation kind), a trace span or instant name — plus a slot
-//! assigned on first use, like [`crate::MemTag`]'s id. Each registry maps
-//! the slot to its own entry once, so a warm record compares no string.
+//! a stats counter, duration or histogram key, a timeline series, a
+//! lifecycle segment category (or an operation), a trace span or instant
+//! name — plus a slot assigned on first use, like [`crate::MemTag`]'s id.
+//! Each registry maps the slot to its own entry once, so a warm record
+//! compares no string.
 //! [`Probes`] holds a simulation's four recorders: one call feeds every
 //! sink its row names, and a sink that is off costs its flag check.
 //!
 //! Which sinks a run turns on is one [`Observe`] request, and what they
-//! recorded comes back as one [`Observed`]: the sinks' capacities, the
+//! recorded comes back as one [`Observed`]: the tracer's capacity, the
 //! timeline's window cap and the Chrome-fragment assembly are decided here
 //! and nowhere else.
 
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-use crate::critpath::{analyze, CritPath};
-use crate::flight::{FlightRecorder, OpId, SegCategory};
+use crate::critpath::{analyze, CritPath, Lifecycle, OpId, SegCategory};
 use crate::health::{self, HealthConfig};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
@@ -53,11 +53,11 @@ enum Series {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Flight {
+pub(crate) enum Attribution {
     None,
     Segment(SegCategory, &'static str),
-    /// The lifecycle record of an operation of this kind.
-    Op(&'static str),
+    /// An operation intervals are attributed to.
+    Op,
 }
 
 /// One measurement and every sink it feeds: declare it as a `static` with
@@ -66,7 +66,7 @@ enum Flight {
 pub struct Probe {
     pub(crate) stats: [Stat; 2],
     series: Series,
-    flight: Flight,
+    pub(crate) attribution: Attribution,
     trace: &'static str,
     slot: AtomicU32,
 }
@@ -87,16 +87,17 @@ impl Probe {
         Probe {
             stats: [Stat::None; 2],
             series: Series::None,
-            flight: Flight::None,
+            attribution: Attribution::None,
             trace: "",
             slot: AtomicU32::new(NO_SLOT),
         }
     }
 
-    /// An operation of `kind`: counted, flight-recorded and traced as `kind`.
+    /// An operation of `kind`: counted and traced as `kind`, and the owner
+    /// of the lifecycle intervals attributed to it.
     pub const fn op(kind: &'static str) -> Probe {
         Probe {
-            flight: Flight::Op(kind),
+            attribution: Attribution::Op,
             trace: kind,
             ..Probe::new().count(kind)
         }
@@ -150,9 +151,9 @@ impl Probe {
         self
     }
 
-    /// Record intervals as flight segments of `cat` labelled `label`.
+    /// Attribute intervals to their operation as `cat`, labelled `label`.
     pub const fn segment(mut self, cat: SegCategory, label: &'static str) -> Probe {
-        self.flight = Flight::Segment(cat, label);
+        self.attribution = Attribution::Segment(cat, label);
         self
     }
 
@@ -222,8 +223,8 @@ pub struct Probes {
     pub stats: Stats,
     /// The windowed timeline.
     pub timeline: Timeline,
-    /// The flight recorder.
-    pub flight: FlightRecorder,
+    /// The lifecycle accumulator behind the critical path.
+    pub lifecycle: Lifecycle,
     /// The tracer.
     pub tracer: Tracer,
 }
@@ -246,7 +247,7 @@ impl Probes {
     /// The interval `[start, end)`, carrying `n`: a counter adds `n`, a
     /// histogram records `n`, a duration the length; a counter series adds
     /// the length in ps at `start`, a spread series covers its windows; a
-    /// flight segment goes to `op`.
+    /// lifecycle segment is attributed to `op`.
     #[inline]
     pub fn span(&self, row: Row, op: Option<OpId>, start: SimTime, end: SimTime, n: u64) {
         let len = end.since(start);
@@ -256,8 +257,8 @@ impl Probes {
             (Some(id), Series::Spread(_)) => self.timeline.add_range(id, start, end),
             _ => {}
         }
-        if let (Some(op), Flight::Segment(cat, label)) = (op, row.flight) {
-            self.flight.segment(op, cat, label, start, end);
+        if let Some(op) = op {
+            self.lifecycle.segment(row, op, start, end);
         }
     }
 
@@ -279,12 +280,13 @@ impl Probes {
     }
 
     /// An operation of the row's kind begins on `rank`: count it, raise its
-    /// level, open its flight record (`None` while the recorder is off).
+    /// level, and give it an [`OpId`] (`None` while the lifecycle
+    /// accumulator is off).
     pub fn begin_op(&self, row: Row, at: SimTime, rank: usize) -> Option<OpId> {
         self.stats.record(row, 1, SimDuration::ZERO);
         self.level(row, at, 1);
-        match row.flight {
-            Flight::Op(kind) => self.flight.begin_op(at, rank as u32, kind),
+        match row.attribution {
+            Attribution::Op => self.lifecycle.begin_op(at, rank as u32),
             _ => None,
         }
     }
@@ -293,7 +295,7 @@ impl Probes {
     pub fn end_op(&self, row: Row, op: Option<OpId>, at: SimTime) {
         self.level(row, at, -1);
         if let Some(op) = op {
-            self.flight.end_op(op, at);
+            self.lifecycle.end_op(op, at);
         }
     }
 
@@ -347,9 +349,6 @@ impl Probes {
 
 /// Events the tracer keeps per run; past it the oldest are dropped.
 const TRACE_CAPACITY: usize = 1 << 20;
-/// Records of each kind the flight recorder keeps per run; past it new ones
-/// are dropped.
-const FLIGHT_CAPACITY: usize = 1 << 22;
 /// Windows per timeline series; past it the window width doubles.
 const TIMELINE_WINDOWS: usize = 512;
 
@@ -358,8 +357,8 @@ const TIMELINE_WINDOWS: usize = 512;
 pub struct Observe {
     /// The tracer, its Chrome fragment filed under this process id and name.
     pub trace: Option<(u64, &'static str)>,
-    /// The flight recorder, read as the run's critical path.
-    pub flight: bool,
+    /// The lifecycle accumulator, read as the run's critical path.
+    pub crit: bool,
     /// The timeline, sampled on windows this wide (ps).
     pub timeline: Option<u64>,
 }
@@ -383,8 +382,8 @@ impl Observe {
         if self.trace.is_some() {
             probes.tracer.enable(TRACE_CAPACITY);
         }
-        if self.flight {
-            probes.flight.enable(FLIGHT_CAPACITY);
+        if self.crit {
+            probes.lifecycle.enable();
         }
         if let Some(window_ps) = self.timeline {
             probes.timeline.enable(window_ps, TIMELINE_WINDOWS);
@@ -410,7 +409,7 @@ impl Observe {
         });
         Observed {
             chrome,
-            crit: self.flight.then(|| analyze(&probes.flight, end)),
+            crit: self.crit.then(|| analyze(&probes.lifecycle, end)),
             timeline,
         }
     }

@@ -323,7 +323,7 @@ fn a_span_feeds_every_sink_its_row_names() {
     static OP: Probe = Probe::op("op.get").gauge("inflight");
     let p = Probes::default();
     p.timeline.enable(1000, 64);
-    p.flight.enable(16);
+    p.lifecycle.enable();
     let op = p.begin_op(&OP, SimTime(0), 3);
     assert!(op.is_some());
     p.span(&LOCK_WAIT, op, SimTime(100), SimTime(350), 1);
@@ -340,9 +340,16 @@ fn a_span_feeds_every_sink_its_row_names() {
         .map(|w| w.sum)
         .collect();
     assert_eq!(sums, [250, 100]);
-    assert_eq!(p.flight.segments().len(), 1, "only the attributed interval");
+    assert_eq!(
+        p.lifecycle.attributed("lock_wait").as_ps(),
+        250,
+        "only the attributed interval"
+    );
     p.end_op(&OP, op, SimTime(2000));
-    assert_eq!(p.flight.ops()[0].end, SimTime(2000));
+    assert_eq!(p.lifecycle.latest_end(), Some(SimTime(2000)));
+    let crit = desim::analyze(&p.lifecycle, SimTime(2000));
+    assert_eq!((crit.terminal_rank, crit.ops_on_path), (3, 1));
+    assert_eq!(crit.breakdown.contention.as_ps(), 250);
     let inflight = snap.series("inflight").unwrap().windows[0];
     assert_eq!(inflight.last, 1);
 }

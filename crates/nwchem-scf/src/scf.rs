@@ -328,17 +328,17 @@ mod tests {
     #[test]
     fn flight_breakdown_tiles_total_time_deterministically() {
         let cfg = ScfConfig::tiny(ProgressMode::AsyncThread);
-        let flight = Observe {
-            flight: true,
+        let observe = Observe {
+            crit: true,
             ..Observe::default()
         };
-        let (report, seen) = run_scf_observed(4, &cfg, flight);
-        let cp = seen.crit.expect("flight enabled");
+        let (report, seen) = run_scf_observed(4, &cfg, observe);
+        let cp = seen.crit.expect("critical path requested");
         // The five categories tile the whole run exactly.
         assert_eq!(cp.breakdown.total(), cp.total);
         assert!((cp.total.as_us() - report.total_us).abs() < 1e-9);
         // Byte-identical across same-seed runs.
-        let (_, again) = run_scf_observed(4, &cfg, flight);
+        let (_, again) = run_scf_observed(4, &cfg, observe);
         assert_eq!(cp.to_json(), again.crit.unwrap().to_json());
         // Plain run_scf keeps recording off and matches the recorded run.
         let plain = run_scf(4, &cfg);

@@ -76,7 +76,7 @@ pub(crate) struct PendAm {
     pub am: AmEntry,
     /// When the AM entered the buffer (start of its aggregation wait).
     pub enqueued: SimTime,
-    /// Operation the AM is attributed to, for flight segments.
+    /// Operation the AM is attributed to, for lifecycle segments.
     pub op: Option<OpId>,
 }
 

@@ -164,13 +164,13 @@ impl WorkItem {
 }
 
 /// A [`WorkItem`] sitting in a context queue, together with the lifecycle
-/// metadata the flight recorder needs: the originating [`OpId`] (if the
+/// metadata lifecycle attribution needs: the originating [`OpId`] (if the
 /// issuing rank was attributing) and the arrival time, from which the
 /// queueing / progress-starvation split is computed at service time.
 pub struct Queued {
     /// The work itself.
     pub item: WorkItem,
-    /// Operation this work belongs to, when flight recording is on.
+    /// Operation this work belongs to, when lifecycle attribution is on.
     pub op: Option<OpId>,
     /// When the request arrived at the target context.
     pub enqueued: SimTime,

@@ -250,7 +250,8 @@ pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     pub space: SpaceAccount,
     /// The operation this rank is currently issuing/completing, threaded
     /// down into every message the rank injects while set. `None` when no
-    /// attribution is active (flight recorder off, or between operations).
+    /// attribution is active (lifecycle accumulator off, or between
+    /// operations).
     pub cur_op: Cell<Option<OpId>>,
     /// Context index the rank's asynchronous progress thread services once
     /// armed via [`crate::PamiRank::enable_async_progress`]; `None` = the

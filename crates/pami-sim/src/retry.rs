@@ -13,7 +13,7 @@
 //! On a simulated network the sender learns the drop outcome synchronously,
 //! so the timeout needs no timer bookkeeping: the retry wait is modelled as
 //! one sleep to `inject + timeout + backoff·2^attempt`, recorded as a
-//! `retry`-category flight segment for the critical-path analyzer.
+//! `retry`-category lifecycle segment for the critical-path analyzer.
 //!
 //! The state machine is one plain function, `attempt`: it records every
 //! retry probe row and owns the give-up policy. Its two

@@ -48,7 +48,7 @@ fn killed_link_mid_run_reroutes_retries_and_preserves_ordering() {
             .faults(plan)
             .retry(policy),
     );
-    sim.flight().enable(1 << 16);
+    sim.probes().lifecycle.enable();
     assert!(m.faults_active());
 
     let a = m.rank(0);
@@ -63,28 +63,28 @@ fn killed_link_mid_run_reroutes_retries_and_preserves_ordering() {
     a.write_i64(src_a, 2);
     a.write_i64(src_b, 3);
 
-    let fl = sim.flight();
+    let lc = sim.probes().lifecycle.clone();
     let done_a = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
     let done_b = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
 
     // Put A: injected inside the detection gap (link physically down, routes
     // not yet updated) → dropped, retried after timeout + backoff.
     {
-        let (a, sim, fl, done_a) = (a.clone(), sim.clone(), fl.clone(), done_a.clone());
+        let (a, sim, lc, done_a) = (a.clone(), sim.clone(), lc.clone(), done_a.clone());
         sim.clone().spawn(async move {
             // Sanity put before the fault window: the normal fast path.
             let h = a.rdma_put(16, src_pre, dst_pre, 8).await;
             h.remote.wait().await;
             assert!(sim.now() < at(100), "pre-fault put must land early");
             sim.sleep_until(at(102)).await;
-            let op = fl.begin_op(sim.now(), 0, "armci.put");
+            let op = lc.begin_op(sim.now(), 0);
             a.set_current_op(op);
             let h = a.rdma_put(16, src_a, dst_a, 8).await;
             a.set_current_op(None);
             h.remote.wait().await;
             done_a.set(sim.now());
             if let Some(op) = op {
-                fl.end_op(op, sim.now());
+                lc.end_op(op, sim.now());
             }
         });
     }
@@ -122,7 +122,7 @@ fn killed_link_mid_run_reroutes_retries_and_preserves_ordering() {
     assert!(stats.counter("fault.link_down_events") >= 1);
     assert!(stats.counter("fault.link_down_ps") > 0);
     assert!(stats.counter("fault.drops") >= 1);
-    let cp = analyze(&fl, sim.now());
+    let cp = analyze(&lc, sim.now());
     assert!(
         cp.breakdown.retry > SimDuration::ZERO,
         "critical path must blame a retry segment: {:?}",
@@ -156,7 +156,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
             .faults(plan)
             .retry(policy),
     );
-    sim.flight().enable(1 << 16);
+    sim.probes().lifecycle.enable();
     // Handler logs each AM's (batch, idx) tag in execution order.
     let log: std::rc::Rc<std::cell::RefCell<Vec<(u8, u8)>>> = Default::default();
     {
@@ -171,12 +171,12 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
     let a = m.rank(0);
     let b = m.rank(16);
     b.enable_async_progress(0);
-    let fl = sim.flight();
+    let lc = sim.probes().lifecycle.clone();
     {
-        let (m, a, sim, fl) = (m.clone(), a.clone(), sim.clone(), fl.clone());
+        let (m, a, sim, lc) = (m.clone(), a.clone(), sim.clone(), lc.clone());
         sim.clone().spawn(async move {
             sim.sleep_until(at(102)).await;
-            let op = fl.begin_op(sim.now(), 0, "am.storm");
+            let op = lc.begin_op(sim.now(), 0);
             a.set_current_op(op);
             for i in 0..4u8 {
                 a.send_am(16, 42, vec![0, i], Vec::new()).await;
@@ -188,7 +188,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
             m.am_flush_pair(0, 16); // batch 1: likewise
             a.set_current_op(None);
             if let Some(op) = op {
-                fl.end_op(op, sim.now());
+                lc.end_op(op, sim.now());
             }
         });
     }
@@ -214,7 +214,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
     );
     assert!(stats.counter("pami.timeouts") >= 2);
     assert_eq!(stats.counter("am.wire_msgs"), 2, "one wire message a batch");
-    let cp = analyze(&fl, sim.now());
+    let cp = analyze(&lc, sim.now());
     assert!(
         cp.breakdown.retry > SimDuration::ZERO,
         "critical path must carry retry blame: {:?}",

@@ -328,7 +328,7 @@ impl NetState {
     }
 
     /// Record into `probes`, a simulation's sinks (DESIGN.md §10). With its
-    /// timeline and flight recorder off, the core runs unobserved.
+    /// timeline and lifecycle accumulator off, the core runs unobserved.
     pub fn attach(&mut self, probes: Probes) {
         self.probes = probes;
     }
@@ -437,11 +437,11 @@ impl NetState {
     }
 
     /// Like [`NetState::deliver`], additionally attributing the message's
-    /// lifecycle to `op` in the flight recorder: injection-FIFO wait
+    /// lifecycle to `op` in the lifecycle accumulator: injection-FIFO wait
     /// (queueing), header flight and payload serialization (wire), per-link
-    /// waits (contention, plus a [`desim::flight::LinkUse`] occupancy record)
-    /// and the pair-order clamp (queueing). Timing is identical to
-    /// [`NetState::deliver`]; with the recorder disabled so is the cost.
+    /// waits (contention, plus the link's occupancy totals) and the
+    /// pair-order clamp (queueing). Timing is identical to
+    /// [`NetState::deliver`]; with the accumulator disabled so is the cost.
     pub fn deliver_op(
         &mut self,
         inject: SimTime,
@@ -499,7 +499,7 @@ impl NetState {
             let outcome = self.deliver_core(&Recording(op), &mut *plan, &msg);
             self.faults = Some(plan);
             outcome
-        } else if self.probes.timeline.on() || self.probes.flight.on() {
+        } else if self.probes.timeline.on() || self.probes.lifecycle.on() {
             self.deliver_core(&Recording(op), &mut NoFaults, &msg)
         } else {
             self.deliver_core(&NoObserver, &mut NoFaults, &msg)
@@ -719,10 +719,8 @@ impl Observer for Recording {
         p.span(&LINK_BUSY, None, granted, release, 0);
         p.span(&LINK_WAIT, self.0, request, granted, 0);
         p.span(&HOP, self.0, granted, hop_end, 0);
-        if p.flight.on() {
-            let id = p.flight.link_id(&net.link_name(link));
-            p.flight.link_use(id, request, granted, release, self.0);
-        }
+        p.lifecycle
+            .link(link.0, || net.link_name(link), request, granted, release);
     }
 }
 
@@ -957,64 +955,67 @@ mod tests {
 
     #[test]
     fn deliver_op_attributes_lifecycle_segments() {
-        use desim::SegCategory;
         let mut n = net(true);
         let probes = Probes::default();
-        let fr = probes.flight.clone();
-        fr.enable(1 << 12);
+        let lc = probes.lifecycle.clone();
+        lc.enable();
         n.attach(probes);
         let t0 = SimTime::ZERO;
-        let op = fr.begin_op(t0, 0, "test.op").unwrap();
+        let op = lc.begin_op(t0, 0).unwrap();
         // First message (unattributed) loads the link; second (attributed)
         // waits behind it.
         let a = n.deliver(t0, 0, 1, 1 << 16, MsgClass::Ordered);
         let b = n.deliver_op(t0, 0, 1, 1 << 16, MsgClass::Ordered, Some(op));
         assert!(b > a);
-        let segs = fr.segments();
-        let cats: Vec<SegCategory> = segs.iter().map(|s| s.cat).collect();
+        lc.end_op(op, b);
         // Attributed message: tx-FIFO wait, header flight, link hop(s),
         // payload serialization; the link itself was free by grant time so
         // there may or may not be a link_wait, but the wire parts must exist.
-        assert!(cats.contains(&SegCategory::Queueing), "tx fifo wait");
-        assert!(cats.contains(&SegCategory::Wire));
-        assert!(segs.iter().any(|s| s.label == "net.header"));
-        assert!(segs.iter().any(|s| s.label == "net.serialize"));
-        assert!(segs.iter().all(|s| s.op == op));
-        // Both messages produced link-occupancy records; only the second is
-        // attributed.
-        let uses = fr.link_uses();
-        assert_eq!(uses.len(), 2);
-        assert_eq!(uses[0].op, None);
-        assert_eq!(uses[1].op, Some(op));
-        assert!(uses[1].release > uses[1].grant);
-        assert!(!fr.link_name(uses[1].link).is_empty());
-        // Segment timing tiles the delivery exactly: the op's segments all
-        // fall within [t0, b].
-        assert!(segs.iter().all(|s| s.start >= t0 && s.end <= b));
+        let cp = desim::analyze(&lc, b);
+        assert!(cp.breakdown.queueing > SimDuration::ZERO, "tx fifo wait");
+        assert!(cp.breakdown.wire > SimDuration::ZERO);
+        assert!(lc.attributed("net.header") > SimDuration::ZERO);
+        assert!(lc.attributed("net.serialize") > SimDuration::ZERO);
+        // Segment timing tiles the delivery exactly: the op's intervals all
+        // fall within [t0, b], so analyzing past `b` adds only compute.
+        let past = desim::analyze(&lc, b + SimDuration::from_ps(1));
+        assert_eq!(
+            past.breakdown.compute,
+            cp.breakdown.compute + SimDuration::from_ps(1)
+        );
+        // Both messages produced link-occupancy records, named per link.
+        let hops = u64::from(n.topology().hops(0, 1));
+        assert_eq!(cp.links.iter().map(|l| l.messages).sum::<u64>(), 2 * hops);
+        assert!(cp
+            .links
+            .iter()
+            .all(|l| !l.name.is_empty() && l.busy > SimDuration::ZERO));
     }
 
     #[test]
     fn deliver_op_records_pair_order_clamp() {
         let mut n = net(false);
         let probes = Probes::default();
-        let fr = probes.flight.clone();
-        fr.enable(64);
+        let lc = probes.lifecycle.clone();
+        lc.enable();
         n.attach(probes);
         let t0 = SimTime::ZERO;
-        let op = fr.begin_op(t0, 0, "test.op").unwrap();
+        let op = lc.begin_op(t0, 0).unwrap();
         let big = n.deliver(t0, 0, 5, 1 << 20, MsgClass::Ordered);
         // Control message bypasses the tx FIFO but must not overtake the
-        // pair front: the clamp shows up as a pair-order queueing segment.
+        // pair front: the clamp shows up as a pair-order queueing interval
+        // that ends at the front.
         let small = n.deliver_op(t0, 0, 5, 8, MsgClass::Control, Some(op));
         assert_eq!(small, big);
-        let clamp = fr
-            .segments()
-            .iter()
-            .find(|s| s.label == "net.pair_order")
-            .copied()
-            .expect("pair-order clamp recorded");
-        assert_eq!(clamp.cat, desim::SegCategory::Queueing);
-        assert_eq!(clamp.end, big);
+        assert!(
+            lc.attributed("net.pair_order") > SimDuration::ZERO,
+            "clamp recorded"
+        );
+        let queued = |end: SimTime| desim::analyze(&lc, end).breakdown.queueing;
+        assert_eq!(
+            queued(big) - queued(SimTime(big.0 - 1)),
+            SimDuration::from_ps(1)
+        );
     }
 
     #[test]
