@@ -6,13 +6,20 @@
 //! result is available `barrier_cost(p) + bytes·G_coll` after the last
 //! arrival (the collective network runs at link rate with near-constant
 //! latency).
+//!
+//! Every collective — barrier, allreduce, broadcast, collective allocation
+//! — is one `Round` on the runtime: a rank joins the round in progress
+//! (or opens one), folds in its `Part`, and the last arrival closes it
+//! with its kind's closing step. No rank leaves a round before the last one
+//! has joined, so one slot serves every kind and no sequence numbers are
+//! needed; a rank that joins a round of another kind panics.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use desim::{Completion, FxHashMap, Probe};
+use desim::{Completion, Probe};
 
 use crate::ops::ArmciRank;
+use crate::region_cache::{RegionTable, RemoteRegion};
 
 static ALLREDUCE: Probe = Probe::new().count("armci.allreduce");
 static BROADCAST: Probe = Probe::new().count("armci.broadcast");
@@ -40,118 +47,150 @@ impl ReduceOp {
     }
 }
 
-/// In-flight collective state, keyed by per-kind sequence number.
-pub(crate) struct CollectiveOp {
-    arrived: usize,
-    acc: Vec<f64>,
-    bytes_payload: Vec<u8>,
-    done: Completion<Rc<(Vec<f64>, Vec<u8>)>>,
+/// One rank's part of a collective round.
+pub(crate) enum Part<'a> {
+    Barrier,
+    Allreduce(&'a [f64], ReduceOp),
+    /// The root's bytes; `None` at every other rank.
+    Broadcast(Option<Vec<u8>>),
+    /// This rank's block of a collective allocation of `len` bytes.
+    Alloc {
+        off: usize,
+        len: usize,
+    },
 }
 
-/// Shared collective-engine state (one per runtime). Per-rank sequence
-/// counters are sparse: ranks that never join a collective carry no slot.
+impl Part<'_> {
+    /// The call this part comes from, which names the round's kind.
+    fn kind(&self) -> &'static str {
+        match self {
+            Part::Barrier => "barrier",
+            Part::Allreduce(..) => "allreduce_f64",
+            Part::Broadcast(_) => "broadcast",
+            Part::Alloc { .. } => "malloc_collective",
+        }
+    }
+}
+
+/// What a closed round hands every rank.
 #[derive(Default)]
-pub(crate) struct CollectiveEngine {
-    reduce_seq: RefCell<FxHashMap<usize, u64>>,
-    reduces: RefCell<FxHashMap<u64, CollectiveOp>>,
-    bcast_seq: RefCell<FxHashMap<usize, u64>>,
-    bcasts: RefCell<FxHashMap<u64, CollectiveOp>>,
+pub(crate) struct Outcome {
+    /// The reduced vector (allreduce).
+    pub f64s: Vec<f64>,
+    /// The root's bytes (broadcast).
+    pub bytes: Vec<u8>,
+    /// Every rank's block offset (collective allocation).
+    pub offs: Vec<usize>,
 }
 
-fn next_seq(seqs: &RefCell<FxHashMap<usize, u64>>, rank: usize) -> u64 {
-    let mut s = seqs.borrow_mut();
-    let e = s.entry(rank).or_insert(0);
-    let v = *e;
-    *e += 1;
-    v
+/// The collective round in progress (`ArmciInner::round`).
+pub(crate) struct Round {
+    kind: &'static str,
+    arrived: usize,
+    out: Outcome,
+    done: Completion<Rc<Outcome>>,
 }
 
 impl ArmciRank {
+    /// Join the collective round in progress, or open one, and fold in
+    /// `part`. The last arrival runs the kind's closing step and completes
+    /// the round `barrier_cost(p) + wire_time(bytes)` later. A plain
+    /// function the caller awaits with `progress_wait`: an `async` join
+    /// would sit in every collective's future.
+    pub(crate) fn join_round(&self, part: Part<'_>) -> Completion<Rc<Outcome>> {
+        let a = self.armci();
+        let p = a.nprocs();
+        let mut slot = a.inner.round.borrow_mut();
+        let round = slot.get_or_insert_with(|| Round {
+            kind: part.kind(),
+            arrived: 0,
+            out: Outcome::default(),
+            done: Completion::new(),
+        });
+        assert!(
+            round.kind == part.kind(),
+            "collective kind mismatch: rank {} called {} while a {} round is open",
+            self.id(),
+            part.kind(),
+            round.kind
+        );
+        let first = round.arrived == 0;
+        round.arrived += 1;
+        let last = round.arrived == p;
+        let out = &mut round.out;
+        let bytes = match part {
+            Part::Barrier => 0,
+            Part::Allreduce(xs, op) => {
+                if first {
+                    out.f64s = xs.to_vec();
+                } else {
+                    assert_eq!(out.f64s.len(), xs.len(), "allreduce length mismatch");
+                    op.apply(&mut out.f64s, xs);
+                }
+                if last {
+                    a.sim().count(&ALLREDUCE, 1);
+                }
+                xs.len() * 8
+            }
+            Part::Broadcast(data) => {
+                if let Some(d) = data {
+                    out.bytes = d;
+                }
+                if last {
+                    a.sim().count(&BROADCAST, 1);
+                }
+                out.bytes.len()
+            }
+            Part::Alloc { off, len } => {
+                if first {
+                    out.offs = vec![0; p];
+                }
+                out.offs[self.id()] = off;
+                if last {
+                    // Exchange region keys: one table of the blocks that
+                    // registered, shared by every rank's cache.
+                    let table: RegionTable = out
+                        .offs
+                        .iter()
+                        .enumerate()
+                        .map(|(owner, &off)| {
+                            let registered = a.machine().rank(owner).find_region(off, len);
+                            registered.map(|_| RemoteRegion { off, len })
+                        })
+                        .collect();
+                    a.seed_collective(&table);
+                }
+                0
+            }
+        };
+        let done = round.done.clone();
+        if last {
+            let out = Rc::new(slot.take().expect("the round is open").out);
+            let params = a.machine().params();
+            let cost = params.barrier_cost(p) + params.wire_time(bytes);
+            let closed = done.clone();
+            a.sim().schedule_in(cost, move || closed.complete(out));
+        }
+        done
+    }
+
     /// All-reduce a vector of f64 over all ranks on the collective network.
     /// Every rank must call it in the same order with the same length.
     pub async fn allreduce_f64(&self, xs: &[f64], op: ReduceOp) -> Vec<f64> {
-        let p = self.armci().nprocs();
-        let eng = &self.armci().inner.coll;
-        let seq = next_seq(&eng.reduce_seq, self.id());
-        let (done, ready) = {
-            let mut reds = eng.reduces.borrow_mut();
-            let st = reds.entry(seq).or_insert_with(|| CollectiveOp {
-                arrived: 0,
-                acc: Vec::new(),
-                bytes_payload: Vec::new(),
-                done: Completion::new(),
-            });
-            if st.acc.is_empty() {
-                st.acc = xs.to_vec();
-            } else {
-                assert_eq!(st.acc.len(), xs.len(), "allreduce length mismatch");
-                op.apply(&mut st.acc, xs);
-            }
-            st.arrived += 1;
-            (st.done.clone(), st.arrived == p)
-        };
-        if ready {
-            let st = eng
-                .reduces
-                .borrow_mut()
-                .remove(&seq)
-                .expect("collective state present");
-            let params = self.armci().machine().params();
-            let cost = params.barrier_cost(p) + params.wire_time(xs.len() * 8);
-            let result = Rc::new((st.acc, Vec::new()));
-            let done2 = st.done.clone();
-            self.armci()
-                .sim()
-                .schedule_in(cost, move || done2.complete(result));
-            self.armci().sim().count(&ALLREDUCE, 1);
-        }
-        let out = self.pami().progress_wait(&done).await;
-        out.0.clone()
+        let done = self.join_round(Part::Allreduce(xs, op));
+        self.pami().progress_wait(&done).await.f64s.clone()
     }
 
     /// Broadcast bytes from `root` to all ranks over the collective network.
     /// Non-root ranks pass `None` and receive the root's data.
     pub async fn broadcast(&self, root: usize, data: Option<Vec<u8>>) -> Vec<u8> {
-        let p = self.armci().nprocs();
         assert_eq!(
             self.id() == root,
             data.is_some(),
             "exactly the root provides data"
         );
-        let eng = &self.armci().inner.coll;
-        let seq = next_seq(&eng.bcast_seq, self.id());
-        let (done, ready, nbytes) = {
-            let mut bc = eng.bcasts.borrow_mut();
-            let st = bc.entry(seq).or_insert_with(|| CollectiveOp {
-                arrived: 0,
-                acc: Vec::new(),
-                bytes_payload: Vec::new(),
-                done: Completion::new(),
-            });
-            if let Some(d) = data {
-                st.bytes_payload = d;
-            }
-            st.arrived += 1;
-            (st.done.clone(), st.arrived == p, st.bytes_payload.len())
-        };
-        if ready {
-            let st = eng
-                .bcasts
-                .borrow_mut()
-                .remove(&seq)
-                .expect("collective state present");
-            let params = self.armci().machine().params();
-            let cost =
-                params.barrier_cost(p) + params.wire_time(nbytes.max(st.bytes_payload.len()));
-            let result = Rc::new((Vec::new(), st.bytes_payload));
-            let done2 = st.done.clone();
-            self.armci()
-                .sim()
-                .schedule_in(cost, move || done2.complete(result));
-            self.armci().sim().count(&BROADCAST, 1);
-        }
-        let out = self.pami().progress_wait(&done).await;
-        out.1.clone()
+        let done = self.join_round(Part::Broadcast(data));
+        self.pami().progress_wait(&done).await.bytes.clone()
     }
 }
 

@@ -42,8 +42,6 @@ pub struct ConsistencyTracker {
     /// order (issue order within a key) — a function of the content alone,
     /// never of a per-process hash seed or of the insertion history.
     writes: BTreeMap<(usize, RegionKey), Vec<Completion<()>>>,
-    induced_fences: u64,
-    checks: u64,
 }
 
 impl ConsistencyTracker {
@@ -52,8 +50,6 @@ impl ConsistencyTracker {
         ConsistencyTracker {
             mode,
             writes: BTreeMap::new(),
-            induced_fences: 0,
-            checks: 0,
         }
     }
 
@@ -76,10 +72,9 @@ impl ConsistencyTracker {
     }
 
     /// Completions that must be awaited before a read of `(target, region)`
-    /// may be issued. Removes them from the outstanding set; increments the
-    /// induced-fence counter when nonempty.
+    /// may be issued. Removes them from the outstanding set; a nonempty set
+    /// is an induced fence, which the caller counts (`armci.induced_fence`).
     pub fn conflicts_for_read(&mut self, target: usize, region: RegionKey) -> Vec<Completion<()>> {
-        self.checks += 1;
         self.prune();
         let mut out = Vec::new();
         match self.mode {
@@ -112,9 +107,6 @@ impl ConsistencyTracker {
                 }
             }
         }
-        if !out.is_empty() {
-            self.induced_fences += 1;
-        }
         out
     }
 
@@ -143,16 +135,6 @@ impl ConsistencyTracker {
             .collect()
     }
 
-    /// Number of reads that were forced to fence.
-    pub fn induced_fences(&self) -> u64 {
-        self.induced_fences
-    }
-
-    /// Number of read-conflict checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
     /// Outstanding (unpruned) write count, for tests.
     pub fn outstanding(&mut self) -> usize {
         self.prune();
@@ -174,7 +156,6 @@ mod tests {
         t.record_write(3, Some(100), pending());
         let conflicts = t.conflicts_for_read(3, Some(999)); // different region
         assert_eq!(conflicts.len(), 1, "naive mode: false positive expected");
-        assert_eq!(t.induced_fences(), 1);
     }
 
     #[test]
@@ -183,11 +164,9 @@ mod tests {
         t.record_write(3, Some(100), pending());
         let conflicts = t.conflicts_for_read(3, Some(999));
         assert!(conflicts.is_empty(), "cs_mr: different region, no fence");
-        assert_eq!(t.induced_fences(), 0);
         // Same region does conflict.
         let conflicts = t.conflicts_for_read(3, Some(100));
         assert_eq!(conflicts.len(), 1);
-        assert_eq!(t.induced_fences(), 1);
     }
 
     #[test]
@@ -215,7 +194,6 @@ mod tests {
         done.complete(());
         t.record_write(3, Some(0), done);
         assert!(t.conflicts_for_read(3, Some(0)).is_empty());
-        assert_eq!(t.induced_fences(), 0);
         assert_eq!(t.outstanding(), 0);
     }
 

@@ -21,7 +21,10 @@
 //! * **location consistency** with either the naive per-target status or the
 //!   paper's per-memory-region (`cs_mr`) tracking that eliminates
 //!   false-positive fences between distinct distributed structures (§III-E);
-//! * fences, barriers, mutexes, and pairwise notify/wait.
+//! * fences, mutexes, and pairwise notify/wait;
+//! * **collectives** — barrier, allreduce, broadcast and collective
+//!   allocation — as one round on the collective network ([`collectives`]);
+//!   region queries and AM fences share one request/reply table per rank.
 //!
 //! Each operation is described once, as a row of [`optable::OPS`]; the issue
 //! path in [`ops`], [`ArmciRank::wait`] and the tests read the rows.

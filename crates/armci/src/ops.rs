@@ -26,9 +26,10 @@ use pami_sim::{PamiRank, PutHandles, RmwOp};
 /// Implicit-handle sets and non-blocking handle state.
 static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 
+use crate::collectives::Part;
 use crate::handle::{NbHandle, OpKind};
 use crate::optable::{self, OpDesc, Overhead};
-use crate::region_cache::{RegionTable, RemoteRegion};
+use crate::region_cache::RemoteRegion;
 use crate::runtime::{
     Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY, DISPATCH_REGION_QUERY,
 };
@@ -149,60 +150,13 @@ impl ArmciRank {
     /// offsets of all ranks' blocks are returned. All ranks must call this
     /// in the same order; it synchronizes like a barrier.
     pub async fn malloc_collective(&self, len: usize) -> Vec<usize> {
-        let p = self.a.nprocs();
         let off = self.pami.alloc(len);
         let registered = self.pami.register_region(off, len).await.is_ok();
         if !registered {
             self.a.sim().count(&MALLOC_UNREGISTERED, 1);
         }
-        let seq = {
-            let mut seqs = self.a.inner.collective_seq.borrow_mut();
-            let e = seqs.entry(self.r).or_insert(0);
-            let s = *e;
-            *e += 1;
-            s
-        };
-        let (done, ready) = {
-            let mut calls = self.a.inner.collective.borrow_mut();
-            let st = calls
-                .entry(seq)
-                .or_insert_with(|| crate::runtime::CollectiveAlloc {
-                    offs: vec![0; p],
-                    arrived: 0,
-                    done: Completion::new(),
-                });
-            st.offs[self.r] = off;
-            st.arrived += 1;
-            (st.done.clone(), st.arrived == p)
-        };
-        if ready {
-            let st = self
-                .a
-                .inner
-                .collective
-                .borrow_mut()
-                .remove(&seq)
-                .expect("collective state present");
-            // Exchange region keys: one table of the blocks that actually
-            // registered, shared by every rank's cache.
-            let table: RegionTable = st
-                .offs
-                .iter()
-                .enumerate()
-                .map(|(owner, &o)| {
-                    let registered = self.a.inner.machine.rank(owner).find_region(o, len);
-                    registered.map(|_| RemoteRegion { off: o, len })
-                })
-                .collect();
-            self.a.seed_collective(&table);
-            // The metadata exchange rides the collective network.
-            let cost = self.a.inner.machine.params().barrier_cost(p);
-            let offs = std::rc::Rc::new(st.offs);
-            let done2 = st.done.clone();
-            self.a.sim().schedule_in(cost, move || done2.complete(offs));
-        }
-        let offs = self.pami.progress_wait(&done).await;
-        (*offs).clone()
+        let done = self.join_round(Part::Alloc { off, len });
+        self.pami.progress_wait(&done).await.offs.clone()
     }
 
     // ------------------------------------------------------------------
@@ -230,14 +184,7 @@ impl ArmciRank {
         }
         // Miss: query the owner.
         self.a.sim().count(&REGION_QUERY, 1);
-        let reply: Completion<Option<RemoteRegion>> = Completion::new();
-        let reply_id = {
-            let mut rare = self.rt().rare();
-            let id = rare.next_reply;
-            rare.next_reply += 1;
-            rare.pending_replies.insert(id, reply.clone());
-            id
-        };
+        let (reply_id, reply) = self.pending_reply();
         let mut header = Vec::with_capacity(24);
         header.extend_from_slice(&reply_id.to_le_bytes());
         header.extend_from_slice(&(off as u64).to_le_bytes());
@@ -250,6 +197,19 @@ impl ArmciRank {
             self.rt().region_cache.borrow_mut().insert(target, region);
         }
         res
+    }
+
+    /// A fresh entry in this rank's reply table, which region queries and
+    /// AM fences share: the id the request carries, and the completion its
+    /// reply fires (with the region found, for a query).
+    fn pending_reply(&self) -> (u64, Completion<Option<RemoteRegion>>) {
+        let done = Completion::new();
+        let _mem = memprof::scope(&HANDLES_TAG);
+        let mut rare = self.rt().rare();
+        let id = rare.next_reply;
+        rare.next_reply += 1;
+        rare.pending_replies.insert(id, done.clone());
+        (id, done)
     }
 
     /// Make sure the local side `[off, off+len)` is covered by a region,
@@ -732,25 +692,7 @@ impl ArmciRank {
     pub async fn barrier(&self) {
         self.fence_all().await;
         self.wait_all().await;
-        let (done, leader) = {
-            let mut b = self.a.inner.barrier.borrow_mut();
-            if b.current.is_none() {
-                b.current = Some(Completion::new());
-            }
-            let done = b.current.clone().expect("just set");
-            b.arrived += 1;
-            let leader = b.arrived == self.a.nprocs();
-            if leader {
-                b.arrived = 0;
-                b.current = None;
-            }
-            (done, leader)
-        };
-        if leader {
-            let cost = self.a.inner.machine.params().barrier_cost(self.a.nprocs());
-            let d2 = done.clone();
-            self.a.sim().schedule_in(cost, move || d2.complete(()));
-        }
+        let done = self.join_round(Part::Barrier);
         self.pami.progress_wait(&done).await;
     }
 
@@ -958,15 +900,7 @@ impl ArmciRank {
     /// there (buffer FIFO + ordered wire + in-order service).
     pub async fn am_fence(&self, target: usize) {
         let op = self.begin_op(&AM_FENCE);
-        let done = Completion::new();
-        let reply_id = {
-            let _mem = memprof::scope(&HANDLES_TAG);
-            let mut rare = self.rt().rare();
-            let id = rare.next_ping;
-            rare.next_ping += 1;
-            rare.pending_pings.insert(id, done.clone());
-            id
-        };
+        let (reply_id, done) = self.pending_reply();
         self.pami
             .send_am(
                 target,

@@ -10,7 +10,7 @@ use pami_sim::{Machine, PamiRank};
 /// Per-rank ARMCI runtime state (caches, implicit sets, reply maps).
 static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 
-use crate::collectives::CollectiveEngine;
+use crate::collectives::Round;
 use crate::consistency::{ConsistencyMode, ConsistencyTracker};
 use crate::region_cache::{RegionCache, RegionTable, RemoteRegion};
 
@@ -77,8 +77,12 @@ impl ArmciConfig {
 }
 
 /// AM dispatch ids used internally by the runtime.
+/// Region query (header = `[reply_id u64][off u64][len u64]`): the owner
+/// answers with a [`DISPATCH_REPLY`] carrying the region it found.
 pub(crate) const DISPATCH_REGION_QUERY: u16 = 1;
-pub(crate) const DISPATCH_REGION_REPLY: u16 = 2;
+/// Reply (header = `[reply_id u64]`, then for a region query `[found u8]
+/// [off u64][len u64]`): completes the requester's pending entry.
+pub(crate) const DISPATCH_REPLY: u16 = 2;
 /// Notify (header = `[seq i64]`): the handler raises the sender's slot of
 /// the destination's notify-cell array, which [`crate::ArmciRank::wait_notify`]
 /// polls.
@@ -87,10 +91,8 @@ pub(crate) const DISPATCH_NOTIFY: u16 = 3;
 /// the handler applies `dst[i] += scale·x[i]` at the destination.
 pub(crate) const DISPATCH_ACC_AM: u16 = 4;
 /// AM fence ping (header = `[reply_id u64]`): the handler echoes the header
-/// back as a pong on the unbatched control channel.
+/// back as the pong, a [`DISPATCH_REPLY`] on the unbatched control channel.
 pub(crate) const DISPATCH_AM_PING: u16 = 5;
-/// AM fence pong: completes the pending fence at the requester.
-pub(crate) const DISPATCH_AM_PONG: u16 = 6;
 
 pub(crate) struct RankRt {
     pub region_cache: RefCell<RegionCache>,
@@ -110,14 +112,12 @@ pub(crate) struct RankRt {
 /// The rarely used part of [`RankRt`] (see [`RankRt::rare`]).
 #[derive(Default)]
 pub(crate) struct RareRt {
-    /// Region queries awaiting the owner's reply, by reply id.
+    /// Region queries and AM fences awaiting their reply, by reply id (a
+    /// fence's reply carries no region).
     pub pending_replies: FxHashMap<u64, Completion<Option<RemoteRegion>>>,
     pub next_reply: u64,
     /// Notification sequence numbers sent, per target.
     pub notify_seq: FxHashMap<usize, i64>,
-    /// Outstanding AM-fence pings awaiting their pong, by ping id.
-    pub pending_pings: FxHashMap<u64, Completion<()>>,
-    pub next_ping: u64,
     /// The scratch word single-value transfers stage through, once allocated.
     pub scratch: Option<usize>,
 }
@@ -143,19 +143,6 @@ impl RankRt {
     }
 }
 
-pub(crate) struct BarrierSt {
-    pub arrived: usize,
-    pub current: Option<Completion<()>>,
-}
-
-/// State of one in-flight collective allocation (keyed by call sequence:
-/// every rank must call `malloc_collective` in the same order).
-pub(crate) struct CollectiveAlloc {
-    pub offs: Vec<usize>,
-    pub arrived: usize,
-    pub done: Completion<std::rc::Rc<Vec<usize>>>,
-}
-
 pub(crate) struct ArmciInner {
     pub machine: Machine,
     pub cfg: ArmciConfig,
@@ -163,15 +150,10 @@ pub(crate) struct ArmciInner {
     /// created by the machine's rank-init hook — an untouched rank has no
     /// entry here (and its page none unless a neighbour has one).
     pub ranks: RefCell<PagedMap<Rc<RankRt>>>,
-    pub barrier: RefCell<BarrierSt>,
+    /// The collective round in progress, if any (barrier, allreduce,
+    /// broadcast and collective allocation alike).
+    pub round: RefCell<Option<Round>>,
     pub nmutexes: Cell<usize>,
-    /// In-flight collective allocations, keyed by call sequence number.
-    pub collective: RefCell<FxHashMap<u64, CollectiveAlloc>>,
-    /// Per-rank count of `malloc_collective` calls (the ordering key);
-    /// ranks that never allocate collectively carry no slot.
-    pub collective_seq: RefCell<FxHashMap<usize, u64>>,
-    /// Collective-network engine (allreduce/broadcast).
-    pub coll: CollectiveEngine,
 }
 
 /// The ARMCI runtime over a simulated machine. Clone freely.
@@ -192,14 +174,8 @@ impl Armci {
             machine: machine.clone(),
             cfg,
             ranks: RefCell::new(PagedMap::new()),
-            barrier: RefCell::new(BarrierSt {
-                arrived: 0,
-                current: None,
-            }),
+            round: RefCell::new(None),
             nmutexes: Cell::new(0),
-            collective: RefCell::new(FxHashMap::default()),
-            collective_seq: RefCell::new(FxHashMap::default()),
-            coll: CollectiveEngine::default(),
         });
         let weak = Rc::downgrade(&inner);
         machine.set_rank_init(Rc::new(move |pr| init_rank(&weak, pr)));
@@ -300,26 +276,10 @@ impl Armci {
         }
     }
 
-    /// Resilience-layer counters accumulated so far: `(retries, timeouts,
-    /// gave_up)` from the PAMI retry machinery. All zero on a fault-free
-    /// run (the counters only exist once a fault plan drops something).
-    pub fn retry_counts(&self) -> (u64, u64, u64) {
-        let s = self.inner.machine.stats();
-        (
-            s.counter("pami.retries"),
-            s.counter("pami.timeouts"),
-            s.counter("pami.gave_up"),
-        )
-    }
-
-    /// Induced fences (reads forced to wait on writes) summed over ranks.
+    /// Induced fences (reads forced to wait on writes) over all ranks: the
+    /// `armci.induced_fence` counter.
     pub fn induced_fences(&self) -> u64 {
-        self.inner
-            .ranks
-            .borrow()
-            .values()
-            .map(|rt| rt.consistency.borrow().induced_fences())
-            .sum()
+        self.inner.machine.stats().counter("armci.induced_fence")
     }
 }
 
@@ -351,8 +311,7 @@ fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
 /// [`pami_sim::AmEnv`]), so one table entry serves every destination and a
 /// materializing rank pays for no table or closure of its own.
 fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
-    // REGION_QUERY: header = [reply_id u64][off u64][len u64]; the owner looks
-    // up its registered regions and replies with REGION_REPLY.
+    // REGION_QUERY: the owner looks up its registered regions and replies.
     machine.register_am(
         DISPATCH_REGION_QUERY,
         Rc::new(move |env, msg| {
@@ -372,29 +331,33 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             let src = msg.src;
             env.machine.sim().spawn(async move {
                 owner
-                    .send_control_am(src, DISPATCH_REGION_REPLY, reply, Vec::new())
+                    .send_control_am(src, DISPATCH_REPLY, reply, Vec::new())
                     .await;
             });
         }),
     );
-    // REGION_REPLY: complete the pending query at the requester.
+    // REPLY: complete the pending query or fence at the requester.
     {
         let weak = weak.clone();
         machine.register_am(
-            DISPATCH_REGION_REPLY,
+            DISPATCH_REPLY,
             Rc::new(move |env, msg| {
                 let Some(inner) = weak.upgrade() else { return };
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let found = msg.header[8] != 0;
-                let off = u64::from_le_bytes(msg.header[9..17].try_into().expect("8")) as usize;
-                let len = u64::from_le_bytes(msg.header[17..25].try_into().expect("8")) as usize;
+                let word =
+                    |at: usize| u64::from_le_bytes(msg.header[at..at + 8].try_into().expect("8"));
+                // A pong is the id alone; a query's reply adds the region.
+                let found = msg.header.len() > 8 && msg.header[8] != 0;
+                let region = found.then(|| RemoteRegion {
+                    off: word(9) as usize,
+                    len: word(17) as usize,
+                });
                 let pending = inner
                     .ranks
                     .borrow()
                     .get(env.rank)
-                    .and_then(|rt| rt.rare().pending_replies.remove(&reply_id));
+                    .and_then(|rt| rt.rare().pending_replies.remove(&word(0)));
                 if let Some(c) = pending {
-                    c.complete(found.then_some(RemoteRegion { off, len }));
+                    c.complete(region);
                 }
             }),
         );
@@ -448,28 +411,9 @@ fn install_am_handlers(machine: &Machine, weak: &Weak<ArmciInner>) {
             let header = msg.header;
             env.machine.sim().spawn(async move {
                 responder
-                    .send_control_am(src, DISPATCH_AM_PONG, header, Vec::new())
+                    .send_control_am(src, DISPATCH_REPLY, header, Vec::new())
                     .await;
             });
         }),
     );
-    // AM_PONG: complete the pending fence at the requester.
-    {
-        let weak = weak.clone();
-        machine.register_am(
-            DISPATCH_AM_PONG,
-            Rc::new(move |env, msg| {
-                let Some(inner) = weak.upgrade() else { return };
-                let reply_id = u64::from_le_bytes(msg.header[0..8].try_into().expect("8"));
-                let pending = inner
-                    .ranks
-                    .borrow()
-                    .get(env.rank)
-                    .and_then(|rt| rt.rare().pending_pings.remove(&reply_id));
-                if let Some(c) = pending {
-                    c.complete(());
-                }
-            }),
-        );
-    }
 }

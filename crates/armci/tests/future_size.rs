@@ -12,7 +12,7 @@
 
 use std::mem::size_of_val;
 
-use armci::{Armci, ArmciConfig};
+use armci::{Armci, ArmciConfig, ReduceOp};
 use desim::{Completion, Sim};
 use pami_sim::{Machine, MachineConfig, RmwOp};
 
@@ -42,6 +42,18 @@ fn blocking_call_futures_stay_under_their_ceilings() {
     check("PamiRank::ensure_endpoint", &pr.ensure_endpoint(0, 1), 80);
     check("ArmciRank::rmw_fetch_add", &rk.rmw_fetch_add(0, 0, 1), 344);
     check("ArmciRank::barrier", &rk.barrier(), 232);
+    check(
+        "ArmciRank::allreduce_f64",
+        &rk.allreduce_f64(&[1.0], ReduceOp::Sum),
+        176,
+    );
+    check("ArmciRank::broadcast", &rk.broadcast(0, None), 216);
+    check(
+        "ArmciRank::malloc_collective",
+        &rk.malloc_collective(8),
+        192,
+    );
+    check("ArmciRank::am_fence", &rk.am_fence(0), 312);
     check("ArmciRank::get", &rk.get(0, 0, 0, 8), 576);
     check("ArmciRank::put", &rk.put(0, 0, 0, 8), 608);
     assert_eq!(m.materialized_count(), 0);

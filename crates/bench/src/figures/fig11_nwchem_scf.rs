@@ -55,8 +55,10 @@ fn run(args: &Args) {
     let observe = args.observe();
 
     println!("== Fig 11: NWChem SCF, 6 waters / 644 basis functions ==");
-    const MODES: [(ProgressMode, &str); 2] =
-        [(ProgressMode::Default, "D"), (ProgressMode::AsyncThread, "AT")];
+    const MODES: [(ProgressMode, &str); 2] = [
+        (ProgressMode::Default, "D"),
+        (ProgressMode::AsyncThread, "AT"),
+    ];
     // One sweep point per (process count, progress mode); results collected
     // by input index so reporting below matches the old serial loop exactly.
     let outs = sweep::run_parallel(procs.len() * MODES.len(), jobs, |idx| {

@@ -93,7 +93,14 @@ fn run(args: &Args) {
             timeline: timeline.filter(|_| si == smallest_si && wi == biggest_wi && fi == 0),
             ..Observe::default()
         };
-        run_cell(procs, sizes[si], msgs, windows[wi] as u64, fanouts[fi], observe)
+        run_cell(
+            procs,
+            sizes[si],
+            msgs,
+            windows[wi] as u64,
+            fanouts[fi],
+            observe,
+        )
     });
     let mut seen = Observations::new(FIGURE.name, procs);
     let mut cells = Vec::with_capacity(outs.len());

@@ -101,7 +101,14 @@ pub fn active_set(p: usize, n: usize) -> Vec<usize> {
 pub fn run_rmw(p: usize, ops: usize) -> ScalePoint {
     let m = memprof::mark();
     let t0 = std::time::Instant::now();
-    let out = fig9::run(p, ProgressMode::AsyncThread, false, ops, None, Observe::default());
+    let out = fig9::run(
+        p,
+        ProgressMode::AsyncThread,
+        false,
+        ops,
+        None,
+        Observe::default(),
+    );
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     ScalePoint {
         mem: MemPoint {

@@ -104,9 +104,21 @@ fn values_a_workload_cannot_run_are_rejected() {
             &["--fault-rate", "0,2000000"],
             "invalid value '2000000' for --fault-rate",
         ),
-        ("fig_fault", &["--msgs", "0"], "invalid value '0' for --msgs"),
-        ("fig_am", &["--sizes", "8,12"], "invalid value '12' for --sizes"),
-        ("fig_am", &["--fanout", "0"], "invalid value '0' for --fanout"),
+        (
+            "fig_fault",
+            &["--msgs", "0"],
+            "invalid value '0' for --msgs",
+        ),
+        (
+            "fig_am",
+            &["--sizes", "8,12"],
+            "invalid value '12' for --sizes",
+        ),
+        (
+            "fig_am",
+            &["--fanout", "0"],
+            "invalid value '0' for --fanout",
+        ),
     ];
     for (bin, args, message) in cases {
         assert_rejected(bin, args, message);

@@ -21,7 +21,14 @@ fn churn() -> KernelLoad {
 }
 
 fn fig9() -> RunOut {
-    run(16, ProgressMode::AsyncThread, false, 4, None, Observe::default())
+    run(
+        16,
+        ProgressMode::AsyncThread,
+        false,
+        4,
+        None,
+        Observe::default(),
+    )
 }
 
 /// One test body (not two `#[test]`s): enable/disable is process-global, so
