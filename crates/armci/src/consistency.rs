@@ -35,8 +35,15 @@ pub type RegionKey = Option<usize>;
 
 /// Tracks outstanding (un-fenced) writes and decides which must complete
 /// before a read may be issued.
+///
+/// A read or fence walks only its target's keys. Completed handles are
+/// dropped there, and everywhere by a full sweep after as many writes as the
+/// last sweep left handles (at least 64), so writes to targets that are
+/// never read again cost amortized O(1) each instead of a walk on every read.
 pub struct ConsistencyTracker {
     mode: ConsistencyMode,
+    /// Writes left before the next sweep (in the padding beside `mode`).
+    until_sweep: u32,
     /// Outstanding write completions per (target, region-key). Ordered, so
     /// fences and read gates hand completions back in `(target, region)`
     /// order (issue order within a key) — a function of the content alone,
@@ -44,11 +51,15 @@ pub struct ConsistencyTracker {
     writes: BTreeMap<(usize, RegionKey), Vec<Completion<()>>>,
 }
 
+/// The fewest writes between two sweeps.
+const MIN_SWEEP: u32 = 64;
+
 impl ConsistencyTracker {
     /// Create a tracker for the given mode.
     pub fn new(mode: ConsistencyMode) -> ConsistencyTracker {
         ConsistencyTracker {
             mode,
+            until_sweep: MIN_SWEEP,
             writes: BTreeMap::new(),
         }
     }
@@ -61,84 +72,82 @@ impl ConsistencyTracker {
     /// Record an outstanding write (`done` = its remote completion).
     pub fn record_write(&mut self, target: usize, region: RegionKey, done: Completion<()>) {
         self.writes.entry((target, region)).or_default().push(done);
+        self.until_sweep -= 1;
+        if self.until_sweep == 0 {
+            self.prune();
+        }
     }
 
-    /// Drop completions that already fired (cheap lazy pruning).
+    /// Drop completions that already fired, everywhere, and wait for as
+    /// many writes as are left before the next sweep.
     fn prune(&mut self) {
         self.writes.retain(|_, v| {
             v.retain(|c| !c.is_complete());
             !v.is_empty()
         });
+        let left = u32::try_from(self.held()).unwrap_or(u32::MAX);
+        self.until_sweep = left.max(MIN_SWEEP);
+    }
+
+    /// Remove `target`'s keys whose region `hit` accepts and return their
+    /// pending completions, in `(target, region)` then issue order. One
+    /// range lookup per removed key, so nothing is allocated unless a
+    /// pending completion is returned.
+    fn take(&mut self, target: usize, hit: impl Fn(RegionKey) -> bool) -> Vec<Completion<()>> {
+        let mut out = Vec::new();
+        let mut from = (target, None);
+        while let Some(key) = self
+            .writes
+            .range(from..=(target, Some(usize::MAX)))
+            .map(|(k, _)| *k)
+            .find(|&(_, r)| hit(r))
+        {
+            let v = self.writes.remove(&key).unwrap_or_default();
+            out.extend(v.into_iter().filter(|c| !c.is_complete()));
+            from = key;
+        }
+        out
     }
 
     /// Completions that must be awaited before a read of `(target, region)`
     /// may be issued. Removes them from the outstanding set; a nonempty set
     /// is an induced fence, which the caller counts (`armci.induced_fence`).
     pub fn conflicts_for_read(&mut self, target: usize, region: RegionKey) -> Vec<Completion<()>> {
-        self.prune();
-        let mut out = Vec::new();
         match self.mode {
-            ConsistencyMode::PerTarget => {
-                // Any write to this target conflicts.
-                let keys: Vec<_> = self
-                    .writes
-                    .keys()
-                    .filter(|(t, _)| *t == target)
-                    .cloned()
-                    .collect();
-                for k in keys {
-                    out.extend(self.writes.remove(&k).unwrap_or_default());
-                }
-            }
+            // Any write to this target conflicts.
+            ConsistencyMode::PerTarget => self.take(target, |_| true),
+            // Same region conflicts; region-less (fall-back) writes are
+            // conservative and conflict with every read from the target;
+            // a region-less read conflicts with every write to the target.
             ConsistencyMode::PerRegion => {
-                // Same region conflicts; region-less (fall-back) writes are
-                // conservative and conflict with every read from the target;
-                // a region-less read conflicts with every write to the target.
-                let keys: Vec<_> = self
-                    .writes
-                    .keys()
-                    .filter(|(t, k)| {
-                        *t == target && (region.is_none() || k.is_none() || *k == region)
-                    })
-                    .cloned()
-                    .collect();
-                for k in keys {
-                    out.extend(self.writes.remove(&k).unwrap_or_default());
-                }
+                self.take(target, |k| region.is_none() || k.is_none() || k == region)
             }
         }
-        out
     }
 
     /// All outstanding writes to `target` (explicit `fence`).
     pub fn drain_target(&mut self, target: usize) -> Vec<Completion<()>> {
-        self.prune();
-        let keys: Vec<_> = self
-            .writes
-            .keys()
-            .filter(|(t, _)| *t == target)
-            .cloned()
-            .collect();
-        let mut out = Vec::new();
-        for k in keys {
-            out.extend(self.writes.remove(&k).unwrap_or_default());
-        }
-        out
+        self.take(target, |_| true)
     }
 
     /// All outstanding writes (explicit `fence_all` / barrier).
     pub fn drain_all(&mut self) -> Vec<Completion<()>> {
-        self.prune();
         std::mem::take(&mut self.writes)
             .into_values()
             .flatten()
+            .filter(|c| !c.is_complete())
             .collect()
+    }
+
+    /// Handles held, completed or not (what the next sweep walks).
+    pub fn held(&self) -> usize {
+        self.writes.values().map(Vec::len).sum()
     }
 
     /// Outstanding (unpruned) write count, for tests.
     pub fn outstanding(&mut self) -> usize {
         self.prune();
-        self.writes.values().map(Vec::len).sum()
+        self.held()
     }
 }
 
@@ -278,6 +287,12 @@ mod tests {
                 assert_eq!(labels(drain(&mut t), &labelled), want);
             }
         }
+    }
+
+    #[test]
+    fn sweep_countdown_costs_a_rank_no_bytes() {
+        // One per materialised rank: the countdown sits in `mode`'s padding.
+        assert_eq!(std::mem::size_of::<ConsistencyTracker>(), 32);
     }
 
     #[test]

@@ -96,9 +96,10 @@ impl ArmciRank {
         self.a.sim().probes()
     }
 
-    /// Begin an operation of `row` — counted, in flight, and with a flight
-    /// record whose id marks this rank's subsequent injections. The id is
-    /// `None` (and nothing is attributed) while the recorder is off.
+    /// Begin an operation of `row` — counted, in flight, and with an
+    /// [`OpId`] that marks this rank's subsequent injections for the
+    /// lifecycle accumulator. The id is `None` (and nothing is attributed)
+    /// while the accumulator is off.
     fn begin_op(&self, row: &'static Probe) -> Option<OpId> {
         let op = self.probes().begin_op(row, self.a.sim().now(), self.r);
         if op.is_some() {

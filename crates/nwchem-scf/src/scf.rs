@@ -140,7 +140,10 @@ pub fn run_scf_observed(nprocs: usize, cfg: &ScfConfig, observe: Observe) -> (Sc
     fock.fill(0.0);
     let counter = SharedCounter::create(&armci, 0);
 
-    let _mem = memprof::scope(&SCF_TAG);
+    // The application's own state and rank programs; what they allocate
+    // once running is charged where it happens (DESIGN.md §14), so the
+    // scope ends before the run.
+    let mem = memprof::scope(&SCF_TAG);
     let tallies: Rc<RefCell<Vec<RankTally>>> =
         Rc::new(RefCell::new(vec![RankTally::default(); nprocs]));
     let root_rng = SimRng::new(cfg.seed);
@@ -241,6 +244,7 @@ pub fn run_scf_observed(nprocs: usize, cfg: &ScfConfig, observe: Observe) -> (Sc
             tallies.borrow_mut()[rk.id()] = tally;
         });
     }
+    drop(mem);
 
     let end = sim.run();
     let observed = observe.finish(sim.probes(), end);

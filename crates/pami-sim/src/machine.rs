@@ -292,12 +292,20 @@ impl RankState {
     }
 
     /// Run `f` over `[off, off + len)` of this rank's memory, growing the
-    /// memory (zero-filled) to cover the range first.
+    /// memory (zero-filled) to cover the range first. Inside the allocated
+    /// arena (`next_alloc`) the capacity doubles only up to that end: to
+    /// twice the touched end, at most the arena (DESIGN.md §15, "Rank
+    /// memory"); past it, `Vec`'s own doubling.
     pub fn with_mut<R>(&self, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut mem = self.memory.borrow_mut();
         let end = off + len;
         if mem.len() < end {
             let _mem_tag = memprof::scope(&RANKMEM_TAG);
+            let arena = self.next_alloc.get();
+            if end > mem.capacity() && end <= arena {
+                let extra = (2 * end).min(arena) - mem.len();
+                mem.reserve_exact(extra);
+            }
             mem.resize(end, 0);
         }
         f(&mut mem[off..end])

@@ -96,11 +96,12 @@ pub(crate) fn deliver_then(
 }
 
 /// Deliver `leg` at `inject` on a network without an active fault plan.
+/// Every message leaves at the kernel clock or later, so the clock is the
+/// network's delivery floor (DESIGN.md §19).
 fn deliver(m: &Machine, inject: SimTime, leg: &Leg) -> SimTime {
-    m.inner
-        .net
-        .borrow_mut()
-        .deliver_op(inject, leg.src, leg.dst, leg.payload, leg.class, leg.op)
+    let mut net = m.inner.net.borrow_mut();
+    net.raise_floor(m.sim().now());
+    net.deliver_op(inject, leg.src, leg.dst, leg.payload, leg.class, leg.op)
 }
 
 /// [`deliver_then`] under an active fault plan: drives [`retry::attempt`]
@@ -710,7 +711,7 @@ impl PamiRank {
 
     /// The operation id messages injected by this rank are currently
     /// attributed to (set by the ARMCI layer around each operation; `None`
-    /// when the flight recorder is off or no operation is in flight).
+    /// when the lifecycle accumulator is off or no operation is in flight).
     pub fn current_op(&self) -> Option<OpId> {
         self.state().cur_op.get()
     }

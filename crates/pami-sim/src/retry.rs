@@ -118,11 +118,12 @@ pub(crate) fn attempt(m: &Machine, inject: SimTime, leg: &Leg, attempt: u32) -> 
         p.level(&BACKLOG, inject, -1);
     }
     let Leg { src, dst, op, .. } = *leg;
-    let outcome =
-        m.inner
-            .net
-            .borrow_mut()
-            .try_deliver_op(inject, src, dst, leg.payload, leg.class, op);
+    let outcome = {
+        // The kernel clock is the delivery floor, as in `rank::deliver`.
+        let mut net = m.inner.net.borrow_mut();
+        net.raise_floor(m.sim().now());
+        net.try_deliver_op(inject, src, dst, leg.payload, leg.class, op)
+    };
     match outcome {
         Delivery::Delivered(arrival) => {
             if attempt > 0 {

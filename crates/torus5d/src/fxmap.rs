@@ -4,9 +4,13 @@
 //! `std::collections::HashMap` defaults to SipHash-1-3 — DoS-resistant but
 //! ~10× more expensive than needed for trusted `u64` keys like packed
 //! `(src, dst)` rank pairs. [`FxMap64`] trades that robustness for a single
-//! multiply per probe: linear probing over a power-of-two table, no
-//! deletion (the network state only ever monotonically adds pairs), and
-//! amortized O(1) insertion with zero allocations between growths.
+//! multiply per probe: linear probing over a power-of-two table and
+//! amortized O(1) insertion with zero allocations between growths. There is
+//! no per-key removal: [`FxMap64::entry_retiring`] drops the entries its
+//! predicate names in the rehash a new key would otherwise grow the table
+//! by, in place when enough of them go, so a table whose entries go stale
+//! (the network's ordering fronts behind the delivery floor) is sized by its
+//! peak of live entries, not by every key it ever held.
 
 use desim::memprof::{self, MemTag};
 
@@ -14,7 +18,7 @@ use desim::memprof::{self, MemTag};
 /// FxHasher).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
-/// FxMap slot tables (only ever allocated in [`FxMap64::grow`], so the
+/// FxMap slot tables (only ever allocated in `FxMap64::rehash`, so the
 /// probe/insert hot path carries no profiler cost at all).
 static FXMAP_TAG: MemTag = MemTag::new("torus5d.fxmap");
 
@@ -97,9 +101,20 @@ impl<V: Copy + Default> FxMap64<V> {
     /// table past 7/8 load; hits on existing keys are allocation-free.
     #[inline]
     pub fn entry(&mut self, key: u64) -> &mut V {
+        self.entry_retiring(key, |_| false)
+    }
+
+    /// [`FxMap64::entry`] for a table whose entries can go stale: when a new
+    /// key pushes the table past 7/8 load, the rehash first drops every
+    /// entry whose value `dead` accepts, and the table grows only if the
+    /// survivors still fill more than half of it. `dead` is called during
+    /// that rehash only, never on the probe path. With `dead` always false
+    /// this is [`FxMap64::entry`].
+    #[inline]
+    pub fn entry_retiring(&mut self, key: u64, dead: impl Fn(V) -> bool) -> &mut V {
         debug_assert_ne!(key, EMPTY, "u64::MAX keys are reserved");
         if self.slots.is_empty() {
-            self.grow();
+            self.rehash(&|_| false);
         }
         loop {
             let mask = self.slots.len() - 1;
@@ -114,12 +129,13 @@ impl<V: Copy + Default> FxMap64<V> {
             if self.slots[slot].0 == key {
                 return &mut self.slots[slot].1;
             }
-            // New key: grow at 7/8 load (and re-probe) so chains stay short.
+            // New key: rehash at 7/8 load (and re-probe) so chains stay short.
             if (self.len + 1) * 8 > self.slots.len() * 7 {
-                self.grow();
+                self.rehash(&dead);
                 continue;
             }
-            self.slots[slot].0 = key;
+            // A slot emptied by `retire_in_place` still holds a value.
+            self.slots[slot] = (key, V::default());
             self.len += 1;
             return &mut self.slots[slot].1;
         }
@@ -133,21 +149,67 @@ impl<V: Copy + Default> FxMap64<V> {
             .map(|&(k, v)| (k, v))
     }
 
-    fn grow(&mut self) {
+    /// Drop the entries `dead` accepts and make room for one more key: in
+    /// place when the survivors fill at most half the table, else into a
+    /// table twice the size (at least 16 slots). The table never shrinks, so
+    /// a steady population of retiring keys rehashes without allocating.
+    #[cold]
+    fn rehash(&mut self, dead: &dyn Fn(V) -> bool) {
+        let cap = self.slots.len();
+        let live = self.iter().filter(|&(_, v)| !dead(v)).count();
+        if cap > 0 && (live + 1) * 2 <= cap {
+            self.retire_in_place(dead);
+            return;
+        }
         let _mem = memprof::scope(&FXMAP_TAG);
-        let cap = (self.slots.len() * 2).max(16);
+        let cap = (cap * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![(EMPTY, V::default()); cap]);
-        let mask = cap - 1;
+        self.len = live;
         for (k, v) in old {
+            if k != EMPTY && !dead(v) {
+                let i = self.free_slot(k);
+                self.slots[i] = (k, v);
+            }
+        }
+    }
+
+    /// Remove the entries `dead` accepts and re-seat the rest without
+    /// allocating. The walk starts just past a slot that was empty before
+    /// any removal, so no probe chain wraps across it: when an entry is
+    /// lifted out and re-inserted, every slot between its home and its old
+    /// position has been visited already, and it lands at or before the
+    /// slot it left.
+    fn retire_in_place(&mut self, dead: &dyn Fn(V) -> bool) {
+        let mask = self.slots.len() - 1;
+        let start = self
+            .slots
+            .iter()
+            .position(|s| s.0 == EMPTY)
+            .expect("a table below full load has an empty slot");
+        for step in 1..self.slots.len() {
+            let i = (start + step) & mask;
+            let (k, v) = self.slots[i];
             if k == EMPTY {
                 continue;
             }
-            let mut i = spread(k) as usize & mask;
-            while self.slots[i].0 != EMPTY {
-                i = (i + 1) & mask;
+            self.slots[i].0 = EMPTY;
+            if dead(v) {
+                self.len -= 1;
+            } else {
+                let j = self.free_slot(k);
+                self.slots[j] = (k, v);
             }
-            self.slots[i] = (k, v);
         }
+    }
+
+    /// The first empty slot on `key`'s probe path.
+    fn free_slot(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = spread(key) as usize & mask;
+        while self.slots[i].0 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
     }
 }
 

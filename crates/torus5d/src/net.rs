@@ -24,6 +24,10 @@
 //! [`RouteTable`]'s node-pair span map (when links are walked) and the
 //! per-pair ordering front — only where no link FIFO orders the pair:
 //! intranode, analytic, fault plan. Per-*link* state is a `Vec` by [`LinkId`].
+//! A front can only hold back a message injected before it, so a caller
+//! that names a delivery floor ([`NetState::raise_floor`]) lets both front
+//! tables drop the fronts at or before it where they would otherwise grow
+//! (DESIGN.md §19).
 //! Arrival times are the same max/add chain in the same order as the
 //! original dense implementation: bit-for-bit unchanged (pinned by the
 //! differential tests and the `results/` goldens).
@@ -231,7 +235,8 @@ pub struct NetState {
     contention: bool,
     /// Interned links, cached routes and the rank → node → coordinate map.
     rt: RouteTable,
-    /// Pair-ordering front per `(src << 32) | dst` rank pair that no link FIFO orders.
+    /// Pair-ordering front per `(src << 32) | dst` rank pair that no link FIFO
+    /// orders; fronts at or before `floor` retire when the table would grow.
     pair_last: FxMap64<SimTime>,
     /// Reservation and occupancy per directed link, indexed by [`LinkId`].
     /// Occupancy is filled by the contended path always, and by the analytic
@@ -239,8 +244,11 @@ pub struct NetState {
     links: Vec<LinkState>,
     /// Per-rank NIC injection FIFO front, keyed by sending rank: data
     /// payloads from one rank serialize onto the wire, bounding any stream
-    /// at link bandwidth. Sparse so idle ranks cost zero bytes.
+    /// at link bandwidth. Sparse so idle ranks cost zero bytes; retires like
+    /// `pair_last`.
     tx_busy: FxMap64<SimTime>,
+    /// No delivery injects before this instant ([`NetState::raise_floor`]).
+    floor: SimTime,
     track_links: bool,
     messages: u64,
     bytes: u64,
@@ -270,6 +278,7 @@ impl NetState {
             pair_last: FxMap64::new(),
             links: vec![LinkState::default(); nlinks],
             tx_busy: FxMap64::new(),
+            floor: SimTime::ZERO,
             track_links: false,
             messages: 0,
             bytes: 0,
@@ -364,6 +373,19 @@ impl NetState {
         f.advance(&self.probes, now);
         let t = f.hang_until[node as usize];
         (t > now).then_some(t)
+    }
+
+    /// Promise that no later delivery injects before `floor` (a simulator
+    /// passes its clock: every message it sends from now on leaves now or
+    /// later). A front at or before the floor can no longer hold a message
+    /// back — its arrival is at or after its injection — so the front tables
+    /// drop such fronts instead of growing past them (DESIGN.md §19, "Fronts
+    /// retire at the floor"). Arrival times are unchanged. The floor only
+    /// rises; a network never given one stays at instant zero and keeps its
+    /// fronts (as `net_storm` and the differential tests run).
+    #[inline]
+    pub fn raise_floor(&mut self, floor: SimTime) {
+        self.floor = self.floor.max(floor);
     }
 
     /// Record per-link occupancy on the analytic (non-contended) path too.
@@ -483,6 +505,11 @@ impl NetState {
         class: MsgClass,
         op: Option<OpId>,
     ) -> Delivery {
+        debug_assert!(
+            inject >= self.floor,
+            "message {src}->{dst} injected at {inject}, before the delivery floor {}",
+            self.floor
+        );
         let ranks = self.rt.ranks();
         let msg = Msg {
             inject,
@@ -525,8 +552,9 @@ impl NetState {
         // (any stream is bounded by link bandwidth). Control packets and
         // AMOs interleave on their own virtual channels and bypass the data
         // FIFO; pair ordering is enforced below regardless.
+        let floor = self.floor;
         let start = if m.class == MsgClass::Ordered {
-            let front = self.tx_busy.entry(m.src as u64);
+            let front = self.tx_busy.entry_retiring(m.src as u64, |t| t <= floor);
             let start = m.inject.max(*front);
             *front = start + wire;
             start
@@ -620,7 +648,7 @@ impl NetState {
         let links_order = self.contention && !same_node && !F::LIVE;
         if m.class != MsgClass::Unordered && !links_order {
             let key = ((m.src as u64) << 32) | m.dst as u64;
-            let front = self.pair_last.entry(key);
+            let front = self.pair_last.entry_retiring(key, |t| t <= floor);
             let unclamped = arrival;
             arrival = arrival.max(*front);
             *front = arrival;

@@ -133,6 +133,30 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
         "a disabled timeline must not add allocations to warm deliveries"
     );
 
+    // With the floor at each injection (a simulator sending at its clock),
+    // fronts retire instead of piling up: once the tables have reached the
+    // size of the traffic in flight, a stream of never-seen pairs rehashes
+    // them in place, without allocating.
+    let procs = 4096;
+    let mut anet = NetState::new(Topology::for_procs(procs, 16), BgqParams::default(), false);
+    let fresh = schedule(procs, 60_000, 0xF100_0A11);
+    let (warm, hot) = fresh.split_at(20_000);
+    let mut inject = SimTime::ZERO;
+    let mut send =
+        |net: &mut NetState, &(src, dst, payload, class): &(usize, usize, usize, MsgClass)| {
+            inject += SimDuration::from_ns(100);
+            net.raise_floor(inject);
+            net.deliver(inject, src, dst, payload, class);
+        };
+    warm.iter().for_each(|m| send(&mut anet, m));
+    let before = memprof::total_allocs();
+    hot.iter().for_each(|m| send(&mut anet, m));
+    assert_eq!(
+        memprof::total_allocs() - before,
+        0,
+        "fronts behind the floor must retire in place"
+    );
+
     // Ranks that never send cost zero bytes: per-rank sender state
     // (`tx_busy`, the pair-ordering map) lives in lazily-grown hash maps
     // tagged `torus5d.fxmap`, so the same traffic between the same two

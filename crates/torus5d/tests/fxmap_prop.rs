@@ -105,3 +105,51 @@ fn growth_preserves_everything_under_sequential_load() {
     }
     assert_eq!(fx.get(n), None);
 }
+
+#[test]
+#[allow(clippy::disallowed_methods)] // the std map is the oracle
+fn retiring_entries_keep_every_live_value() {
+    // Values are timestamps and everything 300 steps old is dead, like the
+    // network's fronts behind a rising delivery floor. A key `entry_retiring`
+    // dropped is gone from the oracle too (it comes back as a default), so
+    // both maps stay equal, retirement never touches a live value, and the
+    // table stays sized by the live keys, not by the keys seen.
+    for (seed, keys) in [(0u64, 50_000u64), (1, 2_000), (2, 64)] {
+        let mut rng = SimRng::new(0x7E71_0000 + seed);
+        let mut fx: FxMap64<u64> = FxMap64::new();
+        let mut std_map: HashMap<u64, u64> = HashMap::new();
+        for step in 1_000..30_000u64 {
+            let floor = step - 300;
+            let key = rng.next_below(keys) * 0x1_0000_0001;
+            let dead = |v: u64| v <= floor;
+            if rng.next_below(2) == 0 {
+                *fx.entry_retiring(key, dead) = step;
+                std_map.insert(key, step);
+            } else {
+                *fx.entry_retiring(key, dead) += 1;
+                *std_map.entry(key).or_insert(0) += 1;
+            }
+            assert_eq!(fx.get(key), std_map.get(&key).copied(), "key {key:#x}");
+            std_map.retain(|&k, &mut v| {
+                let kept = fx.get(k).is_some();
+                assert!(
+                    kept || v <= floor,
+                    "live key {k:#x} ({v}) retired at {floor}"
+                );
+                kept
+            });
+            assert_eq!(fx.len(), std_map.len());
+            if step % 1_000 == 0 {
+                for (&k, &v) in &std_map {
+                    assert_eq!(fx.get(k), Some(v), "key {k:#x}");
+                }
+            }
+        }
+        let live = std_map.values().filter(|&&v| v > 29_699).count();
+        assert!(
+            fx.len() <= 8 * live.max(16),
+            "{} entries for {live} live",
+            fx.len()
+        );
+    }
+}

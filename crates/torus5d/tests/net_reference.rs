@@ -7,7 +7,7 @@
 //! any divergence in the rework shows up as a failed equality, not a tolerance
 //! breach.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use desim::{FaultPlan, SimDuration, SimRng, SimTime};
 use torus5d::routing::route;
@@ -455,6 +455,167 @@ fn full_size_storm_matches_reference() {
     let schedule = storm_schedule(1, 512, 12_000_000);
     let seen = compare(Topology::for_procs(512, 16), true, false, false, schedule);
     assert_eq!(seen.last.as_ps(), 1_194_105_622_200);
+}
+
+/// One message of a floored schedule: the delivery floor raised before it,
+/// then the message.
+type Floored = (SimTime, Sched);
+
+/// Rounds of deliveries under an advancing floor, injects running backwards
+/// but never below it. Each round raises the floor to one picosecond before
+/// a sender's injection-FIFO front — mirrored here from the schedule alone
+/// (`max(inject, front) + wire` per `Ordered` message, dropped or not) — so
+/// that front sits at floor + 1 ps; sends a burst of other senders' messages
+/// injected anywhere in the 2 µs after the floor (new keys, so the front
+/// tables rehash and retire); then one `Ordered` message from that sender
+/// injected exactly at the floor, which the kept front must still delay.
+fn floored_schedule(topo: &Topology, seed: u64, rounds: usize) -> Vec<Floored> {
+    let params = BgqParams::default();
+    let cap = topo.capacity();
+    let mut rng = SimRng::new(seed);
+    let mut tx: BTreeMap<usize, SimTime> = BTreeMap::new();
+    let mut floor = SimTime::ZERO;
+    let mut out = Vec::new();
+    for _ in 0..rounds {
+        // A sender whose front lies past the floor + 1 ps, in rank order.
+        let ahead: Vec<usize> = tx
+            .iter()
+            .filter(|&(_, &f)| f > floor + SimDuration::from_ps(1))
+            .map(|(&r, _)| r)
+            .collect();
+        let held = if ahead.is_empty() {
+            floor += SimDuration::from_ns(rng.next_below(400));
+            None
+        } else {
+            let s = ahead[rng.next_below(ahead.len() as u64) as usize];
+            floor = SimTime(tx[&s].0 - 1);
+            Some(s)
+        };
+        let mut round = Vec::new();
+        for _ in 0..rng.next_below(48) {
+            // `next_msg`'s stagger is dropped: the inject is drawn below.
+            let (mut src, dst, payload, class) = next_msg(&mut rng, &mut floor.clone(), cap);
+            if Some(src) == held {
+                src = (src + 1) % cap;
+            }
+            let dst = if dst == src { (dst + 1) % cap } else { dst };
+            let inject = floor + SimDuration::from_ps(rng.next_below(2_000_000));
+            round.push((inject, src, dst, payload, class));
+        }
+        if let Some(src) = held {
+            let (_, dst) = next_pair(&mut rng, cap);
+            let dst = if dst == src { (dst + 1) % cap } else { dst };
+            round.push((floor, src, dst, 1 << rng.next_below(16), MsgClass::Ordered));
+        }
+        // Mirror the injection FIFO of every `Ordered` message, dropped or not.
+        for (inject, src, dst, payload, class) in round {
+            if class == MsgClass::Ordered {
+                let wire = if topo.same_node(src, dst) {
+                    params.intranode_time(payload)
+                } else {
+                    params.wire_time(payload)
+                };
+                let front = tx.entry(src).or_insert(SimTime::ZERO);
+                *front = inject.max(*front) + wire;
+            }
+            out.push((floor, (inject, src, dst, payload, class)));
+        }
+    }
+    out
+}
+
+/// [`floored_schedule`] through `NetState` with the floor raised before
+/// every message and through the reference, which keeps every front:
+/// every arrival must agree.
+fn compare_floored(topo: Topology, contention: bool, empty_plan: bool, seed: u64, rounds: usize) {
+    let what = format!(
+        "floored {} ppn {} contention={contention} empty_plan={empty_plan}",
+        topo.shape, topo.procs_per_node
+    );
+    let schedule = floored_schedule(&topo, seed, rounds);
+    let mut new = NetState::new(topo.clone(), BgqParams::default(), contention);
+    if empty_plan {
+        new.install_faults(FaultPlan::new(0xE4_97));
+    }
+    let mut old = RefNet::new(topo, BgqParams::default(), contention, false);
+    for (i, (floor, (inject, src, dst, payload, class))) in schedule.into_iter().enumerate() {
+        new.raise_floor(floor);
+        let a_new = new.deliver(inject, src, dst, payload, class);
+        let (a_old, _) = old.deliver(inject, src, dst, payload, class);
+        assert_eq!(
+            a_new, a_old,
+            "msg {i}: {src}->{dst} {payload}B {class:?} at {inject}, floor {floor} ({what})"
+        );
+    }
+}
+
+#[test]
+fn analytic_fronts_retire_at_the_floor() {
+    compare_floored(
+        Topology::for_procs(256, 16),
+        false,
+        false,
+        0xF100_0001,
+        1_500,
+    );
+    compare_floored(partition(96, 2, "DTBEAC"), false, false, 0xF100_0002, 1_000);
+}
+
+#[test]
+fn intranode_fronts_retire_at_the_floor() {
+    // Contended, but most pairs share a node: the fronts are the ordering.
+    compare_floored(Topology::for_procs(32, 16), true, false, 0xF100_0003, 1_500);
+    compare_floored(
+        Topology::for_procs(256, 16),
+        true,
+        false,
+        0xF100_0004,
+        1_000,
+    );
+}
+
+#[test]
+fn empty_plan_fronts_retire_at_the_floor() {
+    for (contention, seed) in [(true, 0xF100_0005), (false, 0xF100_0006)] {
+        compare_floored(partition(16, 16, "ABCDET"), contention, true, seed, 1_000);
+    }
+}
+
+/// Under a non-empty plan the reference is the same network given no
+/// floor: the plan's drops, detours and corruption draws must not see the
+/// retirement either.
+#[test]
+fn fault_plan_fronts_retire_at_the_floor() {
+    let topo = Topology::for_procs(128, 4);
+    let cap = topo.capacity();
+    let first = route(&topo.shape, topo.coord_of(0), topo.coord_of(cap - 1))[0];
+    let dead = RouteTable::new(&topo).link_id(first).0;
+    let at = |us| SimTime::ZERO + SimDuration::from_us(us);
+    let plan = || {
+        FaultPlan::new(0xFA18)
+            .route_update_delay(SimDuration::from_us(40))
+            .link_down(dead, at(30), at(400))
+            .corruption(0.05)
+    };
+    for (contention, seed) in [(true, 0xF100_0007), (false, 0xF100_0008)] {
+        let schedule = floored_schedule(&topo, seed, 1_500);
+        let mut nets = [(); 2].map(|()| {
+            let mut n = NetState::new(topo.clone(), BgqParams::default(), contention);
+            n.install_faults(plan());
+            n
+        });
+        let (mut dropped, mut last) = (0, SimTime::ZERO);
+        for (i, (floor, (inject, src, dst, payload, class))) in schedule.into_iter().enumerate() {
+            nets[0].raise_floor(floor);
+            let [a, b] =
+                [0, 1].map(|k| nets[k].try_deliver_op(inject, src, dst, payload, class, None));
+            assert_eq!(a, b, "msg {i}: {src}->{dst} at {inject}, floor {floor}");
+            dropped += u64::from(matches!(a, Delivery::Dropped { .. }));
+            last = last.max(inject);
+        }
+        assert!(dropped > 0, "the plan must drop some messages");
+        assert_eq!(nets[0].fault_counters(last), nets[1].fault_counters(last));
+    }
 }
 
 /// FNV-1a over a stream of u64 words.
