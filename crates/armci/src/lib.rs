@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # armci — scalable PGAS communication runtime on simulated Blue Gene/Q
 //!
 //! Rust reproduction of the communication subsystem from *Building Scalable

@@ -81,7 +81,7 @@ pub const FIGURE: Figure = Figure {
     name: "abl_consistency",
     about: "ablation — per-target vs per-memory-region consistency tracking",
     flags: &[
-        Flag("--rounds", Num(100, 0), "conflict rounds"),
+        Flag("--rounds", Num(100, 1), "conflict rounds"),
         Flag("--procs", Num(8, 2), "processes"),
         JOBS,
     ],

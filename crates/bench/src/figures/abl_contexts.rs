@@ -68,7 +68,7 @@ fn measure(contexts: usize, p: usize, rounds: usize) -> f64 {
 pub const FIGURE: Figure = Figure {
     name: "abl_contexts",
     about: "ablation — 1 vs 2 PAMI contexts under the async-thread design",
-    flags: &[Flag("--rounds", Num(200, 0), "get-loop rounds"), JOBS],
+    flags: &[Flag("--rounds", Num(200, 1), "get-loop rounds"), JOBS],
     run,
 };
 

@@ -63,7 +63,7 @@ fn measure(bytes: usize, rdma: bool, target_computes: bool, reps: usize) -> f64 
 pub const FIGURE: Figure = Figure {
     name: "abl_fallback",
     about: "ablation — RDMA protocol vs active-message fall-back latency",
-    flags: &[Flag("--reps", Num(20, 0), "repetitions per size"), JOBS],
+    flags: &[Flag("--reps", Num(20, 1), "repetitions per size"), JOBS],
     run,
 };
 

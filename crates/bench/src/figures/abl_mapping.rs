@@ -92,7 +92,7 @@ pub const FIGURE: Figure = Figure {
     about: "ablation — ABCDET vs TABCDE process-to-torus mapping",
     flags: &[
         Flag("--procs", Num(256, 2), "processes"),
-        Flag("--ppn", Num(16, 0), "processes per node"),
+        Flag("--ppn", Num(16, 1), "processes per node"),
         JOBS,
     ],
     run,

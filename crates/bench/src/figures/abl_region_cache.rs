@@ -58,7 +58,7 @@ pub const FIGURE: Figure = Figure {
     about: "ablation — remote memory-region cache capacity / replacement",
     flags: &[
         Flag("--procs", Num(64, 2), "processes"),
-        Flag("--rounds", Num(1000, 0), "access rounds"),
+        Flag("--rounds", Num(1000, 1), "access rounds"),
         JOBS,
     ],
     run,

@@ -48,7 +48,7 @@ pub const FIGURE: Figure = Figure {
     about: "ablation — chunk-list RDMA vs packed strided protocol crossover",
     flags: &[
         Flag("--total", Num(1 << 18, 0), "total transfer bytes"),
-        Flag("--reps", Num(4, 0), "repetitions"),
+        Flag("--reps", Num(4, 1), "repetitions"),
         JOBS,
     ],
     run,

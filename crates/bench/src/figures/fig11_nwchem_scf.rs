@@ -30,7 +30,7 @@ pub const FIGURE: Figure = Figure {
             List(&[1024, 2048, 4096], 1),
             "comma-separated process counts",
         ),
-        Flag("--iters", Num(3, 0), "SCF iterations"),
+        Flag("--iters", Num(3, 1), "SCF iterations"),
         Flag("--json", Path, "write per-run report rows as JSON"),
         BREAKDOWN,
         TIMELINE,

@@ -11,7 +11,7 @@ use bgq_bench::{fmt_size, get_latency, put_latency, size_sweep, sweep, Args, Fla
 pub const FIGURE: Figure = Figure {
     name: "fig3_latency",
     about: "Fig 3 — contiguous get/put latency vs message size",
-    flags: &[Flag("--reps", Num(50, 0), "repetitions per size"), JOBS],
+    flags: &[Flag("--reps", Num(50, 1), "repetitions per size"), JOBS],
     run,
 };
 

@@ -13,8 +13,8 @@ pub const FIGURE: Figure = Figure {
     name: "fig4_bandwidth",
     about: "Fig 4 — contiguous get/put bandwidth vs message size",
     flags: &[
-        Flag("--window", Num(2, 0), "outstanding operations"),
-        Flag("--reps", Num(32, 0), "messages per size"),
+        Flag("--window", Num(2, 1), "outstanding operations"),
+        Flag("--reps", Num(32, 1), "messages per size"),
         Flag("--json", Path, "write bandwidth rows as JSON"),
         JOBS,
     ],

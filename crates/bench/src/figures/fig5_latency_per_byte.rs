@@ -11,7 +11,7 @@ use bgq_bench::{fmt_size, get_latency, size_sweep, sweep, Args, Flag};
 pub const FIGURE: Figure = Figure {
     name: "fig5_latency_per_byte",
     about: "Fig 5 — effective get latency per byte vs message size",
-    flags: &[Flag("--reps", Num(50, 0), "repetitions per size"), JOBS],
+    flags: &[Flag("--reps", Num(50, 1), "repetitions per size"), JOBS],
     run,
 };
 

@@ -11,8 +11,8 @@ pub const FIGURE: Figure = Figure {
     name: "fig6_efficiency",
     about: "Fig 6 — bandwidth efficiency and N-half",
     flags: &[
-        Flag("--window", Num(2, 0), "outstanding operations"),
-        Flag("--reps", Num(32, 0), "messages per size"),
+        Flag("--window", Num(2, 1), "outstanding operations"),
+        Flag("--reps", Num(32, 1), "messages per size"),
         JOBS,
     ],
     run,

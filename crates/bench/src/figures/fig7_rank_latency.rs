@@ -20,8 +20,8 @@ pub const FIGURE: Figure = Figure {
     about: "Fig 7 — get latency vs process rank under ABCDET",
     flags: &[
         Flag("--procs", Num(2048, 2), "processes"),
-        Flag("--ppn", Num(16, 0), "processes per node"),
-        Flag("--reps", Num(3, 0), "repetitions per rank"),
+        Flag("--ppn", Num(16, 1), "processes per node"),
+        Flag("--reps", Num(3, 1), "repetitions per rank"),
         JOBS,
     ],
     run,

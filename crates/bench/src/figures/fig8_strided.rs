@@ -49,7 +49,7 @@ pub const FIGURE: Figure = Figure {
     about: "Fig 8 — strided get/put bandwidth vs contiguous chunk size",
     flags: &[
         Flag("--total", Num(1 << 20, 0), "total transfer bytes"),
-        Flag("--reps", Num(4, 0), "repetitions"),
+        Flag("--reps", Num(4, 1), "repetitions"),
         JOBS,
     ],
     run,

@@ -34,7 +34,7 @@ pub const FIGURE: Figure = Figure {
             List(&[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096], 2),
             "comma-separated process counts",
         ),
-        Flag("--ops", Num(10, 0), "fetch-and-adds per requester"),
+        Flag("--ops", Num(10, 1), "fetch-and-adds per requester"),
         Flag("--json", Path, "write the merged metrics snapshot JSON"),
         TRACE,
         BREAKDOWN,

@@ -27,7 +27,7 @@ pub const FIGURE: Figure = Figure {
     flags: &[
         // Destinations sit a stride of 16 ranks away.
         Flag("--procs", Num(64, 17), "process count, > 16"),
-        Flag("--msgs", Num(128, 0), "AM accumulates per rank"),
+        Flag("--msgs", Num(128, 1), "AM accumulates per rank"),
         // An accumulate carries whole f64s.
         Flag(
             "--sizes",

@@ -39,17 +39,17 @@ pub const FIGURE: Figure = Figure {
         ),
         Flag(
             "--active",
-            Num(DEFAULT_ACTIVE, 0),
+            Num(DEFAULT_ACTIVE, 2),
             "alltoall active-set size (at least 2; capped at p)",
         ),
         Flag(
             "--ops",
-            Num(DEFAULT_OPS, 0),
+            Num(DEFAULT_OPS, 1),
             "fetch-and-adds per requester / all-to-all rounds",
         ),
         Flag(
             "--storm-msgs",
-            Num(DEFAULT_STORM_MSGS, 0),
+            Num(DEFAULT_STORM_MSGS, 1),
             "netstorm schedule length",
         ),
         Flag("--json", Path, "write the full scale-v3 JSON document"),
@@ -66,9 +66,9 @@ fn run(args: &Args) {
     let mut procs = args.list("--procs");
     procs.sort_unstable();
     procs.dedup();
-    let ops = args.num("--ops").max(1);
-    let active = args.num("--active").max(2);
-    let storm_msgs = args.num("--storm-msgs").max(1);
+    let ops = args.num("--ops");
+    let active = args.num("--active");
+    let storm_msgs = args.num("--storm-msgs");
 
     memprof::enable();
     println!(

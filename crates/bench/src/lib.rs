@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # bgq-bench — benchmark harness regenerating the paper's tables & figures
 //!
 //! One executable, `bgq-bench <name> [options]` (`src/main.rs`), dispatches

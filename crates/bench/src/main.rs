@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `bgq-bench` — the one executable of the benchmark harness.
 //!
 //! `bgq-bench <name> [options]` dispatches its first argument over the

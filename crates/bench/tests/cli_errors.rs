@@ -9,19 +9,25 @@
 use std::path::Path;
 use std::process::Command;
 
-/// Run `bgq-bench <bin> --json <tmp> args` and require the usage-error exit:
-/// status 2, `<bin>: <message>` as the first stderr line, usage after it,
-/// empty stdout, no JSON written.
+/// Run `bgq-bench <bin> --json <tmp> args` and require the usage-error exit
+/// of [`assert_rejected_plain`] with no JSON written.
 fn assert_rejected(bin: &str, args: &[&str], message: &str) {
     let json = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
         "cli_{bin}_{}.json",
         args.join("_").replace(',', "-")
     ));
     let _ = std::fs::remove_file(&json);
+    let json_arg = json.to_str().expect("utf-8 temp path");
+    assert_rejected_plain(bin, &[&["--json", json_arg], args].concat(), message);
+    assert!(!json.exists(), "{bin} {args:?}: wrote a JSON artifact");
+}
+
+/// Run `bgq-bench <bin> args` (for figures with no `--json` flag) and
+/// require the usage-error exit: status 2, `<bin>: <message>` as the first
+/// stderr line, usage after it, empty stdout.
+fn assert_rejected_plain(bin: &str, args: &[&str], message: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_bgq-bench"))
         .arg(bin)
-        .arg("--json")
-        .arg(&json)
         .args(args)
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
@@ -38,7 +44,6 @@ fn assert_rejected(bin: &str, args: &[&str], message: &str) {
         out.stdout.is_empty(),
         "{bin} {args:?}: ran before rejecting"
     );
-    assert!(!json.exists(), "{bin} {args:?}: wrote a JSON artifact");
 }
 
 #[test]
@@ -122,5 +127,44 @@ fn values_a_workload_cannot_run_are_rejected() {
     ];
     for (bin, args, message) in cases {
         assert_rejected(bin, args, message);
+    }
+
+    // A zero count used to divide by zero (`--ppn`, `--window`), spin
+    // forever (`abl_contexts --rounds`: its peers wait for a nonzero
+    // measurement) or print NaN / empty tables; `fig_scale` clamped its
+    // counts silently.
+    let zero = |flag: &str| format!("invalid value '0' for {flag}");
+    for (bin, flag) in [
+        ("fig4_bandwidth", "--window"),
+        ("fig4_bandwidth", "--reps"),
+        ("fig9_rmw", "--ops"),
+        ("fig_am", "--msgs"),
+        ("fig11_nwchem_scf", "--iters"),
+        ("fig_scale", "--ops"),
+        ("fig_scale", "--storm-msgs"),
+    ] {
+        assert_rejected(bin, &[flag, "0"], &zero(flag));
+    }
+    assert_rejected(
+        "fig_scale",
+        &["--active", "1"],
+        "invalid value '1' for --active",
+    );
+    for (bin, flag) in [
+        ("fig7_rank_latency", "--ppn"),
+        ("fig7_rank_latency", "--reps"),
+        ("abl_mapping", "--ppn"),
+        ("fig6_efficiency", "--window"),
+        ("fig6_efficiency", "--reps"),
+        ("abl_contexts", "--rounds"),
+        ("fig3_latency", "--reps"),
+        ("fig5_latency_per_byte", "--reps"),
+        ("fig8_strided", "--reps"),
+        ("abl_fallback", "--reps"),
+        ("abl_strided_pack", "--reps"),
+        ("abl_region_cache", "--rounds"),
+        ("abl_consistency", "--rounds"),
+    ] {
+        assert_rejected_plain(bin, &[flag, "0"], &zero(flag));
     }
 }

@@ -42,6 +42,7 @@ fn results_are_identical_with_profiling_off_and_on() {
 
     // Phase 2: profiler fully on — worst case, every allocation attributed.
     memprof::enable();
+    let on = memprof::mark();
     let churn_on = churn();
     let fig9_on = fig9();
     memprof::disable();
@@ -62,8 +63,8 @@ fn results_are_identical_with_profiling_off_and_on() {
     );
 
     // And the enabled phase really was observing: the workload's subsystem
-    // tags accumulated activity in the global plane.
-    let snap = memprof::global_snapshot();
+    // tags accumulated activity on this thread, which ran both workloads.
+    let snap = memprof::since(&on);
     for tag in ["pami.queues", "armci.handles", "torus5d.links"] {
         assert!(
             snap.get(tag).is_some_and(|t| t.allocs > 0),

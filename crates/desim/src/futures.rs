@@ -30,12 +30,15 @@ pub fn race<A: Future, B: Future>(a: A, b: B) -> Race2<A, B> {
 impl<A: Future, B: Future> Future for Race2<A, B> {
     type Output = Either<A::Output, B::Output>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Safety: we never move `a`/`b` out of the pinned struct.
+        // SAFETY: we never move `a`/`b` out of the pinned struct.
         let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: `this.a` is structurally pinned: `Race2` is pinned and
+        // never moves or replaces its fields.
         let a = unsafe { Pin::new_unchecked(&mut this.a) };
         if let Poll::Ready(v) = a.poll(cx) {
             return Poll::Ready(Either::Left(v));
         }
+        // SAFETY: as for `this.a`.
         let b = unsafe { Pin::new_unchecked(&mut this.b) };
         if let Poll::Ready(v) = b.poll(cx) {
             return Poll::Ready(Either::Right(v));

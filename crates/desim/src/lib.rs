@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 //! # desim — deterministic discrete-event simulation kernel
 //!
 //! A small, deterministic discrete-event simulator with a virtual-time async

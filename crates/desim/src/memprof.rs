@@ -13,20 +13,19 @@
 //! an allocation region with [`MemScope::enter`] (or the cheaper
 //! [`scope`]/[`MemTag`] pair on warm paths) and every allocation made while
 //! the scope is alive is charged to that tag. Frees are charged to the tag
-//! that allocated the block — a global sharded pointer→tag side table
-//! (backed directly by [`System`], so the profiler never recurses into
-//! itself) remembers the owner, and a block allocated while the profiler was
-//! disabled is simply skipped on free, which makes enable/disable
-//! transitions safe at any point.
+//! that allocated the block — a process-wide pointer→tag side table of
+//! locked shards remembers the owner (the table's own memory is not
+//! tracked, so the profiler never recurses into itself), and a block
+//! allocated while the profiler was disabled is simply skipped on free,
+//! which makes enable/disable transitions safe at any point.
 //!
-//! Two accounting planes are kept:
-//!
-//! * **global** — process-wide atomics per tag ([`global_snapshot`]);
-//! * **thread-local** — exact per-thread counters, read through the
-//!   [`mark`]/[`since`] delta API. A simulation runs entirely on one thread,
-//!   so bracketing it with `mark`/`since` yields per-run accounting that is
-//!   byte-identical no matter how many sweep workers run other simulations
-//!   concurrently (`--jobs` invariance).
+//! Counters are kept per thread and read through the [`mark`]/[`since`]
+//! delta API ([`total_allocs`] reads the same counters in place). A block
+//! freed on another thread is charged to the freeing thread, under the tag
+//! of the thread that allocated it. A simulation runs entirely on one
+//! thread, so bracketing it with `mark`/`since` yields per-run accounting
+//! that is byte-identical no matter how many sweep workers run other
+//! simulations concurrently (`--jobs` invariance).
 //!
 //! Snapshots serialize as fixed-order `memprof-v1` JSON
 //! ([`MemSnapshot::to_json`]). Determinism caveat: *virtual-time results
@@ -36,11 +35,11 @@
 //! while schemas and growth classes gate exactly (see `fig_mem`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering::{Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU32};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::time::SimTime;
 use crate::timeline::{SeriesKind, Timeline};
@@ -84,78 +83,50 @@ pub fn enabled() -> bool {
 // Tag registry: append-only interning of &'static str names
 // ---------------------------------------------------------------------------
 
-static TAG_PTRS: [AtomicPtr<u8>; MAX_TAGS] =
-    [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_TAGS];
-static TAG_LENS: [AtomicUsize; MAX_TAGS] = [const { AtomicUsize::new(0) }; MAX_TAGS];
-static TAG_COUNT: AtomicUsize = AtomicUsize::new(0);
+static TAG_NAMES: [OnceLock<&'static str>; MAX_TAGS] = [const { OnceLock::new() }; MAX_TAGS];
 static REG_LOCK: Mutex<()> = Mutex::new(());
 
 /// Name of interned tag `i < tag_count()`.
 fn tag_name(i: usize) -> &'static str {
-    let ptr = TAG_PTRS[i].load(Relaxed);
-    let len = TAG_LENS[i].load(Relaxed);
-    // SAFETY: slots below TAG_COUNT were filled from a &'static str before
-    // the Release store that published them (Acquire-loaded by callers).
-    unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr, len)) }
+    TAG_NAMES[i]
+        .get()
+        .expect("tags below tag_count() are named")
+}
+
+/// The interned names, in id order.
+fn names() -> impl Iterator<Item = &'static str> {
+    TAG_NAMES.iter().map_while(|n| n.get().copied())
 }
 
 /// Number of tags interned so far (0 until the first [`enable`]/intern).
 pub fn tag_count() -> usize {
-    TAG_COUNT.load(Acquire)
+    names().count()
 }
 
 /// Intern `name`, returning its stable tag id. Never called from inside the
 /// allocator; the slow path takes a mutex but allocates nothing.
 fn intern(name: &'static str) -> u16 {
-    let n = TAG_COUNT.load(Acquire);
-    for i in 0..n {
-        if tag_name(i) == name {
-            return i as u16;
-        }
+    let find = || names().position(|n| n == name);
+    if let Some(i) = find() {
+        return i as u16;
     }
-    let _g = REG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    if TAG_COUNT.load(Acquire) == 0 && name != UNTAGGED_NAME {
-        // Slot 0 is always the untagged bucket.
-        TAG_PTRS[0].store(UNTAGGED_NAME.as_ptr() as *mut u8, Relaxed);
-        TAG_LENS[0].store(UNTAGGED_NAME.len(), Relaxed);
-        TAG_COUNT.store(1, Release);
+    let _g = REG_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    // Slot 0 is always the untagged bucket.
+    let _ = TAG_NAMES[0].set(UNTAGGED_NAME);
+    if let Some(i) = find() {
+        return i as u16;
     }
-    let n = TAG_COUNT.load(Acquire);
-    for i in 0..n {
-        if tag_name(i) == name {
-            return i as u16;
-        }
-    }
+    let n = tag_count();
     if n >= MAX_TAGS {
         return UNTAGGED;
     }
-    TAG_PTRS[n].store(name.as_ptr() as *mut u8, Relaxed);
-    TAG_LENS[n].store(name.len(), Relaxed);
-    TAG_COUNT.store(n + 1, Release);
+    let _ = TAG_NAMES[n].set(name);
     n as u16
 }
 
 // ---------------------------------------------------------------------------
-// Per-tag statistics: global atomics + exact thread-locals
+// Per-tag statistics, per thread
 // ---------------------------------------------------------------------------
-
-struct GlobalTag {
-    live: AtomicI64,
-    peak: AtomicI64,
-    allocs: AtomicU64,
-    frees: AtomicU64,
-    reallocs: AtomicU64,
-}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const GLOBAL_TAG_ZERO: GlobalTag = GlobalTag {
-    live: AtomicI64::new(0),
-    peak: AtomicI64::new(0),
-    allocs: AtomicU64::new(0),
-    frees: AtomicU64::new(0),
-    reallocs: AtomicU64::new(0),
-};
-static GLOBAL: [GlobalTag; MAX_TAGS] = [GLOBAL_TAG_ZERO; MAX_TAGS];
 
 /// Thread-local per-tag counters. `Cell` arrays with const initializers:
 /// no lazy init and no destructor, so touching them from inside the
@@ -278,143 +249,89 @@ pub fn scope_default(tag: &'static MemTag) -> Option<MemScope> {
 }
 
 // ---------------------------------------------------------------------------
-// Pointer → tag side table (sharded, System-backed, lock per shard)
+// Pointer → tag side table (64 locked shards, untracked)
 // ---------------------------------------------------------------------------
 
 const SHARDS: usize = 64;
 const SLOT_EMPTY: usize = 0;
 const SLOT_TOMB: usize = 1;
 
-#[derive(Clone, Copy)]
+/// `Entry::default()` is an empty slot (`ptr == SLOT_EMPTY`).
+#[derive(Clone, Copy, Default)]
 struct Entry {
     ptr: usize,
     tag: u16,
 }
 
+/// One shard: open addressing with linear probing and tombstones, grown
+/// (doubled, at least 1024 slots) past ¾ load. Not a `HashMap`, which made
+/// the memprof-on `fig_scale` sweep 22 % slower (DESIGN §14).
 struct Table {
-    slots: *mut Entry,
-    cap: usize,
+    slots: Vec<Entry>,
     len: usize,
     tombs: usize,
 }
 
-struct Shard {
-    lock: AtomicBool,
-    table: UnsafeCell<Table>,
-}
-
-// SAFETY: `table` is only touched while `lock` is held (spin lock below).
-unsafe impl Sync for Shard {}
-
-#[allow(clippy::declare_interior_mutable_const)]
-const SHARD_ZERO: Shard = Shard {
-    lock: AtomicBool::new(false),
-    table: UnsafeCell::new(Table {
-        slots: std::ptr::null_mut(),
-        cap: 0,
+static SIDE: [Mutex<Table>; SHARDS] = [const {
+    Mutex::new(Table {
+        slots: Vec::new(),
         len: 0,
         tombs: 0,
-    }),
-};
-static SIDE: [Shard; SHARDS] = [SHARD_ZERO; SHARDS];
+    })
+}; SHARDS];
+
+thread_local! {
+    /// Set while this thread holds a shard: the table's own `Vec` growth
+    /// then goes to [`System`] untracked, so the profiler neither records
+    /// its bookkeeping nor re-enters a shard it holds.
+    static IN_SIDE: Cell<bool> = const { Cell::new(false) };
+}
 
 #[inline]
 fn mix(ptr: usize) -> u64 {
     ((ptr as u64) >> 4).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-struct ShardGuard(&'static Shard);
-
-impl ShardGuard {
-    fn lock(ptr: usize) -> ShardGuard {
-        let shard = &SIDE[(mix(ptr) >> 58) as usize];
-        while shard
-            .lock
-            .compare_exchange_weak(false, true, Acquire, Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-        ShardGuard(shard)
-    }
-
-    #[allow(clippy::mut_from_ref)]
-    fn table(&self) -> &mut Table {
-        // SAFETY: exclusive by the spin lock held for the guard's lifetime.
-        unsafe { &mut *self.0.table.get() }
-    }
-}
-
-impl Drop for ShardGuard {
-    fn drop(&mut self) {
-        self.0.lock.store(false, Release);
-    }
+/// Run `f` on `ptr`'s shard, locked, with [`IN_SIDE`] set.
+fn with_shard<R>(ptr: usize, f: impl FnOnce(&mut Table) -> R) -> R {
+    let mut table = SIDE[(mix(ptr) >> 58) as usize]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    IN_SIDE.set(true);
+    let r = f(&mut table);
+    IN_SIDE.set(false);
+    r
 }
 
 impl Table {
-    /// All raw table storage comes straight from `System`, bypassing the
-    /// global allocator — the profiler never tracks (or recurses into) its
-    /// own bookkeeping.
     fn grow(&mut self) {
-        let new_cap = (self.cap * 2).max(1024);
-        let layout = Layout::array::<Entry>(new_cap).expect("side-table layout");
-        // SAFETY: layout is non-zero-sized; zeroed memory is a valid table
-        // of SLOT_EMPTY entries.
-        let new = unsafe { System.alloc_zeroed(layout) } as *mut Entry;
-        assert!(!new.is_null(), "memprof side table allocation failed");
-        let (old, old_cap) = (self.slots, self.cap);
-        self.slots = new;
-        self.cap = new_cap;
+        let cap = (self.slots.len() * 2).max(1024);
+        let old = std::mem::replace(&mut self.slots, vec![Entry::default(); cap]);
         self.len = 0;
         self.tombs = 0;
-        if !old.is_null() {
-            for i in 0..old_cap {
-                // SAFETY: i < old_cap, old table still owned here.
-                let e = unsafe { *old.add(i) };
-                if e.ptr > SLOT_TOMB {
-                    self.insert_fresh(e);
-                }
+        // At most ⅜ full afterwards, so no insert here grows again.
+        for e in old {
+            if e.ptr > SLOT_TOMB {
+                self.insert(e.ptr, e.tag);
             }
-            let old_layout = Layout::array::<Entry>(old_cap).expect("side-table layout");
-            // SAFETY: allocated above with the same layout.
-            unsafe { System.dealloc(old as *mut u8, old_layout) };
-        }
-    }
-
-    /// Insert into a table known to contain no tombstones and no `e.ptr`.
-    fn insert_fresh(&mut self, e: Entry) {
-        let mask = self.cap - 1;
-        let mut i = mix(e.ptr) as usize & mask;
-        loop {
-            // SAFETY: i < cap by the mask.
-            let slot = unsafe { &mut *self.slots.add(i) };
-            if slot.ptr == SLOT_EMPTY {
-                *slot = e;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
         }
     }
 
     fn insert(&mut self, ptr: usize, tag: u16) {
-        if (self.len + self.tombs + 1) * 4 > self.cap * 3 {
+        if (self.len + self.tombs + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.cap - 1;
+        let mask = self.slots.len() - 1;
         let mut i = mix(ptr) as usize & mask;
         let mut free: Option<usize> = None;
         loop {
-            // SAFETY: i < cap by the mask.
-            let slot = unsafe { &mut *self.slots.add(i) };
-            match slot.ptr {
+            match self.slots[i].ptr {
                 SLOT_EMPTY => {
                     let j = free.unwrap_or(i);
                     if free.is_some() {
                         self.tombs -= 1;
                     }
-                    // SAFETY: j < cap (either i or an earlier probe index).
-                    unsafe { *self.slots.add(j) = Entry { ptr, tag } };
+                    self.slots[j] = Entry { ptr, tag };
                     self.len += 1;
                     return;
                 }
@@ -423,7 +340,7 @@ impl Table {
                 }
                 p if p == ptr => {
                     // Same address re-allocated: overwrite the stale owner.
-                    slot.tag = tag;
+                    self.slots[i].tag = tag;
                     return;
                 }
                 _ => {}
@@ -433,22 +350,20 @@ impl Table {
     }
 
     fn remove(&mut self, ptr: usize) -> Option<u16> {
-        if self.cap == 0 {
+        if self.slots.is_empty() {
             return None;
         }
-        let mask = self.cap - 1;
+        let mask = self.slots.len() - 1;
         let mut i = mix(ptr) as usize & mask;
         loop {
-            // SAFETY: i < cap by the mask.
-            let slot = unsafe { &mut *self.slots.add(i) };
+            let slot = &mut self.slots[i];
             match slot.ptr {
                 SLOT_EMPTY => return None,
                 p if p == ptr => {
-                    let tag = slot.tag;
                     slot.ptr = SLOT_TOMB;
                     self.len -= 1;
                     self.tombs += 1;
-                    return Some(tag);
+                    return Some(slot.tag);
                 }
                 _ => {}
             }
@@ -458,75 +373,67 @@ impl Table {
 }
 
 fn side_insert(ptr: usize, tag: u16) {
-    ShardGuard::lock(ptr).table().insert(ptr, tag);
+    with_shard(ptr, |t| t.insert(ptr, tag));
 }
 
 fn side_remove(ptr: usize) -> Option<u16> {
-    ShardGuard::lock(ptr).table().remove(ptr)
+    with_shard(ptr, |t| t.remove(ptr))
 }
 
 // ---------------------------------------------------------------------------
 // Accounting
 // ---------------------------------------------------------------------------
 
-fn bump_alloc(tag: u16, size: i64) {
+/// True when this allocator call should be recorded: the profiler is on
+/// (tested first, so the disabled path stays one relaxed load) and the call
+/// is not the side table's own.
+#[inline]
+fn recording() -> bool {
+    enabled() && !IN_SIDE.get()
+}
+
+fn bump(tag: u16, delta: i64, count: impl FnOnce(&TlStats) -> &[Cell<u64>; MAX_TAGS]) {
     let t = tag as usize;
     let _ = TLS.try_with(|s| {
-        let live = s.live[t].get() + size;
+        let live = s.live[t].get() + delta;
         s.live[t].set(live);
         if live > s.peak[t].get() {
             s.peak[t].set(live);
         }
-        s.allocs[t].set(s.allocs[t].get() + 1);
+        let n = &count(s)[t];
+        n.set(n.get() + 1);
     });
-    let g = &GLOBAL[t];
-    let live = g.live.fetch_add(size, Relaxed) + size;
-    g.peak.fetch_max(live, Relaxed);
-    g.allocs.fetch_add(1, Relaxed);
 }
 
 fn track_alloc(ptr: usize, size: usize) {
     let tag = cur_tag();
     side_insert(ptr, tag);
-    bump_alloc(tag, size as i64);
+    bump(tag, size as i64, |s| &s.allocs);
 }
 
 fn track_free(ptr: usize, size: usize) {
     // Unknown pointer ⇒ allocated while disabled ⇒ never counted: skip, so
     // enable/disable transitions cannot drive live counts negative.
     let Some(tag) = side_remove(ptr) else { return };
-    let t = tag as usize;
-    let _ = TLS.try_with(|s| {
-        s.live[t].set(s.live[t].get() - size as i64);
-        s.frees[t].set(s.frees[t].get() + 1);
-    });
-    GLOBAL[t].live.fetch_sub(size as i64, Relaxed);
-    GLOBAL[t].frees.fetch_add(1, Relaxed);
+    bump(tag, -(size as i64), |s| &s.frees);
 }
 
-fn track_realloc(old: usize, new_ptr: usize, old_size: usize, new_size: usize) {
-    match side_remove(old) {
-        Some(tag) => {
+/// Account a `realloc` of `old` (whose side-table entry `owner` was taken
+/// out *before* the block moved, so no other thread can have claimed its
+/// address yet) that returned `new_ptr`.
+fn track_realloc(owner: Option<u16>, old: usize, new_ptr: usize, old_size: usize, new_size: usize) {
+    match (owner, new_ptr) {
+        // Failed: the old block is still live and still its owner's.
+        (Some(tag), 0) => side_insert(old, tag),
+        (None, 0) => {}
+        (Some(tag), _) => {
             // Grown/shrunk in place or moved: the block keeps its owner.
             side_insert(new_ptr, tag);
-            let t = tag as usize;
-            let delta = new_size as i64 - old_size as i64;
-            let _ = TLS.try_with(|s| {
-                let live = s.live[t].get() + delta;
-                s.live[t].set(live);
-                if live > s.peak[t].get() {
-                    s.peak[t].set(live);
-                }
-                s.reallocs[t].set(s.reallocs[t].get() + 1);
-            });
-            let g = &GLOBAL[t];
-            let live = g.live.fetch_add(delta, Relaxed) + delta;
-            g.peak.fetch_max(live, Relaxed);
-            g.reallocs.fetch_add(1, Relaxed);
+            bump(tag, new_size as i64 - old_size as i64, |s| &s.reallocs);
         }
         // Block from before enable(): start tracking it now, as an alloc
         // of the full new size under the current tag.
-        None => track_alloc(new_ptr, new_size),
+        (None, _) => track_alloc(new_ptr, new_size),
     }
 }
 
@@ -545,11 +452,14 @@ fn track_realloc(old: usize, new_ptr: usize, old_size: usize, new_size: usize) {
 /// relaxed atomic load.
 pub struct MemProf;
 
+// SAFETY: every method forwards its arguments unchanged to `System` under
+// the caller's contract and returns `System`'s result; the bookkeeping
+// around the call only reads the pointer values, never the memory.
 unsafe impl GlobalAlloc for MemProf {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         // SAFETY: forwarded contract.
         let p = unsafe { System.alloc(l) };
-        if enabled() && !p.is_null() {
+        if recording() && !p.is_null() {
             track_alloc(p as usize, l.size());
         }
         p
@@ -558,14 +468,14 @@ unsafe impl GlobalAlloc for MemProf {
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
         // SAFETY: forwarded contract.
         let p = unsafe { System.alloc_zeroed(l) };
-        if enabled() && !p.is_null() {
+        if recording() && !p.is_null() {
             track_alloc(p as usize, l.size());
         }
         p
     }
 
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        if enabled() {
+        if recording() {
             track_free(p as usize, l.size());
         }
         // SAFETY: forwarded contract.
@@ -573,10 +483,11 @@ unsafe impl GlobalAlloc for MemProf {
     }
 
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
+        let owner = recording().then(|| side_remove(p as usize));
         // SAFETY: forwarded contract.
         let q = unsafe { System.realloc(p, l, new_size) };
-        if enabled() && !q.is_null() {
-            track_realloc(p as usize, q as usize, l.size(), new_size);
+        if let Some(owner) = owner {
+            track_realloc(owner, p as usize, q as usize, l.size(), new_size);
         }
         q
     }
@@ -600,20 +511,16 @@ pub struct MemMark {
 /// Record this thread's current per-tag counters as a delta baseline.
 pub fn mark() -> MemMark {
     TLS.with(|s| {
-        let mut m = MemMark {
-            live: [0; MAX_TAGS],
-            allocs: [0; MAX_TAGS],
-            frees: [0; MAX_TAGS],
-            reallocs: [0; MAX_TAGS],
-        };
-        for i in 0..MAX_TAGS {
-            m.live[i] = s.live[i].get();
-            s.peak[i].set(s.live[i].get());
-            m.allocs[i] = s.allocs[i].get();
-            m.frees[i] = s.frees[i].get();
-            m.reallocs[i] = s.reallocs[i].get();
+        for (peak, live) in s.peak.iter().zip(&s.live) {
+            peak.set(live.get());
         }
-        m
+        let get = |c: &[Cell<u64>; MAX_TAGS]| c.each_ref().map(Cell::get);
+        MemMark {
+            live: s.live.each_ref().map(Cell::get),
+            allocs: get(&s.allocs),
+            frees: get(&s.frees),
+            reallocs: get(&s.reallocs),
+        }
     })
 }
 
@@ -704,29 +611,18 @@ pub fn since(m: &MemMark) -> MemSnapshot {
     })
 }
 
-/// Process-wide per-tag totals (all threads, since [`enable`]).
-pub fn global_snapshot() -> MemSnapshot {
-    build_snapshot(|i| {
-        let g = &GLOBAL[i];
-        TagStats {
-            name: tag_name(i),
-            live_bytes: g.live.load(Relaxed),
-            peak_bytes: g.peak.load(Relaxed),
-            allocs: g.allocs.load(Relaxed),
-            frees: g.frees.load(Relaxed),
-            reallocs: g.reallocs.load(Relaxed),
-        }
-    })
-}
-
-/// Total allocation calls (alloc + alloc_zeroed + realloc) recorded
-/// process-wide — the counting-allocator primitive behind
+/// Total allocation calls (alloc + alloc_zeroed + realloc) recorded on this
+/// thread — the counting-allocator primitive behind
 /// `torus5d/tests/alloc_free.rs`'s zero-allocations-on-warm-path assertion.
+/// Reads the counters in place: it allocates nothing itself.
 pub fn total_allocs() -> u64 {
-    let n = tag_count();
-    (0..n)
-        .map(|i| GLOBAL[i].allocs.load(Relaxed) + GLOBAL[i].reallocs.load(Relaxed))
-        .sum()
+    TLS.with(|s| {
+        s.allocs
+            .iter()
+            .zip(&s.reallocs)
+            .map(|(a, r)| a.get() + r.get())
+            .sum()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -815,14 +711,10 @@ mod tests {
     fn accounting_and_snapshot_deltas() {
         let tag = intern("test.acct");
         let m = mark();
-        bump_alloc(tag, 1000);
-        bump_alloc(tag, 500);
+        bump(tag, 1000, |s| &s.allocs);
+        bump(tag, 500, |s| &s.allocs);
         // Simulate a free of the 500-byte block.
-        let t = tag as usize;
-        TLS.with(|s| {
-            s.live[t].set(s.live[t].get() - 500);
-            s.frees[t].set(s.frees[t].get() + 1);
-        });
+        bump(tag, -500, |s| &s.frees);
         let snap = since(&m);
         let row = snap.get("test.acct").expect("tag recorded");
         assert_eq!(row.live_bytes, 1000);

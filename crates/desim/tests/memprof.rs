@@ -129,16 +129,74 @@ fn scope_default_defers_to_tagged_callers() {
 }
 
 #[test]
-fn global_snapshot_serializes_and_tracks_this_binary() {
+fn snapshot_serializes_and_tracks_this_binary() {
     memprof::enable();
+    let m = memprof::mark();
+    let before = memprof::total_allocs();
     {
         let _g = MemScope::enter("it.json");
         let _v: Vec<u8> = vec![0; 2048];
     }
-    let snap = memprof::global_snapshot();
+    assert_eq!(memprof::total_allocs() - before, 1);
+    let snap = memprof::since(&m);
     assert!(snap.get("it.json").is_some_and(|t| t.allocs >= 1));
-    assert!(memprof::total_allocs() > 0);
     let j = snap.to_json();
     assert!(j.starts_with("{\"schema\":\"memprof-v1\""));
     assert!(desim::json::parse(&j).is_ok());
+}
+
+/// Allocate, grow and free `BLOCKS` blocks under `tag`, interleaving frees
+/// so the side table sees tombstones, and return this thread's row for
+/// `tag` over the body.
+fn churn_blocks(tag: &'static str) -> (i64, i64, u64, u64, u64) {
+    const BLOCKS: usize = 3000;
+    let m = memprof::mark();
+    {
+        let _g = MemScope::enter(tag);
+        let mut blocks: Vec<Vec<u64>> = (0..BLOCKS as u64).map(|i| vec![i; 2]).collect();
+        for (i, b) in blocks.iter_mut().enumerate() {
+            b.reserve_exact(16 + i % 64);
+        }
+        let odd: Vec<Vec<u64>> = blocks
+            .iter_mut()
+            .skip(1)
+            .step_by(2)
+            .map(std::mem::take)
+            .collect();
+        drop(odd);
+        for b in blocks.iter_mut().step_by(2) {
+            b.reserve_exact(256);
+        }
+    }
+    let snap = memprof::since(&m);
+    let t = snap.get(tag).expect("tag recorded");
+    (t.live_bytes, t.peak_bytes, t.allocs, t.frees, t.reallocs)
+}
+
+#[test]
+fn threads_sharing_the_side_table_each_count_what_they_alone_would() {
+    const TAGS: [&str; 4] = ["it.share.0", "it.share.1", "it.share.2", "it.share.3"];
+    memprof::enable();
+    let alone = churn_blocks("it.share.alone");
+    let (live, peak, allocs, frees, reallocs) = alone;
+    assert_eq!(live, 0, "every block was freed inside the body");
+    assert!(peak > 0 && allocs > 3000 && frees == allocs && reallocs >= 4500);
+
+    let start = std::sync::Barrier::new(TAGS.len());
+    let rows: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = TAGS
+            .iter()
+            .map(|&tag| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    churn_blocks(tag)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (tag, row) in TAGS.iter().zip(rows) {
+        assert_eq!(row, alone, "{tag}: (live, peak, allocs, frees, reallocs)");
+    }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # global-arrays — a minimal Global Arrays model over ARMCI
 //!
 //! The Global Arrays programming model provides block-distributed dense

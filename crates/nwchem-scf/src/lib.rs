@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # nwchem-scf — Self-Consistent-Field mini-app over Global Arrays
 //!
 //! A faithful skeleton of NWChem's SCF Fock-matrix construction (the

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # pami-sim — a PAMI-like messaging layer on a simulated Blue Gene/Q
 //!
 //! Models IBM's Parallel Active Messaging Interface (PAMI) as described in

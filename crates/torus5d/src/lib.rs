@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # torus5d — Blue Gene/Q interconnect model
 //!
 //! Faithful model of the Blue Gene/Q 5D torus used by the PGAS communication

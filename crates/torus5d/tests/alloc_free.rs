@@ -3,8 +3,8 @@
 //! the delivery state is warmed (route arena + pair map populated), and a
 //! second batch of deliveries must not allocate at all —
 //! [`desim::memprof::total_allocs`] counts every `alloc`/`alloc_zeroed`/
-//! `realloc` process-wide, exactly like the private counting allocator this
-//! test used to carry.
+//! `realloc` on this thread, which runs every delivery, exactly like the
+//! private counting allocator this test used to carry.
 //!
 //! This doubles as an end-to-end check of the profiler itself: with it
 //! *enabled* (the worst case — full attribution and side-table accounting on
@@ -12,8 +12,8 @@
 //! the profiler cannot have added any of its own.
 //!
 //! This lives in its own integration-test binary because `#[global_allocator]`
-//! is process-wide, and it holds a single `#[test]` so no concurrent test can
-//! pollute the counter.
+//! is process-wide, and it holds a single `#[test]` because enabling the
+//! profiler is process-wide too.
 
 use desim::memprof::{self, MemProf};
 use desim::{SimDuration, SimRng, SimTime};
@@ -47,6 +47,7 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
     memprof::enable();
     let procs = 256;
     let topo = Topology::for_procs(procs, 16);
+    let warm = memprof::mark();
     let mut net = NetState::new(topo, BgqParams::default(), true);
     let sched = schedule(procs, 30_000, 0xA110_C8EE);
 
@@ -62,13 +63,13 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
 
     // The warm pass must have charged the network tags, not `untagged` —
     // the scope wiring in `NetState`/`RouteTable` is live.
-    let global = memprof::global_snapshot();
+    let warmed = memprof::since(&warm);
     assert!(
-        global.get("torus5d.links").is_some_and(|t| t.allocs > 0),
+        warmed.get("torus5d.links").is_some_and(|t| t.allocs > 0),
         "link state allocations must carry the torus5d.links tag"
     );
     assert!(
-        global.get("torus5d.routes").is_some_and(|t| t.allocs > 0),
+        warmed.get("torus5d.routes").is_some_and(|t| t.allocs > 0),
         "route arena allocations must carry the torus5d.routes tag"
     );
 
@@ -91,8 +92,7 @@ fn deliver_is_allocation_free_once_routes_are_warm() {
     assert_eq!(net.messages(), 2 * sched.len() as u64);
 
     // Same contract with an *empty* fault plan installed: the fault-gating
-    // branches on the delivery path must stay allocation-free too. (Kept in
-    // this one #[test] — the allocation counter is process-global.)
+    // branches on the delivery path must stay allocation-free too.
     let mut fnet = NetState::new(Topology::for_procs(procs, 16), BgqParams::default(), true);
     fnet.install_faults(desim::FaultPlan::new(42));
     let mut inject = SimTime::ZERO;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # bgq-pgas — scalable PGAS communication subsystem on a simulated Blue Gene/Q
 //!
 //! Umbrella crate for the reproduction of *Building Scalable PGAS
