@@ -1,7 +1,7 @@
-//! Shared core of the Fig 9 read-modify-write benchmark (see
-//! `src/bin/fig9_rmw.rs` for the CLI): ranks 1..p fetch-and-add a counter
-//! hosted at rank 0 under a {Default, AsyncThread} × {idle, compute}
-//! configuration matrix.
+//! Shared core of the Fig 9 read-modify-write benchmark (the `fig9_rmw`
+//! figure of `bgq-bench`): ranks 1..p fetch-and-add a counter hosted at
+//! rank 0 under a {Default, AsyncThread} × {idle, compute} configuration
+//! matrix.
 //!
 //! Lives in the library (rather than the binary) so the fault-injection
 //! differential tests can run the exact production workload with and

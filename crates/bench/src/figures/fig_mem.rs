@@ -5,10 +5,11 @@
 //! *cost in memory* as the partition grows? This figure enables the
 //! tagged allocation profiler ([`desim::memprof`], `bgq-bench`'s global
 //! allocator), sweeps the Fig 9 fetch-and-add workload and the raw
-//! `net_churn` delivery storm over a list of process counts, and reports
-//! per-subsystem peak bytes, bytes-per-rank and a fitted growth class
-//! (constant / sublinear / linear / superlinear / quadratic) per allocation
-//! tag.
+//! `net_churn` delivery storm of the [`bgq_bench::scale`] harness over a
+//! list of process counts (workload-major, across `--jobs` workers), and
+//! reports per-subsystem peak bytes, bytes-per-rank and a fitted growth
+//! class (constant / sublinear / linear / superlinear / quadratic) per
+//! allocation tag.
 //!
 //! `--json <path>` writes the `memscale-v1` document consumed by `memstat`
 //! and gated (schema + growth classes exactly, byte counts loosely) by
@@ -19,7 +20,7 @@
 use crate::Figure;
 use bgq_bench::cli::{JOBS, TIMELINE};
 use bgq_bench::memscale::{self, DEFAULT_MSGS_PER_RANK, DEFAULT_OPS, DEFAULT_PROCS};
-use bgq_bench::Kind::{List, Num, Path, Switch};
+use bgq_bench::Kind::{List, Num, Path};
 use bgq_bench::{Args, Flag};
 use desim::memprof;
 
@@ -32,18 +33,13 @@ pub const FIGURE: Figure = Figure {
             List(&DEFAULT_PROCS, 1),
             "comma-separated process counts",
         ),
-        Flag("--ops", Num(DEFAULT_OPS, 0), "fetch-and-adds per requester"),
+        Flag("--ops", Num(DEFAULT_OPS, 1), "fetch-and-adds per requester"),
         Flag(
             "--msgs-per-rank",
-            Num(DEFAULT_MSGS_PER_RANK, 0),
+            Num(DEFAULT_MSGS_PER_RANK, 1),
             "net_churn messages per rank",
         ),
         Flag("--json", Path, "write the memscale-v1 JSON document"),
-        Flag(
-            "--no-timing",
-            Switch,
-            "omit ungated wall_ms/events_per_sec point fields (golden regen)",
-        ),
         TIMELINE,
         JOBS,
     ],
@@ -58,13 +54,12 @@ fn run(args: &Args) {
     let msgs = args.num("--msgs-per-rank");
 
     memprof::enable();
-    let out = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.observe());
-    let timing = !args.given("--no-timing");
-    let doc = memscale::scale_json(&out.fig9, &out.churn, ops, msgs, timing);
+    let (fig9, churn, seen) = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.observe());
+    let doc = memscale::scale_json(&fig9, &churn, ops, msgs);
     print!(
         "{}",
         memscale::memstat_report(&doc).expect("fresh document renders")
     );
-    out.seen.report(args);
+    seen.report(args);
     args.write("--json", || doc);
 }

@@ -14,7 +14,8 @@
 //!
 //! A `netstorm` workload additionally drives a fixed seeded delivery
 //! schedule straight through `torus5d::NetState` at each p, reporting the
-//! network layer's wall time and deliveries/s.
+//! network layer's wall time and deliveries/s. All three are the
+//! [`bgq_bench::scale`] harness's runners, shared with `fig_mem`.
 //!
 //! `--json` writes the full `scale-v3` document (committed as
 //! `results/BENCH_scale.json`, curves ungated); `--gate-json` writes the
@@ -23,10 +24,12 @@
 //! `results/BENCH_scale_gate.json`.
 
 use crate::Figure;
-use bgq_bench::scale::{self, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS};
+use bgq_bench::scale::{
+    self, Point, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS,
+};
 use bgq_bench::Kind::{List, Num, Path};
 use bgq_bench::{Args, Flag};
-use desim::memprof;
+use desim::{memprof, Observe};
 
 pub const FIGURE: Figure = Figure {
     name: "fig_scale",
@@ -76,50 +79,51 @@ fn run(args: &Args) {
          {:<9} {:>9} {:>12} {:>12} {:>11} {:>10} {:>11} {:>12}",
         "workload", "p", "sim_ms", "events", "materialized", "tasks", "rss_mb", "events/s"
     );
-    let (rmw, a2a) = scale::run_sweep(&procs, ops, active, |name, pt| {
-        let eps = if pt.mem.wall_ms > 0.0 {
-            pt.mem.events as f64 / (pt.mem.wall_ms / 1e3)
-        } else {
-            0.0
-        };
+    let row = |name: &str, pt: Point| {
         println!(
             "{:<9} {:>9} {:>12.3} {:>12} {:>11} {:>10} {:>11.1} {:>12.0}",
             name,
-            pt.mem.procs,
+            pt.procs,
             pt.sim_time_ps as f64 / 1e9,
-            pt.mem.events,
+            pt.events,
             pt.materialized,
             pt.task_slots,
             pt.peak_rss_kb as f64 / 1024.0,
-            eps
+            pt.events_per_sec()
         );
-    });
+        pt
+    };
+    let (mut rmw, mut a2a) = (Vec::new(), Vec::new());
+    for &p in &procs {
+        rmw.push(row(
+            "fig9_rmw",
+            scale::fig9_rmw(p, ops, Observe::default()).0,
+        ));
+        a2a.push(row("alltoall", scale::alltoall(p, active, ops)));
+    }
     // netstorm: points run serially after the memory sweep.
     println!(
         "netstorm: msgs = {storm_msgs}\n\
          {:<9} {:>9} {:>12} {:>12} {:>11} {:>12}",
         "workload", "p", "sim_ms", "events", "wall_ms", "events/s"
     );
-    let storm: Vec<scale::StormPoint> = procs
+    let storm: Vec<Point> = procs
         .iter()
         .map(|&p| {
-            let pt = scale::run_netstorm(p, storm_msgs);
+            let (pt, _) = scale::net_churn(p, storm_msgs, None, Observe::default());
             println!(
                 "{:<9} {:>9} {:>12.3} {:>12} {:>11.1} {:>12.0}",
                 "netstorm",
                 pt.procs,
-                pt.load.sim_time_ps as f64 / 1e9,
-                pt.load.events,
-                pt.load.wall.as_secs_f64() * 1e3,
-                pt.load.mevents_per_sec() * 1e6
+                pt.sim_time_ps as f64 / 1e9,
+                pt.events,
+                pt.wall_ms,
+                pt.events_per_sec()
             );
             pt
         })
         .collect();
-    args.write("--json", || {
-        scale::scale_json(&rmw, &a2a, &storm, ops, active, storm_msgs)
-    });
-    args.write("--gate-json", || {
-        scale::gate_json(&rmw, &a2a, &storm, ops, active, storm_msgs)
-    });
+    let doc = |gate| scale::scale_json(&rmw, &a2a, &storm, ops, active, storm_msgs, gate);
+    args.write("--json", || doc(false));
+    args.write("--gate-json", || doc(true));
 }

@@ -41,7 +41,6 @@ pub mod fig9;
 pub mod memscale;
 pub mod perfdiff;
 pub mod scale;
-pub mod simbench;
 pub mod simstat;
 pub mod sweep;
 

@@ -1,33 +1,34 @@
-//! Shared core of the `fig_mem` memory-scaling benchmark and the `memstat`
-//! report (see `src/bin/fig_mem.rs` and `src/bin/memstat.rs` for the CLIs).
+//! The `fig_mem` memory-scaling sweep, its `memscale-v1` document and the
+//! `memstat` report over it (the `fig_mem` figure and the `memstat` verb of
+//! `bgq-bench`).
 //!
 //! The paper's central scaling claim is about *time*; this module asks the
 //! companion question the PAMI/ARMCI port had to answer on Blue Gene/Q's
 //! 16 GB nodes: **how does communication-subsystem memory grow with the
 //! partition size p?** With the tagged allocation profiler
-//! ([`desim::memprof`]) enabled, two workloads are swept over p:
+//! ([`desim::memprof`]) enabled, two of the [`scale`] harness's workloads
+//! are swept over p:
 //!
-//! * `fig9_rmw` — the Fig 9 fetch-and-add storm (AsyncThread progress),
-//!   exercising the full ARMCI/PAMI/torus stack;
-//! * `net_churn` — the raw `NetState` delivery storm from `simbench`,
-//!   isolating the network layer (routes, link state, delivery maps).
+//! * [`scale::fig9_rmw`] — the Fig 9 fetch-and-add storm (AsyncThread
+//!   progress), exercising the full ARMCI/PAMI/torus stack;
+//! * [`scale::net_churn`] — the raw `NetState` delivery storm, isolating
+//!   the network layer (routes, link state, delivery maps).
 //!
-//! Each sweep point runs under a [`memprof::mark`]/[`memprof::since`]
-//! bracket on its worker thread, so per-run byte accounting is exact and
-//! identical for any `--jobs` value. Results serialize as `memscale-v1`
-//! JSON: per-tag peak/live bytes and bytes-per-rank at every p, plus a
-//! fitted **growth class** per tag (constant / sublinear / linear /
-//! superlinear / quadratic) from the peak-bytes slope between the smallest
-//! and largest p. CI gates the schema and growth classes exactly and the
-//! absolute byte counts loosely (they may drift across compiler versions —
-//! see DESIGN.md §14).
+//! Each sweep point is one measured [`Point`], its allocation bracket taken
+//! on its worker thread, so per-run byte accounting is exact and identical
+//! for any `--jobs` value. Results serialize as `memscale-v1` JSON: per-tag
+//! peak/live bytes and bytes-per-rank at every p, plus a fitted **growth
+//! class** per tag (constant / sublinear / linear / superlinear /
+//! quadratic) from the peak-bytes slope between the smallest and largest p.
+//! The document carries no host-dependent field. CI gates the schema and
+//! growth classes exactly and the absolute byte counts loosely (they may
+//! drift across compiler versions — see DESIGN.md §14).
 
-use armci::ProgressMode;
 use desim::json::{self, JsonValue};
-use desim::memprof::{self, MemSnapshot};
 use desim::Observe;
 
-use crate::{fig9, simbench, sweep, Observations};
+use crate::scale::{self, Point};
+use crate::{sweep, Observations};
 
 /// Default process counts for the scale sweep (ascending).
 pub const DEFAULT_PROCS: [usize; 4] = [32, 64, 128, 256];
@@ -38,87 +39,43 @@ pub const DEFAULT_OPS: usize = 4;
 /// Default `net_churn` messages injected per rank.
 pub const DEFAULT_MSGS_PER_RANK: usize = 64;
 
-/// One measured sweep point: the per-tag allocation deltas of a single run,
-/// plus the run's wall time and kernel event count so memory and throughput
-/// curves come from a single sweep.
-pub struct MemPoint {
-    /// Process count of this run.
-    pub procs: usize,
-    /// Per-tag deltas over the run's `mark`/`since` bracket.
-    pub snap: MemSnapshot,
-    /// Host wall time of the run in milliseconds (ungated: host-dependent).
-    pub wall_ms: f64,
-    /// Kernel events processed by the run (task polls + timer firings).
-    pub events: u64,
-}
-
-/// Everything one `fig_mem` sweep produces.
-pub struct SweepOut {
-    /// `fig9_rmw` points, in `procs` input order.
-    pub fig9: Vec<MemPoint>,
-    /// `net_churn` points, in `procs` input order.
-    pub churn: Vec<MemPoint>,
-    /// What the smallest-p run of each workload observed: with a timeline,
-    /// its `mem.live_bytes.<tag>` gauges too.
-    pub seen: Observations,
-}
-
 /// Run the memory-scaling sweep: both workloads at every process count in
-/// `procs` (ascending), `jobs` sweep workers. Requires the calling binary to
-/// have installed [`memprof::MemProf`] and called [`memprof::enable`];
-/// without that the snapshots come back empty. The smallest-p run of each
-/// workload turns on the sinks `observe` names.
+/// `procs` (ascending), workload-major across `jobs` sweep workers. Returns
+/// the `fig9_rmw` and the `net_churn` points, each in `procs` order, and
+/// what the smallest-p run of each workload observed (the sinks `observe`
+/// names; with a timeline, its `mem.live_bytes.<tag>` gauges too). Requires
+/// the calling binary to have installed [`desim::memprof::MemProf`] and
+/// called [`desim::memprof::enable`]; without that the snapshots come back
+/// empty.
 pub fn run_sweep(
     procs: &[usize],
     ops: usize,
     msgs_per_rank: usize,
     jobs: usize,
     observe: Observe,
-) -> SweepOut {
+) -> (Vec<Point>, Vec<Point>, Observations) {
     let n = procs.len();
     let outs = sweep::run_parallel(n * 2, jobs, |idx| {
-        let (wi, pi) = (idx / n, idx % n);
-        let p = procs[pi];
-        let observe = if pi == 0 { observe } else { Observe::default() };
-        // Mark/since inside the worker closure: thread-local deltas over
-        // exactly this run, so --jobs never changes the accounting.
-        let m = memprof::mark();
-        let t0 = std::time::Instant::now();
-        let (observed, events) = if wi == 0 {
-            let out = fig9::run(p, ProgressMode::AsyncThread, false, ops, None, observe);
-            (out.observed, out.events)
-            // the rest of `out` drops here, before the snapshot
+        let p = procs[idx % n];
+        let observe = if idx % n == 0 {
+            observe
         } else {
-            let (load, observed) = simbench::net_churn(p, msgs_per_rank * p, None, observe);
-            (observed, load.events)
+            Observe::default()
         };
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        (memprof::since(&m), observed, wall_ms, events)
-    });
-    let mut fig9_pts = Vec::with_capacity(n);
-    let mut churn_pts = Vec::with_capacity(n);
-    let mut seen = Observations::new("fig_mem", procs.first().copied().unwrap_or(0));
-    for (idx, (snap, observed, wall_ms, events)) in outs.into_iter().enumerate() {
-        let (wi, pi) = (idx / n, idx % n);
-        let pt = MemPoint {
-            procs: procs[pi],
-            snap,
-            wall_ms,
-            events,
-        };
-        if wi == 0 {
-            fig9_pts.push(pt);
-            seen.add("fig9_rmw", observed);
+        if idx < n {
+            scale::fig9_rmw(p, ops, observe)
         } else {
-            churn_pts.push(pt);
-            seen.add("net_churn", observed);
+            scale::net_churn(p, msgs_per_rank * p, None, observe)
         }
+    });
+    let mut seen = Observations::new("fig_mem", procs.first().copied().unwrap_or(0));
+    let mut curves = [Vec::with_capacity(n), Vec::with_capacity(n)];
+    for (idx, (pt, observed)) in outs.into_iter().enumerate() {
+        seen.add(["fig9_rmw", "net_churn"][idx / n], observed);
+        curves[idx / n].push(pt);
     }
-    SweepOut {
-        fig9: fig9_pts,
-        churn: churn_pts,
-        seen,
-    }
+    let [fig9, churn] = curves;
+    (fig9, churn, seen)
 }
 
 /// Bin a fitted growth exponent into a named class. The bins are wide on
@@ -143,7 +100,7 @@ pub fn growth_class(exp: f64) -> &'static str {
 /// Only tags with a positive peak at **every** point are classified (sorted
 /// by name). `points` must be in ascending-p order; fewer than two points
 /// (or a non-growing p) yields no slopes.
-pub fn slopes(points: &[MemPoint]) -> Vec<(&'static str, f64, &'static str)> {
+pub fn slopes(points: &[Point]) -> Vec<(&'static str, f64, &'static str)> {
     if points.len() < 2 {
         return Vec::new();
     }
@@ -170,54 +127,48 @@ pub fn slopes(points: &[MemPoint]) -> Vec<(&'static str, f64, &'static str)> {
         .collect()
 }
 
-fn workload_json(points: &[MemPoint], timing: bool) -> String {
-    let mut o = String::from("{\"points\":{");
-    for (i, pt) in points.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\"p{}\":{{\"procs\":{},\"tags\":{{",
-            pt.procs, pt.procs
-        ));
-        for (j, t) in pt.snap.tags.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            let bpr = t.peak_bytes as f64 / pt.procs as f64;
-            o.push_str(&format!(
-                "\"{}\":{{\"peak_bytes\":{},\"live_bytes\":{},\"allocs\":{},\"bytes_per_rank\":{:.1}}}",
-                t.name, t.peak_bytes, t.live_bytes, t.allocs, bpr
-            ));
-        }
-        o.push('}');
-        if timing {
-            // Ungated context fields (host-dependent): the committed golden
-            // is written with `--no-timing`, so perfdiff never compares them
-            // — candidate-only leaves pass.
-            let eps = if pt.wall_ms > 0.0 {
-                pt.events as f64 / (pt.wall_ms / 1e3)
+/// A workload's `{"points":{...},"slopes":{...}}` object: `point` renders
+/// each point under its `"p<procs>"` key; the slopes block holds the
+/// points' [`slopes`] when `fit`, and is empty otherwise.
+pub fn workload_json(points: &[Point], fit: bool, point: impl Fn(&Point) -> String) -> String {
+    let rendered: Vec<String> = points
+        .iter()
+        .map(|pt| format!("\"p{}\":{}", pt.procs, point(pt)))
+        .collect();
+    let slopes: Vec<String> = slopes(if fit { points } else { &[] })
+        .iter()
+        .map(|(tag, exp, class)| format!("\"{tag}\":{{\"class\":\"{class}\",\"exp\":{exp:.2}}}"))
+        .collect();
+    format!(
+        "{{\"points\":{{{}}},\"slopes\":{{{}}}}}",
+        rendered.join(","),
+        slopes.join(",")
+    )
+}
+
+/// A point's `"tags"` object: per tag, peak bytes, live bytes (when
+/// `live`), allocations and peak bytes per rank.
+pub fn tags_json(pt: &Point, live: bool) -> String {
+    let tags: Vec<String> = pt
+        .snap
+        .tags
+        .iter()
+        .map(|t| {
+            let live = if live {
+                format!("\"live_bytes\":{},", t.live_bytes)
             } else {
-                0.0
+                String::new()
             };
-            o.push_str(&format!(
-                ",\"wall_ms\":{:.1},\"events_per_sec\":{:.0}",
-                pt.wall_ms, eps
-            ));
-        }
-        o.push('}');
-    }
-    o.push_str("},\"slopes\":{");
-    for (i, (tag, exp, class)) in slopes(points).iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\"{tag}\":{{\"class\":\"{class}\",\"exp\":{exp:.2}}}"
-        ));
-    }
-    o.push_str("}}");
-    o
+            format!(
+                "\"{}\":{{\"peak_bytes\":{},{live}\"allocs\":{},\"bytes_per_rank\":{:.1}}}",
+                t.name,
+                t.peak_bytes,
+                t.allocs,
+                t.peak_bytes as f64 / pt.procs as f64
+            )
+        })
+        .collect();
+    format!("{{{}}}", tags.join(","))
 }
 
 /// Serialize a sweep as a deterministic `memscale-v1` JSON document.
@@ -225,23 +176,23 @@ fn workload_json(points: &[MemPoint], timing: bool) -> String {
 /// Every collection is a JSON **object** (keyed `"p<procs>"` / tag name),
 /// never an array, and growth classes are strings — so a single
 /// `perfdiff --tol ... --check` pass gates schema, tag set and classes
-/// exactly while leaving the byte counts their loose tolerance. With
-/// `timing`, every point additionally carries ungated `wall_ms` and
-/// `events_per_sec` fields (host-dependent; goldens are regenerated with
-/// `--no-timing` so perfdiff never sees them in the baseline).
-pub fn scale_json(
-    fig9: &[MemPoint],
-    churn: &[MemPoint],
-    ops: usize,
-    msgs_per_rank: usize,
-    timing: bool,
-) -> String {
+/// exactly while leaving the byte counts their loose tolerance.
+pub fn scale_json(fig9: &[Point], churn: &[Point], ops: usize, msgs_per_rank: usize) -> String {
+    let workload = |points| {
+        workload_json(points, true, |pt| {
+            format!(
+                "{{\"procs\":{},\"tags\":{}}}",
+                pt.procs,
+                tags_json(pt, true)
+            )
+        })
+    };
     format!(
         "{{\"schema\":\"memscale-v1\",\"bench\":\"fig_mem\",\"ops\":{ops},\
          \"msgs_per_rank\":{msgs_per_rank},\"workloads\":{{\"fig9_rmw\":{},\
          \"net_churn\":{}}}}}\n",
-        workload_json(fig9, timing),
-        workload_json(churn, timing)
+        workload(fig9),
+        workload(churn)
     )
 }
 
@@ -331,10 +282,10 @@ pub fn memstat_report(doc: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::memprof::TagStats;
+    use desim::memprof::{MemSnapshot, TagStats};
 
-    fn pt(procs: usize, rows: &[(&'static str, i64)]) -> MemPoint {
-        MemPoint {
+    fn pt(procs: usize, rows: &[(&'static str, i64)]) -> Point {
+        Point {
             procs,
             snap: MemSnapshot {
                 tags: rows
@@ -349,8 +300,7 @@ mod tests {
                     })
                     .collect(),
             },
-            wall_ms: 2.0,
-            events: 1000,
+            ..Point::default()
         }
     }
 
@@ -401,20 +351,10 @@ mod tests {
             pt(32, &[("torus5d.links", 10_000)]),
             pt(64, &[("torus5d.links", 20_000)]),
         ];
-        let doc = scale_json(&fig9, &churn, 4, 64, false);
-        assert!(!doc.contains("wall_ms"), "timing off leaves no trace");
-        let timed = scale_json(&fig9, &churn, 4, 64, true);
-        let tv = json::parse(&timed).expect("valid JSON with timing");
-        let p32 = tv
-            .get("workloads")
-            .and_then(|w| w.get("fig9_rmw"))
-            .and_then(|w| w.get("points"))
-            .and_then(|p| p.get("p32"))
-            .expect("p32 point");
-        assert_eq!(p32.get("wall_ms").and_then(JsonValue::as_f64), Some(2.0));
-        assert_eq!(
-            p32.get("events_per_sec").and_then(JsonValue::as_f64),
-            Some(500000.0)
+        let doc = scale_json(&fig9, &churn, 4, 64);
+        assert!(
+            !doc.contains("wall_ms") && !doc.contains("events_per_sec"),
+            "the document carries no host-dependent field"
         );
         let v = json::parse(&doc).expect("valid JSON");
         assert_eq!(

@@ -51,7 +51,7 @@ const SIMSTAT: Figure = Figure {
     name: "simstat",
     about: "report + health-check timeline-v1 telemetry (A/B diff with two files)",
     flags: &[
-        Flag("--width", Num(64, 0), "max sparkline width in chars"),
+        Flag("--width", Num(64, 1), "max sparkline width in chars"),
         Flag(
             "<a.json> [b.json]",
             Operands,
@@ -101,6 +101,11 @@ fn perfdiff(args: &Args) {
         PERFDIFF.fail_usage("expected exactly two JSON files");
     };
     let (tol, abs) = (args.real("--tol"), args.real("--abs"));
+    for (flag, v) in [("--tol", tol), ("--abs", abs)] {
+        if v < 0.0 {
+            PERFDIFF.fail_usage(&format!("invalid value '{v}' for {flag}"));
+        }
+    }
     let check = args.given("--check");
     let res = diff(
         &load_json("perfdiff", baseline),
@@ -137,7 +142,7 @@ fn simstat(args: &Args) {
     if files.is_empty() || files.len() > 2 {
         SIMSTAT.fail_usage("expected one or two timeline-v1 JSON files");
     }
-    let width = args.num("--width").max(1);
+    let width = args.num("--width");
     let load = |path: &str| {
         TimelineDoc::parse(&read("simstat", path)).unwrap_or_else(|e| {
             eprintln!("simstat: {path}: {e}");

@@ -142,6 +142,9 @@ fn values_a_workload_cannot_run_are_rejected() {
         ("fig11_nwchem_scf", "--iters"),
         ("fig_scale", "--ops"),
         ("fig_scale", "--storm-msgs"),
+        // Both used to print the memory curves of a run that did nothing.
+        ("fig_mem", "--ops"),
+        ("fig_mem", "--msgs-per-rank"),
     ] {
         assert_rejected(bin, &[flag, "0"], &zero(flag));
     }
@@ -164,7 +167,25 @@ fn values_a_workload_cannot_run_are_rejected() {
         ("abl_strided_pack", "--reps"),
         ("abl_region_cache", "--rounds"),
         ("abl_consistency", "--rounds"),
+        // Used to be clamped to 1 without a word.
+        ("simstat", "--width"),
     ] {
         assert_rejected_plain(bin, &[flag, "0"], &zero(flag));
+    }
+}
+
+#[test]
+fn perfdiff_rejects_negative_tolerances() {
+    // A negative slack used to report drift between identical documents.
+    let doc = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/BENCH_fig_am.json"
+    );
+    for (flag, v) in [("--tol", "-0.001"), ("--abs", "-1")] {
+        assert_rejected_plain(
+            "perfdiff",
+            &[flag, v, doc, doc],
+            &format!("invalid value '{v}' for {flag}"),
+        );
     }
 }

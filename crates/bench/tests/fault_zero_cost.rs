@@ -7,7 +7,7 @@
 
 use armci::ProgressMode;
 use bgq_bench::fig9::run;
-use bgq_bench::simbench::net_churn;
+use bgq_bench::scale::net_churn;
 use desim::{FaultPlan, Observe};
 
 /// fig9_rmw (the full ARMCI + PAMI + network stack, both progress modes,

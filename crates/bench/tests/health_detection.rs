@@ -7,7 +7,7 @@
 //! reports that CI compares).
 
 use bgq_bench::fault_bench::run_cell;
-use bgq_bench::simbench::net_churn;
+use bgq_bench::scale::net_churn;
 use bgq_bench::TIMELINE_WINDOW_PS;
 use desim::health::analyze;
 use desim::{HealthConfig, Observe};

@@ -9,14 +9,14 @@
 
 use armci::ProgressMode;
 use bgq_bench::fig9::{run, RunOut};
-use bgq_bench::simbench::{net_churn, KernelLoad};
+use bgq_bench::scale::{net_churn, Point};
 use desim::memprof::{self, MemProf};
 use desim::Observe;
 
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
 
-fn churn() -> KernelLoad {
+fn churn() -> Point {
     net_churn(64, 2000, None, Observe::default()).0
 }
 

@@ -8,7 +8,7 @@
 
 use armci::ProgressMode;
 use bgq_bench::fig9::run;
-use bgq_bench::simbench::net_churn;
+use bgq_bench::scale::net_churn;
 use bgq_bench::TIMELINE_WINDOW_PS;
 use desim::Observe;
 use nwchem_scf::{run_scf, run_scf_observed, ScfConfig};

@@ -19,9 +19,7 @@
 //! * Each task id has a persistent `TaskHook` carrying a `queued` flag:
 //!   multiple wakes before the next poll collapse into **one** queue entry,
 //!   so `events_processed` counts real polls, not wake multiplicity.
-//! * Task slots and their hooks/wakers are recycled across spawns, and the
-//!   `DESIM_TRACE` environment probe happens once at kernel construction,
-//!   not per drain.
+//! * Task slots and their hooks/wakers are recycled across spawns.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -236,8 +234,6 @@ pub(crate) struct Kernel {
     free: RefCell<Vec<usize>>,
     live_tasks: Cell<usize>,
     events_processed: Cell<u64>,
-    /// `DESIM_TRACE` heartbeat, probed once here rather than per drain.
-    trace_beat: bool,
     probes: Probes,
     /// Next virtual time (ps) at which live-bytes gauges should be sampled
     /// into the timeline. Only consulted when the memory profiler is on.
@@ -259,7 +255,6 @@ impl Kernel {
             free: RefCell::new(Vec::new()),
             live_tasks: Cell::new(0),
             events_processed: Cell::new(0),
-            trace_beat: std::env::var_os("DESIM_TRACE").is_some(),
             probes: Probes::default(),
             mem_next: Cell::new(0),
             mem_ids: RefCell::new(Vec::new()),
@@ -368,18 +363,7 @@ impl Kernel {
         loop {
             let id = self.ready.q.borrow_mut().pop_front();
             let Some(id) = id else { break };
-            let n = self.events_processed.get() + 1;
-            self.events_processed.set(n);
-            if self.trace_beat && n & ((1 << 22) - 1) == 0 {
-                eprintln!(
-                    "[desim] {} events, t={}, live_tasks={}, timers={}, ready={}",
-                    n,
-                    self.now.get(),
-                    self.live_tasks.get(),
-                    self.timers.borrow().len(),
-                    self.ready.q.borrow().len()
-                );
-            }
+            self.events_processed.set(self.events_processed.get() + 1);
             self.poll_task(id);
         }
     }

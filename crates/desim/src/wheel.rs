@@ -127,6 +127,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Number of queued timers.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }

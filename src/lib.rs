@@ -15,8 +15,8 @@
 //! | programming model | [`global_arrays`] | block-distributed arrays, shared counters |
 //! | application | [`nwchem_scf`] | NWChem SCF Fock-build mini-app (Fig 10/11) |
 //!
-//! See `examples/` for runnable programs and `crates/bench/src/bin/` for the
-//! per-figure reproduction harness.
+//! See `examples/` for runnable programs and `crates/bench/src/figures/` for
+//! the per-figure reproduction harness (`bgq-bench <figure>`).
 
 pub use armci;
 pub use desim;
