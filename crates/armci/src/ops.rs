@@ -15,7 +15,7 @@
 //! ([`crate::optable`]); the operation itself contributes only its *protocol
 //! step*, the PAMI calls that move the data.
 
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefMut};
 use std::future::Future;
 use std::rc::Rc;
 
@@ -29,7 +29,7 @@ static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
 use crate::collectives::Part;
 use crate::handle::{NbHandle, OpKind};
 use crate::optable::{self, OpDesc, Overhead};
-use crate::region_cache::RemoteRegion;
+use crate::region_cache::{RegionCache, RemoteRegion};
 use crate::runtime::{
     Armci, RankRt, DISPATCH_ACC_AM, DISPATCH_AM_PING, DISPATCH_NOTIFY, DISPATCH_REGION_QUERY,
 };
@@ -90,6 +90,12 @@ impl ArmciRank {
 
     fn rt(&self) -> &RankRt {
         self.rt.get_or_init(|| self.a.rank_rt(self.r))
+    }
+
+    /// This rank's region cache, created on first use.
+    fn region_cache(&self) -> RefMut<'_, RegionCache> {
+        self.rt()
+            .region_cache(self.a.config().region_cache_capacity)
     }
 
     fn probes(&self) -> &Probes {
@@ -180,7 +186,7 @@ impl ArmciRank {
                 RemoteRegion { off: o, len: l }
             });
         }
-        if let Some(r) = self.rt().region_cache.borrow_mut().lookup(target, off, len) {
+        if let Some(r) = self.region_cache().lookup(target, off, len) {
             return Some(r);
         }
         // Miss: query the owner.
@@ -195,7 +201,7 @@ impl ArmciRank {
             .await;
         let res = self.pami.progress_wait(&reply).await;
         if let Some(region) = res {
-            self.rt().region_cache.borrow_mut().insert(target, region);
+            self.region_cache().insert(target, region);
         }
         res
     }
@@ -326,8 +332,8 @@ impl ArmciRank {
                 // Software only: the transfer itself never needs the region,
                 // but its key (if cheaply known) lets cs_mr scope conflict
                 // tracking.
-                let mut cache = self.rt().region_cache.borrow_mut();
-                (cache.lookup(target, roff, rlen).map(|r| r.off), false)
+                let key = self.region_cache().lookup(target, roff, rlen);
+                (key.map(|r| r.off), false)
             };
             if let Some(taken) = desc.protocol_taken(direct) {
                 self.a.sim().count(taken, 1);

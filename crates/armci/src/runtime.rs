@@ -95,7 +95,9 @@ pub(crate) const DISPATCH_ACC_AM: u16 = 4;
 pub(crate) const DISPATCH_AM_PING: u16 = 5;
 
 pub(crate) struct RankRt {
-    pub region_cache: RefCell<RegionCache>,
+    /// Created on first use ([`RankRt::region_cache`]): a rank that only
+    /// does fetch-and-add never looks a region up.
+    region_cache: RefCell<Option<Box<RegionCache>>>,
     pub consistency: RefCell<ConsistencyTracker>,
     /// Implicit-handle set: local completions of issued operations, pruned
     /// of completed ones whenever its buffer fills (`ArmciRank::issue`).
@@ -125,7 +127,7 @@ pub(crate) struct RareRt {
 impl RankRt {
     fn new(cfg: &ArmciConfig) -> RankRt {
         RankRt {
-            region_cache: RefCell::new(RegionCache::new(cfg.region_cache_capacity)),
+            region_cache: RefCell::new(None),
             consistency: RefCell::new(ConsistencyTracker::new(cfg.consistency)),
             implicit: RefCell::new(Vec::new()),
             mutex_off: Cell::new(usize::MAX),
@@ -139,6 +141,14 @@ impl RankRt {
         let _mem = memprof::scope(&HANDLES_TAG);
         RefMut::map(self.rare.borrow_mut(), |r| {
             &mut **r.get_or_insert_with(Box::default)
+        })
+    }
+
+    /// The region cache, created on first use bounded to `capacity`.
+    pub fn region_cache(&self, capacity: usize) -> RefMut<'_, RegionCache> {
+        let _mem = memprof::scope(&HANDLES_TAG);
+        RefMut::map(self.region_cache.borrow_mut(), |c| {
+            &mut **c.get_or_insert_with(|| Box::new(RegionCache::new(capacity)))
         })
     }
 }
@@ -247,14 +257,15 @@ impl Armci {
     }
 
     /// Region-cache statistics summed over all ranks: `(hits, misses,
-    /// evictions)`.
+    /// evictions)`. A rank whose cache was never used counts zeros.
     pub fn region_cache_totals(&self) -> (u64, u64, u64) {
         let mut t = (0, 0, 0);
         for rt in self.inner.ranks.borrow().values() {
-            let c = rt.region_cache.borrow();
-            t.0 += c.hits();
-            t.1 += c.misses();
-            t.2 += c.evictions();
+            if let Some(c) = rt.region_cache.borrow().as_deref() {
+                t.0 += c.hits();
+                t.1 += c.misses();
+                t.2 += c.evictions();
+            }
         }
         t
     }
@@ -271,7 +282,9 @@ impl Armci {
         let registered = table.iter().filter(|r| r.is_some()).count();
         for (r, own) in table.iter().enumerate() {
             if registered > usize::from(own.is_some()) {
-                self.rank_rt(r).region_cache.borrow_mut().seed(r, table);
+                self.rank_rt(r)
+                    .region_cache(self.inner.cfg.region_cache_capacity)
+                    .seed(r, table);
             }
         }
     }

@@ -47,7 +47,11 @@ pub const FIGURE: Figure = Figure {
     name: "abl_strided_pack",
     about: "ablation — chunk-list RDMA vs packed strided protocol crossover",
     flags: &[
-        Flag("--total", Num(1 << 18, 0), "total transfer bytes"),
+        Flag(
+            "--total",
+            Num(1 << 18, 16),
+            "total transfer bytes (at least the smallest l0, 16)",
+        ),
         Flag("--reps", Num(4, 1), "repetitions"),
         JOBS,
     ],

@@ -38,7 +38,8 @@ fn measure(total: usize, l0: usize, is_get: bool, reps: usize) -> f64 {
             }
         }
         let elapsed = s.now() - t0;
-        out2.set((total * reps) as f64 / elapsed.as_secs() / 1.0e6);
+        // The bytes moved: `total` rounded down to whole l0 rows.
+        out2.set((rows * l0 * reps) as f64 / elapsed.as_secs() / 1.0e6);
     });
     f.finish();
     out.get()
@@ -48,7 +49,11 @@ pub const FIGURE: Figure = Figure {
     name: "fig8_strided",
     about: "Fig 8 — strided get/put bandwidth vs contiguous chunk size",
     flags: &[
-        Flag("--total", Num(1 << 20, 0), "total transfer bytes"),
+        Flag(
+            "--total",
+            Num(1 << 20, 128),
+            "total transfer bytes (at least the smallest l0, 128)",
+        ),
         Flag("--reps", Num(4, 1), "repetitions"),
         JOBS,
     ],

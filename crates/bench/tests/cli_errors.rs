@@ -172,6 +172,16 @@ fn values_a_workload_cannot_run_are_rejected() {
     ] {
         assert_rejected_plain(bin, &[flag, "0"], &zero(flag));
     }
+    // A total below the smallest chunk size printed an empty table.
+    for (bin, below) in [("fig8_strided", "127"), ("abl_strided_pack", "15")] {
+        for v in ["0", below] {
+            assert_rejected_plain(
+                bin,
+                &["--total", v],
+                &format!("invalid value '{v}' for --total"),
+            );
+        }
+    }
 }
 
 #[test]

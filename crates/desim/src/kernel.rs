@@ -13,13 +13,19 @@
 //!   a far-future fallback heap — `O(1)` inserts for the dominant near-term
 //!   deadlines while preserving exact `(time, seq)` pop order.
 //! * The ready queue is a plain `RefCell<VecDeque>` behind a hand-rolled
-//!   `RawWaker` over `Rc` — no atomics, no mutex, non-atomic refcounts. The
+//!   `RawWaker` — no atomics, no mutex, non-atomic refcounts. The
 //!   single-thread invariant this relies on is *enforced*: a waker used from
 //!   a foreign thread panics instead of racing (see `check_owner_thread`).
-//! * Each task id has a persistent `TaskHook` carrying a `queued` flag:
-//!   multiple wakes before the next poll collapse into **one** queue entry,
-//!   so `events_processed` counts real polls, not wake multiplicity.
-//! * Task slots and their hooks/wakers are recycled across spawns.
+//! * Each task id has a persistent 16-byte `TaskHook` carrying a `queued`
+//!   flag: multiple wakes before the next poll collapse into **one** queue
+//!   entry, so `events_processed` counts real polls, not wake multiplicity.
+//!   Hooks sit in fixed pages of a table the ready queue owns; a `Waker`
+//!   points at its hook and holds a count on the queue's `Rc`, so a task
+//!   costs no `Rc` block of its own.
+//! * A poll lends its task a waker that borrows the kernel's count: no
+//!   clone and no drop per poll.
+//! * Task slots (the boxed future and a `live` flag, 24 bytes) and their
+//!   hooks are recycled across spawns.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -97,54 +103,83 @@ enum TimerKind {
 const _: () = assert!(std::mem::size_of::<TimerKind>() == 24);
 const _: () = assert!(std::mem::size_of::<crate::wheel::Entry<TimerKind>>() == 40);
 
-/// Ready-queue of task ids with a pending wake, in FIFO order. The executor
-/// is single-threaded and `Sim` is `!Send`, so a `RefCell` suffices — the
-/// previous `Arc<Mutex<..>>` existed only to satisfy `Waker: Send + Sync`,
-/// which the custom `RawWaker` below sidesteps (see its safety argument).
-struct ReadyQueue {
-    q: RefCell<VecDeque<usize>>,
-}
+/// Task hooks per page of the hook table: 4 KiB pages.
+const HOOK_PAGE: usize = 256;
 
-/// Per-task-slot waker state, shared between the task table and every
-/// `Waker` clone handed out to futures. Hooks persist across task-slot
-/// reuse, so spawning recycles the allocation and the `Waker`.
-struct TaskHook {
-    id: usize,
-    /// True iff `id` currently sits in the ready queue. Set on the first
-    /// wake, cleared when the entry is popped for polling; further wakes in
-    /// between are coalesced instead of queueing duplicate polls.
-    queued: Cell<bool>,
-    ready: Rc<ReadyQueue>,
+/// Ready-queue of task ids with a pending wake, in FIFO order, plus the
+/// hook table its wakers point into. The executor is single-threaded and
+/// `Sim` is `!Send`, so `RefCell`s suffice — the previous `Arc<Mutex<..>>`
+/// existed only to satisfy `Waker: Send + Sync`, which the custom
+/// `RawWaker` below sidesteps (see its safety argument).
+struct ReadyQueue {
+    q: RefCell<VecDeque<u32>>,
+    /// Hook `id` sits at `[id / HOOK_PAGE][id % HOOK_PAGE]`. A page is
+    /// filled when it is made and never grows, moves its hooks or frees
+    /// while the queue lives, so a waker may point straight at its hook.
+    hooks: RefCell<Vec<Vec<TaskHook>>>,
     /// Thread the owning kernel lives on; every vtable entry checks it so a
     /// `Waker` smuggled to another thread panics instead of racing the
     /// non-atomic `Rc` count / `RefCell` queue.
     owner: std::thread::ThreadId,
 }
 
+impl ReadyQueue {
+    /// Run `f` on task `id`'s hook.
+    fn with_hook<R>(&self, id: usize, f: impl FnOnce(&TaskHook) -> R) -> R {
+        f(&self.hooks.borrow()[id / HOOK_PAGE][id % HOOK_PAGE])
+    }
+}
+
+/// Per-task-id waker state: what a `Waker` points at. Hooks persist across
+/// task-slot reuse, so respawning allocates nothing for them.
+struct TaskHook {
+    /// The queue whose table holds this hook.
+    ready: *const ReadyQueue,
+    id: u32,
+    /// True iff `id` currently sits in the ready queue. Set on the first
+    /// wake, cleared when the entry is popped for polling; further wakes in
+    /// between are coalesced instead of queueing duplicate polls.
+    queued: Cell<bool>,
+}
+
+const _: () = assert!(std::mem::size_of::<TaskHook>() == 16);
+
 impl TaskHook {
+    #[inline]
+    fn ready(&self) -> &ReadyQueue {
+        // SAFETY: the hook lives in a page its queue owns and frees only
+        // when the queue itself drops, so the queue outlives any `&self`.
+        unsafe { &*self.ready }
+    }
+
     #[inline]
     fn enqueue(&self) {
         if !self.queued.replace(true) {
-            self.ready.q.borrow_mut().push_back(self.id);
+            self.ready().q.borrow_mut().push_back(self.id);
         }
     }
 }
 
 // SAFETY argument for the `Rc`-based waker: `Waker` is nominally
-// `Send + Sync`, but every structure reachable from it here (`Rc<TaskHook>`,
-// `RefCell` ready queue) belongs to a `Sim`, and `Sim` is `!Send`/`!Sync`
-// (it is `Rc`-based itself). Futures, their wakers and all kernel state
-// therefore live and die on the one thread that created the simulation —
-// the parallel sweep harness parallelizes across whole simulations, never
-// within one. Because `Waker` itself *is* `Send`, safe user code could still
-// clone `cx.waker()` and ship it to another thread; the invariant is
-// therefore enforced at runtime, not merely documented: every vtable entry
-// first compares `TaskHook::owner` against the calling thread and panics on
-// a mismatch, before any `Rc` count or `RefCell` is touched. (`owner` is
-// written once, before any waker exists, so the cross-thread read used by
-// the check itself is race-free.) Under that enforced invariant the vtable
-// below upholds the `RawWaker` contract: clone/drop manage the `Rc` strong
-// count, wake consumes (or borrows, for `wake_by_ref`) one reference.
+// `Send + Sync`, but every structure reachable from it here (the hook, the
+// `Rc<ReadyQueue>` holding its page, the `RefCell` queue) belongs to a
+// `Sim`, and `Sim` is `!Send`/`!Sync` (it is `Rc`-based itself). Futures,
+// their wakers and all kernel state therefore live and die on the one
+// thread that created the simulation — the parallel sweep harness
+// parallelizes across whole simulations, never within one. Because `Waker`
+// itself *is* `Send`, safe user code could still clone `cx.waker()` and
+// ship it to another thread; the invariant is therefore enforced at
+// runtime, not merely documented: every vtable entry first compares
+// `ReadyQueue::owner` against the calling thread and panics on a mismatch,
+// before any `Rc` count or `RefCell` is touched. (`owner` and the hook's
+// fields other than `queued` are written once, before any waker exists, so
+// the cross-thread reads used by the check itself are race-free.) A waker's
+// data pointer is its hook; each owned handle holds one strong count on the
+// hook's queue, which keeps the hook's page alive. Under that enforced
+// invariant the vtable below upholds the `RawWaker` contract: clone takes a
+// count, drop releases one, wake enqueues and then releases one. The waker a
+// poll lends (`poll_task`) holds no count of its own: it borrows the
+// kernel's for the duration of the poll and is never dropped.
 const HOOK_VTABLE: RawWakerVTable =
     RawWakerVTable::new(hook_clone, hook_wake, hook_wake_by_ref, hook_drop);
 
@@ -158,12 +193,12 @@ fn current_thread_id() -> std::thread::ThreadId {
     TID.with(|t| *t)
 }
 
-/// Panic unless the hook is used on the thread that owns its kernel. Called
-/// with the hook borrowed straight from the raw pointer, deliberately before
+/// Panic unless a waker is used on the thread that owns its kernel. Called
+/// on the queue reached straight from the raw pointer, deliberately before
 /// the non-atomic refcount or the `RefCell` queue could be touched.
 #[inline]
-fn check_owner_thread(hook: &TaskHook) {
-    if hook.owner != current_thread_id() {
+fn check_owner_thread(ready: &ReadyQueue) {
+    if ready.owner != current_thread_id() {
         panic!(
             "desim Waker used from a foreign thread: Sim and every waker it \
              hands out are single-threaded (parallelize across whole Sims, \
@@ -172,58 +207,69 @@ fn check_owner_thread(hook: &TaskHook) {
     }
 }
 
-fn hook_waker(hook: &Rc<TaskHook>) -> Waker {
-    let raw = RawWaker::new(Rc::into_raw(Rc::clone(hook)) as *const (), &HOOK_VTABLE);
-    // SAFETY: see the vtable comment above.
-    unsafe { Waker::from_raw(raw) }
+/// The waker a poll lends its task: it borrows the kernel's count on the
+/// queue, so it must never be dropped (clones take their own count).
+fn lent_waker(hook: *const TaskHook) -> ManuallyDrop<Waker> {
+    // SAFETY: see the vtable comment above; `ManuallyDrop` keeps `hook_drop`
+    // from releasing the count this handle never took.
+    ManuallyDrop::new(unsafe { Waker::from_raw(RawWaker::new(hook.cast(), &HOOK_VTABLE)) })
+}
+
+/// The hook behind a waker's data pointer, after the owner-thread check.
+///
+/// # Safety
+///
+/// `p` is the data pointer of a live waker from this module.
+unsafe fn hook_of<'a>(p: *const ()) -> &'a TaskHook {
+    // SAFETY: a live waker holds (or, lent, borrows) a count on the queue
+    // whose page holds the hook, so the hook is alive.
+    let hook = unsafe { &*p.cast::<TaskHook>() };
+    check_owner_thread(hook.ready());
+    hook
 }
 
 unsafe fn hook_clone(p: *const ()) -> RawWaker {
-    // SAFETY: `p` came from `Rc::into_raw` and the allocation is kept alive
-    // by the reference this handle holds; the shared borrow only reads the
-    // write-once `owner` field.
-    check_owner_thread(unsafe { &*(p as *const TaskHook) });
-    // SAFETY: bump the count for the new handle (same thread, checked above).
-    unsafe { Rc::increment_strong_count(p as *const TaskHook) };
+    // SAFETY: `p` comes from a live waker (vtable contract).
+    let hook = unsafe { hook_of(p) };
+    // SAFETY: the new handle takes its own count (same thread, checked).
+    // `hook.ready` is `Rc::as_ptr` of the kernel's queue, the pointer
+    // `Rc::into_raw` would return.
+    unsafe { Rc::increment_strong_count(hook.ready) };
     RawWaker::new(p, &HOOK_VTABLE)
 }
 
 unsafe fn hook_wake(p: *const ()) {
-    // SAFETY: as in `hook_clone`. On a foreign thread this panics and leaks
-    // the handle's reference — sound, since the count is never touched.
-    check_owner_thread(unsafe { &*(p as *const TaskHook) });
-    // SAFETY: by-value wake consumes the handle's reference.
-    let hook = unsafe { Rc::from_raw(p as *const TaskHook) };
+    // SAFETY: as in `hook_clone`. On a foreign thread this panics before
+    // touching the count, leaking it.
+    let hook = unsafe { hook_of(p) };
     hook.enqueue();
+    // SAFETY: a by-value wake consumes the handle's count, as in
+    // `hook_drop`; the hook is not read after.
+    unsafe { Rc::decrement_strong_count(hook.ready) };
 }
 
 unsafe fn hook_wake_by_ref(p: *const ()) {
     // SAFETY: as in `hook_clone`.
-    check_owner_thread(unsafe { &*(p as *const TaskHook) });
-    // SAFETY: borrow the handle without consuming its reference.
-    let hook = unsafe { ManuallyDrop::new(Rc::from_raw(p as *const TaskHook)) };
-    hook.enqueue();
+    unsafe { hook_of(p) }.enqueue();
 }
 
 unsafe fn hook_drop(p: *const ()) {
-    // SAFETY: as in `hook_clone`. Panicking here (from a foreign thread's
-    // drop) beats corrupting the non-atomic count, and leaks one reference.
-    check_owner_thread(unsafe { &*(p as *const TaskHook) });
-    // SAFETY: consumes the handle's reference.
-    drop(unsafe { Rc::from_raw(p as *const TaskHook) });
+    // SAFETY: as in `hook_clone`; releases the handle's count, which may
+    // free the queue and the hook's page, so the hook is not read after.
+    unsafe { Rc::decrement_strong_count(hook_of(p).ready) };
 }
 
 /// One entry of the task table. Slots are allocated once and recycled: when
-/// a task completes, its id goes on the free list but the slot — hook and
-/// prebuilt waker included — stays, so respawning costs no allocation.
+/// a task completes, its id goes on the free list but the slot and its hook
+/// stay, so respawning costs no allocation.
 struct TaskSlot {
     future: Option<BoxFuture>,
     /// False once the task completed or was shut down; guards against a
     /// poll-in-flight future being written back into a reaped slot.
     live: bool,
-    hook: Rc<TaskHook>,
-    waker: Waker,
 }
+
+const _: () = assert!(std::mem::size_of::<TaskSlot>() == 24);
 
 pub(crate) struct Kernel {
     now: Cell<SimTime>,
@@ -250,6 +296,8 @@ impl Kernel {
             timers: RefCell::new(TimerWheel::new()),
             ready: Rc::new(ReadyQueue {
                 q: RefCell::new(VecDeque::new()),
+                hooks: RefCell::new(Vec::new()),
+                owner: current_thread_id(),
             }),
             tasks: RefCell::new(Vec::new()),
             free: RefCell::new(Vec::new()),
@@ -286,8 +334,8 @@ impl Kernel {
                 let mut tasks = self.tasks.borrow_mut();
                 let slot = &mut tasks[id];
                 debug_assert!(slot.future.is_none() && !slot.live);
-                // Note: `hook.queued` is deliberately left alone — it tracks
-                // ready-queue membership, which survives slot reuse.
+                // Note: the hook's `queued` is deliberately left alone — it
+                // tracks ready-queue membership, which survives slot reuse.
                 slot.future = Some(future);
                 slot.live = true;
                 id
@@ -295,18 +343,20 @@ impl Kernel {
             None => {
                 let mut tasks = self.tasks.borrow_mut();
                 let id = tasks.len();
-                let hook = Rc::new(TaskHook {
-                    id,
-                    queued: Cell::new(false),
-                    ready: Rc::clone(&self.ready),
-                    owner: current_thread_id(),
-                });
-                let waker = hook_waker(&hook);
+                if id.is_multiple_of(HOOK_PAGE) {
+                    let ready = Rc::as_ptr(&self.ready);
+                    let first = u32::try_from(id).expect("task ids fit in u32");
+                    let mut page = Vec::with_capacity(HOOK_PAGE);
+                    page.extend((first..).take(HOOK_PAGE).map(|id| TaskHook {
+                        ready,
+                        id,
+                        queued: Cell::new(false),
+                    }));
+                    self.ready.hooks.borrow_mut().push(page);
+                }
                 tasks.push(TaskSlot {
                     future: Some(future),
                     live: true,
-                    hook,
-                    waker,
                 });
                 id
             }
@@ -316,26 +366,30 @@ impl Kernel {
     }
 
     fn enqueue_task(&self, id: usize) {
-        self.tasks.borrow()[id].hook.enqueue();
+        self.ready.with_hook(id, TaskHook::enqueue);
     }
 
     /// Poll one task. The future is removed from its slot for the duration of
     /// the poll so the task table is not borrowed while user code runs (user
     /// code may spawn tasks, create timers, wake other tasks, …).
     fn poll_task(&self, id: usize) {
-        let (mut future, waker) = {
+        let (mut future, hook) = {
             let mut tasks = self.tasks.borrow_mut();
             let Some(slot) = tasks.get_mut(id) else {
                 return;
             };
             // The queue entry is consumed: clear before polling, so a wake
             // *during* the poll re-queues the task as it must.
-            slot.hook.queued.set(false);
+            let hook = self.ready.with_hook(id, |hook| {
+                hook.queued.set(false);
+                hook as *const TaskHook
+            });
             let Some(future) = slot.future.take() else {
                 return; // finished task (stale wake) or re-entrant poll
             };
-            (future, slot.waker.clone())
+            (future, hook)
         };
+        let waker = lent_waker(hook);
         let mut cx = Context::from_waker(&waker);
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => {
@@ -364,7 +418,7 @@ impl Kernel {
             let id = self.ready.q.borrow_mut().pop_front();
             let Some(id) = id else { break };
             self.events_processed.set(self.events_processed.get() + 1);
-            self.poll_task(id);
+            self.poll_task(id as usize);
         }
     }
 
@@ -585,7 +639,6 @@ impl Sim {
                 .iter_mut()
                 .map(|slot| {
                     slot.live = false;
-                    slot.hook.queued.set(false);
                     slot.future.take()
                 })
                 .collect()
@@ -596,8 +649,8 @@ impl Sim {
         // stale survives into the next run (a stale entry would cost one
         // no-op poll and could skew a respawned task's initial poll order).
         self.k.ready.q.borrow_mut().clear();
-        for slot in self.k.tasks.borrow().iter() {
-            slot.hook.queued.set(false);
+        for hook in self.k.ready.hooks.borrow().iter().flatten() {
+            hook.queued.set(false);
         }
         let len = self.k.tasks.borrow().len();
         let mut free = self.k.free.borrow_mut();
@@ -1065,6 +1118,65 @@ mod tests {
         let waker = waker_out.borrow_mut().take().unwrap();
         let joined = std::thread::spawn(move || waker.wake()).join();
         assert!(joined.is_err(), "cross-thread wake must panic");
+        sim.shutdown();
+    }
+
+    #[test]
+    fn a_waker_outlives_its_sim() {
+        // A clone holds a count on the ready queue, which owns the hook
+        // table: cloning, waking and dropping after the Sim is gone touch
+        // only memory that count keeps alive.
+        let sim = Sim::new();
+        let waker_out: Rc<StdRefCell<Option<Waker>>> = Rc::new(StdRefCell::new(None));
+        sim.spawn(ManualGate {
+            ready: Rc::new(Cell::new(false)),
+            waker_out: Rc::clone(&waker_out),
+        });
+        sim.run_until(SimTime::ZERO);
+        let waker = waker_out.borrow_mut().take().unwrap();
+        drop(sim);
+        let twin = waker.clone();
+        twin.wake();
+        waker.wake_by_ref();
+        drop(waker);
+    }
+
+    #[test]
+    fn a_stale_waker_wakes_its_slots_new_task_at_most_once() {
+        let sim = Sim::new();
+        let ready = Rc::new(Cell::new(false));
+        let waker_out: Rc<StdRefCell<Option<Waker>>> = Rc::new(StdRefCell::new(None));
+        let first = sim.spawn(ManualGate {
+            ready: Rc::clone(&ready),
+            waker_out: Rc::clone(&waker_out),
+        });
+        sim.run_until(SimTime::ZERO);
+        let stale = waker_out.borrow_mut().take().unwrap();
+        ready.set(true);
+        stale.wake_by_ref();
+        sim.run_until(SimTime::ZERO);
+        assert!(first.is_done());
+
+        // The next spawn reuses the slot, hook included; it parks forever.
+        let polls = Rc::new(Cell::new(0u32));
+        let counted = Rc::clone(&polls);
+        let second = sim.spawn(std::future::poll_fn(move |_| {
+            counted.set(counted.get() + 1);
+            Poll::<()>::Pending
+        }));
+        assert_eq!(second.task_id(), first.task_id());
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(polls.get(), 1);
+        let before = sim.events_processed();
+        for _ in 0..3 {
+            stale.wake_by_ref();
+        }
+        let twin = stale.clone();
+        twin.wake();
+        sim.run_until(SimTime::ZERO);
+        assert_eq!(polls.get(), 2, "four stale wakes, one poll");
+        assert_eq!(sim.events_processed(), before + 1);
+        drop(stale);
         sim.shutdown();
     }
 

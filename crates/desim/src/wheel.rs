@@ -23,7 +23,12 @@
 //! All `Vec` slots, the run and both heaps retain their capacity across
 //! clears and window rebasing (activation swaps the slot's buffer with the
 //! run's), so steady-state operation allocates only when a slot outgrows
-//! every previous occupancy (slab-style recycling).
+//! every previous occupancy (slab-style recycling). A burst is the
+//! exception: a drained run or late heap holding more than [`RETAIN`]
+//! entries' room is freed on the next activation instead of being kept
+//! (the run's buffer would otherwise move into a level-0 slot and stay
+//! there), so one instant with 262 k ranks' timers does not cost 10 MB for
+//! the rest of the run.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -36,6 +41,8 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const BASE_SHIFT: u32 = 16;
 /// Wheel levels below the fallback heap.
 const LEVELS: usize = 3;
+/// Entries' room a drained run or late heap may keep for reuse.
+const RETAIN: usize = 4096;
 
 #[inline]
 fn shift(level: usize) -> u32 {
@@ -228,6 +235,12 @@ impl<T> TimerWheel<T> {
     /// no timers at all.
     fn advance(&mut self) -> bool {
         debug_assert!(self.run.is_empty() && self.late.is_empty());
+        if self.run.capacity() > RETAIN {
+            self.run = Vec::new();
+        }
+        if self.late.capacity() > RETAIN {
+            self.late = BinaryHeap::new();
+        }
         loop {
             // Finest level: activate its next occupied slot.
             {
@@ -434,6 +447,39 @@ mod tests {
         }
         let got = drain(&mut w);
         assert_eq!(got, (0..1000u64).map(|s| (42, s)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_drained_burst_keeps_no_burst_sized_buffer() {
+        let mut w = TimerWheel::new();
+        // 100 k timers at one instant fill one level-0 slot, which becomes
+        // the run.
+        for s in 0..100_000u64 {
+            w.insert(42, s, 0);
+        }
+        assert_eq!(drain(&mut w).len(), 100_000);
+        // 100 k more behind an activated run land on the late heap.
+        w.insert(1000, 0, 0);
+        w.insert(1100, 1, 0);
+        assert_eq!(w.pop().map(|e| e.at), Some(1000));
+        for s in 2..100_002u64 {
+            w.insert(1050, s, 0);
+        }
+        assert_eq!(w.late.len(), 100_000);
+        assert_eq!(drain(&mut w).len(), 100_001);
+        let widest_slot = w
+            .levels
+            .iter()
+            .flat_map(|l| &l.slots)
+            .map(Vec::capacity)
+            .max();
+        for (what, cap) in [
+            ("run", w.run.capacity()),
+            ("late heap", w.late.capacity()),
+            ("slot", widest_slot.unwrap_or(0)),
+        ] {
+            assert!(cap <= RETAIN, "the {what} kept room for {cap} entries");
+        }
     }
 
     #[test]

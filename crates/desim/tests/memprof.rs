@@ -9,6 +9,9 @@
 //! concurrently (each test thread owns its counters).
 
 use desim::memprof::{self, MemProf, MemScope, MemTag};
+use desim::{Fire, Sim, SimDuration};
+use std::cell::Cell;
+use std::rc::Rc;
 
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
@@ -199,4 +202,47 @@ fn threads_sharing_the_side_table_each_count_what_they_alone_would() {
     for (tag, row) in TAGS.iter().zip(rows) {
         assert_eq!(row, alone, "{tag}: (live, peak, allocs, frees, reallocs)");
     }
+}
+
+/// Counts its events. Queued with `schedule_fire`, so an event allocates
+/// nothing itself: what a burst allocates is the timer wheel's.
+struct Tick(Cell<u64>);
+
+impl Fire for Tick {
+    fn fire(self: Rc<Self>, _arg: u32) {
+        self.0.set(self.0.get() + 1);
+    }
+}
+
+#[test]
+fn timer_bursts_recycle_small_buffers_and_release_large_ones() {
+    /// What the wheel may keep of a drained burst: 4096 entries of 40 B.
+    const RETAINED: i64 = 4096 * 40;
+    memprof::enable();
+    let sim = Sim::new();
+    let tick = Rc::new(Tick(Cell::new(0)));
+    let burst = |n: u64| {
+        let at = sim.now() + SimDuration::from_us(1);
+        for _ in 0..n {
+            sim.schedule_fire(at, tick.clone(), 0);
+        }
+        sim.run();
+    };
+    // Two rounds fill both the slot's buffer and the run's; after that the
+    // pattern swaps them back and forth and allocates nothing.
+    burst(1000);
+    burst(1000);
+    let m = memprof::mark();
+    for _ in 0..50 {
+        burst(1000);
+    }
+    assert_eq!(memprof::since(&m).total_allocs(), 0);
+
+    let m = memprof::mark();
+    burst(100_000);
+    let wheel = memprof::since(&m);
+    let wheel = wheel.get("desim.wheel").expect("the burst grew the wheel");
+    assert!(wheel.peak_bytes >= 100_000 * 40, "{wheel:?}");
+    assert!(wheel.live_bytes <= RETAINED, "burst buffer kept: {wheel:?}");
+    assert_eq!(tick.0.get(), 152_000);
 }

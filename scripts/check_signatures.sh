@@ -5,7 +5,7 @@
 # (bgq-perf itself only prints a NOTE on a mismatch.) The workloads named in
 # ALLOC_CEILING run with --trace, and also fail when the run phase's traced
 # allocations exceed their ceiling: the counts repeat exactly, so a boxed
-# event per chunk or a staging buffer per train fails here. Reads benchmark/,
+# event per chunk, a staging buffer per train or a box per rmw fails here. Reads benchmark/,
 # writes nothing there; ~15 s in a release build.
 #   scripts/check_signatures.sh
 set -euo pipefail
@@ -13,10 +13,17 @@ cd "$(dirname "$0")/.."
 python3 - <<'EOF'
 import json, subprocess, sys
 
-# Run-phase allocations at seed 1: rma_mix 5.2 per op (256000 ops), scf_fock
-# 116 per Fock task (9408 tasks; 1088198 measured, the two arrays' region
-# keys one shared table each).
-ALLOC_CEILING = {"rma_mix": 1_331_200, "scf_fock": 1_091_328}
+# Run-phase allocations at seed 1: rma_mix 5.2 per op (256000 ops; 1281084
+# measured), scf_fock 116 per Fock task (9408 tasks; 1088856 measured, the
+# two arrays' region keys one shared table each), rmw_dense 7.05 per op
+# (262143 ops; 1842607 measured) and rmw_sparse 4.02 per op (1044480 ops;
+# 4189700 measured).
+ALLOC_CEILING = {
+    "rma_mix": 1_331_200,
+    "scf_fock": 1_091_328,
+    "rmw_dense": 1_848_108,
+    "rmw_sparse": 4_198_810,
+}
 
 expected = json.load(open("benchmark/expected.json"))
 seed = str(expected["seed"])
