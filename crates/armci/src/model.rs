@@ -2,7 +2,7 @@
 //! (paper §III-B, Table I, Eqs. 1–6).
 //!
 //! These closed forms are used by tests to validate that the implementation's
-//! actual accounting (see `pami_sim::SpaceAccount`) matches the paper's
+//! per-rank object space (see `pami_sim::Machine::space`) matches the paper's
 //! models, and by the Table II bench to print predicted-vs-measured rows.
 //!
 //! | # | Property | Symbol |

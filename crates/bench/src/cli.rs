@@ -247,6 +247,27 @@ impl Args {
         }
     }
 
+    /// Check the given `--procs` value(s) against the partitions a 5D torus
+    /// can hold at `ppn` ranks per node
+    /// ([`torus5d::Topology::try_for_procs`]); `Err` names the first value
+    /// none holds, for the figure to reject as a usage error.
+    pub fn check_procs(&self, ppn: usize) -> Result<(), String> {
+        let procs = match self.lookup("--procs").0 {
+            Some(Value::Num(p)) => std::slice::from_ref(p),
+            Some(Value::List(list)) => list,
+            _ => &[],
+        };
+        match procs
+            .iter()
+            .find(|&&p| torus5d::Topology::try_for_procs(p, ppn).is_none())
+        {
+            Some(p) => Err(format!(
+                "invalid value '{p}' for --procs: no 5D torus holds {p} ranks at {ppn} per node"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The sinks this command line asks an observed run to turn on: the
     /// lifecycle accumulator for [`BREAKDOWN`] and the timeline for
     /// [`TIMELINE`], where the entry declares them. A [`TRACE`] also needs the run's

@@ -89,6 +89,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(1) {
+        FIGURE.fail_usage(&e);
+    }
     let rounds = args.num("--rounds");
     let p = args.num("--procs");
     let jobs = args.jobs();

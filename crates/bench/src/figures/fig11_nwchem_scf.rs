@@ -40,6 +40,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(16) {
+        FIGURE.fail_usage(&e);
+    }
     let quick = args.given("--quick");
     let procs = if quick && !args.given("--procs") {
         vec![64, 128]

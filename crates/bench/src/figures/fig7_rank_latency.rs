@@ -28,6 +28,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(args.num("--ppn")) {
+        FIGURE.fail_usage(&e);
+    }
     let p = args.num("--procs");
     let c = args.num("--ppn");
     let reps = args.num("--reps");

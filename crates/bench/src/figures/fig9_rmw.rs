@@ -45,6 +45,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(16) {
+        FIGURE.fail_usage(&e);
+    }
     let procs = args.list("--procs");
     let k = args.num("--ops");
     let jobs = args.jobs();

@@ -53,6 +53,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(16) {
+        FIGURE.fail_usage(&e);
+    }
     let procs = args.num("--procs");
     let msgs = args.num("--msgs");
     let sizes = args.list("--sizes");

@@ -47,6 +47,9 @@ pub const FIGURE: Figure = Figure {
 };
 
 fn run(args: &Args) {
+    if let Err(e) = args.check_procs(16) {
+        FIGURE.fail_usage(&e);
+    }
     let mut procs = args.list("--procs");
     procs.sort_unstable();
     procs.dedup();

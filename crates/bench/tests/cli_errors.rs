@@ -99,6 +99,30 @@ fn process_count_floors_are_per_experiment() {
 }
 
 #[test]
+fn process_counts_no_torus_holds_are_rejected() {
+    // 1048592 ranks at 16 per node are 65537 nodes, a prime no 16-bit torus
+    // dimension holds: the shape used to truncate it to one node and panic
+    // at the first delivery. 99999999999 ranks overflow 32-bit rank ids and
+    // used to panic in the rank map.
+    assert_rejected(
+        "fig_scale",
+        &["--procs", "1048592", "--ops", "1", "--storm-msgs", "1000"],
+        "invalid value '1048592' for --procs: no 5D torus holds 1048592 ranks at 16 per node",
+    );
+    assert_rejected(
+        "fig9_rmw",
+        &["--procs", "99999999999", "--ops", "1"],
+        "invalid value '99999999999' for --procs: no 5D torus holds 99999999999 ranks at 16 per node",
+    );
+    // One rank per node: 65537 nodes again.
+    assert_rejected_plain(
+        "abl_mapping",
+        &["--procs", "65537", "--ppn", "1"],
+        "invalid value '65537' for --procs: no 5D torus holds 65537 ranks at 1 per node",
+    );
+}
+
+#[test]
 fn values_a_workload_cannot_run_are_rejected() {
     // Each used to reach a panic inside the run: a corruption probability
     // above one, a p99 over no puts, a payload that is not whole f64s, and

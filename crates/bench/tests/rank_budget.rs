@@ -9,7 +9,7 @@
 //!
 //! |                                   | first budget |  then | this budget | reached |
 //! |-----------------------------------|-------------:|------:|------------:|--------:|
-//! | Σ per-tag peak bytes ÷ p          |         2048 |  1883 |        1792 |    1704 |
+//! | Σ per-tag peak bytes ÷ p          |         2048 |  1883 |        1728 |    1672 |
 //! | live blocks ÷ p, all ranks parked |          6.5 |  6.08 |         5.2 |    5.08 |
 //! | allocation calls ÷ p, whole run   |         10.5 | 10.09 |         9.2 |    9.09 |
 //!
@@ -18,12 +18,14 @@
 //! sets and hash maps left the endpoint sets and rank tables. The second
 //! moved the task hooks into the ready queue's dense table, made the region
 //! cache on first use and stopped the timer wheel keeping burst-sized
-//! buffers. DESIGN.md §15's columns list each cut.
+//! buffers (1704 B); reading PAMI object space off the objects, not from
+//! per-rank byte counters, took 32 B more. DESIGN.md §15's columns list
+//! each cut.
 //!
 //! Lifecycle laziness must not move an event: the run's end `SimTime` is
 //! pinned. The `#[ignore]`d full-size case runs the same shape at
 //! p = 262144 (`cargo test --release -p bgq-bench --test rank_budget --
-//! --ignored`, a few seconds; 1670 B, 5.01 blocks and 9.01 calls per rank)
+//! --ignored`, a few seconds; 1638 B, 5.01 blocks and 9.01 calls per rank)
 //! under the same budget.
 
 use armci::{ArmciConfig, ProgressMode};
@@ -37,8 +39,8 @@ use std::rc::Rc;
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
 
-/// 1.75 KiB per rank.
-const BYTES_PER_RANK: f64 = 1.75 * 1024.0;
+/// 1.6875 KiB per rank.
+const BYTES_PER_RANK: f64 = 1.6875 * 1024.0;
 const BLOCKS_PER_RANK: f64 = 5.2;
 const ALLOCS_PER_RANK: f64 = 9.2;
 

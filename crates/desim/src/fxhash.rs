@@ -3,10 +3,10 @@
 //! `std::collections::HashMap`'s default hasher is randomly seeded per
 //! process, which is fine for lookup but poisons determinism the moment
 //! iteration order leaks into behavior. Simulation state therefore uses
-//! this fixed-seed Fx-style hasher (the same multiply-xor scheme as
-//! `torus5d`'s open-addressed `FxMap64`): byte-identical across runs,
-//! processes and hosts, and much cheaper than SipHash for the small
-//! integer keys (rank ids, handler ids) that dominate here.
+//! this fixed-seed Fx-style hasher: byte-identical across runs, processes
+//! and hosts, and much cheaper than SipHash for the small integer keys
+//! (rank ids, handler ids, `torus5d`'s packed rank and node pairs) that
+//! dominate here.
 //!
 //! Iteration order of a `HashMap` with this hasher is still
 //! *capacity-dependent*, so deterministic consumers must sort keys before

@@ -55,4 +55,4 @@ pub use context::{AmEntry, AmEnv, AmHandler, AmMsg, CtxState, RmwOp, WorkItem};
 pub use machine::{Machine, MachineConfig, RegionError, RegionId};
 pub use rank::{AsyncThread, PamiRank, PutHandles};
 pub use retry::{FailureMode, RetryPolicy};
-pub use space::{SpaceAccount, SpaceSnapshot};
+pub use space::SpaceSnapshot;

@@ -17,7 +17,7 @@ use torus5d::{BgqParams, Mapping, NetState, Topology};
 use crate::batcher::AmBatchConfig;
 use crate::context::{AmHandler, CtxState};
 use crate::retry::RetryPolicy;
-use crate::space::{SpaceAccount, SpaceSnapshot};
+use crate::space::SpaceSnapshot;
 
 // The interconnect totals [`Machine::flush_net_stats`] folds in.
 static NET_MESSAGES: Probe = Probe::new().count("net.messages");
@@ -245,9 +245,10 @@ pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     pub memory: RefCell<Vec<u8>>,
     pub next_alloc: Cell<usize>,
     pub regions: RefCell<Vec<Region>>,
-    pub active_regions: Cell<usize>,
     pub endpoints: RefCell<Endpoints>,
-    pub space: SpaceAccount,
+    /// Contexts paid for by [`crate::PamiRank::create_contexts`] (ε each in
+    /// [`Machine::space`]).
+    pub contexts_created: Cell<u32>,
     /// The operation this rank is currently issuing/completing, threaded
     /// down into every message the rank injects while set. `None` when no
     /// attribution is active (lifecycle accumulator off, or between
@@ -272,9 +273,8 @@ impl RankState {
                 memory: RefCell::new(Vec::new()),
                 next_alloc: Cell::new(0),
                 regions: RefCell::new(Vec::new()),
-                active_regions: Cell::new(0),
                 endpoints: RefCell::new(Endpoints::default()),
-                space: SpaceAccount::default(),
+                contexts_created: Cell::new(0),
                 cur_op: Cell::new(None),
                 at_ctx: Cell::new(None),
                 at: RefCell::new(None),
@@ -289,6 +289,11 @@ impl RankState {
             4 => block::<4>(),
             n => unreachable!("{n} contexts per rank (checked by Machine::new)"),
         }
+    }
+
+    /// Registered regions not yet deregistered.
+    pub fn active_regions(&self) -> usize {
+        self.regions.borrow().iter().filter(|r| r.active).count()
     }
 
     /// Run `f` over `[off, off + len)` of this rank's memory, growing the
@@ -586,12 +591,19 @@ impl Machine {
         }
     }
 
-    /// Space-accounting snapshot for a rank. Does **not** materialize: an
+    /// The bytes of a rank's PAMI objects (Eqs. 1, 3 and 5), read off the
+    /// objects themselves: the contexts it created times ε, its endpoints
+    /// times α, its active regions times γ. Does **not** materialize: an
     /// untouched rank reports the all-zero snapshot it would have anyway.
     pub fn space(&self, rank: usize) -> SpaceSnapshot {
         assert!(rank < self.nprocs(), "rank {rank} out of range");
+        let p = self.params();
         match self.inner.ranks.borrow().get(rank) {
-            Some(st) => st.space.snapshot(),
+            Some(st) => SpaceSnapshot {
+                contexts: st.contexts_created.get() as usize * p.context_bytes,
+                endpoints: st.endpoints.borrow().len() * p.endpoint_bytes,
+                regions: st.active_regions() * p.memregion_bytes,
+            },
             None => SpaceSnapshot::default(),
         }
     }

@@ -782,9 +782,8 @@ impl PamiRank {
         let p = self.m.params();
         let n = self.m.config().contexts_per_rank as u64;
         self.m.sim().sleep(p.context_create * n).await;
-        for _ in 0..n {
-            self.state().space.add_context(p.context_bytes);
-        }
+        let created = &self.state().contexts_created;
+        created.set(created.get() + n as u32);
         self.m.sim().count(&CONTEXTS_CREATED, n);
     }
 
@@ -795,11 +794,8 @@ impl PamiRank {
         if self.state().endpoints.borrow().contains(&key) {
             return false;
         }
-        let p = self.m.params();
-        let (beta, alpha) = (p.endpoint_create, p.endpoint_bytes);
-        self.m.sim().sleep(beta).await;
+        self.m.sim().sleep(self.m.params().endpoint_create).await;
         self.state().endpoints.borrow_mut().insert(key);
-        self.state().space.add_endpoint(alpha);
         self.m.sim().count(&ENDPOINTS_CREATED, 1);
         true
     }
@@ -828,7 +824,7 @@ impl PamiRank {
     /// Fails (and counts the failure) when the per-rank region limit is hit.
     fn region_slot_free(&self) -> Result<(), RegionError> {
         match self.m.config().memregion_limit {
-            Some(limit) if self.state().active_regions.get() >= limit => {
+            Some(limit) if self.state().active_regions() >= limit => {
                 self.m.sim().count(&REGION_REGISTER_FAILED, 1);
                 Err(RegionError::LimitReached)
             }
@@ -844,22 +840,13 @@ impl PamiRank {
             len,
             active: true,
         });
-        st.active_regions.set(st.active_regions.get() + 1);
-        st.space.add_region(self.m.params().memregion_bytes);
         self.m.sim().count(&REGIONS_CREATED, 1);
         RegionId(regions.len() - 1)
     }
 
     /// Deregister a region, freeing a limit slot and its metadata bytes.
     pub fn deregister_region(&self, id: RegionId) {
-        let st = self.state();
-        let mut regions = st.regions.borrow_mut();
-        let region = &mut regions[id.0];
-        if region.active {
-            region.active = false;
-            st.active_regions.set(st.active_regions.get() - 1);
-            st.space.sub_region(self.m.params().memregion_bytes);
-        }
+        self.state().regions.borrow_mut()[id.0].active = false;
     }
 
     /// Find an active region of this rank fully covering `[off, off+len)`.
@@ -875,7 +862,7 @@ impl PamiRank {
 
     /// Number of currently active regions.
     pub fn region_count(&self) -> usize {
-        self.state().active_regions.get()
+        self.state().active_regions()
     }
 
     /// `(offset, len)` bounds of a registered region.

@@ -1,23 +1,12 @@
-//! Per-rank space accounting for PAMI objects.
+//! Per-rank space of PAMI objects.
 //!
 //! The paper models memory consumption of the communication subsystem with
 //! Eqs. (1)–(6): contexts (`M_c = ε·ρ`), endpoints (`M_e = ζ·α·ρ`) and memory
-//! regions (`M_r = τ·γ + σ·ζ·γ`). This module tracks the actual bytes the
-//! simulated runtime allocates per category so tests can validate those
-//! equations against the implementation.
+//! regions (`M_r = τ·γ + σ·ζ·γ`). [`crate::Machine::space`] reads the bytes
+//! off the objects a rank holds, so tests can validate those equations
+//! against the implementation.
 
-use std::cell::Cell;
-
-/// Byte counters for one rank's PAMI objects.
-#[derive(Debug, Default)]
-pub struct SpaceAccount {
-    contexts: Cell<usize>,
-    endpoints: Cell<usize>,
-    regions: Cell<usize>,
-    buffers: Cell<usize>,
-}
-
-/// An immutable snapshot of a [`SpaceAccount`].
+/// The bytes of one rank's PAMI objects, by category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpaceSnapshot {
     /// Bytes consumed by communication contexts (ε each).
@@ -26,82 +15,11 @@ pub struct SpaceSnapshot {
     pub endpoints: usize,
     /// Bytes consumed by memory-region metadata (γ each).
     pub regions: usize,
-    /// Bytes consumed by communication buffers.
-    pub buffers: usize,
 }
 
 impl SpaceSnapshot {
     /// Total bytes across all categories.
     pub fn total(&self) -> usize {
-        self.contexts + self.endpoints + self.regions + self.buffers
-    }
-}
-
-impl SpaceAccount {
-    /// Record context metadata bytes.
-    pub fn add_context(&self, bytes: usize) {
-        self.contexts.set(self.contexts.get() + bytes);
-    }
-
-    /// Record endpoint metadata bytes.
-    pub fn add_endpoint(&self, bytes: usize) {
-        self.endpoints.set(self.endpoints.get() + bytes);
-    }
-
-    /// Record memory-region metadata bytes.
-    pub fn add_region(&self, bytes: usize) {
-        self.regions.set(self.regions.get() + bytes);
-    }
-
-    /// Release memory-region metadata bytes (cache eviction).
-    pub fn sub_region(&self, bytes: usize) {
-        self.regions.set(self.regions.get().saturating_sub(bytes));
-    }
-
-    /// Record communication-buffer bytes.
-    pub fn add_buffer(&self, bytes: usize) {
-        self.buffers.set(self.buffers.get() + bytes);
-    }
-
-    /// Snapshot the current counters.
-    pub fn snapshot(&self) -> SpaceSnapshot {
-        SpaceSnapshot {
-            contexts: self.contexts.get(),
-            endpoints: self.endpoints.get(),
-            regions: self.regions.get(),
-            buffers: self.buffers.get(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accounting_accumulates() {
-        let a = SpaceAccount::default();
-        a.add_context(16384);
-        a.add_endpoint(4);
-        a.add_endpoint(4);
-        a.add_region(8);
-        a.add_buffer(1024);
-        let s = a.snapshot();
-        assert_eq!(s.contexts, 16384);
-        assert_eq!(s.endpoints, 8);
-        assert_eq!(s.regions, 8);
-        assert_eq!(s.buffers, 1024);
-        assert_eq!(s.total(), 16384 + 8 + 8 + 1024);
-    }
-
-    #[test]
-    fn region_release() {
-        let a = SpaceAccount::default();
-        a.add_region(8);
-        a.add_region(8);
-        a.sub_region(8);
-        assert_eq!(a.snapshot().regions, 8);
-        a.sub_region(100); // saturates
-        assert_eq!(a.snapshot().regions, 0);
+        self.contexts + self.endpoints + self.regions
     }
 }

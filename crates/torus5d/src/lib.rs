@@ -20,7 +20,7 @@
 //!   digits folded once and every division a reciprocal multiplication;
 //!   [`Mapping::rank_to_coord`] stays as the slow, obviously-right oracle.
 //! * [`route_table::RouteTable`] — interned dense [`route_table::LinkId`]s
-//!   and a lazily cached route arena behind a compact node-pair hash map, so
+//!   and a lazily cached route arena behind a node-pair `desim::FxHashMap`, so
 //!   warm delivery is allocation-free (it still probes hash maps: injection
 //!   FIFO, route span, and a pair front where no link FIFO orders the pair).
 //! * [`net::NetState`] — per-(src,dst) FIFO tracking for ordered delivery and
@@ -29,7 +29,6 @@
 
 pub mod coords;
 pub mod cost;
-pub mod fxmap;
 pub mod mapping;
 pub mod net;
 pub mod rank_map;
@@ -62,14 +61,30 @@ impl Topology {
     /// Topology for `nprocs` processes with `procs_per_node` ranks per node,
     /// using the standard BG/Q partition shape for the node count and the
     /// `ABCDET` mapping.
+    ///
+    /// # Panics
+    /// When [`Topology::try_for_procs`] finds no such partition.
     pub fn for_procs(nprocs: usize, procs_per_node: usize) -> Topology {
-        assert!(nprocs > 0 && procs_per_node > 0);
-        let nodes = nprocs.div_ceil(procs_per_node);
-        Topology {
-            shape: TorusShape::for_nodes(nodes),
+        Topology::try_for_procs(nprocs, procs_per_node).unwrap_or_else(|| {
+            panic!("no 5D torus holds {nprocs} ranks at {procs_per_node} per node")
+        })
+    }
+
+    /// [`Topology::for_procs`], or `None` when no partition holds the ranks:
+    /// zero ranks or ranks per node, a node count no 5D torus has
+    /// ([`TorusShape::try_for_nodes`]), or more process slots than 32-bit
+    /// rank ids can name.
+    pub fn try_for_procs(nprocs: usize, procs_per_node: usize) -> Option<Topology> {
+        if nprocs == 0 || procs_per_node == 0 {
+            return None;
+        }
+        let shape = TorusShape::try_for_nodes(nprocs.div_ceil(procs_per_node))?;
+        let slots = shape.num_nodes().checked_mul(procs_per_node)?;
+        (slots <= u32::MAX as usize).then(|| Topology {
+            shape,
             procs_per_node,
             mapping: Mapping::abcdet(),
-        }
+        })
     }
 
     /// Total process slots in the partition.
@@ -117,6 +132,16 @@ mod tests {
         assert!(t.same_node(0, 15));
         assert!(!t.same_node(0, 16));
         assert_eq!(t.hops(0, 16), 1);
+    }
+
+    #[test]
+    fn partitions_no_torus_holds_are_refused() {
+        // 65537 nodes (prime), and more slots than 32-bit ranks can name.
+        assert!(Topology::try_for_procs(1_048_592, 16).is_none());
+        assert!(Topology::try_for_procs(99_999_999_999, 16).is_none());
+        assert!(Topology::try_for_procs(0, 16).is_none());
+        let t = Topology::try_for_procs(1 << 20, 16).expect("the p = 1M partition");
+        assert_eq!(t.capacity(), 1 << 20);
     }
 
     #[test]

@@ -19,25 +19,24 @@
 //! (installed plan) whose zero-sized no-op implementations leave the plain
 //! path without an instrumentation or fault branch.
 //!
-//! The warm path is allocation-free, not hash-free. It probes compact
-//! [`crate::fxmap::FxMap64`]s: the per-*rank* injection FIFO (`Ordered`), the
+//! The warm path is allocation-free, not hash-free. It probes
+//! [`desim::FxHashMap`]s: the per-*rank* injection FIFO (`Ordered`), the
 //! [`RouteTable`]'s node-pair span map (when links are walked) and the
 //! per-pair ordering front — only where no link FIFO orders the pair:
 //! intranode, analytic, fault plan. Per-*link* state is a `Vec` by [`LinkId`].
 //! A front can only hold back a message injected before it, so a caller
 //! that names a delivery floor ([`NetState::raise_floor`]) lets both front
 //! tables drop the fronts at or before it where they would otherwise grow
-//! (DESIGN.md §19).
+//! (`entry_retiring`, DESIGN.md §19).
 //! Arrival times are the same max/add chain in the same order as the
 //! original dense implementation: bit-for-bit unchanged (pinned by the
 //! differential tests and the `results/` goldens).
 
 use desim::fault::{FaultEvent, FaultPlan};
 use desim::SegCategory::{Contention, Queueing, Wire};
-use desim::{Lane, OpId, Probe, Probes, SimDuration, SimRng, SimTime, TraceValue};
+use desim::{FxHashMap, Lane, OpId, Probe, Probes, SimDuration, SimRng, SimTime, TraceValue};
 
 use crate::cost::BgqParams;
-use crate::fxmap::FxMap64;
 use crate::route_table::{LinkId, RouteTable};
 use crate::routing::Link;
 use crate::Topology;
@@ -45,6 +44,46 @@ use desim::memprof::{self, MemTag};
 
 /// Dense per-link/per-rank delivery state and the fault engine.
 static LINKS_TAG: MemTag = MemTag::new("torus5d.links");
+
+/// Growth of the network's hash tables: sender fronts, pair fronts and
+/// route spans. Charged only in [`entry_retiring`]'s full-table branch, so
+/// the probe path carries no profiler cost.
+static FXMAP_TAG: MemTag = MemTag::new("torus5d.fxmap");
+
+/// The value for `key`, inserted as `V::default()` when absent. A full
+/// table first drops the entries `dead` accepts if `key` is new, so a table
+/// whose entries go stale (fronts at or before the delivery floor) is sized
+/// by its live entries, not by every key it held; `dead` never runs on the
+/// probe path. Every growth of the table happens here, under
+/// `torus5d.fxmap`.
+#[inline]
+pub(crate) fn entry_retiring<V: Default>(
+    map: &mut FxHashMap<u64, V>,
+    key: u64,
+    dead: impl Fn(&V) -> bool,
+) -> &mut V {
+    if map.len() == map.capacity() {
+        let _mem = memprof::scope(&FXMAP_TAG);
+        if !map.contains_key(&key) {
+            let full = map.len();
+            map.retain(|_, v| !dead(v));
+            // Survivors that fill more than half the table double it, so
+            // the next full table is at least half a table of new keys away
+            // and the walk stays amortized O(1) per insert. Half is also
+            // where std's map stops rehashing a full table in place: a
+            // higher line lets tombstones grow a warm table anyway.
+            if map.len() > full / 2 {
+                map.reserve(full);
+            }
+        }
+        if map.capacity() == 0 {
+            // 16 buckets, not std's 4: a small table skips two growths.
+            map.reserve(14);
+        }
+        return map.entry(key).or_default();
+    }
+    map.entry(key).or_default()
+}
 
 // What a delivery records, one row per measurement (DESIGN.md §10).
 static TX_FIFO: Probe = Probe::new().segment(Queueing, "net.tx_fifo");
@@ -237,7 +276,7 @@ pub struct NetState {
     rt: RouteTable,
     /// Pair-ordering front per `(src << 32) | dst` rank pair that no link FIFO
     /// orders; fronts at or before `floor` retire when the table would grow.
-    pair_last: FxMap64<SimTime>,
+    pair_last: FxHashMap<u64, SimTime>,
     /// Reservation and occupancy per directed link, indexed by [`LinkId`].
     /// Occupancy is filled by the contended path always, and by the analytic
     /// path when [`NetState::set_link_tracking`] is on.
@@ -246,7 +285,7 @@ pub struct NetState {
     /// payloads from one rank serialize onto the wire, bounding any stream
     /// at link bandwidth. Sparse so idle ranks cost zero bytes; retires like
     /// `pair_last`.
-    tx_busy: FxMap64<SimTime>,
+    tx_busy: FxHashMap<u64, SimTime>,
     /// No delivery injects before this instant ([`NetState::raise_floor`]).
     floor: SimTime,
     track_links: bool,
@@ -275,9 +314,9 @@ impl NetState {
             params,
             contention,
             rt,
-            pair_last: FxMap64::new(),
+            pair_last: FxHashMap::default(),
             links: vec![LinkState::default(); nlinks],
-            tx_busy: FxMap64::new(),
+            tx_busy: FxHashMap::default(),
             floor: SimTime::ZERO,
             track_links: false,
             messages: 0,
@@ -554,7 +593,7 @@ impl NetState {
         // FIFO; pair ordering is enforced below regardless.
         let floor = self.floor;
         let start = if m.class == MsgClass::Ordered {
-            let front = self.tx_busy.entry_retiring(m.src as u64, |t| t <= floor);
+            let front = entry_retiring(&mut self.tx_busy, m.src as u64, |&t| t <= floor);
             let start = m.inject.max(*front);
             *front = start + wire;
             start
@@ -648,7 +687,7 @@ impl NetState {
         let links_order = self.contention && !same_node && !F::LIVE;
         if m.class != MsgClass::Unordered && !links_order {
             let key = ((m.src as u64) << 32) | m.dst as u64;
-            let front = self.pair_last.entry_retiring(key, |t| t <= floor);
+            let front = entry_retiring(&mut self.pair_last, key, |&t| t <= floor);
             let unclamped = arrival;
             arrival = arrival.max(*front);
             *front = arrival;
@@ -815,6 +854,78 @@ mod tests {
 
     fn net(contention: bool) -> NetState {
         NetState::new(Topology::for_procs(64, 1), BgqParams::default(), contention)
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the std map is the oracle
+    fn retiring_entries_keep_every_live_value() {
+        // Values are timestamps and everything 300 steps old is dead, like the
+        // network's fronts behind a rising delivery floor. A key
+        // `entry_retiring` dropped is gone from the oracle too (it comes back
+        // as a default), so both maps stay equal, retirement never touches a
+        // live value, and the table stays sized by the live keys, not by the
+        // keys seen.
+        for (seed, keys) in [(0u64, 50_000u64), (1, 2_000), (2, 64)] {
+            let mut rng = SimRng::new(0x7E71_0000 + seed);
+            let mut fx: FxHashMap<u64, u64> = FxHashMap::default();
+            let mut oracle = std::collections::HashMap::new();
+            for step in 1_000..30_000u64 {
+                let floor = step - 300;
+                let key = rng.next_below(keys) * 0x1_0000_0001;
+                let dead = |&v: &u64| v <= floor;
+                if rng.next_below(2) == 0 {
+                    *entry_retiring(&mut fx, key, dead) = step;
+                    oracle.insert(key, step);
+                } else {
+                    *entry_retiring(&mut fx, key, dead) += 1;
+                    *oracle.entry(key).or_insert(0) += 1;
+                }
+                assert_eq!(fx.get(&key), oracle.get(&key), "key {key:#x}");
+                oracle.retain(|k, &mut v| {
+                    let kept = fx.contains_key(k);
+                    assert!(
+                        kept || v <= floor,
+                        "live key {k:#x} ({v}) retired at {floor}"
+                    );
+                    kept
+                });
+                assert_eq!(fx.len(), oracle.len());
+                if step % 1_000 == 0 {
+                    assert!(oracle.iter().all(|(k, v)| fx.get(k) == Some(v)));
+                }
+            }
+            let live = oracle.values().filter(|&&v| v > 29_699).count();
+            assert!(
+                fx.capacity() <= 8 * live.max(16),
+                "room for {} entries for {live} live",
+                fx.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn retiring_walks_stay_amortized() {
+        // Every key is new and lives `window` steps: the live count sits at
+        // `window` however full the table is. A table that only ever
+        // retired in place would, with `window` just below its capacity,
+        // walk every entry on every insert.
+        for window in 1..200u64 {
+            let mut fx: FxHashMap<u64, u64> = FxHashMap::default();
+            let walked = std::cell::Cell::new(0u64);
+            let inserts = 4_000u64;
+            for step in window..window + inserts {
+                let dead = |&v: &u64| {
+                    walked.set(walked.get() + 1);
+                    v + window <= step
+                };
+                *entry_retiring(&mut fx, step, dead) = step;
+            }
+            assert!(
+                walked.get() <= 4 * inserts,
+                "window {window}: {} entries walked for {inserts} inserts",
+                walked.get()
+            );
+        }
     }
 
     #[test]

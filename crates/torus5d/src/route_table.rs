@@ -21,18 +21,19 @@
 //!   (and a dense node² span table) would cost O(p) (and O(nodes²)) bytes up
 //!   front; at the million-rank partitions `fig_scale` targets, every
 //!   per-rank structure must instead cost O(touched). Route spans live in a
-//!   compact [`FxMap64`] keyed by the packed node pair, so only pairs that
+//!   [`desim::FxHashMap`] keyed by the packed node pair, so only pairs that
 //!   actually exchange traffic occupy memory — the warm delivery path makes
 //!   one probe of it (and one of [`crate::net::NetState`]'s per-rank FIFO;
 //!   of its per-pair front only when no link is reserved or a fault plan is
 //!   live); it is allocation-free, not hash-free.
 
-use crate::fxmap::FxMap64;
+use crate::net::entry_retiring;
 use crate::rank_map::RankMap;
 use crate::routing::{route_avoiding, route_with, Link};
 use crate::shape::TorusShape;
 use crate::Topology;
 use desim::memprof::{self, MemTag};
+use desim::FxHashMap;
 
 /// Span map and link arena of the route cache.
 static ROUTES_TAG: MemTag = MemTag::new("torus5d.routes");
@@ -47,33 +48,19 @@ const LINKS_PER_NODE: u32 = 10;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
 
-/// Sentinel offset marking a route span not yet cached.
-const UNCACHED: u32 = u32::MAX;
-
 /// Sentinel offset marking a node pair the degraded walker could not
 /// connect at its epoch (destination cut off by dead links).
-const NO_ROUTE: u32 = u32::MAX - 1;
+const NO_ROUTE: u32 = u32::MAX;
 
 /// One cached route span: arena offset, hop count and the liveness epoch it
-/// was last validated at. The `Default` value is the "never cached" state,
-/// so [`FxMap64`] lookups of untouched pairs need no separate sentinel.
-#[derive(Debug, Clone, Copy)]
+/// was last validated at. A pair with no slot has never been routed.
+#[derive(Debug, Clone, Copy, Default)]
 struct SpanSlot {
     off: u32,
     len: u16,
     /// Only consulted by [`RouteTable::route_span_live`]; the fault-free
     /// [`RouteTable::route_span`] never looks at it.
     epoch: u32,
-}
-
-impl Default for SpanSlot {
-    fn default() -> Self {
-        SpanSlot {
-            off: UNCACHED,
-            len: 0,
-            epoch: 0,
-        }
-    }
 }
 
 /// The [`LinkId`] of `link` in `shape` (see [`RouteTable::link_id`]).
@@ -100,7 +87,7 @@ pub struct RouteTable {
     /// exchanged traffic occupy a slot, so idle partitions cost zero and a
     /// million-rank all-to-all among k active ranks costs O(k²), never
     /// O(nodes²).
-    spans: FxMap64<SpanSlot>,
+    spans: FxHashMap<u64, SpanSlot>,
     /// Shared arena of cached routes, stored back-to-back.
     arena: Vec<LinkId>,
     /// Number of distinct node pairs whose route has been cached.
@@ -117,7 +104,7 @@ impl RouteTable {
             shape,
             nodes: shape.num_nodes() as u32,
             ranks: RankMap::new(&topo.mapping, &shape, topo.procs_per_node),
-            spans: FxMap64::new(),
+            spans: FxHashMap::default(),
             arena: Vec::new(),
             routes_cached: 0,
         }
@@ -167,8 +154,7 @@ impl RouteTable {
     #[inline]
     pub fn route_span(&mut self, src_node: u32, dst_node: u32) -> (u32, u16) {
         let key = span_key(src_node, dst_node);
-        let slot = self.spans.get(key).unwrap_or_default();
-        if slot.off != UNCACHED {
+        if let Some(slot) = self.spans.get(&key) {
             debug_assert_ne!(slot.off, NO_ROUTE, "fault-free lookups never see NO_ROUTE");
             return (slot.off, slot.len);
         }
@@ -191,13 +177,8 @@ impl RouteTable {
         live: F,
     ) -> Option<(u32, u16)> {
         let key = span_key(src_node, dst_node);
-        let slot = self.spans.get(key).unwrap_or_default();
-        if slot.off != UNCACHED && slot.epoch == epoch {
-            return if slot.off == NO_ROUTE {
-                None
-            } else {
-                Some((slot.off, slot.len))
-            };
+        if let Some(slot) = self.spans.get(&key).filter(|slot| slot.epoch == epoch) {
+            return (slot.off != NO_ROUTE).then_some((slot.off, slot.len));
         }
         self.fill_route_live(key, src_node, dst_node, epoch, live)
     }
@@ -239,7 +220,7 @@ impl RouteTable {
             self.shape.torus_distance(src, dst),
             "cached route length must equal the torus distance"
         );
-        self.spans.insert(key, SpanSlot { off, len, epoch: 0 });
+        *entry_retiring(&mut self.spans, key, |_| false) = SpanSlot { off, len, epoch: 0 };
         self.routes_cached += 1;
         (off, len)
     }
@@ -258,19 +239,17 @@ impl RouteTable {
         let src = shape.node_coord(src_node as usize);
         let dst = shape.node_coord(dst_node as usize);
         let fresh = route_avoiding(&shape, src, dst, |l| live(intern(&shape, l)));
-        let old = self.spans.get(key).unwrap_or_default();
+        let old = self.spans.get(&key).copied();
+        let slot = entry_retiring(&mut self.spans, key, |_| false);
         let Some(links) = fresh else {
-            self.spans.insert(
-                key,
-                SpanSlot {
-                    off: NO_ROUTE,
-                    len: 0,
-                    epoch,
-                },
-            );
+            *slot = SpanSlot {
+                off: NO_ROUTE,
+                len: 0,
+                epoch,
+            };
             return None;
         };
-        if old.off != UNCACHED && old.off != NO_ROUTE {
+        if let Some(old) = old.filter(|old| old.off != NO_ROUTE) {
             // Re-validate: if the degraded walk reproduces the cached links
             // exactly, keep the old span (the cache stays *exact* without
             // duplicating arena storage on every epoch bump).
@@ -279,22 +258,21 @@ impl RouteTable {
                 && self.arena[off..off + len]
                     .iter()
                     .zip(&links)
-                    .all(|(id, l)| *id == self.link_id(*l))
+                    .all(|(id, l)| *id == intern(&shape, *l))
             {
-                self.spans.insert(key, SpanSlot { epoch, ..old });
+                *slot = SpanSlot { epoch, ..old };
                 return Some((old.off, old.len));
             }
         }
         let off = self.arena.len() as u32;
         self.arena.extend(links.iter().map(|l| intern(&shape, *l)));
-        let span = SpanSlot {
+        *slot = SpanSlot {
             off,
             len: links.len() as u16,
             epoch,
         };
-        self.spans.insert(key, span);
         self.routes_cached += 1;
-        Some((span.off, span.len))
+        Some((slot.off, slot.len))
     }
 }
 

@@ -25,8 +25,18 @@ impl TorusShape {
     /// allocation table (e.g. 128 = 2×2×4×4×2, the paper's Eq. 10; a
     /// midplane is 512 = 4×4×4×4×2). Other counts get a balanced greedy
     /// factorization.
+    ///
+    /// # Panics
+    /// When no shape has exactly `nodes` nodes ([`TorusShape::try_for_nodes`]).
     pub fn for_nodes(nodes: usize) -> TorusShape {
-        assert!(nodes >= 1, "need at least one node");
+        TorusShape::try_for_nodes(nodes)
+            .unwrap_or_else(|| panic!("no 5D torus of 16-bit dimensions has {nodes} nodes"))
+    }
+
+    /// [`TorusShape::for_nodes`], or `None` when no shape of five 16-bit
+    /// dimensions has exactly `nodes` nodes: zero nodes, a prime factor
+    /// above 65535, or a dimension the factorization would push past it.
+    pub fn try_for_nodes(nodes: usize) -> Option<TorusShape> {
         let table: &[(usize, [u16; 5])] = &[
             (1, [1, 1, 1, 1, 1]),
             (2, [1, 1, 1, 1, 2]),
@@ -43,27 +53,30 @@ impl TorusShape {
             (4096, [8, 4, 8, 8, 2]),
         ];
         if let Some(&(_, dims)) = table.iter().find(|(n, _)| *n == nodes) {
-            return TorusShape::new(dims);
+            return Some(TorusShape::new(dims));
+        }
+        if nodes == 0 {
+            return None;
         }
         // Greedy balanced factorization for unusual counts: repeatedly give
         // the smallest prime factor to the currently smallest dimension
         // (E last, matching BG/Q's preference for E=2).
         let mut dims = [1u16; 5];
         let mut rest = nodes;
-        let mut p = 2;
+        let mut p = 2u16;
         while rest > 1 {
-            while !rest.is_multiple_of(p) {
-                p += 1;
+            while !rest.is_multiple_of(usize::from(p)) {
+                p = p.checked_add(1)?;
             }
             let idx = (0..5)
                 .min_by_key(|&i| (dims[i], i))
                 .expect("five dimensions");
-            dims[idx] = dims[idx].checked_mul(p as u16).expect("shape overflow");
-            rest /= p;
+            dims[idx] = dims[idx].checked_mul(p)?;
+            rest /= usize::from(p);
         }
         dims.sort_unstable_by(|a, b| b.cmp(a));
         // Keep E smallest, as on the real machine.
-        TorusShape::new(dims)
+        Some(TorusShape::new(dims))
     }
 
     /// The dimension sizes `[A, B, C, D, E]`.
@@ -154,6 +167,17 @@ mod tests {
     fn odd_node_counts_factor() {
         for n in [3usize, 6, 12, 24, 48, 96, 100, 384] {
             assert_eq!(TorusShape::for_nodes(n).num_nodes(), n, "n={n}");
+        }
+    }
+
+    #[test]
+    fn node_counts_past_16_bit_factors_are_refused() {
+        // 65521 is the largest 16-bit prime; 65537 is prime, 131074 twice it.
+        for n in [65521usize, 65536] {
+            assert_eq!(TorusShape::try_for_nodes(n).map(|s| s.num_nodes()), Some(n));
+        }
+        for n in [0usize, 65537, 131074] {
+            assert_eq!(TorusShape::try_for_nodes(n), None, "n={n}");
         }
     }
 
