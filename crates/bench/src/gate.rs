@@ -10,7 +10,7 @@
 //! golden with the row's own command line.
 
 use crate::Figure;
-use bgq_bench::perfdiff::{diff, Tolerance};
+use bgq_bench::perfdiff::{diff, Drift, Tolerance};
 use std::process::Command;
 
 /// One gated document.
@@ -85,12 +85,13 @@ impl Row {
     }
 
     /// Compare a candidate against the golden: the number of leaves (or text
-    /// lines) compared, or a message naming the row and every violation.
-    fn check(&self, golden: &str, candidate: &str) -> Result<usize, String> {
+    /// lines) compared and the leaf that drifted furthest, or a message
+    /// naming the row and every violation.
+    fn check(&self, golden: &str, candidate: &str) -> Result<(usize, Option<Drift>), String> {
         let name = self.golden;
         let violations = if self.flag == STDOUT {
             if golden == candidate {
-                return Ok(golden.lines().count());
+                return Ok((golden.lines().count(), None));
             }
             let kept = self.candidate_path();
             vec![format!(
@@ -103,7 +104,7 @@ impl Row {
             let (golden, candidate) = (parse("golden", golden)?, parse("candidate", candidate)?);
             let res = diff(&golden, &candidate, self.tol);
             if res.ok() {
-                return Ok(res.checked);
+                return Ok((res.checked, res.max_drift));
             }
             res.violations
         };
@@ -114,6 +115,24 @@ impl Row {
             violations.len(),
             violations.join("\n  DRIFT ")
         ))
+    }
+
+    /// The line a passing row prints. A row with a tolerance also names its
+    /// largest relative drift, so a golden going stale inside its band
+    /// shows in every run.
+    fn ok_line(&self, compared: usize, drift: Option<&Drift>) -> String {
+        let golden = format!("results/{}", self.golden);
+        let mut line = format!(
+            "ok   {golden:<48} {compared:>5} compared (tol {})",
+            self.tol.rel
+        );
+        if self.tol.rel > 0.0 {
+            match drift {
+                Some(d) => line.push_str(&format!(" max drift {d}")),
+                None => line.push_str(" max drift none"),
+            }
+        }
+        line
     }
 }
 
@@ -159,7 +178,7 @@ fn run() {
             }
             let golden = format!("results/{}", row.golden);
             match row.check(&read(&golden), &read(&row.candidate_path())) {
-                Ok(n) => println!("ok   {golden:<48} {n:>5} compared (tol {})", row.tol.rel),
+                Ok((n, drift)) => println!("{}", row.ok_line(n, drift.as_ref())),
                 Err(message) => {
                     eprintln!("{message}");
                     failures += 1;
@@ -191,10 +210,10 @@ mod tests {
     fn doctored_leaf_fails_and_names_its_row() {
         let golden = r#"{"schema":"fault-v1","cells":[{"sim_time_ps":1000,"retries":3}]}"#;
         let exact = row("BENCH_fig_fault.json");
-        assert_eq!(exact.check(golden, golden), Ok(4));
+        assert_eq!(exact.check(golden, golden), Ok((4, None)));
         // A candidate-only leaf (peak_rss_kb) never gates.
         let extra = golden.replace("}]}", "}],\"peak_rss_kb\":7}");
-        assert_eq!(exact.check(golden, &extra), Ok(4));
+        assert_eq!(exact.check(golden, &extra), Ok((4, None)));
         let doctored = golden.replace("1000", "1001");
         let err = exact.check(golden, &doctored).unwrap_err();
         assert!(err.contains("results/BENCH_fig_fault.json"), "{err}");
@@ -204,14 +223,30 @@ mod tests {
         let mem = row("BENCH_memscale.json");
         let golden = r#"{"tag":{"peak_bytes":100000,"class":"linear"}}"#;
         let doctored = |from: &str, to: &str| mem.check(golden, &golden.replace(from, to));
-        assert_eq!(doctored("100000", "130000"), Ok(2));
+        assert_eq!(doctored("100000", "130000").map(|(n, _)| n), Ok(2));
         assert!(doctored("100000", "150000").is_err());
         assert!(doctored("linear", "quadratic").is_err());
         // Text rows are byte for byte.
         let text = row("abl_mapping.txt");
-        assert_eq!(text.check("a\nb\n", "a\nb\n"), Ok(2));
+        assert_eq!(text.check("a\nb\n", "a\nb\n"), Ok((2, None)));
         let err = text.check("a\nb\n", "a\nc\n").unwrap_err();
         assert!(err.contains("results/abl_mapping.txt"), "{err}");
+    }
+
+    #[test]
+    fn a_tolerance_row_names_its_largest_drift() {
+        let mem = row("BENCH_memscale.json");
+        let golden = r#"{"a":{"peak_bytes":64816,"allocs":5},"b":{"peak_bytes":190800}}"#;
+        let stale = r#"{"a":{"peak_bytes":38000,"allocs":5},"b":{"peak_bytes":150888}}"#;
+        let (n, drift) = mem.check(golden, stale).expect("inside the band");
+        assert_eq!(n, 3);
+        let line = mem.ok_line(n, drift.as_ref());
+        assert!(line.ends_with("max drift -41.4 % a.peak_bytes"), "{line}");
+        let (n, drift) = mem.check(golden, golden).unwrap();
+        assert!(mem.ok_line(n, drift.as_ref()).ends_with("max drift none"));
+        // An exact row prints no drift: any would have failed it.
+        let exact = row("BENCH_fig_fault.json");
+        assert!(!exact.ok_line(4, None).contains("drift"));
     }
 
     #[test]

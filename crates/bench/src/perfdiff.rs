@@ -87,6 +87,25 @@ pub struct DiffResult {
     pub violations: Vec<String>,
     /// Leaves present only in the candidate (informational, never fail).
     pub extra: Vec<String>,
+    /// The compared numeric leaf that moved furthest relative to its
+    /// nonzero baseline value; `None` when none moved. Informational: a
+    /// golden gone stale inside a loose band shows here before it fails.
+    pub max_drift: Option<Drift>,
+}
+
+/// A numeric leaf's relative change from the baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Drift {
+    /// `(new - old) / old`.
+    pub rel: f64,
+    /// The leaf's dotted path.
+    pub leaf: String,
+}
+
+impl std::fmt::Display for Drift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:+.1} % {}", 100.0 * self.rel, self.leaf)
+    }
 }
 
 impl DiffResult {
@@ -103,6 +122,7 @@ pub fn diff(baseline: &JsonValue, candidate: &JsonValue, tol: Tolerance) -> Diff
     let cand: BTreeMap<String, Leaf> = flatten(candidate).into_iter().collect();
     let mut violations = Vec::new();
     let mut checked = 0usize;
+    let mut max_drift: Option<Drift> = None;
     for (k, b) in &base {
         let Some(c) = cand.get(k) else {
             violations.push(format!("{k}: missing from candidate"));
@@ -111,6 +131,11 @@ pub fn diff(baseline: &JsonValue, candidate: &JsonValue, tol: Tolerance) -> Diff
         checked += 1;
         match (b, c) {
             (Leaf::Num(x), Leaf::Num(y)) => {
+                let rel = if *x != 0.0 { (y - x) / x } else { 0.0 };
+                if rel != 0.0 && max_drift.as_ref().is_none_or(|d| rel.abs() > d.rel.abs()) {
+                    let leaf = k.clone();
+                    max_drift = Some(Drift { rel, leaf });
+                }
                 let slack = tol.abs + tol.rel * x.abs();
                 if (y - x).abs() > slack {
                     let pct = if *x != 0.0 {
@@ -134,6 +159,7 @@ pub fn diff(baseline: &JsonValue, candidate: &JsonValue, tol: Tolerance) -> Diff
         checked,
         violations,
         extra,
+        max_drift,
     }
 }
 
@@ -230,6 +256,17 @@ mod tests {
         assert!(r.violations.iter().any(|s| s.contains("gone")));
         assert!(r.violations.iter().any(|s| s.contains("typed")));
         assert_eq!(r.extra, vec!["fresh".to_string()]);
+    }
+
+    #[test]
+    fn the_largest_relative_drift_is_reported() {
+        let base = v(r#"{"a":100,"b":200,"c":0,"d":"x"}"#);
+        let cand = v(r#"{"a":110,"b":150,"c":5,"d":"x"}"#);
+        let r = diff(&base, &cand, TOL);
+        let drift = r.max_drift.expect("leaves moved");
+        assert_eq!(drift.leaf, "b");
+        assert_eq!(drift.to_string(), "-25.0 % b");
+        assert_eq!(diff(&base, &base, TOL).max_drift, None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
-use desim::{FaultPlan, FxHashSet, OpId, PagedMap, Probe, Sim, SimTime, Stats};
+use desim::{FaultPlan, OpId, PagedMap, Probe, Sim, SimTime, Stats};
 
 /// Per-rank state blocks (contexts included), backing memory, region tables
 /// and endpoint sets, and the pages of the rank table.
@@ -181,11 +181,15 @@ pub(crate) struct Region {
 /// A rank's endpoints, as `(target, context)` keys. Most ranks address one
 /// or two peers (Fig 9: rank 0's counter), so the first two keys sit inline
 /// in the rank block; the third insert spills the set, in place, into a
-/// hash set. The spill is not boxed: an extra pointer chase per probe cost
-/// the all-to-all runs more than the box saved.
+/// sorted array. A key costs 8 B there (a hash set's slack made it ≈ 18 B),
+/// and a probe is a binary search over one small array instead of a
+/// control-group load and a bucket load. An insert shifts the tail; the
+/// largest sets in any figure hold a few hundred keys (Fig 11, p = 1024).
+/// The spill is not boxed: an extra pointer chase per probe cost the
+/// all-to-all runs more than the box saved.
 pub(crate) enum Endpoints {
     Inline { len: u8, keys: [(u32, u8); 2] },
-    Spilled(FxHashSet<(u32, u8)>),
+    Spilled(Vec<(u32, u8)>),
 }
 
 impl Default for Endpoints {
@@ -201,7 +205,7 @@ impl Endpoints {
     pub fn contains(&self, key: &(u32, u8)) -> bool {
         match self {
             Endpoints::Inline { len, keys } => keys[..*len as usize].contains(key),
-            Endpoints::Spilled(set) => set.contains(key),
+            Endpoints::Spilled(keys) => keys.binary_search(key).is_ok(),
         }
     }
 
@@ -216,19 +220,26 @@ impl Endpoints {
                     keys[*len as usize] = key;
                     *len += 1;
                 } else {
-                    let set = keys.iter().copied().chain([key]).collect();
-                    *self = Endpoints::Spilled(set);
+                    let mut keys: Vec<_> = keys.iter().copied().chain([key]).collect();
+                    keys.sort_unstable();
+                    *self = Endpoints::Spilled(keys);
                 }
                 true
             }
-            Endpoints::Spilled(set) => set.insert(key),
+            Endpoints::Spilled(keys) => match keys.binary_search(&key) {
+                Ok(_) => false,
+                Err(at) => {
+                    keys.insert(at, key);
+                    true
+                }
+            },
         }
     }
 
     pub fn len(&self) -> usize {
         match self {
             Endpoints::Inline { len, .. } => *len as usize,
-            Endpoints::Spilled(set) => set.len(),
+            Endpoints::Spilled(keys) => keys.len(),
         }
     }
 }
@@ -707,6 +718,34 @@ mod tests {
                 }
             }
         }
+        // A large spilled set: 4096 distinct keys over all four contexts, in
+        // a seeded random order, each inserted twice.
+        let mut keys: Vec<(u32, u8)> = (0..1024u32)
+            .flat_map(|t| (0..4u8).map(move |c| (t * 977 % 100_003, c)))
+            .collect();
+        let mut rng = desim::SimRng::new(7);
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let mut set = Endpoints::default();
+        let mut reference = BTreeSet::new();
+        for (n, &key) in keys.iter().enumerate() {
+            assert!(!set.contains(&key));
+            assert!(set.insert(key));
+            assert!(!set.insert(key), "second insert of {key:?}");
+            reference.insert(key);
+            assert!(set.contains(&key));
+            assert_eq!(set.len(), n + 1);
+            // A present key, an absent one and a neighbour in each context.
+            let (old, next) = (keys[n / 2], keys[(n + 1) % keys.len()]);
+            for probe in [old, next, (key.0 + 1, key.1), (key.0, 3 - key.1)] {
+                assert_eq!(set.contains(&probe), reference.contains(&probe));
+            }
+        }
+        let Endpoints::Spilled(sorted) = &set else {
+            panic!("4096 keys spill");
+        };
+        assert!(sorted.iter().eq(reference.iter()), "sorted like the oracle");
     }
 
     #[test]

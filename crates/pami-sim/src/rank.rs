@@ -789,7 +789,14 @@ impl PamiRank {
 
     /// Ensure an endpoint addressing `(target, ctx)` exists; creating one
     /// costs β and α bytes. Returns `true` when it was created by this call.
+    ///
+    /// # Panics
+    /// If `target` is not a rank of the machine or `ctx` is not one of its
+    /// ρ contexts.
     pub async fn ensure_endpoint(&self, target: usize, ctx: usize) -> bool {
+        assert!(target < self.m.nprocs(), "rank {target} out of range");
+        let rho = self.m.config().contexts_per_rank;
+        assert!(ctx < rho, "context {ctx} out of range");
         let key = (target as u32, ctx as u8);
         if self.state().endpoints.borrow().contains(&key) {
             return false;

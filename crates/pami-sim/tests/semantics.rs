@@ -464,6 +464,31 @@ fn endpoint_creation_costs_beta_and_alpha_once() {
     assert_eq!(m.space(0).endpoints, 2 * params.endpoint_bytes);
 }
 
+/// Spawn `ensure_endpoint(target, ctx)` from rank 0 of a 4-rank, ρ = 2
+/// machine and run it.
+fn ensure_endpoint_on_rho2(target: usize, ctx: usize) {
+    let sim = Sim::new();
+    let m = Machine::new(sim.clone(), MachineConfig::new(4).contexts(2));
+    let r0 = m.rank(0);
+    sim.spawn(async move {
+        r0.ensure_endpoint(target, ctx).await;
+    });
+    sim.run();
+}
+
+#[test]
+#[should_panic(expected = "rank 4 out of range")]
+fn endpoint_to_a_rank_past_the_machine_panics() {
+    ensure_endpoint_on_rho2(4, 0);
+}
+
+#[test]
+#[should_panic(expected = "context 7 out of range")]
+fn endpoint_to_a_context_past_rho_panics() {
+    // A key built from `ctx as u8` would have paid β and α for it.
+    ensure_endpoint_on_rho2(1, 7);
+}
+
 #[test]
 fn region_registration_costs_and_limit() {
     let sim = Sim::new();

@@ -23,7 +23,8 @@
 //! [`desim::FxHashMap`]s: the per-*rank* injection FIFO (`Ordered`), the
 //! [`RouteTable`]'s node-pair span map (when links are walked) and the
 //! per-pair ordering front — only where no link FIFO orders the pair:
-//! intranode, analytic, fault plan. Per-*link* state is a `Vec` by [`LinkId`].
+//! intranode, analytic, fault plan. Per-*link* state is a `Vec` by [`LinkId`],
+//! built only where it is read: with contention or link tracking.
 //! A front can only hold back a message injected before it, so a caller
 //! that names a delivery floor ([`NetState::raise_floor`]) lets both front
 //! tables drop the fronts at or before it where they would otherwise grow
@@ -278,8 +279,10 @@ pub struct NetState {
     /// orders; fronts at or before `floor` retire when the table would grow.
     pair_last: FxHashMap<u64, SimTime>,
     /// Reservation and occupancy per directed link, indexed by [`LinkId`].
-    /// Occupancy is filled by the contended path always, and by the analytic
-    /// path when [`NetState::set_link_tracking`] is on.
+    /// Only the contended walk and link tracking read it, so it is built at
+    /// construction with contention and by [`NetState::set_link_tracking`]
+    /// otherwise; an analytic network that never tracks links keeps it
+    /// empty (10 links per node it would never touch).
     links: Vec<LinkState>,
     /// Per-rank NIC injection FIFO front, keyed by sending rank: data
     /// payloads from one rank serialize onto the wire, bounding any stream
@@ -305,24 +308,32 @@ impl NetState {
     /// analytic (LogGP).
     pub fn new(topo: Topology, params: BgqParams, contention: bool) -> NetState {
         let rt = RouteTable::new(&topo);
-        // The detached sinks are the caller's, not per-link state.
-        let probes = Probes::default();
-        let _mem = memprof::scope(&LINKS_TAG);
-        let nlinks = rt.num_link_ids();
-        NetState {
+        let mut net = NetState {
             topo,
             params,
             contention,
             rt,
             pair_last: FxHashMap::default(),
-            links: vec![LinkState::default(); nlinks],
+            links: Vec::new(),
             tx_busy: FxHashMap::default(),
             floor: SimTime::ZERO,
             track_links: false,
             messages: 0,
             bytes: 0,
             faults: None,
-            probes,
+            probes: Probes::default(),
+        };
+        if contention {
+            net.build_links();
+        }
+        net
+    }
+
+    /// Make the per-link table, once, under `torus5d.links`.
+    fn build_links(&mut self) {
+        if self.links.is_empty() {
+            let _mem = memprof::scope(&LINKS_TAG);
+            self.links = vec![LinkState::default(); self.rt.num_link_ids()];
         }
     }
 
@@ -428,8 +439,12 @@ impl NetState {
     }
 
     /// Record per-link occupancy on the analytic (non-contended) path too.
-    /// Costs one cached-route walk per internode message, so it is opt-in.
+    /// Costs one cached-route walk per internode message and, on first use,
+    /// the per-link table, so it is opt-in.
     pub fn set_link_tracking(&mut self, on: bool) {
+        if on {
+            self.build_links();
+        }
         self.track_links = on;
     }
 
