@@ -313,7 +313,7 @@ fn init_rank(weak: &Weak<ArmciInner>, pr: PamiRank) {
     // memory grows on first write).
     rt.notify_off.set(pr.alloc(inner.machine.nprocs() * 8));
     if inner.cfg.progress == ProgressMode::AsyncThread {
-        pr.enable_async_progress(inner.machine.target_ctx());
+        pr.enable_async_progress();
     }
 }
 

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use armci::{Armci, ArmciConfig, ProgressMode};
 use desim::memprof::{self, MemProf};
 use desim::{FaultPlan, Sim, SimDuration, SimTime};
-use pami_sim::{FailureMode, Machine, MachineConfig, RetryPolicy};
+use pami_sim::{FailureMode, Machine, MachineConfig, RetryPolicy, RmwOp};
 use torus5d::{routing, RouteTable, Topology};
 
 #[global_allocator]
@@ -177,5 +177,74 @@ fn warm_rho2_rmw_get_put_allocate_their_pinned_blocks() {
     }
     assert_eq!([blocks(0), blocks(1), blocks(2)], [6, 5, 7]);
     armci.finalize();
+    sim.shutdown();
+}
+
+#[test]
+fn a_rank_makes_its_work_context_only_where_work_arrives() {
+    memprof::enable();
+    let rankmem = |mark: &memprof::MemMark| {
+        memprof::since(mark)
+            .get("pami.rankmem")
+            .map_or(0, |t| t.allocs)
+    };
+    // ρ = 2: a fetch-and-add queues on rank 5's work context, context 1.
+    // Driving context 0 services nothing and makes nothing; driving context
+    // 1 services the item.
+    let sim = Sim::new();
+    let m = Machine::new(sim.clone(), MachineConfig::new(32).contexts(2));
+    let (owner, counter) = (m.rank(5), m.rank(5).alloc(8));
+    owner.write_i64(counter, 0);
+    m.materialize_rank(9);
+    let before = memprof::mark();
+    let idle = Rc::new(Cell::new(usize::MAX));
+    {
+        let (owner, idle) = (owner.clone(), Rc::clone(&idle));
+        sim.spawn(async move { idle.set(owner.advance(0, usize::MAX).await) });
+    }
+    sim.run();
+    assert_eq!(idle.get(), 0, "context 0 holds no work");
+    assert_eq!(rankmem(&before), 0, "advance(0) makes no context");
+    let fetched = Rc::new(Cell::new(-1));
+    {
+        let (rk, fetched) = (m.rank(9), Rc::clone(&fetched));
+        sim.spawn(async move {
+            let old = rk.rmw(5, counter, RmwOp::FetchAdd(1)).await;
+            fetched.set(old.wait().await);
+        });
+    }
+    sim.run();
+    assert_eq!(rankmem(&before), 1, "the first item makes the work context");
+    let serviced = Rc::new(Cell::new([usize::MAX; 2]));
+    {
+        let (owner, serviced) = (owner.clone(), Rc::clone(&serviced));
+        sim.spawn(async move {
+            let idle = owner.advance(0, usize::MAX).await;
+            serviced.set([idle, owner.advance(1, usize::MAX).await]);
+        });
+    }
+    sim.run();
+    assert_eq!(serviced.get(), [0, 1]);
+    assert_eq!((fetched.get(), owner.read_i64(counter)), (0, 1));
+    assert_eq!(rankmem(&before), 1, "one context, made once");
+    sim.shutdown();
+
+    // ρ = 1: a blocking wait drives the only context, so it makes it.
+    let sim = Sim::new();
+    let m = Machine::new(sim.clone(), MachineConfig::new(32).contexts(1));
+    let rk = m.rank(3);
+    rk.write_i64(0, 0);
+    let before = memprof::mark();
+    let done: desim::Completion<()> = desim::Completion::new();
+    {
+        let (sim2, done) = (sim.clone(), done.clone());
+        sim.spawn(async move {
+            sim2.sleep(us(1)).await;
+            done.complete(());
+        });
+    }
+    sim.spawn(async move { rk.progress_wait(&done).await });
+    sim.run();
+    assert_eq!(rankmem(&before), 1, "a rho = 1 wait makes the context");
     sim.shutdown();
 }

@@ -9,9 +9,9 @@
 //!
 //! |                                   | first budget |  then | this budget | reached |
 //! |-----------------------------------|-------------:|------:|------------:|--------:|
-//! | Σ per-tag peak bytes ÷ p          |         2048 |  1883 |        1728 |    1672 |
-//! | live blocks ÷ p, all ranks parked |          6.5 |  6.08 |         5.2 |    5.08 |
-//! | allocation calls ÷ p, whole run   |         10.5 | 10.09 |         9.2 |    9.09 |
+//! | Σ per-tag peak bytes ÷ p          |         2048 |  1728 |        1408 |    1262 |
+//! | live blocks ÷ p, all ranks parked |          6.5 |   5.2 |         4.2 |    4.08 |
+//! | allocation calls ÷ p, whole run   |         10.5 |   9.2 |         8.2 |    8.09 |
 //!
 //! The first budget cut 2282 B, 7.08 blocks and 11.09 calls: the progress
 //! engine and the retry loop left every blocking call's future, and hash
@@ -19,13 +19,17 @@
 //! moved the task hooks into the ready queue's dense table, made the region
 //! cache on first use and stopped the timer wheel keeping burst-sized
 //! buffers (1704 B); reading PAMI object space off the objects, not from
-//! per-rank byte counters, took 32 B more. DESIGN.md §15's columns list
-//! each cut.
+//! per-rank byte counters, took 32 B more. The third gave a rank one work
+//! context, made where work arrives: a parked rank holds no context, and
+//! its wait is a completion wait with no waiter on a context's notifier
+//! (1662 B). DESIGN.md §15 states what a rank costs.
 //!
-//! Lifecycle laziness must not move an event: the run's end `SimTime` is
-//! pinned. The `#[ignore]`d full-size case runs the same shape at
-//! p = 262144 (`cargo test --release -p bgq-bench --test rank_budget --
-//! --ignored`, a few seconds; 1638 B, 5.01 blocks and 9.01 calls per rank)
+//! The same shape at ρ = 1 (default progress, one context) makes every
+//! rank's context in its first blocking wait, a block of its own: it has its
+//! own budget. Lifecycle laziness must not move an event: each run's end
+//! `SimTime` is pinned. The `#[ignore]`d full-size case runs the ρ = 2 shape
+//! at p = 262144 (`cargo test --release -p bgq-bench --test rank_budget --
+//! --ignored`, a few seconds; 1228 B, 4.01 blocks and 8.01 calls per rank)
 //! under the same budget.
 
 use armci::{ArmciConfig, ProgressMode};
@@ -39,10 +43,27 @@ use std::rc::Rc;
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
 
-/// 1.6875 KiB per rank.
-const BYTES_PER_RANK: f64 = 1.6875 * 1024.0;
-const BLOCKS_PER_RANK: f64 = 5.2;
-const ALLOCS_PER_RANK: f64 = 9.2;
+/// A rank's budget: Σ per-tag peak bytes, live blocks while parked and
+/// allocation calls, each ÷ p.
+struct Budget {
+    bytes: f64,
+    blocks: f64,
+    allocs: f64,
+}
+
+/// ρ = 2, AT: 1.375 KiB per rank.
+const AT: Budget = Budget {
+    bytes: 1.375 * 1024.0,
+    blocks: 4.2,
+    allocs: 8.2,
+};
+/// ρ = 1, D: 1.5 KiB per rank (1429 B, 6.08 blocks and 11.09 calls
+/// reached: each rank's context is a block of its own).
+const D: Budget = Budget {
+    bytes: 1.5 * 1024.0,
+    blocks: 6.2,
+    allocs: 11.2,
+};
 
 /// What one run of the Fig 9 shape cost, per rank.
 struct PerRank {
@@ -54,16 +75,24 @@ struct PerRank {
     allocs: f64,
     /// End of the run (ps).
     end_ps: u64,
+    /// `pami.rankmem` blocks live while every rank is parked.
+    rankmem_blocks: u64,
     /// The run's per-tag snapshot, for failure messages.
     tags: String,
 }
 
-fn fig9_shape(p: usize) -> PerRank {
+/// Fig 9's shape at ρ contexts: AT progress at ρ = 2, D at ρ = 1.
+fn fig9_shape(p: usize, rho: usize) -> PerRank {
     memprof::enable();
     let mark = memprof::mark();
+    let progress = if rho == 1 {
+        ProgressMode::Default
+    } else {
+        ProgressMode::AsyncThread
+    };
     let f = Fixture::with_machine(
-        MachineConfig::new(p).procs_per_node(16).contexts(2),
-        ArmciConfig::default().progress(ProgressMode::AsyncThread),
+        MachineConfig::new(p).procs_per_node(16).contexts(rho),
+        ArmciConfig::default().progress(progress),
     );
     let owner = f.armci.machine().rank(0);
     let counter = owner.alloc(8);
@@ -95,6 +124,7 @@ fn fig9_shape(p: usize) -> PerRank {
         f.sim.run_until(t);
     }
     let parked = memprof::since(&mark);
+    let rankmem_blocks = parked.get("pami.rankmem").map_or(0, |t| t.allocs - t.frees);
     let blocks = per_rank(
         parked
             .tags
@@ -114,43 +144,64 @@ fn fig9_shape(p: usize) -> PerRank {
         bytes: per_rank(run.tags.iter().map(|t| t.peak_bytes).sum()),
         allocs: per_rank(run.total_allocs() as i64),
         end_ps: end.as_ps(),
+        rankmem_blocks,
         tags: run.to_json(),
     }
 }
 
 /// Check one run against the budget and its pinned end time.
-fn assert_within_budget(p: usize, end_ps: u64) {
-    let got = fig9_shape(p);
+fn assert_within_budget(p: usize, rho: usize, budget: &Budget, end_ps: u64) -> PerRank {
+    let got = fig9_shape(p, rho);
     eprintln!(
-        "p = {p}: {:.0} B, {:.2} blocks, {:.2} allocs per rank",
+        "p = {p}, rho = {rho}: {:.0} B, {:.2} blocks, {:.2} allocs per rank",
         got.bytes, got.blocks, got.allocs
     );
     assert!(
-        got.blocks <= BLOCKS_PER_RANK,
-        "{:.2} live blocks per parked rank at p = {p} (budget {BLOCKS_PER_RANK})",
-        got.blocks
+        got.blocks <= budget.blocks,
+        "{:.2} live blocks per parked rank at p = {p} (budget {})",
+        got.blocks,
+        budget.blocks
     );
     assert!(
-        got.bytes <= BYTES_PER_RANK,
-        "{:.0} peak bytes per rank at p = {p} (budget {BYTES_PER_RANK:.0}): {}",
+        got.bytes <= budget.bytes,
+        "{:.0} peak bytes per rank at p = {p} (budget {:.0}): {}",
         got.bytes,
+        budget.bytes,
         got.tags
     );
     assert!(
-        got.allocs <= ALLOCS_PER_RANK,
-        "{:.2} allocation calls per rank at p = {p} (budget {ALLOCS_PER_RANK})",
-        got.allocs
+        got.allocs <= budget.allocs,
+        "{:.2} allocation calls per rank at p = {p} (budget {})",
+        got.allocs,
+        budget.allocs
     );
     assert_eq!(got.end_ps, end_ps, "simulated end time moved");
+    got
 }
 
 #[test]
 fn materialized_rank_stays_inside_its_byte_and_block_budget() {
-    assert_within_budget(4096, 619_166_104);
+    // Parked, the PAMI state is p rank blocks, the rank table's two, rank
+    // 0's memory and one work context — rank 0's, the only rank work
+    // reaches.
+    let got = assert_within_budget(4096, 2, &AT, 619_166_104);
+    assert_eq!(
+        got.rankmem_blocks,
+        4096 + 4,
+        "contexts only where work arrives"
+    );
+}
+
+#[test]
+fn rho1_rank_makes_its_context_in_its_first_wait_and_stays_inside_its_budget() {
+    // Every rank blocks at ρ = 1, and its wait drives — so makes — its
+    // only context: p contexts beside the p rank blocks.
+    let got = assert_within_budget(4096, 1, &D, 618_966_104);
+    assert_eq!(got.rankmem_blocks, 2 * 4096 + 3);
 }
 
 #[test]
 #[ignore = "full size: run with --release -- --ignored"]
 fn full_size_fig9_rank_stays_inside_its_byte_budget() {
-    assert_within_budget(262_144, 39_327_016_104);
+    assert_within_budget(262_144, 2, &AT, 39_327_016_104);
 }

@@ -271,9 +271,52 @@ struct TaskSlot {
 
 const _: () = assert!(std::mem::size_of::<TaskSlot>() == 24);
 
+/// Sequence numbers a seeded key leaves in its low bits: 2⁴⁰ events a run.
+const SEQ_BITS: u32 = 40;
+
+/// The splitmix64 finalizer: a well-mixed function of `x`.
+fn mix(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A seeded order of same-instant events (DESIGN.md §11, "Perturbed
+/// schedules"): any order of events at one instant is a legal schedule,
+/// except within a `fifo` lane, which the layer above uses for what must
+/// stay in order (a pair's ordered messages).
+struct TieBreak {
+    key: u64,
+    /// Ready-queue pops so far: each pop's end is keyed on its count.
+    pops: Cell<u64>,
+}
+
+impl TieBreak {
+    /// The wheel key of sequence number `seq`: a keyed hash of its lane (of
+    /// `seq` itself when it has none) above `seq`'s low bits. The low bits
+    /// keep it a bijection of `seq`, and events of one lane share the high
+    /// bits, so at one instant they pop in `seq` order.
+    fn key(&self, seq: u64, fifo: Option<u64>) -> u64 {
+        debug_assert!(seq >> SEQ_BITS == 0, "more than 2^40 events");
+        let low = (1 << SEQ_BITS) - 1;
+        let lane = fifo.map_or(seq, |f| f ^ (1 << 63));
+        (mix(lane ^ self.key) & !low) | (seq & low)
+    }
+
+    /// Whether the next ready-queue pop takes the newest task, not the
+    /// oldest.
+    fn pop_back(&self) -> bool {
+        let n = self.pops.get();
+        self.pops.set(n + 1);
+        mix(n ^ self.key) & 1 == 1
+    }
+}
+
 pub(crate) struct Kernel {
     now: Cell<SimTime>,
     next_seq: Cell<u64>,
+    /// Same-instant order: `None` (FIFO) at schedule seed 0.
+    tie: Option<TieBreak>,
     timers: RefCell<TimerWheel<TimerKind>>,
     ready: Rc<ReadyQueue>,
     tasks: RefCell<Vec<TaskSlot>>,
@@ -289,10 +332,14 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    fn new() -> Rc<Kernel> {
+    fn new(seed: u64) -> Rc<Kernel> {
         Rc::new(Kernel {
             now: Cell::new(SimTime::ZERO),
             next_seq: Cell::new(0),
+            tie: (seed != 0).then(|| TieBreak {
+                key: mix(seed),
+                pops: Cell::new(0),
+            }),
             timers: RefCell::new(TimerWheel::new()),
             ready: Rc::new(ReadyQueue {
                 q: RefCell::new(VecDeque::new()),
@@ -309,22 +356,28 @@ impl Kernel {
         })
     }
 
-    fn bump_seq(&self) -> u64 {
+    /// The next sequence number, as the wheel's tie-break key: the number
+    /// itself at seed 0, else its keyed permutation, in which events of one
+    /// `fifo` lane keep their order ([`TieBreak::key`]).
+    fn bump_seq(&self, fifo: Option<u64>) -> u64 {
         let s = self.next_seq.get();
         self.next_seq.set(s + 1);
-        s
+        match &self.tie {
+            None => s,
+            Some(tie) => tie.key(s, fifo),
+        }
     }
 
     pub(crate) fn now(&self) -> SimTime {
         self.now.get()
     }
 
-    fn add_timer(&self, at: SimTime, kind: TimerKind) {
+    fn add_timer(&self, at: SimTime, fifo: Option<u64>, kind: TimerKind) {
         debug_assert!(at >= self.now.get(), "event scheduled in the past");
         let _mem = memprof::scope(&WHEEL_TAG);
         self.timers
             .borrow_mut()
-            .insert(at.as_ps(), self.bump_seq(), kind);
+            .insert(at.as_ps(), self.bump_seq(fifo), kind);
     }
 
     fn alloc_task(&self, future: BoxFuture) -> usize {
@@ -412,10 +465,17 @@ impl Kernel {
         }
     }
 
-    /// Drain the ready queue, polling tasks in FIFO order at the current time.
+    /// Drain the ready queue, polling tasks at the current time: in FIFO
+    /// order at seed 0, else each from a keyed end of the queue.
     fn drain_ready(&self) {
         loop {
-            let id = self.ready.q.borrow_mut().pop_front();
+            let id = {
+                let mut q = self.ready.q.borrow_mut();
+                match &self.tie {
+                    Some(tie) if tie.pop_back() => q.pop_back(),
+                    _ => q.pop_front(),
+                }
+            };
             let Some(id) = id else { break };
             self.events_processed.set(self.events_processed.get() + 1);
             self.poll_task(id as usize);
@@ -476,7 +536,20 @@ impl Default for Sim {
 impl Sim {
     /// Create a fresh simulation at time zero.
     pub fn new() -> Sim {
-        Sim { k: Kernel::new() }
+        Sim { k: Kernel::new(0) }
+    }
+
+    /// A fresh simulation whose same-instant events run in an order keyed
+    /// on `seed` (DESIGN.md §11, "Perturbed schedules"): timers at one
+    /// instant pop in a seeded permutation of their insertion order, except
+    /// that timers of one lane ([`Sim::schedule_fifo`]) keep theirs, and
+    /// each ready-queue pop takes the oldest or the newest ready task. Every
+    /// such order is a legal schedule; seed 0 is [`Sim::new`]'s FIFO order,
+    /// the one every golden was made with.
+    pub fn with_schedule_seed(seed: u64) -> Sim {
+        Sim {
+            k: Kernel::new(seed),
+        }
     }
 
     /// Current virtual time.
@@ -562,8 +635,16 @@ impl Sim {
 
     /// Schedule `cb` to run at absolute time `at` (must not be in the past).
     pub fn schedule<F: FnOnce() + 'static>(&self, at: SimTime, cb: F) {
+        self.schedule_fifo(at, None, cb);
+    }
+
+    /// [`Sim::schedule`] in lane `fifo`: under any schedule seed, events of
+    /// one lane at one instant run in the order they were scheduled. `None`
+    /// is [`Sim::schedule`].
+    pub fn schedule_fifo<F: FnOnce() + 'static>(&self, at: SimTime, fifo: Option<u64>, cb: F) {
         let _mem = memprof::scope_default(&KERNEL_TAG);
-        self.k.add_timer(at, TimerKind::Callback(Box::new(cb)));
+        self.k
+            .add_timer(at, fifo, TimerKind::Callback(Box::new(cb)));
     }
 
     /// Fire `target` with `arg` at absolute time `at` (must not be in the
@@ -572,7 +653,18 @@ impl Sim {
     /// so the event allocates nothing. [`Sim::shutdown`] drops pending
     /// targets.
     pub fn schedule_fire(&self, at: SimTime, target: Rc<dyn Fire>, arg: u32) {
-        self.k.add_timer(at, TimerKind::Fire(target, arg));
+        self.schedule_fire_fifo(at, None, target, arg);
+    }
+
+    /// [`Sim::schedule_fire`] in lane `fifo` ([`Sim::schedule_fifo`]).
+    pub fn schedule_fire_fifo(
+        &self,
+        at: SimTime,
+        fifo: Option<u64>,
+        target: Rc<dyn Fire>,
+        arg: u32,
+    ) {
+        self.k.add_timer(at, fifo, TimerKind::Fire(target, arg));
     }
 
     /// Schedule `cb` to run `after` from now.
@@ -711,7 +803,7 @@ impl Future for Sleep {
             // timer entries from spurious re-polls would snowball.
             if !this.registered {
                 this.k
-                    .add_timer(this.deadline, TimerKind::Waker(cx.waker().clone()));
+                    .add_timer(this.deadline, None, TimerKind::Waker(cx.waker().clone()));
                 this.registered = true;
             }
             Poll::Pending

@@ -176,10 +176,14 @@ pub struct Queued {
     pub enqueued: SimTime,
 }
 
-/// State of one communication context. Lives inside its rank's single
-/// state block (`machine::RankState`): every field is stored inline, and an
-/// idle context owns no allocation of its own — the notifier and the lock
-/// are embedded cells, reached through the rank block's `CtxRef` handle.
+/// State of a rank's work context: the one incoming work targets
+/// ([`crate::Machine::target_ctx`]). It is the rank's only context with host
+/// state, a block of its own made on first use (`machine::RankState::work`):
+/// when work first reaches the rank, when a ρ = 1 blocking wait first drives
+/// it, or when a progress thread starts on it. The notifier and the lock are
+/// embedded cells, reached through the `CtxRef` handle that keeps the rank
+/// block alive.
+#[derive(Default)]
 pub struct CtxState {
     /// Arrived-but-unserviced work.
     pub queue: RefCell<VecDeque<Queued>>,
@@ -187,42 +191,26 @@ pub struct CtxState {
     pub arrived: NotifyCell,
     /// The progress-engine lock guarding `advance`.
     pub lock: MutexCell,
-    /// Items serviced over the context's lifetime.
-    pub serviced: Cell<u64>,
-    /// High-water mark of the queue depth.
-    pub max_depth: Cell<usize>,
     /// Since when *someone* (a blocking call or the async progress thread)
     /// has been continuously driving this context's progress engine; `None`
     /// while nobody is. Queue time before this instant is **progress
     /// starvation** (§III-D); queue time after it is ordinary queueing behind
     /// the active service batch.
     pub progress_since: Cell<Option<SimTime>>,
+    /// The lazily spawned progress-thread handle of a rank armed with
+    /// [`crate::PamiRank::enable_async_progress`]: `Some` from the first work
+    /// item that reaches the rank until the machine stops its progress
+    /// threads.
+    pub(crate) at: RefCell<Option<crate::AsyncThread>>,
 }
 
 impl CtxState {
-    /// Create an idle context.
-    pub fn new() -> CtxState {
-        CtxState {
-            queue: RefCell::new(VecDeque::new()),
-            arrived: NotifyCell::new(),
-            lock: MutexCell::new(),
-            serviced: Cell::new(0),
-            max_depth: Cell::new(0),
-            progress_since: Cell::new(None),
-        }
-    }
-
     /// Enqueue arrived work and signal the progress thread.
     pub fn push(&self, item: WorkItem, op: Option<OpId>, enqueued: SimTime) {
         let _mem = memprof::scope(&QUEUES_TAG);
-        let depth = {
-            let mut q = self.queue.borrow_mut();
-            q.push_back(Queued { item, op, enqueued });
-            q.len()
-        };
-        if depth > self.max_depth.get() {
-            self.max_depth.set(depth);
-        }
+        self.queue
+            .borrow_mut()
+            .push_back(Queued { item, op, enqueued });
         self.arrived.notify_all();
     }
 
@@ -232,19 +220,13 @@ impl CtxState {
     }
 }
 
-impl Default for CtxState {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn push_tracks_depth_and_highwater() {
-        let c = CtxState::new();
+    fn push_tracks_depth() {
+        let c = CtxState::default();
         assert_eq!(c.depth(), 0);
         for i in 0..3 {
             let effect = Effect::Rmw {
@@ -255,10 +237,8 @@ mod tests {
             c.push(WorkItem::new(Service::Rmw, 0, effect), None, SimTime::ZERO);
             assert_eq!(c.depth(), i + 1);
         }
-        assert_eq!(c.max_depth.get(), 3);
         c.queue.borrow_mut().pop_front();
         assert_eq!(c.depth(), 2);
-        assert_eq!(c.max_depth.get(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
 use desim::{FaultPlan, OpId, PagedMap, Probe, Sim, SimTime, Stats};
 
-/// Per-rank state blocks (contexts included), backing memory, region tables
+/// Per-rank state blocks and work contexts, backing memory, region tables
 /// and endpoint sets, and the pages of the rank table.
 static RANKMEM_TAG: MemTag = MemTag::new("pami.rankmem");
 
@@ -28,8 +28,8 @@ static LINK_DOWN_PS: Probe = Probe::new().count("fault.link_down_ps");
 static LINK_DOWN_EVENTS: Probe = Probe::new().count("fault.link_down_events");
 static DROPS: Probe = Probe::new().count("fault.drops");
 
-/// Most contexts a rank can have (the paper uses ρ = 1 or 2; only the main
-/// context and the progress context ever carry work).
+/// Most contexts a rank can have (the paper uses ρ = 1 or 2; only the work
+/// context, [`Machine::target_ctx`], ever carries work).
 pub const MAX_CONTEXTS: usize = 4;
 
 /// Configuration of a simulated partition.
@@ -244,15 +244,16 @@ impl Endpoints {
     }
 }
 
-/// Per-rank simulation state: **one heap block** per materialized rank. The
-/// ρ contexts — queues, notifier and progress lock each — sit inline as the
-/// block's unsized tail, so a rank that has materialized but holds no
-/// memory, region, endpoint or queued work owns exactly this allocation.
+/// Per-rank simulation state: **one heap block** per materialized rank, plus
+/// the work context's own block once work reaches the rank. A rank that has
+/// materialized but holds no memory, region, endpoint or work owns exactly
+/// this allocation.
 ///
 /// Materialized lazily: a rank that is never touched (no allocation, no
 /// memory access, no incoming work) has no `RankState` at all — see
 /// [`Machine::rank_state`].
-pub(crate) struct RankState<C: ?Sized = [CtxState]> {
+#[derive(Default)]
+pub(crate) struct RankState {
     pub memory: RefCell<Vec<u8>>,
     pub next_alloc: Cell<usize>,
     pub regions: RefCell<Vec<Region>>,
@@ -265,41 +266,23 @@ pub(crate) struct RankState<C: ?Sized = [CtxState]> {
     /// attribution is active (lifecycle accumulator off, or between
     /// operations).
     pub cur_op: Cell<Option<OpId>>,
-    /// Context index the rank's asynchronous progress thread services once
-    /// armed via [`crate::PamiRank::enable_async_progress`]; `None` = the
-    /// rank runs default progress only.
-    pub at_ctx: Cell<Option<usize>>,
-    /// The lazily spawned progress-thread handle, `Some` from the moment
-    /// the first work item targets this armed rank until the machine stops
-    /// its progress threads.
-    pub at: RefCell<Option<crate::AsyncThread>>,
-    /// The rank's contexts. Last field: the unsized tail of the block.
-    pub contexts: C,
+    /// Armed by [`crate::PamiRank::enable_async_progress`]: the first work
+    /// item to reach the rank spawns a progress thread on the work context.
+    pub async_progress: Cell<bool>,
+    /// The work context ([`Machine::target_ctx`]), made on first use. The
+    /// rank's other contexts never hold an item (DESIGN.md §8, "Completion
+    /// reaping"), so they have no host state; ε is still charged for each
+    /// one created.
+    pub work: OnceCell<Box<CtxState>>,
 }
 
 impl RankState {
-    fn new(contexts: usize) -> Rc<RankState> {
-        fn block<const N: usize>() -> Rc<RankState> {
-            Rc::new(RankState {
-                memory: RefCell::new(Vec::new()),
-                next_alloc: Cell::new(0),
-                regions: RefCell::new(Vec::new()),
-                endpoints: RefCell::new(Endpoints::default()),
-                contexts_created: Cell::new(0),
-                cur_op: Cell::new(None),
-                at_ctx: Cell::new(None),
-                at: RefCell::new(None),
-                contexts: std::array::from_fn::<_, N, _>(|_| CtxState::new()),
-            })
-        }
-        let _mem = memprof::scope(&RANKMEM_TAG);
-        match contexts {
-            1 => block::<1>(),
-            2 => block::<2>(),
-            3 => block::<3>(),
-            4 => block::<4>(),
-            n => unreachable!("{n} contexts per rank (checked by Machine::new)"),
-        }
+    /// The work context, made on first use.
+    pub fn work_ctx(&self) -> &CtxState {
+        self.work.get_or_init(|| {
+            let _mem = memprof::scope(&RANKMEM_TAG);
+            Box::default()
+        })
     }
 
     /// Registered regions not yet deregistered.
@@ -352,19 +335,19 @@ impl RankState {
     }
 }
 
-/// Handle to one context of a materialized rank: keeps the rank's block
-/// alive and projects to the context inside it. This is what the embedded
-/// notifier and lock futures hold instead of an `Rc` of their own.
+/// Handle to the work context of a materialized rank: keeps the rank's
+/// block alive and projects to the context it owns. This is what the
+/// embedded notifier and lock futures hold instead of an `Rc` of their own.
 #[derive(Clone)]
-pub(crate) struct CtxRef {
-    pub st: Rc<RankState>,
-    pub idx: usize,
-}
+pub(crate) struct CtxRef(pub Rc<RankState>);
 
 impl Deref for CtxRef {
     type Target = CtxState;
     fn deref(&self) -> &CtxState {
-        &self.st.contexts[self.idx]
+        self.0
+            .work
+            .get()
+            .expect("a CtxRef is made with its context")
     }
 }
 
@@ -554,7 +537,7 @@ impl Machine {
         }
         let st = {
             let _mem = memprof::scope(&RANKMEM_TAG);
-            let st = RankState::new(self.inner.cfg.contexts_per_rank);
+            let st = Rc::<RankState>::default();
             self.inner.ranks.borrow_mut().insert(r, Rc::clone(&st));
             st
         };
@@ -595,7 +578,7 @@ impl Machine {
         // Stopping only wakes the thread (it exits when next polled), so no
         // rank materializes while the table is borrowed.
         for st in self.inner.ranks.borrow().values() {
-            let at = st.at.borrow_mut().take();
+            let at = st.work.get().and_then(|ctx| ctx.at.borrow_mut().take());
             if let Some(at) = at {
                 at.stop();
             }
@@ -687,7 +670,7 @@ mod tests {
 
     #[test]
     fn rank_state_memory_grows_on_demand() {
-        let rs = RankState::new(1);
+        let rs = RankState::default();
         rs.write(100, &[1, 2, 3]);
         assert_eq!(rs.read(100, 3), vec![1, 2, 3]);
         assert_eq!(rs.read(4000, 2), vec![0, 0]); // untouched memory is zero

@@ -92,7 +92,17 @@ pub(crate) fn deliver_then(
         return deliver_faulty(m, inject, leg, extra, 0, Box::new(then));
     }
     let arrival = deliver(m, inject, &leg) + extra;
-    m.sim().schedule(arrival, move || then(arrival, true));
+    let fifo = lane(leg.src, leg.dst, leg.class);
+    m.sim()
+        .schedule_fifo(arrival, fifo, move || then(arrival, true));
+}
+
+/// The kernel lane of a `class` message's arrival from `src` at `dst`. The
+/// network keeps a pair's `Ordered` and `Control` messages in order, ties
+/// included, and the lane keeps their arrival events in that order under
+/// any schedule seed; an AMO (`Unordered`) may overtake.
+fn lane(src: usize, dst: usize, class: MsgClass) -> Option<u64> {
+    (class != MsgClass::Unordered).then_some((src as u64) << 32 | dst as u64)
 }
 
 /// Deliver `leg` at `inject` on a network without an active fault plan.
@@ -119,7 +129,8 @@ fn deliver_faulty(
     match retry::attempt(m, inject, &leg, attempt) {
         Attempt::Arrived(t) => {
             let arrival = t + extra;
-            sim.schedule(arrival, move || then(arrival, true));
+            let fifo = lane(leg.src, leg.dst, leg.class);
+            sim.schedule_fifo(arrival, fifo, move || then(arrival, true));
         }
         Attempt::GaveUp(at) => sim.schedule(at, move || then(at, false)),
         Attempt::Backoff(resume) => {
@@ -446,12 +457,18 @@ impl<D: Kind> Train<D> {
             .get_or_init(|| self.m.rank_state(self.target))
     }
 
-    /// Fire event `ev` of chunk `k` at `at`.
+    /// Fire event `ev` of chunk `k` at `at`: a chunk's arrival in its
+    /// pair's lane ([`lane`]).
     fn schedule(self: &Rc<Self>, at: SimTime, ev: u32, k: usize) {
         let arg = (k as u32) << EV_BITS | ev;
+        let fifo = match ev {
+            POST | LOST | ACKED => None,
+            LANDED if !D::CARRIES_DATA => lane(self.target, self.src, MsgClass::Ordered),
+            _ => lane(self.src, self.target, MsgClass::Ordered),
+        };
         self.m
             .sim()
-            .schedule_fire(at, Rc::clone(self) as Rc<dyn Fire>, arg);
+            .schedule_fire_fifo(at, fifo, Rc::clone(self) as Rc<dyn Fire>, arg);
     }
 
     /// The issuing task's part: sleep one `o_send`, post chunk 0, and wait —
@@ -647,13 +664,11 @@ pub(crate) fn enqueue_at_target(
     op: Option<OpId>,
 ) {
     let st = m.rank_state(target);
-    if let Some(at_ctx) = st.at_ctx.get() {
-        if st.at.borrow().is_none() {
-            let at = m.rank(target).start_progress_thread(at_ctx);
-            *st.at.borrow_mut() = Some(at);
-        }
+    let ctx = st.work_ctx();
+    if st.async_progress.get() && ctx.at.borrow().is_none() {
+        let at = m.rank(target).start_progress_thread();
+        *ctx.at.borrow_mut() = Some(at);
     }
-    let ctx = &st.contexts[m.target_ctx()];
     ctx.push(item, op, arrival);
     // Sample the post-push depth: the per-window gauge max is the deepest
     // any sampled context queue got inside that window.
@@ -694,19 +709,19 @@ impl PamiRank {
         self.st.get_or_init(|| self.m.rank_state(self.r))
     }
 
-    fn ctx(&self, idx: usize) -> CtxRef {
-        let st = Rc::clone(self.state());
-        assert!(idx < st.contexts.len(), "context {idx} out of range");
-        CtxRef { st, idx }
+    /// The work context, made on first use.
+    fn ctx(&self) -> CtxRef {
+        self.state().work_ctx();
+        CtxRef(Rc::clone(self.state()))
     }
 
     /// Arm asynchronous progress for this rank: the progress thread that
-    /// services context `ctx_idx` is spawned lazily, when the first work
+    /// services the work context is spawned lazily, when the first work
     /// item actually targets this rank — an idle rank armed for async
     /// progress carries no task. Stopped collectively via
     /// [`Machine::stop_progress_threads`].
-    pub fn enable_async_progress(&self, ctx_idx: usize) {
-        self.state().at_ctx.set(Some(ctx_idx));
+    pub fn enable_async_progress(&self) {
+        self.state().async_progress.set(true);
     }
 
     /// The operation id messages injected by this rank are currently
@@ -979,7 +994,8 @@ impl PamiRank {
     /// Queue `item` on `target`'s context when its request lands.
     fn push_to_target(&self, target: usize, arrival: SimTime, item: WorkItem, op: Option<OpId>) {
         let m = self.m.clone();
-        self.m.sim().schedule(arrival, move || {
+        let fifo = lane(self.r, target, item.kind.row().class);
+        self.m.sim().schedule_fifo(arrival, fifo, move || {
             enqueue_at_target(&m, target, arrival, item, op);
         });
     }
@@ -1256,22 +1272,33 @@ impl PamiRank {
 
     /// Drive the progress engine on context `ctx_idx`: acquire the context
     /// lock and service up to `max_items` queued work items. Returns the
-    /// number serviced.
+    /// number serviced. Only the work context ([`Machine::target_ctx`])
+    /// ever holds an item; any other context, and a work context no work
+    /// has reached yet, services none.
     pub async fn advance(&self, ctx_idx: usize, max_items: usize) -> usize {
-        self.advance_on(ctx_idx, max_items, false).await
+        let rho = self.m.config().contexts_per_rank;
+        assert!(ctx_idx < rho, "context {ctx_idx} out of range");
+        let work = ctx_idx == self.m.target_ctx();
+        self.advance_on(work, max_items, false).await
     }
 
     /// `advance` with attribution: `from_at` marks the asynchronous progress
     /// thread as the driver, so trace spans land on its own track and the
     /// §III-D lock contention (main thread vs AT on one context) is visible.
-    async fn advance_on(&self, ctx_idx: usize, max_items: usize, from_at: bool) -> usize {
+    /// `work` is false for a context that is not the work context.
+    async fn advance_on(&self, work: bool, max_items: usize, from_at: bool) -> usize {
         let sim = self.m.sim();
         // A hung node (fault plan) cannot drive its progress engine: stall
         // here until the hang window ends. No-op without an active plan.
         if let Some(resume) = self.m.node_hang_until(self.r, sim.now()) {
             sim.sleep_until(resume).await;
         }
-        let ctx = self.ctx(ctx_idx);
+        // No item, so nothing to lock: an unheld lock is taken and released
+        // without an event, and an empty batch records nothing.
+        if !work || self.state().work.get().is_none() {
+            return 0;
+        }
+        let ctx = self.ctx();
         let t_req = sim.now();
         // The op the *driver* of this advance is working on: lock-wait time
         // is charged to it as contention. The AT drives on its own behalf.
@@ -1323,7 +1350,6 @@ impl PamiRank {
             }
             sim.probes()
                 .end(&row.span, lane, item_op, svc_start, sim.now(), &[]);
-            ctx.serviced.set(ctx.serviced.get() + 1);
             n += 1;
         }
         if n > 0 {
@@ -1455,9 +1481,14 @@ impl PamiRank {
     /// Block until `done` completes, *while driving the progress engine* on
     /// the main context — this is how the default (D) configuration services
     /// remote requests: only when the main thread is inside a blocking
-    /// communication call (paper §IV-B3).
+    /// communication call (paper §IV-B3). At ρ ≥ 2 the main context never
+    /// holds work, so this is a plain wait on `done` (DESIGN.md §8,
+    /// "Completion reaping").
     pub async fn progress_wait<T: Clone + 'static>(&self, done: &Completion<T>) -> T {
-        let main_ctx = self.ctx(0);
+        if self.m.target_ctx() != 0 {
+            return done.wait().await;
+        }
+        let main_ctx = self.ctx();
         // While blocked here the rank *is* continuously driving the main
         // context's progress engine: work arriving from now on is queueing,
         // not progress starvation. Restore on exit so compute phases between
@@ -1471,9 +1502,9 @@ impl PamiRank {
                 break v;
             }
             if main_ctx.depth() > 0 {
-                // Boxed: only ρ = 1 queues incoming work on the main context,
-                // so at ρ = 2 no blocking call carries the engine's state.
-                Box::pin(self.advance(0, 1)).await;
+                // Boxed: only ρ = 1 runs the engine from a blocking call, so
+                // at ρ = 2 no blocking call carries the engine's state.
+                Box::pin(self.advance_on(true, 1, false)).await;
                 continue;
             }
             if let Either::Left(v) = race(done.wait(), NotifyCell::wait(main_ctx.clone())).await {
@@ -1491,9 +1522,9 @@ impl PamiRank {
     }
 
     /// Start an asynchronous progress thread (the paper's "AT" design): a
-    /// task on one of the node's spare SMT threads that services context
-    /// `ctx_idx` whenever work arrives, independent of the main thread.
-    pub fn start_progress_thread(&self, ctx_idx: usize) -> AsyncThread {
+    /// task on one of the node's spare SMT threads that services the work
+    /// context whenever work arrives, independent of the main thread.
+    pub fn start_progress_thread(&self) -> AsyncThread {
         let stop = Completion::new();
         let stop2 = stop.clone();
         let this = self.clone();
@@ -1503,7 +1534,7 @@ impl PamiRank {
                 if stop2.is_complete() {
                     break;
                 }
-                let ctx = this.ctx(ctx_idx);
+                let ctx = this.ctx();
                 if ctx.depth() == 0 {
                     // Idle: until re-awoken, freshly arriving work starves.
                     ctx.progress_since.set(None);
@@ -1519,7 +1550,7 @@ impl PamiRank {
                 if ctx.progress_since.get().is_none() {
                     ctx.progress_since.set(Some(sim.now()));
                 }
-                let n = this.advance_on(ctx_idx, usize::MAX, true).await;
+                let n = this.advance_on(true, usize::MAX, true).await;
                 this.m.sim().count(&AT_SERVICED, n as u64);
             }
         });

@@ -170,7 +170,7 @@ fn batched_ams_survive_link_down_exactly_once_and_in_order() {
     }
     let a = m.rank(0);
     let b = m.rank(16);
-    b.enable_async_progress(0);
+    b.enable_async_progress();
     let lc = sim.probes().lifecycle.clone();
     {
         let (m, a, sim, lc) = (m.clone(), a.clone(), sim.clone(), lc.clone());
@@ -544,7 +544,7 @@ fn one_leg_over_the_dead_link(response: bool, recovers: bool) -> (u64, u64, u64,
     );
     let (a, b) = (m.rank(0), m.rank(16));
     let (cell_a, cell_b) = (a.alloc(8), b.alloc(8));
-    let _at = a.start_progress_thread(0);
+    let _at = a.start_progress_thread();
     {
         let sim = sim.clone();
         sim.clone().spawn(async move {

@@ -57,7 +57,7 @@ fn latency(op: Blocking, ppn: usize, target: usize, bytes: usize) -> (SimDuratio
     let b = m.rank(target);
     let remote = b.alloc(bytes);
     let local = a.alloc(bytes);
-    let _at = matches!(op, Blocking::SwGet).then(|| b.start_progress_thread(0));
+    let _at = matches!(op, Blocking::SwGet).then(|| b.start_progress_thread());
     let p = m.params().clone();
     let s = sim.clone();
     let out = Rc::new(Cell::new(SimDuration::ZERO));

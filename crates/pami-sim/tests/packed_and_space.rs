@@ -27,7 +27,7 @@ fn packed_get_gathers_and_scatters() {
         b.write_bytes(rbase + i * 100, &[(i + 1) as u8; 16]);
     }
     let lbase = a.alloc(64);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let a2 = a.clone();
     sim.spawn(async move {
         let chunks: Vec<(usize, usize)> = (0..4).map(|i| (rbase + i * 100, 16)).collect();
@@ -52,7 +52,7 @@ fn packed_get_mismatched_chunk_boundaries() {
     b.write_bytes(rbase + 100, &[2; 10]);
     b.write_bytes(rbase + 200, &[3; 10]);
     let lbase = a.alloc(30);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let a2 = a.clone();
     sim.spawn(async move {
         let done = a2
@@ -80,7 +80,7 @@ fn packed_put_scatters_at_target() {
     let lbase = a.alloc(48);
     a.write_bytes(lbase, &[9u8; 48]);
     let rbase = b.alloc(500);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let a2 = a.clone();
     sim.spawn(async move {
         let h = a2
@@ -110,7 +110,7 @@ fn acc_strided_scatter_accumulates() {
     let rbase = b.alloc(1000);
     b.write_f64s(rbase, &[10.0; 4]);
     b.write_f64s(rbase + 500, &[20.0; 4]);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let a2 = a.clone();
     sim.spawn(async move {
         let h = a2
@@ -139,7 +139,7 @@ fn acc_strided_rejects_a_chunk_of_partial_f64s() {
     let b = m.rank(1);
     let lbase = a.alloc(24);
     let rbase = b.alloc(1000);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     sim.spawn(async move {
         let remote = vec![(rbase, 12), (rbase + 500, 12)];
         a.acc_strided_f64(1, vec![(lbase, 24)], remote, 1.0)
@@ -161,7 +161,7 @@ fn packed_transfer_charges_pack_cost() {
     let total = 256 * 1024;
     let rbase = b.alloc(total);
     let lbase = a.alloc(total);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let s = sim.clone();
     let a2 = a.clone();
     let h = sim.spawn(async move {

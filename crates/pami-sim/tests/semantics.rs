@@ -148,7 +148,7 @@ fn sw_get_round_trip_through_target_cpu() {
     b.write_bytes(remote, &[9u8; 32]);
     let local = a.alloc(32);
     // Async progress thread at the target services the request.
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let a2 = a.clone();
     let h = sim.spawn(async move {
         let done = a2.sw_get(1, local, remote, 32).await;
@@ -167,7 +167,7 @@ fn fallback_get_slower_than_rdma_get() {
     let b = m.rank(1);
     let remote = b.alloc(1024);
     let local = a.alloc(1024);
-    let _at = b.start_progress_thread(0);
+    let _at = b.start_progress_thread();
     let s = sim.clone();
     let h = sim.spawn(async move {
         let t0 = s.now();
@@ -189,7 +189,7 @@ fn rmw_fetch_add_hands_out_unique_values() {
     let (sim, m) = machine(8);
     let owner = m.rank(0);
     let counter = owner.alloc(8);
-    let _at = owner.start_progress_thread(0);
+    let _at = owner.start_progress_thread();
     let got = Rc::new(RefCell::new(Vec::<i64>::new()));
     for r in 1..8 {
         let rk = m.rank(r);
@@ -216,7 +216,7 @@ fn rmw_swap_and_compare_swap() {
     let owner = m.rank(0);
     let cell = owner.alloc(8);
     owner.write_i64(cell, 10);
-    let _at = owner.start_progress_thread(0);
+    let _at = owner.start_progress_thread();
     let rk = m.rank(1);
     let h = sim.spawn(async move {
         let old = rk.rmw(0, cell, RmwOp::Swap(20)).await.wait().await;
@@ -322,7 +322,7 @@ fn async_thread_services_during_target_compute() {
     let r0 = m.rank(0);
     let r1 = m.rank(1);
     let counter = r0.alloc(8);
-    let _at = r0.start_progress_thread(0);
+    let _at = r0.start_progress_thread();
 
     // Rank 0's main thread computes for 300us, but the AT services anyway.
     let s = sim.clone();
@@ -352,7 +352,7 @@ fn acc_f64_accumulates_associatively() {
     let owner = m.rank(0);
     let dst = owner.alloc(4 * 8);
     owner.write_f64s(dst, &[1.0, 1.0, 1.0, 1.0]);
-    let _at = owner.start_progress_thread(0);
+    let _at = owner.start_progress_thread();
     for r in 1..3 {
         let rk = m.rank(r);
         let src = rk.alloc(4 * 8);
@@ -382,7 +382,7 @@ fn am_dispatch_runs_registered_handler() {
             *seen2.borrow_mut() = Some((env.rank, msg.src, msg.header.clone(), msg.payload.len()));
         }),
     );
-    let _at = r1.start_progress_thread(0);
+    let _at = r1.start_progress_thread();
     sim.spawn(async move {
         r0.send_control_am(1, 42, vec![1, 2], vec![0u8; 100]).await;
     });
@@ -400,7 +400,7 @@ fn unhandled_am_counts() {
     let (sim, m) = machine(2);
     let r0 = m.rank(0);
     let r1 = m.rank(1);
-    let _at = r1.start_progress_thread(0);
+    let _at = r1.start_progress_thread();
     sim.spawn(async move {
         r0.send_am(1, 99, vec![], vec![]).await;
         r0.send_control_am(1, 99, vec![], vec![]).await;
@@ -427,7 +427,7 @@ fn one_registration_serves_context_zero_and_the_at_context() {
             Rc::new(move |env, msg| seen2.borrow_mut().push((env.rank, msg.header[0]))),
         );
         for target in [1, 2] {
-            m.rank(target).enable_async_progress(m.target_ctx());
+            m.rank(target).enable_async_progress();
         }
         let r0 = m.rank(0);
         sim.spawn(async move {
@@ -560,7 +560,7 @@ fn ordered_traffic_fifo_unordered_amo_overtakes() {
     let small_src = r0.alloc(16);
     let small_dst = r1.alloc(16);
     let counter = r1.alloc(8);
-    let _at = r1.start_progress_thread(0);
+    let _at = r1.start_progress_thread();
     let events = Rc::new(RefCell::new(Vec::<&'static str>::new()));
     let ev = Rc::clone(&events);
     sim.spawn(async move {

@@ -90,7 +90,7 @@ fn run(op: Op, at: bool, busy: bool) -> String {
         r.write_f64s(0, &xs);
     }
     if at {
-        b.enable_async_progress(1);
+        b.enable_async_progress();
     }
     // Set once the operation under test has completed.
     let done_at = Rc::new(Cell::new(None::<SimTime>));
