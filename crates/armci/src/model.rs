@@ -3,7 +3,7 @@
 //!
 //! These closed forms are used by tests to validate that the implementation's
 //! per-rank object space (see `pami_sim::Machine::space`) matches the paper's
-//! models, and by the Table II bench to print predicted-vs-measured rows.
+//! models, and by the Table II bench to print the space-model examples.
 //!
 //! | # | Property | Symbol |
 //! |---|----------|--------|
@@ -22,16 +22,10 @@
 //! | 13 | Local communication buffers | `τ` |
 
 use desim::SimDuration;
-use torus5d::BgqParams;
 
 /// Eq. 1 — context space per process: `M_c = ε·ρ`.
 pub fn context_space(eps: usize, rho: usize) -> usize {
     eps * rho
-}
-
-/// Eq. 2 — context creation time per process: `T_c = ρ·t_ctx`.
-pub fn context_time(t_ctx: SimDuration, rho: usize) -> SimDuration {
-    t_ctx * rho as u64
 }
 
 /// Eq. 3 — endpoint space for communication clique ζ: `M_e = ζ·α·ρ`.
@@ -62,54 +56,10 @@ pub use pami_sim::FailureMode;
 /// Timeout/backoff/bounded-retry policy surfaced to ARMCI users.
 pub use pami_sim::RetryPolicy;
 
-/// Closed form for the wait a single attempt spends before retransmit
-/// number `k+1` goes out: `timeout + backoff·2^k` (see
-/// [`RetryPolicy::backoff_delay`]).
-pub fn retry_attempt_delay(p: &RetryPolicy, k: u32) -> SimDuration {
-    p.timeout + p.backoff_delay(k)
-}
-
-/// Closed form for the total delay an operation accumulates after `k`
-/// consecutive drops: `Σ_{i<k} (timeout + backoff·2^i)
-/// = k·timeout + backoff·(2^k − 1)`. This is the worst-case latency added
-/// by the resilience layer before either the `k`-th retransmit succeeds or
-/// the policy gives up (`k = max_retries + 1`).
-pub fn retry_total_delay(p: &RetryPolicy, k: u32) -> SimDuration {
-    (0..k).fold(SimDuration::ZERO, |acc, i| acc + retry_attempt_delay(p, i))
-}
-
-/// All Table-II style attribute values for a parameter set, as
-/// `(name, value)` rows for reporting.
-pub fn attribute_rows(p: &BgqParams, rho: usize) -> Vec<(&'static str, String)> {
-    vec![
-        (
-            "Endpoint Space Utilization (alpha)",
-            format!("{} Bytes", p.endpoint_bytes),
-        ),
-        (
-            "Endpoint Creation Time (beta)",
-            format!("{}", p.endpoint_create),
-        ),
-        (
-            "Memory Region Space Utilization (gamma)",
-            format!("{} Bytes", p.memregion_bytes),
-        ),
-        (
-            "Memory Region Creation Time (delta)",
-            format!("{}", p.memregion_create),
-        ),
-        (
-            "Context Space Utilization (epsilon)",
-            format!("{} Bytes", p.context_bytes),
-        ),
-        ("Context Creation Time", format!("{}", p.context_create)),
-        ("Number of Contexts (rho)", format!("{rho}")),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torus5d::BgqParams;
 
     #[test]
     fn equations_match_paper_examples() {
@@ -132,29 +82,5 @@ mod tests {
             region_time(3, 7, p.memregion_create),
             p.memregion_create * 10
         );
-    }
-
-    #[test]
-    fn retry_delay_closed_form_matches_geometric_sum() {
-        let p = RetryPolicy::default();
-        // k·timeout + backoff·(2^k − 1), for the default 30us/5us policy.
-        for k in 0..6u32 {
-            let closed = p.timeout * k as u64 + p.backoff * ((1u64 << k) - 1);
-            assert_eq!(retry_total_delay(&p, k), closed, "k={k}");
-        }
-        assert_eq!(retry_total_delay(&p, 0), SimDuration::ZERO);
-        assert_eq!(retry_attempt_delay(&p, 2), p.timeout + p.backoff * 4);
-    }
-
-    #[test]
-    fn attribute_rows_cover_table2() {
-        let rows = attribute_rows(&BgqParams::default(), 2);
-        assert_eq!(rows.len(), 7);
-        assert!(rows
-            .iter()
-            .any(|(n, v)| n.contains("alpha") && v == "4 Bytes"));
-        assert!(rows
-            .iter()
-            .any(|(n, v)| n.contains("delta") && v == "43.000us"));
     }
 }

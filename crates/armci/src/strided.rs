@@ -144,14 +144,6 @@ impl Strided {
             b,
         }
     }
-
-    /// Whether any two chunks overlap (always false for well-formed
-    /// descriptors with strides ≥ chunk; used by property tests).
-    pub fn self_overlapping(&self) -> bool {
-        let mut ranges = self.chunk_list();
-        ranges.sort_unstable();
-        ranges.windows(2).any(|w| w[0].0 + w[0].1 > w[1].0)
-    }
 }
 
 /// Iterator over a descriptor's contiguous chunks ([`Strided::chunks`]).
@@ -428,19 +420,6 @@ mod tests {
         let c = Strided::patch2d(0, 16, 4, 64);
         assert!(a.compatible(&b));
         assert!(!a.compatible(&c));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let ok = Strided::patch2d(0, 16, 3, 16); // dense: touching, no overlap
-        assert!(!ok.self_overlapping());
-        let bad = Strided {
-            offset: 0,
-            chunk: 20,
-            counts: vec![2],
-            strides: vec![10], // stride < chunk: overlaps
-        };
-        assert!(bad.self_overlapping());
     }
 
     #[test]

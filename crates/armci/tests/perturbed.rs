@@ -12,8 +12,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use armci::{Armci, ArmciConfig, ConsistencyMode, ProgressMode};
-use desim::{FxHashMap as HashMap, Sim, SimRng};
+use armci::{Armci, ArmciConfig, ConsistencyMode, ProgressMode, Strided};
+use desim::{FxHashMap as HashMap, Sim, SimDuration, SimRng};
 use pami_sim::{Machine, MachineConfig};
 
 /// Schedule seeds each invariant runs over.
@@ -22,11 +22,13 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=64;
 const P: usize = 8;
 
 fn setup(seed: u64, rho: usize) -> (Sim, Armci) {
+    setup_with(seed, rho, MachineConfig::new(P))
+}
+
+/// [`setup`] on a machine configured from `base`.
+fn setup_with(seed: u64, rho: usize, base: MachineConfig) -> (Sim, Armci) {
     let sim = Sim::with_schedule_seed(seed);
-    let m = Machine::new(
-        sim.clone(),
-        MachineConfig::new(P).procs_per_node(2).contexts(rho),
-    );
+    let m = Machine::new(sim.clone(), base.procs_per_node(2).contexts(rho));
     let progress = if rho == 1 {
         ProgressMode::Default
     } else {
@@ -188,9 +190,9 @@ fn check_pair_order(seed: u64) {
     finish(seed, &sim, &a, &errors, &done);
 }
 
-/// Fence completion: when `fence(t)` returns, every put and accumulate the
-/// rank issued to `t` before it is in `t`'s memory; when `am_fence(t)`
-/// returns, every AM accumulate is. The target's memory, read straight out
+/// Fence completion: when `fence(t)` or `fence_all()` returns, every put
+/// and accumulate the rank issued to `t` before it is in `t`'s memory;
+/// when `am_fence(t)` returns, every AM accumulate is. The target's memory, read straight out
 /// of the machine, is checked against the rank's record of its writes.
 fn check_fences(seed: u64) {
     const SLOTS: usize = 4;
@@ -230,18 +232,26 @@ fn check_fences(seed: u64) {
                 for h in &pending {
                     rk.wait(h).await;
                 }
-                if am {
-                    rk.am_fence(t).await;
-                } else {
-                    rk.fence(t).await;
-                }
+                let fence = match round % 4 {
+                    1 | 3 => {
+                        rk.am_fence(t).await;
+                        "am_fence"
+                    }
+                    0 => {
+                        rk.fence_all().await;
+                        "fence_all"
+                    }
+                    _ => {
+                        rk.fence(t).await;
+                        "fence"
+                    }
+                };
                 let memory = m.rank(t);
                 for slot in 0..SLOTS {
                     let off = block[t] + (r * SLOTS + slot) * 8;
                     let got = memory.read_f64s(off, 1)[0];
                     let want = written.get(&(t, off)).copied().unwrap_or(0.0);
                     if got != want {
-                        let fence = if am { "am_fence" } else { "fence" };
                         errors.borrow_mut().push(format!(
                             "rank {r} after {fence}({t}): {got} at {off}, wrote {want}"
                         ));
@@ -251,6 +261,174 @@ fn check_fences(seed: u64) {
             rk.barrier().await;
             *done.borrow_mut() += 1;
         });
+    }
+    finish(seed, &sim, &a, &errors, &done);
+}
+
+/// Exactly-once AM delivery with batching on (§III-A2): every AM a rank
+/// sends through its aggregation buffers runs once, at the target it was
+/// sent to, counted per (sender, tag) against the sender's own log. The
+/// buffers flush by size, by window and at `am_fence`.
+fn check_batched_am(seed: u64) {
+    const DISPATCH: u16 = 0x7A01;
+    const PER_RANK: u32 = 32;
+    let batching = MachineConfig::new(P).am_batching(256, SimDuration::from_ns(500));
+    let (sim, a) = setup_with(seed, rho_of(seed), batching);
+    // (sender, tag) -> (target it ran at, times it ran)
+    let ran: Rc<RefCell<HashMap<_, (usize, u32)>>> = Rc::default();
+    {
+        let ran = Rc::clone(&ran);
+        a.machine().register_am(
+            DISPATCH,
+            Rc::new(move |env, msg| {
+                let tag = u32::from_le_bytes(msg.header[..4].try_into().expect("4 bytes"));
+                let mut ran = ran.borrow_mut();
+                ran.entry((msg.src, tag)).or_insert((env.rank, 0)).1 += 1;
+            }),
+        );
+    }
+    let done = Rc::new(RefCell::new(0));
+    let sent: Rc<RefCell<Vec<(usize, u32, usize)>>> = Rc::default();
+    for r in 0..P {
+        let (rk, done, sent) = (a.rank(r), Rc::clone(&done), Rc::clone(&sent));
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            let mut rng = SimRng::new(seed).derive(r as u64);
+            for tag in 0..PER_RANK {
+                let t = (r + 1 + rng.next_below(P as u64 - 1) as usize) % P;
+                sent.borrow_mut().push((r, tag, t));
+                let payload = vec![r as u8; rng.next_below(96) as usize];
+                rk.pami()
+                    .send_am(t, DISPATCH, tag.to_le_bytes().to_vec(), payload)
+                    .await;
+                if rng.next_below(4) == 0 {
+                    // Let some windows expire between sends.
+                    sim2.sleep(SimDuration::from_ns(rng.next_below(1000))).await;
+                }
+            }
+            for t in (0..P).filter(|&t| t != r) {
+                rk.am_fence(t).await;
+            }
+            rk.barrier().await;
+            *done.borrow_mut() += 1;
+        });
+    }
+    let errors = RefCell::new(Vec::new());
+    sim.run();
+    let ran = ran.borrow();
+    for &(src, tag, dst) in sent.borrow().iter() {
+        match ran.get(&(src, tag)) {
+            Some(&(at, 1)) if at == dst => {}
+            got => errors.borrow_mut().push(format!(
+                "AM {src}#{tag} to {dst} ran as (target, times) {got:?}"
+            )),
+        }
+    }
+    if ran.len() != sent.borrow().len() {
+        errors.borrow_mut().push(format!(
+            "{} AMs ran, {} sent",
+            ran.len(),
+            sent.borrow().len()
+        ));
+    }
+    if sim.stats().counter("am.batches") == 0 {
+        errors
+            .borrow_mut()
+            .push("no buffer coalesced two AMs".to_string());
+    }
+    finish(seed, &sim, &a, &errors, &done);
+}
+
+/// Strided get trains (§III-C): each chunk of a get lands exactly once, in
+/// its own place. Every rank fills its block before a barrier and nobody
+/// writes a block after it, so a get's buffer must equal the target's
+/// memory read straight out of the machine, the bytes between chunks keep
+/// their sentinel, and the machine posts one RDMA get per chunk.
+fn check_get_trains(seed: u64) {
+    const BLOCK: usize = 32 * 1024;
+    const SENTINEL: u8 = 0xEE;
+    let (sim, a) = setup(seed, rho_of(seed));
+    let errors = Rc::new(RefCell::new(Vec::new()));
+    let done = Rc::new(RefCell::new(0));
+    let chunks = Rc::new(RefCell::new(0u64));
+    for r in 0..P {
+        let (rk, errors, done) = (a.rank(r), Rc::clone(&errors), Rc::clone(&done));
+        let (m, chunks) = (a.machine().clone(), Rc::clone(&chunks));
+        sim.spawn(async move {
+            let mut rng = SimRng::new(seed).derive(r as u64);
+            let block = rk.malloc_collective(BLOCK).await;
+            let mine: Vec<u8> = (0..BLOCK).map(|_| rng.next_below(256) as u8).collect();
+            rk.pami().write_bytes(block[r], &mine);
+            rk.barrier().await;
+            let buf = rk.malloc(BLOCK).await;
+            for _ in 0..4 {
+                rk.pami().write_bytes(buf, &vec![SENTINEL; BLOCK]);
+                // Up to three gets in flight, each into its own part of
+                // `buf`; every level has a gap on both sides, so a chunk is
+                // one row.
+                let mut gets = Vec::new();
+                let mut at = buf;
+                for _ in 0..1 + rng.next_below(3) {
+                    let t = (r + 1 + rng.next_below(P as u64 - 1) as usize) % P;
+                    let chunk = 8 * (16 + rng.next_below(112) as usize);
+                    let rows = 1 + rng.next_below(8) as usize;
+                    let side = |offset: usize, gap: usize| Strided {
+                        offset,
+                        chunk,
+                        counts: vec![rows],
+                        strides: vec![chunk + gap],
+                    };
+                    let remote_gap = 8 * (1 + rng.next_below(8) as usize);
+                    let remote_max = BLOCK - rows * (chunk + remote_gap);
+                    let remote = side(
+                        block[t] + 8 * rng.next_below(remote_max as u64 / 8) as usize,
+                        remote_gap,
+                    );
+                    let local = side(at, 8 * (1 + rng.next_below(4) as usize));
+                    at += rows * local.strides[0];
+                    gets.push((t, local, remote));
+                }
+                let mut handles = Vec::new();
+                for (t, local, remote) in &gets {
+                    handles.push(rk.nbget_strided(*t, local, remote).await);
+                    *chunks.borrow_mut() += local.counts[0] as u64;
+                }
+                for h in &handles {
+                    rk.wait(h).await;
+                }
+                let got = rk.pami().read_bytes(buf, BLOCK);
+                let mut covered = vec![false; BLOCK];
+                for (t, local, remote) in &gets {
+                    let target = m.rank(*t);
+                    for ((lo, len), (ro, _)) in
+                        local.chunk_list().into_iter().zip(remote.chunk_list())
+                    {
+                        let want = target.read_bytes(ro, len);
+                        if got[lo - buf..][..len] != want[..] {
+                            errors
+                                .borrow_mut()
+                                .push(format!("rank {r}: chunk at {ro} of {t} is not its bytes"));
+                        }
+                        covered[lo - buf..][..len].fill(true);
+                    }
+                }
+                if (0..BLOCK).any(|i| !covered[i] && got[i] != SENTINEL) {
+                    errors
+                        .borrow_mut()
+                        .push(format!("rank {r}: a get wrote outside its chunks"));
+                }
+            }
+            rk.barrier().await;
+            *done.borrow_mut() += 1;
+        });
+    }
+    sim.run();
+    let posted = sim.stats().counter("pami.rdma_get");
+    if posted != *chunks.borrow() {
+        errors.borrow_mut().push(format!(
+            "{posted} RDMA gets posted for {} chunks",
+            chunks.borrow()
+        ));
     }
     finish(seed, &sim, &a, &errors, &done);
 }
@@ -296,6 +474,16 @@ fn pair_order_holds_for_ordered_and_control_on_every_seed() {
 #[test]
 fn fence_and_am_fence_complete_on_every_seed() {
     SEEDS.for_each(check_fences);
+}
+
+#[test]
+fn batched_ams_run_exactly_once_on_every_seed() {
+    SEEDS.for_each(check_batched_am);
+}
+
+#[test]
+fn get_train_chunks_land_exactly_once_on_every_seed() {
+    SEEDS.for_each(check_get_trains);
 }
 
 #[test]

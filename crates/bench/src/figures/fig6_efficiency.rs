@@ -22,7 +22,7 @@ fn run(args: &Args) {
     let window = args.num("--window");
     let reps = args.num("--reps");
     let jobs = args.jobs();
-    let peak = 1800.0;
+    let peak = torus5d::BgqParams::default().available_bw_mbs;
     println!("== Fig 6: bandwidth efficiency (put, window = {window}) ==");
     println!("{:>8} {:>14} {:>12}", "size", "bw (MB/s)", "efficiency");
     let sizes = size_sweep(16, 1 << 20);

@@ -7,7 +7,6 @@ use crate::Figure;
 use armci::model;
 use bgq_bench::cli::JOBS;
 use bgq_bench::{Args, Fixture};
-use desim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -128,5 +127,4 @@ fn run(_args: &Args) {
         "T_r  = (tau+sigma)*delta        = {}",
         model::region_time(3, 7, params.memregion_create)
     );
-    let _ = SimDuration::ZERO;
 }

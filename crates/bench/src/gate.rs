@@ -76,6 +76,16 @@ const GATE: &[Row] = &[
     Row { figure: "abl_fallback", args: "", flag: STDOUT, golden: "abl_fallback.txt", tol: EXACT },
     Row { figure: "abl_strided_pack", args: "", flag: STDOUT, golden: "abl_strided_pack.txt", tol: EXACT },
     Row { figure: "abl_consistency", args: "", flag: STDOUT, golden: "abl_consistency.txt", tol: EXACT },
+    // Every other figure with a committed text golden, at its defaults.
+    Row { figure: "table2_attributes", args: "", flag: STDOUT, golden: "table2_attributes.txt", tol: EXACT },
+    Row { figure: "fig3_latency", args: "", flag: STDOUT, golden: "fig3_latency.txt", tol: EXACT },
+    Row { figure: "fig4_bandwidth", args: "", flag: STDOUT, golden: "fig4_bandwidth.txt", tol: EXACT },
+    Row { figure: "fig5_latency_per_byte", args: "", flag: STDOUT, golden: "fig5_latency_per_byte.txt", tol: EXACT },
+    Row { figure: "fig6_efficiency", args: "", flag: STDOUT, golden: "fig6_efficiency.txt", tol: EXACT },
+    Row { figure: "fig8_strided", args: "", flag: STDOUT, golden: "fig8_strided.txt", tol: EXACT },
+    Row { figure: "abl_contexts", args: "", flag: STDOUT, golden: "abl_contexts.txt", tol: EXACT },
+    Row { figure: "abl_region_cache", args: "", flag: STDOUT, golden: "abl_region_cache.txt", tol: EXACT },
+    Row { figure: "abl_contention", args: "", flag: STDOUT, golden: "abl_contention.txt", tol: EXACT },
 ];
 
 impl Row {

@@ -7,7 +7,6 @@
 
 use desim::health::analyze;
 use desim::timeline::{SeriesKind, SeriesSnapshot, TimelineDoc};
-use desim::HealthConfig;
 
 use crate::memscale::fmt_bytes;
 
@@ -108,7 +107,7 @@ fn fmt_window(ps: u64) -> String {
 
 /// Render the single-document report: per-run sparklines and health
 /// findings. `label` names the document in the header (usually its path).
-pub fn report(label: &str, doc: &TimelineDoc, cfg: &HealthConfig, width: usize) -> String {
+pub fn report(label: &str, doc: &TimelineDoc, width: usize) -> String {
     let mut out = format!(
         "== {label} — bench {}, {} run(s) ==\n",
         doc.bench,
@@ -135,7 +134,7 @@ pub fn report(label: &str, doc: &TimelineDoc, cfg: &HealthConfig, width: usize) 
                 series_stats(s),
             ));
         }
-        let findings = analyze(snap, cfg);
+        let findings = analyze(snap);
         if findings.is_empty() {
             out.push_str("  health: no findings\n");
         } else {
@@ -347,9 +346,8 @@ mod tests {
         };
         let a = doc(vec![("run", snap_a)]);
         let b = doc(vec![("run", snap_b)]);
-        let cfg = HealthConfig::default();
-        let r = report("a.json", &a, &cfg, 64);
-        assert_eq!(r, report("a.json", &a, &cfg, 64));
+        let r = report("a.json", &a, 64);
+        assert_eq!(r, report("a.json", &a, 64));
         assert!(r.contains("bench demo"));
         assert!(r.contains("net.msgs"));
         assert!(r.contains("total 15, peak 10/win"));
@@ -396,8 +394,7 @@ mod tests {
         };
         let a = doc(vec![("run", snap_a)]);
         let b = doc(vec![("run", snap_b)]);
-        let cfg = HealthConfig::default();
-        let r = report("a.json", &a, &cfg, 64);
+        let r = report("a.json", &a, 64);
         // Gauge headline uses byte units for mem.* series only.
         assert!(r.contains("min 4.0KiB, max 6.0KiB, final 6.0KiB"));
         assert!(r.contains("total 10"));

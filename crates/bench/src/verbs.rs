@@ -11,7 +11,7 @@ use bgq_bench::simstat::{diff_report, report};
 use bgq_bench::Kind::{Num, Operands, Real, Switch};
 use bgq_bench::{Args, Flag};
 use desim::json::JsonValue;
-use desim::{HealthConfig, TimelineDoc};
+use desim::TimelineDoc;
 
 /// Every verb, in the order the top-level help prints them.
 pub static VERBS: &[Figure] = &[LIST, gate::GATE_VERB, PERFDIFF, SIMSTAT, MEMSTAT];
@@ -149,12 +149,11 @@ fn simstat(args: &Args) {
             std::process::exit(2);
         })
     };
-    let cfg = HealthConfig::default();
     let a = load(&files[0]);
-    print!("{}", report(&files[0], &a, &cfg, width));
+    print!("{}", report(&files[0], &a, width));
     if let Some(bp) = files.get(1) {
         let b = load(bp);
-        print!("\n{}", report(bp, &b, &cfg, width));
+        print!("\n{}", report(bp, &b, width));
         print!("{}", diff_report(&a, &b, width));
     }
 }

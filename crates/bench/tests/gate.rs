@@ -1,8 +1,8 @@
 //! The regression gate runs under tier-1: `bgq-bench gate` reruns every
 //! quick configuration of its table and diffs the documents against the
-//! committed `results/BENCH_*` goldens (and two figures' stdout against
-//! committed text). A change that moves a virtual-time leaf fails here, not
-//! only in CI.
+//! committed `results/BENCH_*` goldens, and every figure's stdout that has
+//! a committed `results/*.txt` against that text. A change that moves a
+//! virtual-time leaf or a printed figure fails here, not only in CI.
 
 use std::path::Path;
 use std::process::Command;
@@ -20,6 +20,6 @@ fn gate_passes_from_the_workspace_root() {
         String::from_utf8_lossy(&out.stderr),
     );
     assert_eq!(out.status.code(), Some(0), "{stdout}\n{stderr}");
-    assert_eq!(stdout.lines().filter(|l| l.starts_with("ok ")).count(), 18);
-    assert!(stdout.contains("gate passed: 18 rows"), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("ok ")).count(), 27);
+    assert!(stdout.contains("gate passed: 27 rows"), "{stdout}");
 }

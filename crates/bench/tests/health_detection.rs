@@ -10,7 +10,7 @@ use bgq_bench::fault_bench::run_cell;
 use bgq_bench::scale::net_churn;
 use bgq_bench::TIMELINE_WINDOW_PS;
 use desim::health::analyze;
-use desim::{HealthConfig, Observe};
+use desim::Observe;
 
 fn render(findings: &[desim::Finding]) -> String {
     findings
@@ -36,10 +36,9 @@ fn timeline(window_ps: u64) -> Observe {
 
 #[test]
 fn net_churn_trips_congestion_onset_deterministically() {
-    let cfg = HealthConfig::default();
     let run = || {
         let (_, seen) = net_churn(128, 20_000, None, timeline(TIMELINE_WINDOW_PS / 100));
-        analyze(&seen.timeline.expect("timeline on"), &cfg)
+        analyze(&seen.timeline.expect("timeline on"))
     };
     let a = run();
     assert!(
@@ -52,13 +51,12 @@ fn net_churn_trips_congestion_onset_deterministically() {
 
 #[test]
 fn fig_fault_storm_trips_retry_storm_deterministically() {
-    let cfg = HealthConfig::default();
     // 5% per-traversal corruption + the plan's mid-run link-down window:
     // the same designated cell `fig_fault --fault-rate 0,50000 --msgs 32
     // --timeline` records.
     let run = || {
         let (_, seen) = run_cell(32, 4096, 32, 50_000, 42, timeline(TIMELINE_WINDOW_PS));
-        analyze(&seen.timeline.expect("timeline on"), &cfg)
+        analyze(&seen.timeline.expect("timeline on"))
     };
     let a = run();
     assert!(

@@ -115,11 +115,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.inner.borrow().queue.len()
@@ -249,13 +244,17 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_len() {
+    fn len_counts_queued_messages() {
+        let sim = Sim::new();
         let (tx, rx) = channel::<u32>();
         assert!(rx.is_empty());
         tx.send(7);
-        assert_eq!(tx.len(), 1);
-        assert_eq!(rx.try_recv(), Some(7));
-        assert_eq!(rx.try_recv(), None);
+        assert_eq!((tx.len(), rx.len()), (1, 1));
+        let rx2 = rx.clone();
+        let h = sim.spawn(async move { rx2.recv().await });
+        sim.run();
+        assert_eq!(h.try_result(), Some(Some(7)));
+        assert!(rx.is_empty() && tx.is_empty());
     }
 
     #[test]

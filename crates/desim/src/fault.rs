@@ -2,9 +2,10 @@
 //!
 //! A [`FaultPlan`] describes *what goes wrong and when* on a simulated
 //! machine: links that go down and come back up, nodes that hang (stop
-//! driving their progress engines) for a window, and per-link packet
-//! corruption probabilities. The plan is pure data — it does not know about
-//! any particular network model — and everything about it is deterministic:
+//! driving their progress engines) for a window, and a packet corruption
+//! probability per link traversal. The plan is pure data — it does not know
+//! about any particular network model — and everything about it is
+//! deterministic:
 //!
 //! * A plan built by explicit builder calls ([`FaultPlan::link_down`],
 //!   [`FaultPlan::node_hang`], …) contains exactly what was written.
@@ -37,10 +38,8 @@ pub struct FaultPlan {
     link_windows: Vec<(u32, SimTime, SimTime)>,
     /// `(node, hang_from, resume_at)` windows.
     hang_windows: Vec<(u32, SimTime, SimTime)>,
-    /// Default per-traversal corruption probability for every link.
-    corrupt_default: f64,
-    /// Per-link overrides of the corruption probability.
-    corrupt_overrides: Vec<(u32, f64)>,
+    /// Per-traversal corruption probability, the same on every link.
+    corrupt: f64,
 }
 
 /// Parameters for sampling a random [`FaultPlan`] with
@@ -109,8 +108,7 @@ impl FaultPlan {
             route_update_delay: SimDuration::from_us(10),
             link_windows: Vec::new(),
             hang_windows: Vec::new(),
-            corrupt_default: 0.0,
-            corrupt_overrides: Vec::new(),
+            corrupt: 0.0,
         }
     }
 
@@ -139,14 +137,7 @@ impl FaultPlan {
     /// Set the default per-traversal corruption probability for every link.
     pub fn corruption(mut self, p: f64) -> FaultPlan {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.corrupt_default = p;
-        self
-    }
-
-    /// Override the corruption probability of one link.
-    pub fn link_corruption(mut self, link: u32, p: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.corrupt_overrides.push((link, p));
+        self.corrupt = p;
         self
     }
 
@@ -179,34 +170,15 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The configured routing-detection delay.
-    pub fn detection_delay(&self) -> SimDuration {
-        self.route_update_delay
-    }
-
-    /// True when the plan injects nothing: no windows and zero corruption
-    /// everywhere. Consumers may treat an empty plan exactly like no plan.
+    /// True when the plan injects nothing: no windows and zero corruption.
+    /// Consumers may treat an empty plan exactly like no plan.
     pub fn is_empty(&self) -> bool {
-        self.link_windows.is_empty()
-            && self.hang_windows.is_empty()
-            && self.corrupt_default == 0.0
-            && self.corrupt_overrides.iter().all(|&(_, p)| p == 0.0)
+        self.link_windows.is_empty() && self.hang_windows.is_empty() && self.corrupt == 0.0
     }
 
-    /// Effective corruption probability of `link`.
-    pub fn corruption_for(&self, link: u32) -> f64 {
-        // Later overrides win, matching builder-call order.
-        self.corrupt_overrides
-            .iter()
-            .rev()
-            .find(|&&(l, _)| l == link)
-            .map(|&(_, p)| p)
-            .unwrap_or(self.corrupt_default)
-    }
-
-    /// True when any link has a nonzero corruption probability.
-    pub fn any_corruption(&self) -> bool {
-        self.corrupt_default > 0.0 || self.corrupt_overrides.iter().any(|&(_, p)| p > 0.0)
+    /// Per-traversal corruption probability of every link.
+    pub fn corruption_rate(&self) -> f64 {
+        self.corrupt
     }
 
     /// Compile the plan into a time-sorted event list. Each link window
@@ -231,32 +203,6 @@ impl FaultPlan {
         ev.sort_by_key(|&(at, e)| (at, e.sort_key()));
         ev
     }
-
-    /// Human/diffable rendering of the compiled schedule, one event per
-    /// line — what the determinism tests compare byte-for-byte.
-    pub fn schedule_digest(&self) -> String {
-        let mut out = String::new();
-        for (at, e) in self.compiled() {
-            let line = match e {
-                FaultEvent::LinkDown(l) => format!("{} link_down {}\n", at.as_ps(), l),
-                FaultEvent::LinkUp(l) => format!("{} link_up {}\n", at.as_ps(), l),
-                FaultEvent::RouteLost(l) => format!("{} route_lost {}\n", at.as_ps(), l),
-                FaultEvent::RouteRestored(l) => {
-                    format!("{} route_restored {}\n", at.as_ps(), l)
-                }
-                FaultEvent::NodeHang { node, until } => {
-                    format!(
-                        "{} node_hang {} until {}\n",
-                        at.as_ps(),
-                        node,
-                        until.as_ps()
-                    )
-                }
-            };
-            out.push_str(&line);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -280,10 +226,10 @@ mod tests {
     fn same_seed_same_schedule() {
         let a = FaultPlan::generate(42, &spec());
         let b = FaultPlan::generate(42, &spec());
-        assert_eq!(a.schedule_digest(), b.schedule_digest());
-        assert!(!a.schedule_digest().is_empty());
+        assert_eq!(a.compiled(), b.compiled());
+        assert!(!a.compiled().is_empty());
         let c = FaultPlan::generate(43, &spec());
-        assert_ne!(a.schedule_digest(), c.schedule_digest());
+        assert_ne!(a.compiled(), c.compiled());
     }
 
     #[test]
@@ -298,7 +244,7 @@ mod tests {
             );
         }
         // Every down has a matching routing reaction exactly delay later.
-        let delay = plan.detection_delay();
+        let delay = plan.route_update_delay;
         for (at, e) in &ev {
             if let FaultEvent::LinkDown(l) = e {
                 assert!(ev.contains(&(*at + delay, FaultEvent::RouteLost(*l))));
@@ -316,15 +262,6 @@ mod tests {
             .link_down(3, SimTime::ZERO, SimTime::ZERO + SimDuration::from_us(1))
             .is_empty());
         assert!(!FaultPlan::new(1).corruption(0.5).is_empty());
-        // A zero-probability override still counts as empty.
-        assert!(FaultPlan::new(1).link_corruption(9, 0.0).is_empty());
-    }
-
-    #[test]
-    fn corruption_override_beats_default() {
-        let p = FaultPlan::new(1).corruption(0.1).link_corruption(5, 0.9);
-        assert_eq!(p.corruption_for(4), 0.1);
-        assert_eq!(p.corruption_for(5), 0.9);
-        assert!(p.any_corruption());
+        assert!(FaultPlan::new(1).corruption(0.0).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`analyze`] walks a [`TimelineSnapshot`] and flags anomalies as
 //! [`Finding`]s — `(window, rule, severity, evidence)` tuples. Every rule is
-//! a pure function of the snapshot and a [`HealthConfig`], so findings are
+//! a pure function of the snapshot and the thresholds below, so findings are
 //! byte-identical across runs and identical whether computed on a live
 //! timeline or on a parsed `timeline-v1` file.
 //!
@@ -17,10 +17,6 @@
 //!   above a floor depth.
 //! - **starvation** — context lock wait (`pami.ctx.lock_wait_ps`) consumes
 //!   more than a fraction of a window.
-//! - **am-flush-stall** — the oldest active message parked in an
-//!   aggregation buffer (`am.oldest_wait_ps`) has waited a multiple of the
-//!   configured flush window: the sweep timer or sender progress is
-//!   stalled. Disabled unless the config carries the flush window.
 
 use crate::time::SimTime;
 use crate::timeline::{SeriesKind, TimelineSnapshot};
@@ -61,79 +57,54 @@ pub struct Finding {
     pub evidence: String,
 }
 
-/// Detector thresholds. The defaults are tuned for the bench workloads in
-/// this repo; see DESIGN.md §13 for the reasoning.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// congestion-onset: aggregate link wait must exceed this fraction of
-    /// the window width...
-    pub congestion_wait_frac: f64,
-    /// ...for at least this many consecutive recorded windows.
-    pub congestion_windows: usize,
-    /// congestion severity escalates to Critical at this multiple of the
-    /// wait threshold.
-    pub congestion_critical_mult: f64,
-    /// retry-storm: retries in one window at or above this count.
-    pub retry_storm_per_window: u64,
-    /// queue-runaway: strictly increasing per-window max depth for this
-    /// many consecutive windows...
-    pub queue_runaway_windows: usize,
-    /// ...ending at or above this depth.
-    pub queue_runaway_min_depth: i64,
-    /// starvation: lock wait above this fraction of a window.
-    pub starvation_wait_frac: f64,
-    /// am-flush-stall: the AM batcher's configured flush window (ps). 0 —
-    /// the default — disables the rule (no batcher, nothing to stall).
-    pub am_flush_window_ps: u64,
-    /// am-flush-stall: fire when the oldest buffered AM has waited this
-    /// multiple of the flush window.
-    pub am_stall_mult: f64,
-}
+// Detector thresholds, tuned for the bench workloads in this repo; see
+// DESIGN.md §13 for the reasoning.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            congestion_wait_frac: 0.5,
-            congestion_windows: 3,
-            congestion_critical_mult: 8.0,
-            retry_storm_per_window: 3,
-            queue_runaway_windows: 4,
-            queue_runaway_min_depth: 8,
-            starvation_wait_frac: 0.5,
-            am_flush_window_ps: 0,
-            am_stall_mult: 4.0,
-        }
-    }
-}
+/// congestion-onset: aggregate link wait must exceed this fraction of the
+/// window width...
+const CONGESTION_WAIT_FRAC: f64 = 0.5;
+/// ...for at least this many consecutive recorded windows.
+const CONGESTION_WINDOWS: usize = 3;
+/// congestion severity escalates to Critical at this multiple of the wait
+/// threshold.
+const CONGESTION_CRITICAL_MULT: f64 = 8.0;
+/// retry-storm: retries in one window at or above this count.
+const RETRY_STORM_PER_WINDOW: u64 = 3;
+/// queue-runaway: strictly increasing per-window max depth for this many
+/// consecutive windows...
+const QUEUE_RUNAWAY_WINDOWS: usize = 4;
+/// ...ending at or above this depth.
+const QUEUE_RUNAWAY_MIN_DEPTH: i64 = 8;
+/// starvation: lock wait above this fraction of a window.
+const STARVATION_WAIT_FRAC: f64 = 0.5;
 
 /// Run every detector over a snapshot. Findings come back sorted by
 /// `(window, rule)` so output order is deterministic regardless of which
 /// rule fired first.
-pub fn analyze(snap: &TimelineSnapshot, cfg: &HealthConfig) -> Vec<Finding> {
+pub fn analyze(snap: &TimelineSnapshot) -> Vec<Finding> {
     let mut out = Vec::new();
-    congestion_onset(snap, cfg, &mut out);
-    retry_storm(snap, cfg, &mut out);
-    queue_runaway(snap, cfg, &mut out);
-    starvation(snap, cfg, &mut out);
-    am_flush_stall(snap, cfg, &mut out);
+    congestion_onset(snap, &mut out);
+    retry_storm(snap, &mut out);
+    queue_runaway(snap, &mut out);
+    starvation(snap, &mut out);
     out.sort_by(|a, b| (a.window, a.rule).cmp(&(b.window, b.rule)));
     out
 }
 
-fn congestion_onset(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding>) {
+fn congestion_onset(snap: &TimelineSnapshot, out: &mut Vec<Finding>) {
     let Some(s) = snap.series("net.link_wait_ps") else {
         return;
     };
     if s.kind != SeriesKind::Counter {
         return;
     }
-    let threshold = cfg.congestion_wait_frac * snap.window_ps as f64;
+    let threshold = CONGESTION_WAIT_FRAC * snap.window_ps as f64;
     let mut run_start: Option<(u64, f64)> = None; // (first window, peak wait)
     let mut run_len = 0usize;
     let flush = |start: Option<(u64, f64)>, len: usize, out: &mut Vec<Finding>| {
         if let Some((w0, peak)) = start {
-            if len >= cfg.congestion_windows {
-                let severity = if peak >= threshold * cfg.congestion_critical_mult {
+            if len >= CONGESTION_WINDOWS {
+                let severity = if peak >= threshold * CONGESTION_CRITICAL_MULT {
                     Severity::Critical
                 } else {
                     Severity::Warning
@@ -174,7 +145,7 @@ fn congestion_onset(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<F
     flush(run_start.take(), run_len, out);
 }
 
-fn retry_storm(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding>) {
+fn retry_storm(snap: &TimelineSnapshot, out: &mut Vec<Finding>) {
     let Some(s) = snap.series("pami.retries") else {
         return;
     };
@@ -190,19 +161,19 @@ fn retry_storm(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Findin
             in_storm = false;
         }
         prev_idx = Some(w.idx);
-        let stormy = w.sum >= cfg.retry_storm_per_window;
+        let stormy = w.sum >= RETRY_STORM_PER_WINDOW;
         if stormy && !in_storm {
             out.push(Finding {
                 window: w.idx,
                 rule: "retry-storm",
-                severity: if w.sum >= cfg.retry_storm_per_window * 4 {
+                severity: if w.sum >= RETRY_STORM_PER_WINDOW * 4 {
                     Severity::Critical
                 } else {
                     Severity::Warning
                 },
                 evidence: format!(
                     "{} retries in one window (threshold {})",
-                    w.sum, cfg.retry_storm_per_window
+                    w.sum, RETRY_STORM_PER_WINDOW
                 ),
             });
         }
@@ -210,7 +181,7 @@ fn retry_storm(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Findin
     }
 }
 
-fn queue_runaway(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding>) {
+fn queue_runaway(snap: &TimelineSnapshot, out: &mut Vec<Finding>) {
     let Some(s) = snap.series("pami.queue_depth") else {
         return;
     };
@@ -227,7 +198,7 @@ fn queue_runaway(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Find
             j += 1;
         }
         let len = j - i + 1;
-        if len >= cfg.queue_runaway_windows && w[j].max >= cfg.queue_runaway_min_depth {
+        if len >= QUEUE_RUNAWAY_WINDOWS && w[j].max >= QUEUE_RUNAWAY_MIN_DEPTH {
             out.push(Finding {
                 window: w[i].idx,
                 rule: "queue-runaway",
@@ -242,14 +213,14 @@ fn queue_runaway(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Find
     }
 }
 
-fn starvation(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding>) {
+fn starvation(snap: &TimelineSnapshot, out: &mut Vec<Finding>) {
     let Some(s) = snap.series("pami.ctx.lock_wait_ps") else {
         return;
     };
     if s.kind != SeriesKind::Counter {
         return;
     }
-    let threshold = cfg.starvation_wait_frac * snap.window_ps as f64;
+    let threshold = STARVATION_WAIT_FRAC * snap.window_ps as f64;
     let mut starved = false;
     let mut prev_idx: Option<u64> = None;
     for w in &s.windows {
@@ -271,46 +242,6 @@ fn starvation(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding
             });
         }
         starved = hot;
-    }
-}
-
-fn am_flush_stall(snap: &TimelineSnapshot, cfg: &HealthConfig, out: &mut Vec<Finding>) {
-    if cfg.am_flush_window_ps == 0 {
-        return;
-    }
-    let Some(s) = snap.series("am.oldest_wait_ps") else {
-        return;
-    };
-    if s.kind != SeriesKind::Gauge {
-        return;
-    }
-    let threshold = cfg.am_stall_mult * cfg.am_flush_window_ps as f64;
-    let mut stalled = false;
-    let mut prev_idx: Option<u64> = None;
-    for w in &s.windows {
-        if prev_idx.is_none_or(|p| w.idx != p + 1) {
-            stalled = false;
-        }
-        prev_idx = Some(w.idx);
-        let hot = w.max as f64 >= threshold;
-        if hot && !stalled {
-            out.push(Finding {
-                window: w.idx,
-                rule: "am-flush-stall",
-                severity: if w.max as f64 >= threshold * 4.0 {
-                    Severity::Critical
-                } else {
-                    Severity::Warning
-                },
-                evidence: format!(
-                    "oldest buffered AM waited {} ps ({:.1}x the {} ps flush window)",
-                    w.max,
-                    w.max as f64 / cfg.am_flush_window_ps as f64,
-                    cfg.am_flush_window_ps
-                ),
-            });
-        }
-        stalled = hot;
     }
 }
 
@@ -344,22 +275,22 @@ mod tests {
         SimTime(us * 1_000_000)
     }
 
-    fn base() -> (Timeline, HealthConfig) {
+    fn base() -> Timeline {
         let tl = Timeline::new();
         tl.enable(1_000_000, 4096); // 1 µs windows
-        (tl, HealthConfig::default())
+        tl
     }
 
     #[test]
     fn congestion_onset_fires_on_sustained_wait() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("net.link_wait_ps", SeriesKind::Counter);
         // Windows 2..=5 each carry 0.6 µs of wait (threshold 0.5 µs).
         for w in 2..=5u64 {
             tl.add(id, t(w), 600_000);
         }
         tl.add(id, t(9), 600_000); // isolated hot window: no finding
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].window, f[0].rule), (2, "congestion-onset"));
         assert_eq!(f[0].severity, Severity::Warning);
@@ -367,25 +298,25 @@ mod tests {
 
     #[test]
     fn congestion_escalates_to_critical() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("net.link_wait_ps", SeriesKind::Counter);
         for w in 0..3u64 {
             tl.add(id, t(w), 5_000_000); // 10x threshold
         }
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].severity, Severity::Critical);
     }
 
     #[test]
     fn retry_storm_reports_burst_onsets() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("pami.retries", SeriesKind::Counter);
         tl.add(id, t(1), 1); // below threshold
         tl.add(id, t(3), 5); // storm 1
         tl.add(id, t(4), 4);
         tl.add(id, t(7), 13); // storm 2, critical
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(f.len(), 2);
         assert_eq!((f[0].window, f[0].severity), (3, Severity::Warning));
         assert_eq!((f[1].window, f[1].severity), (7, Severity::Critical));
@@ -393,72 +324,44 @@ mod tests {
 
     #[test]
     fn queue_runaway_needs_monotone_growth() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("pami.queue_depth", SeriesKind::Gauge);
         for (w, d) in [(0, 1), (1, 3), (2, 5), (3, 9)] {
             tl.gauge(id, t(w), d);
         }
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].window, f[0].rule), (0, "queue-runaway"));
 
         // Flat depth: no finding.
-        let (tl2, _) = base();
+        let tl2 = base();
         let id2 = tl2.series("pami.queue_depth", SeriesKind::Gauge);
         for w in 0..8u64 {
             tl2.gauge(id2, t(w), 9);
         }
-        assert!(analyze(&tl2.snapshot(), &cfg).is_empty());
+        assert!(analyze(&tl2.snapshot()).is_empty());
     }
 
     #[test]
     fn starvation_flags_dominated_windows() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("pami.ctx.lock_wait_ps", SeriesKind::Counter);
         tl.add(id, t(4), 800_000);
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].window, f[0].rule), (4, "starvation"));
     }
 
     #[test]
-    fn am_flush_stall_trips_on_overdue_buffer() {
-        let (tl, mut cfg) = base();
-        cfg.am_flush_window_ps = 1_000_000; // 1 µs flush window
-        let id = tl.series("am.oldest_wait_ps", SeriesKind::Gauge);
-        tl.gauge(id, t(2), 500_000); // 0.5x window: healthy
-        tl.gauge(id, t(5), 5_000_000); // 5x window: stalled
-        tl.gauge(id, t(6), 6_000_000); // same burst: no second finding
-        let f = analyze(&tl.snapshot(), &cfg);
-        assert_eq!(f.len(), 1);
-        assert_eq!((f[0].window, f[0].rule), (5, "am-flush-stall"));
-        assert_eq!(f[0].severity, Severity::Warning);
-
-        // Critical at 4x the stall threshold (16x the window here).
-        let (tl2, mut cfg2) = base();
-        cfg2.am_flush_window_ps = 1_000_000;
-        let id2 = tl2.series("am.oldest_wait_ps", SeriesKind::Gauge);
-        tl2.gauge(id2, t(1), 20_000_000);
-        let f2 = analyze(&tl2.snapshot(), &cfg2);
-        assert_eq!(f2[0].severity, Severity::Critical);
-
-        // Rule is off without a configured window.
-        let (tl3, cfg3) = base();
-        let id3 = tl3.series("am.oldest_wait_ps", SeriesKind::Gauge);
-        tl3.gauge(id3, t(1), 20_000_000);
-        assert!(analyze(&tl3.snapshot(), &cfg3).is_empty());
-    }
-
-    #[test]
     fn findings_sort_by_window_then_rule() {
-        let (tl, cfg) = base();
+        let tl = base();
         let r = tl.series("pami.retries", SeriesKind::Counter);
         let w = tl.series("net.link_wait_ps", SeriesKind::Counter);
         tl.add(r, t(2), 9);
         for i in 2..=4u64 {
             tl.add(w, t(i), 900_000);
         }
-        let f = analyze(&tl.snapshot(), &cfg);
+        let f = analyze(&tl.snapshot());
         assert_eq!(
             f.iter().map(|x| (x.window, x.rule)).collect::<Vec<_>>(),
             vec![(2, "congestion-onset"), (2, "retry-storm")]
@@ -467,7 +370,7 @@ mod tests {
 
     #[test]
     fn analysis_is_identical_on_parsed_snapshots() {
-        let (tl, cfg) = base();
+        let tl = base();
         let id = tl.series("net.link_wait_ps", SeriesKind::Counter);
         for w in 0..4u64 {
             tl.add(id, t(w), 700_000);
@@ -478,6 +381,6 @@ mod tests {
             runs: vec![("r".into(), snap.clone())],
         };
         let back = crate::timeline::TimelineDoc::parse(&doc.to_json()).unwrap();
-        assert_eq!(analyze(&snap, &cfg), analyze(&back.runs[0].1, &cfg));
+        assert_eq!(analyze(&snap), analyze(&back.runs[0].1));
     }
 }

@@ -607,7 +607,8 @@ impl Sim {
 
     /// Heap bytes of `task`'s boxed future (the spawned future plus its
     /// completion handle), or `None` once the task has finished. What a
-    /// parked task costs the host; see `tests/task_size.rs`.
+    /// parked task costs the host. Only `tests/task_size.rs` calls it; it
+    /// stays because the task table is private to the kernel.
     pub fn task_bytes(&self, task: TaskId) -> Option<usize> {
         let tasks = self.k.tasks.borrow();
         let fut = tasks.get(task.0)?.future.as_ref()?;

@@ -57,7 +57,7 @@ pub use event::Completion;
 pub use fault::{FaultEvent, FaultPlan, FaultSpec};
 pub use futures::{race, Either};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use health::{Finding, HealthConfig, Severity};
+pub use health::{Finding, Severity};
 pub use kernel::{Fire, JoinHandle, Sim, TaskId};
 pub use memprof::{MemProf, MemScope, MemSnapshot, MemTag};
 pub use paged::PagedMap;

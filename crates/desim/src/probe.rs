@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use crate::critpath::{analyze, CritPath, Lifecycle, OpId, SegCategory};
-use crate::health::{self, HealthConfig};
+use crate::health;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::{SeriesKind, Timeline, TimelineSnapshot};
@@ -396,7 +396,7 @@ impl Observe {
         let timeline = self.timeline.map(|_| probes.timeline.snapshot());
         let chrome = self.trace.map(|(pid, name)| {
             if let Some(tl) = &timeline {
-                let findings = health::analyze(tl, &HealthConfig::default());
+                let findings = health::analyze(tl);
                 health::emit_instants(&probes.tracer, &findings, tl.window_ps);
             }
             let mut ct = ChromeTrace::new();

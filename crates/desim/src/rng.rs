@@ -75,14 +75,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Sample an exponentially distributed value with the given mean.
     pub fn exp(&mut self, mean: f64) -> f64 {
         let u = loop {
@@ -150,17 +142,6 @@ mod tests {
         }
         let mean = sum / 1000.0;
         assert!((0.4..0.6).contains(&mean), "mean {mean} suspicious");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(11);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>()); // overwhelmingly likely
     }
 
     #[test]

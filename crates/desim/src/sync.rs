@@ -69,24 +69,6 @@ impl MutexCell {
     pub fn lock<H: AsRef<MutexCell> + Clone + Unpin>(h: H) -> MutexLock<H> {
         MutexLock { h, ticket: None }
     }
-
-    /// Attempt to acquire the lock behind `h` without waiting.
-    pub fn try_lock<H: AsRef<MutexCell>>(h: H) -> Option<MutexGuard<H>> {
-        {
-            let mut st = h.as_ref().state.borrow_mut();
-            if st.serving != st.next_ticket {
-                return None;
-            }
-            st.next_ticket += 1;
-        }
-        Some(MutexGuard { h })
-    }
-
-    /// True when some task currently holds the lock.
-    pub fn is_locked(&self) -> bool {
-        let st = self.state.borrow();
-        st.serving < st.next_ticket
-    }
 }
 
 /// Future returned by [`MutexCell::lock`].
@@ -293,17 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn mutex_try_lock() {
-        let m = Rc::new(MutexCell::new());
-        let g = MutexCell::try_lock(Rc::clone(&m)).unwrap();
-        assert!(m.is_locked());
-        assert!(MutexCell::try_lock(Rc::clone(&m)).is_none());
-        drop(g);
-        assert!(!m.is_locked());
-        assert!(MutexCell::try_lock(Rc::clone(&m)).is_some());
-    }
-
-    #[test]
     fn mutex_handoff_no_barging() {
         // A task that releases and immediately relocks must go behind a
         // waiting task.
@@ -409,7 +380,9 @@ mod tests {
         let (s, h2) = (sim.clone(), h.clone());
         sim.spawn(async move {
             s.sleep(SimDuration::from_us(5)).await;
-            assert!(MutexCell::try_lock(h2.clone()).is_some());
+            // Nobody holds the lock yet: it is granted without a wait.
+            drop(MutexCell::lock(h2.clone()).await);
+            assert_eq!(s.now().as_ps(), 5_000_000);
             h2.0.arrived.notify_all();
         });
         sim.run();
@@ -419,7 +392,16 @@ mod tests {
             &*h.0.log.borrow(),
             &[(0, 6_000_000), (1, 7_000_000), (2, 8_000_000)]
         );
-        assert!(!h.0.lock.is_locked());
         assert_eq!(Rc::strong_count(&h.0), 1, "futures released the block");
+        // The last holder released the lock: a new request is granted at
+        // once.
+        let (s, h3) = (sim.clone(), h.clone());
+        let t0 = sim.now();
+        let relock = sim.spawn(async move {
+            drop(MutexCell::lock(h3).await);
+            s.now()
+        });
+        sim.run();
+        assert_eq!(relock.try_result(), Some(t0));
     }
 }

@@ -101,11 +101,6 @@ impl SimDuration {
     pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * PS_PER_S)
     }
-    /// Construct from fractional nanoseconds, rounding to the nearest picosecond.
-    #[inline]
-    pub fn from_ns_f64(ns: f64) -> SimDuration {
-        SimDuration((ns * PS_PER_NS as f64).round().max(0.0) as u64)
-    }
     /// Construct from fractional microseconds, rounding to the nearest picosecond.
     #[inline]
     pub fn from_us_f64(us: f64) -> SimDuration {
@@ -279,11 +274,11 @@ mod tests {
 
     #[test]
     fn fractional_construction_rounds() {
-        // 0.5556 ns -> 556 ps (rounded)
-        assert_eq!(SimDuration::from_ns_f64(0.5556).as_ps(), 556);
+        // 0.0005556 us -> 556 ps (rounded)
+        assert_eq!(SimDuration::from_us_f64(0.000_555_6).as_ps(), 556);
         assert_eq!(SimDuration::from_us_f64(2.89).as_ns(), 2890.0);
         // negative clamps to zero
-        assert_eq!(SimDuration::from_ns_f64(-1.0).as_ps(), 0);
+        assert_eq!(SimDuration::from_us_f64(-1.0).as_ps(), 0);
     }
 
     #[test]

@@ -26,10 +26,8 @@
 //! The default workload is the paper's: 6 water molecules, 644 basis
 //! functions (§IV-C2, the reduced Gordon-Bell input).
 
-pub mod molecule;
 pub mod report;
 pub mod scf;
 
-pub use molecule::WaterCluster;
 pub use report::ScfReport;
 pub use scf::{run_scf, run_scf_observed, ScfConfig};

@@ -52,8 +52,7 @@ static BATCHES: Probe = Probe::new().count("am.batches").series("am.batches");
 static BATCH_SIZE: Probe = Probe::new().hist("am.batch_size");
 /// The level of AMs waiting in aggregation buffers.
 static QUEUE_DEPTH: Probe = Probe::new().gauge("am.queue_depth");
-/// At each flush, how long the oldest entry waited (the `am-flush-stall`
-/// health rule).
+/// At each flush, how long the oldest entry waited.
 static OLDEST_WAIT: Probe = Probe::new().gauge("am.oldest_wait_ps");
 /// An AM's time in its buffer.
 static AGGR: Probe = Probe::new().segment(SegCategory::Queueing, "pami.am_aggr");

@@ -822,11 +822,6 @@ impl PamiRank {
         true
     }
 
-    /// Number of endpoints this rank has created.
-    pub fn endpoint_count(&self) -> usize {
-        self.state().endpoints.borrow().len()
-    }
-
     /// Register `[off, off+len)` as an RDMA memory region. Costs δ and γ
     /// bytes of metadata; fails once the per-rank limit is reached.
     pub async fn register_region(&self, off: usize, len: usize) -> Result<RegionId, RegionError> {
@@ -880,11 +875,6 @@ impl PamiRank {
             .enumerate()
             .find(|(_, reg)| reg.active && reg.off <= off && off + len <= reg.off + reg.len)
             .map(|(i, _)| RegionId(i))
-    }
-
-    /// Number of currently active regions.
-    pub fn region_count(&self) -> usize {
-        self.state().active_regions()
     }
 
     /// `(offset, len)` bounds of a registered region.

@@ -459,7 +459,6 @@ fn endpoint_creation_costs_beta_and_alpha_once() {
     });
     sim.run();
     assert_eq!(h.try_result().unwrap(), params.endpoint_create * 2);
-    assert_eq!(r0.endpoint_count(), 2);
     // Space: M_e = zeta * alpha * rho (Eq. 3) with zeta=2, rho=1.
     assert_eq!(m.space(0).endpoints, 2 * params.endpoint_bytes);
 }
@@ -513,7 +512,6 @@ fn region_registration_costs_and_limit() {
     assert_eq!(m.space(0).regions, 2 * params.memregion_bytes);
     // Deregistering frees a slot.
     r0.deregister_region(r0.find_region(0, 16).unwrap());
-    assert_eq!(r0.region_count(), 1);
     assert_eq!(m.space(0).regions, params.memregion_bytes);
 }
 

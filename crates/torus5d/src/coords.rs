@@ -2,17 +2,11 @@
 
 use std::fmt;
 
-/// Names of the five torus dimensions, in BG/Q order.
-pub const DIM_NAMES: [char; 5] = ['A', 'B', 'C', 'D', 'E'];
-
 /// A node coordinate in the 5D torus: `(a, b, c, d, e)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Coord(pub [u16; 5]);
 
 impl Coord {
-    /// The origin `(0,0,0,0,0)`.
-    pub const ORIGIN: Coord = Coord([0; 5]);
-
     /// Coordinate along dimension `dim` (0=A … 4=E).
     #[inline]
     pub fn get(&self, dim: usize) -> u16 {

@@ -29,8 +29,6 @@ pub struct BgqParams {
     /// Payload serialization time per byte on a torus link, in picoseconds
     /// (563 ps/B ⇒ ≈1776 MB/s achieved of the 1.8 GB/s available).
     pub byte_time_ps: u64,
-    /// Raw link bandwidth (2 GB/s), for documentation/efficiency reporting.
-    pub raw_link_bw_mbs: f64,
     /// Available (protocol-limited) bandwidth the paper normalizes against.
     pub available_bw_mbs: f64,
     // ---- intra-node (shared memory) ----
@@ -98,7 +96,6 @@ impl Default for BgqParams {
             hop_latency: SimDuration::from_ns(35),
             base_latency: SimDuration::from_ns(780),
             byte_time_ps: 563,
-            raw_link_bw_mbs: 2000.0,
             available_bw_mbs: 1800.0,
             intranode_latency: SimDuration::from_ns(450),
             intranode_byte_time_ps: 100,
@@ -223,14 +220,6 @@ impl BgqParams {
         let log2p = usize::BITS - p.max(1).leading_zeros() - 1;
         self.barrier_base + self.barrier_per_log2p * u64::from(log2p)
     }
-
-    /// Achieved bandwidth in MB/s for `bytes` transferred in `elapsed`.
-    pub fn bandwidth_mbs(bytes: usize, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        bytes as f64 / elapsed.as_secs() / 1.0e6
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +261,7 @@ mod tests {
         let p = BgqParams::default();
         let m = 1 << 20; // 1 MB
         let wire = p.wire_time(m);
-        let bw = BgqParams::bandwidth_mbs(m, wire);
+        let bw = m as f64 / wire.as_secs() / 1.0e6;
         assert!((1750.0..1800.0).contains(&bw), "wire-limited bw = {bw}");
     }
 
@@ -307,10 +296,5 @@ mod tests {
         let b4096 = p.barrier_cost(4096);
         assert!(b4096 > b2);
         assert!(b4096.as_us() < 3.0, "HW barrier stays a few us");
-    }
-
-    #[test]
-    fn bandwidth_of_zero_elapsed_is_zero() {
-        assert_eq!(BgqParams::bandwidth_mbs(100, SimDuration::ZERO), 0.0);
     }
 }

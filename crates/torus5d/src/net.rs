@@ -205,9 +205,9 @@ struct Faults {
     routable: Vec<bool>,
     /// Per-node hang horizon (`SimTime::ZERO` = not hung).
     hang_until: Vec<SimTime>,
-    /// Per-link corruption probability; empty when the plan has none, so
-    /// the common no-corruption case skips sampling entirely.
-    corrupt: Vec<f64>,
+    /// Per-traversal corruption probability; at 0 no traversal draws from
+    /// `rng`.
+    corrupt: f64,
     /// When each currently-down link went down (valid while `!phys_up`).
     down_since: Vec<SimTime>,
     /// Corruption sampler, derived from the plan seed — consulted once per
@@ -362,11 +362,6 @@ impl NetState {
         let _mem = memprof::scope(&LINKS_TAG);
         let nlinks = self.rt.num_link_ids();
         let nodes = self.rt.num_nodes();
-        let corrupt = if plan.any_corruption() {
-            (0..nlinks as u32).map(|l| plan.corruption_for(l)).collect()
-        } else {
-            Vec::new()
-        };
         self.faults = Some(Box::new(Faults {
             events: plan.compiled(),
             cursor: 0,
@@ -374,7 +369,7 @@ impl NetState {
             phys_up: vec![true; nlinks],
             routable: vec![true; nlinks],
             hang_until: vec![SimTime::ZERO; nodes],
-            corrupt,
+            corrupt: plan.corruption_rate(),
             down_since: vec![SimTime::ZERO; nlinks],
             rng: SimRng::new(plan.seed()).derive(0xC0_44),
             link_down_events: 0,
@@ -671,11 +666,11 @@ impl NetState {
                     obs.link(self, link, request, granted, t, t + wire);
                     // The packet crossed (and occupied) the link but arrived
                     // damaged: lost after the reservation.
-                    if faults.corrupted(li) {
+                    if faults.corrupted() {
                         return Delivery::Dropped { at: t };
                     }
                 } else {
-                    if faults.corrupted(li) {
+                    if faults.corrupted() {
                         return Delivery::Dropped { at: t + hop };
                     }
                     if self.track_links {
@@ -823,9 +818,9 @@ trait FaultView {
         false
     }
 
-    /// True (counted) when the packet is corrupted crossing link `li`: one
-    /// uniform draw per corruptible link traversal.
-    fn corrupted(&mut self, _li: usize) -> bool {
+    /// True (counted) when the packet is corrupted crossing a link: one
+    /// uniform draw per traversal while the corruption rate is nonzero.
+    fn corrupted(&mut self) -> bool {
         false
     }
 }
@@ -852,12 +847,8 @@ impl FaultView for Faults {
         down
     }
 
-    fn corrupted(&mut self, li: usize) -> bool {
-        // `corrupt` is empty when the plan has no corruption at all.
-        let hit = match self.corrupt.get(li) {
-            Some(&p) if p > 0.0 => self.rng.next_f64() < p,
-            _ => false,
-        };
+    fn corrupted(&mut self) -> bool {
+        let hit = self.corrupt > 0.0 && self.rng.next_f64() < self.corrupt;
         self.drops_corrupt += u64::from(hit);
         hit
     }

@@ -183,12 +183,6 @@ impl RouteTable {
         self.fill_route_live(key, src_node, dst_node, epoch, live)
     }
 
-    /// The cached route between two node indices as a [`LinkId`] slice.
-    pub fn route_ids(&mut self, src_node: u32, dst_node: u32) -> &[LinkId] {
-        let (off, len) = self.route_span(src_node, dst_node);
-        &self.arena[off as usize..off as usize + len as usize]
-    }
-
     /// One link of the arena (index comes from [`RouteTable::route_span`]).
     #[inline]
     pub fn link_at(&self, arena_idx: u32) -> LinkId {
@@ -200,7 +194,8 @@ impl RouteTable {
         self.routes_cached
     }
 
-    /// Total links stored in the shared route arena.
+    /// Total links stored in the shared route arena. Kept for
+    /// `tests/alloc_free.rs`, which pins that warm routes never grow it.
     pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -321,11 +316,9 @@ mod tests {
         let shape = topo.shape;
         for a in 0..shape.num_nodes() as u32 {
             for b in 0..shape.num_nodes() as u32 {
-                let cached: Vec<Link> = rt
-                    .route_ids(a, b)
-                    .to_vec()
-                    .into_iter()
-                    .map(|id| rt.link_of(id))
+                let (off, len) = rt.route_span(a, b);
+                let cached: Vec<Link> = (off..off + u32::from(len))
+                    .map(|i| rt.link_of(rt.link_at(i)))
                     .collect();
                 let fresh = route(
                     &shape,

@@ -5,7 +5,15 @@
 
 use desim::SimRng;
 use torus5d::routing::route;
-use torus5d::{Coord, LinkId, Mapping, RouteTable, Topology, TorusShape};
+use torus5d::{Coord, Link, LinkId, Mapping, RouteTable, Topology, TorusShape};
+
+/// The cached route between two node indices, link by link.
+fn cached_route(rt: &mut RouteTable, src_node: u32, dst_node: u32) -> Vec<Link> {
+    let (off, len) = rt.route_span(src_node, dst_node);
+    (off..off + u32::from(len))
+        .map(|i| rt.link_of(rt.link_at(i)))
+        .collect()
+}
 
 /// Random shapes mixing the standard partition tables with hand-picked
 /// degenerate ones (size-1 dims, even dims with wrap ties, long thin dims).
@@ -63,20 +71,10 @@ fn cached_routes_equal_fresh_routes_on_random_pairs() {
                 shape.node_coord(a as usize),
                 shape.node_coord(b as usize),
             );
-            let cached: Vec<_> = rt
-                .route_ids(a, b)
-                .to_vec()
-                .into_iter()
-                .map(|id| rt.link_of(id))
-                .collect();
+            let cached = cached_route(&mut rt, a, b);
             assert_eq!(cached, fresh, "shape {shape} route {a}->{b}");
             // Cached again: identical (stability).
-            let again: Vec<_> = rt
-                .route_ids(a, b)
-                .to_vec()
-                .into_iter()
-                .map(|id| rt.link_of(id))
-                .collect();
+            let again = cached_route(&mut rt, a, b);
             assert_eq!(again, fresh);
         }
     }
@@ -103,12 +101,7 @@ fn wrap_ties_resolve_identically_in_cache_and_fresh() {
         let b = shape.node_index(cb);
         let fresh = route(&shape, ca, cb);
         assert!(fresh.iter().all(|l| l.plus), "ties must resolve positive");
-        let cached: Vec<_> = rt
-            .route_ids(a as u32, b as u32)
-            .to_vec()
-            .into_iter()
-            .map(|id| rt.link_of(id))
-            .collect();
+        let cached = cached_route(&mut rt, a as u32, b as u32);
         assert_eq!(cached, fresh, "antipodal route {a}->{b}");
     }
 }
