@@ -21,7 +21,7 @@ use std::rc::Rc;
 
 use desim::memprof::{self, MemTag};
 use desim::{Completion, Lane, OpId, Probe, Probes, SimDuration, SimTime, TraceValue};
-use pami_sim::{PamiRank, PutHandles, RmwOp};
+use pami_sim::{PamiRank, Pieces, PutHandles, RmwOp};
 
 /// Implicit-handle sets and non-blocking handle state.
 static HANDLES_TAG: MemTag = MemTag::new("armci.handles");
@@ -266,8 +266,8 @@ impl ArmciRank {
     /// the table row `desc`: the prologue (lifecycle record, counters, trace
     /// span, endpoint, region resolution, consistency gate, local region,
     /// protocol choice), the operation's own protocol `step` — told whether
-    /// the direct protocol may be used, and the total bytes — and the
-    /// epilogue (span end, write record, detach, handle, implicit list).
+    /// the direct protocol may be used — and the epilogue (span end, write
+    /// record, detach, handle, implicit list).
     /// Generic over the step rather than boxing it: the future of each public
     /// operation holds its own PAMI calls inline and nothing else's. A
     /// transfer of no chunks completes on the spot, with no message.
@@ -282,7 +282,7 @@ impl ArmciRank {
         step: S,
     ) -> impl Future<Output = NbHandle> + 'a
     where
-        S: FnOnce(bool, usize) -> F + 'a,
+        S: FnOnce(bool) -> F + 'a,
         F: Future<Output = Posted> + 'a,
     {
         async move {
@@ -338,7 +338,7 @@ impl ArmciRank {
             if let Some(taken) = desc.protocol_taken(direct) {
                 self.a.sim().count(taken, 1);
             }
-            let (done, remote) = step(direct, total).await;
+            let (done, remote) = step(direct).await;
             // Looked up again rather than kept across the step's await: the
             // row is static, the future's bytes are per rank.
             let path = desc.protocol_taken(direct).map_or("software", Probe::key);
@@ -390,7 +390,7 @@ impl ArmciRank {
         len: usize,
     ) -> impl Future<Output = NbHandle> + '_ {
         let piece = (local_off, remote_off, len);
-        self.issue(&optable::GET, target, piece, move |rdma, _| async move {
+        self.issue(&optable::GET, target, piece, move |rdma| async move {
             let done = if rdma {
                 self.pami.rdma_get(target, local_off, remote_off, len).await
             } else {
@@ -415,7 +415,7 @@ impl ArmciRank {
         len: usize,
     ) -> impl Future<Output = NbHandle> + '_ {
         let piece = (local_off, remote_off, len);
-        self.issue(&optable::PUT, target, piece, move |rdma, _| async move {
+        self.issue(&optable::PUT, target, piece, move |rdma| async move {
             written(if rdma {
                 self.pami.rdma_put(target, local_off, remote_off, len).await
             } else {
@@ -441,7 +441,7 @@ impl ArmciRank {
         scale: f64,
     ) -> impl Future<Output = NbHandle> + '_ {
         let piece = (local_off, remote_off, elems * 8);
-        self.issue(&optable::ACC, target, piece, move |_, _| async move {
+        self.issue(&optable::ACC, target, piece, move |_| async move {
             written(
                 self.pami
                     .acc_f64(target, local_off, remote_off, elems, scale)
@@ -479,18 +479,19 @@ impl ArmciRank {
         target: usize,
         list: impl ChunkList + 'a,
     ) -> impl Future<Output = NbHandle> + 'a {
-        self.issue(desc, target, list, move |zero_copy, total| async move {
+        self.issue(desc, target, list, move |zero_copy| async move {
             match (desc.kind == OpKind::Get, zero_copy) {
                 (true, true) => {
-                    let pieces = list.pieces();
-                    (self.pami.rdma_get_list(target, pieces, total).await, None)
+                    let get = list.train(|pieces| self.pami.rdma_get_list(target, pieces));
+                    (get.await, None)
                 }
                 (true, false) => {
                     let (local, remote) = list.chunk_lists();
                     (self.pami.packed_get(target, remote, local).await, None)
                 }
                 (false, true) => {
-                    written(self.pami.rdma_put_list(target, list.pieces(), total).await)
+                    let put = list.train(|pieces| self.pami.rdma_put_list(target, pieces));
+                    written(put.await)
                 }
                 (false, false) => {
                     let (local, remote) = list.chunk_lists();
@@ -545,19 +546,14 @@ impl ArmciRank {
         scale: f64,
     ) -> impl Future<Output = NbHandle> + 'a {
         let list = StridedPair::new(local, remote);
-        self.issue(
-            &optable::ACC_STRIDED,
-            target,
-            list,
-            move |_, _| async move {
-                let (local, remote) = list.chunk_lists();
-                written(
-                    self.pami
-                        .acc_strided_f64(target, local, remote, scale)
-                        .await,
-                )
-            },
-        )
+        self.issue(&optable::ACC_STRIDED, target, list, move |_| async move {
+            let (local, remote) = list.chunk_lists();
+            written(
+                self.pami
+                    .acc_strided_f64(target, local, remote, scale)
+                    .await,
+            )
+        })
     }
 
     /// Blocking strided accumulate.
@@ -941,6 +937,8 @@ type Spans = Vec<(usize, usize)>;
 trait ChunkList: Copy {
     /// `(local_off, remote_off, len)` of every piece, in posting order.
     fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)>;
+    /// `f` of the pieces as a chunk train's descriptor.
+    fn train<R>(&self, f: impl FnOnce(Pieces<'_>) -> R) -> R;
     /// Covering `(offset, len)` span of the local and of the remote side.
     fn spans(&self) -> ((usize, usize), (usize, usize));
     /// The `(local, remote)` chunk lists a packed work item carries.
@@ -951,6 +949,10 @@ trait ChunkList: Copy {
 impl ChunkList for (usize, usize, usize) {
     fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)> {
         std::iter::once(*self)
+    }
+
+    fn train<R>(&self, f: impl FnOnce(Pieces<'_>) -> R) -> R {
+        f(Pieces::one(self.0, self.1, self.2))
     }
 
     fn spans(&self) -> ((usize, usize), (usize, usize)) {
@@ -980,6 +982,21 @@ impl ChunkList for StridedPair<'_> {
         Strided::pair_chunks(self.local, self.remote).map(|((lo, len), (ro, _))| (lo, ro, len))
     }
 
+    /// Pieces of one length when the smaller coalesced chunk divides the
+    /// larger (a dense side split into the other side's rows, say); a list
+    /// otherwise, or past [`pami_sim::MAX_LEVELS`].
+    fn train<R>(&self, f: impl FnOnce(Pieces<'_>) -> R) -> R {
+        let len = self
+            .local
+            .dense_prefix()
+            .1
+            .min(self.remote.dense_prefix().1);
+        match (self.local.train_side(len), self.remote.train_side(len)) {
+            (Some(local), Some(remote)) => f(Pieces::Strided { len, local, remote }),
+            _ => f(Pieces::List(&self.pieces().collect::<Vec<_>>())),
+        }
+    }
+
     fn spans(&self) -> ((usize, usize), (usize, usize)) {
         (span(self.local), span(self.remote))
     }
@@ -992,6 +1009,10 @@ impl ChunkList for StridedPair<'_> {
 impl ChunkList for &[(usize, usize, usize)] {
     fn pieces(&self) -> impl Iterator<Item = (usize, usize, usize)> {
         self.iter().copied()
+    }
+
+    fn train<R>(&self, f: impl FnOnce(Pieces<'_>) -> R) -> R {
+        f(Pieces::List(self))
     }
 
     fn spans(&self) -> ((usize, usize), (usize, usize)) {

@@ -9,6 +9,8 @@
 //! over the descriptor — no chunk list is built unless one has to travel
 //! inside a work item ([`Strided::chunk_list`]).
 
+use pami_sim::Side;
+
 /// A uniformly strided transfer descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Strided {
@@ -77,7 +79,7 @@ impl Strided {
 
     /// How many innermost levels are dense (stride equal to the extent below
     /// them), and the contiguous chunk they coalesce into.
-    fn dense_prefix(&self) -> (usize, usize) {
+    pub(crate) fn dense_prefix(&self) -> (usize, usize) {
         let mut chunk = self.chunk;
         let mut dense = 0;
         while dense < self.counts.len().min(self.strides.len()) && self.strides[dense] == chunk {
@@ -112,6 +114,23 @@ impl Strided {
             i0: 0,
             off: self.offset,
         }
+    }
+
+    /// This descriptor as one side of a chunk train of `len`-byte pieces: its
+    /// levels after dense coalescing, below them a level splitting each
+    /// coalesced chunk into pieces. `None` when `len` does not divide that
+    /// chunk or the levels do not fit a [`Side`].
+    pub(crate) fn train_side(&self, len: usize) -> Option<Side> {
+        let (dense, chunk) = self.dense_prefix();
+        if len == 0 || !chunk.is_multiple_of(len) {
+            return None;
+        }
+        let split = (chunk > len).then_some((chunk / len, len));
+        let levels = self.counts[dense..].iter().zip(&self.strides[dense..]);
+        Side::new(
+            self.offset,
+            split.into_iter().chain(levels.map(|(&c, &s)| (c, s))),
+        )
     }
 
     /// [`Strided::chunks`] collected, for a chunk list that travels inside a
@@ -426,5 +445,46 @@ mod tests {
     #[should_panic(expected = "leading dimension")]
     fn patch2d_validates_ld() {
         Strided::patch2d(0, 100, 2, 50);
+    }
+
+    #[test]
+    fn train_sides_enumerate_the_paired_pieces() {
+        let s = |offset, chunk, counts: &[usize], strides: &[usize]| Strided {
+            offset,
+            chunk,
+            counts: counts.to_vec(),
+            strides: strides.to_vec(),
+        };
+        // Same rows; a dense side split into the other's rows; a coalesced
+        // level on one side; two levels against one.
+        let pairs = [
+            (s(0, 16, &[3], &[24]), s(500, 16, &[3], &[40])),
+            (
+                Strided::patch2d(0, 368, 8, 368),
+                Strided::patch2d(4096, 368, 8, 1024),
+            ),
+            (s(8, 4, &[2, 3], &[4, 100]), s(900, 8, &[3], &[50])),
+            (s(0, 8, &[2, 3], &[16, 64]), s(700, 8, &[6], &[24])),
+        ];
+        for (local, remote) in &pairs {
+            let len = local.dense_prefix().1.min(remote.dense_prefix().1);
+            let (l, r) = (
+                local.train_side(len).unwrap(),
+                remote.train_side(len).unwrap(),
+            );
+            let paired: Vec<_> = Strided::pair_chunks(local, remote)
+                .map(|((lo, len), (ro, _))| (lo, ro, len))
+                .collect();
+            assert_eq!(l.pieces(), paired.len());
+            let read: Vec<_> = (0..l.pieces()).map(|k| (l.at(k), r.at(k), len)).collect();
+            assert_eq!(read, paired, "{local:?} / {remote:?}");
+        }
+        // Chunks of 12 and 8 bytes split into pieces of 8 and 4: no one
+        // length, so the train gets a list instead.
+        assert!(s(0, 12, &[2], &[20]).train_side(8).is_none());
+        // A split level on top of four levels is one too many.
+        let deep = s(0, 16, &[2; 4], &[32, 64, 128, 256]);
+        assert!(deep.train_side(8).is_none());
+        assert!(deep.train_side(16).is_some());
     }
 }

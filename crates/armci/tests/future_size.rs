@@ -37,8 +37,8 @@ fn blocking_call_futures_stay_under_their_ceilings() {
     check("PamiRank::advance", &pr.advance(0, 1), 368);
     check("PamiRank::progress_wait", &pr.progress_wait(&done), 136);
     check("PamiRank::rmw", &pr.rmw(0, 0, RmwOp::FetchAdd(1)), 240);
-    check("PamiRank::rdma_get", &pr.rdma_get(0, 0, 0, 8), 168);
-    check("PamiRank::rdma_put", &pr.rdma_put(0, 0, 0, 8), 176);
+    check("PamiRank::rdma_get", &pr.rdma_get(0, 0, 0, 8), 120);
+    check("PamiRank::rdma_put", &pr.rdma_put(0, 0, 0, 8), 120);
     check("PamiRank::ensure_endpoint", &pr.ensure_endpoint(0, 1), 80);
     check("ArmciRank::rmw_fetch_add", &rk.rmw_fetch_add(0, 0, 1), 344);
     check("ArmciRank::barrier", &rk.barrier(), 232);
@@ -54,7 +54,7 @@ fn blocking_call_futures_stay_under_their_ceilings() {
         192,
     );
     check("ArmciRank::am_fence", &rk.am_fence(0), 312);
-    check("ArmciRank::get", &rk.get(0, 0, 0, 8), 576);
-    check("ArmciRank::put", &rk.put(0, 0, 0, 8), 608);
+    check("ArmciRank::get", &rk.get(0, 0, 0, 8), 504);
+    check("ArmciRank::put", &rk.put(0, 0, 0, 8), 552);
     assert_eq!(m.materialized_count(), 0);
 }

@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use armci::{Armci, ArmciConfig, ConsistencyMode, ProgressMode, Strided};
+use armci::{Armci, ArmciConfig, ConsistencyMode, ProgressMode, ReduceOp, Strided};
 use desim::{FxHashMap as HashMap, Sim, SimDuration, SimRng};
 use pami_sim::{Machine, MachineConfig};
 
@@ -418,6 +418,54 @@ fn check_get_trains(seed: u64) {
                         .push(format!("rank {r}: a get wrote outside its chunks"));
                 }
             }
+            // Two gets in flight from one target into overlapping parts of
+            // `buf`. A pair's requests arrive in call order, so where the
+            // two overlap the second get's bytes are what stays.
+            rk.pami().write_bytes(buf, &vec![SENTINEL; BLOCK]);
+            let t = (r + 1 + rng.next_below(P as u64 - 1) as usize) % P;
+            let first = random_rows(&mut rng, buf, block[t], BLOCK);
+            let shift = 8 * rng.next_below(first.0.chunk as u64 / 8) as usize;
+            let second = random_rows(&mut rng, buf + shift, block[t], BLOCK);
+            let h1 = rk.nbget_strided(t, &first.0, &first.1).await;
+            let h2 = rk.nbget_strided(t, &second.0, &second.1).await;
+            rk.wait(&h1).await;
+            rk.wait(&h2).await;
+            let mut want = vec![SENTINEL; BLOCK];
+            for (local, remote) in [&first, &second] {
+                for ((lo, len), (ro, _)) in local.chunk_list().into_iter().zip(remote.chunk_list())
+                {
+                    want[lo - buf..][..len].copy_from_slice(&m.rank(t).read_bytes(ro, len));
+                }
+                *chunks.borrow_mut() += local.nchunks() as u64;
+            }
+            if rk.pami().read_bytes(buf, BLOCK) != want {
+                errors.borrow_mut().push(format!(
+                    "rank {r}: overlapping gets from {t} left other bytes"
+                ));
+            }
+            // A self-get whose destination overlaps its source, rows
+            // shifted by less than a row's stride either way: each chunk
+            // reads the source after the chunks before it have written, so
+            // the get is a chunk-by-chunk move in chunk order.
+            let mut mem: Vec<u8> = (0..BLOCK).map(|_| rng.next_below(256) as u8).collect();
+            rk.pami().write_bytes(buf, &mem);
+            let (to, from) = random_rows(&mut rng, 0, buf + 2048, BLOCK / 2);
+            let stride = to.strides[0];
+            let delta = 8 * (1 + rng.next_below(2 * stride as u64 / 8 - 1) as usize);
+            let to = Strided {
+                offset: from.offset + delta - stride,
+                ..to
+            };
+            rk.get_strided(r, &to, &from).await;
+            for ((lo, len), (ro, _)) in to.chunk_list().into_iter().zip(from.chunk_list()) {
+                mem.copy_within(ro - buf..ro - buf + len, lo - buf);
+            }
+            *chunks.borrow_mut() += to.nchunks() as u64;
+            if rk.pami().read_bytes(buf, BLOCK) != mem {
+                errors
+                    .borrow_mut()
+                    .push(format!("rank {r}: a self-get is not a chunk-by-chunk move"));
+            }
             rk.barrier().await;
             *done.borrow_mut() += 1;
         });
@@ -431,6 +479,99 @@ fn check_get_trains(seed: u64) {
         ));
     }
     finish(seed, &sim, &a, &errors, &done);
+}
+
+/// One collective round slot (§III-F): no round ever sees two kinds. Every
+/// rank runs the same seeded sequence of barriers, allreduces, broadcasts
+/// and collective allocations, and arrives at each after its own seeded
+/// delay and get, so ranks still leaving one round meet ranks already
+/// joining the next. A round of two kinds panics in the slot; the seed is
+/// named. Each round's outcome is checked too: the allreduce's sum, the
+/// root's broadcast bytes, one offset table for every rank of an
+/// allocation.
+fn check_collective_kinds(seed: u64) {
+    const ROUNDS: u64 = 12;
+    let run = || {
+        let (sim, a) = setup(seed, rho_of(seed));
+        let errors = Rc::new(RefCell::new(Vec::new()));
+        let done = Rc::new(RefCell::new(0));
+        let tables = Rc::new(RefCell::new(HashMap::<u64, Vec<Vec<usize>>>::default()));
+        for r in 0..P {
+            let (rk, errors, done) = (a.rank(r), Rc::clone(&errors), Rc::clone(&done));
+            let (sim2, tables) = (sim.clone(), Rc::clone(&tables));
+            sim.spawn(async move {
+                let mut jitter = SimRng::new(seed).derive(r as u64);
+                let mut kinds = SimRng::new(seed).derive(P as u64);
+                let block = rk.malloc_collective(64).await;
+                let buf = rk.malloc(64).await;
+                for round in 0..ROUNDS {
+                    sim2.sleep(SimDuration::from_ns(jitter.next_below(3000)))
+                        .await;
+                    let t = jitter.next_below(P as u64) as usize;
+                    rk.get(t, buf, block[t], 64).await;
+                    match kinds.next_below(4) {
+                        0 => rk.barrier().await,
+                        1 => {
+                            let sum = rk.allreduce_f64(&[r as f64, 1.0], ReduceOp::Sum).await;
+                            if sum != [(P * (P - 1) / 2) as f64, P as f64] {
+                                errors
+                                    .borrow_mut()
+                                    .push(format!("rank {r}: round {round} summed {sum:?}"));
+                            }
+                        }
+                        2 => {
+                            let root = (round as usize) % P;
+                            let data = (r == root).then(|| vec![round as u8; 3]);
+                            let got = rk.broadcast(root, data).await;
+                            if got != [round as u8; 3] {
+                                errors
+                                    .borrow_mut()
+                                    .push(format!("rank {r}: round {round} got {got:?}"));
+                            }
+                        }
+                        _ => {
+                            let table = rk.malloc_collective(64).await;
+                            tables.borrow_mut().entry(round).or_default().push(table);
+                        }
+                    }
+                }
+                rk.barrier().await;
+                *done.borrow_mut() += 1;
+            });
+        }
+        sim.run();
+        for (round, tables) in tables.borrow().iter() {
+            if tables.len() != P || tables.iter().any(|t| t != &tables[0]) {
+                errors
+                    .borrow_mut()
+                    .push(format!("round {round}: ranks disagree on the allocation"));
+            }
+        }
+        finish(seed, &sim, &a, &errors, &done);
+    };
+    if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        let msg = e
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| e.downcast_ref::<&str>().copied())
+            .unwrap_or("a panic");
+        panic!("seed {seed}: {msg}");
+    }
+}
+
+/// A get of `rows` rows of `chunk` bytes, both sides `stride` apart with a
+/// gap, so a chunk is one row: into `local`, from somewhere in the `span`
+/// bytes at `remote`. Returns the `(local, remote)` descriptors.
+fn random_rows(rng: &mut SimRng, local: usize, remote: usize, span: usize) -> (Strided, Strided) {
+    let chunk = 8 * (16 + rng.next_below(112) as usize);
+    let rows = 1 + rng.next_below(8) as usize;
+    let stride = chunk + 8 * (1 + rng.next_below(8) as usize);
+    let room = (span - rows * stride) / 8;
+    let remote = remote + 8 * rng.next_below(room as u64) as usize;
+    (
+        Strided::patch2d(local, chunk, rows, stride),
+        Strided::patch2d(remote, chunk, rows, stride),
+    )
 }
 
 /// Fig 9's counter at ρ: every rank fetch-and-adds 1 on rank 0's counter.
@@ -484,6 +625,11 @@ fn batched_ams_run_exactly_once_on_every_seed() {
 #[test]
 fn get_train_chunks_land_exactly_once_on_every_seed() {
     SEEDS.for_each(check_get_trains);
+}
+
+#[test]
+fn collective_rounds_see_one_kind_on_every_seed() {
+    SEEDS.for_each(check_collective_kinds);
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! - The network's front tables (`torus5d.fxmap`) follow the messages in
 //!   flight, since the machine passes its clock as the delivery floor, and
 //!   rank memory (`pami.rankmem`) stops at what the arenas allocated.
+//! - The fault-free get trains keep nothing per chunk (`pami.staging`).
 //!
 //! The `#[ignore]`d full-size case runs one AT iteration of the paper's
 //! workload at p = 1024 (`cargo test --release -p nwchem-scf --test
@@ -65,10 +66,18 @@ fn scf_fock_shape_fronts_and_rank_memory() {
     let (snap, _) = scf(128, 2);
     let (_, fxmap) = tag(&snap, "torus5d.fxmap");
     let (_, rankmem) = tag(&snap, "pami.rankmem");
+    let (staging_allocs, staging) = tag(&snap, "pami.staging");
     // Before fronts retired at the floor and rank memory stopped at the
     // arena: 200,704 B and 13,868,832 B. Reached: 25,600 B and 13,340,200 B.
     assert!(fxmap <= 64 << 10, "torus5d.fxmap peak {fxmap} B");
     assert!(rankmem <= 13_500_000, "pami.rankmem peak {rankmem} B");
+    // Every train here is a strided get, which stages nothing. When get
+    // chunks were staged until the train's last landing: 2,433,208 B.
+    assert_eq!(
+        (staging_allocs, staging),
+        (0, 0),
+        "pami.staging allocations and peak"
+    );
 }
 
 #[test]

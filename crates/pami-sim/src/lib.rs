@@ -49,6 +49,7 @@ pub mod rank;
 pub mod retry;
 mod service;
 pub mod space;
+mod train;
 
 pub use batcher::{AmBatchConfig, Batcher, AM_FRAME_BYTES};
 pub use context::{AmEntry, AmEnv, AmHandler, AmMsg, CtxState, RmwOp, WorkItem};
@@ -56,3 +57,4 @@ pub use machine::{Machine, MachineConfig, RegionError, RegionId};
 pub use rank::{AsyncThread, PamiRank, PutHandles};
 pub use retry::{FailureMode, RetryPolicy};
 pub use space::SpaceSnapshot;
+pub use train::{Pieces, Side, MAX_LEVELS};

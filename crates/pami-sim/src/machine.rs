@@ -320,6 +320,20 @@ impl RankState {
         self.with_mut(off, data.len(), |mem| mem.copy_from_slice(data));
     }
 
+    /// Copy `len` bytes at `off` into `dst` at `dst_off`, growing both as a
+    /// read of the source and then a write of the destination would. Within
+    /// one rank's memory the ranges may overlap (a `memmove`).
+    pub fn copy_to(&self, off: usize, dst: &RankState, dst_off: usize, len: usize) {
+        if !std::ptr::eq(self, dst) {
+            return self.with(off, len, |b| dst.write(dst_off, b));
+        }
+        self.with(off, len, |_| ());
+        self.with_mut(dst_off, len, |_| ());
+        self.memory
+            .borrow_mut()
+            .copy_within(off..off + len, dst_off);
+    }
+
     pub fn read(&self, off: usize, len: usize) -> Vec<u8> {
         self.with(off, len, <[u8]>::to_vec)
     }
@@ -393,7 +407,7 @@ pub(crate) struct MachineInner {
     /// [`MachineConfig::am_batching`] was configured.
     pub batcher: Option<Rc<crate::batcher::Batcher>>,
     /// Staging buffers of finished chunk trains, lent to the next ones.
-    pub staging: RefCell<crate::rank::StagingPool>,
+    pub staging: RefCell<crate::train::StagingPool>,
 }
 
 /// A simulated Blue Gene/Q partition running `nprocs` PGAS processes.

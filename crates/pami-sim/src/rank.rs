@@ -1,28 +1,26 @@
 //! Per-rank PAMI operations: memory, regions, endpoints, RMA, AMOs, AM and
 //! the progress engine.
 
-use std::cell::{Cell, OnceCell, RefCell};
-use std::future::{poll_fn, Future};
+use std::cell::OnceCell;
+use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Poll, Waker};
 
 use desim::futures::{race, Either};
 use desim::memprof::{self, MemTag};
 use desim::sync::{MutexCell, NotifyCell};
 use desim::SegCategory::{Contention, Queueing, Starvation};
-use desim::{Completion, Fire, Lane, OpId, Probe, SimDuration, SimTime};
+use desim::{Completion, Lane, OpId, Probe, SimDuration, SimTime};
 
 /// Scheduled-but-unsent retransmit state (boxed retry continuations).
 static RETRY_TAG: MemTag = MemTag::new("pami.retry");
-/// Chunk-train staging buffers, in flight and pooled.
-static STAGING_TAG: MemTag = MemTag::new("pami.staging");
 use torus5d::MsgClass;
 
 use crate::context::{AmEntry, AmEnv, AmMsg, Effect, Place, RmwOp, WorkItem};
 use crate::machine::{CtxRef, Machine, RankState, Region, RegionError, RegionId};
 use crate::retry::{self, Attempt, Leg};
 use crate::service::{copy, Service};
+use crate::train::{self, Pieces};
 
 // The progress engine (§III-D): a context-lock wait is the ρ = 1
 // contention, charged to the operation its driver works on.
@@ -43,9 +41,6 @@ static STARVED: Probe = Probe::new().segment(Starvation, "pami.starved");
 /// A queued item's wait behind the batch ahead of it.
 static QUEUED: Probe = Probe::new().segment(Queueing, "pami.queue");
 static AT_SERVICED: Probe = Probe::new().count("pami.at_serviced");
-// The chunk trains count chunks; the software path counts from its rows.
-static RDMA_GET: Probe = Probe::new().count("pami.rdma_get");
-static RDMA_PUT: Probe = Probe::new().count("pami.rdma_put");
 static AM_UNHANDLED: Probe = Probe::new().count("pami.am_unhandled");
 static CONTEXTS_CREATED: Probe = Probe::new().count("pami.contexts_created");
 static ENDPOINTS_CREATED: Probe = Probe::new().count("pami.endpoints_created");
@@ -101,14 +96,14 @@ pub(crate) fn deliver_then(
 /// network keeps a pair's `Ordered` and `Control` messages in order, ties
 /// included, and the lane keeps their arrival events in that order under
 /// any schedule seed; an AMO (`Unordered`) may overtake.
-fn lane(src: usize, dst: usize, class: MsgClass) -> Option<u64> {
+pub(crate) fn lane(src: usize, dst: usize, class: MsgClass) -> Option<u64> {
     (class != MsgClass::Unordered).then_some((src as u64) << 32 | dst as u64)
 }
 
 /// Deliver `leg` at `inject` on a network without an active fault plan.
 /// Every message leaves at the kernel clock or later, so the clock is the
 /// network's delivery floor (DESIGN.md §19).
-fn deliver(m: &Machine, inject: SimTime, leg: &Leg) -> SimTime {
+pub(crate) fn deliver(m: &Machine, inject: SimTime, leg: &Leg) -> SimTime {
     let mut net = m.inner.net.borrow_mut();
     net.raise_floor(m.sim().now());
     net.deliver_op(inject, leg.src, leg.dst, leg.payload, leg.class, leg.op)
@@ -117,7 +112,7 @@ fn deliver(m: &Machine, inject: SimTime, leg: &Leg) -> SimTime {
 /// [`deliver_then`] under an active fault plan: drives [`retry::attempt`]
 /// through scheduled closures rather than awaiting, so the target's progress
 /// engine keeps running while a reply waits out its backoff.
-fn deliver_faulty(
+pub(crate) fn deliver_faulty(
     m: &Machine,
     inject: SimTime,
     leg: Leg,
@@ -139,511 +134,6 @@ fn deliver_faulty(
             sim.schedule(resume, move || {
                 deliver_faulty(&m2, resume, leg, extra, attempt + 1, then);
             });
-        }
-    }
-}
-
-/// Fires `done` when the last of a fixed number of parts has finished — at
-/// once when there are none.
-struct Countdown {
-    left: Cell<usize>,
-    done: Completion<()>,
-}
-
-impl Countdown {
-    fn new(parts: usize) -> Countdown {
-        let done = Completion::new();
-        if parts == 0 {
-            done.complete(());
-        }
-        Countdown {
-            left: Cell::new(parts),
-            done,
-        }
-    }
-
-    /// One part finished: after the last, run `last` and fire `done`.
-    fn arrive(&self, last: impl FnOnce()) {
-        let left = self.left.get() - 1;
-        self.left.set(left);
-        if left == 0 {
-            last();
-            self.done.complete(());
-        }
-    }
-}
-
-/// One chunk of a train: `len` bytes between the initiator's `local` and
-/// the target's `remote` offset, and whether its landing may be the train's
-/// last — and so needs an event of its own on a network without a fault
-/// plan.
-#[derive(Clone, Copy)]
-struct Chunk {
-    local: usize,
-    remote: usize,
-    len: usize,
-    lands: bool,
-}
-
-/// The words of a chunk's record in a [`Staging`] buffer: its offsets and
-/// length, where its snapshot starts ([`UNSTAGED`] while it has none to
-/// deliver), and 1 if its landing may complete the train.
-const LOCAL: usize = 0;
-const REMOTE: usize = 1;
-const LEN: usize = 2;
-const POS: usize = 3;
-const LANDS: usize = 4;
-const RECORD: usize = 5;
-const WORD: usize = std::mem::size_of::<usize>();
-const UNSTAGED: usize = usize::MAX;
-
-// A train's events. The `u32` its `Fire` impl receives holds the event in
-// the low `EV_BITS` bits and the chunk index above them.
-/// The next post, or the post chain resuming after a request's backoff.
-const POST: u32 = 0;
-/// A get chunk's request reached the target NIC.
-const ARRIVED: u32 = 1;
-/// A chunk's first leg was given up on: a get's request, a put's payload. (A
-/// get reply under a fault plan lands through `deliver_faulty`.)
-const LOST: u32 = 2;
-/// A get chunk's reply, or a put chunk's payload, landed.
-const LANDED: u32 = 3;
-/// A put chunk's ack returned.
-const ACKED: u32 = 4;
-const EV_BITS: u32 = 3;
-
-/// Most idle bytes a [`StagingPool`] keeps: about thirty 16 KiB trains.
-/// Twice that saved `scf_fock` 0.2 allocations per task and cost it 0.8 %
-/// more peak RSS (single traced `bgq-perf` runs).
-const POOL_BYTES: usize = 1 << 19;
-
-/// The staging buffers of finished trains, reused last in, first out — so
-/// which buffer a train gets follows from the event order alone, and no
-/// simulated cost depends on it. A buffer that would take the idle capacity
-/// past [`POOL_BYTES`] is freed instead. One per [`Machine`].
-#[derive(Default)]
-pub(crate) struct StagingPool {
-    idle: Vec<Vec<u8>>,
-    /// Capacity of the buffers in `idle`.
-    bytes: usize,
-}
-
-impl StagingPool {
-    /// An empty buffer, with the capacity the last one returned had.
-    fn take(&mut self) -> Vec<u8> {
-        let buf = self.idle.pop().unwrap_or_default();
-        self.bytes -= buf.capacity();
-        buf
-    }
-
-    fn give(&mut self, mut buf: Vec<u8>) {
-        let cap = buf.capacity();
-        if cap == 0 || self.bytes + cap > POOL_BYTES {
-            return;
-        }
-        buf.clear();
-        self.bytes += cap;
-        let _mem = memprof::scope(&STAGING_TAG);
-        self.idle.push(buf);
-    }
-}
-
-/// A train's chunk list and the bytes it stages, in one buffer: a record per
-/// chunk, then the snapshots, back to back in the order taken. A chunk list
-/// of run-time length cannot sit behind the train's own fields in its `Rc`
-/// without `unsafe`; sharing the staging block instead keeps a train at the
-/// allocations of one staging buffer, and the machine's [`StagingPool`]
-/// lends that.
-struct Staging {
-    buf: Vec<u8>,
-    chunks: usize,
-}
-
-impl Staging {
-    /// Record `parts` in a buffer from `pool`, with room for `total` staged
-    /// bytes. Returns the list and how many of its chunks may complete the
-    /// train ([`Chunk::lands`]).
-    fn new(
-        parts: impl IntoIterator<Item = (usize, usize, usize)>,
-        total: usize,
-        p: &torus5d::BgqParams,
-        pool: &RefCell<StagingPool>,
-    ) -> (Staging, usize) {
-        let parts = parts.into_iter();
-        let _mem = memprof::scope(&STAGING_TAG);
-        let mut buf = pool.borrow_mut().take();
-        buf.reserve(parts.size_hint().0 * RECORD * WORD + total);
-        for (local, remote, len) in parts {
-            let record = [local, remote, len, UNSTAGED, 0].map(usize::to_ne_bytes);
-            buf.extend_from_slice(record.as_flattened());
-        }
-        let chunks = buf.len() / (RECORD * WORD);
-        assert!(
-            chunks >> (32 - EV_BITS) == 0,
-            "{chunks} chunks in one train"
-        );
-        let mut list = Staging { buf, chunks };
-        // A chunk's landing is its reply's arrival plus its alignment
-        // penalty, and replies arrive in chunk order. So a later chunk whose
-        // penalty is at least as large lands at or after it, in a later
-        // event: only the last chunk, and one whose penalty exceeds every
-        // later chunk's, may land last.
-        let (mut lands, mut later) = (0, None);
-        for k in (0..chunks).rev() {
-            let penalty = p.align_penalty(list.record(k)[LEN]);
-            if later.is_none_or(|later| penalty > later) {
-                list.set(k, LANDS, 1);
-                lands += 1;
-            }
-            later = later.max(Some(penalty));
-        }
-        (list, lands)
-    }
-
-    /// Chunk `k`'s record.
-    fn record(&self, k: usize) -> [usize; RECORD] {
-        let (words, _) = self.buf[k * RECORD * WORD..][..RECORD * WORD].as_chunks::<WORD>();
-        std::array::from_fn(|i| usize::from_ne_bytes(words[i]))
-    }
-
-    fn set(&mut self, k: usize, i: usize, w: usize) {
-        let at = (k * RECORD + i) * WORD;
-        self.buf[at..at + WORD].copy_from_slice(&w.to_ne_bytes());
-    }
-
-    fn chunk(&self, k: usize) -> Chunk {
-        let r = self.record(k);
-        Chunk {
-            local: r[LOCAL],
-            remote: r[REMOTE],
-            len: r[LEN],
-            lands: r[LANDS] == 1,
-        }
-    }
-
-    /// Snapshot chunk `k`'s `len` bytes from `mem` at `off`.
-    fn stage(&mut self, k: usize, mem: &RankState, off: usize, len: usize) {
-        let pos = self.buf.len();
-        mem.with(off, len, |b| self.buf.extend_from_slice(b));
-        self.set(k, POS, pos);
-    }
-
-    /// Chunk `k` delivers no bytes after all (best-effort give-up).
-    fn unstage(&mut self, k: usize) {
-        self.set(k, POS, UNSTAGED);
-    }
-
-    /// Chunk `k`'s snapshot, unless it has none to deliver.
-    fn staged(&self, k: usize) -> Option<&[u8]> {
-        let r = self.record(k);
-        (r[POS] != UNSTAGED).then(|| &self.buf[r[POS]..][..r[LEN]])
-    }
-
-    /// The local offset and snapshot of every chunk with one to deliver, in
-    /// chunk order.
-    fn delivered(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        (0..self.chunks).filter_map(|k| Some((self.record(k)[LOCAL], self.staged(k)?)))
-    }
-}
-
-/// One RDMA *chunk train* (DESIGN.md §18): a strided or vector transfer,
-/// still one NIC post, one request and one message per chunk, `o_send`
-/// apart — link reservations depend on call order — but the rank states,
-/// parameters, op id, chunk list, staging bytes and completions exist once.
-/// The issuing task posts chunk 0; each post then schedules the next, and
-/// the last wakes the task. Every event of the train targets the train
-/// itself ([`Fire`]), so no event allocates, and dropping the train returns
-/// its staging buffer to the machine's pool. `D` is a get's countdown or a
-/// put's two.
-struct Train<D> {
-    m: Machine,
-    src: usize,
-    target: usize,
-    src_state: Rc<RankState>,
-    /// Materialized when the first chunk reaches the target.
-    tgt_state: OnceCell<Rc<RankState>>,
-    p: Rc<torus5d::BgqParams>,
-    op: Option<OpId>,
-    staging: RefCell<Staging>,
-    /// The chunk to post next, and which transmission of its request (0,
-    /// then retransmits under a fault plan).
-    next: Cell<usize>,
-    attempt: Cell<u32>,
-    /// The issuing task, while it waits for the last post.
-    poster: Cell<Option<Waker>>,
-    done: D,
-}
-
-/// A put train's countdowns: acks returned, payloads landed.
-struct PutDone {
-    local: Countdown,
-    remote: Countdown,
-    /// From a payload's landing to its ack's return.
-    ack_after: SimDuration,
-}
-
-/// What a get train and a put train do differently.
-trait Kind: Sized + 'static {
-    /// Whether a chunk's request carries its bytes (a put, `Ordered`) or
-    /// only asks for them (a get, a header-only `Control` message).
-    const CARRIES_DATA: bool;
-    /// The row counting chunks.
-    const COUNTER: &'static Probe;
-
-    /// Chunk `k`'s request reached the target NIC at `at` — or, when not
-    /// `delivered`, was given up on at `at`. Runs at the chunk's post.
-    fn sent(t: &Rc<Train<Self>>, k: usize, c: Chunk, at: SimTime, delivered: bool);
-
-    /// Event `ev` (not [`POST`]) of chunk `k`, at its instant.
-    fn fire(t: Rc<Train<Self>>, ev: u32, k: usize);
-}
-
-impl<D: Kind> Fire for Train<D> {
-    fn fire(self: Rc<Self>, arg: u32) {
-        let (ev, k) = (arg & ((1 << EV_BITS) - 1), (arg >> EV_BITS) as usize);
-        if ev == POST {
-            self.post();
-        } else {
-            D::fire(self, ev, k);
-        }
-    }
-}
-
-impl<D> Drop for Train<D> {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.staging.get_mut().buf);
-        self.m.inner.staging.borrow_mut().give(buf);
-    }
-}
-
-impl<D: Kind> Train<D> {
-    /// Record `parts` and build the completions `done(chunks, lands)` for a
-    /// train whose completing event is one of `lands` events: one per chunk
-    /// that may land last, or one per chunk under a fault plan, where every
-    /// outcome arrives as an event of the retry core.
-    fn new(
-        rank: &PamiRank,
-        target: usize,
-        parts: impl IntoIterator<Item = (usize, usize, usize)>,
-        total: usize,
-        done: impl FnOnce(usize, usize) -> D,
-    ) -> Rc<Train<D>> {
-        let p = rank.m.params_rc();
-        let (staging, lands) = Staging::new(parts, total, &p, &rank.m.inner.staging);
-        let chunks = staging.chunks;
-        let lands = if rank.m.faults_active() {
-            chunks
-        } else {
-            lands
-        };
-        Rc::new(Train {
-            m: rank.m.clone(),
-            src: rank.r,
-            target,
-            src_state: Rc::clone(rank.state()),
-            tgt_state: OnceCell::new(),
-            p,
-            op: rank.current_op(),
-            staging: RefCell::new(staging),
-            next: Cell::new(0),
-            attempt: Cell::new(0),
-            poster: Cell::new(None),
-            done: done(chunks, lands),
-        })
-    }
-
-    fn tgt(&self) -> &Rc<RankState> {
-        self.tgt_state
-            .get_or_init(|| self.m.rank_state(self.target))
-    }
-
-    /// Fire event `ev` of chunk `k` at `at`: a chunk's arrival in its
-    /// pair's lane ([`lane`]).
-    fn schedule(self: &Rc<Self>, at: SimTime, ev: u32, k: usize) {
-        let arg = (k as u32) << EV_BITS | ev;
-        let fifo = match ev {
-            POST | LOST | ACKED => None,
-            LANDED if !D::CARRIES_DATA => lane(self.target, self.src, MsgClass::Ordered),
-            _ => lane(self.src, self.target, MsgClass::Ordered),
-        };
-        self.m
-            .sim()
-            .schedule_fire_fifo(at, fifo, Rc::clone(self) as Rc<dyn Fire>, arg);
-    }
-
-    /// The issuing task's part: sleep one `o_send`, post chunk 0, and wait —
-    /// not polled — while the other chunks post themselves.
-    async fn run(self: &Rc<Self>) {
-        let chunks = self.staging.borrow().chunks;
-        if chunks == 0 {
-            return;
-        }
-        self.m.sim().sleep(self.p.o_send).await;
-        self.post();
-        poll_fn(|cx| {
-            if self.next.get() == chunks {
-                return Poll::Ready(());
-            }
-            self.poster.set(Some(cx.waker().clone()));
-            Poll::Pending
-        })
-        .await;
-        self.m.sim().count(D::COUNTER, chunks as u64);
-    }
-
-    /// Post chunks from `next` on, now. Each request is delivered at its own
-    /// injection instant. The next post is scheduled `o_send` later, right
-    /// after this chunk's events — where the issuing task's sleep used to
-    /// register — or runs at once when `o_send` is zero; a request that
-    /// backs off resumes the chain at its retransmit instant instead. The
-    /// last post wakes the issuing task.
-    fn post(self: &Rc<Self>) {
-        let sim = self.m.sim();
-        loop {
-            let (k, attempt) = (self.next.get(), self.attempt.get());
-            let c = self.staging.borrow().chunk(k);
-            let mut inject = sim.now();
-            if attempt == 0 {
-                if D::CARRIES_DATA {
-                    self.staging
-                        .borrow_mut()
-                        .stage(k, &self.src_state, c.local, c.len);
-                }
-                inject += self.p.rdma_engine;
-            }
-            let leg = Leg {
-                src: self.src,
-                dst: self.target,
-                payload: if D::CARRIES_DATA { c.len } else { 0 },
-                class: if D::CARRIES_DATA {
-                    MsgClass::Ordered
-                } else {
-                    MsgClass::Control
-                },
-                op: self.op,
-            };
-            let (at, delivered) = if !self.m.faults_active() {
-                (deliver(&self.m, inject, &leg), true)
-            } else {
-                match retry::attempt(&self.m, inject, &leg, attempt) {
-                    Attempt::Arrived(t) => (t, true),
-                    Attempt::GaveUp(t) => (t, false),
-                    Attempt::Backoff(resume) => {
-                        self.attempt.set(attempt + 1);
-                        self.schedule(resume, POST, k);
-                        return;
-                    }
-                }
-            };
-            self.attempt.set(0);
-            D::sent(self, k, c, at, delivered);
-            self.next.set(k + 1);
-            if k + 1 == self.staging.borrow().chunks {
-                if let Some(poster) = self.poster.take() {
-                    poster.wake();
-                }
-                return;
-            }
-            if !self.p.o_send.is_zero() {
-                self.schedule(sim.now() + self.p.o_send, POST, k + 1);
-                return;
-            }
-        }
-    }
-}
-
-impl Kind for Countdown {
-    const CARRIES_DATA: bool = false;
-    const COUNTER: &'static Probe = &RDMA_GET;
-
-    fn sent(t: &Rc<Train<Self>>, k: usize, _: Chunk, at: SimTime, delivered: bool) {
-        t.schedule(at, if delivered { ARRIVED } else { LOST }, k);
-    }
-
-    fn fire(t: Rc<Train<Self>>, ev: u32, k: usize) {
-        match ev {
-            ARRIVED => t.reply(k),
-            _ => t.land(k, ev == LANDED),
-        }
-    }
-}
-
-impl Train<Countdown> {
-    /// Chunk `k`'s request reached the target NIC now: snapshot the target
-    /// bytes and send them back. The reply's landing is an event only if it
-    /// may complete the train.
-    fn reply(self: Rc<Self>, k: usize) {
-        let at = self.m.sim().now();
-        let c = {
-            let mut staging = self.staging.borrow_mut();
-            let c = staging.chunk(k);
-            staging.stage(k, self.tgt(), c.remote, c.len);
-            c
-        };
-        let m = self.m.clone();
-        let extra = self.p.align_penalty(c.len);
-        let leg = Leg {
-            src: self.target,
-            dst: self.src,
-            payload: c.len,
-            class: MsgClass::Ordered,
-            op: self.op,
-        };
-        if m.faults_active() {
-            let then = move |_, delivered| self.land(k, delivered);
-            return deliver_faulty(&m, at, leg, extra, 0, Box::new(then));
-        }
-        let landing = deliver(&m, at, &leg) + extra;
-        if c.lands {
-            self.schedule(landing, LANDED, k);
-        }
-    }
-
-    /// Chunk `k`'s reply landed (or was lost). The train's last landing
-    /// writes every delivered chunk into the initiator's buffer, in chunk
-    /// order, and completes the get.
-    fn land(&self, k: usize, delivered: bool) {
-        if !delivered {
-            self.staging.borrow_mut().unstage(k);
-        }
-        self.done.arrive(|| {
-            for (local, bytes) in self.staging.borrow().delivered() {
-                self.src_state.write(local, bytes);
-            }
-        });
-    }
-}
-
-impl Kind for PutDone {
-    const CARRIES_DATA: bool = true;
-    const COUNTER: &'static Probe = &RDMA_PUT;
-
-    /// A payload lands at the target, where others can see it, in an event
-    /// of its own; its ack only counts down, so it is an event only if it may
-    /// complete the train.
-    fn sent(t: &Rc<Train<Self>>, k: usize, c: Chunk, raw: SimTime, delivered: bool) {
-        let arrival = raw + t.p.align_penalty(c.len);
-        // The target materializes where a single put's always has: once the
-        // first payload is on its way.
-        t.tgt();
-        t.schedule(arrival, if delivered { LANDED } else { LOST }, k);
-        if t.m.faults_active() || c.lands {
-            t.schedule(arrival + t.done.ack_after, ACKED, k);
-        }
-    }
-
-    fn fire(t: Rc<Train<Self>>, ev: u32, k: usize) {
-        match ev {
-            ACKED => t.done.local.arrive(|| ()),
-            _ => {
-                if ev == LANDED {
-                    let staging = t.staging.borrow();
-                    if let Some(bytes) = staging.staged(k) {
-                        t.tgt().write(staging.chunk(k).remote, bytes);
-                    }
-                }
-                t.done.remote.arrive(|| ());
-            }
         }
     }
 }
@@ -705,7 +195,7 @@ impl PamiRank {
         &self.m
     }
 
-    fn state(&self) -> &Rc<RankState> {
+    pub(crate) fn state(&self) -> &Rc<RankState> {
         self.st.get_or_init(|| self.m.rank_state(self.r))
     }
 
@@ -919,33 +409,21 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> PutHandles {
-        self.rdma_put_list(target, [(local_off, remote_off, len)], len)
+        self.rdma_put_list(target, Pieces::one(local_off, remote_off, len))
             .await
     }
 
-    /// RDMA put of a chunk list (`(local_off, remote_off, len)` each, `total`
-    /// bytes in all; paper Eq. 9): one NIC post per chunk, `o_send` apart.
-    /// Each chunk's data snapshot is taken at its post time (buffer-reuse
-    /// semantics). The remote completion fires when the last payload has
-    /// landed, the local completion after the last hardware ack returns.
-    pub async fn rdma_put_list(
+    /// RDMA put of `pieces` (paper Eq. 9): one NIC post per piece, `o_send`
+    /// apart. Each piece's data snapshot is taken at its post time
+    /// (buffer-reuse semantics). The remote completion fires when the last
+    /// payload has landed, the local completion after the last hardware ack
+    /// returns. The train is built by this call; awaiting it posts.
+    pub fn rdma_put_list(
         &self,
         target: usize,
-        parts: impl IntoIterator<Item = (usize, usize, usize)>,
-        total: usize,
-    ) -> PutHandles {
-        let hops = self.m.inner.net.borrow().hops(self.r, target);
-        let ack_after = self.m.params().oneway_header(hops);
-        let train = Train::new(self, target, parts, total, |chunks, lands| PutDone {
-            local: Countdown::new(lands),
-            remote: Countdown::new(chunks),
-            ack_after,
-        });
-        train.run().await;
-        PutHandles {
-            local: train.done.local.done.clone(),
-            remote: train.done.remote.done.clone(),
-        }
+        pieces: Pieces<'_>,
+    ) -> impl Future<Output = PutHandles> {
+        train::put(self, target, pieces)
     }
 
     /// RDMA get: `len` bytes from `target`'s `remote_off` into this rank's
@@ -957,24 +435,23 @@ impl PamiRank {
         remote_off: usize,
         len: usize,
     ) -> Completion<()> {
-        self.rdma_get_list(target, [(local_off, remote_off, len)], len)
+        self.rdma_get_list(target, Pieces::one(local_off, remote_off, len))
             .await
     }
 
-    /// RDMA get of a chunk list (`(local_off, remote_off, len)` each, `total`
-    /// bytes in all): one request per chunk, `o_send` apart. The target
-    /// memory is read when a chunk's request reaches the target NIC — no
-    /// target CPU involvement (paper Eq. 7). Completes when the last reply
-    /// has landed; the initiator's buffer is written then, not before.
-    pub async fn rdma_get_list(
+    /// RDMA get of `pieces`: one request per piece, `o_send` apart. A
+    /// piece's bytes are read when its request reaches the target NIC — no
+    /// target CPU involvement (paper Eq. 7) — and written into this rank's
+    /// buffer at that instant, or when its reply lands under a fault plan.
+    /// The buffer is defined once the completion fires, when the last reply
+    /// has landed (DESIGN.md §18). The train is built by this call; awaiting
+    /// it posts.
+    pub fn rdma_get_list(
         &self,
         target: usize,
-        parts: impl IntoIterator<Item = (usize, usize, usize)>,
-        total: usize,
-    ) -> Completion<()> {
-        let train = Train::new(self, target, parts, total, |_, lands| Countdown::new(lands));
-        train.run().await;
-        train.done.done.clone()
+        pieces: Pieces<'_>,
+    ) -> impl Future<Output = Completion<()>> {
+        train::get(self, target, pieces)
     }
 
     // ------------------------------------------------------------------
@@ -1545,44 +1022,5 @@ impl PamiRank {
             }
         });
         AsyncThread { stop }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::MachineConfig;
-    use desim::Sim;
-
-    /// 63 ranks each get 48 one-KiB chunks from rank 0 at once: 3 MiB of
-    /// staging in flight, six times the pool's budget.
-    fn burst(m: &Machine) {
-        for r in 1..64 {
-            let rk = m.rank(r);
-            let local = rk.alloc(48 << 10);
-            m.sim().spawn(async move {
-                let parts = (0..48).map(|i| (local + i * 1024, i * 1024, 1024));
-                rk.rdma_get_list(0, parts, 48 << 10).await.wait().await;
-            });
-        }
-        m.sim().run();
-    }
-
-    #[test]
-    fn a_burst_of_trains_leaves_the_pool_within_its_budget() {
-        let m = Machine::new(Sim::new(), MachineConfig::new(64));
-        burst(&m);
-        let cap = 48 * RECORD * WORD + (48 << 10);
-        let pool = m.inner.staging.borrow();
-        assert!(pool
-            .idle
-            .iter()
-            .all(|buf| buf.is_empty() && buf.capacity() == cap));
-        assert_eq!(pool.bytes, pool.idle.len() * cap);
-        assert_eq!(pool.idle.len(), POOL_BYTES / cap, "as many as fit");
-        drop(pool);
-        // A second burst reuses them, and leaves the pool as it was.
-        burst(&m);
-        assert_eq!(m.inner.staging.borrow().idle.len(), POOL_BYTES / cap);
     }
 }

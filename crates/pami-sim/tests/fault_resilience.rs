@@ -4,7 +4,7 @@
 //! accounting reaches the metrics snapshot and the critical-path analyzer.
 
 use desim::{analyze, FaultPlan, Sim, SimDuration, SimTime};
-use pami_sim::{FailureMode, Machine, MachineConfig, RetryPolicy};
+use pami_sim::{FailureMode, Machine, MachineConfig, Pieces, RetryPolicy, Side};
 use torus5d::{routing, RouteTable, Topology};
 
 fn us(n: u64) -> SimDuration {
@@ -396,22 +396,24 @@ fn train_over_a_dying_link(
         sim.clone().spawn(async move {
             sim.sleep_until(start).await;
             // Destination chunks sit 2·LEN apart: a strided scatter.
-            let parts = (0..CHUNKS).map(|i| {
-                let (s, d) = (src + i * LEN, dst + 2 * i * LEN);
-                if get {
-                    (d, s, LEN)
-                } else {
-                    (s, d, LEN)
-                }
-            });
+            let (s, d) = (
+                Side::new(src, [(CHUNKS, LEN)]).expect("one level"),
+                Side::new(dst, [(CHUNKS, 2 * LEN)]).expect("one level"),
+            );
+            let (local, remote) = if get { (d, s) } else { (s, d) };
+            let parts = Pieces::Strided {
+                len: LEN,
+                local,
+                remote,
+            };
             let done =
                 |fired: &std::cell::RefCell<Vec<u64>>| fired.borrow_mut().push(sim.now().as_ps());
             if get {
-                let h = a.rdma_get_list(16, parts, CHUNKS * LEN).await;
+                let h = a.rdma_get_list(16, parts).await;
                 h.wait().await;
                 done(&fired);
             } else {
-                let h = a.rdma_put_list(16, parts, CHUNKS * LEN).await;
+                let h = a.rdma_put_list(16, parts).await;
                 h.remote.wait().await;
                 done(&fired);
                 h.local.wait().await;
@@ -498,6 +500,67 @@ fn requests_that_back_off_hold_back_the_rest_of_the_train() {
         assert_eq!(stats.counter("pami.retries"), 5, "get={get}");
         assert_eq!(stats.counter("pami.gave_up"), 5, "get={get}");
     }
+}
+
+/// A get train whose *replies* are lost: rank 16 gets from rank 0, and the
+/// node0→node1 link the replies need is down before the train starts and
+/// never routed around. Under `BestEffort` each reply is given up on and
+/// the train still completes once, with none of the bytes the target read
+/// in the buffer: a get under a fault plan holds what it read until its
+/// reply lands (DESIGN.md §18).
+#[test]
+fn a_get_whose_replies_are_lost_leaves_its_buffer_as_it_was() {
+    const CHUNKS: usize = 8;
+    const LEN: usize = 256;
+    let dead = first_internode_link(&Topology::for_procs(32, 16));
+    let plan =
+        FaultPlan::new(3)
+            .route_update_delay(us(100_000))
+            .link_down(dead, at(1), at(900_000));
+    let policy = RetryPolicy {
+        timeout: us(5),
+        backoff: us(1),
+        max_retries: 0,
+        failure: FailureMode::BestEffort,
+    };
+    let sim = Sim::new();
+    let m = Machine::new(
+        sim.clone(),
+        MachineConfig::new(32)
+            .procs_per_node(16)
+            .faults(plan)
+            .retry(policy),
+    );
+    let (a, b) = (m.rank(0), m.rank(16));
+    let src = a.alloc(CHUNKS * LEN);
+    a.write_bytes(src, &[7; CHUNKS * LEN]);
+    let dst = b.alloc(CHUNKS * LEN);
+    let fired = std::rc::Rc::new(std::cell::Cell::new(0));
+    {
+        let (sim, b, fired) = (sim.clone(), b.clone(), fired.clone());
+        sim.clone().spawn(async move {
+            sim.sleep_until(at(10)).await;
+            let side = |base| Side::new(base, [(CHUNKS, LEN)]).expect("one level");
+            let pieces = Pieces::Strided {
+                len: LEN,
+                local: side(dst),
+                remote: side(src),
+            };
+            b.rdma_get_list(0, pieces).await.wait().await;
+            fired.set(fired.get() + 1);
+        });
+    }
+    sim.run();
+    assert_eq!(fired.get(), 1, "the get completes once");
+    let landed = b
+        .read_bytes(dst, CHUNKS * LEN)
+        .iter()
+        .filter(|&&x| x != 0)
+        .count();
+    assert_eq!(landed, 0, "bytes of lost replies in the buffer");
+    let stats = m.stats();
+    assert_eq!(stats.counter("pami.gave_up"), CHUNKS as u64);
+    assert_eq!(stats.counter("pami.rdma_get"), CHUNKS as u64);
 }
 
 // Completion instants (ps) recorded at the commit before trains posted

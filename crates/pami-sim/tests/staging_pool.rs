@@ -6,7 +6,7 @@
 
 use desim::memprof::{self, MemProf, MemSnapshot};
 use desim::Sim;
-use pami_sim::{Machine, MachineConfig};
+use pami_sim::{Machine, MachineConfig, Pieces};
 
 #[global_allocator]
 static ALLOC: MemProf = MemProf;
@@ -22,12 +22,11 @@ fn burst(chunks: usize) -> MemSnapshot {
         let rk = m.rank(r);
         let local = rk.alloc(chunks << 10);
         sim.spawn(async move {
-            let parts = || (0..chunks).map(|i| (local + i * 1024, i * 1024, 1024));
-            rk.rdma_get_list(0, parts(), chunks << 10)
-                .await
-                .wait()
-                .await;
-            let h = rk.rdma_put_list(0, parts(), chunks << 10).await;
+            let parts: Vec<_> = (0..chunks)
+                .map(|i| (local + i * 1024, i * 1024, 1024))
+                .collect();
+            rk.rdma_get_list(0, Pieces::List(&parts)).await.wait().await;
+            let h = rk.rdma_put_list(0, Pieces::List(&parts)).await;
             h.remote.wait().await;
         });
     }
