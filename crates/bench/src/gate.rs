@@ -58,13 +58,17 @@ const GATE: &[Row] = &[
     Row { figure: "fig9_rmw", args: FIG9, flag: "--breakdown", golden: "BENCH_fig9_rmw.breakdown.json", tol: EXACT },
     Row { figure: "fig9_rmw", args: FIG9, flag: "--timeline", golden: "BENCH_fig9_rmw.timeline.json", tol: EXACT },
     Row { figure: "fig9_rmw", args: FIG9, flag: "--trace", golden: "BENCH_fig9_rmw.trace.json", tol: EXACT },
+    Row { figure: "fig9_rmw", args: FIG9, flag: STDOUT, golden: "BENCH_fig9_rmw.txt", tol: EXACT },
     Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--json", golden: "BENCH_fig11_nwchem_scf.json", tol: EXACT },
     Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--breakdown", golden: "BENCH_fig11_nwchem_scf.breakdown.json", tol: EXACT },
     Row { figure: "fig11_nwchem_scf", args: FIG11, flag: "--timeline", golden: "BENCH_fig11_nwchem_scf.timeline.json", tol: EXACT },
+    Row { figure: "fig11_nwchem_scf", args: FIG11, flag: STDOUT, golden: "BENCH_fig11_nwchem_scf.txt", tol: EXACT },
     Row { figure: "fig_fault", args: FAULT, flag: "--json", golden: "BENCH_fig_fault.json", tol: EXACT },
     Row { figure: "fig_fault", args: FAULT, flag: "--timeline", golden: "BENCH_fig_fault.timeline.json", tol: EXACT },
+    Row { figure: "fig_fault", args: FAULT, flag: STDOUT, golden: "BENCH_fig_fault.txt", tol: EXACT },
     Row { figure: "fig_am", args: "", flag: "--json", golden: "BENCH_fig_am.json", tol: EXACT },
     Row { figure: "fig_am", args: "", flag: "--timeline", golden: "BENCH_fig_am.timeline.json", tol: EXACT },
+    Row { figure: "fig_am", args: "", flag: STDOUT, golden: "BENCH_fig_am.txt", tol: EXACT },
     Row { figure: "fig_scale", args: "--procs 32,1024,32768", flag: "--gate-json", golden: "BENCH_scale_gate.json", tol: EXACT },
     Row { figure: "fig_mem", args: MEM, flag: "--json", golden: "BENCH_memscale.json", tol: HOST_BYTES },
     // abl_mapping is the only run above unit level on a non-default mapping
@@ -257,6 +261,26 @@ mod tests {
         // An exact row prints no drift: any would have failed it.
         let exact = row("BENCH_fig_fault.json");
         assert!(!exact.ok_line(4, None).contains("drift"));
+    }
+
+    /// The figures whose stdout no row gates, each for a reason.
+    const UNGATED_STDOUT: [&str; 2] = [
+        // Prints allocator bytes, which its JSON row gates at HOST_BYTES.
+        "fig_mem",
+        // Prints wall time and RSS.
+        "fig_scale",
+    ];
+
+    #[test]
+    fn every_figure_stdout_is_gated_or_exempt_by_name() {
+        for fig in crate::figures::FIGURES {
+            let gated = GATE
+                .iter()
+                .any(|r| (r.figure, r.flag) == (fig.name, STDOUT));
+            // Neither is an ungated figure; both, a stale exemption.
+            let exempt = UNGATED_STDOUT.contains(&fig.name);
+            assert_ne!(gated, exempt, "{}", fig.name);
+        }
     }
 
     #[test]

@@ -20,6 +20,6 @@ fn gate_passes_from_the_workspace_root() {
         String::from_utf8_lossy(&out.stderr),
     );
     assert_eq!(out.status.code(), Some(0), "{stdout}\n{stderr}");
-    assert_eq!(stdout.lines().filter(|l| l.starts_with("ok ")).count(), 27);
-    assert!(stdout.contains("gate passed: 27 rows"), "{stdout}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("ok ")).count(), 31);
+    assert!(stdout.contains("gate passed: 31 rows"), "{stdout}");
 }
