@@ -9,8 +9,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ConsistencyMode, ProgressMode, RegionTable, RemoteRegion};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{sweep, Args, Fixture, Flag};
+use bgq_bench::{sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -80,20 +79,13 @@ fn measure(mode: ConsistencyMode, p: usize, rounds: usize) -> (f64, u64) {
 pub const FIGURE: Figure = Figure {
     name: "abl_consistency",
     about: "ablation — per-target vs per-memory-region consistency tracking",
-    flags: &[
-        Flag("--rounds", Num(100, 1), "conflict rounds"),
-        Flag("--procs", Num(8, 2), "processes"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    if let Err(e) = args.check_procs(1) {
-        FIGURE.fail_usage(&e);
-    }
-    let rounds = args.num("--rounds");
-    let p = args.num("--procs");
+    let rounds = 100; // conflict rounds
+    let p = 8;
     let jobs = args.jobs();
     println!("== Ablation: location-consistency tracking granularity (p={p}) ==");
     println!(

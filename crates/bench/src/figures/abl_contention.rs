@@ -9,8 +9,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{sweep, Args, Fixture, Flag};
+use bgq_bench::{sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -61,15 +60,12 @@ fn measure(p: usize, contention: bool, bytes: usize) -> (f64, f64) {
 pub const FIGURE: Figure = Figure {
     name: "abl_contention",
     about: "ablation — analytic LogGP network vs per-link contention modelling",
-    flags: &[
-        Flag("--bytes", Num(1 << 18, 0), "message size in bytes"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let bytes = args.num("--bytes");
+    let bytes = 1 << 18;
     let jobs = args.jobs();
     println!("== Ablation: shift-permutation put+fence, analytic vs link contention ==");
     println!(
@@ -88,7 +84,6 @@ fn run(args: &Args) {
             "{p:>6} {am:>14.1} {ax:>14.1} {cm:>14.1} {cx:>14.1} {:>7.2}x",
             cm / am
         );
-        let _ = (ax, cx);
     }
     println!("dimension-ordered shift traffic shares wrap-around links;");
     println!("the analytic model undercounts that queueing");

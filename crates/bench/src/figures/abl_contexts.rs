@@ -9,8 +9,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{sweep, Args, Fixture, Flag};
+use bgq_bench::{sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -68,12 +67,12 @@ fn measure(contexts: usize, p: usize, rounds: usize) -> f64 {
 pub const FIGURE: Figure = Figure {
     name: "abl_contexts",
     about: "ablation — 1 vs 2 PAMI contexts under the async-thread design",
-    flags: &[Flag("--rounds", Num(200, 1), "get-loop rounds"), JOBS],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let rounds = args.num("--rounds");
+    let rounds = 200; // of rank 0's get loop
     let jobs = args.jobs();
     println!("== Ablation: rho=1 vs rho=2 contexts under AT (rank-0 get loop, us) ==");
     println!(

@@ -8,8 +8,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
+use bgq_bench::{fmt_size, sweep, Args, Fixture};
 use desim::SimDuration;
 use pami_sim::MachineConfig;
 use std::cell::Cell;
@@ -63,12 +62,12 @@ fn measure(bytes: usize, rdma: bool, target_computes: bool, reps: usize) -> f64 
 pub const FIGURE: Figure = Figure {
     name: "abl_fallback",
     about: "ablation — RDMA protocol vs active-message fall-back latency",
-    flags: &[Flag("--reps", Num(20, 1), "repetitions per size"), JOBS],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let reps = args.num("--reps");
+    let reps = 20; // per size
     let jobs = args.jobs();
     println!("== Ablation: RDMA (Eq.7) vs AM fall-back (Eq.8) blocking get latency (us) ==");
     println!(

@@ -9,8 +9,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{sweep, Args, Fixture, Flag};
+use bgq_bench::{sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -90,20 +89,12 @@ fn neighbour_exchange_time(p: usize, c: usize, mapping: Mapping) -> f64 {
 pub const FIGURE: Figure = Figure {
     name: "abl_mapping",
     about: "ablation — ABCDET vs TABCDE process-to-torus mapping",
-    flags: &[
-        Flag("--procs", Num(256, 2), "processes"),
-        Flag("--ppn", Num(16, 1), "processes per node"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    if let Err(e) = args.check_procs(args.num("--ppn")) {
-        FIGURE.fail_usage(&e);
-    }
-    let p = args.num("--procs");
-    let c = args.num("--ppn");
+    let (p, c) = (256, 16);
     let jobs = args.jobs();
     println!("== Ablation: ABCDET vs TABCDE mapping (p={p}, c={c}) ==");
     let mappings = [("ABCDET", Mapping::abcdet()), ("TABCDE", Mapping::tabcde())];

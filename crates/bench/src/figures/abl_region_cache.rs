@@ -5,8 +5,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{sweep, Args, Fixture, Flag};
+use bgq_bench::{sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -56,20 +55,13 @@ fn measure(capacity: usize, p: usize, rounds: usize) -> (f64, u64, u64, u64) {
 pub const FIGURE: Figure = Figure {
     name: "abl_region_cache",
     about: "ablation — remote memory-region cache capacity / replacement",
-    flags: &[
-        Flag("--procs", Num(64, 2), "processes"),
-        Flag("--rounds", Num(1000, 1), "access rounds"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    if let Err(e) = args.check_procs(1) {
-        FIGURE.fail_usage(&e);
-    }
-    let p = args.num("--procs");
-    let rounds = args.num("--rounds");
+    let p = 64;
+    let rounds = 1000;
     let jobs = args.jobs();
     println!("== Ablation: remote region cache capacity (p={p}, {rounds} gets, LFU) ==");
     println!(

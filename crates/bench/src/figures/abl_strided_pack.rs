@@ -5,8 +5,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, ProgressMode, Strided};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
+use bgq_bench::{fmt_size, sweep, Args, Fixture};
 use pami_sim::MachineConfig;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -46,21 +45,13 @@ fn measure(total: usize, l0: usize, force_packed: bool, reps: usize) -> f64 {
 pub const FIGURE: Figure = Figure {
     name: "abl_strided_pack",
     about: "ablation — chunk-list RDMA vs packed strided protocol crossover",
-    flags: &[
-        Flag(
-            "--total",
-            Num(1 << 18, 16),
-            "total transfer bytes (at least the smallest l0, 16)",
-        ),
-        Flag("--reps", Num(4, 1), "repetitions"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let total = args.num("--total");
-    let reps = args.num("--reps");
+    let total = 1 << 18;
+    let reps = 4;
     let jobs = args.jobs();
     println!(
         "== Ablation: strided get, zero-copy vs packed (total {}) ==",

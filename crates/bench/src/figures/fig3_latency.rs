@@ -5,18 +5,17 @@
 
 use crate::Figure;
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{fmt_size, get_latency, put_latency, size_sweep, sweep, Args, Flag};
+use bgq_bench::{fmt_size, get_latency, put_latency, size_sweep, sweep, Args};
 
 pub const FIGURE: Figure = Figure {
     name: "fig3_latency",
     about: "Fig 3 — contiguous get/put latency vs message size",
-    flags: &[Flag("--reps", Num(50, 1), "repetitions per size"), JOBS],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let reps = args.num("--reps");
+    let reps = 50; // per size
     let jobs = args.jobs();
     println!("== Fig 3: contiguous get/put latency (2 procs, adjacent nodes) ==");
     println!("{:>8} {:>12} {:>12}", "size", "get (us)", "put (us)");

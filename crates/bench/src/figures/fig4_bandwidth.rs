@@ -5,25 +5,18 @@
 
 use crate::Figure;
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::{Num, Path};
-use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args, Flag};
-use desim::json::{push_f64, push_u64};
+use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args};
 
 pub const FIGURE: Figure = Figure {
     name: "fig4_bandwidth",
     about: "Fig 4 — contiguous get/put bandwidth vs message size",
-    flags: &[
-        Flag("--window", Num(2, 1), "outstanding operations"),
-        Flag("--reps", Num(32, 1), "messages per size"),
-        Flag("--json", Path, "write bandwidth rows as JSON"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let window = args.num("--window");
-    let reps = args.num("--reps");
+    let window = 2; // outstanding operations
+    let reps = 32; // messages per size
     let jobs = args.jobs();
     let sizes = size_sweep(16, 1 << 20);
     println!("== Fig 4: get/put bandwidth, 2 procs, window = {window} ==");
@@ -39,26 +32,4 @@ fn run(args: &Args) {
         println!("{:>8} {:>14.1} {:>14.1}", fmt_size(*m), g, p);
     }
     println!("paper: peak 1775 MB/s; get round-trip overhead visible till 8K");
-
-    args.write("--json", || {
-        let mut o = String::from("{\"schema\":\"fig4-v1\",\"window\":");
-        push_u64(&mut o, window as u64);
-        o.push_str(",\"reps\":");
-        push_u64(&mut o, reps as u64);
-        o.push_str(",\"rows\":[");
-        for (i, (m, (g, p))) in sizes.iter().zip(&rows).enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("{\"bytes\":");
-            push_u64(&mut o, *m as u64);
-            o.push_str(",\"get_mbs\":");
-            push_f64(&mut o, *g);
-            o.push_str(",\"put_mbs\":");
-            push_f64(&mut o, *p);
-            o.push('}');
-        }
-        o.push_str("]}\n");
-        o
-    });
 }

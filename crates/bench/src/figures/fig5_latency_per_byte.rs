@@ -5,18 +5,17 @@
 
 use crate::Figure;
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{fmt_size, get_latency, size_sweep, sweep, Args, Flag};
+use bgq_bench::{fmt_size, get_latency, size_sweep, sweep, Args};
 
 pub const FIGURE: Figure = Figure {
     name: "fig5_latency_per_byte",
     about: "Fig 5 — effective get latency per byte vs message size",
-    flags: &[Flag("--reps", Num(50, 1), "repetitions per size"), JOBS],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let reps = args.num("--reps");
+    let reps = 50; // per size
     let jobs = args.jobs();
     println!("== Fig 5: effective get latency per byte (2 procs) ==");
     println!(

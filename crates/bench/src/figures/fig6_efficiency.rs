@@ -4,23 +4,18 @@
 
 use crate::Figure;
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args, Flag};
+use bgq_bench::{bandwidth, fmt_size, size_sweep, sweep, Args};
 
 pub const FIGURE: Figure = Figure {
     name: "fig6_efficiency",
     about: "Fig 6 — bandwidth efficiency and N-half",
-    flags: &[
-        Flag("--window", Num(2, 1), "outstanding operations"),
-        Flag("--reps", Num(32, 1), "messages per size"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let window = args.num("--window");
-    let reps = args.num("--reps");
+    let window = 2; // outstanding operations
+    let reps = 32; // messages per size
     let jobs = args.jobs();
     let peak = torus5d::BgqParams::default().available_bw_mbs;
     println!("== Fig 6: bandwidth efficiency (put, window = {window}) ==");

@@ -7,8 +7,7 @@
 use crate::Figure;
 use armci::ArmciConfig;
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{Args, Fixture, Flag};
+use bgq_bench::{Args, Fixture};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -18,22 +17,13 @@ use std::rc::Rc;
 pub const FIGURE: Figure = Figure {
     name: "fig7_rank_latency",
     about: "Fig 7 — get latency vs process rank under ABCDET",
-    flags: &[
-        Flag("--procs", Num(2048, 2), "processes"),
-        Flag("--ppn", Num(16, 1), "processes per node"),
-        Flag("--reps", Num(3, 1), "repetitions per rank"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
-fn run(args: &Args) {
-    if let Err(e) = args.check_procs(args.num("--ppn")) {
-        FIGURE.fail_usage(&e);
-    }
-    let p = args.num("--procs");
-    let c = args.num("--ppn");
-    let reps = args.num("--reps");
+fn run(_: &Args) {
+    let (p, c) = (2048, 16);
+    let reps = 3; // per rank
     let bytes = 16usize;
     let f = Fixture::new(p, c, ArmciConfig::default());
     let topo = f.armci.machine().topology().clone();

@@ -7,8 +7,7 @@
 use crate::Figure;
 use armci::{ArmciConfig, Strided};
 use bgq_bench::cli::JOBS;
-use bgq_bench::Kind::Num;
-use bgq_bench::{fmt_size, sweep, Args, Fixture, Flag};
+use bgq_bench::{fmt_size, sweep, Args, Fixture};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -48,21 +47,13 @@ fn measure(total: usize, l0: usize, is_get: bool, reps: usize) -> f64 {
 pub const FIGURE: Figure = Figure {
     name: "fig8_strided",
     about: "Fig 8 — strided get/put bandwidth vs contiguous chunk size",
-    flags: &[
-        Flag(
-            "--total",
-            Num(1 << 20, 128),
-            "total transfer bytes (at least the smallest l0, 128)",
-        ),
-        Flag("--reps", Num(4, 1), "repetitions"),
-        JOBS,
-    ],
+    flags: &[JOBS],
     run,
 };
 
 fn run(args: &Args) {
-    let total = args.num("--total");
-    let reps = args.num("--reps");
+    let total = 1 << 20;
+    let reps = 4;
     let jobs = args.jobs();
     println!(
         "== Fig 8: strided bandwidth vs l0 (total {} transfer) ==",

@@ -44,7 +44,6 @@ pub const FIGURE: Figure = Figure {
             ListIn(&[0, 1000, 10000], 0, 1_000_000, 1),
             "comma-separated corruption rates, parts per million",
         ),
-        Flag("--seed", Num(42, 0), "fault-plan seed"),
         Flag("--json", Path, "write the fault-v1 sweep JSON"),
         TIMELINE,
         JOBS,
@@ -60,7 +59,7 @@ fn run(args: &Args) {
     let msgs = args.num("--msgs");
     let sizes = args.list("--sizes");
     let rates = args.list("--fault-rate");
-    let seed = args.num("--seed") as u64;
+    let seed = 42; // of the fault plan
     let jobs = args.jobs();
 
     println!("== fig_fault: {procs} ranks, {msgs} puts/rank, seed {seed} ==");

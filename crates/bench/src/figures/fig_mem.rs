@@ -19,8 +19,8 @@
 
 use crate::Figure;
 use bgq_bench::cli::{JOBS, TIMELINE};
-use bgq_bench::memscale::{self, DEFAULT_MSGS_PER_RANK, DEFAULT_OPS, DEFAULT_PROCS};
-use bgq_bench::Kind::{List, Num, Path};
+use bgq_bench::memscale::{self, DEFAULT_PROCS};
+use bgq_bench::Kind::{List, Path};
 use bgq_bench::{Args, Flag};
 use desim::memprof;
 
@@ -32,12 +32,6 @@ pub const FIGURE: Figure = Figure {
             "--procs",
             List(&DEFAULT_PROCS, 1),
             "comma-separated process counts",
-        ),
-        Flag("--ops", Num(DEFAULT_OPS, 1), "fetch-and-adds per requester"),
-        Flag(
-            "--msgs-per-rank",
-            Num(DEFAULT_MSGS_PER_RANK, 1),
-            "net_churn messages per rank",
         ),
         Flag("--json", Path, "write the memscale-v1 JSON document"),
         TIMELINE,
@@ -53,8 +47,8 @@ fn run(args: &Args) {
     let mut procs = args.list("--procs");
     procs.sort_unstable();
     procs.dedup();
-    let ops = args.num("--ops");
-    let msgs = args.num("--msgs-per-rank");
+    let ops = 4; // fetch-and-adds per requester
+    let msgs = 64; // net_churn messages per rank
 
     memprof::enable();
     let (fig9, churn, seen) = memscale::run_sweep(&procs, ops, msgs, args.jobs(), args.observe());

@@ -24,10 +24,8 @@
 //! `results/BENCH_scale_gate.json`.
 
 use crate::Figure;
-use bgq_bench::scale::{
-    self, Point, DEFAULT_ACTIVE, DEFAULT_OPS, DEFAULT_PROCS, DEFAULT_STORM_MSGS,
-};
-use bgq_bench::Kind::{List, Num, Path};
+use bgq_bench::scale::{self, Point, DEFAULT_PROCS};
+use bgq_bench::Kind::{List, Path};
 use bgq_bench::{Args, Flag};
 use desim::{memprof, Observe};
 
@@ -39,21 +37,6 @@ pub const FIGURE: Figure = Figure {
             "--procs",
             List(&DEFAULT_PROCS, 1),
             "comma-separated process counts",
-        ),
-        Flag(
-            "--active",
-            Num(DEFAULT_ACTIVE, 2),
-            "alltoall active-set size (at least 2; capped at p)",
-        ),
-        Flag(
-            "--ops",
-            Num(DEFAULT_OPS, 1),
-            "fetch-and-adds per requester / all-to-all rounds",
-        ),
-        Flag(
-            "--storm-msgs",
-            Num(DEFAULT_STORM_MSGS, 1),
-            "netstorm schedule length",
         ),
         Flag("--json", Path, "write the full scale-v3 JSON document"),
         Flag(
@@ -72,9 +55,9 @@ fn run(args: &Args) {
     let mut procs = args.list("--procs");
     procs.sort_unstable();
     procs.dedup();
-    let ops = args.num("--ops");
-    let active = args.num("--active");
-    let storm_msgs = args.num("--storm-msgs");
+    let ops = 1; // fetch-and-adds per requester / all-to-all rounds
+    let active = 256; // alltoall active set, capped at p
+    let storm_msgs = 100_000; // netstorm schedule length
 
     memprof::enable();
     println!(

@@ -33,12 +33,6 @@ use crate::{sweep, Observations};
 /// Default process counts for the scale sweep (ascending).
 pub const DEFAULT_PROCS: [usize; 4] = [32, 64, 128, 256];
 
-/// Default fetch-and-adds per requester for the `fig9_rmw` workload.
-pub const DEFAULT_OPS: usize = 4;
-
-/// Default `net_churn` messages injected per rank.
-pub const DEFAULT_MSGS_PER_RANK: usize = 64;
-
 /// Run the memory-scaling sweep: both workloads at every process count in
 /// `procs` (ascending), workload-major across `jobs` sweep workers. Returns
 /// the `fig9_rmw` and the `net_churn` points, each in `procs` order, and

@@ -44,15 +44,6 @@ use crate::{fig9, peak_rss_kb, Fixture};
 /// Default process counts for `fig_scale` (ascending, to one million).
 pub const DEFAULT_PROCS: [usize; 5] = [32, 1024, 32_768, 262_144, 1_000_000];
 
-/// Default size of the `alltoall` active set.
-pub const DEFAULT_ACTIVE: usize = 256;
-
-/// Default fetch-and-adds per requester (`fig9_rmw`) / all-to-all rounds.
-pub const DEFAULT_OPS: usize = 1;
-
-/// Default messages in the `netstorm` delivery schedule.
-pub const DEFAULT_STORM_MSGS: usize = 100_000;
-
 /// One measured run of a scaling workload at `procs` ranks.
 #[derive(Debug, Default)]
 pub struct Point {

@@ -106,19 +106,13 @@ fn process_counts_no_torus_holds_are_rejected() {
     // used to panic in the rank map.
     assert_rejected(
         "fig_scale",
-        &["--procs", "1048592", "--ops", "1", "--storm-msgs", "1000"],
+        &["--procs", "1048592"],
         "invalid value '1048592' for --procs: no 5D torus holds 1048592 ranks at 16 per node",
     );
     assert_rejected(
         "fig9_rmw",
         &["--procs", "99999999999", "--ops", "1"],
         "invalid value '99999999999' for --procs: no 5D torus holds 99999999999 ranks at 16 per node",
-    );
-    // One rank per node: 65537 nodes again.
-    assert_rejected_plain(
-        "abl_mapping",
-        &["--procs", "65537", "--ppn", "1"],
-        "invalid value '65537' for --procs: no 5D torus holds 65537 ranks at 1 per node",
     );
 }
 
@@ -153,59 +147,27 @@ fn values_a_workload_cannot_run_are_rejected() {
         assert_rejected(bin, args, message);
     }
 
-    // A zero count used to divide by zero (`--ppn`, `--window`), spin
-    // forever (`abl_contexts --rounds`: its peers wait for a nonzero
-    // measurement) or print NaN / empty tables; `fig_scale` clamped its
-    // counts silently.
+    // A zero count used to print NaN or empty tables.
     let zero = |flag: &str| format!("invalid value '0' for {flag}");
     for (bin, flag) in [
-        ("fig4_bandwidth", "--window"),
-        ("fig4_bandwidth", "--reps"),
         ("fig9_rmw", "--ops"),
         ("fig_am", "--msgs"),
         ("fig11_nwchem_scf", "--iters"),
-        ("fig_scale", "--ops"),
-        ("fig_scale", "--storm-msgs"),
-        // Both used to print the memory curves of a run that did nothing.
-        ("fig_mem", "--ops"),
-        ("fig_mem", "--msgs-per-rank"),
     ] {
         assert_rejected(bin, &[flag, "0"], &zero(flag));
     }
-    assert_rejected(
-        "fig_scale",
-        &["--active", "1"],
-        "invalid value '1' for --active",
+    // Used to be clamped to 1 without a word.
+    assert_rejected_plain("simstat", &["--width", "0"], &zero("--width"));
+}
+
+#[test]
+fn a_figure_configuration_is_not_an_option() {
+    // Figures 3-8 and the ablations run the paper's configuration only.
+    assert_rejected_plain(
+        "fig4_bandwidth",
+        &["--reps", "1"],
+        "unknown option '--reps'",
     );
-    for (bin, flag) in [
-        ("fig7_rank_latency", "--ppn"),
-        ("fig7_rank_latency", "--reps"),
-        ("abl_mapping", "--ppn"),
-        ("fig6_efficiency", "--window"),
-        ("fig6_efficiency", "--reps"),
-        ("abl_contexts", "--rounds"),
-        ("fig3_latency", "--reps"),
-        ("fig5_latency_per_byte", "--reps"),
-        ("fig8_strided", "--reps"),
-        ("abl_fallback", "--reps"),
-        ("abl_strided_pack", "--reps"),
-        ("abl_region_cache", "--rounds"),
-        ("abl_consistency", "--rounds"),
-        // Used to be clamped to 1 without a word.
-        ("simstat", "--width"),
-    ] {
-        assert_rejected_plain(bin, &[flag, "0"], &zero(flag));
-    }
-    // A total below the smallest chunk size printed an empty table.
-    for (bin, below) in [("fig8_strided", "127"), ("abl_strided_pack", "15")] {
-        for v in ["0", below] {
-            assert_rejected_plain(
-                bin,
-                &["--total", v],
-                &format!("invalid value '{v}' for --total"),
-            );
-        }
-    }
 }
 
 #[test]

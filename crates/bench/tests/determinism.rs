@@ -88,20 +88,7 @@ fn assert_jobs_invariant(bin: &str, args: &[&str], tag: &str, docs: &[&str]) -> 
 
 #[test]
 fn fig4_bandwidth_is_jobs_invariant() {
-    let bin = "fig4_bandwidth";
-    let args = ["--window", "1", "--reps", "1"];
-    let (out1, json1) = run(bin, &args, 1, "fig4", &["--json"]);
-    let (out4, json4) = run(bin, &args, 4, "fig4", &["--json"]);
-    assert_eq!(
-        stable_stdout(&out1),
-        stable_stdout(&out4),
-        "fig4 stdout must not depend on --jobs"
-    );
-    assert_eq!(json1, json4, "fig4 --json must not depend on --jobs");
-    assert!(
-        json1[0].contains("\"schema\":\"fig4-v1\""),
-        "fig4 JSON schema tag missing"
-    );
+    assert_jobs_invariant("fig4_bandwidth", &[], "fig4", &[]);
 }
 
 #[test]
